@@ -18,7 +18,7 @@ from pathlib import Path
 import numpy as np
 
 from .cost_assortment import OracleConfig
-from .ellipsoid import EllipsoidBreakdown, run_ellipsoid
+from .ellipsoid import EllipsoidBreakdown, solve_restricted
 from .instance import (
     GENERATOR_KINDS,
     detect_same_order,
@@ -28,7 +28,7 @@ from .instance import (
     save_instance,
     validate,
 )
-from .lp import LpSolverError, build_aux_primal, check_lp_solution, lp2_exact_small
+from .lp import LpSolverError, lp2_exact_small
 from .policies import (
     PolicyPreconditionError,
     RandomizedStaticPolicy,
@@ -39,7 +39,6 @@ from .policies import (
     exact_star,
 )
 from .evaluate import monte_carlo
-from .simplex import solve_lp
 from .suites import SUITES, run_suites
 
 EXIT_OK = 0
@@ -118,21 +117,18 @@ def cmd_gen(args) -> int:
     return EXIT_OK
 
 
+def _oracle_config(args) -> OracleConfig:
+    return OracleConfig(kind="relaxed", delta=args.delta) if args.delta > 0 else OracleConfig()
+
+
 def cmd_solve(args) -> int:
     inst = _load_valid_instance(args.instance)
     factor = float(inst.r.max()) if float(inst.r.max()) > 0 else 1.0
     norm = normalize_revenues(inst)
-    oracle = OracleConfig(kind="relaxed", delta=args.delta) if args.delta > 0 else OracleConfig()
-
-    run = run_ellipsoid(
-        norm, oracle, args.t_max, early_exit=args.early_exit, trace=bool(args.trace)
+    solved = solve_restricted(
+        norm, _oracle_config(args), args.t_max, early_exit=args.early_exit, trace=bool(args.trace)
     )
-    columns = build_aux_primal(norm, run.violated)
-    result = solve_lp(columns.lp)
-    solution = columns.extract(result)
-    problems = check_lp_solution(norm, solution, tol=1e-9)
-    if problems:
-        raise LpSolverError("restricted solve infeasible: " + "; ".join(problems))
+    run, solution = solved.run, solved.solution
 
     config = {
         "instance": args.instance,
@@ -151,6 +147,7 @@ def cmd_solve(args) -> int:
         "recorded_sets_total": run.violated.total(),
         "recorded_sets_per_supplier": run.violated.counts(),
         "early_exited": run.early_exited,
+        "stop_reason": run.stop_reason,
     }
     header = list(row.keys())
     if norm.n <= 4 and norm.m <= 4:
@@ -173,7 +170,7 @@ def cmd_solve(args) -> int:
         }
         _emit(args.out, json.dumps(doc, sort_keys=True, indent=2) + "\n")
     if args.dump_lp:
-        _emit(args.dump_lp, json.dumps(columns.lp.to_dict(), sort_keys=True) + "\n")
+        _emit(args.dump_lp, json.dumps(solved.columns.lp.to_dict(), sort_keys=True) + "\n")
     if args.trace:
         lines = [json.dumps(rec, sort_keys=True, default=_fmt) for rec in run.trace or []]
         _emit(args.trace, "\n".join(lines) + ("\n" if lines else ""))
@@ -222,14 +219,9 @@ def cmd_run(args) -> int:
     elif args.policy == "rand-static":
         factor = float(inst.r.max()) if float(inst.r.max()) > 0 else 1.0
         norm = normalize_revenues(inst)
-        oracle = OracleConfig(kind="relaxed", delta=args.delta) if args.delta > 0 else OracleConfig()
-        run = run_ellipsoid(norm, oracle, args.t_max, early_exit=args.early_exit)
-        config["t_max"] = run.t_max
-        columns = build_aux_primal(norm, run.violated)
-        solution = columns.extract(solve_lp(columns.lp))
-        problems = check_lp_solution(norm, solution, tol=1e-9)
-        if problems:
-            raise LpSolverError("restricted solve infeasible: " + "; ".join(problems))
+        solved = solve_restricted(norm, _oracle_config(args), args.t_max, early_exit=args.early_exit)
+        config["t_max"] = solved.run.t_max
+        solution = solved.solution
         policy = RandomizedStaticPolicy(inst, solution)
         row["lp_objective"] = solution.objective * factor
         try:

@@ -11,6 +11,7 @@ polynomial-time scheme could be dropped in without touching the solvers.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -50,12 +51,15 @@ def sub_dual_exact(inst: Instance, j: int, gamma) -> tuple[float, tuple[int, ...
 
 def _pick(values: np.ndarray, n: int) -> tuple[float, tuple[int, ...]]:
     vmax = float(values.max())
-    candidates = np.flatnonzero(values == vmax)
-    best = min(
+    best = _first_by_size_then_lex(np.flatnonzero(values == vmax), n)
+    return vmax, subset_of(best, n)
+
+
+def _first_by_size_then_lex(candidates: np.ndarray, n: int) -> int:
+    return min(
         (int(c) for c in candidates),
         key=lambda c: (c.bit_count(), subset_of(c, n)),
     )
-    return vmax, subset_of(best, n)
 
 
 @dataclass(frozen=True)
@@ -96,22 +100,35 @@ class SubDualOracle:
         self.inst = inst
         self._masks = subset_masks(inst.n)
         self._rtab = np.stack([expected_revenue_table(inst, j) for j in inst.suppliers()])
-        # size-then-lex scan order over bitmasks, shared by every call
-        self._scan = sorted(range(2**inst.n), key=lambda c: (c.bit_count(), subset_of(c, inst.n)))
+        self._subsets: dict[int, tuple[int, ...]] = {}
+
+    @cached_property
+    def _scan(self) -> list[int]:
+        """Size-then-lex scan order over bitmasks, shared by every relaxed
+        call; built on first use because only the relaxed kind reads it."""
+        return sorted(range(2**self.inst.n), key=lambda c: (c.bit_count(), subset_of(c, self.inst.n)))
+
+    def _subset(self, mask: int) -> tuple[int, ...]:
+        subset = self._subsets.get(mask)
+        if subset is None:
+            subset = self._subsets[mask] = subset_of(mask, self.inst.n)
+        return subset
 
     def __call__(self, j: int, gamma) -> tuple[float, tuple[int, ...], float | None]:
         gamma = np.asarray(gamma, dtype=float)
         values = self._rtab[j] - self._masks @ gamma[:, j]
         kind = self.config.kind
         if kind == "exact":
-            val, subset = _pick(values, self.inst.n)
-            return val, subset, 0.0
+            vmax = float(values.max())
+            hits = (values == vmax).nonzero()[0]
+            best = int(hits[0]) if hits.size == 1 else _first_by_size_then_lex(hits, self.inst.n)
+            return vmax, self._subset(best), 0.0
         if kind == "relaxed":
             vmax = float(values.max())
             target = (1.0 - self.config.delta) * vmax
             for c in self._scan:
                 if values[c] >= target:
-                    return float(values[c]), subset_of(c, self.inst.n), self.config.delta
+                    return float(values[c]), self._subset(c), self.config.delta
             raise RuntimeError("unreachable: the maximizer always meets the target")
         # singleton: empty set plus singletons only
         best_val, best_set = 0.0, ()

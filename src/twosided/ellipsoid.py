@@ -26,7 +26,9 @@ from .cost_assortment import OracleConfig, make_oracle
 from .instance import Instance
 from .lp import (
     DualPoint,
+    LpSolution,
     LpSolverError,
+    MarginalLpColumns,
     ViolatedSets,
     build_aux_primal,
     check_lp_solution,
@@ -79,6 +81,15 @@ class EllipsoidResult:
     degenerate_stop: bool = False
     trace: list[dict] | None = None
 
+    @property
+    def stop_reason(self) -> str:
+        """Why the loop ended: ``float64_floor``, ``early_exit`` or ``t_max``."""
+        if self.degenerate_stop:
+            return "float64_floor"
+        if self.early_exited:
+            return "early_exit"
+        return "t_max"
+
 
 def default_radius(inst: Instance) -> float:
     """Ball radius containing every candidate optimum of the normalized
@@ -106,8 +117,13 @@ def run_ellipsoid(
     log_cuts: bool = False,
     debug: bool = False,
 ) -> EllipsoidResult:
-    """Run the cut loop for exactly ``t_max`` cut steps (fewer only with
-    ``early_exit``, which stops once trace(D) < 1e-24).
+    """Run the cut loop for at most ``t_max`` cut steps.
+
+    The run ends at the first of three events, reported as
+    ``EllipsoidResult.stop_reason``: ``t_max`` cut steps; the float64
+    floor, where a'Da along the next cut falls to the noise level of
+    trace(D) (the usual end of a run with the default budget); or, with
+    ``early_exit``, trace(D) dropping below 1e-24.
 
     Requires revenues normalized so every expected revenue is at most 1
     (the initial incumbent beta = 1 must be feasible). ``debug`` verifies
@@ -137,7 +153,7 @@ def run_ellipsoid(
     alpha = s[:nm].reshape(n, m)
     gamma = s[nm + m :].reshape(n, m)
     beta = s[nm : nm + m]
-    inv_u = 1.0 / inst.u
+    cuts = _CutVectors(n, m, 1.0 / inst.u)
 
     best = DualPoint(alpha=np.zeros((n, m)), beta=np.ones(m), gamma=np.zeros((n, m)))
     obj = float(m)
@@ -150,14 +166,17 @@ def run_ellipsoid(
 
     growth = n_dim * n_dim / (n_dim * n_dim - 1.0)
     step_frac = 1.0 / (n_dim + 1.0)
+    two_step = 2.0 * step_frac
+    rank1 = np.empty((n_dim, n_dim))
+    trace_d = float(shape.trace())
     t = 0
     early_exited = False
     degenerate_stop = False
     incumbent_flag = False
 
     while t < t_max:
-        kind, index, a = _find_cut(
-            inst, oracle, s, alpha, beta, gamma, inv_u, obj, violated, ac_cuts, t, log_cuts
+        kind, index, cut = _find_cut(
+            inst, oracle, cuts, s, alpha, beta, gamma, obj, violated, ac_cuts, t, log_cuts
         )
         if kind is None:
             # feasible center that improves the objective: update in place,
@@ -170,11 +189,11 @@ def run_ellipsoid(
             continue
 
         cut_counts[kind] += 1
+        a, floor = cut
         da = shape @ a
         ada = float(a @ da)
-        noise = NOISE_FLOOR * float(a @ a) * abs(float(np.trace(shape)))
+        noise = floor * abs(trace_d)
         if ada <= noise:
-            trace_d = float(np.trace(shape))
             if trace_d > 0.0 and ada > -noise:
                 # zero numerical extent along the cut: float64 is exhausted,
                 # stop with the current state
@@ -184,10 +203,19 @@ def run_ellipsoid(
                 f"a'Da = {ada:.3e} <= 0 at t={t} on {kind} cut {index}; "
                 f"trace(D) = {trace_d:.3e}"
             )
-        s += da * (step_frac / math.sqrt(ada))
-        shape -= (2.0 * step_frac / ada) * np.outer(da, da)
+        # D <- growth * (D - (2 step / a'Da) da da'), in place. da da' is
+        # exactly symmetric and both triangles see the same operations, so a
+        # symmetric D stays exactly symmetric; only a caller's shape can be
+        # asymmetric, and one symmetrize step after the first cut fixes it.
+        np.multiply(da[:, None], da[None, :], out=rank1)
+        rank1 *= two_step / ada
+        shape -= rank1
         shape *= growth
-        shape = (shape + shape.T) * 0.5
+        if t == 0:
+            shape = (shape + shape.T) * 0.5
+        da *= step_frac / math.sqrt(ada)
+        s += da
+        trace_d = float(shape.trace())
         if debug:
             try:
                 np.linalg.cholesky(shape)
@@ -202,7 +230,7 @@ def run_ellipsoid(
                 {"t": t, "cut": kind, "index": index, "obj": obj, "incumbent_updated": incumbent_flag}
             )
         incumbent_flag = False
-        if early_exit and float(np.trace(shape)) < TRACE_EARLY_EXIT:
+        if early_exit and trace_d < TRACE_EARLY_EXIT:
             early_exited = True
             break
 
@@ -222,39 +250,78 @@ def run_ellipsoid(
     )
 
 
-def _find_cut(inst, oracle, s, alpha, beta, gamma, inv_u, obj, violated, ac_cuts, t, log_cuts):
-    """Locate the first violated constraint in the fixed scan order and
-    return (kind, index, cut vector a); kind None when the center is
-    feasible and improving."""
-    n, m = inst.n, inst.m
-    nm = n * m
-    n_dim = s.size
+class _CutVectors:
+    """Cut vectors a of one run, each paired with NOISE_FLOOR * a'a.
 
-    if float(s[: nm + m].sum()) >= obj:
-        a = np.zeros(n_dim)
+    The objective, weight-link and alpha-nonnegative families are fixed by
+    the instance and built up front; backlog cuts are built on first use and
+    kept. Each vector is its own contiguous array, as the per-cut
+    ``np.zeros`` it replaces was, and is never written after it is built.
+    """
+
+    def __init__(self, n: int, m: int, inv_u: np.ndarray):
+        nm = n * m
+        self._n_dim = 2 * nm + m
+        self._nm = nm
+        self._m = m
+        a = np.zeros(self._n_dim)
         a[: nm + m] = -1.0
-        return "objective", None, a
+        self.objective = _with_floor(a)
+        # both lists are indexed by the row-major pair position i * m + j
+        self.weight_link = []
+        self.alpha_nonnegative = []
+        for i in range(n):
+            for j in range(m):
+                a = np.zeros(self._n_dim)
+                a[i * m : (i + 1) * m] = 1.0
+                a[i * m + j] += inv_u[i, j]
+                a[nm + m + i * m + j] = -1.0
+                self.weight_link.append(_with_floor(a))
+                a = np.zeros(self._n_dim)
+                a[i * m + j] = 1.0
+                self.alpha_nonnegative.append(_with_floor(a))
+        self._backlog: dict[tuple[int, tuple[int, ...]], tuple[np.ndarray, float]] = {}
+
+    def backlog(self, j: int, subset: tuple[int, ...]) -> tuple[np.ndarray, float]:
+        cut = self._backlog.get((j, subset))
+        if cut is None:
+            a = np.zeros(self._n_dim)
+            nm, m = self._nm, self._m
+            a[nm + j] = 1.0
+            for i in subset:
+                a[nm + m + i * m + j] = 1.0
+            cut = self._backlog[(j, subset)] = _with_floor(a)
+        return cut
+
+
+def _with_floor(a: np.ndarray) -> tuple[np.ndarray, float]:
+    # NOISE_FLOOR * a'a is the left factor of the noise level, so the
+    # product with |trace(D)| rounds as it would if formed per cut
+    return a, NOISE_FLOOR * float(a @ a)
+
+
+def _find_cut(inst, oracle, cuts, s, alpha, beta, gamma, obj, violated, ac_cuts, t, log_cuts):
+    """Locate the first violated constraint in the fixed scan order and
+    return (kind, index, (cut vector a, its noise scale)); kind None when
+    the center is feasible and improving."""
+    m = inst.m
+    nm_m = inst.n * m + m
+
+    if float(s[:nm_m].sum()) >= obj:
+        return "objective", None, cuts.objective
 
     # same float expression as dual_feasibility_report so that accepted
     # incumbents remain feasible under the exact checker at zero tolerance
     link = alpha / inst.u + alpha.sum(axis=1, keepdims=True) - gamma
-    flat = (link < 0.0).ravel()
-    if flat.any():
-        pos = int(np.argmax(flat))
-        i, j = divmod(pos, m)
-        a = np.zeros(n_dim)
-        a[i * m : (i + 1) * m] = 1.0
-        a[i * m + j] += inv_u[i, j]
-        a[nm + m + i * m + j] = -1.0
-        return "weight-link", (i, j), a
+    below = link < 0.0
+    pos = int(below.argmax())
+    if below.item(pos):
+        return "weight-link", divmod(pos, m), cuts.weight_link[pos]
 
-    flat = (alpha < 0.0).ravel()
-    if flat.any():
-        pos = int(np.argmax(flat))
-        i, j = divmod(pos, m)
-        a = np.zeros(n_dim)
-        a[i * m + j] = 1.0
-        return "alpha-nonnegative", (i, j), a
+    below = alpha < 0.0
+    pos = int(below.argmax())
+    if below.item(pos):
+        return "alpha-nonnegative", divmod(pos, m), cuts.alpha_nonnegative[pos]
 
     for j in range(m):
         value, subset, _ = oracle(j, gamma)
@@ -270,13 +337,43 @@ def _find_cut(inst, oracle, s, alpha, beta, gamma, inv_u, obj, violated, ac_cuts
                     gamma=gamma.copy() if log_cuts else None,
                 )
             )
-            a = np.zeros(n_dim)
-            a[nm + j] = 1.0
-            for i in subset:
-                a[nm + m + i * m + j] = 1.0
-            return "assortment-cost", (j, subset), a
+            return "assortment-cost", (j, subset), cuts.backlog(j, subset)
 
     return None, None, None
+
+
+@dataclass
+class RestrictedSolve:
+    """One constraint-generation solve of the marginal LP: the cut-loop
+    record, the primal restricted to its recorded support, and that
+    primal's checked optimal solution."""
+
+    run: EllipsoidResult
+    columns: MarginalLpColumns
+    solution: LpSolution
+
+
+def solve_restricted(
+    inst: Instance,
+    oracle_config: OracleConfig | None = None,
+    t_max: int | None = None,
+    *,
+    early_exit: bool = False,
+    trace: bool = False,
+    feasibility_tol: float = 1e-9,
+) -> RestrictedSolve:
+    """Cut loop, then exact solve of the primal restricted to the recorded
+    backlog support; raises :class:`LpSolverError` when the solution fails
+    the feasibility check of the full marginal LP at ``feasibility_tol``."""
+    run = run_ellipsoid(inst, oracle_config, t_max, early_exit=early_exit, trace=trace)
+    columns = build_aux_primal(inst, run.violated)
+    solution = columns.extract(solve_lp(columns.lp))
+    problems = check_lp_solution(inst, solution, tol=feasibility_tol)
+    if problems:
+        raise LpSolverError(
+            "restricted-support solve returned an infeasible point: " + "; ".join(problems)
+        )
+    return RestrictedSolve(run=run, columns=columns, solution=solution)
 
 
 def solve_lp2_approx(
@@ -288,8 +385,7 @@ def solve_lp2_approx(
     details: bool = False,
     feasibility_tol: float = 1e-9,
 ):
-    """Approximately solve the marginal LP: cut loop, then exact solve of
-    the primal restricted to the recorded backlog support.
+    """Approximately solve the marginal LP (see :func:`solve_restricted`).
 
     The returned point is feasible for the full marginal LP; with the exact
     oracle and a sufficient iteration budget its objective matches the true
@@ -297,14 +393,9 @@ def solve_lp2_approx(
     least (1 - delta) times the optimum. With ``details=True`` also returns
     the ellipsoid run record.
     """
-    run = run_ellipsoid(inst, oracle_config, t_max, early_exit=early_exit)
-    columns = build_aux_primal(inst, run.violated)
-    solution = columns.extract(solve_lp(columns.lp))
-    problems = check_lp_solution(inst, solution, tol=feasibility_tol)
-    if problems:
-        raise LpSolverError(
-            "restricted-support solve returned an infeasible point: " + "; ".join(problems)
-        )
+    solved = solve_restricted(
+        inst, oracle_config, t_max, early_exit=early_exit, feasibility_tol=feasibility_tol
+    )
     if details:
-        return solution, run
-    return solution
+        return solved.solution, solved.run
+    return solved.solution

@@ -150,13 +150,10 @@ def _pivot_loop(tableau: np.ndarray, basis: list[int], n_cols: int, tol: float, 
     """
     m = tableau.shape[0] - 1
     for it in range(max_iters):
-        reduced = tableau[m, :n_cols]
-        enter = -1
-        for j in range(n_cols):
-            if reduced[j] < -tol:
-                enter = j
-                break
-        if enter < 0:
+        # Bland: the first column whose reduced cost is below -tol
+        below = tableau[m, :n_cols] < -tol
+        enter = int(below.argmax())
+        if not below[enter]:
             return it
         col = tableau[:m, enter]
         eligible = np.flatnonzero(col > tol)

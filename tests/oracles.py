@@ -1,11 +1,24 @@
 """Independent test oracles kept outside the package on purpose."""
 
+import math
 from fractions import Fraction
 from itertools import combinations
 
 import numpy as np
 
-from twosided.simplex import LinearProgram
+from twosided.cost_assortment import OracleConfig
+from twosided.ellipsoid import (
+    NOISE_FLOOR,
+    TRACE_EARLY_EXIT,
+    AcCut,
+    EllipsoidBreakdown,
+    EllipsoidResult,
+    default_iteration_budget,
+    default_radius,
+)
+from twosided.lp import DualPoint, ViolatedSets
+from twosided.mnl import expected_revenue_table, subset_masks, subset_of
+from twosided.simplex import LinearProgram, LpSolverError, _pivot
 
 
 def lp_optimum_by_vertex_enumeration(lp: LinearProgram, tol: float = 1e-9) -> float | None:
@@ -63,3 +76,242 @@ def exact_g(w: list[Fraction], r: list[Fraction], members: tuple[int, ...]) -> F
                 den += w[i]
         best = max(best, num / den)
     return best
+
+
+# ---------------------------------------------------------------------------
+# Reference solver loops. These are the straightforward forms of the
+# package's cut loop, sub-dual oracle and Bland entering scan, kept verbatim
+# so that the optimized package code can be required to reproduce their
+# trajectories bit for bit (tests/test_equivalence.py).
+
+
+class ReferenceOracle:
+    """Sub-dual oracle in its plain form: eager size-then-lex scan order and
+    the size-then-lex tie-break on every exact pick."""
+
+    def __init__(self, config, inst):
+        self.config = config
+        self.inst = inst
+        self._masks = subset_masks(inst.n)
+        self._rtab = np.stack([expected_revenue_table(inst, j) for j in inst.suppliers()])
+        self._scan = sorted(range(2**inst.n), key=lambda c: (c.bit_count(), subset_of(c, inst.n)))
+
+    def _pick(self, values):
+        vmax = float(values.max())
+        candidates = np.flatnonzero(values == vmax)
+        best = min(
+            (int(c) for c in candidates),
+            key=lambda c: (c.bit_count(), subset_of(c, self.inst.n)),
+        )
+        return vmax, subset_of(best, self.inst.n)
+
+    def __call__(self, j, gamma):
+        gamma = np.asarray(gamma, dtype=float)
+        values = self._rtab[j] - self._masks @ gamma[:, j]
+        kind = self.config.kind
+        if kind == "exact":
+            val, subset = self._pick(values)
+            return val, subset, 0.0
+        if kind == "relaxed":
+            vmax = float(values.max())
+            target = (1.0 - self.config.delta) * vmax
+            for c in self._scan:
+                if values[c] >= target:
+                    return float(values[c]), subset_of(c, self.inst.n), self.config.delta
+            raise RuntimeError("unreachable: the maximizer always meets the target")
+        best_val, best_set = 0.0, ()
+        for i in range(self.inst.n):
+            v = float(values[1 << i])
+            if v > best_val:
+                best_val, best_set = v, (i,)
+        return best_val, best_set, None
+
+
+def reference_run_ellipsoid(
+    inst, oracle_config=None, t_max=None, init=None, *, early_exit=False, trace=False,
+    log_cuts=False, debug=False,
+):
+    """The central-cut loop with a fresh cut vector, two trace(D) calls, an
+    out-of-place rank-1 update and a symmetrize step on every cut."""
+    if float(inst.r.max()) > 1.0 + 1e-12:
+        raise ValueError("revenues must be normalized (max pair revenue <= 1) before running")
+    n, m = inst.n, inst.m
+    nm = n * m
+    n_dim = 2 * nm + m
+    if t_max is None:
+        t_max = default_iteration_budget(inst)
+    if t_max < 1:
+        raise ValueError(f"t_max must be >= 1, got {t_max}")
+
+    oracle = ReferenceOracle(oracle_config or OracleConfig(), inst)
+    radius = init.radius if init and init.radius is not None else default_radius(inst)
+    s = np.zeros(n_dim)
+    if init and init.center is not None:
+        s[:] = np.asarray(init.center, dtype=float)
+    if init and init.shape is not None:
+        shape = np.array(init.shape, dtype=float)
+    else:
+        shape = np.eye(n_dim) * radius**2
+
+    alpha = s[:nm].reshape(n, m)
+    gamma = s[nm + m :].reshape(n, m)
+    beta = s[nm : nm + m]
+    inv_u = 1.0 / inst.u
+
+    best = DualPoint(alpha=np.zeros((n, m)), beta=np.ones(m), gamma=np.zeros((n, m)))
+    obj = float(m)
+    violated = ViolatedSets(m)
+    cut_counts = {"objective": 0, "weight-link": 0, "alpha-nonnegative": 0, "assortment-cost": 0}
+    incumbent_history = []
+    incumbents = []
+    ac_cuts = []
+    trace_rows = [] if trace else None
+
+    growth = n_dim * n_dim / (n_dim * n_dim - 1.0)
+    step_frac = 1.0 / (n_dim + 1.0)
+    t = 0
+    early_exited = False
+    degenerate_stop = False
+    incumbent_flag = False
+
+    while t < t_max:
+        kind, index, a = _reference_find_cut(
+            inst, oracle, s, alpha, beta, gamma, inv_u, obj, violated, ac_cuts, t, log_cuts
+        )
+        if kind is None:
+            best = DualPoint(alpha=alpha.copy(), beta=beta.copy(), gamma=gamma.copy())
+            obj = float(s[: nm + m].sum())
+            incumbent_history.append((t, obj))
+            incumbents.append(best)
+            incumbent_flag = True
+            continue
+
+        cut_counts[kind] += 1
+        da = shape @ a
+        ada = float(a @ da)
+        noise = NOISE_FLOOR * float(a @ a) * abs(float(np.trace(shape)))
+        if ada <= noise:
+            trace_d = float(np.trace(shape))
+            if trace_d > 0.0 and ada > -noise:
+                degenerate_stop = True
+                break
+            raise EllipsoidBreakdown(
+                f"a'Da = {ada:.3e} <= 0 at t={t} on {kind} cut {index}; "
+                f"trace(D) = {trace_d:.3e}"
+            )
+        s += da * (step_frac / math.sqrt(ada))
+        shape -= (2.0 * step_frac / ada) * np.outer(da, da)
+        shape *= growth
+        shape = (shape + shape.T) * 0.5
+        if debug:
+            try:
+                np.linalg.cholesky(shape)
+            except np.linalg.LinAlgError as exc:
+                raise EllipsoidBreakdown(
+                    f"shape matrix not positive definite after cut {t} "
+                    f"({kind} {index}): {exc}"
+                ) from exc
+        t += 1
+        if trace_rows is not None:
+            trace_rows.append(
+                {"t": t, "cut": kind, "index": index, "obj": obj, "incumbent_updated": incumbent_flag}
+            )
+        incumbent_flag = False
+        if early_exit and float(np.trace(shape)) < TRACE_EARLY_EXIT:
+            early_exited = True
+            break
+
+    return EllipsoidResult(
+        violated=violated,
+        best=best,
+        objective=obj,
+        iterations=t,
+        t_max=t_max,
+        cut_counts=cut_counts,
+        incumbent_history=incumbent_history,
+        incumbents=incumbents,
+        ac_cuts=ac_cuts,
+        early_exited=early_exited,
+        degenerate_stop=degenerate_stop,
+        trace=trace_rows,
+    )
+
+
+def _reference_find_cut(inst, oracle, s, alpha, beta, gamma, inv_u, obj, violated, ac_cuts, t, log_cuts):
+    n, m = inst.n, inst.m
+    nm = n * m
+    n_dim = s.size
+
+    if float(s[: nm + m].sum()) >= obj:
+        a = np.zeros(n_dim)
+        a[: nm + m] = -1.0
+        return "objective", None, a
+
+    link = alpha / inst.u + alpha.sum(axis=1, keepdims=True) - gamma
+    flat = (link < 0.0).ravel()
+    if flat.any():
+        pos = int(np.argmax(flat))
+        i, j = divmod(pos, m)
+        a = np.zeros(n_dim)
+        a[i * m : (i + 1) * m] = 1.0
+        a[i * m + j] += inv_u[i, j]
+        a[nm + m + i * m + j] = -1.0
+        return "weight-link", (i, j), a
+
+    flat = (alpha < 0.0).ravel()
+    if flat.any():
+        pos = int(np.argmax(flat))
+        i, j = divmod(pos, m)
+        a = np.zeros(n_dim)
+        a[i * m + j] = 1.0
+        return "alpha-nonnegative", (i, j), a
+
+    for j in range(m):
+        value, subset, _ = oracle(j, gamma)
+        if value > beta[j]:
+            violated.add(j, subset)
+            ac_cuts.append(
+                AcCut(
+                    t=t,
+                    j=j,
+                    subset=subset,
+                    value=value,
+                    beta=float(beta[j]),
+                    gamma=gamma.copy() if log_cuts else None,
+                )
+            )
+            a = np.zeros(n_dim)
+            a[nm + j] = 1.0
+            for i in subset:
+                a[nm + m + i * m + j] = 1.0
+            return "assortment-cost", (j, subset), a
+
+    return None, None, None
+
+
+def reference_pivot_loop(tableau, basis, n_cols, tol, max_iters):
+    """Bland pivoting with the entering column found by a Python scan."""
+    m = tableau.shape[0] - 1
+    for it in range(max_iters):
+        reduced = tableau[m, :n_cols]
+        enter = -1
+        for j in range(n_cols):
+            if reduced[j] < -tol:
+                enter = j
+                break
+        if enter < 0:
+            return it
+        col = tableau[:m, enter]
+        eligible = np.flatnonzero(col > tol)
+        if eligible.size == 0:
+            return -(it + 1)
+        ratios = tableau[eligible, -1] / col[eligible]
+        rmin = float(ratios.min())
+        ties = eligible[ratios <= rmin + 1e-12 * max(1.0, abs(rmin))]
+        leave = int(min(ties, key=lambda rr: basis[rr]))
+        _pivot(tableau, leave, enter)
+        basis[leave] = enter
+    raise LpSolverError(
+        f"simplex exceeded {max_iters} pivots (rows={m}, cols={n_cols}); "
+        "tableau is numerically suspect"
+    )

@@ -100,6 +100,27 @@ def test_solve_dump_lp_and_trace(tmp_path, capsys, unit_instance):
     assert set(rec) == {"t", "cut", "index", "obj", "incumbent_updated"}
 
 
+def _report_fields(path) -> dict[str, str]:
+    header, row = path.read_text().strip().splitlines()[-2:]
+    return dict(zip(header.split(","), row.split(",")))
+
+
+def test_solve_reports_stop_reason(tmp_path, capsys, unit_instance):
+    path = tmp_path / "unit.json"
+    save_instance(unit_instance, path)
+    budget = tmp_path / "budget.csv"
+    default = tmp_path / "default.csv"
+    assert run_cli(capsys, "solve", str(path), "--t-max", "200", "--report", str(budget))[0] == 0
+    assert run_cli(capsys, "solve", str(path), "--report", str(default))[0] == 0
+    header = budget.read_text().strip().splitlines()[-2].split(",")
+    assert header[header.index("early_exited") + 1] == "stop_reason"
+    assert _report_fields(budget)["stop_reason"] == "t_max"
+    assert _report_fields(budget)["iterations"] == "200"
+    fields = _report_fields(default)
+    assert fields["stop_reason"] == "float64_floor"
+    assert fields["early_exited"] == "false"
+
+
 def test_run_dp_unit_instance(tmp_path, capsys, unit_instance):
     path = tmp_path / "unit.json"
     save_instance(unit_instance, path)

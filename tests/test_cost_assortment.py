@@ -1,9 +1,17 @@
+from itertools import combinations
+
 import numpy as np
 import pytest
 
-from twosided.cost_assortment import OracleConfig, oracle_call, rev_cost, sub_dual_exact
-from twosided.instance import generate
-from twosided.mnl import expected_revenue, optimal_revenue, subset_of
+from twosided.cost_assortment import (
+    OracleConfig,
+    SubDualOracle,
+    oracle_call,
+    rev_cost,
+    sub_dual_exact,
+)
+from twosided.instance import Instance, generate
+from twosided.mnl import expected_revenue, expected_revenue_table, optimal_revenue, subset_of
 
 TOL = 1e-9
 
@@ -137,3 +145,64 @@ def test_tie_break_smaller_then_lex():
         type(inst)(n=4, m=2, u=inst.u, w=inst.w, r=np.zeros((4, 2))), 0, zero
     )
     assert value == 0.0 and subset == ()
+
+
+def test_relaxed_picks_match_size_then_lex_scan():
+    # brute force: walk sets by size, lexicographically within a size, and
+    # take the first whose value reaches (1 - delta) times the maximum
+    rng = np.random.default_rng(21)
+    n = 5
+    for seed in range(4):
+        inst = generate("uniform-random", n, 2, seed)
+        for delta in (0.0, 0.1, 0.25, 0.5, 0.9):
+            oracle = SubDualOracle(OracleConfig(kind="relaxed", delta=delta), inst)
+            for _ in range(5):
+                gamma = rng.normal(0.0, 0.3, (n, 2))
+                j = int(rng.integers(0, 2))
+                values = {
+                    subset: expected_revenue_table(inst, j)[sum(1 << i for i in subset)]
+                    - sum(gamma[i, j] for i in subset)
+                    for size in range(n + 1)
+                    for subset in combinations(range(n), size)
+                }
+                target = (1.0 - delta) * max(values.values())
+                want = next(s for s, v in values.items() if v >= target - 1e-12)
+                got_value, got_subset, got_delta = oracle(j, gamma)
+                assert got_subset == want
+                assert got_value == pytest.approx(values[want], abs=TOL)
+                assert got_delta == delta
+
+
+def test_scan_order_built_only_for_relaxed_calls():
+    inst = generate("uniform-random", 4, 2, 1)
+    gamma = np.full((4, 2), 0.05)
+    exact = SubDualOracle(OracleConfig(), inst)
+    exact(0, gamma)
+    assert "_scan" not in vars(exact)
+    relaxed = SubDualOracle(OracleConfig(kind="relaxed", delta=0.3), inst)
+    assert "_scan" not in vars(relaxed)
+    relaxed(1, gamma)
+    assert len(vars(relaxed)["_scan"]) == 2**4
+
+
+def test_exact_oracle_matches_tie_break_on_ties():
+    # customers 2 and 3 earn nothing and cost nothing, so every maximizer
+    # ties with copies of itself that add them; zero costs on a zero-revenue
+    # instance tie all 16 sets
+    rng = np.random.default_rng(5)
+    base = generate("uniform-random", 4, 2, 7)
+    r = np.array(base.r)
+    r[2:, :] = 0.0
+    inst = Instance(n=4, m=2, u=base.u, w=base.w, r=r)
+    flat = Instance(n=4, m=2, u=base.u, w=base.w, r=np.zeros((4, 2)))
+    cases = [(flat, np.zeros((4, 2)))]
+    for _ in range(20):
+        gamma = rng.normal(0.0, 0.3, (4, 2))
+        gamma[2:, :] = 0.0
+        cases.append((inst, gamma))
+        cases.append((inst, rng.normal(0.0, 0.3, (4, 2))))
+    for case, gamma in cases:
+        oracle = SubDualOracle(OracleConfig(), case)
+        for j in range(2):
+            for _ in range(2):  # the second call reads the cached subset
+                assert oracle(j, gamma) == sub_dual_exact(case, j, gamma) + (0.0,)
