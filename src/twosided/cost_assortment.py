@@ -141,10 +141,3 @@ class SubDualOracle:
 
 def make_oracle(config: OracleConfig | None, inst: Instance) -> SubDualOracle:
     return SubDualOracle(config or OracleConfig(), inst)
-
-
-def oracle_call(
-    config: OracleConfig | None, inst: Instance, j: int, gamma
-) -> tuple[float, tuple[int, ...], float | None]:
-    """One-shot oracle invocation; see :class:`SubDualOracle`."""
-    return make_oracle(config, inst)(j, gamma)

@@ -79,11 +79,8 @@ class SubsetDistribution:
     def product(marginals) -> "SubsetDistribution":
         """Independent inclusion with the given per-customer marginals; the
         support enumerates all subsets."""
-        q = np.asarray(marginals, dtype=float)
-        n = q.size
-        probs = np.ones(1)
-        for i in range(n):
-            probs = np.concatenate([probs * (1.0 - q[i]), probs * q[i]])
+        n = np.size(marginals)
+        probs = mnl.independent_subset_probs(marginals)
         support = tuple(
             (mnl.subset_of(mask, n), float(probs[mask])) for mask in range(2**n)
         )
@@ -116,11 +113,7 @@ def expected_optimal_revenue(inst: Instance, j: int, dist: SubsetDistribution) -
 
 
 def expected_optimal_revenue_independent(inst: Instance, j: int, marginals) -> float:
-    q = np.asarray(marginals, dtype=float)
-    probs = np.ones(1)
-    for i in range(inst.n):
-        probs = np.concatenate([probs * (1.0 - q[i]), probs * q[i]])
-    return float(probs @ mnl.optimal_revenue_table(inst, j))
+    return float(mnl.independent_subset_probs(marginals) @ mnl.optimal_revenue_table(inst, j))
 
 
 def correlation_gap_check(inst: Instance, j: int, dist: SubsetDistribution) -> float | None:

@@ -74,10 +74,14 @@ class ViolatedSets:
         self._seen: list[set[tuple[int, ...]]] = [set() for _ in range(m)]
 
     def add(self, j: int, subset: tuple[int, ...]) -> bool:
-        subset = mnl.as_subset(subset)
-        if subset in self._seen[j]:
+        seen = self._seen[j]
+        # a repeat cut arrives already canonical: skip the normalization
+        if isinstance(subset, tuple) and subset in seen:
             return False
-        self._seen[j].add(subset)
+        subset = mnl.as_subset(subset)
+        if subset in seen:
+            return False
+        seen.add(subset)
         self._lists[j].append(subset)
         return True
 

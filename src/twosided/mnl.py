@@ -137,6 +137,20 @@ def optimal_revenue_table(inst: Instance, j: int) -> np.ndarray:
     return g
 
 
+def independent_subset_probs(q) -> np.ndarray:
+    """Probability of every subset, indexed by bitmask, when element i is
+    included independently with probability q[i].
+
+    ``q`` of shape (n, k) gives k product distributions at once, one per
+    column, as a (2^n, k) array.
+    """
+    q = np.asarray(q, dtype=float)
+    probs = np.ones((1,) + q.shape[1:])
+    for i in range(q.shape[0]):
+        probs = np.concatenate([probs * (1.0 - q[i]), probs * q[i]])
+    return probs
+
+
 def mask_of(subset, n: int) -> int:
     mask = 0
     for i in as_subset(subset):

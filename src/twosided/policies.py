@@ -16,7 +16,6 @@ and exist to verify the approximation guarantees of the two policies:
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import product
 
 import numpy as np
 
@@ -96,113 +95,86 @@ def _with(status: tuple[int, ...], i: int, value: int) -> tuple[int, ...]:
     return tuple(out)
 
 
-def exact_dp_atar(inst: Instance):
-    """Optimal adaptive value and policy table.
-
-    States are per-customer statuses (unprocessed / outside / chosen
-    supplier); at each state the program picks any remaining customer and
-    any supplier assortment, maximizing over both by brute force. The
-    boundary value sums each supplier's optimal revenue over its backlog.
-    Returns (optimal value, {status: (customer, assortment)}).
+def _dp(inst: Instance, order: tuple[int, ...] | None):
+    """Memoized recursion over per-customer statuses (unprocessed / outside
+    / chosen supplier). With ``order`` the t-th step processes ``order[t]``;
+    without it every unprocessed customer is a candidate. A customer's best
+    offer follows the prefix rule of :func:`best_marginal_assortment` on the
+    successor values' gains over the outside option. The boundary value sums
+    each supplier's optimal revenue over its backlog.
+    Returns (value, {status: (customer, assortment)}).
     """
     _require_dp_size(inst)
     n, m = inst.n, inst.m
-    assortments = [mnl.subset_of(mask, m) for mask in range(2**m)]
-    gtabs = [mnl.optimal_revenue_table(inst, j) for j in range(m)]
+    u = inst.u.tolist()
+    gtabs = [mnl.optimal_revenue_table(inst, j).tolist() for j in range(m)]
     memo: dict[tuple[int, ...], float] = {}
     policy: dict[tuple[int, ...], tuple[int, tuple[int, ...]]] = {}
-
-    def boundary(status: tuple[int, ...]) -> float:
-        total = 0.0
-        for j in range(m):
-            mask = 0
-            for i, st in enumerate(status):
-                if st == j:
-                    mask |= 1 << i
-            total += gtabs[j][mask]
-        return total
-
-    def value(status: tuple[int, ...]) -> float:
-        cached = memo.get(status)
-        if cached is not None:
-            return cached
-        unprocessed = [i for i, st in enumerate(status) if st == UNPROCESSED]
-        if not unprocessed:
-            v = boundary(status)
-            memo[status] = v
-            return v
-        best = -np.inf
-        best_action = None
-        for i in unprocessed:
-            u_i = inst.u[i]
-            succ_out = value(_with(status, i, OUTSIDE))
-            succ = [value(_with(status, i, j)) for j in range(m)]
-            for offer in assortments:
-                den = 1.0
-                num = succ_out
-                for j in offer:
-                    den += u_i[j]
-                    num += u_i[j] * succ[j]
-                v = num / den
-                if v > best:
-                    best = v
-                    best_action = (i, offer)
-        memo[status] = best
-        policy[status] = best_action
-        return best
-
-    opt = value((UNPROCESSED,) * n)
-    return opt, policy
-
-
-def exact_dp_ftar(inst: Instance, order) -> float:
-    """Optimal value when customers must be processed in ``order`` but
-    assortments stay adaptive. Never exceeds the adaptive-order value."""
-    _require_dp_size(inst)
-    n, m = inst.n, inst.m
-    order = tuple(order)
-    if sorted(order) != list(range(n)):
-        raise ValueError(f"order must be a permutation of range({n})")
-    assortments = [mnl.subset_of(mask, m) for mask in range(2**m)]
-    gtabs = [mnl.optimal_revenue_table(inst, j) for j in range(m)]
-    memo: dict[tuple[int, ...], float] = {}
 
     def value(status: tuple[int, ...], t: int) -> float:
         cached = memo.get(status)
         if cached is not None:
             return cached
         if t == n:
-            total = 0.0
+            best = 0.0
             for j in range(m):
                 mask = 0
                 for i, st in enumerate(status):
                     if st == j:
                         mask |= 1 << i
-                total += gtabs[j][mask]
-            memo[status] = total
-            return total
-        i = order[t]
-        u_i = inst.u[i]
-        succ_out = value(_with(status, i, OUTSIDE), t + 1)
-        succ = [value(_with(status, i, j), t + 1) for j in range(m)]
+                best += gtabs[j][mask]
+            memo[status] = best
+            return best
+        if order is None:
+            candidates = [i for i, st in enumerate(status) if st == UNPROCESSED]
+        else:
+            candidates = (order[t],)
         best = -np.inf
-        for offer in assortments:
-            den = 1.0
-            num = succ_out
-            for j in offer:
-                den += u_i[j]
-                num += u_i[j] * succ[j]
-            best = max(best, num / den)
+        best_action = None
+        for i in candidates:
+            succ_out = value(_with(status, i, OUTSIDE), t + 1)
+            gains = [value(_with(status, i, j), t + 1) - succ_out for j in range(m)]
+            offer, gain = best_marginal_assortment(gains, u[i])
+            v = succ_out + gain
+            if v > best:
+                best = v
+                best_action = (i, offer)
         memo[status] = best
+        policy[status] = best_action
         return best
 
-    return value((UNPROCESSED,) * n, 0)
+    return value((UNPROCESSED,) * n, 0), policy
+
+
+def exact_dp_atar(inst: Instance):
+    """Optimal adaptive value and policy table.
+
+    At each state the program picks the remaining customer and supplier
+    assortment of highest value; see :func:`_dp`.
+    Returns (optimal value, {status: (customer, assortment)}).
+    """
+    return _dp(inst, None)
+
+
+def exact_dp_ftar(inst: Instance, order) -> float:
+    """Optimal value when customers must be processed in ``order`` but
+    assortments stay adaptive. Never exceeds the adaptive-order value."""
+    order = tuple(order)
+    if sorted(order) != list(range(inst.n)):
+        raise ValueError(f"order must be a permutation of range({inst.n})")
+    return _dp(inst, order)[0]
 
 
 def exact_star(inst: Instance) -> float:
     """Optimal value over deterministic static assortment profiles, all
-    customers processed simultaneously; expectation by exhaustive
-    enumeration of joint choice outcomes."""
+    customers processed simultaneously.
+
+    Under a static profile customers choose independently, so supplier j's
+    backlog is product-Bernoulli with inclusion probabilities
+    phi_i(j, S_i); by linearity of expectation a profile's value is the sum
+    over suppliers of that distribution integrated against the
+    optimal-revenue table. All profiles are evaluated at once.
+    """
     n, m = inst.n, inst.m
     work = (2**m) ** n * (m + 1) ** n
     if work > STAR_WORK_LIMIT:
@@ -210,32 +182,17 @@ def exact_star(inst: Instance) -> float:
             f"static exhaustive search needs ~{work} outcome evaluations for "
             f"{n}x{m}; limit is {STAR_WORK_LIMIT}"
         )
-    assortments = [mnl.subset_of(mask, m) for mask in range(2**m)]
-    gtabs = [mnl.optimal_revenue_table(inst, j) for j in range(m)]
-    masks = [0] * m
-    best = -np.inf
-
-    for profile in product(assortments, repeat=n):
-        total = 0.0
-
-        def walk(i: int, prob: float) -> None:
-            nonlocal total
-            if i == n:
-                total += prob * sum(gtabs[j][masks[j]] for j in range(m))
-                return
-            offer = profile[i]
-            u_i = inst.u[i]
-            den = 1.0 + sum(u_i[j] for j in offer)
-            walk(i + 1, prob / den)
-            bit = 1 << i
-            for j in offer:
-                masks[j] |= bit
-                walk(i + 1, prob * u_i[j] / den)
-                masks[j] &= ~bit
-
-        walk(0, 1.0)
-        best = max(best, total)
-    return float(best)
+    offers = mnl.subset_masks(m)  # row a is the offer with bitmask a
+    # phi[i, a, j]: probability that customer i picks supplier j from offer a
+    phi = inst.u[:, None, :] * offers / (1.0 + inst.u @ offers.T)[:, :, None]
+    # column k is one profile: customer i is offered mask profiles[i, k]
+    profiles = np.indices((2**m,) * n).reshape(n, -1)
+    customers = np.arange(n)[:, None]
+    values = sum(
+        mnl.optimal_revenue_table(inst, j) @ mnl.independent_subset_probs(phi[customers, profiles, j])
+        for j in range(m)
+    )
+    return float(values.max())
 
 
 class RandomizedStaticPolicy:
@@ -276,10 +233,7 @@ class RandomizedStaticPolicy:
             )
         total = 0.0
         for j in range(self.inst.m):
-            p = self.x[:, j]
-            probs = np.ones(1)
-            for i in range(n):
-                probs = np.concatenate([probs * (1.0 - p[i]), probs * p[i]])
+            probs = mnl.independent_subset_probs(self.x[:, j])
             total += float(probs @ mnl.optimal_revenue_table(self.inst, j))
         return total
 
@@ -291,16 +245,14 @@ def best_marginal_assortment(rho, u_row) -> tuple[tuple[int, ...], float]:
     The maximizer is a prefix of suppliers sorted by rho descending (ties by
     index), so m+1 prefixes suffice; ties in value keep the smaller prefix.
     """
-    rho = np.asarray(rho, dtype=float)
-    u = np.asarray(u_row, dtype=float)
-    order = sorted(range(rho.size), key=lambda j: (-rho[j], j))
+    order = sorted(range(len(rho)), key=lambda j: (-rho[j], j))
     best_val = 0.0
     best_len = 0
     num = 0.0
     den = 1.0
     for t, j in enumerate(order, start=1):
-        num += rho[j] * u[j]
-        den += u[j]
+        num += rho[j] * u_row[j]
+        den += u_row[j]
         val = num / den
         if val > best_val:
             best_val = val

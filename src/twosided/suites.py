@@ -52,6 +52,31 @@ def _sub_seed(seed: int, k: int) -> int:
     return (seed * 1_000_003 + k) % (2**31 - 1)
 
 
+def _submodularity_control(name: str) -> PropertyReport:
+    """Negative control: plain submodularity must fail on the counterexample
+    with its documented witness A = {2}, B = {1, 2}, i = 0."""
+    control = PropertyReport(name=name)
+    control.cases = 1
+    plain = submodularity_check(counterexample_instance(), 0)
+    witnessed = any(
+        v["A"] == (2,) and v["B"] == (1, 2) and v["i"] == 0 for v in plain.violations
+    )
+    if plain.passed or not witnessed:
+        control.record(kind="missing-documented-witness", found=len(plain.violations))
+    return control
+
+
+def _wrong_order_control(name: str) -> PropertyReport:
+    """Negative control: the submodular-order check must fail on the
+    counterexample along the non-revenue order (1, 2, 0)."""
+    wrong = PropertyReport(name=name)
+    wrong.cases = 1
+    flipped = submodular_order_check(counterexample_instance(), 0, (1, 2, 0), exhaustive=True)
+    if flipped.passed:
+        wrong.record(kind="wrong-order-not-detected")
+    return wrong
+
+
 def suite_appendix_a(seed: int = 0) -> list[PropertyReport]:
     del seed  # fully deterministic
     inst = counterexample_instance()
@@ -90,25 +115,15 @@ def suite_appendix_a(seed: int = 0) -> list[PropertyReport]:
     if abs(sum(shares) - 7.0 / 3.0) > TOL:
         report.record(kind="cost-share-total", got=sum(shares), want=7.0 / 3.0)
 
-    control = PropertyReport(name="submodularity-negative-control")
-    control.cases = 1
-    plain = submodularity_check(inst, 0)
-    witnessed = any(
-        v["A"] == (2,) and v["B"] == (1, 2) and v["i"] == 0 for v in plain.violations
-    )
-    if plain.passed or not witnessed:
-        control.record(kind="missing-documented-witness", found=len(plain.violations))
-
     ordered = submodular_order_check(inst, 0, revenue_order(inst, 0), exhaustive=True)
     ordered.name = "submodular-order-correct-order"
 
-    wrong = PropertyReport(name="submodular-order-wrong-order-control")
-    wrong.cases = 1
-    flipped = submodular_order_check(inst, 0, (1, 2, 0), exhaustive=True)
-    if flipped.passed:
-        wrong.record(kind="wrong-order-not-detected")
-
-    return [report, control, ordered, wrong]
+    return [
+        report,
+        _submodularity_control("submodularity-negative-control"),
+        ordered,
+        _wrong_order_control("submodular-order-wrong-order-control"),
+    ]
 
 
 def suite_gap(seed: int, draws: int = 1000) -> list[PropertyReport]:
@@ -170,15 +185,7 @@ def suite_sharing(seed: int, trials: int = 1000) -> list[PropertyReport]:
         rep.name = f"cost-sharing[{k}]"
         reports.append(rep)
 
-    control = PropertyReport(name="sharing-negative-control")
-    control.cases = 1
-    plain = submodularity_check(counterexample_instance(), 0)
-    witnessed = any(
-        v["A"] == (2,) and v["B"] == (1, 2) and v["i"] == 0 for v in plain.violations
-    )
-    if plain.passed or not witnessed:
-        control.record(kind="missing-documented-witness", found=len(plain.violations))
-    reports.append(control)
+    reports.append(_submodularity_control("sharing-negative-control"))
     return reports
 
 
@@ -202,12 +209,7 @@ def suite_order(seed: int, trials: int = 1000) -> list[PropertyReport]:
         inter.name = rep.name + "-interleaved"
         reports.extend([sub, inter])
 
-    wrong = PropertyReport(name="order-negative-control")
-    wrong.cases = 1
-    flipped = submodular_order_check(counterexample_instance(), 0, (1, 2, 0), exhaustive=True)
-    if flipped.passed:
-        wrong.record(kind="wrong-order-not-detected")
-    reports.append(wrong)
+    reports.append(_wrong_order_control("order-negative-control"))
     return reports
 
 

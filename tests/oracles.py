@@ -2,10 +2,11 @@
 
 import math
 from fractions import Fraction
-from itertools import combinations
+from itertools import combinations, product
 
 import numpy as np
 
+from twosided import mnl
 from twosided.cost_assortment import OracleConfig
 from twosided.ellipsoid import (
     NOISE_FLOOR,
@@ -16,8 +17,10 @@ from twosided.ellipsoid import (
     default_iteration_budget,
     default_radius,
 )
+from twosided.instance import Instance
 from twosided.lp import DualPoint, ViolatedSets
-from twosided.mnl import expected_revenue_table, subset_masks, subset_of
+from twosided.mnl import SizeLimitError, expected_revenue_table, subset_masks, subset_of
+from twosided.policies import OUTSIDE, STAR_WORK_LIMIT, UNPROCESSED, _require_dp_size, _with
 from twosided.simplex import LinearProgram, LpSolverError, _pivot
 
 
@@ -315,3 +318,168 @@ def reference_pivot_loop(tableau, basis, n_cols, tol, max_iters):
         f"simplex exceeded {max_iters} pivots (rows={m}, cols={n_cols}); "
         "tableau is numerically suspect"
     )
+
+
+# ---------------------------------------------------------------------------
+# Reference policy oracles: the brute-force forms of the adaptive and
+# fixed-order dynamic programs (every one of the 2^m offers at every state),
+# the static optimum by walking every joint choice outcome of every profile,
+# the product-Bernoulli subset loop, and the numpy prefix scan. Kept verbatim
+# (the adaptive DP also returns its memo of state values) so that
+# tests/test_equivalence.py can hold the shared package code to them.
+
+
+def reference_dp_atar(inst: Instance):
+    _require_dp_size(inst)
+    n, m = inst.n, inst.m
+    assortments = [mnl.subset_of(mask, m) for mask in range(2**m)]
+    gtabs = [mnl.optimal_revenue_table(inst, j) for j in range(m)]
+    memo: dict[tuple[int, ...], float] = {}
+    policy: dict[tuple[int, ...], tuple[int, tuple[int, ...]]] = {}
+
+    def boundary(status: tuple[int, ...]) -> float:
+        total = 0.0
+        for j in range(m):
+            mask = 0
+            for i, st in enumerate(status):
+                if st == j:
+                    mask |= 1 << i
+            total += gtabs[j][mask]
+        return total
+
+    def value(status: tuple[int, ...]) -> float:
+        cached = memo.get(status)
+        if cached is not None:
+            return cached
+        unprocessed = [i for i, st in enumerate(status) if st == UNPROCESSED]
+        if not unprocessed:
+            v = boundary(status)
+            memo[status] = v
+            return v
+        best = -np.inf
+        best_action = None
+        for i in unprocessed:
+            u_i = inst.u[i]
+            succ_out = value(_with(status, i, OUTSIDE))
+            succ = [value(_with(status, i, j)) for j in range(m)]
+            for offer in assortments:
+                den = 1.0
+                num = succ_out
+                for j in offer:
+                    den += u_i[j]
+                    num += u_i[j] * succ[j]
+                v = num / den
+                if v > best:
+                    best = v
+                    best_action = (i, offer)
+        memo[status] = best
+        policy[status] = best_action
+        return best
+
+    opt = value((UNPROCESSED,) * n)
+    return opt, policy, memo
+
+
+def reference_dp_ftar(inst: Instance, order) -> float:
+    _require_dp_size(inst)
+    n, m = inst.n, inst.m
+    order = tuple(order)
+    if sorted(order) != list(range(n)):
+        raise ValueError(f"order must be a permutation of range({n})")
+    assortments = [mnl.subset_of(mask, m) for mask in range(2**m)]
+    gtabs = [mnl.optimal_revenue_table(inst, j) for j in range(m)]
+    memo: dict[tuple[int, ...], float] = {}
+
+    def value(status: tuple[int, ...], t: int) -> float:
+        cached = memo.get(status)
+        if cached is not None:
+            return cached
+        if t == n:
+            total = 0.0
+            for j in range(m):
+                mask = 0
+                for i, st in enumerate(status):
+                    if st == j:
+                        mask |= 1 << i
+                total += gtabs[j][mask]
+            memo[status] = total
+            return total
+        i = order[t]
+        u_i = inst.u[i]
+        succ_out = value(_with(status, i, OUTSIDE), t + 1)
+        succ = [value(_with(status, i, j), t + 1) for j in range(m)]
+        best = -np.inf
+        for offer in assortments:
+            den = 1.0
+            num = succ_out
+            for j in offer:
+                den += u_i[j]
+                num += u_i[j] * succ[j]
+            best = max(best, num / den)
+        memo[status] = best
+        return best
+
+    return value((UNPROCESSED,) * n, 0)
+
+
+def reference_star(inst: Instance) -> float:
+    n, m = inst.n, inst.m
+    work = (2**m) ** n * (m + 1) ** n
+    if work > STAR_WORK_LIMIT:
+        raise SizeLimitError(
+            f"static exhaustive search needs ~{work} outcome evaluations for "
+            f"{n}x{m}; limit is {STAR_WORK_LIMIT}"
+        )
+    assortments = [mnl.subset_of(mask, m) for mask in range(2**m)]
+    gtabs = [mnl.optimal_revenue_table(inst, j) for j in range(m)]
+    masks = [0] * m
+    best = -np.inf
+
+    for profile in product(assortments, repeat=n):
+        total = 0.0
+
+        def walk(i: int, prob: float) -> None:
+            nonlocal total
+            if i == n:
+                total += prob * sum(gtabs[j][masks[j]] for j in range(m))
+                return
+            offer = profile[i]
+            u_i = inst.u[i]
+            den = 1.0 + sum(u_i[j] for j in offer)
+            walk(i + 1, prob / den)
+            bit = 1 << i
+            for j in offer:
+                masks[j] |= bit
+                walk(i + 1, prob * u_i[j] / den)
+                masks[j] &= ~bit
+
+        walk(0, 1.0)
+        best = max(best, total)
+    return float(best)
+
+
+def reference_subset_probs(q) -> np.ndarray:
+    q = np.asarray(q, dtype=float)
+    n = q.size
+    probs = np.ones(1)
+    for i in range(n):
+        probs = np.concatenate([probs * (1.0 - q[i]), probs * q[i]])
+    return probs
+
+
+def reference_best_marginal_assortment(rho, u_row) -> tuple[tuple[int, ...], float]:
+    rho = np.asarray(rho, dtype=float)
+    u = np.asarray(u_row, dtype=float)
+    order = sorted(range(rho.size), key=lambda j: (-rho[j], j))
+    best_val = 0.0
+    best_len = 0
+    num = 0.0
+    den = 1.0
+    for t, j in enumerate(order, start=1):
+        num += rho[j] * u[j]
+        den += u[j]
+        val = num / den
+        if val > best_val:
+            best_val = val
+            best_len = t
+    return tuple(sorted(order[:best_len])), float(best_val)

@@ -6,7 +6,7 @@ import pytest
 from twosided.cost_assortment import (
     OracleConfig,
     SubDualOracle,
-    oracle_call,
+    make_oracle,
     rev_cost,
     sub_dual_exact,
 )
@@ -88,13 +88,13 @@ def test_sub_dual_monotone_in_costs():
 
 def test_default_oracle_identical_to_exact(counterexample):
     gamma = np.full((3, 1), 0.1)
-    value, subset, delta = oracle_call(None, counterexample, 0, gamma)
+    value, subset, delta = make_oracle(None, counterexample)(0, gamma)
     want_value, want_subset = sub_dual_exact(counterexample, 0, gamma)
     assert (value, subset, delta) == (want_value, want_subset, 0.0)
 
 
 def test_default_oracle_zero_costs(counterexample):
-    value, subset, delta = oracle_call(OracleConfig(), counterexample, 0, np.zeros((3, 1)))
+    value, subset, delta = make_oracle(OracleConfig(), counterexample)(0, np.zeros((3, 1)))
     want, _ = optimal_revenue(counterexample, 0, (0, 1, 2))
     assert value == pytest.approx(want, abs=TOL)
     assert delta == 0.0
@@ -108,7 +108,7 @@ def test_relaxed_oracle_respects_its_guarantee():
         gamma = rng.normal(0.0, 0.3, (5, 2))
         j = seed % 2
         exact, _ = sub_dual_exact(inst, j, gamma)
-        value, subset, delta = oracle_call(config, inst, j, gamma)
+        value, subset, delta = make_oracle(config, inst)(j, gamma)
         assert delta == 0.25
         assert value == pytest.approx(rev_cost(inst, j, subset, gamma), abs=TOL)
         assert value >= (1.0 - 0.25) * exact - TOL
@@ -118,12 +118,12 @@ def test_relaxed_oracle_delta_zero_matches_exact():
     config = OracleConfig(kind="relaxed", delta=0.0)
     inst = generate("uniform-random", 4, 2, 3)
     gamma = np.zeros((4, 2))
-    assert oracle_call(config, inst, 0, gamma) == oracle_call(None, inst, 0, gamma)[:2] + (0.0,)
+    assert make_oracle(config, inst)(0, gamma) == make_oracle(None, inst)(0, gamma)[:2] + (0.0,)
 
 
 def test_singleton_oracle_nonnegative(counterexample):
-    value, subset, delta = oracle_call(
-        OracleConfig(kind="singleton"), counterexample, 0, np.zeros((3, 1))
+    value, subset, delta = make_oracle(OracleConfig(kind="singleton"), counterexample)(
+        0, np.zeros((3, 1))
     )
     assert value >= 0.0
     assert len(subset) <= 1

@@ -1,18 +1,37 @@
-"""The optimized solver loops against the plain reference loops kept in
-``oracles.py``: every comparison is exact (``==`` on values and on the raw
-bytes of arrays), because the optimizations promise the same floating-point
-operations, not merely close answers."""
+"""The optimized solver loops and the shared policy-oracle code against the
+plain reference forms kept in ``oracles.py``. Solver comparisons are exact
+(``==`` on values and on the raw bytes of arrays), because those
+optimizations promise the same floating-point operations, not merely close
+answers; the policy oracles are held to 1e-12 (see below)."""
 
 import numpy as np
 import pytest
 
 import twosided.simplex as simplex
-from oracles import reference_pivot_loop, reference_run_ellipsoid
+from oracles import (
+    reference_best_marginal_assortment,
+    reference_dp_atar,
+    reference_dp_ftar,
+    reference_pivot_loop,
+    reference_run_ellipsoid,
+    reference_star,
+    reference_subset_probs,
+)
 from twosided.cost_assortment import OracleConfig
 from twosided.ellipsoid import EllipsoidInit, default_radius, run_ellipsoid
+from twosided.evaluate import SubsetDistribution, expected_optimal_revenue_independent
 from twosided.instance import GENERATOR_KINDS, generate, normalize_revenues
 from twosided.lp import _marginal_lp, build_aux_primal, lp2_exact_small
-from twosided.mnl import subset_of
+from twosided.mnl import independent_subset_probs, optimal_revenue_table, subset_of
+from twosided.policies import (
+    OUTSIDE,
+    RandomizedStaticPolicy,
+    _with,
+    best_marginal_assortment,
+    exact_dp_atar,
+    exact_dp_ftar,
+    exact_star,
+)
 from twosided.simplex import LinearProgram, solve_lp
 
 
@@ -125,3 +144,99 @@ def test_infeasible_and_unbounded_match_reference(monkeypatch):
         got, want = _solve_both(lp, monkeypatch)
         assert got.status == status
         assert_same_lp_result(got, want)
+
+
+# ---------------------------------------------------------------------------
+# Policy oracles against the brute-force references. The DP and static
+# optimum now add up the same terms in a different order, so values agree to
+# ORACLE_TOL; the product-Bernoulli and prefix-scan helpers do the same float
+# operations as before and must match with ==.
+
+ORACLE_TOL = 1e-12
+ORACLE_SIZES = ((1, 3), (3, 2), (3, 3), (4, 3), (6, 2))
+
+
+def _oracle_instances():
+    cases = [
+        pytest.param(kind, n, m, id=f"{kind}-{n}x{m}")
+        for kind in GENERATOR_KINDS
+        for n, m in ORACLE_SIZES
+    ]
+    return cases + [pytest.param("zero-revenue", 3, 2, id="zero-revenue"),
+                    pytest.param("counterexample", 3, 1, id="counterexample")]
+
+
+def _make(kind, n, m, request):
+    if kind == "zero-revenue":
+        return request.getfixturevalue("zero_revenue_instance")
+    if kind == "counterexample":
+        return request.getfixturevalue("counterexample")
+    return generate(kind, n, m, 10 * n + m)
+
+
+def assert_dp_matches_reference(inst):
+    opt, policy = exact_dp_atar(inst)
+    ref_opt, ref_policy, ref_memo = reference_dp_atar(inst)
+    assert abs(opt - ref_opt) <= ORACLE_TOL
+    assert policy.keys() == ref_policy.keys()
+    # where two actions tie to rounding the picks may differ, so each chosen
+    # action is scored on the reference successor values instead
+    for status, (i, offer) in policy.items():
+        succ_out = ref_memo[_with(status, i, OUTSIDE)]
+        num, den = succ_out, 1.0
+        for j in offer:
+            num += inst.u[i, j] * ref_memo[_with(status, i, j)]
+            den += inst.u[i, j]
+        assert abs(num / den - ref_memo[status]) <= ORACLE_TOL
+    for order in (tuple(range(inst.n)), tuple(reversed(range(inst.n)))):
+        assert abs(exact_dp_ftar(inst, order) - reference_dp_ftar(inst, order)) <= ORACLE_TOL
+
+
+@pytest.mark.parametrize("kind, n, m", _oracle_instances())
+def test_policy_oracles_match_reference(kind, n, m, request):
+    inst = _make(kind, n, m, request)
+    assert_dp_matches_reference(inst)
+    assert abs(exact_star(inst) - reference_star(inst)) <= ORACLE_TOL
+
+
+@pytest.mark.parametrize("kind", GENERATOR_KINDS)
+def test_dp_at_6x3_matches_reference(kind):
+    assert_dp_matches_reference(generate(kind, 6, 3, 63))
+
+
+def test_product_bernoulli_call_sites_match_reference_loop():
+    rng = np.random.default_rng(11)
+    for n in (1, 2, 5, 8):
+        q = rng.uniform(0.0, 1.0, n)
+        q[rng.integers(0, n)] = rng.choice([0.0, 1.0])
+        want = reference_subset_probs(q)
+        assert independent_subset_probs(q).tobytes() == want.tobytes()
+        assert [p for _, p in SubsetDistribution.product(q).support] == want.tolist()
+        inst = generate("uniform-random", n, 2, n)
+        gtab = optimal_revenue_table(inst, 1)
+        assert expected_optimal_revenue_independent(inst, 1, q) == float(want @ gtab)
+        # the 2-D form stacks independent 1-D columns
+        cols = rng.uniform(0.0, 1.0, (n, 3))
+        stacked = independent_subset_probs(cols)
+        for k in range(3):
+            assert stacked[:, k].tobytes() == reference_subset_probs(cols[:, k]).tobytes()
+
+    inst = normalize_revenues(generate("supplier-uniform", 4, 3, 5))
+    policy = RandomizedStaticPolicy(inst, lp2_exact_small(inst))
+    want = 0.0
+    for j in range(inst.m):
+        want += float(reference_subset_probs(policy.x[:, j]) @ optimal_revenue_table(inst, j))
+    assert policy.exact_expected_revenue() == want
+
+
+def test_best_marginal_assortment_matches_numpy_scan():
+    rng = np.random.default_rng(12)
+    for _ in range(2000):
+        m = int(rng.integers(1, 7))
+        rho = rng.uniform(-0.2, 1.0, m)
+        if rng.random() < 0.3:  # ties in rho and in value
+            rho = np.round(rho, 1)
+        u = rng.uniform(0.1, 3.0, m)
+        want = reference_best_marginal_assortment(rho, u)
+        assert best_marginal_assortment(rho, u) == want
+        assert best_marginal_assortment(rho.tolist(), u.tolist()) == want
