@@ -1,7 +1,8 @@
 """Executable policies and exact desk-scale oracles.
 
-Oracles: a memoized dynamic program over per-customer statuses for the
-adaptive-order problem, the same recursion with a forced processing order,
+Oracles: a dynamic program over per-customer statuses for the
+adaptive-order problem, swept backwards one array batch per number of
+unprocessed customers; the same program with a forced processing order;
 and exhaustive search over static assortment profiles. All three are exact
 and exist to verify the approximation guarantees of the two policies:
 
@@ -11,11 +12,17 @@ and exist to verify the approximation guarantees of the two policies:
 * same-order greedy -- process customers along the common revenue order,
   offering the assortment that maximizes marginal revenue weighted by
   choice probabilities.
+
+A policy builds each choice CDF, offer and supplier optimum once and reuses
+it across sampled runs; every draw equals the ``Generator.choice`` draw it
+replaces.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
+from typing import NamedTuple
 
 import numpy as np
 
@@ -23,7 +30,7 @@ from . import mnl
 from .mnl import SizeLimitError
 from .instance import Instance, SameOrderCertificate
 from .lp import LpSolution
-from .rounding import mnl_distribution, sample_choice
+from .rounding import choice_table, draw, mnl_distribution
 
 UNPROCESSED = -2
 OUTSIDE = -1
@@ -68,16 +75,45 @@ class PolicyOutcome:
     trace: list[dict] | None = None
 
 
+class _RunTables:
+    """What one policy reuses across its sampled runs: the MNL choice CDF of
+    each (customer, offered set) and the optimal revenue of each
+    (supplier, backlog)."""
+
+    def __init__(self, inst: Instance):
+        self.inst = inst
+        self._choices: dict[tuple[int, tuple[int, ...]], tuple[list[int | None], np.ndarray]] = {}
+        self._revenues: dict[tuple[int, tuple[int, ...]], tuple[float, tuple[int, ...]]] = {}
+
+    def choose(self, i: int, offered: tuple[int, ...], rng: np.random.Generator) -> int | None:
+        """Customer i's MNL choice from ``offered``, drawn as
+        :func:`~twosided.rounding.sample_choice` draws it."""
+        table = self._choices.get((i, offered))
+        if table is None:
+            table = self._choices[(i, offered)] = choice_table(self.inst.u[i], offered)
+        options, cdf = table
+        return options[draw(cdf, rng)]
+
+    def optimal_revenue(self, j: int, backlog: tuple[int, ...]) -> tuple[float, tuple[int, ...]]:
+        best = self._revenues.get((j, backlog))
+        if best is None:
+            best = self._revenues[(j, backlog)] = mnl.optimal_revenue(self.inst, j, backlog)
+        return best
+
+    def finalize(self, assignment: BacklogAssignment, trace=None) -> PolicyOutcome:
+        per: list[SupplierOutcome] = []
+        total = 0.0
+        for j, backlog in enumerate(assignment.backlogs()):
+            value, offered = self.optimal_revenue(j, backlog)
+            per.append(SupplierOutcome(backlog=backlog, offered=offered, value=value))
+            total += value
+        return PolicyOutcome(expected_revenue=total, per_supplier=per, trace=trace)
+
+
 def finalize_suppliers(inst: Instance, assignment: BacklogAssignment, trace=None) -> PolicyOutcome:
     """Offer every supplier the best subset of its backlog and total up the
     resulting expected revenue."""
-    per: list[SupplierOutcome] = []
-    total = 0.0
-    for j, backlog in enumerate(assignment.backlogs()):
-        value, offered = mnl.optimal_revenue(inst, j, backlog)
-        per.append(SupplierOutcome(backlog=backlog, offered=offered, value=value))
-        total += value
-    return PolicyOutcome(expected_revenue=total, per_supplier=per, trace=trace)
+    return _RunTables(inst).finalize(assignment, trace)
 
 
 def _require_dp_size(inst: Instance) -> None:
@@ -89,61 +125,129 @@ def _require_dp_size(inst: Instance) -> None:
         )
 
 
-def _with(status: tuple[int, ...], i: int, value: int) -> tuple[int, ...]:
-    out = list(status)
-    out[i] = value
-    return tuple(out)
+class _DpLayer(NamedTuple):
+    """The states of one DP layer and their (state, candidate) pairs, state
+    by state with candidates ascending: each pair's customer and successor
+    codes, outside option first, then supplier j at column j+1."""
+
+    states: np.ndarray  # (N,) codes
+    customers: np.ndarray  # (P,) candidate customer of each pair
+    successors: np.ndarray  # (P, m+1) codes
+
+
+class _DpStructure(NamedTuple):
+    """Instance-free shape of a DP over per-customer statuses.
+
+    A status is an integer in base m+2 whose digit i is customer i's status
+    plus 2: 0 unprocessed, 1 outside, j+2 chose supplier j. ``layers[k-1]``
+    holds the states with k unprocessed customers; ``keys`` are the status
+    tuples of those states, layer by layer, for the policy table."""
+
+    size: int
+    final_states: np.ndarray  # (N0,) codes of the fully processed states
+    final_masks: np.ndarray  # (m, N0) each supplier's backlog bitmask
+    layers: tuple[_DpLayer, ...]
+    keys: tuple[tuple[int, ...], ...]
+
+
+@lru_cache(maxsize=8)
+def _dp_structure(n: int, m: int, order: tuple[int, ...] | None) -> _DpStructure:
+    """The states, candidates and successors of the DP for n customers and
+    m suppliers: every status without ``order``, with it only those whose
+    processed customers are a prefix of ``order``. Cached like
+    :func:`mnl.subset_masks`; nothing in it depends on the instance."""
+    base = m + 2
+    size = base**n
+    powers = base ** np.arange(n, dtype=np.int32)
+    codes = np.arange(size, dtype=np.int32)
+    digits = (codes[:, None] // powers % base).astype(np.int8)  # (size, n)
+    unprocessed = digits == 0
+    if order is None:
+        left = unprocessed.sum(axis=1)
+        members = [left == k for k in range(n + 1)]
+    else:
+        members = [(unprocessed == np.isin(np.arange(n), order[n - k:])).all(axis=1) for k in range(n + 1)]
+    final_states = codes[members[0]]
+    final_digits = digits[members[0]]
+    final_masks = np.stack(
+        [((final_digits == j + 2) << np.arange(n, dtype=np.int32)).sum(axis=1, dtype=np.int32) for j in range(m)]
+    )
+    outcomes = np.arange(1, m + 2, dtype=np.int32)  # outside, then supplier j as j+2
+    layers = []
+    keys: list[tuple[int, ...]] = []
+    for k in range(1, n + 1):
+        states = codes[members[k]]
+        if order is None:
+            pair_states, customers = np.nonzero(unprocessed[states])
+        else:
+            pair_states, customers = np.arange(states.size), np.full(states.size, order[n - k])
+        successors = states[pair_states, None] + outcomes * powers[customers][:, None]
+        layers.append(_DpLayer(states, customers.astype(np.int8), successors))
+        keys += zip(*(digits[states] - 2).T.tolist())  # no per-row lists
+    for array in (final_states, final_masks, *(a for layer in layers for a in layer)):
+        array.setflags(write=False)  # shared by every later call
+    return _DpStructure(size, final_states, final_masks, tuple(layers), tuple(keys))
+
+
+_START_SUMS = np.array([[0.0], [1.0]])
+
+
+def _layer_step(values: np.ndarray, layer: _DpLayer, u: np.ndarray):
+    """Best value and action of every state in ``layer`` from its
+    successors' ``values``. Each (state, candidate) pair takes the prefix
+    rule of :func:`best_marginal_assortment` with the same floating-point
+    operations: a stable sort of the gains, running sums from 0 and 1, the
+    first best prefix (index 0 is the empty offer), then each state keeps
+    its first best candidate. Returns the state values and, per state, the
+    chosen customer, its supplier ranking and its prefix length."""
+    succ = values[layer.successors]  # (P, m+1)
+    succ_out = succ[:, 0]
+    gains = succ[:, 1:] - succ_out[:, None]
+    rank = np.argsort(-gains, axis=1, kind="stable")
+    pairs = np.arange(rank.shape[0])[:, None]
+    weights = u[layer.customers[:, None], rank]
+    sums = np.empty((2,) + succ.shape)  # running sums of rho*u and of u
+    sums[:, :, 0] = _START_SUMS
+    sums[0, :, 1:] = gains[pairs, rank] * weights
+    sums[1, :, 1:] = weights
+    np.cumsum(sums, axis=2, out=sums)
+    ratio = np.divide(sums[0], sums[1], out=sums[0])
+    length = ratio.argmax(axis=1)
+    v = (succ_out + ratio[pairs[:, 0], length]).reshape(layer.states.size, -1)
+    chosen = np.arange(v.shape[0]) * v.shape[1] + v.argmax(axis=1)
+    return v.max(axis=1), (layer.customers[chosen], rank[chosen], length[chosen])
 
 
 def _dp(inst: Instance, order: tuple[int, ...] | None):
-    """Memoized recursion over per-customer statuses (unprocessed / outside
-    / chosen supplier). With ``order`` the t-th step processes ``order[t]``;
-    without it every unprocessed customer is a candidate. A customer's best
-    offer follows the prefix rule of :func:`best_marginal_assortment` on the
-    successor values' gains over the outside option. The boundary value sums
-    each supplier's optimal revenue over its backlog.
+    """Backward induction over per-customer statuses (unprocessed / outside
+    / chosen supplier), one array batch per number of unprocessed
+    customers (see :func:`_layer_step`). With ``order`` the t-th step
+    processes ``order[t]``; without it every unprocessed customer is a
+    candidate and the first best one (in index order) is kept. The
+    boundary value sums each supplier's optimal revenue over its backlog in
+    supplier order. Values and actions are those of the memoized recursion
+    this replaced, bit for bit.
     Returns (value, {status: (customer, assortment)}).
     """
     _require_dp_size(inst)
     n, m = inst.n, inst.m
-    u = inst.u.tolist()
-    gtabs = [mnl.optimal_revenue_table(inst, j).tolist() for j in range(m)]
-    memo: dict[tuple[int, ...], float] = {}
-    policy: dict[tuple[int, ...], tuple[int, tuple[int, ...]]] = {}
-
-    def value(status: tuple[int, ...], t: int) -> float:
-        cached = memo.get(status)
-        if cached is not None:
-            return cached
-        if t == n:
-            best = 0.0
-            for j in range(m):
-                mask = 0
-                for i, st in enumerate(status):
-                    if st == j:
-                        mask |= 1 << i
-                best += gtabs[j][mask]
-            memo[status] = best
-            return best
-        if order is None:
-            candidates = [i for i, st in enumerate(status) if st == UNPROCESSED]
-        else:
-            candidates = (order[t],)
-        best = -np.inf
-        best_action = None
-        for i in candidates:
-            succ_out = value(_with(status, i, OUTSIDE), t + 1)
-            gains = [value(_with(status, i, j), t + 1) - succ_out for j in range(m)]
-            offer, gain = best_marginal_assortment(gains, u[i])
-            v = succ_out + gain
-            if v > best:
-                best = v
-                best_action = (i, offer)
-        memo[status] = best
-        policy[status] = best_action
-        return best
-
-    return value((UNPROCESSED,) * n, 0), policy
+    shape = _dp_structure(n, m, order)
+    values = np.empty(shape.size)
+    total = np.zeros(shape.final_states.size)
+    for j in range(m):
+        total += mnl.optimal_revenue_table(inst, j)[shape.final_masks[j]]
+    values[shape.final_states] = total
+    picked = []
+    for layer in shape.layers:
+        values[layer.states], action = _layer_step(values, layer, inst.u)
+        picked.append(action)
+    customers, ranks, lengths = (np.concatenate(parts) for parts in zip(*picked))
+    offers = np.where(np.arange(m) < lengths[:, None], 1 << ranks, 0).sum(axis=1)
+    ids = (customers.astype(np.int64) << m | offers).tolist()
+    # one (customer, offer) tuple per distinct action, shared by its states
+    actions = {a: (a >> m, mnl.subset_of(a & (2**m - 1), m)) for a in set(ids)}
+    policy = dict(zip(shape.keys, map(actions.__getitem__, ids)))
+    return float(values[0]), policy
 
 
 def exact_dp_atar(inst: Instance):
@@ -206,6 +310,7 @@ class RandomizedStaticPolicy:
         self.distributions = [
             mnl_distribution(solution.x[i], inst.u[i]) for i in range(inst.n)
         ]
+        self._tables = _RunTables(inst)
 
     def sample(self, seed) -> PolicyOutcome:
         """One realized run: sample assortments, observe MNL choices, then
@@ -215,11 +320,11 @@ class RandomizedStaticPolicy:
         trace: list[dict] = []
         for i in range(self.inst.n):
             offered = self.distributions[i].sample(rng)
-            pick = sample_choice(self.inst.u[i], offered, rng)
+            pick = self._tables.choose(i, offered, rng)
             picks.append(pick)
             trace.append({"customer": i, "offered": list(offered), "choice": pick})
         assignment = BacklogAssignment(m=self.inst.m, choice=tuple(picks))
-        return finalize_suppliers(self.inst, assignment, trace=trace)
+        return self._tables.finalize(assignment, trace=trace)
 
     def exact_expected_revenue(self) -> float:
         """True expectation over all backlog realizations: per supplier the
@@ -303,15 +408,11 @@ class SameOrderGreedyPolicy:
                 "no same-order certificate; pass an explicit order to run as a heuristic"
             )
         self.inst = inst
-        self._g_cache: dict[tuple[int, tuple[int, ...]], float] = {}
+        self._tables = _RunTables(inst)
+        self._offers: dict[tuple[int, tuple[tuple[int, ...], ...]], tuple[tuple[int, ...], float]] = {}
 
     def _g(self, j: int, members: tuple[int, ...]) -> float:
-        key = (j, members)
-        cached = self._g_cache.get(key)
-        if cached is None:
-            cached, _ = mnl.optimal_revenue(self.inst, j, members)
-            self._g_cache[key] = cached
-        return cached
+        return self._tables.optimal_revenue(j, members)[0]
 
     def _marginals(self, i: int, backlogs: list[tuple[int, ...]]) -> list[float]:
         out = []
@@ -321,7 +422,11 @@ class SameOrderGreedyPolicy:
         return out
 
     def offered_assortment(self, i: int, backlogs: list[tuple[int, ...]]):
-        return best_marginal_assortment(self._marginals(i, backlogs), self.inst.u[i])
+        key = (i, tuple(backlogs))
+        offer = self._offers.get(key)
+        if offer is None:
+            offer = self._offers[key] = best_marginal_assortment(self._marginals(i, backlogs), self.inst.u[i])
+        return offer
 
     def sample(self, seed) -> PolicyOutcome:
         rng = np.random.default_rng(seed)
@@ -330,14 +435,14 @@ class SameOrderGreedyPolicy:
         trace: list[dict] = []
         for i in self.order:
             offered, _ = self.offered_assortment(i, backlogs)
-            pick = sample_choice(self.inst.u[i], offered, rng)
+            pick = self._tables.choose(i, offered, rng)
             picks[i] = pick
             trace.append({"customer": i, "offered": list(offered), "choice": pick})
             if pick is not None:
                 backlogs[pick] = tuple(sorted(backlogs[pick] + (i,)))
         choice = tuple(picks[i] for i in range(self.inst.n))
         assignment = BacklogAssignment(m=self.inst.m, choice=choice)
-        return finalize_suppliers(self.inst, assignment, trace=trace)
+        return self._tables.finalize(assignment, trace=trace)
 
     def exact_expected_revenue(self, collect_paths: bool = False):
         """True expectation by full outcome-tree enumeration; optionally

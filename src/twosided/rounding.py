@@ -10,6 +10,7 @@ ratios and prefix weight sums.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -17,6 +18,8 @@ from .mnl import choice_prob
 
 PRE_TOL = 1e-9
 CLAMP_TOL = 1e-12
+# Generator.choice's tolerance on the probability sum
+CHOICE_SUM_TOL = float(np.sqrt(np.finfo(np.float64).eps))
 
 
 class MarginalsInfeasible(ValueError):
@@ -37,9 +40,37 @@ class AssortmentDistribution:
     def probabilities(self) -> np.ndarray:
         return np.array([p for _, p in self.support])
 
+    @cached_property
+    def _cdf(self) -> np.ndarray:
+        return choice_cdf(self.probabilities)
+
     def sample(self, rng: np.random.Generator) -> tuple[int, ...]:
-        idx = rng.choice(len(self.support), p=self.probabilities)
-        return self.support[idx][0]
+        return self.support[draw(self._cdf, rng)][0]
+
+
+def choice_cdf(p) -> np.ndarray:
+    """Normalized cumulative sums of ``p`` for :func:`draw`, after the checks
+    ``Generator.choice`` makes on ``p``."""
+    p = np.asarray(p, dtype=float)
+    if p.ndim != 1 or p.size == 0:
+        raise ValueError("probabilities must be a non-empty 1-D array")
+    if (p < 0).any():
+        raise ValueError("Probabilities are not non-negative")
+    total = p.sum()
+    if np.isnan(total):
+        raise ValueError("Probabilities contain NaN")
+    if not abs(total - 1.0) <= CHOICE_SUM_TOL:
+        raise ValueError("Probabilities do not sum to 1")
+    cdf = p.cumsum()
+    cdf /= cdf[-1]
+    return cdf
+
+
+def draw(cdf: np.ndarray, rng: np.random.Generator) -> int:
+    """One index drawn from a :func:`choice_cdf` table. It equals
+    ``rng.choice(p.size, p=p)`` and consumes the same single uniform, since
+    that is how ``Generator.choice`` samples with ``p``."""
+    return int(cdf.searchsorted(rng.random(), side="right"))
 
 
 def mnl_distribution(x_row, u_row, order: tuple[int, ...] | None = None) -> AssortmentDistribution:
@@ -119,9 +150,15 @@ def validate_marginals(dist: AssortmentDistribution, u_row, x_row) -> float:
     return float(np.abs(induced_marginals(dist, u_row) - target).max())
 
 
-def sample_choice(u_row, subset: tuple[int, ...], rng: np.random.Generator) -> int | None:
-    """Draw one MNL choice from ``subset`` (None is the outside option)."""
+def choice_table(u_row, subset: tuple[int, ...]) -> tuple[list[int | None], np.ndarray]:
+    """The options of an MNL choice from ``subset`` (None, the outside
+    option, last) and their :func:`choice_cdf`."""
     options: list[int | None] = list(subset) + [None]
     weights = np.array([choice_prob(u_row, subset, k) for k in options])
-    idx = rng.choice(len(options), p=weights / weights.sum())
-    return options[idx]
+    return options, choice_cdf(weights / weights.sum())
+
+
+def sample_choice(u_row, subset: tuple[int, ...], rng: np.random.Generator) -> int | None:
+    """Draw one MNL choice from ``subset`` (None is the outside option)."""
+    options, cdf = choice_table(u_row, subset)
+    return options[draw(cdf, rng)]

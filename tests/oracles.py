@@ -19,8 +19,17 @@ from twosided.ellipsoid import (
 )
 from twosided.instance import Instance
 from twosided.lp import DualPoint, ViolatedSets
-from twosided.mnl import SizeLimitError, expected_revenue_table, subset_masks, subset_of
-from twosided.policies import OUTSIDE, STAR_WORK_LIMIT, UNPROCESSED, _require_dp_size, _with
+from twosided.mnl import SizeLimitError, choice_prob, expected_revenue_table, subset_masks, subset_of
+from twosided.policies import (
+    OUTSIDE,
+    STAR_WORK_LIMIT,
+    UNPROCESSED,
+    BacklogAssignment,
+    PolicyOutcome,
+    SupplierOutcome,
+    _require_dp_size,
+    best_marginal_assortment,
+)
 from twosided.simplex import LinearProgram, LpSolverError, _pivot
 
 
@@ -320,6 +329,12 @@ def reference_pivot_loop(tableau, basis, n_cols, tol, max_iters):
     )
 
 
+def _with(status: tuple[int, ...], i: int, value: int) -> tuple[int, ...]:
+    out = list(status)
+    out[i] = value
+    return tuple(out)
+
+
 # ---------------------------------------------------------------------------
 # Reference policy oracles: the brute-force forms of the adaptive and
 # fixed-order dynamic programs (every one of the 2^m offers at every state),
@@ -483,3 +498,125 @@ def reference_best_marginal_assortment(rho, u_row) -> tuple[tuple[int, ...], flo
             best_val = val
             best_len = t
     return tuple(sorted(order[:best_len])), float(best_val)
+
+
+# ---------------------------------------------------------------------------
+# The memoized recursion that the layered array DP replaced, and the
+# per-draw samplers that the cached choice tables replaced. Kept verbatim,
+# except that methods became functions of the policy or distribution and
+# the greedy's cached revenue lookups call mnl.optimal_revenue directly, so
+# that tests/test_equivalence.py can require == results from the package
+# code.
+
+
+def reference_prefix_dp(inst: Instance, order: tuple[int, ...] | None):
+    """Memoized recursion over per-customer statuses (unprocessed / outside
+    / chosen supplier). With ``order`` the t-th step processes ``order[t]``;
+    without it every unprocessed customer is a candidate. A customer's best
+    offer follows the prefix rule of :func:`best_marginal_assortment` on the
+    successor values' gains over the outside option. The boundary value sums
+    each supplier's optimal revenue over its backlog.
+    Returns (value, {status: (customer, assortment)}).
+    """
+    _require_dp_size(inst)
+    n, m = inst.n, inst.m
+    u = inst.u.tolist()
+    gtabs = [mnl.optimal_revenue_table(inst, j).tolist() for j in range(m)]
+    memo: dict[tuple[int, ...], float] = {}
+    policy: dict[tuple[int, ...], tuple[int, tuple[int, ...]]] = {}
+
+    def value(status: tuple[int, ...], t: int) -> float:
+        cached = memo.get(status)
+        if cached is not None:
+            return cached
+        if t == n:
+            best = 0.0
+            for j in range(m):
+                mask = 0
+                for i, st in enumerate(status):
+                    if st == j:
+                        mask |= 1 << i
+                best += gtabs[j][mask]
+            memo[status] = best
+            return best
+        if order is None:
+            candidates = [i for i, st in enumerate(status) if st == UNPROCESSED]
+        else:
+            candidates = (order[t],)
+        best = -np.inf
+        best_action = None
+        for i in candidates:
+            succ_out = value(_with(status, i, OUTSIDE), t + 1)
+            gains = [value(_with(status, i, j), t + 1) - succ_out for j in range(m)]
+            offer, gain = best_marginal_assortment(gains, u[i])
+            v = succ_out + gain
+            if v > best:
+                best = v
+                best_action = (i, offer)
+        memo[status] = best
+        policy[status] = best_action
+        return best
+
+    return value((UNPROCESSED,) * n, 0), policy
+
+
+def reference_distribution_sample(dist, rng: np.random.Generator) -> tuple[int, ...]:
+    idx = rng.choice(len(dist.support), p=dist.probabilities)
+    return dist.support[idx][0]
+
+
+def reference_sample_choice(u_row, subset: tuple[int, ...], rng: np.random.Generator) -> int | None:
+    options: list[int | None] = list(subset) + [None]
+    weights = np.array([choice_prob(u_row, subset, k) for k in options])
+    idx = rng.choice(len(options), p=weights / weights.sum())
+    return options[idx]
+
+
+def reference_finalize_suppliers(inst: Instance, assignment: BacklogAssignment, trace=None) -> PolicyOutcome:
+    per: list[SupplierOutcome] = []
+    total = 0.0
+    for j, backlog in enumerate(assignment.backlogs()):
+        value, offered = mnl.optimal_revenue(inst, j, backlog)
+        per.append(SupplierOutcome(backlog=backlog, offered=offered, value=value))
+        total += value
+    return PolicyOutcome(expected_revenue=total, per_supplier=per, trace=trace)
+
+
+def reference_static_sample(policy, seed) -> PolicyOutcome:
+    rng = np.random.default_rng(seed)
+    picks: list[int | None] = []
+    trace: list[dict] = []
+    for i in range(policy.inst.n):
+        offered = reference_distribution_sample(policy.distributions[i], rng)
+        pick = reference_sample_choice(policy.inst.u[i], offered, rng)
+        picks.append(pick)
+        trace.append({"customer": i, "offered": list(offered), "choice": pick})
+    assignment = BacklogAssignment(m=policy.inst.m, choice=tuple(picks))
+    return reference_finalize_suppliers(policy.inst, assignment, trace=trace)
+
+
+def _reference_greedy_offer(policy, i: int, backlogs: list[tuple[int, ...]]):
+    marginals = []
+    for j in range(policy.inst.m):
+        grown = tuple(sorted(backlogs[j] + (i,)))
+        with_i, _ = mnl.optimal_revenue(policy.inst, j, grown)
+        without, _ = mnl.optimal_revenue(policy.inst, j, backlogs[j])
+        marginals.append(with_i - without)
+    return best_marginal_assortment(marginals, policy.inst.u[i])
+
+
+def reference_greedy_sample(policy, seed) -> PolicyOutcome:
+    rng = np.random.default_rng(seed)
+    backlogs: list[tuple[int, ...]] = [() for _ in range(policy.inst.m)]
+    picks: dict[int, int | None] = {}
+    trace: list[dict] = []
+    for i in policy.order:
+        offered, _ = _reference_greedy_offer(policy, i, backlogs)
+        pick = reference_sample_choice(policy.inst.u[i], offered, rng)
+        picks[i] = pick
+        trace.append({"customer": i, "offered": list(offered), "choice": pick})
+        if pick is not None:
+            backlogs[pick] = tuple(sorted(backlogs[pick] + (i,)))
+    choice = tuple(picks[i] for i in range(policy.inst.n))
+    assignment = BacklogAssignment(m=policy.inst.m, choice=choice)
+    return reference_finalize_suppliers(policy.inst, assignment, trace=trace)

@@ -2,36 +2,45 @@
 plain reference forms kept in ``oracles.py``. Solver comparisons are exact
 (``==`` on values and on the raw bytes of arrays), because those
 optimizations promise the same floating-point operations, not merely close
-answers; the policy oracles are held to 1e-12 (see below)."""
+answers; the policy oracles are held to 1e-12 against the brute-force forms
+and to ``==`` against the recursion and samplers they replaced (see below)."""
 
 import numpy as np
 import pytest
 
 import twosided.simplex as simplex
 from oracles import (
+    _with,
     reference_best_marginal_assortment,
+    reference_distribution_sample,
     reference_dp_atar,
     reference_dp_ftar,
+    reference_greedy_sample,
     reference_pivot_loop,
+    reference_prefix_dp,
     reference_run_ellipsoid,
+    reference_sample_choice,
     reference_star,
+    reference_static_sample,
     reference_subset_probs,
 )
 from twosided.cost_assortment import OracleConfig
 from twosided.ellipsoid import EllipsoidInit, default_radius, run_ellipsoid
-from twosided.evaluate import SubsetDistribution, expected_optimal_revenue_independent
-from twosided.instance import GENERATOR_KINDS, generate, normalize_revenues
+from twosided.evaluate import SubsetDistribution, expected_optimal_revenue_independent, monte_carlo
+from twosided.instance import GENERATOR_KINDS, detect_same_order, generate, normalize_revenues
 from twosided.lp import _marginal_lp, build_aux_primal, lp2_exact_small
 from twosided.mnl import independent_subset_probs, optimal_revenue_table, subset_of
 from twosided.policies import (
     OUTSIDE,
     RandomizedStaticPolicy,
-    _with,
+    SameOrderGreedyPolicy,
+    _dp,
     best_marginal_assortment,
     exact_dp_atar,
     exact_dp_ftar,
     exact_star,
 )
+from twosided.rounding import choice_cdf, draw, sample_choice
 from twosided.simplex import LinearProgram, solve_lp
 
 
@@ -167,6 +176,8 @@ def _oracle_instances():
 
 
 def _make(kind, n, m, request):
+    if kind == "unit":
+        return request.getfixturevalue("unit_instance")
     if kind == "zero-revenue":
         return request.getfixturevalue("zero_revenue_instance")
     if kind == "counterexample":
@@ -240,3 +251,95 @@ def test_best_marginal_assortment_matches_numpy_scan():
         want = reference_best_marginal_assortment(rho, u)
         assert best_marginal_assortment(rho, u) == want
         assert best_marginal_assortment(rho.tolist(), u.tolist()) == want
+
+
+# ---------------------------------------------------------------------------
+# The layered array DP and the table-driven samplers do the same
+# floating-point operations as the memoized recursion and the per-draw
+# samplers they replaced, so they are held to them with ==.
+
+def _exact_dp_instances():
+    cases = [
+        pytest.param(kind, n, m, id=f"{kind}-{n}x{m}")
+        for kind in GENERATOR_KINDS
+        for n, m in ORACLE_SIZES + ((6, 3), (5, 4))
+    ]
+    return cases + [
+        pytest.param("same-order-additive", 8, 2, id="same-order-additive-8x2"),
+        pytest.param("unit", 1, 1, id="unit"),
+        pytest.param("zero-revenue", 3, 2, id="zero-revenue"),
+        pytest.param("counterexample", 3, 1, id="counterexample"),
+    ]
+
+
+@pytest.mark.parametrize("kind, n, m", _exact_dp_instances())
+def test_dp_is_identical_to_recursion(kind, n, m, request):
+    inst = _make(kind, n, m, request)
+    opt, policy = exact_dp_atar(inst)
+    ref_opt, ref_policy = reference_prefix_dp(inst, None)
+    assert opt == ref_opt
+    assert policy == ref_policy
+    shuffled = tuple(np.random.default_rng(10 * n + m).permutation(inst.n).tolist())
+    for order in (tuple(range(inst.n)), tuple(reversed(range(inst.n))), shuffled):
+        want = reference_prefix_dp(inst, order)
+        assert _dp(inst, order) == want
+        assert exact_dp_ftar(inst, order) == want[0]
+
+
+def test_cdf_draw_matches_generator_choice():
+    meta = np.random.default_rng(2024)
+    for case in range(20_000):
+        k = int(meta.integers(1, 8))
+        p = meta.dirichlet(np.ones(k))
+        if k > 1 and case % 3 == 0:  # zero entries, at least one left positive
+            p[meta.integers(0, k, size=int(meta.integers(1, k)))] = 0.0
+            p /= p.sum()
+        got, want = np.random.default_rng(case), np.random.default_rng(case)
+        assert draw(choice_cdf(p), got) == want.choice(k, p=p)
+        assert got.random() == want.random()  # one uniform consumed by both
+
+
+@pytest.mark.parametrize("p", [[0.5, -0.1, 0.6], [0.5, np.nan, 0.5], [0.3, 0.3], [np.inf, 0.0]])
+def test_choice_cdf_rejects_what_generator_choice_rejects(p):
+    with pytest.raises(ValueError):
+        np.random.default_rng(0).choice(len(p), p=np.array(p))
+    with pytest.raises(ValueError):
+        choice_cdf(p)
+
+
+def _static_policy(kind, n, m):
+    inst = normalize_revenues(generate(kind, n, m, 10 * n + m))
+    return RandomizedStaticPolicy(inst, lp2_exact_small(inst))
+
+
+def test_distribution_and_choice_draws_match_reference():
+    policy = _static_policy("uniform-random", 6, 3)
+    u = policy.inst.u
+    for seed in range(200):
+        got, want = np.random.default_rng(seed), np.random.default_rng(seed)
+        for i, dist in enumerate(policy.distributions):
+            offered = dist.sample(got)
+            assert offered == reference_distribution_sample(dist, want)
+            assert sample_choice(u[i], offered, got) == reference_sample_choice(u[i], offered, want)
+
+
+def assert_same_sampler(sample, reference, trials=500, master_seed=9):
+    assert monte_carlo(sample, trials, master_seed) == monte_carlo(reference, trials, master_seed)
+    for k in range(trials):
+        seed = np.random.SeedSequence((master_seed, k))
+        assert sample(seed) == reference(seed)
+
+
+@pytest.mark.parametrize("n, m", [(3, 3), (6, 3)])
+@pytest.mark.parametrize("kind", GENERATOR_KINDS)
+def test_static_sampler_matches_reference(kind, n, m):
+    policy = _static_policy(kind, n, m)
+    assert_same_sampler(policy.sample, lambda seed: reference_static_sample(policy, seed))
+
+
+@pytest.mark.parametrize("n, m", [(3, 3), (6, 3)])
+@pytest.mark.parametrize("kind", GENERATOR_KINDS[1:])
+def test_greedy_sampler_matches_reference(kind, n, m):
+    inst = generate(kind, n, m, 10 * n + m)
+    policy = SameOrderGreedyPolicy(inst, certificate=detect_same_order(inst))
+    assert_same_sampler(policy.sample, lambda seed: reference_greedy_sample(policy, seed))

@@ -12,6 +12,7 @@ from twosided.policies import (
     PolicyPreconditionError,
     RandomizedStaticPolicy,
     SameOrderGreedyPolicy,
+    _require_dp_size,
     best_marginal_assortment,
     exact_dp_atar,
     exact_dp_ftar,
@@ -37,6 +38,28 @@ def test_dp_zero_revenue(zero_revenue_instance):
 def test_dp_size_guard():
     with pytest.raises(SizeLimitError):
         exact_dp_atar(generate("uniform-random", 10, 4, 0))
+
+
+# The README's desk-scale limits: the largest accepted n for each m, and n+1.
+DP_ACCEPTED = [(11, 1), (8, 2), (6, 3), (5, 4), (5, 5), (4, 6)]
+STAR_ACCEPTED = [(10, 1), (6, 2), (4, 3), (3, 4), (2, 5), (2, 6), (2, 7)]
+
+
+@pytest.mark.parametrize("n, m", DP_ACCEPTED)
+def test_dp_guard_matches_readme_limits(n, m):
+    _require_dp_size(generate("uniform-random", n, m, 0))  # the DP itself is not run
+    with pytest.raises(SizeLimitError):
+        _require_dp_size(generate("uniform-random", n + 1, m, 0))
+
+
+@pytest.mark.parametrize("n, m", STAR_ACCEPTED)
+def test_star_guard_matches_readme_limits(n, m):
+    assert exact_star(generate("uniform-random", n, m, 0)) >= 0.0
+    with pytest.raises(SizeLimitError):
+        exact_star(generate("uniform-random", n + 1, m, 0))
+    if m == 7:
+        with pytest.raises(SizeLimitError):
+            exact_star(generate("uniform-random", n, m + 1, 0))
 
 
 def test_ftar_single_customer_equals_adaptive():
