@@ -42,7 +42,7 @@ from .lp import (
     lp1_exact_small,
     lp2_exact_small,
 )
-from .ellipsoid import EllipsoidResult, run_ellipsoid, solve_lp2_approx, solve_restricted
+from .ellipsoid import EllipsoidResult, run_ellipsoid, solve_restricted
 from .rounding import AssortmentDistribution, mnl_distribution, validate_marginals
 from .policies import (
     BacklogAssignment,

@@ -53,7 +53,22 @@ POLICIES = ("rand-static", "greedy", "dp", "ftar", "star")
 class _Parser(argparse.ArgumentParser):
     def error(self, message):  # argparse defaults to exit code 2
         self.print_usage(sys.stderr)
+        print(f"{self.prog}: error: {message}", file=sys.stderr)
         raise SystemExit(EXIT_USAGE)
+
+
+def _delta(text: str) -> float:
+    value = float(text)
+    if not 0.0 <= value < 1.0:  # NaN fails too
+        raise argparse.ArgumentTypeError(f"delta must be in [0, 1), got {text}")
+    return value
+
+
+def _trials(text: str) -> int:
+    value = int(text)
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"trials must be >= 0, got {text}")
+    return value
 
 
 def _fmt(value) -> str:
@@ -121,10 +136,16 @@ def _oracle_config(args) -> OracleConfig:
     return OracleConfig(kind="relaxed", delta=args.delta) if args.delta > 0 else OracleConfig()
 
 
+def _normalized(inst):
+    """The instance with revenues scaled to at most 1, and the factor that
+    was divided out (1 for an all-zero instance)."""
+    peak = float(inst.r.max())
+    return normalize_revenues(inst), peak if peak > 0 else 1.0
+
+
 def cmd_solve(args) -> int:
     inst = _load_valid_instance(args.instance)
-    factor = float(inst.r.max()) if float(inst.r.max()) > 0 else 1.0
-    norm = normalize_revenues(inst)
+    norm, factor = _normalized(inst)
     solved = solve_restricted(
         norm, _oracle_config(args), args.t_max, early_exit=args.early_exit, trace=bool(args.trace)
     )
@@ -178,12 +199,12 @@ def cmd_solve(args) -> int:
     return EXIT_OK
 
 
-def _dp_opt_if_feasible(inst) -> float | None:
+def _unless_too_large(compute):
+    """``compute()``, or None when it exceeds its size limit."""
     try:
-        opt, _ = exact_dp_atar(inst)
+        return compute()
     except SizeLimitError:
         return None
-    return opt
 
 
 def cmd_run(args) -> int:
@@ -204,32 +225,20 @@ def cmd_run(args) -> int:
         "force_order": args.force_order,
     }
     row: dict = {"policy": args.policy, "n": inst.n, "m": inst.m}
-    sampler = None
+    policy = None  # a sampled policy; the other choices are exact oracles
 
     if args.policy == "dp":
-        opt, _ = exact_dp_atar(inst)
-        row["exact_expected_revenue"] = opt
-        dp_opt = opt
+        row["exact_expected_revenue"], _ = exact_dp_atar(inst)
     elif args.policy == "ftar":
         row["exact_expected_revenue"] = exact_dp_ftar(inst, tuple(range(inst.n)))
-        dp_opt = _dp_opt_if_feasible(inst)
     elif args.policy == "star":
         row["exact_expected_revenue"] = exact_star(inst)
-        dp_opt = _dp_opt_if_feasible(inst)
     elif args.policy == "rand-static":
-        factor = float(inst.r.max()) if float(inst.r.max()) > 0 else 1.0
-        norm = normalize_revenues(inst)
+        norm, factor = _normalized(inst)
         solved = solve_restricted(norm, _oracle_config(args), args.t_max, early_exit=args.early_exit)
         config["t_max"] = solved.run.t_max
-        solution = solved.solution
-        policy = RandomizedStaticPolicy(inst, solution)
-        row["lp_objective"] = solution.objective * factor
-        try:
-            row["exact_expected_revenue"] = policy.exact_expected_revenue()
-        except SizeLimitError:
-            row["exact_expected_revenue"] = None
-        sampler = policy.sample
-        dp_opt = _dp_opt_if_feasible(inst)
+        row["lp_objective"] = solved.solution.objective * factor
+        policy = RandomizedStaticPolicy(inst, solved.solution)
     else:  # greedy
         cert = detect_same_order(inst)
         if not cert:
@@ -243,21 +252,22 @@ def cmd_run(args) -> int:
             row["heuristic_order"] = True
         else:
             policy = SameOrderGreedyPolicy(inst, certificate=cert)
-        try:
-            row["exact_expected_revenue"] = policy.exact_expected_revenue()
-        except SizeLimitError:
-            row["exact_expected_revenue"] = None
-        sampler = policy.sample
-        dp_opt = _dp_opt_if_feasible(inst)
+    if policy is not None:
+        row["exact_expected_revenue"] = _unless_too_large(policy.exact_expected_revenue)
 
     if args.trials > 0:
-        if sampler is None:
+        if policy is None:
             print(f"error: policy {args.policy} is exact; --trials does not apply", file=sys.stderr)
             return EXIT_USAGE
-        mean, stderr = monte_carlo(sampler, args.trials, args.seed)
+        mean, stderr = monte_carlo(policy.sample, args.trials, args.seed)
         row["mc_mean"] = mean
         row["mc_stderr"] = stderr
 
+    # the DP draws no random numbers, so running it after Monte Carlo leaves the draws as they are
+    if args.policy == "dp":
+        dp_opt = row["exact_expected_revenue"]
+    else:
+        dp_opt = _unless_too_large(lambda: exact_dp_atar(inst)[0])
     row["dp_opt"] = dp_opt
     achieved = row.get("exact_expected_revenue")
     if achieved is None:
@@ -313,7 +323,7 @@ def build_parser() -> _Parser:
 
     p = sub.add_parser("solve", help="approximately solve the marginal LP")
     p.add_argument("instance")
-    p.add_argument("--delta", type=float, default=0.0, help="oracle approximation slack")
+    p.add_argument("--delta", type=_delta, default=0.0, help="oracle approximation slack in [0, 1)")
     p.add_argument("--t-max", type=int, default=None, help="cut-step budget override")
     p.add_argument("--early-exit", action="store_true", help="stop once the ellipsoid collapses")
     p.add_argument("--out", default=None, help="write the solution document here")
@@ -326,9 +336,9 @@ def build_parser() -> _Parser:
     p = sub.add_parser("run", help="run a policy or an exact oracle")
     p.add_argument("instance")
     p.add_argument("--policy", choices=POLICIES, required=True)
-    p.add_argument("--trials", type=int, default=0)
+    p.add_argument("--trials", type=_trials, default=0)
     p.add_argument("--seed", type=int, default=None)
-    p.add_argument("--delta", type=float, default=0.0)
+    p.add_argument("--delta", type=_delta, default=0.0)
     p.add_argument("--t-max", type=int, default=None)
     p.add_argument("--early-exit", action="store_true")
     p.add_argument("--force-order", action="store_true", help="run greedy without a certificate")

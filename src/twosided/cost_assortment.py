@@ -46,13 +46,9 @@ def sub_dual_exact(inst: Instance, j: int, gamma) -> tuple[float, tuple[int, ...
         raise SizeLimitError(f"exact sub-dual limited to {SUB_DUAL_LIMIT} customers, got {inst.n}")
     gamma = np.asarray(gamma, dtype=float)
     values = expected_revenue_table(inst, j) - subset_masks(inst.n) @ gamma[:, j]
-    return _pick(values, inst.n)
-
-
-def _pick(values: np.ndarray, n: int) -> tuple[float, tuple[int, ...]]:
     vmax = float(values.max())
-    best = _first_by_size_then_lex(np.flatnonzero(values == vmax), n)
-    return vmax, subset_of(best, n)
+    best = _first_by_size_then_lex(np.flatnonzero(values == vmax), inst.n)
+    return vmax, subset_of(best, inst.n)
 
 
 def _first_by_size_then_lex(candidates: np.ndarray, n: int) -> int:
@@ -71,15 +67,13 @@ class OracleConfig:
         "relaxed"   returns the first set, in size-then-lex order, whose
                     value reaches (1 - delta) times the exhaustive optimum;
                     exercises the approximate-oracle contract honestly.
-        "singleton" best of the empty set and all singletons; no guarantee,
-                    used only in robustness tests.
     """
 
     kind: str = "exact"
     delta: float = 0.0
 
     def __post_init__(self):
-        if self.kind not in ("exact", "relaxed", "singleton"):
+        if self.kind not in ("exact", "relaxed"):
             raise ValueError(f"unknown oracle kind {self.kind!r}")
         if not 0.0 <= self.delta < 1.0:
             raise ValueError(f"delta must be in [0, 1), got {self.delta}")
@@ -89,8 +83,7 @@ class SubDualOracle:
     """Per-instance oracle with cached subset tables; call as oracle(j, gamma).
 
     Returns (value, customer set, delta) where the set's rev_cost is the
-    reported value and is >= (1 - delta) * sub-dual optimum (delta None for
-    the degraded singleton oracle, which promises nothing).
+    reported value and is >= (1 - delta) * sub-dual optimum.
     """
 
     def __init__(self, config: OracleConfig, inst: Instance):
@@ -114,29 +107,19 @@ class SubDualOracle:
             subset = self._subsets[mask] = subset_of(mask, self.inst.n)
         return subset
 
-    def __call__(self, j: int, gamma) -> tuple[float, tuple[int, ...], float | None]:
+    def __call__(self, j: int, gamma) -> tuple[float, tuple[int, ...], float]:
         gamma = np.asarray(gamma, dtype=float)
         values = self._rtab[j] - self._masks @ gamma[:, j]
-        kind = self.config.kind
-        if kind == "exact":
-            vmax = float(values.max())
+        vmax = float(values.max())
+        if self.config.kind == "exact":
             hits = (values == vmax).nonzero()[0]
             best = int(hits[0]) if hits.size == 1 else _first_by_size_then_lex(hits, self.inst.n)
             return vmax, self._subset(best), 0.0
-        if kind == "relaxed":
-            vmax = float(values.max())
-            target = (1.0 - self.config.delta) * vmax
-            for c in self._scan:
-                if values[c] >= target:
-                    return float(values[c]), self._subset(c), self.config.delta
-            raise RuntimeError("unreachable: the maximizer always meets the target")
-        # singleton: empty set plus singletons only
-        best_val, best_set = 0.0, ()
-        for i in range(self.inst.n):
-            v = float(values[1 << i])
-            if v > best_val:
-                best_val, best_set = v, (i,)
-        return best_val, best_set, None
+        target = (1.0 - self.config.delta) * vmax
+        for c in self._scan:
+            if values[c] >= target:
+                return float(values[c]), self._subset(c), self.config.delta
+        raise RuntimeError("unreachable: the maximizer always meets the target")
 
 
 def make_oracle(config: OracleConfig | None, inst: Instance) -> SubDualOracle:

@@ -48,11 +48,9 @@ class EllipsoidBreakdown(RuntimeError):
 
 @dataclass(frozen=True)
 class EllipsoidInit:
-    """Optional overrides for the starting center and shape (full matrix or
-    ball radius)."""
+    """Optional overrides for the starting center and shape matrix."""
 
     center: np.ndarray | None = None
-    radius: float | None = None
     shape: np.ndarray | None = None
 
 
@@ -98,12 +96,11 @@ def default_radius(inst: Instance) -> float:
     return 10.0 * (inst.m + inst.n * inst.m) * max(1.0, float((1.0 / inst.u).max()))
 
 
-def default_iteration_budget(inst: Instance, radius: float | None = None) -> int:
+def default_iteration_budget(inst: Instance) -> int:
     """Practical stand-in for the theoretical polynomial bound, which is
     astronomically conservative at desk scale; configurable everywhere."""
     n_dim = 2 * inst.n * inst.m + inst.m
-    rho = default_radius(inst) if radius is None else radius
-    return int(math.ceil(50.0 * n_dim * n_dim * math.log(10.0 * n_dim * rho)))
+    return int(math.ceil(50.0 * n_dim * n_dim * math.log(10.0 * n_dim * default_radius(inst))))
 
 
 def run_ellipsoid(
@@ -141,14 +138,13 @@ def run_ellipsoid(
         raise ValueError(f"t_max must be >= 1, got {t_max}")
 
     oracle = make_oracle(oracle_config, inst)
-    radius = init.radius if init and init.radius is not None else default_radius(inst)
     s = np.zeros(n_dim)
     if init and init.center is not None:
         s[:] = np.asarray(init.center, dtype=float)
     if init and init.shape is not None:
         shape = np.array(init.shape, dtype=float)
     else:
-        shape = np.eye(n_dim) * radius**2
+        shape = np.eye(n_dim) * default_radius(inst) ** 2
 
     alpha = s[:nm].reshape(n, m)
     gamma = s[nm + m :].reshape(n, m)
@@ -360,42 +356,22 @@ def solve_restricted(
     *,
     early_exit: bool = False,
     trace: bool = False,
-    feasibility_tol: float = 1e-9,
 ) -> RestrictedSolve:
-    """Cut loop, then exact solve of the primal restricted to the recorded
-    backlog support; raises :class:`LpSolverError` when the solution fails
-    the feasibility check of the full marginal LP at ``feasibility_tol``."""
+    """Approximately solve the marginal LP: cut loop, then exact solve of
+    the primal restricted to the recorded backlog support.
+
+    The solution is feasible for the full marginal LP; with the exact
+    oracle and a sufficient iteration budget its objective matches the true
+    optimum to working precision, and with a (1 - delta) oracle it is at
+    least (1 - delta) times the optimum. Raises :class:`LpSolverError` when
+    the solution fails the feasibility check of the full marginal LP.
+    """
     run = run_ellipsoid(inst, oracle_config, t_max, early_exit=early_exit, trace=trace)
     columns = build_aux_primal(inst, run.violated)
     solution = columns.extract(solve_lp(columns.lp))
-    problems = check_lp_solution(inst, solution, tol=feasibility_tol)
+    problems = check_lp_solution(inst, solution)
     if problems:
         raise LpSolverError(
             "restricted-support solve returned an infeasible point: " + "; ".join(problems)
         )
     return RestrictedSolve(run=run, columns=columns, solution=solution)
-
-
-def solve_lp2_approx(
-    inst: Instance,
-    oracle_config: OracleConfig | None = None,
-    t_max: int | None = None,
-    *,
-    early_exit: bool = False,
-    details: bool = False,
-    feasibility_tol: float = 1e-9,
-):
-    """Approximately solve the marginal LP (see :func:`solve_restricted`).
-
-    The returned point is feasible for the full marginal LP; with the exact
-    oracle and a sufficient iteration budget its objective matches the true
-    optimum to working precision, and with a (1 - delta) oracle it is at
-    least (1 - delta) times the optimum. With ``details=True`` also returns
-    the ellipsoid run record.
-    """
-    solved = solve_restricted(
-        inst, oracle_config, t_max, early_exit=early_exit, feasibility_tol=feasibility_tol
-    )
-    if details:
-        return solved.solution, solved.run
-    return solved.solution

@@ -18,11 +18,13 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import mnl
-from .instance import Instance
-from .mnl import SizeLimitError
+from .instance import Instance, as_permutation
+from .mnl import SizeLimitError, expected_optimal_revenue_independent
 
 CHECK_TOL = 1e-9
 GAP_MAX_N = 10
+SCAN_MAX_N = 10  # exhaustive scans enumerate pairs of subsets
+CORRELATED_MAX_SUPPORT = 8
 
 
 @dataclass
@@ -87,10 +89,11 @@ class SubsetDistribution:
         return SubsetDistribution(support)
 
     @staticmethod
-    def random_correlated(n: int, rng: np.random.Generator, max_support: int = 8) -> "SubsetDistribution":
-        """Up to ``max_support`` subsets drawn uniformly, Dirichlet weights;
-        a falsification net over correlated distributions, not a proof."""
-        k = int(rng.integers(1, max_support + 1))
+    def random_correlated(n: int, rng: np.random.Generator) -> "SubsetDistribution":
+        """Up to ``CORRELATED_MAX_SUPPORT`` subsets drawn uniformly, Dirichlet
+        weights; a falsification net over correlated distributions, not a
+        proof."""
+        k = int(rng.integers(1, CORRELATED_MAX_SUPPORT + 1))
         masks = rng.integers(0, 2**n, size=k)
         weights = rng.dirichlet(np.ones(k))
         merged: dict[tuple[int, ...], float] = {}
@@ -112,10 +115,6 @@ def expected_optimal_revenue(inst: Instance, j: int, dist: SubsetDistribution) -
     return float(sum(p * gtab[mnl.mask_of(subset, inst.n)] for subset, p in dist.support))
 
 
-def expected_optimal_revenue_independent(inst: Instance, j: int, marginals) -> float:
-    return float(mnl.independent_subset_probs(marginals) @ mnl.optimal_revenue_table(inst, j))
-
-
 def correlation_gap_check(inst: Instance, j: int, dist: SubsetDistribution) -> float | None:
     """Ratio of the correlated expectation of the optimal-revenue function
     to the expectation under the independent distribution with the same
@@ -124,7 +123,7 @@ def correlation_gap_check(inst: Instance, j: int, dist: SubsetDistribution) -> f
     if inst.n > GAP_MAX_N:
         raise SizeLimitError(f"gap check enumerates 2^{inst.n} subsets; limit n <= {GAP_MAX_N}")
     numerator = expected_optimal_revenue(inst, j, dist)
-    denominator = expected_optimal_revenue_independent(inst, j, dist.marginals(inst.n))
+    denominator = float(expected_optimal_revenue_independent(inst, j, dist.marginals(inst.n)))
     if denominator <= 0.0:
         return None
     return numerator / denominator
@@ -177,14 +176,14 @@ def cost_sharing_check(inst: Instance, j: int, trials: int, seed: int) -> Proper
     return report
 
 
-def submodularity_check(inst: Instance, j: int, max_n: int = 10) -> PropertyReport:
+def submodularity_check(inst: Instance, j: int) -> PropertyReport:
     """Exhaustive plain-submodularity scan (order-free): report every
     (A subset of B, i outside B) with a strictly larger marginal at B.
     Heterogeneous revenues generally violate this; the scan supplies the
     negative-control witnesses."""
     n = inst.n
-    if n > max_n:
-        raise ValueError(f"exhaustive scan limited to n <= {max_n}")
+    if n > SCAN_MAX_N:
+        raise ValueError(f"exhaustive scan limited to n <= {SCAN_MAX_N}")
     report = PropertyReport(name="submodularity")
     gtab = mnl.optimal_revenue_table(inst, j)
     for b_mask in range(2**n):
@@ -228,10 +227,8 @@ def submodular_order_check(
     not exceed the sum of values. Exhaustive mode scans every triple
     (n <= 10); otherwise ``trials`` random triples are drawn.
     """
-    order = tuple(order)
     n = inst.n
-    if sorted(order) != list(range(n)):
-        raise ValueError(f"order must be a permutation of range({n})")
+    order = as_permutation(order, n)
     report = PropertyReport(name="submodular-order")
     gtab = mnl.optimal_revenue_table(inst, j)
     pos = {c: t for t, c in enumerate(order)}
@@ -272,8 +269,8 @@ def submodular_order_check(
             )
 
     if exhaustive:
-        if n > 10:
-            raise ValueError("exhaustive scan limited to n <= 10")
+        if n > SCAN_MAX_N:
+            raise ValueError(f"exhaustive scan limited to n <= {SCAN_MAX_N}")
         for b_mask in range(2**n):
             succ = successors_mask(b_mask)
             c_mask = succ
@@ -311,10 +308,8 @@ def interleaved_partition_check(
     (O blocks) must satisfy: value of the union <= value of B plus the sum
     of each O block's marginal over the backlog elements seen so far.
     """
-    order = tuple(order)
     n = inst.n
-    if sorted(order) != list(range(n)):
-        raise ValueError(f"order must be a permutation of range({n})")
+    order = as_permutation(order, n)
     rng = np.random.default_rng(seed)
     report = PropertyReport(name="interleaved-partition")
     gtab = mnl.optimal_revenue_table(inst, j)

@@ -115,6 +115,14 @@ def require_valid(inst: Instance) -> None:
         raise ValueError("invalid instance: " + "; ".join(errors))
 
 
+def as_permutation(order, n: int) -> tuple[int, ...]:
+    """``order`` as a tuple, checked to be a permutation of range(n)."""
+    order = tuple(order)
+    if sorted(order) != list(range(n)):
+        raise ValueError(f"order must be a permutation of range({n})")
+    return order
+
+
 def normalize_revenues(inst: Instance) -> Instance:
     """Rescale revenues so the largest pair revenue is exactly 1.
 

@@ -85,9 +85,6 @@ class ViolatedSets:
         self._lists[j].append(subset)
         return True
 
-    def per_supplier(self) -> list[list[tuple[int, ...]]]:
-        return [list(sets) for sets in self._lists]
-
     def counts(self) -> list[int]:
         return [len(sets) for sets in self._lists]
 
@@ -284,7 +281,6 @@ class DualViolation:
 @dataclass
 class DualFeasibilityReport:
     violations: list[DualViolation] = field(default_factory=list)
-    checked_assortment_rows: bool = True
 
     @property
     def feasible(self) -> bool:
@@ -292,15 +288,14 @@ class DualFeasibilityReport:
 
 
 def dual_feasibility_report(
-    inst: Instance, point: DualPoint, exact: bool = True, tol: float = 1e-9
+    inst: Instance, point: DualPoint, tol: float = 1e-9
 ) -> DualFeasibilityReport:
-    """List every violated constraint of the dual at ``point``.
-
-    With ``exact=True`` the exponentially many backlog constraints are
-    checked through exhaustive sub-dual maximization (n <= 20); otherwise
-    only the polynomially many rows are scanned.
-    """
-    report = DualFeasibilityReport(checked_assortment_rows=exact)
+    """List every violated constraint of the dual at ``point``; the
+    exponentially many backlog constraints are checked through exhaustive
+    sub-dual maximization (n <= 20)."""
+    if inst.n > SUB_DUAL_LIMIT:
+        raise SizeLimitError(f"exact dual check limited to {SUB_DUAL_LIMIT} customers")
+    report = DualFeasibilityReport()
     alpha, beta, gamma = point.alpha, point.beta, point.gamma
     for i in range(inst.n):
         row_sum = float(alpha[i].sum())
@@ -312,13 +307,10 @@ def dual_feasibility_report(
             slack = alpha[i, j] / inst.u[i, j] + row_sum - gamma[i, j]
             if slack < -tol:
                 report.violations.append(DualViolation("weight-link", (i, j), float(-slack)))
-    if exact:
-        if inst.n > SUB_DUAL_LIMIT:
-            raise SizeLimitError(f"exact dual check limited to {SUB_DUAL_LIMIT} customers")
-        for j in range(inst.m):
-            value, witness = sub_dual_exact(inst, j, gamma)
-            if value > beta[j] + tol:
-                report.violations.append(
-                    DualViolation("assortment-cost", (j,), float(value - beta[j]), witness)
-                )
+    for j in range(inst.m):
+        value, witness = sub_dual_exact(inst, j, gamma)
+        if value > beta[j] + tol:
+            report.violations.append(
+                DualViolation("assortment-cost", (j,), float(value - beta[j]), witness)
+            )
     return report

@@ -54,26 +54,34 @@ def expected_revenue(inst: Instance, j: int, customers) -> float:
     return num / den
 
 
-def optimal_revenue(inst: Instance, j: int, customers) -> tuple[float, tuple[int, ...]]:
-    """Best expected revenue over all subsets of ``customers`` for supplier j.
+def best_prefix(values, weights, candidates) -> tuple[float, tuple[int, ...]]:
+    """Best MNL assortment over ``candidates``: maximize
+    sum_{i in S} values[i] * weights[i] / (1 + sum_{i in S} weights[i]).
 
-    The optimum under MNL is a prefix of the candidates sorted by descending
-    revenue (ties by ascending index), so only |C|+1 prefixes are scanned.
-    Returns (value, maximizing subset); the empty set gives 0.
+    The optimum is a prefix of the candidates sorted by descending value
+    (ties by ascending index), so only |C|+1 prefixes are scanned; ties in
+    objective keep the shorter prefix. Returns (value, sorted subset); the
+    empty set gives 0.
     """
-    members = sorted(as_subset(customers), key=lambda i: (-inst.r[i, j], i))
+    order = sorted(candidates, key=lambda i: (-values[i], i))
     best_val = 0.0
     best_len = 0
     num = 0.0
     den = 1.0
-    for t, i in enumerate(members, start=1):
-        num += float(inst.r[i, j] * inst.w[j, i])
-        den += float(inst.w[j, i])
+    for t, i in enumerate(order, start=1):
+        num += float(values[i] * weights[i])
+        den += float(weights[i])
         val = num / den
         if val > best_val:
             best_val = val
             best_len = t
-    return best_val, tuple(sorted(members[:best_len]))
+    return best_val, tuple(sorted(order[:best_len]))
+
+
+def optimal_revenue(inst: Instance, j: int, customers) -> tuple[float, tuple[int, ...]]:
+    """Best expected revenue over all subsets of ``customers`` for supplier j
+    (see :func:`best_prefix`). Returns (value, maximizing subset)."""
+    return best_prefix(inst.r[:, j], inst.w[j], as_subset(customers))
 
 
 def optimal_revenue_bruteforce(inst: Instance, j: int, customers) -> tuple[float, tuple[int, ...]]:
@@ -126,14 +134,14 @@ def optimal_revenue_table(inst: Instance, j: int) -> np.ndarray:
     """Optimal revenue of every customer subset, indexed by bitmask.
 
     Computed by a max-over-subsets sweep of the expected-revenue table, so
-    this table does not rely on the revenue-ordered prefix structure.
+    this table does not rely on the revenue-ordered prefix structure. At
+    bit b the table is viewed as (high bits, bit b, low bits) and every
+    entry with the bit set takes the maximum with its partner without it.
     """
-    g = expected_revenue_table(inst, j).copy()
-    idx = np.arange(g.size)
+    g = expected_revenue_table(inst, j)
     for b in range(inst.n):
-        bit = 1 << b
-        has = (idx & bit) != 0
-        g[has] = np.maximum(g[has], g[idx[has] ^ bit])
+        v = g.reshape(-1, 2, 1 << b)
+        np.maximum(v[:, 1], v[:, 0], out=v[:, 1])
     return g
 
 
@@ -149,6 +157,16 @@ def independent_subset_probs(q) -> np.ndarray:
     for i in range(q.shape[0]):
         probs = np.concatenate([probs * (1.0 - q[i]), probs * q[i]])
     return probs
+
+
+def expected_optimal_revenue_independent(inst: Instance, j: int, q):
+    """Expected optimal revenue of supplier j when customer i joins its
+    backlog independently with probability q[i]: the product distribution
+    integrated against the optimal-revenue table.
+
+    ``q`` of shape (n, k) gives the k expectations of its columns at once.
+    """
+    return optimal_revenue_table(inst, j) @ independent_subset_probs(q)
 
 
 def mask_of(subset, n: int) -> int:

@@ -28,7 +28,7 @@ import numpy as np
 
 from . import mnl
 from .mnl import SizeLimitError
-from .instance import Instance, SameOrderCertificate
+from .instance import Instance, SameOrderCertificate, as_permutation
 from .lp import LpSolution
 from .rounding import choice_table, draw, mnl_distribution
 
@@ -195,7 +195,7 @@ _START_SUMS = np.array([[0.0], [1.0]])
 def _layer_step(values: np.ndarray, layer: _DpLayer, u: np.ndarray):
     """Best value and action of every state in ``layer`` from its
     successors' ``values``. Each (state, candidate) pair takes the prefix
-    rule of :func:`best_marginal_assortment` with the same floating-point
+    rule of :func:`mnl.best_prefix`, batched, with the same floating-point
     operations: a stable sort of the gains, running sums from 0 and 1, the
     first best prefix (index 0 is the empty offer), then each state keeps
     its first best candidate. Returns the state values and, per state, the
@@ -263,10 +263,7 @@ def exact_dp_atar(inst: Instance):
 def exact_dp_ftar(inst: Instance, order) -> float:
     """Optimal value when customers must be processed in ``order`` but
     assortments stay adaptive. Never exceeds the adaptive-order value."""
-    order = tuple(order)
-    if sorted(order) != list(range(inst.n)):
-        raise ValueError(f"order must be a permutation of range({inst.n})")
-    return _dp(inst, order)[0]
+    return _dp(inst, as_permutation(order, inst.n))[0]
 
 
 def exact_star(inst: Instance) -> float:
@@ -293,8 +290,7 @@ def exact_star(inst: Instance) -> float:
     profiles = np.indices((2**m,) * n).reshape(n, -1)
     customers = np.arange(n)[:, None]
     values = sum(
-        mnl.optimal_revenue_table(inst, j) @ mnl.independent_subset_probs(phi[customers, profiles, j])
-        for j in range(m)
+        mnl.expected_optimal_revenue_independent(inst, j, phi[customers, profiles, j]) for j in range(m)
     )
     return float(values.max())
 
@@ -328,9 +324,8 @@ class RandomizedStaticPolicy:
 
     def exact_expected_revenue(self) -> float:
         """True expectation over all backlog realizations: per supplier the
-        backlog is product-Bernoulli with the x marginals, so the value is
-        the product distribution integrated against the optimal-revenue
-        table (n <= 15)."""
+        backlog is product-Bernoulli with the x marginals (n <= 15); see
+        :func:`mnl.expected_optimal_revenue_independent`."""
         n = self.inst.n
         if n > EXACT_EVAL_MAX_N:
             raise SizeLimitError(
@@ -338,31 +333,16 @@ class RandomizedStaticPolicy:
             )
         total = 0.0
         for j in range(self.inst.m):
-            probs = mnl.independent_subset_probs(self.x[:, j])
-            total += float(probs @ mnl.optimal_revenue_table(self.inst, j))
+            total += float(mnl.expected_optimal_revenue_independent(self.inst, j, self.x[:, j]))
         return total
 
 
 def best_marginal_assortment(rho, u_row) -> tuple[tuple[int, ...], float]:
     """Maximize sum_{j in S} rho[j] * phi(j, S) over supplier assortments S
-    for nonnegative values rho.
-
-    The maximizer is a prefix of suppliers sorted by rho descending (ties by
-    index), so m+1 prefixes suffice; ties in value keep the smaller prefix.
-    """
-    order = sorted(range(len(rho)), key=lambda j: (-rho[j], j))
-    best_val = 0.0
-    best_len = 0
-    num = 0.0
-    den = 1.0
-    for t, j in enumerate(order, start=1):
-        num += rho[j] * u_row[j]
-        den += u_row[j]
-        val = num / den
-        if val > best_val:
-            best_val = val
-            best_len = t
-    return tuple(sorted(order[:best_len])), float(best_val)
+    for nonnegative values rho: the prefix rule of :func:`mnl.best_prefix`.
+    Returns (assortment, value)."""
+    value, offer = mnl.best_prefix(rho, u_row, range(len(rho)))
+    return offer, value
 
 
 @dataclass
@@ -399,10 +379,7 @@ class SameOrderGreedyPolicy:
         if certificate is not None and certificate.sigma is not None:
             self.order = certificate.sigma
         elif order is not None:
-            order = tuple(order)
-            if sorted(order) != list(range(inst.n)):
-                raise ValueError(f"order must be a permutation of range({inst.n})")
-            self.order = order
+            self.order = as_permutation(order, inst.n)
         else:
             raise PolicyPreconditionError(
                 "no same-order certificate; pass an explicit order to run as a heuristic"

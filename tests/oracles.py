@@ -156,7 +156,7 @@ def reference_run_ellipsoid(
         raise ValueError(f"t_max must be >= 1, got {t_max}")
 
     oracle = ReferenceOracle(oracle_config or OracleConfig(), inst)
-    radius = init.radius if init and init.radius is not None else default_radius(inst)
+    radius = default_radius(inst)
     s = np.zeros(n_dim)
     if init and init.center is not None:
         s[:] = np.asarray(init.center, dtype=float)
@@ -620,3 +620,46 @@ def reference_greedy_sample(policy, seed) -> PolicyOutcome:
     choice = tuple(picks[i] for i in range(policy.inst.n))
     assignment = BacklogAssignment(m=policy.inst.m, choice=choice)
     return reference_finalize_suppliers(policy.inst, assignment, trace=trace)
+
+
+# ---------------------------------------------------------------------------
+# The revenue-ordered prefix scan and the max-over-subsets sweep as they were
+# written before the prefix rule and the table sweep were shared, kept
+# verbatim so the shared forms can be held to them with ==.
+
+
+def reference_optimal_revenue(inst: Instance, j: int, customers) -> tuple[float, tuple[int, ...]]:
+    """Best expected revenue over all subsets of ``customers`` for supplier j.
+
+    The optimum under MNL is a prefix of the candidates sorted by descending
+    revenue (ties by ascending index), so only |C|+1 prefixes are scanned.
+    Returns (value, maximizing subset); the empty set gives 0.
+    """
+    members = sorted(mnl.as_subset(customers), key=lambda i: (-inst.r[i, j], i))
+    best_val = 0.0
+    best_len = 0
+    num = 0.0
+    den = 1.0
+    for t, i in enumerate(members, start=1):
+        num += float(inst.r[i, j] * inst.w[j, i])
+        den += float(inst.w[j, i])
+        val = num / den
+        if val > best_val:
+            best_val = val
+            best_len = t
+    return best_val, tuple(sorted(members[:best_len]))
+
+
+def reference_optimal_revenue_table(inst: Instance, j: int) -> np.ndarray:
+    """Optimal revenue of every customer subset, indexed by bitmask.
+
+    Computed by a max-over-subsets sweep of the expected-revenue table, so
+    this table does not rely on the revenue-ordered prefix structure.
+    """
+    g = expected_revenue_table(inst, j).copy()
+    idx = np.arange(g.size)
+    for b in range(inst.n):
+        bit = 1 << b
+        has = (idx & bit) != 0
+        g[has] = np.maximum(g[has], g[idx[has] ^ bit])
+    return g

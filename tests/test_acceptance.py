@@ -15,7 +15,7 @@ from twosided.cli import main
 from twosided.evaluate import interleaved_partition_check
 from twosided.instance import detect_same_order, generate, normalize_revenues
 from twosided.lp import dual_feasibility_report, lp2_exact_small
-from twosided.ellipsoid import solve_lp2_approx
+from twosided.ellipsoid import solve_restricted
 from twosided.mnl import (
     g_marginal,
     optimal_revenue,
@@ -126,7 +126,7 @@ def test_criterion_05_randomized_static_guarantee(capsys):
     with criterion(capsys, 5, "randomized static beats half the LP bound (1-1/e when supplier-uniform)", 600.0):
         for k in range(100):
             inst = normalize_revenues(generate("uniform-random", 3, 3, 5000 + k))
-            sol = solve_lp2_approx(inst, t_max=30000)
+            sol = solve_restricted(inst, t_max=30000).solution
             policy = RandomizedStaticPolicy(inst, sol)
             value = policy.exact_expected_revenue()
             assert value >= 0.5 * sol.objective - 1e-9
@@ -135,7 +135,7 @@ def test_criterion_05_randomized_static_guarantee(capsys):
         factor = 1.0 - 1.0 / math.e
         for k in range(100):
             inst = normalize_revenues(generate("supplier-uniform", 3, 3, 6000 + k))
-            sol = solve_lp2_approx(inst, t_max=30000)
+            sol = solve_restricted(inst, t_max=30000).solution
             policy = RandomizedStaticPolicy(inst, sol)
             value = policy.exact_expected_revenue()
             assert value >= factor * sol.objective - 1e-9
@@ -177,14 +177,15 @@ def test_criterion_07_constraint_generation_fidelity(capsys):
             m = 1 + k % 2
             inst = normalize_revenues(generate("uniform-random", n, m, 8000 + k))
             exact = lp2_exact_small(inst).objective
-            sol, run = solve_lp2_approx(inst, t_max=25000, details=True)
+            solved = solve_restricted(inst, t_max=25000)
+            sol, run = solved.solution, solved.run
             assert sol.objective >= exact - 1e-4
             assert sol.objective <= exact + 1e-9
             assert run.violated.total() <= run.iterations
             objs = [obj for _, obj in run.incumbent_history]
             assert all(a >= b for a, b in zip(objs, objs[1:]))
             for point in run.incumbents:
-                assert dual_feasibility_report(inst, point, exact=True, tol=0.0).feasible
+                assert dual_feasibility_report(inst, point, tol=0.0).feasible
 
 
 def test_criterion_08_correlation_gap_bounds(capsys):

@@ -307,3 +307,30 @@ def test_solve_with_positive_delta(tmp_path, capsys):
     fields = dict(zip(header.split(","), row.split(",")))
     assert float(fields["ratio_vs_exact"]) >= (1.0 - 0.2) - 1e-6
     assert float(fields["ratio_vs_exact"]) <= 1.0 + 1e-9
+
+
+@pytest.mark.parametrize("delta", ["-0.5", "nan", "1.0"])
+@pytest.mark.parametrize("command", ["solve", "run"])
+def test_delta_outside_unit_interval_is_usage_error(tmp_path, capsys, command, delta):
+    # a negative delta once fell back to the exact oracle and reported
+    # guarantees above the paper's 1/2 and 1 - 1/e
+    inst_path = tmp_path / "i.json"
+    assert run_cli(capsys, "gen", "uniform-random", "2", "2", "--seed", "3", "--out", str(inst_path))[0] == 0
+    out = tmp_path / "out.csv"
+    extra = ["--report", str(out)] if command == "solve" else ["--policy", "dp", "--out", str(out)]
+    code = main([command, str(inst_path), "--delta", delta, *extra])
+    err = capsys.readouterr().err
+    assert code == 1
+    assert "delta must be in [0, 1)" in err
+    assert not out.exists()
+
+
+def test_negative_trials_is_usage_error(tmp_path, capsys):
+    inst_path = tmp_path / "i.json"
+    assert run_cli(capsys, "gen", "same-order-additive", "2", "2", "--seed", "3", "--out", str(inst_path))[0] == 0
+    out = tmp_path / "run.csv"
+    code = main(["run", str(inst_path), "--policy", "greedy", "--trials", "-1", "--seed", "1", "--out", str(out)])
+    err = capsys.readouterr().err
+    assert code == 1
+    assert "trials must be >= 0" in err
+    assert not out.exists()

@@ -121,15 +121,6 @@ def test_relaxed_oracle_delta_zero_matches_exact():
     assert make_oracle(config, inst)(0, gamma) == make_oracle(None, inst)(0, gamma)[:2] + (0.0,)
 
 
-def test_singleton_oracle_nonnegative(counterexample):
-    value, subset, delta = make_oracle(OracleConfig(kind="singleton"), counterexample)(
-        0, np.zeros((3, 1))
-    )
-    assert value >= 0.0
-    assert len(subset) <= 1
-    assert delta is None
-
-
 def test_oracle_config_validation():
     with pytest.raises(ValueError):
         OracleConfig(kind="nope")

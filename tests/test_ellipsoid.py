@@ -7,7 +7,7 @@ from twosided.ellipsoid import (
     EllipsoidInit,
     default_iteration_budget,
     run_ellipsoid,
-    solve_lp2_approx,
+    solve_restricted,
 )
 from twosided.instance import generate, normalize_revenues
 from twosided.lp import check_lp_solution, dual_feasibility_report, lp2_exact_small
@@ -27,7 +27,8 @@ def test_zero_revenue_objective_converges_to_zero(zero_revenue_instance):
 
 
 def test_unit_instance_objective_and_recovery(unit_instance):
-    sol, run = solve_lp2_approx(unit_instance, details=True)
+    solved = solve_restricted(unit_instance)
+    sol, run = solved.solution, solved.run
     assert abs(run.objective - 0.25) <= 1e-4
     assert sol.objective >= 0.25 - 1e-6
     assert check_lp_solution(unit_instance, sol) == []
@@ -37,7 +38,8 @@ def test_random_instances_match_exact_lp():
     for seed in range(6):
         inst = normalize_revenues(generate("uniform-random", 3, 2, seed))
         exact = lp2_exact_small(inst).objective
-        sol, run = solve_lp2_approx(inst, t_max=20000, details=True)
+        solved = solve_restricted(inst, t_max=20000)
+        sol, run = solved.solution, solved.run
         assert run.violated.total() <= run.iterations
         assert sol.objective >= exact - 1e-4
         assert sol.objective <= exact + 1e-9
@@ -53,7 +55,7 @@ def test_incumbent_monotone_and_exactly_feasible():
     assert len(run.incumbents) >= 1
     # every incumbent passed the exact checks with zero slack
     for point in run.incumbents[:: max(1, len(run.incumbents) // 10)]:
-        assert dual_feasibility_report(inst, point, exact=True, tol=0.0).feasible
+        assert dual_feasibility_report(inst, point, tol=0.0).feasible
 
 
 def test_recorded_sets_were_genuinely_violating():
@@ -89,7 +91,7 @@ def test_relaxed_oracle_band():
     for seed in range(3):
         inst = normalize_revenues(generate("uniform-random", 3, 2, seed))
         exact = lp2_exact_small(inst).objective
-        sol = solve_lp2_approx(inst, config, t_max=20000)
+        sol = solve_restricted(inst, config, t_max=20000).solution
         assert sol.objective >= (1.0 - 0.2) * exact - 1e-6
         assert sol.objective <= exact + 1e-9
         assert check_lp_solution(inst, sol) == []
@@ -114,7 +116,8 @@ def test_trace_records(unit_instance):
 
 
 def test_zero_revenue_approx_solve(zero_revenue_instance):
-    sol, run = solve_lp2_approx(zero_revenue_instance, t_max=3000, details=True)
+    solved = solve_restricted(zero_revenue_instance, t_max=3000)
+    sol, run = solved.solution, solved.run
     assert sol.objective == pytest.approx(0.0, abs=1e-9)
     assert check_lp_solution(zero_revenue_instance, sol) == []
     assert run.violated.total() <= run.cut_counts["assortment-cost"]

@@ -15,6 +15,8 @@ from oracles import (
     reference_distribution_sample,
     reference_dp_atar,
     reference_dp_ftar,
+    reference_optimal_revenue,
+    reference_optimal_revenue_table,
     reference_greedy_sample,
     reference_pivot_loop,
     reference_prefix_dp,
@@ -27,9 +29,9 @@ from oracles import (
 from twosided.cost_assortment import OracleConfig
 from twosided.ellipsoid import EllipsoidInit, default_radius, run_ellipsoid
 from twosided.evaluate import SubsetDistribution, expected_optimal_revenue_independent, monte_carlo
-from twosided.instance import GENERATOR_KINDS, detect_same_order, generate, normalize_revenues
+from twosided.instance import GENERATOR_KINDS, Instance, detect_same_order, generate, normalize_revenues
 from twosided.lp import _marginal_lp, build_aux_primal, lp2_exact_small
-from twosided.mnl import independent_subset_probs, optimal_revenue_table, subset_of
+from twosided.mnl import independent_subset_probs, optimal_revenue, optimal_revenue_table, subset_of
 from twosided.policies import (
     OUTSIDE,
     RandomizedStaticPolicy,
@@ -48,7 +50,8 @@ def assert_same_run(got, want):
     assert got.iterations == want.iterations
     assert got.cut_counts == want.cut_counts
     assert got.incumbent_history == want.incumbent_history
-    assert got.violated.per_supplier() == want.violated.per_supplier()
+    suppliers = range(len(want.violated.counts()))
+    assert [got.violated[j] for j in suppliers] == [want.violated[j] for j in suppliers]
     assert got.objective == want.objective
     for name in ("alpha", "beta", "gamma"):
         assert getattr(got.best, name).tobytes() == getattr(want.best, name).tobytes()
@@ -251,6 +254,46 @@ def test_best_marginal_assortment_matches_numpy_scan():
         want = reference_best_marginal_assortment(rho, u)
         assert best_marginal_assortment(rho, u) == want
         assert best_marginal_assortment(rho.tolist(), u.tolist()) == want
+
+
+def _prefix_rule_instances():
+    """All four generator kinds at n = 1..10 (m = 2), plus a fixture whose
+    revenues and weights are rounded to force ties and that has zero
+    revenues, zero columns and a zero-revenue supplier."""
+    for kind in GENERATOR_KINDS:
+        for n in range(1, 11):
+            yield generate(kind, n, 2, 100 + n)
+    rng = np.random.default_rng(31)
+    r = np.round(rng.uniform(0.0, 1.0, (8, 3)), 1)
+    r[2] = 0.0
+    r[:, 2] = 0.0
+    yield Instance(n=8, m=3, u=np.ones((8, 3)), w=np.round(rng.uniform(0.5, 2.0, (3, 8)), 0), r=r)
+
+
+def test_prefix_rule_matches_reference_scan():
+    rng = np.random.default_rng(30)
+    for inst in _prefix_rule_instances():
+        for j in range(inst.m):
+            subsets = [(), tuple(range(inst.n))]
+            subsets += [subset_of(int(mask), inst.n) for mask in rng.integers(0, 2**inst.n, 20)]
+            for subset in subsets:
+                want = reference_optimal_revenue(inst, j, subset)
+                for members in (subset, list(reversed(subset))):
+                    got = optimal_revenue(inst, j, members)
+                    assert got == want
+                    assert type(got[0]) is float
+
+
+def test_optimal_revenue_table_matches_reference_sweep():
+    for inst in _prefix_rule_instances():
+        for j in range(inst.m):
+            want = reference_optimal_revenue_table(inst, j)
+            assert optimal_revenue_table(inst, j).tobytes() == want.tobytes()
+    for kind in GENERATOR_KINDS:
+        inst = generate(kind, 11, 3, 7)
+        for j in range(inst.m):
+            want = reference_optimal_revenue_table(inst, j)
+            assert optimal_revenue_table(inst, j).tobytes() == want.tobytes()
 
 
 # ---------------------------------------------------------------------------

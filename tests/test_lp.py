@@ -130,13 +130,13 @@ def test_dual_feasible_baseline_point():
             beta=np.full(2, float(inst.r.max())),
             gamma=np.zeros((4, 2)),
         )
-        assert dual_feasibility_report(inst, point, exact=True).feasible
+        assert dual_feasibility_report(inst, point).feasible
 
 
 def test_dual_zero_point_violates_with_positive_revenue():
     inst = generate("uniform-random", 3, 2, 2)
     point = DualPoint(alpha=np.zeros((3, 2)), beta=np.zeros(2), gamma=np.zeros((3, 2)))
-    report = dual_feasibility_report(inst, point, exact=True)
+    report = dual_feasibility_report(inst, point)
     assert any(v.kind == "assortment-cost" for v in report.violations)
 
 
@@ -149,7 +149,7 @@ def test_dual_report_matches_direct_scan():
             beta=rng.normal(0.3, 0.3, 2),
             gamma=rng.normal(0.0, 0.2, (4, 2)),
         )
-        report = dual_feasibility_report(inst, point, exact=True)
+        report = dual_feasibility_report(inst, point)
         got = {(v.kind, v.index) for v in report.violations}
         want = set()
         for i in range(4):
@@ -179,7 +179,7 @@ def test_weak_duality():
             beta=np.full(2, float(inst.r.max())),
             gamma=np.zeros((3, 2)),
         )
-        assert dual_feasibility_report(inst, point, exact=True).feasible
+        assert dual_feasibility_report(inst, point).feasible
         assert point.objective >= primal - TOL
 
 
