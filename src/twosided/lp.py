@@ -13,6 +13,7 @@ the marginal LP further by generating the backlog support on demand.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from itertools import chain
 
 import numpy as np
 
@@ -121,39 +122,50 @@ class MarginalLpColumns:
 
 def _marginal_lp(inst: Instance, support: list[list[tuple[int, ...]]]) -> MarginalLpColumns:
     """Build the marginal LP restricted to the given per-supplier backlog
-    support (x columns always present)."""
+    support (x columns always present). Each support set must be a sorted
+    tuple of distinct customers, as ``mnl.as_subset`` returns."""
     n, m = inst.n, inst.m
     nm = n * m
     lam_index = [(j, subset) for j in range(m) for subset in support[j]]
-    k = nm + len(lam_index)
-
-    c = np.zeros(k)
+    n_lam = len(lam_index)
+    k = nm + n_lam
     names = [f"x[{i},{j}]" for i in range(n) for j in range(m)]
-    for col, (j, subset) in enumerate(lam_index):
-        c[nm + col] = mnl.expected_revenue(inst, j, subset)
-        names.append(f"lam[{j},{{{','.join(map(str, subset))}}}]")
+    names += [f"lam[{j},{{{','.join(map(str, subset))}}}]" for j, subset in lam_index]
+
+    # per lambda column its supplier; one (column, customer) entry per member
+    supplier = np.array([j for j, _ in lam_index], dtype=np.intp)
+    sizes = [len(subset) for _, subset in lam_index]
+    entry_col = np.repeat(np.arange(n_lam), sizes)
+    members = chain.from_iterable(subset for _, subset in lam_index)
+    entry_customer = np.fromiter(members, dtype=np.intp, count=sum(sizes))
+    member = np.zeros((n_lam, n))
+    member[entry_col, entry_customer] = 1.0
+
+    # expected revenue of each backlog, summed customer by customer in
+    # ascending order as mnl.expected_revenue does (a non-member adds +0.0)
+    c = np.zeros(k)
+    num = np.zeros(n_lam)
+    den = np.ones(n_lam)
+    for i in range(n):
+        num = num + member[:, i] * (inst.r[i, supplier] * inst.w[supplier, i])
+        den = den + member[:, i] * inst.w[supplier, i]
+    c[nm:] = num / den
 
     # equalities: per supplier the lambdas form a distribution; per pair the
     # lambda mass containing customer i matches x[i][j]
+    pairs = np.arange(nm)
     a_eq = np.zeros((m + nm, k))
     b_eq = np.zeros(m + nm)
-    for col, (j, subset) in enumerate(lam_index):
-        a_eq[j, nm + col] = 1.0
-        for i in subset:
-            a_eq[m + i * m + j, nm + col] = 1.0
+    a_eq[supplier, nm + np.arange(n_lam)] = 1.0
+    a_eq[m + entry_customer * m + supplier[entry_col], nm + entry_col] = 1.0
+    a_eq[m + pairs, pairs] = -1.0
     b_eq[:m] = 1.0
-    for i in range(n):
-        for j in range(m):
-            a_eq[m + i * m + j, i * m + j] -= 1.0
 
-    # inequalities: the MNL marginal polytope rows
+    # inequalities: the MNL marginal polytope rows, x[i][j]/u[i][j] + sum_l x[i][l] <= 1
     a_ub = np.zeros((nm, k))
     b_ub = np.ones(nm)
-    for i in range(n):
-        for j in range(m):
-            row = i * m + j
-            a_ub[row, i * m : (i + 1) * m] += 1.0
-            a_ub[row, i * m + j] += 1.0 / inst.u[i, j]
+    a_ub[pairs[:, None], (pairs // m * m)[:, None] + np.arange(m)] = 1.0
+    a_ub[pairs, pairs] += 1.0 / inst.u.reshape(-1)
 
     lp = LinearProgram(c=c, a_eq=a_eq, b_eq=b_eq, a_ub=a_ub, b_ub=b_ub, maximize=True, names=tuple(names))
     return MarginalLpColumns(lp=lp, lam_index=lam_index, n=n, m=m)

@@ -1,13 +1,22 @@
-"""Dense two-phase primal simplex with Bland's anti-cycling rule.
+"""Two-phase revised primal simplex with Bland's anti-cycling rule.
 
 Solves finite LPs over nonnegative variables given as
 
     max/min  c.x   s.t.  a_eq x = b_eq,  a_ub x <= b_ub,  x >= 0,
 
-returning an optimal basic solution. Bland's rule (smallest eligible index
-for both the entering column and, among minimum-ratio ties, the leaving
-basic variable) guarantees termination on the degenerate LPs this package
-produces. Dense float64 tableau; feasibility tolerance 1e-8.
+returning an optimal basic solution and its dual multipliers. Bland's rule
+(smallest eligible index for both the entering column and, among
+minimum-ratio ties, the leaving basic variable) guarantees termination on
+the degenerate LPs this package produces.
+
+The method keeps an explicit inverse of the basis matrix and the basic
+values, and updates both by one Gauss-Jordan (rank-1) step per pivot; the
+constraint matrix itself is never modified. Reduced costs ``c_j - y.A_j``
+(with ``y = c_B B^-1``) are priced in fixed blocks of columns in index
+order, stopping at the first block holding one below ``-tol``: that is
+still Bland's smallest-index entering rule, but a pivot reads only the
+columns up to the entering one. Float64 throughout; feasibility tolerance
+1e-8.
 """
 
 from __future__ import annotations
@@ -17,6 +26,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 FEASIBILITY_TOL = 1e-8
+# columns priced per step of the entering scan; 256-512 measured alike
+PRICING_BLOCK = 384
 
 
 class LpSolverError(RuntimeError):
@@ -72,135 +83,154 @@ class LpResult:
     objective: float | None
     iterations: int = 0
     basis: tuple[int, ...] = field(default_factory=tuple)
+    # one multiplier per a_eq row, then per a_ub row; None unless optimal
+    duals: np.ndarray | None = None
 
 
 def solve_lp(lp: LinearProgram, tol: float = FEASIBILITY_TOL, max_iters: int | None = None) -> LpResult:
-    """Solve ``lp`` exactly; see module docstring for the method."""
+    """Solve ``lp`` exactly; see module docstring for the method.
+
+    At an optimum, ``duals`` are in the LP's own sense: ``b_eq.duals_eq +
+    b_ub.duals_ub`` equals the objective, and the reduced costs ``c -
+    duals.A`` are <= 0 for a max (>= 0 for a min), with the ``a_ub``
+    multipliers >= 0 for a max (<= 0 for a min).
+    """
     k = lp.num_vars
     mu = lp.a_ub.shape[0]
     me = lp.a_eq.shape[0]
     m = me + mu
+    n_struct = k + mu
 
-    # standard form: equality rows first, then inequality rows with slacks
-    a = np.zeros((m, k + mu))
+    # standard form: equality rows first, then inequality rows with slacks;
+    # then one artificial column per row. Stored by column for pricing.
+    cols = np.zeros((m, n_struct + m), order="F")
     b = np.zeros(m)
-    a[:me, :k] = lp.a_eq
+    cols[:me, :k] = lp.a_eq
     b[:me] = lp.b_eq
-    a[me:, :k] = lp.a_ub
-    a[me:, k:] = np.eye(mu)
+    cols[me:, :k] = lp.a_ub
+    cols[me:, k:n_struct] = np.eye(mu)
     b[me:] = lp.b_ub
     flip = b < 0
-    a[flip] *= -1.0
+    cols[flip] *= -1.0
     b[flip] *= -1.0
+    cols[:, n_struct:] = np.eye(m)
 
-    n_struct = k + mu
     if max_iters is None:
         max_iters = 2000 + 200 * (m + n_struct)
 
     # phase 1: artificial variables on every row, minimize their sum
-    tableau = np.zeros((m + 1, n_struct + m + 1))
-    tableau[:m, :n_struct] = a
-    tableau[:m, n_struct:-1] = np.eye(m)
-    tableau[:m, -1] = b
-    basis = list(range(n_struct, n_struct + m))
-    tableau[m, :n_struct] = -a.sum(axis=0)
-    tableau[m, -1] = -b.sum()
-
-    it1 = _pivot_loop(tableau, basis, n_cols=n_struct + m, tol=tol, max_iters=max_iters)
+    state = _RevisedBasis(cols, b, first_basic=n_struct)
+    phase1_cost = np.concatenate([np.zeros(n_struct), np.ones(m)])
+    it1 = _pivot_loop(state, phase1_cost, n_cols=n_struct + m, tol=tol, max_iters=max_iters)
     if it1 < 0:
-        raise LpSolverError("phase-1 objective reported unbounded; tableau corrupt")
+        raise LpSolverError("phase-1 objective reported unbounded; basis inverse corrupt")
     scale = max(1.0, float(abs(b).max()) if b.size else 1.0)
-    if tableau[m, -1] < -tol * scale:
+    if float(state.x_b[state.basis >= n_struct].sum()) > tol * scale:
         return LpResult(status="infeasible", x=None, objective=None, iterations=it1)
 
-    rows, rhs, basis = _drive_out_artificials(tableau, basis, n_struct, tol)
-    m2 = len(basis)
+    state.drive_out_artificials(n_struct, tol)
 
-    # phase 2: original objective (in min form) over structural columns
-    cost = np.concatenate([(-lp.c) if lp.maximize else lp.c, np.zeros(mu)])
-    t2 = np.zeros((m2 + 1, n_struct + 1))
-    t2[:m2, :n_struct] = rows
-    t2[:m2, -1] = rhs
-    t2[m2, :n_struct] = cost
-    for row, var in enumerate(basis):
-        if t2[m2, var] != 0.0:
-            t2[m2, :] -= t2[m2, var] * t2[row, :]
-
-    it2 = _pivot_loop(t2, basis, n_cols=n_struct, tol=tol, max_iters=max_iters)
+    # phase 2: original objective (in min form) over structural columns. An
+    # artificial left basic sits at zero on a redundant row; it costs nothing
+    # and, never priced, cannot re-enter.
+    cost = np.concatenate([(-lp.c) if lp.maximize else lp.c, np.zeros(mu + m)])
+    it2 = _pivot_loop(state, cost, n_cols=n_struct, tol=tol, max_iters=max_iters)
     if it2 < 0:
         return LpResult(status="unbounded", x=None, objective=None, iterations=it1 + (-it2 - 1))
 
+    structural = state.basis < n_struct
     x_full = np.zeros(n_struct)
-    for row, var in enumerate(basis):
-        x_full[var] = t2[row, -1]
+    x_full[state.basis[structural]] = state.x_b[structural]
     x = x_full[:k]
+    # min-form multipliers of the flipped rows, mapped back to the LP's rows
+    y = cost[state.basis] @ state.binv
+    duals = np.where(flip, -y, y)
     return LpResult(
         status="optimal",
         x=x,
         objective=float(lp.c @ x),
         iterations=it1 + it2,
-        basis=tuple(basis),
+        basis=tuple(int(var) for var in state.basis[structural]),
+        duals=-duals if lp.maximize else duals,
     )
 
 
-def _pivot_loop(tableau: np.ndarray, basis: list[int], n_cols: int, tol: float, max_iters: int) -> int:
-    """Bland pivoting on a min-form tableau (objective in the last row).
+class _RevisedBasis:
+    """The basis of a standard-form LP: basic column per row, the explicit
+    basis inverse and the basic values. ``cols`` is never modified."""
+
+    def __init__(self, cols: np.ndarray, b: np.ndarray, first_basic: int):
+        m = b.size
+        self.cols = cols
+        self.basis = np.arange(first_basic, first_basic + m)
+        self.binv = np.eye(m)
+        self.x_b = b.copy()
+
+    def column(self, j: int) -> np.ndarray:
+        """Column ``j`` in terms of the current basis (``B^-1 A_j``)."""
+        return self.binv @ self.cols[:, j]
+
+    def pivot(self, row: int, enter: int, col: np.ndarray) -> None:
+        """Gauss-Jordan step: column ``enter`` (``col`` = its ``B^-1 A_j``)
+        replaces the basic variable of ``row``."""
+        piv = col[row]
+        if abs(piv) < 1e-12:
+            raise LpSolverError(f"degenerate pivot element {piv:.3e} at row {row}, column {enter}")
+        pivot_row = self.binv[row] / piv
+        self.binv -= col[:, None] * pivot_row
+        self.binv[row] = pivot_row
+        x_enter = self.x_b[row] / piv
+        self.x_b -= col * x_enter
+        self.x_b[row] = x_enter
+        self.basis[row] = enter
+
+    def drive_out_artificials(self, n_struct: int, tol: float) -> None:
+        """Pivot leftover artificial variables out of the basis.
+
+        A row whose structural coefficients all vanished is a redundant
+        constraint; its artificial stays basic (at zero).
+        """
+        for row in np.flatnonzero(self.basis >= n_struct):
+            coeffs = self.binv[row] @ self.cols[:, :n_struct]
+            candidates = np.flatnonzero(np.abs(coeffs) > tol)
+            if candidates.size:
+                enter = int(candidates[0])
+                self.pivot(int(row), enter, self.column(enter))
+
+
+def _pivot_loop(state: _RevisedBasis, cost: np.ndarray, n_cols: int, tol: float, max_iters: int) -> int:
+    """Bland pivoting on min-form costs over the first ``n_cols`` columns.
 
     Returns the pivot count, or -(pivots + 1) when the LP is unbounded.
     """
-    m = tableau.shape[0] - 1
+    bounds = [(lo, min(lo + PRICING_BLOCK, n_cols)) for lo in range(0, n_cols, PRICING_BLOCK)]
+    blocks = [(lo, cost[lo:hi], state.cols[:, lo:hi]) for lo, hi in bounds]
     for it in range(max_iters):
-        # Bland: the first column whose reduced cost is below -tol
-        below = tableau[m, :n_cols] < -tol
-        enter = int(below.argmax())
-        if not below[enter]:
+        enter = _entering(blocks, cost[state.basis] @ state.binv, tol)
+        if enter < 0:
             return it
-        col = tableau[:m, enter]
+        col = state.column(enter)
         eligible = np.flatnonzero(col > tol)
         if eligible.size == 0:
             return -(it + 1)
-        ratios = tableau[eligible, -1] / col[eligible]
+        ratios = state.x_b[eligible] / col[eligible]
         rmin = float(ratios.min())
         ties = eligible[ratios <= rmin + 1e-12 * max(1.0, abs(rmin))]
-        leave = int(min(ties, key=lambda rr: basis[rr]))
-        _pivot(tableau, leave, enter)
-        basis[leave] = enter
+        leave = int(ties[state.basis[ties].argmin()])
+        state.pivot(leave, enter, col)
     raise LpSolverError(
-        f"simplex exceeded {max_iters} pivots (rows={m}, cols={n_cols}); "
-        "tableau is numerically suspect"
+        f"simplex exceeded {max_iters} pivots (rows={state.x_b.size}, cols={n_cols}); "
+        "basis inverse is numerically suspect"
     )
 
 
-def _pivot(tableau: np.ndarray, row: int, col: int) -> None:
-    piv = tableau[row, col]
-    if abs(piv) < 1e-12:
-        raise LpSolverError(f"degenerate pivot element {piv:.3e} at row {row}, column {col}")
-    tableau[row, :] /= piv
-    for rr in range(tableau.shape[0]):
-        if rr != row and tableau[rr, col] != 0.0:
-            tableau[rr, :] -= tableau[rr, col] * tableau[row, :]
-
-
-def _drive_out_artificials(
-    tableau: np.ndarray, basis: list[int], n_struct: int, tol: float
-) -> tuple[np.ndarray, np.ndarray, list[int]]:
-    """Pivot leftover artificial variables out of the basis.
-
-    Rows whose structural coefficients all vanished are redundant
-    constraints and are dropped. Returns the surviving structural rows,
-    right-hand sides and basis.
-    """
-    keep: list[int] = []
-    for row in range(len(basis)):
-        if basis[row] < n_struct:
-            keep.append(row)
-            continue
-        pivot_col = next((j for j in range(n_struct) if abs(tableau[row, j]) > tol), -1)
-        if pivot_col < 0:
-            continue
-        _pivot(tableau, row, pivot_col)
-        basis[row] = pivot_col
-        keep.append(row)
-    rows = tableau[keep][:, :n_struct].copy()
-    rhs = tableau[keep][:, -1].copy()
-    return rows, rhs, [basis[r] for r in keep]
+def _entering(blocks: list[tuple[int, np.ndarray, np.ndarray]], y: np.ndarray, tol: float) -> int:
+    """Bland: the first column whose reduced cost ``cost_j - y.A_j`` is
+    below -tol, or -1. ``blocks`` holds (first index, costs, columns) of
+    consecutive column blocks; the scan stops at the first block with one."""
+    for lo, cost, cols in blocks:
+        below = cost - y @ cols < -tol
+        j = int(below.argmax())
+        if below[j]:
+            return lo + j
+    return -1

@@ -18,7 +18,7 @@ from twosided.ellipsoid import (
     default_radius,
 )
 from twosided.instance import Instance
-from twosided.lp import DualPoint, ViolatedSets
+from twosided.lp import DualPoint, MarginalLpColumns, ViolatedSets
 from twosided.mnl import SizeLimitError, choice_prob, expected_revenue_table, subset_masks, subset_of
 from twosided.policies import (
     OUTSIDE,
@@ -30,7 +30,7 @@ from twosided.policies import (
     _require_dp_size,
     best_marginal_assortment,
 )
-from twosided.simplex import LinearProgram, LpSolverError, _pivot
+from twosided.simplex import FEASIBILITY_TOL, LinearProgram, LpResult, LpSolverError
 
 
 def lp_optimum_by_vertex_enumeration(lp: LinearProgram, tol: float = 1e-9) -> float | None:
@@ -299,6 +299,180 @@ def _reference_find_cut(inst, oracle, s, alpha, beta, gamma, inv_u, obj, violate
             return "assortment-cost", (j, subset), a
 
     return None, None, None
+
+
+def reference_solve_lp(lp: LinearProgram, tol: float = FEASIBILITY_TOL, max_iters: int | None = None) -> LpResult:
+    """The dense two-phase tableau simplex that ``twosided.simplex.solve_lp``
+    replaced (kept verbatim with its helpers): the pivot-for-pivot reference
+    for the revised method."""
+    k = lp.num_vars
+    mu = lp.a_ub.shape[0]
+    me = lp.a_eq.shape[0]
+    m = me + mu
+
+    # standard form: equality rows first, then inequality rows with slacks
+    a = np.zeros((m, k + mu))
+    b = np.zeros(m)
+    a[:me, :k] = lp.a_eq
+    b[:me] = lp.b_eq
+    a[me:, :k] = lp.a_ub
+    a[me:, k:] = np.eye(mu)
+    b[me:] = lp.b_ub
+    flip = b < 0
+    a[flip] *= -1.0
+    b[flip] *= -1.0
+
+    n_struct = k + mu
+    if max_iters is None:
+        max_iters = 2000 + 200 * (m + n_struct)
+
+    # phase 1: artificial variables on every row, minimize their sum
+    tableau = np.zeros((m + 1, n_struct + m + 1))
+    tableau[:m, :n_struct] = a
+    tableau[:m, n_struct:-1] = np.eye(m)
+    tableau[:m, -1] = b
+    basis = list(range(n_struct, n_struct + m))
+    tableau[m, :n_struct] = -a.sum(axis=0)
+    tableau[m, -1] = -b.sum()
+
+    it1 = _pivot_loop(tableau, basis, n_cols=n_struct + m, tol=tol, max_iters=max_iters)
+    if it1 < 0:
+        raise LpSolverError("phase-1 objective reported unbounded; tableau corrupt")
+    scale = max(1.0, float(abs(b).max()) if b.size else 1.0)
+    if tableau[m, -1] < -tol * scale:
+        return LpResult(status="infeasible", x=None, objective=None, iterations=it1)
+
+    rows, rhs, basis = _drive_out_artificials(tableau, basis, n_struct, tol)
+    m2 = len(basis)
+
+    # phase 2: original objective (in min form) over structural columns
+    cost = np.concatenate([(-lp.c) if lp.maximize else lp.c, np.zeros(mu)])
+    t2 = np.zeros((m2 + 1, n_struct + 1))
+    t2[:m2, :n_struct] = rows
+    t2[:m2, -1] = rhs
+    t2[m2, :n_struct] = cost
+    for row, var in enumerate(basis):
+        if t2[m2, var] != 0.0:
+            t2[m2, :] -= t2[m2, var] * t2[row, :]
+
+    it2 = _pivot_loop(t2, basis, n_cols=n_struct, tol=tol, max_iters=max_iters)
+    if it2 < 0:
+        return LpResult(status="unbounded", x=None, objective=None, iterations=it1 + (-it2 - 1))
+
+    x_full = np.zeros(n_struct)
+    for row, var in enumerate(basis):
+        x_full[var] = t2[row, -1]
+    x = x_full[:k]
+    return LpResult(
+        status="optimal",
+        x=x,
+        objective=float(lp.c @ x),
+        iterations=it1 + it2,
+        basis=tuple(basis),
+    )
+
+
+def _pivot_loop(tableau: np.ndarray, basis: list[int], n_cols: int, tol: float, max_iters: int) -> int:
+    """Bland pivoting on a min-form tableau (objective in the last row).
+
+    Returns the pivot count, or -(pivots + 1) when the LP is unbounded.
+    """
+    m = tableau.shape[0] - 1
+    for it in range(max_iters):
+        # Bland: the first column whose reduced cost is below -tol
+        below = tableau[m, :n_cols] < -tol
+        enter = int(below.argmax())
+        if not below[enter]:
+            return it
+        col = tableau[:m, enter]
+        eligible = np.flatnonzero(col > tol)
+        if eligible.size == 0:
+            return -(it + 1)
+        ratios = tableau[eligible, -1] / col[eligible]
+        rmin = float(ratios.min())
+        ties = eligible[ratios <= rmin + 1e-12 * max(1.0, abs(rmin))]
+        leave = int(min(ties, key=lambda rr: basis[rr]))
+        _pivot(tableau, leave, enter)
+        basis[leave] = enter
+    raise LpSolverError(
+        f"simplex exceeded {max_iters} pivots (rows={m}, cols={n_cols}); "
+        "tableau is numerically suspect"
+    )
+
+
+def _pivot(tableau: np.ndarray, row: int, col: int) -> None:
+    piv = tableau[row, col]
+    if abs(piv) < 1e-12:
+        raise LpSolverError(f"degenerate pivot element {piv:.3e} at row {row}, column {col}")
+    tableau[row, :] /= piv
+    for rr in range(tableau.shape[0]):
+        if rr != row and tableau[rr, col] != 0.0:
+            tableau[rr, :] -= tableau[rr, col] * tableau[row, :]
+
+
+def _drive_out_artificials(
+    tableau: np.ndarray, basis: list[int], n_struct: int, tol: float
+) -> tuple[np.ndarray, np.ndarray, list[int]]:
+    """Pivot leftover artificial variables out of the basis.
+
+    Rows whose structural coefficients all vanished are redundant
+    constraints and are dropped. Returns the surviving structural rows,
+    right-hand sides and basis.
+    """
+    keep: list[int] = []
+    for row in range(len(basis)):
+        if basis[row] < n_struct:
+            keep.append(row)
+            continue
+        pivot_col = next((j for j in range(n_struct) if abs(tableau[row, j]) > tol), -1)
+        if pivot_col < 0:
+            continue
+        _pivot(tableau, row, pivot_col)
+        basis[row] = pivot_col
+        keep.append(row)
+    rows = tableau[keep][:, :n_struct].copy()
+    rhs = tableau[keep][:, -1].copy()
+    return rows, rhs, [basis[r] for r in keep]
+
+
+def reference_marginal_lp(inst: Instance, support: list[list[tuple[int, ...]]]) -> MarginalLpColumns:
+    """The per-column loop form of ``lp._marginal_lp`` (verbatim); the array
+    build must match it byte for byte."""
+    n, m = inst.n, inst.m
+    nm = n * m
+    lam_index = [(j, subset) for j in range(m) for subset in support[j]]
+    k = nm + len(lam_index)
+
+    c = np.zeros(k)
+    names = [f"x[{i},{j}]" for i in range(n) for j in range(m)]
+    for col, (j, subset) in enumerate(lam_index):
+        c[nm + col] = mnl.expected_revenue(inst, j, subset)
+        names.append(f"lam[{j},{{{','.join(map(str, subset))}}}]")
+
+    # equalities: per supplier the lambdas form a distribution; per pair the
+    # lambda mass containing customer i matches x[i][j]
+    a_eq = np.zeros((m + nm, k))
+    b_eq = np.zeros(m + nm)
+    for col, (j, subset) in enumerate(lam_index):
+        a_eq[j, nm + col] = 1.0
+        for i in subset:
+            a_eq[m + i * m + j, nm + col] = 1.0
+    b_eq[:m] = 1.0
+    for i in range(n):
+        for j in range(m):
+            a_eq[m + i * m + j, i * m + j] -= 1.0
+
+    # inequalities: the MNL marginal polytope rows
+    a_ub = np.zeros((nm, k))
+    b_ub = np.ones(nm)
+    for i in range(n):
+        for j in range(m):
+            row = i * m + j
+            a_ub[row, i * m : (i + 1) * m] += 1.0
+            a_ub[row, i * m + j] += 1.0 / inst.u[i, j]
+
+    lp = LinearProgram(c=c, a_eq=a_eq, b_eq=b_eq, a_ub=a_ub, b_ub=b_ub, maximize=True, names=tuple(names))
+    return MarginalLpColumns(lp=lp, lam_index=lam_index, n=n, m=m)
 
 
 def reference_pivot_loop(tableau, basis, n_cols, tol, max_iters):

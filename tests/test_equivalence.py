@@ -1,14 +1,18 @@
 """The optimized solver loops and the shared policy-oracle code against the
 plain reference forms kept in ``oracles.py``. Solver comparisons are exact
-(``==`` on values and on the raw bytes of arrays), because those
-optimizations promise the same floating-point operations, not merely close
-answers; the policy oracles are held to 1e-12 against the brute-force forms
-and to ``==`` against the recursion and samplers they replaced (see below)."""
+(``==`` on values and on the raw bytes of arrays) where those optimizations
+promise the same floating-point operations, not merely close answers. The
+revised simplex is held to the same pivots as the dense tableau it replaced,
+and to its values within LP_TOL, because it computes them with different
+float operations. The policy oracles are held to 1e-12 against the
+brute-force forms and to ``==`` against the recursion and samplers they
+replaced (see below)."""
 
 import numpy as np
 import pytest
 
-import twosided.simplex as simplex
+import oracles
+import twosided.lp as lp_module
 from oracles import (
     _with,
     reference_best_marginal_assortment,
@@ -18,10 +22,12 @@ from oracles import (
     reference_optimal_revenue,
     reference_optimal_revenue_table,
     reference_greedy_sample,
+    reference_marginal_lp,
     reference_pivot_loop,
     reference_prefix_dp,
     reference_run_ellipsoid,
     reference_sample_choice,
+    reference_solve_lp,
     reference_star,
     reference_static_sample,
     reference_subset_probs,
@@ -106,11 +112,20 @@ def test_asymmetric_initial_shape_matches_reference(order):
     assert_same_run(got, reference_run_ellipsoid(inst, init=init))
 
 
+LP_TOL = 1e-12
+
+
 def _solve_both(lp, monkeypatch):
     got = solve_lp(lp)
+    want = reference_solve_lp(lp)
+    # the reference's vectorized entering scan against a plain Python scan
     with monkeypatch.context() as patch:
-        patch.setattr(simplex, "_pivot_loop", reference_pivot_loop)
-        want = solve_lp(lp)
+        patch.setattr(oracles, "_pivot_loop", reference_pivot_loop)
+        plain = reference_solve_lp(lp)
+    assert (plain.status, plain.iterations, plain.basis) == (want.status, want.iterations, want.basis)
+    assert plain.objective == want.objective
+    if want.x is not None:
+        assert plain.x.tobytes() == want.x.tobytes()
     return got, want
 
 
@@ -118,27 +133,42 @@ def assert_same_lp_result(got, want):
     assert got.status == want.status
     assert got.iterations == want.iterations
     assert got.basis == want.basis
-    assert got.objective == want.objective
-    if want.x is not None:
-        assert got.x.tobytes() == want.x.tobytes()
+    if want.x is None:
+        assert got.x is None and got.objective is None
+    else:
+        assert abs(got.objective - want.objective) <= LP_TOL
+        assert np.abs(got.x - want.x).max() <= LP_TOL
+
+
+def _full_marginal_lp(inst):
+    all_subsets = [subset_of(mask, inst.n) for mask in range(2**inst.n)]
+    return _marginal_lp(inst, [all_subsets] * inst.m).lp
 
 
 @pytest.mark.parametrize("kind", GENERATOR_KINDS)
 def test_full_marginal_lp_matches_reference_pivoting(kind, monkeypatch):
     inst = normalize_revenues(generate(kind, 4, 2, 6))
-    all_subsets = [subset_of(mask, inst.n) for mask in range(2**inst.n)]
-    lp = _marginal_lp(inst, [all_subsets] * inst.m).lp
-    got, want = _solve_both(lp, monkeypatch)
+    got, want = _solve_both(_full_marginal_lp(inst), monkeypatch)
     assert got.status == "optimal" and got.iterations > 0
     assert_same_lp_result(got, want)
 
     sol = lp2_exact_small(inst)
     with monkeypatch.context() as patch:
-        patch.setattr(simplex, "_pivot_loop", reference_pivot_loop)
+        patch.setattr(lp_module, "solve_lp", reference_solve_lp)
         ref = lp2_exact_small(inst)
-    assert sol.x.tobytes() == ref.x.tobytes()
-    assert sol.lam == ref.lam
-    assert sol.objective == ref.objective
+    assert np.abs(sol.x - ref.x).max() <= LP_TOL
+    assert [lam.keys() for lam in sol.lam] == [lam.keys() for lam in ref.lam]
+    for lam, ref_lam in zip(sol.lam, ref.lam):
+        assert all(abs(p - ref_lam[subset]) <= LP_TOL for subset, p in lam.items())
+    assert abs(sol.objective - ref.objective) <= LP_TOL
+
+
+@pytest.mark.parametrize("kind", GENERATOR_KINDS)
+def test_8x4_marginal_lp_matches_reference_pivoting(kind):
+    lp = _full_marginal_lp(normalize_revenues(generate(kind, 8, 4, 6)))
+    got = solve_lp(lp)
+    assert got.status == "optimal"
+    assert_same_lp_result(got, reference_solve_lp(lp))
 
 
 @pytest.mark.parametrize("kind", GENERATOR_KINDS)
@@ -156,6 +186,24 @@ def test_infeasible_and_unbounded_match_reference(monkeypatch):
         got, want = _solve_both(lp, monkeypatch)
         assert got.status == status
         assert_same_lp_result(got, want)
+
+
+def _recorded_supports(inst):
+    columns = build_aux_primal(inst, run_ellipsoid(inst, t_max=2000).violated)
+    return [[subset for owner, subset in columns.lam_index if owner == j] for j in range(inst.m)]
+
+
+@pytest.mark.parametrize("kind", GENERATOR_KINDS)
+def test_marginal_lp_build_is_identical_to_loop_form(kind):
+    full = normalize_revenues(generate(kind, 6, 3, 4))
+    aux = normalize_revenues(generate(kind, 3, 2, 9))
+    all_subsets = [subset_of(mask, full.n) for mask in range(2**full.n)]
+    for inst, support in ((full, [all_subsets] * full.m), (aux, _recorded_supports(aux))):
+        got, want = _marginal_lp(inst, support), reference_marginal_lp(inst, support)
+        for name in ("c", "a_eq", "b_eq", "a_ub", "b_ub"):
+            assert getattr(got.lp, name).tobytes() == getattr(want.lp, name).tobytes(), name
+        assert got.lp.names == want.lp.names
+        assert got.lam_index == want.lam_index
 
 
 # ---------------------------------------------------------------------------

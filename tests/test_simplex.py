@@ -2,7 +2,10 @@ import numpy as np
 import pytest
 
 from oracles import lp_optimum_by_vertex_enumeration
-from twosided.simplex import LinearProgram, solve_lp
+from twosided.instance import generate, normalize_revenues
+from twosided.lp import _marginal_lp, lp2_exact_small
+from twosided.mnl import subset_of
+from twosided.simplex import FEASIBILITY_TOL, LinearProgram, LpSolverError, solve_lp
 
 
 def test_single_bound():
@@ -108,3 +111,73 @@ def test_solution_is_basic_and_feasible():
         if lp.a_eq.size:
             assert np.abs(lp.a_eq @ x - lp.b_eq).max() < 1e-7
         assert (lp.a_ub @ x - lp.b_ub).max() < 1e-7
+
+
+def assert_dual_certificate(lp: LinearProgram, res, tol: float = FEASIBILITY_TOL) -> None:
+    """``res.duals`` prove ``res.objective`` optimal: the dual objective
+    equals it and the reduced costs and a_ub multipliers have the optimal
+    sign."""
+    me = lp.a_eq.shape[0]
+    assert res.duals.shape == (me + lp.a_ub.shape[0],)
+    duals_eq, duals_ub = res.duals[:me], res.duals[me:]
+    assert lp.b_eq @ duals_eq + lp.b_ub @ duals_ub == pytest.approx(res.objective, abs=1e-9)
+    reduced = lp.c - duals_eq @ lp.a_eq - duals_ub @ lp.a_ub
+    sense = 1.0 if lp.maximize else -1.0
+    assert (sense * reduced <= tol).all()
+    assert (sense * duals_ub >= -tol).all()
+
+
+def test_duals_certify_random_lps():
+    rng = np.random.default_rng(78)
+    for _ in range(40):
+        lp = _random_bounded_lp(rng)
+        for maximize in (True, False):
+            lp.maximize = maximize
+            res = solve_lp(lp)
+            assert res.status == "optimal"
+            assert_dual_certificate(lp, res)
+
+
+def test_duals_certify_redundant_rows():
+    lp = LinearProgram(c=[1.0, 2.0, 0.5], a_eq=[[1.0, 1.0, 1.0], [2.0, 2.0, 2.0]], b_eq=[1.0, 2.0],
+                       a_ub=[[0.0, 1.0, 0.0]], b_ub=[0.4])
+    res = solve_lp(lp)
+    assert res.status == "optimal"
+    assert res.objective == pytest.approx(1.4, abs=1e-9)
+    assert len(res.basis) == 2  # the redundant row's artificial is not listed
+    assert_dual_certificate(lp, res)
+
+
+def test_duals_certify_marginal_lp():
+    inst = normalize_revenues(generate("uniform-random", 4, 2, 6))
+    lp = _marginal_lp(inst, [[subset_of(mask, inst.n) for mask in range(2**inst.n)]] * inst.m).lp
+    res = solve_lp(lp)
+    assert res.objective == pytest.approx(lp2_exact_small(inst).objective, abs=1e-12)
+    assert_dual_certificate(lp, res)
+
+
+def test_duals_only_at_an_optimum():
+    assert solve_lp(LinearProgram(c=[1.0])).duals is None
+    assert solve_lp(LinearProgram(c=[1.0], a_ub=[[1.0], [-1.0]], b_ub=[1.0, -2.0])).duals is None
+
+
+def test_pivot_budget_guards_both_phases():
+    # phase 1 must pivot both artificials out
+    two_rows = LinearProgram(c=[1.0, 1.0], a_eq=[[1.0, 0.0], [0.0, 1.0]], b_eq=[1.0, 1.0])
+    assert solve_lp(two_rows).iterations == 2
+    with pytest.raises(LpSolverError, match="exceeded 1 pivots"):
+        solve_lp(two_rows, max_iters=1)
+    # b = 0 and no column sums above 0: phase 1 starts optimal, so both
+    # (degenerate) pivots are phase-2 pivots
+    cone = LinearProgram(c=[0.0, 1.0, 1.0], a_eq=[[-1.0, -2.0, -1.0]], b_eq=[0.0])
+    res = solve_lp(cone)
+    assert (res.status, res.iterations, res.objective) == ("optimal", 2, 0.0)
+    with pytest.raises(LpSolverError, match="exceeded 1 pivots"):
+        solve_lp(cone, max_iters=1)
+
+
+def test_no_constraint_rows():
+    assert solve_lp(LinearProgram(c=[1.0, 0.0])).status == "unbounded"
+    res = solve_lp(LinearProgram(c=[-1.0, 0.0]))
+    assert res.status == "optimal" and res.objective == 0.0
+    assert res.x.tolist() == [0.0, 0.0] and res.basis == () and res.duals.size == 0
