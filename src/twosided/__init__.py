@@ -31,7 +31,7 @@ from .mnl import (
     optimal_revenue,
     optimal_revenue_bruteforce,
 )
-from .cost_assortment import OracleConfig, rev_cost, sub_dual_exact
+from .cost_assortment import SubDualOracle, rev_cost
 from .simplex import LinearProgram, LpResult, LpSolverError, solve_lp
 from .lp import (
     DualPoint,

@@ -17,12 +17,12 @@ from pathlib import Path
 
 import numpy as np
 
-from .cost_assortment import OracleConfig
 from .ellipsoid import EllipsoidBreakdown, solve_restricted
 from .instance import (
     GENERATOR_KINDS,
     detect_same_order,
     generate,
+    lexicographic_order,
     load_instance,
     normalize_revenues,
     save_instance,
@@ -132,10 +132,6 @@ def cmd_gen(args) -> int:
     return EXIT_OK
 
 
-def _oracle_config(args) -> OracleConfig:
-    return OracleConfig(kind="relaxed", delta=args.delta) if args.delta > 0 else OracleConfig()
-
-
 def _normalized(inst):
     """The instance with revenues scaled to at most 1, and the factor that
     was divided out (1 for an all-zero instance)."""
@@ -147,7 +143,7 @@ def cmd_solve(args) -> int:
     inst = _load_valid_instance(args.instance)
     norm, factor = _normalized(inst)
     solved = solve_restricted(
-        norm, _oracle_config(args), args.t_max, early_exit=args.early_exit, trace=bool(args.trace)
+        norm, args.t_max, delta=args.delta, early_exit=args.early_exit, trace=bool(args.trace)
     )
     run, solution = solved.run, solved.solution
 
@@ -235,7 +231,7 @@ def cmd_run(args) -> int:
         row["exact_expected_revenue"] = exact_star(inst)
     elif args.policy == "rand-static":
         norm, factor = _normalized(inst)
-        solved = solve_restricted(norm, _oracle_config(args), args.t_max, early_exit=args.early_exit)
+        solved = solve_restricted(norm, args.t_max, delta=args.delta, early_exit=args.early_exit)
         config["t_max"] = solved.run.t_max
         row["lp_objective"] = solved.solution.objective * factor
         policy = RandomizedStaticPolicy(inst, solved.solution)
@@ -247,8 +243,7 @@ def cmd_run(args) -> int:
                     "instance has no common revenue order; re-run with --force-order to "
                     "use the lexicographic candidate order as a heuristic"
                 )
-            order = tuple(sorted(inst.customers(), key=lambda i: tuple(-inst.r[i]) + (i,)))
-            policy = SameOrderGreedyPolicy(inst, order=order)
+            policy = SameOrderGreedyPolicy(inst, order=lexicographic_order(inst))
             row["heuristic_order"] = True
         else:
             policy = SameOrderGreedyPolicy(inst, certificate=cert)

@@ -4,11 +4,11 @@ The dual has 2nm + m variables (alpha, beta, gamma) but exponentially many
 backlog constraints, one per (supplier, customer set). Each iteration scans
 for a violated constraint in a fixed order -- objective cut first, then the
 weight-link rows, alpha nonnegativity, and finally the backlog family
-through the (1 - delta)-approximate sub-dual oracle -- and applies the
-central-cut update. Backlog sets that ever produced a cut are recorded;
-restricting the primal to that support (the auxiliary primal) and solving
-it exactly recovers a feasible, (1 - delta)-approximate solution of the
-full marginal LP.
+through the (1 - delta)-approximate sub-dual oracle, which is exact at the
+default delta = 0 -- and applies the central-cut update. Backlog sets that
+ever produced a cut are recorded; restricting the primal to that support
+(the auxiliary primal) and solving it exactly recovers a feasible,
+(1 - delta)-approximate solution of the full marginal LP.
 
 Iterations count cut steps only: when the center passes every check the
 incumbent is updated in place and the loop re-enters without advancing the
@@ -22,7 +22,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .cost_assortment import OracleConfig, make_oracle
+from .cost_assortment import SubDualOracle
 from .instance import Instance
 from .lp import (
     DualPoint,
@@ -105,10 +105,10 @@ def default_iteration_budget(inst: Instance) -> int:
 
 def run_ellipsoid(
     inst: Instance,
-    oracle_config: OracleConfig | None = None,
     t_max: int | None = None,
     init: EllipsoidInit | None = None,
     *,
+    delta: float = 0.0,
     early_exit: bool = False,
     trace: bool = False,
     log_cuts: bool = False,
@@ -120,7 +120,8 @@ def run_ellipsoid(
     ``EllipsoidResult.stop_reason``: ``t_max`` cut steps; the float64
     floor, where a'Da along the next cut falls to the noise level of
     trace(D) (the usual end of a run with the default budget); or, with
-    ``early_exit``, trace(D) dropping below 1e-24.
+    ``early_exit``, trace(D) dropping below 1e-24. Backlog cuts come from
+    ``SubDualOracle(inst, delta)``, which is exact at ``delta = 0``.
 
     Requires revenues normalized so every expected revenue is at most 1
     (the initial incumbent beta = 1 must be feasible). ``debug`` verifies
@@ -137,7 +138,7 @@ def run_ellipsoid(
     if t_max < 1:
         raise ValueError(f"t_max must be >= 1, got {t_max}")
 
-    oracle = make_oracle(oracle_config, inst)
+    oracle = SubDualOracle(inst, delta)
     s = np.zeros(n_dim)
     if init and init.center is not None:
         s[:] = np.asarray(init.center, dtype=float)
@@ -351,22 +352,23 @@ class RestrictedSolve:
 
 def solve_restricted(
     inst: Instance,
-    oracle_config: OracleConfig | None = None,
     t_max: int | None = None,
     *,
+    delta: float = 0.0,
     early_exit: bool = False,
     trace: bool = False,
 ) -> RestrictedSolve:
     """Approximately solve the marginal LP: cut loop, then exact solve of
     the primal restricted to the recorded backlog support.
 
-    The solution is feasible for the full marginal LP; with the exact
-    oracle and a sufficient iteration budget its objective matches the true
-    optimum to working precision, and with a (1 - delta) oracle it is at
-    least (1 - delta) times the optimum. Raises :class:`LpSolverError` when
-    the solution fails the feasibility check of the full marginal LP.
+    The solution is feasible for the full marginal LP. At ``delta = 0``
+    the oracle is exact, and with a sufficient iteration budget the
+    objective matches the true optimum to working precision; with
+    ``delta > 0`` it is at least (1 - delta) times the optimum. Raises
+    :class:`LpSolverError` when the solution fails the feasibility check of
+    the full marginal LP.
     """
-    run = run_ellipsoid(inst, oracle_config, t_max, early_exit=early_exit, trace=trace)
+    run = run_ellipsoid(inst, t_max, delta=delta, early_exit=early_exit, trace=trace)
     columns = build_aux_primal(inst, run.violated)
     solution = columns.extract(solve_lp(columns.lp))
     problems = check_lp_solution(inst, solution)

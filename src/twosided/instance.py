@@ -109,12 +109,6 @@ def validate(inst: Instance) -> list[str]:
     return errors
 
 
-def require_valid(inst: Instance) -> None:
-    errors = validate(inst)
-    if errors:
-        raise ValueError("invalid instance: " + "; ".join(errors))
-
-
 def as_permutation(order, n: int) -> tuple[int, ...]:
     """``order`` as a tuple, checked to be a permutation of range(n)."""
     order = tuple(order)
@@ -143,19 +137,25 @@ def normalize_revenues(inst: Instance) -> Instance:
     )
 
 
+def lexicographic_order(inst: Instance) -> tuple[int, ...]:
+    """The lexicographic candidate order: customers sorted descending by
+    their revenue vector (supplier 0 first, ties broken by supplier 1, ...,
+    then by customer index)."""
+    return tuple(sorted(inst.customers(), key=lambda i: tuple(-inst.r[i]) + (i,)))
+
+
 def detect_same_order(inst: Instance) -> SameOrderCertificate:
     """Find a customer order along which every supplier's revenue column is
     nonincreasing, if one exists.
 
-    Customers are sorted descending by their revenue vector (supplier 0
-    first, ties broken by supplier 1, ..., then by customer index), and the
-    candidate order is verified against every supplier. O(n log n * m).
+    The lexicographic candidate order is verified against every supplier.
+    O(n log n * m).
     """
-    order = sorted(inst.customers(), key=lambda i: tuple(-inst.r[i]) + (i,))
+    order = lexicographic_order(inst)
     for t in range(inst.n - 1):
         if not (inst.r[order[t]] >= inst.r[order[t + 1]]).all():
             return SameOrderCertificate(None)
-    return SameOrderCertificate(tuple(order))
+    return SameOrderCertificate(order)
 
 
 def generate(kind: str, n: int, m: int, seed: int) -> Instance:

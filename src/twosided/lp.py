@@ -18,7 +18,7 @@ from itertools import chain
 import numpy as np
 
 from . import mnl
-from .cost_assortment import SUB_DUAL_LIMIT, sub_dual_exact
+from .cost_assortment import SubDualOracle
 from .mnl import SizeLimitError
 from .instance import Instance
 from .simplex import LinearProgram, LpResult, LpSolverError, solve_lp
@@ -305,8 +305,7 @@ def dual_feasibility_report(
     """List every violated constraint of the dual at ``point``; the
     exponentially many backlog constraints are checked through exhaustive
     sub-dual maximization (n <= 20)."""
-    if inst.n > SUB_DUAL_LIMIT:
-        raise SizeLimitError(f"exact dual check limited to {SUB_DUAL_LIMIT} customers")
+    oracle = SubDualOracle(inst)
     report = DualFeasibilityReport()
     alpha, beta, gamma = point.alpha, point.beta, point.gamma
     for i in range(inst.n):
@@ -320,7 +319,7 @@ def dual_feasibility_report(
             if slack < -tol:
                 report.violations.append(DualViolation("weight-link", (i, j), float(-slack)))
     for j in range(inst.m):
-        value, witness = sub_dual_exact(inst, j, gamma)
+        value, witness, _ = oracle(j, gamma)
         if value > beta[j] + tol:
             report.violations.append(
                 DualViolation("assortment-cost", (j,), float(value - beta[j]), witness)

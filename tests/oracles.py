@@ -7,7 +7,7 @@ from itertools import combinations, product
 import numpy as np
 
 from twosided import mnl
-from twosided.cost_assortment import OracleConfig
+from twosided.cost_assortment import SUB_DUAL_LIMIT
 from twosided.ellipsoid import (
     NOISE_FLOOR,
     TRACE_EARLY_EXIT,
@@ -18,7 +18,13 @@ from twosided.ellipsoid import (
     default_radius,
 )
 from twosided.instance import Instance
-from twosided.lp import DualPoint, MarginalLpColumns, ViolatedSets
+from twosided.lp import (
+    DualFeasibilityReport,
+    DualPoint,
+    DualViolation,
+    MarginalLpColumns,
+    ViolatedSets,
+)
 from twosided.mnl import SizeLimitError, choice_prob, expected_revenue_table, subset_masks, subset_of
 from twosided.policies import (
     OUTSIDE,
@@ -97,12 +103,60 @@ def exact_g(w: list[Fraction], r: list[Fraction], members: tuple[int, ...]) -> F
 # trajectories bit for bit (tests/test_equivalence.py).
 
 
-class ReferenceOracle:
-    """Sub-dual oracle in its plain form: eager size-then-lex scan order and
-    the size-then-lex tie-break on every exact pick."""
+def reference_sub_dual_exact(inst: Instance, j: int, gamma) -> tuple[float, tuple[int, ...]]:
+    """Exhaustive maximum of rev_cost over all customer subsets (n <= 20).
 
-    def __init__(self, config, inst):
-        self.config = config
+    The value is always >= 0 since the empty set scores 0. Ties are broken
+    toward smaller sets, then lexicographically.
+    """
+    if inst.n > SUB_DUAL_LIMIT:
+        raise SizeLimitError(f"exact sub-dual limited to {SUB_DUAL_LIMIT} customers, got {inst.n}")
+    gamma = np.asarray(gamma, dtype=float)
+    values = expected_revenue_table(inst, j) - subset_masks(inst.n) @ gamma[:, j]
+    vmax = float(values.max())
+    best = _first_by_size_then_lex(np.flatnonzero(values == vmax), inst.n)
+    return vmax, subset_of(best, inst.n)
+
+
+def _first_by_size_then_lex(candidates: np.ndarray, n: int) -> int:
+    return min(
+        (int(c) for c in candidates),
+        key=lambda c: (c.bit_count(), subset_of(c, n)),
+    )
+
+
+def reference_dual_feasibility_report(inst, point, tol=1e-9):
+    """``dual_feasibility_report`` with the backlog family checked by
+    ``reference_sub_dual_exact``."""
+    report = DualFeasibilityReport()
+    alpha, beta, gamma = point.alpha, point.beta, point.gamma
+    for i in range(inst.n):
+        row_sum = float(alpha[i].sum())
+        for j in range(inst.m):
+            if alpha[i, j] < -tol:
+                report.violations.append(
+                    DualViolation("alpha-nonnegative", (i, j), float(-alpha[i, j]))
+                )
+            slack = alpha[i, j] / inst.u[i, j] + row_sum - gamma[i, j]
+            if slack < -tol:
+                report.violations.append(DualViolation("weight-link", (i, j), float(-slack)))
+    for j in range(inst.m):
+        value, witness = reference_sub_dual_exact(inst, j, gamma)
+        if value > beta[j] + tol:
+            report.violations.append(
+                DualViolation("assortment-cost", (j,), float(value - beta[j]), witness)
+            )
+    return report
+
+
+class ReferenceOracle:
+    """Sub-dual oracle in its plain form, with one branch per kind: the
+    exhaustive maximum with the size-then-lex tie-break at delta = 0, and a
+    walk of the eager size-then-lex scan order for delta > 0."""
+
+    def __init__(self, inst, delta=0.0):
+        self.kind = "relaxed" if delta > 0 else "exact"
+        self.delta = delta
         self.inst = inst
         self._masks = subset_masks(inst.n)
         self._rtab = np.stack([expected_revenue_table(inst, j) for j in inst.suppliers()])
@@ -120,27 +174,19 @@ class ReferenceOracle:
     def __call__(self, j, gamma):
         gamma = np.asarray(gamma, dtype=float)
         values = self._rtab[j] - self._masks @ gamma[:, j]
-        kind = self.config.kind
-        if kind == "exact":
+        if self.kind == "exact":
             val, subset = self._pick(values)
             return val, subset, 0.0
-        if kind == "relaxed":
-            vmax = float(values.max())
-            target = (1.0 - self.config.delta) * vmax
-            for c in self._scan:
-                if values[c] >= target:
-                    return float(values[c]), subset_of(c, self.inst.n), self.config.delta
-            raise RuntimeError("unreachable: the maximizer always meets the target")
-        best_val, best_set = 0.0, ()
-        for i in range(self.inst.n):
-            v = float(values[1 << i])
-            if v > best_val:
-                best_val, best_set = v, (i,)
-        return best_val, best_set, None
+        vmax = float(values.max())
+        target = (1.0 - self.delta) * vmax
+        for c in self._scan:
+            if values[c] >= target:
+                return float(values[c]), subset_of(c, self.inst.n), self.delta
+        raise RuntimeError("unreachable: the maximizer always meets the target")
 
 
 def reference_run_ellipsoid(
-    inst, oracle_config=None, t_max=None, init=None, *, early_exit=False, trace=False,
+    inst, t_max=None, init=None, *, delta=0.0, early_exit=False, trace=False,
     log_cuts=False, debug=False,
 ):
     """The central-cut loop with a fresh cut vector, two trace(D) calls, an
@@ -155,7 +201,7 @@ def reference_run_ellipsoid(
     if t_max < 1:
         raise ValueError(f"t_max must be >= 1, got {t_max}")
 
-    oracle = ReferenceOracle(oracle_config or OracleConfig(), inst)
+    oracle = ReferenceOracle(inst, delta)
     radius = default_radius(inst)
     s = np.zeros(n_dim)
     if init and init.center is not None:

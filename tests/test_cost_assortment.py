@@ -3,13 +3,8 @@ from itertools import combinations
 import numpy as np
 import pytest
 
-from twosided.cost_assortment import (
-    OracleConfig,
-    SubDualOracle,
-    make_oracle,
-    rev_cost,
-    sub_dual_exact,
-)
+from oracles import reference_sub_dual_exact
+from twosided.cost_assortment import SubDualOracle, rev_cost
 from twosided.instance import Instance, generate
 from twosided.mnl import expected_revenue, expected_revenue_table, optimal_revenue, subset_of
 
@@ -39,12 +34,12 @@ def test_rev_cost_counterexample_flat_cost(counterexample):
 
 def test_sub_dual_large_costs_pick_empty(counterexample):
     gamma = np.full((3, 1), 5.0)  # above every revenue
-    value, subset = sub_dual_exact(counterexample, 0, gamma)
+    value, subset = SubDualOracle(counterexample)(0, gamma)[:2]
     assert value == 0.0 and subset == ()
 
 
 def test_sub_dual_zero_costs_equals_optimal_revenue(counterexample):
-    value, subset = sub_dual_exact(counterexample, 0, np.zeros((3, 1)))
+    value, subset = SubDualOracle(counterexample)(0, np.zeros((3, 1)))[:2]
     want, _ = optimal_revenue(counterexample, 0, (0, 1, 2))
     assert value == pytest.approx(want, abs=TOL)
     assert rev_cost(counterexample, 0, subset, np.zeros((3, 1))) == pytest.approx(value, abs=TOL)
@@ -55,7 +50,7 @@ def test_sub_dual_matches_explicit_enumeration(counterexample):
     best = max(
         rev_cost(counterexample, 0, subset_of(mask, 3), gamma) for mask in range(8)
     )
-    value, subset = sub_dual_exact(counterexample, 0, gamma)
+    value, subset = SubDualOracle(counterexample)(0, gamma)[:2]
     assert value == pytest.approx(best, abs=TOL)
     assert rev_cost(counterexample, 0, subset, gamma) == pytest.approx(best, abs=TOL)
 
@@ -66,7 +61,7 @@ def test_sub_dual_dominates_every_set():
         inst = generate("uniform-random", 5, 2, seed)
         gamma = rng.normal(0.0, 0.3, (5, 2))
         j = seed % 2
-        value, _ = sub_dual_exact(inst, j, gamma)
+        value, _ = SubDualOracle(inst)(j, gamma)[:2]
         assert value >= -TOL
         for _ in range(10):
             subset = subset_of(int(rng.integers(0, 32)), 5)
@@ -79,22 +74,22 @@ def test_sub_dual_monotone_in_costs():
         inst = generate("uniform-random", 5, 2, seed)
         gamma = rng.normal(0.0, 0.3, (5, 2))
         j = seed % 2
-        base, _ = sub_dual_exact(inst, j, gamma)
+        base, _ = SubDualOracle(inst)(j, gamma)[:2]
         lowered = gamma.copy()
         lowered[int(rng.integers(0, 5)), j] -= rng.uniform(0.0, 0.5)
-        value, _ = sub_dual_exact(inst, j, lowered)
+        value, _ = SubDualOracle(inst)(j, lowered)[:2]
         assert value >= base - TOL
 
 
 def test_default_oracle_identical_to_exact(counterexample):
     gamma = np.full((3, 1), 0.1)
-    value, subset, delta = make_oracle(None, counterexample)(0, gamma)
-    want_value, want_subset = sub_dual_exact(counterexample, 0, gamma)
+    value, subset, delta = SubDualOracle(counterexample)(0, gamma)
+    want_value, want_subset = reference_sub_dual_exact(counterexample, 0, gamma)
     assert (value, subset, delta) == (want_value, want_subset, 0.0)
 
 
 def test_default_oracle_zero_costs(counterexample):
-    value, subset, delta = make_oracle(OracleConfig(), counterexample)(0, np.zeros((3, 1)))
+    value, subset, delta = SubDualOracle(counterexample)(0, np.zeros((3, 1)))
     want, _ = optimal_revenue(counterexample, 0, (0, 1, 2))
     assert value == pytest.approx(want, abs=TOL)
     assert delta == 0.0
@@ -102,39 +97,36 @@ def test_default_oracle_zero_costs(counterexample):
 
 def test_relaxed_oracle_respects_its_guarantee():
     rng = np.random.default_rng(13)
-    config = OracleConfig(kind="relaxed", delta=0.25)
     for seed in range(10):
         inst = generate("uniform-random", 5, 2, seed)
         gamma = rng.normal(0.0, 0.3, (5, 2))
         j = seed % 2
-        exact, _ = sub_dual_exact(inst, j, gamma)
-        value, subset, delta = make_oracle(config, inst)(j, gamma)
+        exact, _ = SubDualOracle(inst)(j, gamma)[:2]
+        value, subset, delta = SubDualOracle(inst, 0.25)(j, gamma)
         assert delta == 0.25
         assert value == pytest.approx(rev_cost(inst, j, subset, gamma), abs=TOL)
         assert value >= (1.0 - 0.25) * exact - TOL
 
 
 def test_relaxed_oracle_delta_zero_matches_exact():
-    config = OracleConfig(kind="relaxed", delta=0.0)
     inst = generate("uniform-random", 4, 2, 3)
     gamma = np.zeros((4, 2))
-    assert make_oracle(config, inst)(0, gamma) == make_oracle(None, inst)(0, gamma)[:2] + (0.0,)
+    assert SubDualOracle(inst, 0.0)(0, gamma) == reference_sub_dual_exact(inst, 0, gamma) + (0.0,)
 
 
-def test_oracle_config_validation():
-    with pytest.raises(ValueError):
-        OracleConfig(kind="nope")
-    with pytest.raises(ValueError):
-        OracleConfig(delta=1.0)
+def test_oracle_config_validation(counterexample):
+    for delta in (-0.1, 1.0, float("nan")):
+        with pytest.raises(ValueError):
+            SubDualOracle(counterexample, delta)
 
 
 def test_tie_break_smaller_then_lex():
     # all-zero revenues: every set scores 0, the empty set must win
     inst = generate("uniform-random", 4, 2, 0)
     zero = np.zeros((4, 2))
-    value, subset = sub_dual_exact(
-        type(inst)(n=4, m=2, u=inst.u, w=inst.w, r=np.zeros((4, 2))), 0, zero
-    )
+    value, subset = SubDualOracle(
+        type(inst)(n=4, m=2, u=inst.u, w=inst.w, r=np.zeros((4, 2)))
+    )(0, zero)[:2]
     assert value == 0.0 and subset == ()
 
 
@@ -146,7 +138,7 @@ def test_relaxed_picks_match_size_then_lex_scan():
     for seed in range(4):
         inst = generate("uniform-random", n, 2, seed)
         for delta in (0.0, 0.1, 0.25, 0.5, 0.9):
-            oracle = SubDualOracle(OracleConfig(kind="relaxed", delta=delta), inst)
+            oracle = SubDualOracle(inst, delta)
             for _ in range(5):
                 gamma = rng.normal(0.0, 0.3, (n, 2))
                 j = int(rng.integers(0, 2))
@@ -162,18 +154,6 @@ def test_relaxed_picks_match_size_then_lex_scan():
                 assert got_subset == want
                 assert got_value == pytest.approx(values[want], abs=TOL)
                 assert got_delta == delta
-
-
-def test_scan_order_built_only_for_relaxed_calls():
-    inst = generate("uniform-random", 4, 2, 1)
-    gamma = np.full((4, 2), 0.05)
-    exact = SubDualOracle(OracleConfig(), inst)
-    exact(0, gamma)
-    assert "_scan" not in vars(exact)
-    relaxed = SubDualOracle(OracleConfig(kind="relaxed", delta=0.3), inst)
-    assert "_scan" not in vars(relaxed)
-    relaxed(1, gamma)
-    assert len(vars(relaxed)["_scan"]) == 2**4
 
 
 def test_exact_oracle_matches_tie_break_on_ties():
@@ -193,7 +173,7 @@ def test_exact_oracle_matches_tie_break_on_ties():
         cases.append((inst, gamma))
         cases.append((inst, rng.normal(0.0, 0.3, (4, 2))))
     for case, gamma in cases:
-        oracle = SubDualOracle(OracleConfig(), case)
+        oracle = SubDualOracle(case)
         for j in range(2):
             for _ in range(2):  # the second call reads the cached subset
-                assert oracle(j, gamma) == sub_dual_exact(case, j, gamma) + (0.0,)
+                assert oracle(j, gamma) == reference_sub_dual_exact(case, j, gamma) + (0.0,)

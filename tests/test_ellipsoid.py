@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from twosided.cost_assortment import OracleConfig, rev_cost
+from twosided.cost_assortment import rev_cost
 from twosided.ellipsoid import (
     EllipsoidBreakdown,
     EllipsoidInit,
@@ -87,11 +87,10 @@ def test_early_exit_flag(unit_instance):
 
 
 def test_relaxed_oracle_band():
-    config = OracleConfig(kind="relaxed", delta=0.2)
     for seed in range(3):
         inst = normalize_revenues(generate("uniform-random", 3, 2, seed))
         exact = lp2_exact_small(inst).objective
-        sol = solve_restricted(inst, config, t_max=20000).solution
+        sol = solve_restricted(inst, t_max=20000, delta=0.2).solution
         assert sol.objective >= (1.0 - 0.2) * exact - 1e-6
         assert sol.objective <= exact + 1e-9
         assert check_lp_solution(inst, sol) == []

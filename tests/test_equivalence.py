@@ -14,9 +14,11 @@ import pytest
 import oracles
 import twosided.lp as lp_module
 from oracles import (
+    ReferenceOracle,
     _with,
     reference_best_marginal_assortment,
     reference_distribution_sample,
+    reference_dual_feasibility_report,
     reference_dp_atar,
     reference_dp_ftar,
     reference_optimal_revenue,
@@ -32,11 +34,17 @@ from oracles import (
     reference_static_sample,
     reference_subset_probs,
 )
-from twosided.cost_assortment import OracleConfig
+from twosided.cost_assortment import SubDualOracle
 from twosided.ellipsoid import EllipsoidInit, default_radius, run_ellipsoid
 from twosided.evaluate import SubsetDistribution, expected_optimal_revenue_independent, monte_carlo
 from twosided.instance import GENERATOR_KINDS, Instance, detect_same_order, generate, normalize_revenues
-from twosided.lp import _marginal_lp, build_aux_primal, lp2_exact_small
+from twosided.lp import (
+    DualPoint,
+    _marginal_lp,
+    build_aux_primal,
+    dual_feasibility_report,
+    lp2_exact_small,
+)
 from twosided.mnl import independent_subset_probs, optimal_revenue, optimal_revenue_table, subset_of
 from twosided.policies import (
     OUTSIDE,
@@ -80,10 +88,9 @@ def test_default_run_matches_reference(kind):
 @pytest.mark.parametrize("kind", GENERATOR_KINDS)
 def test_relaxed_oracle_run_matches_reference(kind):
     inst = normalize_revenues(generate(kind, 3, 2, 4))
-    config = OracleConfig(kind="relaxed", delta=0.2)
-    got = run_ellipsoid(inst, config, t_max=1500, log_cuts=True)
+    got = run_ellipsoid(inst, t_max=1500, delta=0.2, log_cuts=True)
     assert got.stop_reason == "t_max"
-    assert_same_run(got, reference_run_ellipsoid(inst, config, t_max=1500, log_cuts=True))
+    assert_same_run(got, reference_run_ellipsoid(inst, t_max=1500, delta=0.2, log_cuts=True))
 
 
 def test_early_exit_matches_reference(unit_instance):
@@ -110,6 +117,82 @@ def test_asymmetric_initial_shape_matches_reference(order):
     init = EllipsoidInit(center=rng.uniform(-0.1, 0.1, n_dim), shape=np.array(shape, order=order))
     got = run_ellipsoid(inst, init=init)
     assert_same_run(got, reference_run_ellipsoid(inst, init=init))
+
+
+def _sub_dual_cases():
+    """(instance, list of gamma) pairs: all four generator kinds at n = 1..10
+    (m = 2); a zero-revenue instance and one whose last customers earn
+    nothing, under costs on a 0.25 grid that tie many sets exactly; an
+    instance of identical customers; and supplier weights spanning
+    1e-9..1e3."""
+    rng = np.random.default_rng(40)
+
+    def gammas(n, m):
+        return [
+            np.zeros((n, m)),
+            rng.normal(0.0, 0.3, (n, m)),
+            np.round(rng.normal(0.0, 0.3, (n, m)), 1),
+            0.25 * rng.integers(-2, 3, (n, m)),
+        ]
+
+    for kind in GENERATOR_KINDS:
+        for n in range(1, 11):
+            yield generate(kind, n, 2, 200 + n), gammas(n, 2)
+    base = generate("uniform-random", 6, 2, 41)
+    grid = [0.25 * rng.integers(-2, 3, (6, 2)) for _ in range(8)]
+    yield Instance(n=6, m=2, u=base.u, w=base.w, r=np.zeros((6, 2))), gammas(6, 2) + grid
+    r = np.array(base.r)
+    r[3:] = 0.0
+    tied = gammas(6, 2)
+    for gamma in tied:
+        gamma[3:] = 0.0
+    yield Instance(n=6, m=2, u=base.u, w=base.w, r=r), tied
+    # identical customers at a uniform cost: every set of one size scores
+    # exactly the same, so only the lex tie-break separates them
+    same = Instance(n=6, m=2, u=np.ones((6, 2)), w=np.ones((2, 6)), r=np.ones((6, 2)))
+    yield same, [np.full((6, 2), c) for c in (0.0, 0.0625, 0.125, 0.25)]
+    wide = Instance(
+        n=8,
+        m=2,
+        u=10.0 ** rng.uniform(-1.0, 1.0, (8, 2)),
+        w=10.0 ** rng.uniform(-9.0, 3.0, (2, 8)),
+        r=rng.uniform(0.0, 1.0, (8, 2)),
+    )
+    yield wide, gammas(8, 2)
+
+
+@pytest.mark.parametrize("delta", [0.0, 0.1, 0.25, 0.5, 0.9])
+def test_sub_dual_oracle_matches_reference(delta):
+    for inst, gammas in _sub_dual_cases():
+        got_oracle = SubDualOracle(inst, delta)
+        want_oracle = ReferenceOracle(inst, delta)
+        for gamma in gammas:
+            for j in range(inst.m):
+                got = got_oracle(j, gamma)
+                assert got == want_oracle(j, gamma)
+                assert type(got[0]) is float
+
+
+def test_dual_report_matches_reference():
+    # incumbents of short runs, and the same points with gamma lowered so
+    # that backlog (assortment-cost) constraints are violated
+    rng = np.random.default_rng(44)
+    seen = set()
+    for kind in GENERATOR_KINDS:
+        for n, m in ((2, 2), (3, 2), (3, 3)):
+            inst = normalize_revenues(generate(kind, n, m, 45))
+            for point in run_ellipsoid(inst, t_max=3000).incumbents[-4:]:
+                lowered = DualPoint(
+                    alpha=point.alpha,
+                    beta=point.beta,
+                    gamma=point.gamma - rng.uniform(0.0, 0.3, point.gamma.shape),
+                )
+                for p in (point, lowered):
+                    for tol in (0.0, 1e-9):
+                        got = dual_feasibility_report(inst, p, tol=tol).violations
+                        assert got == reference_dual_feasibility_report(inst, p, tol=tol).violations
+                        seen.update(v.kind for v in got)
+    assert "assortment-cost" in seen
 
 
 LP_TOL = 1e-12
