@@ -45,7 +45,6 @@ from .lp import (
 from .ellipsoid import EllipsoidResult, run_ellipsoid, solve_restricted
 from .rounding import AssortmentDistribution, mnl_distribution, validate_marginals
 from .policies import (
-    BacklogAssignment,
     PolicyOutcome,
     PolicyPreconditionError,
     RandomizedStaticPolicy,
@@ -54,7 +53,6 @@ from .policies import (
     exact_dp_atar,
     exact_dp_ftar,
     exact_star,
-    finalize_suppliers,
 )
 from .evaluate import (
     PropertyReport,

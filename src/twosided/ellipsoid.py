@@ -55,16 +55,6 @@ class EllipsoidInit:
 
 
 @dataclass
-class AcCut:
-    t: int
-    j: int
-    subset: tuple[int, ...]
-    value: float
-    beta: float
-    gamma: np.ndarray | None = None
-
-
-@dataclass
 class EllipsoidResult:
     violated: ViolatedSets
     best: DualPoint
@@ -74,7 +64,6 @@ class EllipsoidResult:
     cut_counts: dict[str, int]
     incumbent_history: list[tuple[int, float]]
     incumbents: list[DualPoint]
-    ac_cuts: list[AcCut]
     early_exited: bool = False
     degenerate_stop: bool = False
     trace: list[dict] | None = None
@@ -111,7 +100,6 @@ def run_ellipsoid(
     delta: float = 0.0,
     early_exit: bool = False,
     trace: bool = False,
-    log_cuts: bool = False,
     debug: bool = False,
 ) -> EllipsoidResult:
     """Run the cut loop for at most ``t_max`` cut steps.
@@ -158,7 +146,6 @@ def run_ellipsoid(
     cut_counts = {"objective": 0, "weight-link": 0, "alpha-nonnegative": 0, "assortment-cost": 0}
     incumbent_history: list[tuple[int, float]] = []
     incumbents: list[DualPoint] = []
-    ac_cuts: list[AcCut] = []
     trace_rows: list[dict] | None = [] if trace else None
 
     growth = n_dim * n_dim / (n_dim * n_dim - 1.0)
@@ -172,9 +159,7 @@ def run_ellipsoid(
     incumbent_flag = False
 
     while t < t_max:
-        kind, index, cut = _find_cut(
-            inst, oracle, cuts, s, alpha, beta, gamma, obj, violated, ac_cuts, t, log_cuts
-        )
+        kind, index, cut = _find_cut(inst, oracle, cuts, s, alpha, beta, gamma, obj, violated)
         if kind is None:
             # feasible center that improves the objective: update in place,
             # re-enter without counting an iteration
@@ -240,7 +225,6 @@ def run_ellipsoid(
         cut_counts=cut_counts,
         incumbent_history=incumbent_history,
         incumbents=incumbents,
-        ac_cuts=ac_cuts,
         early_exited=early_exited,
         degenerate_stop=degenerate_stop,
         trace=trace_rows,
@@ -297,7 +281,7 @@ def _with_floor(a: np.ndarray) -> tuple[np.ndarray, float]:
     return a, NOISE_FLOOR * float(a @ a)
 
 
-def _find_cut(inst, oracle, cuts, s, alpha, beta, gamma, obj, violated, ac_cuts, t, log_cuts):
+def _find_cut(inst, oracle, cuts, s, alpha, beta, gamma, obj, violated):
     """Locate the first violated constraint in the fixed scan order and
     return (kind, index, (cut vector a, its noise scale)); kind None when
     the center is feasible and improving."""
@@ -324,16 +308,6 @@ def _find_cut(inst, oracle, cuts, s, alpha, beta, gamma, obj, violated, ac_cuts,
         value, subset, _ = oracle(j, gamma)
         if value > beta[j]:
             violated.add(j, subset)
-            ac_cuts.append(
-                AcCut(
-                    t=t,
-                    j=j,
-                    subset=subset,
-                    value=value,
-                    beta=float(beta[j]),
-                    gamma=gamma.copy() if log_cuts else None,
-                )
-            )
             return "assortment-cost", (j, subset), cuts.backlog(j, subset)
 
     return None, None, None

@@ -13,9 +13,12 @@ and exist to verify the approximation guarantees of the two policies:
   offering the assortment that maximizes marginal revenue weighted by
   choice probabilities.
 
-A policy builds each choice CDF, offer and supplier optimum once and reuses
-it across sampled runs; every draw equals the ``Generator.choice`` draw it
-replaces.
+Both sampled policies run one realized-run loop, which differs only in the
+offer rule: each customer in turn is shown an assortment and makes an MNL
+choice, the choice grows that supplier's backlog, and at the end every
+supplier keeps the best subset of its backlog. A policy builds each choice
+CDF, offer and supplier optimum once and reuses it across sampled runs;
+every draw equals the ``Generator.choice`` draw it replaces.
 """
 
 from __future__ import annotations
@@ -43,22 +46,6 @@ EXACT_EVAL_MAX_N = 15
 
 class PolicyPreconditionError(RuntimeError):
     """A policy prerequisite (e.g. a same-order certificate) is missing."""
-
-
-@dataclass(frozen=True)
-class BacklogAssignment:
-    """Realized choices of all customers; ``None`` means the outside option.
-    The induced per-supplier backlogs are disjoint by construction."""
-
-    m: int
-    choice: tuple[int | None, ...]
-
-    def backlogs(self) -> list[tuple[int, ...]]:
-        out: list[list[int]] = [[] for _ in range(self.m)]
-        for i, pick in enumerate(self.choice):
-            if pick is not None:
-                out[pick].append(i)
-        return [tuple(b) for b in out]
 
 
 @dataclass
@@ -100,20 +87,25 @@ class _RunTables:
             best = self._revenues[(j, backlog)] = mnl.optimal_revenue(self.inst, j, backlog)
         return best
 
-    def finalize(self, assignment: BacklogAssignment, trace=None) -> PolicyOutcome:
+    def run(self, order, offer, rng: np.random.Generator) -> PolicyOutcome:
+        """One realized run: customers in ``order`` are each shown
+        ``offer(i, backlogs, rng)`` and choose; every supplier then keeps
+        the best subset of its backlog."""
+        backlogs: list[tuple[int, ...]] = [()] * self.inst.m
+        trace: list[dict] = []
+        for i in order:
+            offered = offer(i, backlogs, rng)
+            pick = self.choose(i, offered, rng)
+            trace.append({"customer": i, "offered": list(offered), "choice": pick})
+            if pick is not None:
+                backlogs[pick] = tuple(sorted(backlogs[pick] + (i,)))
         per: list[SupplierOutcome] = []
         total = 0.0
-        for j, backlog in enumerate(assignment.backlogs()):
+        for j, backlog in enumerate(backlogs):
             value, offered = self.optimal_revenue(j, backlog)
             per.append(SupplierOutcome(backlog=backlog, offered=offered, value=value))
             total += value
         return PolicyOutcome(expected_revenue=total, per_supplier=per, trace=trace)
-
-
-def finalize_suppliers(inst: Instance, assignment: BacklogAssignment, trace=None) -> PolicyOutcome:
-    """Offer every supplier the best subset of its backlog and total up the
-    resulting expected revenue."""
-    return _RunTables(inst).finalize(assignment, trace)
 
 
 def _require_dp_size(inst: Instance) -> None:
@@ -309,18 +301,13 @@ class RandomizedStaticPolicy:
         self._tables = _RunTables(inst)
 
     def sample(self, seed) -> PolicyOutcome:
-        """One realized run: sample assortments, observe MNL choices, then
-        finalize the suppliers."""
-        rng = np.random.default_rng(seed)
-        picks: list[int | None] = []
-        trace: list[dict] = []
-        for i in range(self.inst.n):
-            offered = self.distributions[i].sample(rng)
-            pick = self._tables.choose(i, offered, rng)
-            picks.append(pick)
-            trace.append({"customer": i, "offered": list(offered), "choice": pick})
-        assignment = BacklogAssignment(m=self.inst.m, choice=tuple(picks))
-        return self._tables.finalize(assignment, trace=trace)
+        """One realized run with assortments drawn from the nested
+        distributions."""
+        return self._tables.run(
+            range(self.inst.n),
+            lambda i, backlogs, rng: self.distributions[i].sample(rng),
+            np.random.default_rng(seed),
+        )
 
     def exact_expected_revenue(self) -> float:
         """True expectation over all backlog realizations: per supplier the
@@ -406,20 +393,12 @@ class SameOrderGreedyPolicy:
         return offer
 
     def sample(self, seed) -> PolicyOutcome:
-        rng = np.random.default_rng(seed)
-        backlogs: list[tuple[int, ...]] = [() for _ in range(self.inst.m)]
-        picks: dict[int, int | None] = {}
-        trace: list[dict] = []
-        for i in self.order:
-            offered, _ = self.offered_assortment(i, backlogs)
-            pick = self._tables.choose(i, offered, rng)
-            picks[i] = pick
-            trace.append({"customer": i, "offered": list(offered), "choice": pick})
-            if pick is not None:
-                backlogs[pick] = tuple(sorted(backlogs[pick] + (i,)))
-        choice = tuple(picks[i] for i in range(self.inst.n))
-        assignment = BacklogAssignment(m=self.inst.m, choice=choice)
-        return self._tables.finalize(assignment, trace=trace)
+        """One realized run with the marginal-value offer along the order."""
+        return self._tables.run(
+            self.order,
+            lambda i, backlogs, rng: self.offered_assortment(i, backlogs)[0],
+            np.random.default_rng(seed),
+        )
 
     def exact_expected_revenue(self, collect_paths: bool = False):
         """True expectation by full outcome-tree enumeration; optionally

@@ -73,13 +73,12 @@ def draw(cdf: np.ndarray, rng: np.random.Generator) -> int:
     return int(cdf.searchsorted(rng.random(), side="right"))
 
 
-def mnl_distribution(x_row, u_row, order: tuple[int, ...] | None = None) -> AssortmentDistribution:
+def mnl_distribution(x_row, u_row) -> AssortmentDistribution:
     """Distribution over nested assortments whose induced choice marginals
     equal ``x_row``.
 
     Preconditions (checked to 1e-9): x >= 0 and, for every j,
-    x[j]/u[j] + sum(x) <= 1. ``order`` overrides the x/u sort for tie
-    experiments; it must itself be sorted by x/u descending.
+    x[j]/u[j] + sum(x) <= 1. Suppliers with equal x/u keep index order.
     """
     x = np.asarray(x_row, dtype=float)
     u = np.asarray(u_row, dtype=float)
@@ -95,15 +94,7 @@ def mnl_distribution(x_row, u_row, order: tuple[int, ...] | None = None) -> Asso
     if worst > 1.0 + PRE_TOL:
         raise MarginalsInfeasible(f"MNL polytope row violated: {worst} > 1")
 
-    if order is None:
-        order = tuple(sorted(range(m), key=lambda j: (-ratios[j], j)))
-    else:
-        order = tuple(order)
-        if sorted(order) != list(range(m)):
-            raise ValueError("order must be a permutation of the suppliers")
-        for a, b in zip(order, order[1:]):
-            if ratios[a] < ratios[b]:
-                raise ValueError("order must be nonincreasing in x/u")
+    order = tuple(sorted(range(m), key=lambda j: (-ratios[j], j)))
 
     probs = [1.0 - (ratios[order[0]] + total) if m else 1.0]
     weight_sum = 1.0

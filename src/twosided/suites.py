@@ -251,8 +251,8 @@ SUITES = {
 def run_suites(name: str, seed: int) -> list[PropertyReport]:
     if name == "all":
         out: list[PropertyReport] = []
-        for key in ("appendix-a", "gap", "sharing", "order", "chain"):
-            out.extend(SUITES[key](seed))
+        for suite in SUITES.values():
+            out.extend(suite(seed))
         return out
     if name not in SUITES:
         raise ValueError(f"unknown suite {name!r}")

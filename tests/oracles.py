@@ -1,6 +1,7 @@
 """Independent test oracles kept outside the package on purpose."""
 
 import math
+from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations, product
 
@@ -11,7 +12,6 @@ from twosided.cost_assortment import SUB_DUAL_LIMIT
 from twosided.ellipsoid import (
     NOISE_FLOOR,
     TRACE_EARLY_EXIT,
-    AcCut,
     EllipsoidBreakdown,
     EllipsoidResult,
     default_iteration_budget,
@@ -30,7 +30,6 @@ from twosided.policies import (
     OUTSIDE,
     STAR_WORK_LIMIT,
     UNPROCESSED,
-    BacklogAssignment,
     PolicyOutcome,
     SupplierOutcome,
     _require_dp_size,
@@ -185,6 +184,24 @@ class ReferenceOracle:
         raise RuntimeError("unreachable: the maximizer always meets the target")
 
 
+@dataclass
+class AcCut:
+    """One assortment-cost cut of a reference run: its step, supplier, set,
+    oracle value and beta[j], and with ``log_cuts`` the costs gamma."""
+
+    t: int
+    j: int
+    subset: tuple[int, ...]
+    value: float
+    beta: float
+    gamma: np.ndarray | None = None
+
+
+@dataclass
+class ReferenceEllipsoidResult(EllipsoidResult):
+    ac_cuts: list[AcCut] | None = None
+
+
 def reference_run_ellipsoid(
     inst, t_max=None, init=None, *, delta=0.0, early_exit=False, trace=False,
     log_cuts=False, debug=False,
@@ -279,7 +296,7 @@ def reference_run_ellipsoid(
             early_exited = True
             break
 
-    return EllipsoidResult(
+    return ReferenceEllipsoidResult(
         violated=violated,
         best=best,
         objective=obj,
@@ -790,6 +807,22 @@ def reference_sample_choice(u_row, subset: tuple[int, ...], rng: np.random.Gener
     weights = np.array([choice_prob(u_row, subset, k) for k in options])
     idx = rng.choice(len(options), p=weights / weights.sum())
     return options[idx]
+
+
+@dataclass(frozen=True)
+class BacklogAssignment:
+    """Realized choices of all customers; ``None`` means the outside option.
+    The induced per-supplier backlogs are disjoint by construction."""
+
+    m: int
+    choice: tuple[int | None, ...]
+
+    def backlogs(self) -> list[tuple[int, ...]]:
+        out: list[list[int]] = [[] for _ in range(self.m)]
+        for i, pick in enumerate(self.choice):
+            if pick is not None:
+                out[pick].append(i)
+        return [tuple(b) for b in out]
 
 
 def reference_finalize_suppliers(inst: Instance, assignment: BacklogAssignment, trace=None) -> PolicyOutcome:

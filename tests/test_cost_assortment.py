@@ -157,16 +157,25 @@ def test_relaxed_picks_match_size_then_lex_scan():
 
 
 def test_exact_oracle_matches_tie_break_on_ties():
-    # customers 2 and 3 earn nothing and cost nothing, so every maximizer
-    # ties with copies of itself that add them; zero costs on a zero-revenue
-    # instance tie all 16 sets
+    # zero costs on a zero-revenue instance tie all 16 sets, so the empty
+    # set must win. Four identical customers at uniform cost 0.1 score
+    # k/(1+k) - 0.1k on every set of size k, which peaks at k = 2: all six
+    # pairs tie exactly, and the lex-first (0, 1) must win. The cases where
+    # customers 2 and 3 earn nothing hold the oracle to the reference
+    # without same-size ties, since adding such a customer lowers the MNL
+    # revenue.
+    ones = np.ones((4, 2))
+    same = Instance(n=4, m=2, u=ones, w=ones.T, r=ones)
+    uniform = np.full((4, 2), 0.1)
+    for j in range(2):
+        assert SubDualOracle(same)(j, uniform) == (2.0 / 3.0 - 0.2, (0, 1), 0.0)
     rng = np.random.default_rng(5)
     base = generate("uniform-random", 4, 2, 7)
     r = np.array(base.r)
     r[2:, :] = 0.0
     inst = Instance(n=4, m=2, u=base.u, w=base.w, r=r)
     flat = Instance(n=4, m=2, u=base.u, w=base.w, r=np.zeros((4, 2)))
-    cases = [(flat, np.zeros((4, 2)))]
+    cases = [(flat, np.zeros((4, 2))), (same, uniform)]
     for _ in range(20):
         gamma = rng.normal(0.0, 0.3, (4, 2))
         gamma[2:, :] = 0.0

@@ -34,7 +34,7 @@ from oracles import (
     reference_static_sample,
     reference_subset_probs,
 )
-from twosided.cost_assortment import SubDualOracle
+from twosided.cost_assortment import SubDualOracle, rev_cost
 from twosided.ellipsoid import EllipsoidInit, default_radius, run_ellipsoid
 from twosided.evaluate import SubsetDistribution, expected_optimal_revenue_independent, monte_carlo
 from twosided.instance import GENERATOR_KINDS, Instance, detect_same_order, generate, normalize_revenues
@@ -69,9 +69,7 @@ def assert_same_run(got, want):
     assert got.objective == want.objective
     for name in ("alpha", "beta", "gamma"):
         assert getattr(got.best, name).tobytes() == getattr(want.best, name).tobytes()
-    assert [(c.t, c.j, c.subset, c.value, c.beta) for c in got.ac_cuts] == [
-        (c.t, c.j, c.subset, c.value, c.beta) for c in want.ac_cuts
-    ]
+    # trace rows carry (t, kind, (j, subset)) of every cut
     assert got.trace == want.trace
     assert (got.early_exited, got.degenerate_stop) == (want.early_exited, want.degenerate_stop)
 
@@ -88,9 +86,9 @@ def test_default_run_matches_reference(kind):
 @pytest.mark.parametrize("kind", GENERATOR_KINDS)
 def test_relaxed_oracle_run_matches_reference(kind):
     inst = normalize_revenues(generate(kind, 3, 2, 4))
-    got = run_ellipsoid(inst, t_max=1500, delta=0.2, log_cuts=True)
+    got = run_ellipsoid(inst, t_max=1500, delta=0.2, trace=True)
     assert got.stop_reason == "t_max"
-    assert_same_run(got, reference_run_ellipsoid(inst, t_max=1500, delta=0.2, log_cuts=True))
+    assert_same_run(got, reference_run_ellipsoid(inst, t_max=1500, delta=0.2, trace=True))
 
 
 def test_early_exit_matches_reference(unit_instance):
@@ -101,8 +99,8 @@ def test_early_exit_matches_reference(unit_instance):
 
 def test_debug_run_matches_reference():
     inst = normalize_revenues(generate("same-order-multiplicative", 2, 2, 8))
-    got = run_ellipsoid(inst, t_max=300, debug=True)
-    assert_same_run(got, reference_run_ellipsoid(inst, t_max=300, debug=True))
+    got = run_ellipsoid(inst, t_max=300, trace=True, debug=True)
+    assert_same_run(got, reference_run_ellipsoid(inst, t_max=300, trace=True, debug=True))
 
 
 @pytest.mark.parametrize("order", ["C", "F"])
@@ -115,8 +113,21 @@ def test_asymmetric_initial_shape_matches_reference(order):
     shape = default_radius(inst) ** 2 * (np.eye(n_dim) + 0.05 * rng.standard_normal((n_dim, n_dim)))
     assert not np.array_equal(shape, shape.T)
     init = EllipsoidInit(center=rng.uniform(-0.1, 0.1, n_dim), shape=np.array(shape, order=order))
-    got = run_ellipsoid(inst, init=init)
-    assert_same_run(got, reference_run_ellipsoid(inst, init=init))
+    got = run_ellipsoid(inst, init=init, trace=True)
+    assert_same_run(got, reference_run_ellipsoid(inst, init=init, trace=True))
+
+
+def test_recorded_sets_were_genuinely_violating():
+    # the run equals the reference cut for cut, so the reference's logged
+    # costs are the ones each of the run's backlog cuts saw
+    inst = normalize_revenues(generate("uniform-random", 3, 2, 21))
+    want = reference_run_ellipsoid(inst, t_max=8000, trace=True, log_cuts=True)
+    assert_same_run(run_ellipsoid(inst, t_max=8000, trace=True), want)
+    assert want.ac_cuts
+    for cut in want.ac_cuts:
+        value = rev_cost(inst, cut.j, cut.subset, cut.gamma)
+        assert value == pytest.approx(cut.value, abs=1e-12)
+        assert value > cut.beta
 
 
 def _sub_dual_cases():

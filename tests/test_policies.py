@@ -6,9 +6,8 @@ import pytest
 from oracles import exact_g
 from twosided.instance import detect_same_order, generate, normalize_revenues
 from twosided.lp import lp1_exact_small, lp2_exact_small
-from twosided.mnl import SizeLimitError, choice_prob
+from twosided.mnl import SizeLimitError, choice_prob, optimal_revenue
 from twosided.policies import (
-    BacklogAssignment,
     PolicyPreconditionError,
     RandomizedStaticPolicy,
     SameOrderGreedyPolicy,
@@ -17,7 +16,6 @@ from twosided.policies import (
     exact_dp_atar,
     exact_dp_ftar,
     exact_star,
-    finalize_suppliers,
 )
 
 TOL = 1e-9
@@ -114,18 +112,16 @@ def test_value_chain_small_sweep():
 
 
 def test_finalize_empty_backlogs(unit_instance):
-    outcome = finalize_suppliers(unit_instance, BacklogAssignment(m=1, choice=(None,)))
-    assert outcome.expected_revenue == 0.0
+    assert optimal_revenue(unit_instance, 0, ())[0] == 0.0
 
 
 def test_finalize_counterexample_backlogs(counterexample):
-    outcome = finalize_suppliers(counterexample, BacklogAssignment(m=1, choice=(0, 0, 0)))
-    assert outcome.expected_revenue == pytest.approx(7.0 / 3.0, abs=TOL)
+    value, offered = optimal_revenue(counterexample, 0, (0, 1, 2))
+    assert value == pytest.approx(7.0 / 3.0, abs=TOL)
     # the kept set is a revenue-ordered prefix
-    assert outcome.per_supplier[0].offered == (0, 1)
+    assert offered == (0, 1)
 
-    outcome = finalize_suppliers(counterexample, BacklogAssignment(m=1, choice=(0, None, 0)))
-    assert outcome.expected_revenue == pytest.approx(2.0, abs=TOL)
+    assert optimal_revenue(counterexample, 0, (0, 2))[0] == pytest.approx(2.0, abs=TOL)
 
 
 def test_randomized_static_zero_marginals(zero_revenue_instance):

@@ -78,19 +78,16 @@ def test_corrupted_distribution_detected():
 
 
 def test_tie_order_invariance():
-    # equal x/u ratios: both tie orders induce identical marginals
+    # equal x/u ratios: ties keep index order, so reversing the suppliers
+    # takes the other tie order, and both induce identical marginals
     u = np.array([1.0, 2.0])
     x = np.array([0.2, 0.4])
-    a = mnl_distribution(x, u, order=(0, 1))
-    b = mnl_distribution(x, u, order=(1, 0))
-    assert np.allclose(induced_marginals(a, u), induced_marginals(b, u), atol=1e-12)
+    a = mnl_distribution(x, u)
+    b = mnl_distribution(x[::-1], u[::-1])
+    assert a.sets != [tuple(sorted(1 - j for j in s)) for s in b.sets]
+    assert np.allclose(induced_marginals(a, u), induced_marginals(b, u[::-1])[::-1], atol=1e-12)
     assert validate_marginals(a, u, x) <= TOL
-    assert validate_marginals(b, u, x) <= TOL
-
-
-def test_order_override_must_be_sorted():
-    with pytest.raises(ValueError, match="nonincreasing"):
-        mnl_distribution([0.1, 0.4], [1.0, 1.0], order=(0, 1))
+    assert validate_marginals(b, u[::-1], x[::-1]) <= TOL
 
 
 def test_infeasible_row_rejected():

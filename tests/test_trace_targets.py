@@ -1,5 +1,7 @@
 """The traced benchmark (``perfbench/tracing.py``) wraps package callables
-by name; every name it wraps must still exist, or every traced run breaks."""
+by name and reads counts from what they return; every name it wraps must
+still exist, and traced CLI calls must still yield their counts, or every
+traced run breaks."""
 
 import importlib.util
 from pathlib import Path
@@ -20,3 +22,31 @@ def test_every_traced_name_resolves():
     for owner, attr, make in targets:
         assert callable(getattr(owner, attr)), f"{getattr(owner, '__name__', owner)}.{attr}"
         assert callable(make)
+
+
+def test_traced_cli_counts(tmp_path):
+    # a change to a result record the tracer reads breaks these counts
+    from twosided import cli
+
+    tracing = _load_tracing()
+    inst = str(tmp_path / "inst.json")
+    assert cli.main(["gen", "same-order-additive", "2", "2", "--seed", "3", "--out", inst]) == 0
+    out = str(tmp_path / "out")
+    runs = {
+        "solve": ["solve", inst, "--t-max", "300", "--out", out, "--report", str(tmp_path / "report")],
+        "rand-static": [
+            "run", inst, "--policy", "rand-static", "--trials", "5", "--seed", "1",
+            "--t-max", "300", "--out", out,
+        ],
+        "greedy": ["run", inst, "--policy", "greedy", "--trials", "5", "--seed", "1", "--out", out],
+    }
+    traced = {}
+    for name, argv in runs.items():
+        code, traced[name] = tracing.traced_call(cli.main, argv)
+        assert code == 0, name
+    for name in ("solve", "rand-static"):
+        assert traced[name].counts["ellipsoid.cuts"] == 300
+        assert traced[name].counts["lp.aux_columns"] > 0
+    for name in ("rand-static", "greedy"):
+        assert traced[name].counts["policies.dp_atar.states"] > 0
+        assert traced[name].calls["policies.sample"] == 5
