@@ -10,6 +10,12 @@ ever produced a cut are recorded; restricting the primal to that support
 (the auxiliary primal) and solving it exactly recovers a feasible,
 (1 - delta)-approximate solution of the full marginal LP.
 
+``solve_restricted`` also prices that primal's duals with the exact oracle
+on a doubling schedule of cut counts. Lifted by the priced excess, they are
+a dual-feasible point whose objective bounds the LP optimum, and the loop
+stops as ``certified`` once the bound is within 1e-9 of the restricted
+primal's objective.
+
 Iterations count cut steps only: when the center passes every check the
 incumbent is updated in place and the loop re-enters without advancing the
 counter (the objective cut necessarily fires next).
@@ -18,6 +24,7 @@ counter (the objective cut necessarily fires next).
 from __future__ import annotations
 
 import math
+from collections.abc import Callable
 from dataclasses import dataclass
 
 import numpy as np
@@ -32,14 +39,20 @@ from .lp import (
     ViolatedSets,
     build_aux_primal,
     check_lp_solution,
+    dual_certificate,
 )
-from .simplex import solve_lp
+from .simplex import LpResult, solve_lp
 
 TRACE_EARLY_EXIT = 1e-24
 # a'Da at or below this multiple of eps * |a|^2 * trace(D) carries no float64
 # information: the ellipsoid has zero numerical extent along the cut, either
 # because it collapsed or because anisotropic growth exhausted the mantissa.
 NOISE_FLOOR = 32.0 * np.finfo(float).eps
+# solve_restricted certifies after 1000, 2000, 4000, ... cuts and stops once
+# the certified gap is at most CERTIFY_TOL
+CERTIFY_FIRST = 1000
+CERTIFY_GROWTH = 2
+CERTIFY_TOL = 1e-9
 
 
 class EllipsoidBreakdown(RuntimeError):
@@ -66,11 +79,15 @@ class EllipsoidResult:
     incumbents: list[DualPoint]
     early_exited: bool = False
     degenerate_stop: bool = False
+    certified: bool = False
     trace: list[dict] | None = None
 
     @property
     def stop_reason(self) -> str:
-        """Why the loop ended: ``float64_floor``, ``early_exit`` or ``t_max``."""
+        """Why the loop ended: ``certified``, ``float64_floor``,
+        ``early_exit`` or ``t_max``."""
+        if self.certified:
+            return "certified"
         if self.degenerate_stop:
             return "float64_floor"
         if self.early_exited:
@@ -101,14 +118,17 @@ def run_ellipsoid(
     early_exit: bool = False,
     trace: bool = False,
     debug: bool = False,
+    certify: Callable[[ViolatedSets], bool] | None = None,
 ) -> EllipsoidResult:
     """Run the cut loop for at most ``t_max`` cut steps.
 
-    The run ends at the first of three events, reported as
+    The run ends at the first of four events, reported as
     ``EllipsoidResult.stop_reason``: ``t_max`` cut steps; the float64
     floor, where a'Da along the next cut falls to the noise level of
-    trace(D) (the usual end of a run with the default budget); or, with
-    ``early_exit``, trace(D) dropping below 1e-24. Backlog cuts come from
+    trace(D) (the usual end of a run with the default budget); with
+    ``early_exit``, trace(D) dropping below 1e-24; or, with ``certify``,
+    ``certify(recorded sets)`` returning true (``certified``), which the
+    loop asks only after 1000, 2000, 4000, ... cuts. Backlog cuts come from
     ``SubDualOracle(inst, delta)``, which is exact at ``delta = 0``.
 
     Requires revenues normalized so every expected revenue is at most 1
@@ -156,6 +176,8 @@ def run_ellipsoid(
     t = 0
     early_exited = False
     degenerate_stop = False
+    certified = False
+    next_check = CERTIFY_FIRST
     incumbent_flag = False
 
     while t < t_max:
@@ -215,6 +237,11 @@ def run_ellipsoid(
         if early_exit and trace_d < TRACE_EARLY_EXIT:
             early_exited = True
             break
+        if certify is not None and t == next_check:
+            if certify(violated):
+                certified = True
+                break
+            next_check *= CERTIFY_GROWTH
 
     return EllipsoidResult(
         violated=violated,
@@ -227,6 +254,7 @@ def run_ellipsoid(
         incumbents=incumbents,
         early_exited=early_exited,
         degenerate_stop=degenerate_stop,
+        certified=certified,
         trace=trace_rows,
     )
 
@@ -316,12 +344,26 @@ def _find_cut(inst, oracle, cuts, s, alpha, beta, gamma, obj, violated):
 @dataclass
 class RestrictedSolve:
     """One constraint-generation solve of the marginal LP: the cut-loop
-    record, the primal restricted to its recorded support, and that
-    primal's checked optimal solution."""
+    record, the primal restricted to its recorded support, that primal's
+    checked optimal solution, and a dual-feasible point of the full LP
+    whose objective exceeds the solution's by ``certified_gap``."""
 
     run: EllipsoidResult
     columns: MarginalLpColumns
     solution: LpSolution
+    certificate: DualPoint
+    certified_gap: float
+
+
+@dataclass
+class _Priced:
+    """The restricted primal over ``sets`` recorded sets, solved and priced."""
+
+    sets: int
+    columns: MarginalLpColumns
+    result: LpResult
+    certificate: DualPoint
+    gap: float
 
 
 def solve_restricted(
@@ -335,19 +377,44 @@ def solve_restricted(
     """Approximately solve the marginal LP: cut loop, then exact solve of
     the primal restricted to the recorded backlog support.
 
-    The solution is feasible for the full marginal LP. At ``delta = 0``
-    the oracle is exact, and with a sufficient iteration budget the
-    objective matches the true optimum to working precision; with
-    ``delta > 0`` it is at least (1 - delta) times the optimum. Raises
-    :class:`LpSolverError` when the solution fails the feasibility check of
-    the full marginal LP.
+    The solution is feasible for the full marginal LP. After 1000, 2000,
+    4000, ... cuts the restricted primal is solved and its duals priced with
+    the exact oracle (see :func:`~twosided.lp.dual_certificate`); the loop
+    stops as ``certified`` once the gap is at most 1e-9, and otherwise at
+    ``t_max``, the float64 floor or ``early_exit``. The returned
+    ``certified_gap`` bounds how far the objective can be below the true
+    optimum, at every ``delta``; with ``delta > 0`` the objective is also at
+    least (1 - delta) times the optimum. Raises :class:`LpSolverError` when
+    the solution fails the feasibility check of the full marginal LP.
     """
-    run = run_ellipsoid(inst, t_max, delta=delta, early_exit=early_exit, trace=trace)
-    columns = build_aux_primal(inst, run.violated)
-    solution = columns.extract(solve_lp(columns.lp))
+    oracle = SubDualOracle(inst)
+    last: _Priced | None = None
+
+    def price(violated: ViolatedSets) -> _Priced:
+        columns = build_aux_primal(inst, violated)
+        result = solve_lp(columns.lp)
+        certificate, gap = dual_certificate(oracle, columns.dual_point(result))
+        return _Priced(violated.total(), columns, result, certificate, gap)
+
+    def certify(violated: ViolatedSets) -> bool:
+        nonlocal last
+        last = price(violated)
+        return last.gap <= CERTIFY_TOL
+
+    run = run_ellipsoid(inst, t_max, delta=delta, early_exit=early_exit, trace=trace, certify=certify)
+    # the sets only grow, so an unchanged count means an unchanged primal
+    if last is None or last.sets != run.violated.total():
+        last = price(run.violated)
+    solution = last.columns.extract(last.result)
     problems = check_lp_solution(inst, solution)
     if problems:
         raise LpSolverError(
             "restricted-support solve returned an infeasible point: " + "; ".join(problems)
         )
-    return RestrictedSolve(run=run, columns=columns, solution=solution)
+    return RestrictedSolve(
+        run=run,
+        columns=last.columns,
+        solution=solution,
+        certificate=last.certificate,
+        certified_gap=last.gap,
+    )

@@ -119,6 +119,21 @@ class MarginalLpColumns:
                 lam[j][subset] = p
         return LpSolution(x=x, lam=lam, objective=float(result.objective))
 
+    def dual_point(self, result: LpResult) -> DualPoint:
+        """The optimal duals of the marginal LP's rows as a ``DualPoint``:
+        beta from the distribution rows, gamma from the consistency rows
+        (+1 on lambda, -1 on x, so a backlog column prices out at
+        R_j(S) - beta_j - sum_S gamma) and alpha from the MNL rows."""
+        if result.status != "optimal" or result.duals is None:
+            raise LpSolverError(f"marginal LP solve failed with status {result.status!r}")
+        n, m = self.n, self.m
+        y = result.duals
+        return DualPoint(
+            alpha=y[m + n * m :].reshape(n, m),
+            beta=y[:m],
+            gamma=y[m : m + n * m].reshape(n, m),
+        )
+
 
 def _marginal_lp(inst: Instance, support: list[list[tuple[int, ...]]]) -> MarginalLpColumns:
     """Build the marginal LP restricted to the given per-supplier backlog
@@ -197,6 +212,23 @@ def build_aux_primal(inst: Instance, violated: ViolatedSets) -> MarginalLpColumn
                 sets.append(subset)
         support.append(sets)
     return _marginal_lp(inst, support)
+
+
+def dual_certificate(oracle: SubDualOracle, point: DualPoint) -> tuple[DualPoint, float]:
+    """Lift the duals of a restricted marginal LP to a dual-feasible point
+    of the full one, and return it with the gap it certifies.
+
+    Restricting the primal to some backlog columns drops only backlog
+    constraints from the dual, so ``point`` is feasible up to those. The
+    exact ``oracle`` prices each supplier, ``v_j = max(0, oracle(j, gamma)
+    - beta_j)``, and ``(alpha, beta + v, gamma)`` satisfies every one. Its
+    objective bounds the LP optimum from above, at ``sum v`` above the
+    restricted optimum.
+    """
+    if oracle.delta != 0.0:
+        raise ValueError(f"a certificate needs the exact oracle, got delta = {oracle.delta}")
+    v = np.array([max(0.0, oracle(j, point.gamma)[0] - point.beta[j]) for j in range(point.beta.size)])
+    return DualPoint(alpha=point.alpha, beta=point.beta + v, gamma=point.gamma), float(v.sum())
 
 
 def lp1_exact_small(inst: Instance) -> float:

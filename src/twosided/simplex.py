@@ -93,7 +93,9 @@ def solve_lp(lp: LinearProgram, tol: float = FEASIBILITY_TOL, max_iters: int | N
     At an optimum, ``duals`` are in the LP's own sense: ``b_eq.duals_eq +
     b_ub.duals_ub`` equals the objective, and the reduced costs ``c -
     duals.A`` are <= 0 for a max (>= 0 for a min), with the ``a_ub``
-    multipliers >= 0 for a max (<= 0 for a min).
+    multipliers >= 0 for a max (<= 0 for a min). Every optimum is checked
+    against these conditions (primal residual, reduced costs, duality gap)
+    before it is returned; a failure raises :class:`LpSolverError`.
     """
     k = lp.num_vars
     mu = lp.a_ub.shape[0]
@@ -144,6 +146,7 @@ def solve_lp(lp: LinearProgram, tol: float = FEASIBILITY_TOL, max_iters: int | N
     x = x_full[:k]
     # min-form multipliers of the flipped rows, mapped back to the LP's rows
     y = cost[state.basis] @ state.binv
+    _check_optimality(cols[:, :n_struct], b, cost[:n_struct], x_full, y, tol)
     duals = np.where(flip, -y, y)
     return LpResult(
         status="optimal",
@@ -153,6 +156,28 @@ def solve_lp(lp: LinearProgram, tol: float = FEASIBILITY_TOL, max_iters: int | N
         basis=tuple(int(var) for var in state.basis[structural]),
         duals=-duals if lp.maximize else duals,
     )
+
+
+def _check_optimality(
+    cols: np.ndarray, b: np.ndarray, cost: np.ndarray, x: np.ndarray, y: np.ndarray, tol: float
+) -> None:
+    """KKT check of a min-form optimum over the structural and slack
+    columns: primal residual and negativity within tol * max(1, |b|),
+    reduced costs >= -tol, and b.y within tol * max(1, |cost.x|) of cost.x.
+    Raises :class:`LpSolverError` naming every failed condition."""
+    problems = []
+    residual = float(max(np.abs(cols @ x - b).max(initial=0.0), -x.min(initial=0.0)))
+    if residual > tol * max(1.0, float(np.abs(b).max(initial=0.0))):
+        problems.append(f"primal residual {residual:.3e}")
+    reduced = cost - y @ cols
+    if reduced.min(initial=0.0) < -tol:
+        worst = int(reduced.argmin())
+        problems.append(f"reduced cost {reduced[worst]:.3e} at column {worst}")
+    primal, dual = float(cost @ x), float(b @ y)
+    if abs(dual - primal) > tol * max(1.0, abs(primal)):
+        problems.append(f"duality gap {dual - primal:.3e} (primal {primal!r}, dual {dual!r})")
+    if problems:
+        raise LpSolverError("optimal basis fails the KKT check: " + "; ".join(problems))
 
 
 class _RevisedBasis:

@@ -121,6 +121,19 @@ def test_solve_reports_stop_reason(tmp_path, capsys, unit_instance):
     assert fields["early_exited"] == "false"
 
 
+def test_default_solve_certifies(tmp_path, capsys):
+    inst_path = tmp_path / "c.json"
+    assert run_cli(capsys, "gen", "uniform-random", "3", "3", "--seed", "6", "--out", str(inst_path))[0] == 0
+    report = tmp_path / "report.csv"
+    assert run_cli(capsys, "solve", str(inst_path), "--report", str(report))[0] == 0
+    header = report.read_text().strip().splitlines()[-2].split(",")
+    assert header[header.index("stop_reason") + 1] == "certified_gap"
+    fields = _report_fields(report)
+    assert fields["stop_reason"] == "certified"
+    assert 0.0 <= float(fields["certified_gap"]) <= 1e-9
+    assert float(fields["ratio_vs_exact"]) == pytest.approx(1.0, abs=1e-12)
+
+
 def test_run_dp_unit_instance(tmp_path, capsys, unit_instance):
     path = tmp_path / "unit.json"
     save_instance(unit_instance, path)
@@ -177,6 +190,7 @@ def test_run_rand_static_guarantee(tmp_path, capsys):
     header, row = out.read_text().strip().splitlines()[-2:]
     fields = dict(zip(header.split(","), row.split(",")))
     assert float(fields["exact_expected_revenue"]) >= 0.5 * float(fields["lp_objective"]) - 1e-9
+    assert 0.0 <= float(fields["certified_gap"]) <= 1e-9
 
 
 def test_run_rand_static_requires_seed(tmp_path, capsys):

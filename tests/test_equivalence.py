@@ -35,7 +35,14 @@ from oracles import (
     reference_subset_probs,
 )
 from twosided.cost_assortment import SubDualOracle, rev_cost
-from twosided.ellipsoid import EllipsoidInit, default_radius, run_ellipsoid
+from twosided.ellipsoid import (
+    CERTIFY_FIRST,
+    CERTIFY_GROWTH,
+    EllipsoidInit,
+    default_radius,
+    run_ellipsoid,
+    solve_restricted,
+)
 from twosided.evaluate import SubsetDistribution, expected_optimal_revenue_independent, monte_carlo
 from twosided.instance import GENERATOR_KINDS, Instance, detect_same_order, generate, normalize_revenues
 from twosided.lp import (
@@ -115,6 +122,24 @@ def test_asymmetric_initial_shape_matches_reference(order):
     init = EllipsoidInit(center=rng.uniform(-0.1, 0.1, n_dim), shape=np.array(shape, order=order))
     got = run_ellipsoid(inst, init=init, trace=True)
     assert_same_run(got, reference_run_ellipsoid(inst, init=init, trace=True))
+
+
+@pytest.mark.parametrize("kind", GENERATOR_KINDS)
+@pytest.mark.parametrize("n, m", [(3, 3), (8, 2)])
+def test_certified_run_is_a_prefix_of_the_reference_run(kind, n, m):
+    # the certify checkpoints only read the recorded sets: a certified run
+    # is the reference run cut off at its checkpoint, and any other run is
+    # the whole reference run
+    inst = normalize_revenues(generate(kind, n, m, 77))
+    got = solve_restricted(inst, trace=True).run
+    if got.certified:
+        assert got.iterations in [CERTIFY_FIRST * CERTIFY_GROWTH**k for k in range(10)]
+        want = reference_run_ellipsoid(inst, t_max=got.iterations, trace=True)
+        assert want.stop_reason == "t_max"
+    else:
+        want = reference_run_ellipsoid(inst, trace=True)
+        assert got.stop_reason == want.stop_reason
+    assert_same_run(got, want)
 
 
 def test_recorded_sets_were_genuinely_violating():

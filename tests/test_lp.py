@@ -2,18 +2,21 @@ import numpy as np
 import pytest
 
 from oracles import lp_optimum_by_vertex_enumeration
-from twosided.instance import Instance, generate
+from twosided.cost_assortment import SubDualOracle
+from twosided.instance import Instance, generate, normalize_revenues
 from twosided.lp import (
     DualPoint,
     ViolatedSets,
+    _marginal_lp,
     build_aux_primal,
     check_lp_solution,
+    dual_certificate,
     dual_feasibility_report,
     lp1_exact_small,
     lp2_exact_small,
 )
 from twosided.mnl import SizeLimitError, subset_of
-from twosided.simplex import solve_lp
+from twosided.simplex import LpResult, LpSolverError, solve_lp
 
 TOL = 1e-9
 
@@ -204,3 +207,25 @@ def test_lp2_objective_bounded_by_suppliers_times_peak_revenue():
         inst = generate("uniform-random", 3, 2, 70 + seed)
         sol = lp2_exact_small(inst)
         assert sol.objective <= inst.m * float(inst.r.max()) + 1e-9
+
+
+def test_dual_point_of_the_full_lp_is_dual_feasible():
+    # with every backlog column present the LP duals satisfy every dual
+    # constraint, which holds only for the right rows and signs
+    for kind, seed in (("uniform-random", 6), ("supplier-uniform", 7), ("same-order-additive", 8)):
+        inst = normalize_revenues(generate(kind, 4, 2, seed))
+        columns = _marginal_lp(inst, [[subset_of(mask, inst.n) for mask in range(2**inst.n)]] * inst.m)
+        result = solve_lp(columns.lp)
+        point = columns.dual_point(result)
+        assert (point.alpha.shape, point.beta.shape, point.gamma.shape) == ((4, 2), (2,), (4, 2))
+        assert dual_feasibility_report(inst, point, tol=1e-9).feasible
+        assert point.objective == pytest.approx(result.objective, abs=1e-12)
+        lifted, gap = dual_certificate(SubDualOracle(inst), point)
+        assert gap <= 1e-12
+        assert lifted.objective == pytest.approx(point.objective, abs=1e-12)
+
+
+def test_dual_point_needs_an_optimum():
+    columns = build_aux_primal(generate("uniform-random", 2, 1, 0), ViolatedSets(1))
+    with pytest.raises(LpSolverError, match="infeasible"):
+        columns.dual_point(LpResult(status="infeasible", x=None, objective=None))

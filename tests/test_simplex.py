@@ -5,7 +5,7 @@ from oracles import lp_optimum_by_vertex_enumeration
 from twosided.instance import generate, normalize_revenues
 from twosided.lp import _marginal_lp, lp2_exact_small
 from twosided.mnl import subset_of
-from twosided.simplex import FEASIBILITY_TOL, LinearProgram, LpSolverError, solve_lp
+from twosided.simplex import FEASIBILITY_TOL, LinearProgram, LpSolverError, _check_optimality, solve_lp
 
 
 def test_single_bound():
@@ -181,3 +181,16 @@ def test_no_constraint_rows():
     res = solve_lp(LinearProgram(c=[-1.0, 0.0]))
     assert res.status == "optimal" and res.objective == 0.0
     assert res.x.tolist() == [0.0, 0.0] and res.basis == () and res.duals.size == 0
+
+
+def test_kkt_check_names_each_failure():
+    # min -x0 - 2 x1 s.t. x0 + x1 + slack = 1: optimum x1 = 1, y = -2
+    cols, b, cost = np.array([[1.0, 1.0, 1.0]]), np.array([1.0]), np.array([-1.0, -2.0, 0.0])
+    x, y = np.array([0.0, 1.0, 0.0]), np.array([-2.0])
+    _check_optimality(cols, b, cost, x, y, FEASIBILITY_TOL)
+    with pytest.raises(LpSolverError, match="primal residual 1.000e-01.*duality gap"):
+        _check_optimality(cols, b, cost, np.array([0.0, 1.1, 0.0]), y, FEASIBILITY_TOL)
+    with pytest.raises(LpSolverError, match="primal residual 1.000e-01"):
+        _check_optimality(cols, b, cost, np.array([-0.1, 1.1, 0.0]), y, FEASIBILITY_TOL)
+    with pytest.raises(LpSolverError, match="reduced cost -1.000e\\+00 at column 1.*duality gap"):
+        _check_optimality(cols, b, cost, x, np.array([-1.0]), FEASIBILITY_TOL)
