@@ -38,8 +38,8 @@ class SubDualOracle:
     """The (1 - delta)-approximate sub-dual oracle of one instance (n <= 20),
     with cached subset tables; call as oracle(j, gamma).
 
-    Returns (value, customer set, delta): the first set, smaller sets first
-    and lexicographically within a size, whose rev_cost reaches (1 - delta)
+    Returns (value, customer set): the first set, smaller sets first and
+    lexicographically within a size, whose rev_cost reaches (1 - delta)
     times the sub-dual optimum, and that rev_cost as the value. At delta = 0
     this is the exact maximizer under the same tie-break. The optimum is
     always >= 0 since the empty set scores 0.
@@ -74,9 +74,9 @@ class SubDualOracle:
             subset = self._subsets[mask] = subset_of(mask, self.inst.n)
         return subset
 
-    def __call__(self, j: int, gamma) -> tuple[float, tuple[int, ...], float]:
+    def __call__(self, j: int, gamma) -> tuple[float, tuple[int, ...]]:
         gamma = np.asarray(gamma, dtype=float)
         values = self._rtab[j] - self._masks @ gamma[:, j]
         hits = (values >= (1.0 - self.delta) * values.max()).nonzero()[0]
         best = int(hits[0]) if hits.size == 1 else int(hits[self._key[hits].argmin()])
-        return values.item(best), self._subset(best), self.delta
+        return values.item(best), self._subset(best)

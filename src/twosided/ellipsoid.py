@@ -40,6 +40,7 @@ from .lp import (
     build_aux_primal,
     check_lp_solution,
     dual_certificate,
+    weight_link_slack,
 )
 from .simplex import LpResult, solve_lp
 
@@ -57,14 +58,6 @@ CERTIFY_TOL = 1e-9
 
 class EllipsoidBreakdown(RuntimeError):
     """The shape matrix lost positive definiteness along a cut direction."""
-
-
-@dataclass(frozen=True)
-class EllipsoidInit:
-    """Optional overrides for the starting center and shape matrix."""
-
-    center: np.ndarray | None = None
-    shape: np.ndarray | None = None
 
 
 @dataclass
@@ -112,15 +105,14 @@ def default_iteration_budget(inst: Instance) -> int:
 def run_ellipsoid(
     inst: Instance,
     t_max: int | None = None,
-    init: EllipsoidInit | None = None,
     *,
     delta: float = 0.0,
     early_exit: bool = False,
     trace: bool = False,
-    debug: bool = False,
     certify: Callable[[ViolatedSets], bool] | None = None,
 ) -> EllipsoidResult:
-    """Run the cut loop for at most ``t_max`` cut steps.
+    """Run the cut loop for at most ``t_max`` cut steps, starting from the
+    ball of radius :func:`default_radius` around the origin.
 
     The run ends at the first of four events, reported as
     ``EllipsoidResult.stop_reason``: ``t_max`` cut steps; the float64
@@ -132,9 +124,7 @@ def run_ellipsoid(
     ``SubDualOracle(inst, delta)``, which is exact at ``delta = 0``.
 
     Requires revenues normalized so every expected revenue is at most 1
-    (the initial incumbent beta = 1 must be feasible). ``debug`` verifies
-    positive definiteness of the shape matrix after every update via a
-    Cholesky factorization.
+    (the initial incumbent beta = 1 must be feasible).
     """
     if float(inst.r.max()) > 1.0 + 1e-12:
         raise ValueError("revenues must be normalized (max pair revenue <= 1) before running")
@@ -148,12 +138,7 @@ def run_ellipsoid(
 
     oracle = SubDualOracle(inst, delta)
     s = np.zeros(n_dim)
-    if init and init.center is not None:
-        s[:] = np.asarray(init.center, dtype=float)
-    if init and init.shape is not None:
-        shape = np.array(init.shape, dtype=float)
-    else:
-        shape = np.eye(n_dim) * default_radius(inst) ** 2
+    shape = np.eye(n_dim) * default_radius(inst) ** 2
 
     alpha = s[:nm].reshape(n, m)
     gamma = s[nm + m :].reshape(n, m)
@@ -208,26 +193,15 @@ def run_ellipsoid(
                 f"trace(D) = {trace_d:.3e}"
             )
         # D <- growth * (D - (2 step / a'Da) da da'), in place. da da' is
-        # exactly symmetric and both triangles see the same operations, so a
-        # symmetric D stays exactly symmetric; only a caller's shape can be
-        # asymmetric, and one symmetrize step after the first cut fixes it.
+        # exactly symmetric and both triangles see the same operations, so
+        # D stays exactly symmetric.
         np.multiply(da[:, None], da[None, :], out=rank1)
         rank1 *= two_step / ada
         shape -= rank1
         shape *= growth
-        if t == 0:
-            shape = (shape + shape.T) * 0.5
         da *= step_frac / math.sqrt(ada)
         s += da
         trace_d = float(shape.trace())
-        if debug:
-            try:
-                np.linalg.cholesky(shape)
-            except np.linalg.LinAlgError as exc:
-                raise EllipsoidBreakdown(
-                    f"shape matrix not positive definite after cut {t} "
-                    f"({kind} {index}): {exc}"
-                ) from exc
         t += 1
         if trace_rows is not None:
             trace_rows.append(
@@ -319,10 +293,7 @@ def _find_cut(inst, oracle, cuts, s, alpha, beta, gamma, obj, violated):
     if float(s[:nm_m].sum()) >= obj:
         return "objective", None, cuts.objective
 
-    # same float expression as dual_feasibility_report so that accepted
-    # incumbents remain feasible under the exact checker at zero tolerance
-    link = alpha / inst.u + alpha.sum(axis=1, keepdims=True) - gamma
-    below = link < 0.0
+    below = weight_link_slack(inst, alpha, gamma) < 0.0
     pos = int(below.argmax())
     if below.item(pos):
         return "weight-link", divmod(pos, m), cuts.weight_link[pos]
@@ -333,7 +304,7 @@ def _find_cut(inst, oracle, cuts, s, alpha, beta, gamma, obj, violated):
         return "alpha-nonnegative", divmod(pos, m), cuts.alpha_nonnegative[pos]
 
     for j in range(m):
-        value, subset, _ = oracle(j, gamma)
+        value, subset = oracle(j, gamma)
         if value > beta[j]:
             violated.add(j, subset)
             return "assortment-cost", (j, subset), cuts.backlog(j, subset)

@@ -66,6 +66,15 @@ class DualPoint:
         return float(self.beta.sum() + self.alpha.sum())
 
 
+def weight_link_slack(inst: Instance, alpha: np.ndarray, gamma: np.ndarray) -> np.ndarray:
+    """Slack of every weight-link row of the dual as an (n, m) array,
+    alpha_ij / u_ij + sum_k alpha_ik - gamma_ij; the row holds where it is
+    >= 0. The cut loop and :func:`dual_feasibility_report` both test this one
+    expression, so an incumbent the loop accepts passes the report at zero
+    tolerance."""
+    return alpha / inst.u + alpha.sum(axis=1, keepdims=True) - gamma
+
+
 class ViolatedSets:
     """Per-supplier ordered collections of customer sets whose backlog
     constraint was cut during an ellipsoid run; duplicates are ignored."""
@@ -340,18 +349,19 @@ def dual_feasibility_report(
     oracle = SubDualOracle(inst)
     report = DualFeasibilityReport()
     alpha, beta, gamma = point.alpha, point.beta, point.gamma
+    # row sums as the cut loop takes them (its alpha is C-ordered), whatever
+    # the point's memory layout
+    slack = weight_link_slack(inst, np.ascontiguousarray(alpha), gamma)
     for i in range(inst.n):
-        row_sum = float(alpha[i].sum())
         for j in range(inst.m):
             if alpha[i, j] < -tol:
                 report.violations.append(
                     DualViolation("alpha-nonnegative", (i, j), float(-alpha[i, j]))
                 )
-            slack = alpha[i, j] / inst.u[i, j] + row_sum - gamma[i, j]
-            if slack < -tol:
-                report.violations.append(DualViolation("weight-link", (i, j), float(-slack)))
+            if slack[i, j] < -tol:
+                report.violations.append(DualViolation("weight-link", (i, j), float(-slack[i, j])))
     for j in range(inst.m):
-        value, witness, _ = oracle(j, gamma)
+        value, witness = oracle(j, gamma)
         if value > beta[j] + tol:
             report.violations.append(
                 DualViolation("assortment-cost", (j,), float(value - beta[j]), witness)

@@ -87,7 +87,7 @@ class LpResult:
     duals: np.ndarray | None = None
 
 
-def solve_lp(lp: LinearProgram, tol: float = FEASIBILITY_TOL, max_iters: int | None = None) -> LpResult:
+def solve_lp(lp: LinearProgram, max_iters: int | None = None) -> LpResult:
     """Solve ``lp`` exactly; see module docstring for the method.
 
     At an optimum, ``duals`` are in the LP's own sense: ``b_eq.duals_eq +
@@ -123,20 +123,20 @@ def solve_lp(lp: LinearProgram, tol: float = FEASIBILITY_TOL, max_iters: int | N
     # phase 1: artificial variables on every row, minimize their sum
     state = _RevisedBasis(cols, b, first_basic=n_struct)
     phase1_cost = np.concatenate([np.zeros(n_struct), np.ones(m)])
-    it1 = _pivot_loop(state, phase1_cost, n_cols=n_struct + m, tol=tol, max_iters=max_iters)
+    it1 = _pivot_loop(state, phase1_cost, n_cols=n_struct + m, tol=FEASIBILITY_TOL, max_iters=max_iters)
     if it1 < 0:
         raise LpSolverError("phase-1 objective reported unbounded; basis inverse corrupt")
     scale = max(1.0, float(abs(b).max()) if b.size else 1.0)
-    if float(state.x_b[state.basis >= n_struct].sum()) > tol * scale:
+    if float(state.x_b[state.basis >= n_struct].sum()) > FEASIBILITY_TOL * scale:
         return LpResult(status="infeasible", x=None, objective=None, iterations=it1)
 
-    state.drive_out_artificials(n_struct, tol)
+    state.drive_out_artificials(n_struct, FEASIBILITY_TOL)
 
     # phase 2: original objective (in min form) over structural columns. An
     # artificial left basic sits at zero on a redundant row; it costs nothing
     # and, never priced, cannot re-enter.
     cost = np.concatenate([(-lp.c) if lp.maximize else lp.c, np.zeros(mu + m)])
-    it2 = _pivot_loop(state, cost, n_cols=n_struct, tol=tol, max_iters=max_iters)
+    it2 = _pivot_loop(state, cost, n_cols=n_struct, tol=FEASIBILITY_TOL, max_iters=max_iters)
     if it2 < 0:
         return LpResult(status="unbounded", x=None, objective=None, iterations=it1 + (-it2 - 1))
 
@@ -146,7 +146,7 @@ def solve_lp(lp: LinearProgram, tol: float = FEASIBILITY_TOL, max_iters: int | N
     x = x_full[:k]
     # min-form multipliers of the flipped rows, mapped back to the LP's rows
     y = cost[state.basis] @ state.binv
-    _check_optimality(cols[:, :n_struct], b, cost[:n_struct], x_full, y, tol)
+    _check_optimality(cols[:, :n_struct], b, cost[:n_struct], x_full, y, FEASIBILITY_TOL)
     duals = np.where(flip, -y, y)
     return LpResult(
         status="optimal",

@@ -34,12 +34,12 @@ def test_rev_cost_counterexample_flat_cost(counterexample):
 
 def test_sub_dual_large_costs_pick_empty(counterexample):
     gamma = np.full((3, 1), 5.0)  # above every revenue
-    value, subset = SubDualOracle(counterexample)(0, gamma)[:2]
+    value, subset = SubDualOracle(counterexample)(0, gamma)
     assert value == 0.0 and subset == ()
 
 
 def test_sub_dual_zero_costs_equals_optimal_revenue(counterexample):
-    value, subset = SubDualOracle(counterexample)(0, np.zeros((3, 1)))[:2]
+    value, subset = SubDualOracle(counterexample)(0, np.zeros((3, 1)))
     want, _ = optimal_revenue(counterexample, 0, (0, 1, 2))
     assert value == pytest.approx(want, abs=TOL)
     assert rev_cost(counterexample, 0, subset, np.zeros((3, 1))) == pytest.approx(value, abs=TOL)
@@ -50,7 +50,7 @@ def test_sub_dual_matches_explicit_enumeration(counterexample):
     best = max(
         rev_cost(counterexample, 0, subset_of(mask, 3), gamma) for mask in range(8)
     )
-    value, subset = SubDualOracle(counterexample)(0, gamma)[:2]
+    value, subset = SubDualOracle(counterexample)(0, gamma)
     assert value == pytest.approx(best, abs=TOL)
     assert rev_cost(counterexample, 0, subset, gamma) == pytest.approx(best, abs=TOL)
 
@@ -61,7 +61,7 @@ def test_sub_dual_dominates_every_set():
         inst = generate("uniform-random", 5, 2, seed)
         gamma = rng.normal(0.0, 0.3, (5, 2))
         j = seed % 2
-        value, _ = SubDualOracle(inst)(j, gamma)[:2]
+        value, _ = SubDualOracle(inst)(j, gamma)
         assert value >= -TOL
         for _ in range(10):
             subset = subset_of(int(rng.integers(0, 32)), 5)
@@ -74,25 +74,24 @@ def test_sub_dual_monotone_in_costs():
         inst = generate("uniform-random", 5, 2, seed)
         gamma = rng.normal(0.0, 0.3, (5, 2))
         j = seed % 2
-        base, _ = SubDualOracle(inst)(j, gamma)[:2]
+        base, _ = SubDualOracle(inst)(j, gamma)
         lowered = gamma.copy()
         lowered[int(rng.integers(0, 5)), j] -= rng.uniform(0.0, 0.5)
-        value, _ = SubDualOracle(inst)(j, lowered)[:2]
+        value, _ = SubDualOracle(inst)(j, lowered)
         assert value >= base - TOL
 
 
 def test_default_oracle_identical_to_exact(counterexample):
     gamma = np.full((3, 1), 0.1)
-    value, subset, delta = SubDualOracle(counterexample)(0, gamma)
-    want_value, want_subset = reference_sub_dual_exact(counterexample, 0, gamma)
-    assert (value, subset, delta) == (want_value, want_subset, 0.0)
+    assert SubDualOracle(counterexample)(0, gamma) == reference_sub_dual_exact(counterexample, 0, gamma)
 
 
 def test_default_oracle_zero_costs(counterexample):
-    value, subset, delta = SubDualOracle(counterexample)(0, np.zeros((3, 1)))
+    oracle = SubDualOracle(counterexample)
+    assert oracle.delta == 0.0
+    value, _ = oracle(0, np.zeros((3, 1)))
     want, _ = optimal_revenue(counterexample, 0, (0, 1, 2))
     assert value == pytest.approx(want, abs=TOL)
-    assert delta == 0.0
 
 
 def test_relaxed_oracle_respects_its_guarantee():
@@ -101,9 +100,8 @@ def test_relaxed_oracle_respects_its_guarantee():
         inst = generate("uniform-random", 5, 2, seed)
         gamma = rng.normal(0.0, 0.3, (5, 2))
         j = seed % 2
-        exact, _ = SubDualOracle(inst)(j, gamma)[:2]
-        value, subset, delta = SubDualOracle(inst, 0.25)(j, gamma)
-        assert delta == 0.25
+        exact, _ = SubDualOracle(inst)(j, gamma)
+        value, subset = SubDualOracle(inst, 0.25)(j, gamma)
         assert value == pytest.approx(rev_cost(inst, j, subset, gamma), abs=TOL)
         assert value >= (1.0 - 0.25) * exact - TOL
 
@@ -111,7 +109,7 @@ def test_relaxed_oracle_respects_its_guarantee():
 def test_relaxed_oracle_delta_zero_matches_exact():
     inst = generate("uniform-random", 4, 2, 3)
     gamma = np.zeros((4, 2))
-    assert SubDualOracle(inst, 0.0)(0, gamma) == reference_sub_dual_exact(inst, 0, gamma) + (0.0,)
+    assert SubDualOracle(inst, 0.0)(0, gamma) == reference_sub_dual_exact(inst, 0, gamma)
 
 
 def test_oracle_config_validation(counterexample):
@@ -126,7 +124,7 @@ def test_tie_break_smaller_then_lex():
     zero = np.zeros((4, 2))
     value, subset = SubDualOracle(
         type(inst)(n=4, m=2, u=inst.u, w=inst.w, r=np.zeros((4, 2)))
-    )(0, zero)[:2]
+    )(0, zero)
     assert value == 0.0 and subset == ()
 
 
@@ -150,10 +148,9 @@ def test_relaxed_picks_match_size_then_lex_scan():
                 }
                 target = (1.0 - delta) * max(values.values())
                 want = next(s for s, v in values.items() if v >= target - 1e-12)
-                got_value, got_subset, got_delta = oracle(j, gamma)
+                got_value, got_subset = oracle(j, gamma)
                 assert got_subset == want
                 assert got_value == pytest.approx(values[want], abs=TOL)
-                assert got_delta == delta
 
 
 def test_exact_oracle_matches_tie_break_on_ties():
@@ -168,7 +165,7 @@ def test_exact_oracle_matches_tie_break_on_ties():
     same = Instance(n=4, m=2, u=ones, w=ones.T, r=ones)
     uniform = np.full((4, 2), 0.1)
     for j in range(2):
-        assert SubDualOracle(same)(j, uniform) == (2.0 / 3.0 - 0.2, (0, 1), 0.0)
+        assert SubDualOracle(same)(j, uniform) == (2.0 / 3.0 - 0.2, (0, 1))
     rng = np.random.default_rng(5)
     base = generate("uniform-random", 4, 2, 7)
     r = np.array(base.r)
@@ -185,4 +182,4 @@ def test_exact_oracle_matches_tie_break_on_ties():
         oracle = SubDualOracle(case)
         for j in range(2):
             for _ in range(2):  # the second call reads the cached subset
-                assert oracle(j, gamma) == reference_sub_dual_exact(case, j, gamma) + (0.0,)
+                assert oracle(j, gamma) == reference_sub_dual_exact(case, j, gamma)

@@ -1,9 +1,8 @@
-import numpy as np
 import pytest
 
+from oracles import reference_run_ellipsoid
 from twosided.ellipsoid import (
     EllipsoidBreakdown,
-    EllipsoidInit,
     default_iteration_budget,
     run_ellipsoid,
     solve_restricted,
@@ -84,10 +83,12 @@ def test_relaxed_oracle_band():
         assert check_lp_solution(inst, sol) == []
 
 
-def test_breakdown_on_corrupt_shape(unit_instance):
-    corrupt = -np.eye(2 * 1 * 1 + 1)  # negative definite beyond any noise floor
-    with pytest.raises(EllipsoidBreakdown, match="a'Da"):
-        run_ellipsoid(unit_instance, t_max=10, init=EllipsoidInit(shape=corrupt))
+def test_breakdown_on_corrupt_shape(unit_instance, monkeypatch):
+    # a zero starting ball: a'Da = 0 on the first cut while trace(D) = 0
+    # too, which is a breakdown, not the float64 floor
+    monkeypatch.setattr("twosided.ellipsoid.default_radius", lambda inst: 0.0)
+    with pytest.raises(EllipsoidBreakdown, match="a'Da .* at t=0 on assortment-cost"):
+        run_ellipsoid(unit_instance, t_max=10)
 
 
 def test_default_budget_formula(unit_instance):
@@ -111,10 +112,14 @@ def test_zero_revenue_approx_solve(zero_revenue_instance):
 
 
 def test_debug_mode_keeps_shape_positive_definite(unit_instance):
-    # short healthy run: the update formula must preserve positive
-    # definiteness, verified by Cholesky after every cut
-    run = run_ellipsoid(unit_instance, t_max=300, debug=True)
-    assert run.iterations == 300
+    # short healthy run, the same cut for cut as the reference, which
+    # verifies positive definiteness by Cholesky after every cut
+    run = run_ellipsoid(unit_instance, t_max=300, trace=True)
+    want = reference_run_ellipsoid(unit_instance, t_max=300, trace=True, debug=True)
+    assert run.iterations == want.iterations == 300
+    assert run.trace == want.trace
+    for name in ("alpha", "beta", "gamma"):
+        assert getattr(run.best, name).tobytes() == getattr(want.best, name).tobytes()
 
 
 def test_incumbent_objective_matches_point():
