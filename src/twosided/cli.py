@@ -47,7 +47,8 @@ EXIT_SOLVER = 2
 EXIT_POLICY = 3
 EXIT_VERIFY = 4
 
-POLICIES = ("rand-static", "greedy", "dp", "ftar", "star")
+EXACT_POLICIES = ("dp", "ftar", "star")
+POLICIES = ("rand-static", "greedy") + EXACT_POLICIES
 
 
 class _Parser(argparse.ArgumentParser):
@@ -142,16 +143,13 @@ def _normalized(inst):
 def cmd_solve(args) -> int:
     inst = _load_valid_instance(args.instance)
     norm, factor = _normalized(inst)
-    solved = solve_restricted(
-        norm, args.t_max, delta=args.delta, early_exit=args.early_exit, trace=bool(args.trace)
-    )
+    solved = solve_restricted(norm, args.t_max, delta=args.delta, trace=bool(args.trace))
     run, solution = solved.run, solved.solution
 
     config = {
         "instance": args.instance,
         "delta": args.delta,
         "t_max": run.t_max,
-        "early_exit": args.early_exit,
         "revenue_factor": factor,
         "guarantee_general": (1.0 - args.delta) / 2.0,
         "guarantee_supplier_uniform": (1.0 - args.delta) * (1.0 - 1.0 / math.e),
@@ -163,7 +161,6 @@ def cmd_solve(args) -> int:
         "incumbent_objective": run.objective,
         "recorded_sets_total": run.violated.total(),
         "recorded_sets_per_supplier": run.violated.counts(),
-        "early_exited": run.early_exited,
         "stop_reason": run.stop_reason,
         "certified_gap": solved.certified_gap * factor,
     }
@@ -206,6 +203,9 @@ def _unless_too_large(compute):
 
 def cmd_run(args) -> int:
     inst = _load_valid_instance(args.instance)
+    if args.trials > 0 and args.policy in EXACT_POLICIES:
+        print(f"error: policy {args.policy} is exact; --trials does not apply", file=sys.stderr)
+        return EXIT_USAGE
     needs_seed = args.trials > 0 or args.policy == "rand-static"
     if needs_seed and args.seed is None:
         print("error: --seed is required for randomized runs", file=sys.stderr)
@@ -218,7 +218,6 @@ def cmd_run(args) -> int:
         "seed": args.seed,
         "delta": args.delta,
         "t_max": args.t_max,
-        "early_exit": args.early_exit,
         "force_order": args.force_order,
     }
     row: dict = {"policy": args.policy, "n": inst.n, "m": inst.m}
@@ -232,7 +231,7 @@ def cmd_run(args) -> int:
         row["exact_expected_revenue"] = exact_star(inst)
     elif args.policy == "rand-static":
         norm, factor = _normalized(inst)
-        solved = solve_restricted(norm, args.t_max, delta=args.delta, early_exit=args.early_exit)
+        solved = solve_restricted(norm, args.t_max, delta=args.delta)
         config["t_max"] = solved.run.t_max
         row["lp_objective"] = solved.solution.objective * factor
         row["certified_gap"] = solved.certified_gap * factor
@@ -253,9 +252,6 @@ def cmd_run(args) -> int:
         row["exact_expected_revenue"] = _unless_too_large(policy.exact_expected_revenue)
 
     if args.trials > 0:
-        if policy is None:
-            print(f"error: policy {args.policy} is exact; --trials does not apply", file=sys.stderr)
-            return EXIT_USAGE
         mean, stderr = monte_carlo(policy.sample, args.trials, args.seed)
         row["mc_mean"] = mean
         row["mc_stderr"] = stderr
@@ -322,7 +318,6 @@ def build_parser() -> _Parser:
     p.add_argument("instance")
     p.add_argument("--delta", type=_delta, default=0.0, help="oracle approximation slack in [0, 1)")
     p.add_argument("--t-max", type=int, default=None, help="cut-step budget override")
-    p.add_argument("--early-exit", action="store_true", help="stop once the ellipsoid collapses")
     p.add_argument("--out", default=None, help="write the solution document here")
     p.add_argument("--report", default=None, help="write the report here (default stdout)")
     p.add_argument("--dump-lp", default=None, help="write the restricted LP here")
@@ -337,7 +332,6 @@ def build_parser() -> _Parser:
     p.add_argument("--seed", type=int, default=None)
     p.add_argument("--delta", type=_delta, default=0.0)
     p.add_argument("--t-max", type=int, default=None)
-    p.add_argument("--early-exit", action="store_true")
     p.add_argument("--force-order", action="store_true", help="run greedy without a certificate")
     p.add_argument("--out", default=None)
     p.add_argument("--format", choices=("rows", "summary"), default="rows")

@@ -44,7 +44,6 @@ from .lp import (
 )
 from .simplex import LpResult, solve_lp
 
-TRACE_EARLY_EXIT = 1e-24
 # a'Da at or below this multiple of eps * |a|^2 * trace(D) carries no float64
 # information: the ellipsoid has zero numerical extent along the cut, either
 # because it collapsed or because anisotropic growth exhausted the mantissa.
@@ -70,6 +69,8 @@ class EllipsoidResult:
     cut_counts: dict[str, int]
     incumbent_history: list[tuple[int, float]]
     incumbents: list[DualPoint]
+    # never set: perfbench/tracing.py still reads it for its
+    # ellipsoid.stop.early_exit count
     early_exited: bool = False
     degenerate_stop: bool = False
     certified: bool = False
@@ -77,14 +78,11 @@ class EllipsoidResult:
 
     @property
     def stop_reason(self) -> str:
-        """Why the loop ended: ``certified``, ``float64_floor``,
-        ``early_exit`` or ``t_max``."""
+        """Why the loop ended: ``certified``, ``float64_floor`` or ``t_max``."""
         if self.certified:
             return "certified"
         if self.degenerate_stop:
             return "float64_floor"
-        if self.early_exited:
-            return "early_exit"
         return "t_max"
 
 
@@ -107,21 +105,20 @@ def run_ellipsoid(
     t_max: int | None = None,
     *,
     delta: float = 0.0,
-    early_exit: bool = False,
     trace: bool = False,
     certify: Callable[[ViolatedSets], bool] | None = None,
 ) -> EllipsoidResult:
     """Run the cut loop for at most ``t_max`` cut steps, starting from the
     ball of radius :func:`default_radius` around the origin.
 
-    The run ends at the first of four events, reported as
+    The run ends at the first of three events, reported as
     ``EllipsoidResult.stop_reason``: ``t_max`` cut steps; the float64
     floor, where a'Da along the next cut falls to the noise level of
-    trace(D) (the usual end of a run with the default budget); with
-    ``early_exit``, trace(D) dropping below 1e-24; or, with ``certify``,
-    ``certify(recorded sets)`` returning true (``certified``), which the
-    loop asks only after 1000, 2000, 4000, ... cuts. Backlog cuts come from
-    ``SubDualOracle(inst, delta)``, which is exact at ``delta = 0``.
+    trace(D) (the usual end of a run with the default budget); or, with
+    ``certify``, ``certify(recorded sets)`` returning true (``certified``),
+    which the loop asks only after 1000, 2000, 4000, ... cuts. Backlog cuts
+    come from ``SubDualOracle(inst, delta)``, which is exact at
+    ``delta = 0``.
 
     Requires revenues normalized so every expected revenue is at most 1
     (the initial incumbent beta = 1 must be feasible).
@@ -159,7 +156,6 @@ def run_ellipsoid(
     rank1 = np.empty((n_dim, n_dim))
     trace_d = float(shape.trace())
     t = 0
-    early_exited = False
     degenerate_stop = False
     certified = False
     next_check = CERTIFY_FIRST
@@ -208,9 +204,6 @@ def run_ellipsoid(
                 {"t": t, "cut": kind, "index": index, "obj": obj, "incumbent_updated": incumbent_flag}
             )
         incumbent_flag = False
-        if early_exit and trace_d < TRACE_EARLY_EXIT:
-            early_exited = True
-            break
         if certify is not None and t == next_check:
             if certify(violated):
                 certified = True
@@ -226,7 +219,6 @@ def run_ellipsoid(
         cut_counts=cut_counts,
         incumbent_history=incumbent_history,
         incumbents=incumbents,
-        early_exited=early_exited,
         degenerate_stop=degenerate_stop,
         certified=certified,
         trace=trace_rows,
@@ -342,7 +334,6 @@ def solve_restricted(
     t_max: int | None = None,
     *,
     delta: float = 0.0,
-    early_exit: bool = False,
     trace: bool = False,
 ) -> RestrictedSolve:
     """Approximately solve the marginal LP: cut loop, then exact solve of
@@ -352,7 +343,7 @@ def solve_restricted(
     4000, ... cuts the restricted primal is solved and its duals priced with
     the exact oracle (see :func:`~twosided.lp.dual_certificate`); the loop
     stops as ``certified`` once the gap is at most 1e-9, and otherwise at
-    ``t_max``, the float64 floor or ``early_exit``. The returned
+    ``t_max`` or the float64 floor. The returned
     ``certified_gap`` bounds how far the objective can be below the true
     optimum, at every ``delta``; with ``delta > 0`` the objective is also at
     least (1 - delta) times the optimum. Raises :class:`LpSolverError` when
@@ -372,7 +363,7 @@ def solve_restricted(
         last = price(violated)
         return last.gap <= CERTIFY_TOL
 
-    run = run_ellipsoid(inst, t_max, delta=delta, early_exit=early_exit, trace=trace, certify=certify)
+    run = run_ellipsoid(inst, t_max, delta=delta, trace=trace, certify=certify)
     # the sets only grow, so an unchanged count means an unchanged primal
     if last is None or last.sets != run.violated.total():
         last = price(run.violated)

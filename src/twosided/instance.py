@@ -104,8 +104,8 @@ def validate(inst: Instance) -> list[str]:
     elif (inst.r < 0).any():
         i, j = np.argwhere(inst.r < 0)[0]
         errors.append(f"negative revenue r[{i}][{j}] = {inst.r[i, j]}")
-    if inst.revenue_scale <= 0:
-        errors.append(f"revenue_scale must be positive, got {inst.revenue_scale}")
+    if not np.isfinite(inst.revenue_scale) or inst.revenue_scale <= 0:
+        errors.append(f"revenue_scale must be positive and finite, got {inst.revenue_scale}")
     return errors
 
 

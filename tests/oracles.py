@@ -11,7 +11,6 @@ from twosided import mnl
 from twosided.cost_assortment import SUB_DUAL_LIMIT
 from twosided.ellipsoid import (
     NOISE_FLOOR,
-    TRACE_EARLY_EXIT,
     EllipsoidBreakdown,
     EllipsoidResult,
     default_iteration_budget,
@@ -203,10 +202,9 @@ class ReferenceEllipsoidResult(EllipsoidResult):
 
 
 def reference_run_ellipsoid(
-    inst, t_max=None, init=None, *, delta=0.0, early_exit=False, trace=False,
-    log_cuts=False, debug=False,
+    inst, t_max=None, *, delta=0.0, trace=False, log_cuts=False, debug=False,
 ):
-    """The central-cut loop with a fresh cut vector, two trace(D) calls, an
+    """The central-cut loop with a fresh cut vector, a trace(D) call, an
     out-of-place rank-1 update and a symmetrize step on every cut."""
     if float(inst.r.max()) > 1.0 + 1e-12:
         raise ValueError("revenues must be normalized (max pair revenue <= 1) before running")
@@ -221,12 +219,7 @@ def reference_run_ellipsoid(
     oracle = ReferenceOracle(inst, delta)
     radius = default_radius(inst)
     s = np.zeros(n_dim)
-    if init and init.center is not None:
-        s[:] = np.asarray(init.center, dtype=float)
-    if init and init.shape is not None:
-        shape = np.array(init.shape, dtype=float)
-    else:
-        shape = np.eye(n_dim) * radius**2
+    shape = np.eye(n_dim) * radius**2
 
     alpha = s[:nm].reshape(n, m)
     gamma = s[nm + m :].reshape(n, m)
@@ -245,7 +238,6 @@ def reference_run_ellipsoid(
     growth = n_dim * n_dim / (n_dim * n_dim - 1.0)
     step_frac = 1.0 / (n_dim + 1.0)
     t = 0
-    early_exited = False
     degenerate_stop = False
     incumbent_flag = False
 
@@ -292,9 +284,6 @@ def reference_run_ellipsoid(
                 {"t": t, "cut": kind, "index": index, "obj": obj, "incumbent_updated": incumbent_flag}
             )
         incumbent_flag = False
-        if early_exit and float(np.trace(shape)) < TRACE_EARLY_EXIT:
-            early_exited = True
-            break
 
     return ReferenceEllipsoidResult(
         violated=violated,
@@ -306,7 +295,6 @@ def reference_run_ellipsoid(
         incumbent_history=incumbent_history,
         incumbents=incumbents,
         ac_cuts=ac_cuts,
-        early_exited=early_exited,
         degenerate_stop=degenerate_stop,
         trace=trace_rows,
     )

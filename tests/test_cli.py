@@ -1,8 +1,11 @@
+import argparse
 import json
+import re
+from pathlib import Path
 
 import pytest
 
-from twosided.cli import main
+from twosided.cli import build_parser, main
 from twosided.instance import load_instance, save_instance
 from twosided.suites import counterexample_instance
 
@@ -113,12 +116,21 @@ def test_solve_reports_stop_reason(tmp_path, capsys, unit_instance):
     assert run_cli(capsys, "solve", str(path), "--t-max", "200", "--report", str(budget))[0] == 0
     assert run_cli(capsys, "solve", str(path), "--report", str(default))[0] == 0
     header = budget.read_text().strip().splitlines()[-2].split(",")
-    assert header[header.index("early_exited") + 1] == "stop_reason"
+    assert header[header.index("recorded_sets_per_supplier") + 1] == "stop_reason"
+    assert "early_exited" not in header
     assert _report_fields(budget)["stop_reason"] == "t_max"
     assert _report_fields(budget)["iterations"] == "200"
-    fields = _report_fields(default)
-    assert fields["stop_reason"] == "float64_floor"
-    assert fields["early_exited"] == "false"
+    assert _report_fields(default)["stop_reason"] == "float64_floor"
+
+
+@pytest.mark.parametrize("command", ["solve", "run"])
+def test_early_exit_flag_is_gone(tmp_path, capsys, unit_instance, command):
+    path = tmp_path / "unit.json"
+    save_instance(unit_instance, path)
+    extra = ["--policy", "rand-static", "--seed", "1"] if command == "run" else []
+    code = main([command, str(path), *extra, "--early-exit"])
+    assert "unrecognized arguments: --early-exit" in capsys.readouterr().err
+    assert code == 1
 
 
 def test_default_solve_certifies(tmp_path, capsys):
@@ -348,3 +360,53 @@ def test_negative_trials_is_usage_error(tmp_path, capsys):
     assert code == 1
     assert "trials must be >= 0" in err
     assert not out.exists()
+
+
+def test_nan_revenue_scale_is_usage_error(tmp_path, capsys):
+    inst_path = tmp_path / "i.json"
+    assert run_cli(capsys, "gen", "uniform-random", "2", "2", "--seed", "3", "--out", str(inst_path))[0] == 0
+    doc = json.loads(inst_path.read_text())
+    doc["revenue_scale"] = float("nan")
+    inst_path.write_text(json.dumps(doc))
+    code = main(["solve", str(inst_path), "--t-max", "10"])
+    assert "revenue_scale must be positive and finite" in capsys.readouterr().err
+    assert code == 1
+
+
+def test_trials_with_star_is_usage_error_before_the_size_limit(tmp_path, capsys):
+    # 8x2 is over the star oracle's size limit, which once exited 3 first
+    inst_path = tmp_path / "big.json"
+    assert run_cli(capsys, "gen", "same-order-additive", "8", "2", "--seed", "1", "--out", str(inst_path))[0] == 0
+    code = main(["run", str(inst_path), "--policy", "star", "--trials", "5", "--seed", "1"])
+    assert "--trials does not apply" in capsys.readouterr().err
+    assert code == 1
+
+
+def test_trials_with_dp_is_refused_before_the_dp_runs(tmp_path, capsys, monkeypatch, unit_instance):
+    def unreachable(inst):
+        raise AssertionError("the DP ran before the usage error")
+
+    monkeypatch.setattr("twosided.cli.exact_dp_atar", unreachable)
+    path = tmp_path / "unit.json"
+    save_instance(unit_instance, path)
+    code = main(["run", str(path), "--policy", "dp", "--trials", "5", "--seed", "1"])
+    assert "--trials does not apply" in capsys.readouterr().err
+    assert code == 1
+
+
+def test_readme_synopses_match_the_parser():
+    # the --flag tokens of each `twosided COMMAND` synopsis in the README's
+    # command-line block, against the options of that subparser
+    readme = (Path(__file__).resolve().parent.parent / "README.md").read_text(encoding="utf-8")
+    block = readme.split("## Command line", 1)[1].split("```", 2)[1]
+    documented: dict[str, set[str]] = {}
+    for line in block.strip().splitlines():
+        if line.startswith("twosided "):
+            flags = documented[line.split()[1]] = set()
+        flags.update(re.findall(r"--[a-z][a-z-]*", line))
+    sub = next(a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction))
+    parsed = {
+        command: {opt for action in p._actions for opt in action.option_strings} - {"-h", "--help"}
+        for command, p in sub.choices.items()
+    }
+    assert documented == parsed

@@ -63,16 +63,6 @@ def test_iteration_budget_respected():
     assert run.t_max == 500
 
 
-def test_early_exit_flag(unit_instance):
-    # the 1x1 run collapses (trace -> 0), so the trace threshold fires first
-    run = run_ellipsoid(unit_instance, t_max=10**6, early_exit=True)
-    assert run.early_exited
-    assert run.iterations < 10**6
-    plain = run_ellipsoid(unit_instance, t_max=10**6)
-    assert run.iterations <= plain.iterations
-    assert plain.degenerate_stop
-
-
 def test_relaxed_oracle_band():
     for seed in range(3):
         inst = normalize_revenues(generate("uniform-random", 3, 2, seed))

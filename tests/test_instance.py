@@ -32,6 +32,12 @@ def test_validate_flags_negative_revenue():
     assert any("negative revenue" in e for e in errors)
 
 
+@pytest.mark.parametrize("scale", [float("nan"), float("inf"), float("-inf")])
+def test_validate_flags_non_finite_revenue_scale(scale):
+    inst = Instance(n=1, m=1, u=[[1.0]], w=[[1.0]], r=[[1.0]], revenue_scale=scale)
+    assert any("revenue_scale must be positive and finite" in e for e in validate(inst))
+
+
 def test_validate_flags_dimension_mismatch():
     inst = Instance(n=2, m=1, u=[[1.0]], w=[[1.0, 1.0]], r=[[1.0], [1.0]])
     assert any("shape" in e for e in validate(inst))
