@@ -161,6 +161,8 @@ def cmd_solve(args) -> int:
         "incumbent_objective": run.objective,
         "recorded_sets_total": run.violated.total(),
         "recorded_sets_per_supplier": run.violated.counts(),
+        "priced_sets_total": solved.priced.total(),
+        "pricing_rounds": solved.pricing_rounds,
         "stop_reason": run.stop_reason,
         "certified_gap": solved.certified_gap * factor,
     }
@@ -206,6 +208,12 @@ def cmd_run(args) -> int:
     if args.trials > 0 and args.policy in EXACT_POLICIES:
         print(f"error: policy {args.policy} is exact; --trials does not apply", file=sys.stderr)
         return EXIT_USAGE
+    if args.policy != "rand-static":
+        for flag, value in (("--delta", args.delta), ("--t-max", args.t_max)):
+            if value is not None:
+                print(f"error: policy {args.policy} solves no LP; {flag} does not apply", file=sys.stderr)
+                return EXIT_USAGE
+    delta = 0.0 if args.delta is None else args.delta
     needs_seed = args.trials > 0 or args.policy == "rand-static"
     if needs_seed and args.seed is None:
         print("error: --seed is required for randomized runs", file=sys.stderr)
@@ -216,7 +224,7 @@ def cmd_run(args) -> int:
         "policy": args.policy,
         "trials": args.trials,
         "seed": args.seed,
-        "delta": args.delta,
+        "delta": delta,
         "t_max": args.t_max,
         "force_order": args.force_order,
     }
@@ -231,10 +239,12 @@ def cmd_run(args) -> int:
         row["exact_expected_revenue"] = exact_star(inst)
     elif args.policy == "rand-static":
         norm, factor = _normalized(inst)
-        solved = solve_restricted(norm, args.t_max, delta=args.delta)
+        solved = solve_restricted(norm, args.t_max, delta=delta)
         config["t_max"] = solved.run.t_max
         row["lp_objective"] = solved.solution.objective * factor
         row["certified_gap"] = solved.certified_gap * factor
+        row["priced_sets_total"] = solved.priced.total()
+        row["pricing_rounds"] = solved.pricing_rounds
         policy = RandomizedStaticPolicy(inst, solved.solution)
     else:  # greedy
         cert = detect_same_order(inst)
@@ -270,7 +280,8 @@ def cmd_run(args) -> int:
 
     header = [
         "policy", "n", "m", "exact_expected_revenue", "mc_mean", "mc_stderr",
-        "lp_objective", "certified_gap", "dp_opt", "ratio_vs_dp", "heuristic_order",
+        "lp_objective", "certified_gap", "priced_sets_total", "pricing_rounds", "dp_opt",
+        "ratio_vs_dp", "heuristic_order",
     ]
     _emit(args.out, _document("run", config, header, [row], args.format))
     return EXIT_OK
@@ -330,8 +341,8 @@ def build_parser() -> _Parser:
     p.add_argument("--policy", choices=POLICIES, required=True)
     p.add_argument("--trials", type=_trials, default=0)
     p.add_argument("--seed", type=int, default=None)
-    p.add_argument("--delta", type=_delta, default=0.0)
-    p.add_argument("--t-max", type=int, default=None)
+    p.add_argument("--delta", type=_delta, default=None, help="rand-static only; default 0")
+    p.add_argument("--t-max", type=int, default=None, help="rand-static only")
     p.add_argument("--force-order", action="store_true", help="run greedy without a certificate")
     p.add_argument("--out", default=None)
     p.add_argument("--format", choices=("rows", "summary"), default="rows")

@@ -14,7 +14,9 @@ ever produced a cut are recorded; restricting the primal to that support
 on a doubling schedule of cut counts. Lifted by the priced excess, they are
 a dual-feasible point whose objective bounds the LP optimum, and the loop
 stops as ``certified`` once the bound is within 1e-9 of the restricted
-primal's objective.
+primal's objective. Until then, each checkpoint runs pricing rounds: the
+sets that price out join the primal, which is re-solved warm from its last
+basis.
 
 Iterations count cut steps only: when the center passes every check the
 incumbent is updated in place and the loop re-enters without advancing the
@@ -307,11 +309,14 @@ def _find_cut(inst, oracle, cuts, s, alpha, beta, gamma, obj, violated):
 @dataclass
 class RestrictedSolve:
     """One constraint-generation solve of the marginal LP: the cut-loop
-    record, the primal restricted to its recorded support, that primal's
-    checked optimal solution, and a dual-feasible point of the full LP
-    whose objective exceeds the solution's by ``certified_gap``."""
+    record, the sets pricing rounds added, the primal restricted to both,
+    that primal's checked optimal solution, and a dual-feasible point of
+    the full LP whose objective exceeds the solution's by
+    ``certified_gap``."""
 
     run: EllipsoidResult
+    priced: ViolatedSets
+    pricing_rounds: int
     columns: MarginalLpColumns
     solution: LpSolution
     certificate: DualPoint
@@ -327,6 +332,8 @@ class _Priced:
     result: LpResult
     certificate: DualPoint
     gap: float
+    # (supplier, set) of every column that prices out
+    pricing: list[tuple[int, tuple[int, ...]]]
 
 
 def solve_restricted(
@@ -341,26 +348,44 @@ def solve_restricted(
 
     The solution is feasible for the full marginal LP. After 1000, 2000,
     4000, ... cuts the restricted primal is solved and its duals priced with
-    the exact oracle (see :func:`~twosided.lp.dual_certificate`); the loop
-    stops as ``certified`` once the gap is at most 1e-9, and otherwise at
-    ``t_max`` or the float64 floor. The returned
-    ``certified_gap`` bounds how far the objective can be below the true
-    optimum, at every ``delta``; with ``delta > 0`` the objective is also at
-    least (1 - delta) times the optimum. Raises :class:`LpSolverError` when
-    the solution fails the feasibility check of the full marginal LP.
+    the exact oracle (see :func:`~twosided.lp.dual_certificate`). While the
+    gap is above 1e-9, each pricing round adds every supplier's set that
+    prices out to the primal (kept in ``priced``, apart from the cut
+    record) and re-solves it, warm from the previous basis; the rounds end
+    once the gap is at most 1e-9, which stops the loop as ``certified``, or
+    once a round adds no new set, and the loop cuts on. It otherwise stops
+    at ``t_max`` or the float64 floor and prices its final primal once.
+    The returned ``certified_gap`` bounds how far the objective can be
+    below the true optimum, at every ``delta``; with ``delta > 0`` the
+    objective is also at least (1 - delta) times the optimum. Raises
+    :class:`LpSolverError` when the solution fails the feasibility check of
+    the full marginal LP.
     """
     oracle = SubDualOracle(inst)
+    priced = ViolatedSets(inst.m)
+    rounds = 0
     last: _Priced | None = None
 
     def price(violated: ViolatedSets) -> _Priced:
-        columns = build_aux_primal(inst, violated)
-        result = solve_lp(columns.lp)
-        certificate, gap = dual_certificate(oracle, columns.dual_point(result))
-        return _Priced(violated.total(), columns, result, certificate, gap)
+        columns = build_aux_primal(inst, violated, priced)
+        start = None if last is None else last.result.basis_columns
+        result = solve_lp(columns.lp, start_basis=start)
+        certificate, gap, pricing = dual_certificate(oracle, columns.dual_point(result))
+        return _Priced(violated.total(), columns, result, certificate, gap, pricing)
 
     def certify(violated: ViolatedSets) -> bool:
-        nonlocal last
+        nonlocal last, rounds
         last = price(violated)
+        while last.gap > CERTIFY_TOL:
+            added = False
+            for j, subset in last.pricing:
+                # the empty set is always in the primal
+                if subset and (j, subset) not in violated:
+                    added = priced.add(j, subset) or added
+            if not added:
+                break
+            rounds += 1
+            last = price(violated)
         return last.gap <= CERTIFY_TOL
 
     run = run_ellipsoid(inst, t_max, delta=delta, trace=trace, certify=certify)
@@ -375,6 +400,8 @@ def solve_restricted(
         )
     return RestrictedSolve(
         run=run,
+        priced=priced,
+        pricing_rounds=rounds,
         columns=last.columns,
         solution=solution,
         certificate=last.certificate,

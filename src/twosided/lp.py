@@ -76,8 +76,10 @@ def weight_link_slack(inst: Instance, alpha: np.ndarray, gamma: np.ndarray) -> n
 
 
 class ViolatedSets:
-    """Per-supplier ordered collections of customer sets whose backlog
-    constraint was cut during an ellipsoid run; duplicates are ignored."""
+    """Per-supplier ordered collections of customer sets; duplicates are
+    ignored. An ellipsoid run records the sets whose backlog constraint it
+    cut; ``solve_restricted`` keeps the sets its pricing rounds add to the
+    restricted primal in a second one."""
 
     def __init__(self, m: int):
         self._lists: list[list[tuple[int, ...]]] = [[] for _ in range(m)]
@@ -94,6 +96,10 @@ class ViolatedSets:
         seen.add(subset)
         self._lists[j].append(subset)
         return True
+
+    def __contains__(self, item: tuple[int, tuple[int, ...]]) -> bool:
+        j, subset = item
+        return subset in self._seen[j]
 
     def counts(self) -> list[int]:
         return [len(sets) for sets in self._lists]
@@ -207,8 +213,11 @@ def lp2_exact_small(inst: Instance) -> LpSolution:
     return columns.extract(solve_lp(columns.lp))
 
 
-def build_aux_primal(inst: Instance, violated: ViolatedSets) -> MarginalLpColumns:
-    """Marginal LP restricted to the recorded backlog sets.
+def build_aux_primal(
+    inst: Instance, violated: ViolatedSets, priced: ViolatedSets | None = None
+) -> MarginalLpColumns:
+    """Marginal LP restricted to the recorded backlog sets, followed per
+    supplier by the ``priced`` sets not among them.
 
     The empty set is injected into every supplier's support so the
     distribution rows stay satisfiable.
@@ -219,25 +228,38 @@ def build_aux_primal(inst: Instance, violated: ViolatedSets) -> MarginalLpColumn
         for subset in violated[j]:
             if subset != ():
                 sets.append(subset)
+        if priced is not None:
+            sets += [subset for subset in priced[j] if subset != () and (j, subset) not in violated]
         support.append(sets)
     return _marginal_lp(inst, support)
 
 
-def dual_certificate(oracle: SubDualOracle, point: DualPoint) -> tuple[DualPoint, float]:
+def dual_certificate(
+    oracle: SubDualOracle, point: DualPoint
+) -> tuple[DualPoint, float, list[tuple[int, tuple[int, ...]]]]:
     """Lift the duals of a restricted marginal LP to a dual-feasible point
-    of the full one, and return it with the gap it certifies.
+    of the full one, and return it with the gap it certifies and the sets
+    that price out.
 
     Restricting the primal to some backlog columns drops only backlog
     constraints from the dual, so ``point`` is feasible up to those. The
     exact ``oracle`` prices each supplier, ``v_j = max(0, oracle(j, gamma)
     - beta_j)``, and ``(alpha, beta + v, gamma)`` satisfies every one. Its
     objective bounds the LP optimum from above, at ``sum v`` above the
-    restricted optimum.
+    restricted optimum. The third value lists ``(j, oracle's set)`` for
+    every supplier with ``v_j > 0``: the backlog columns with the largest
+    positive reduced cost.
     """
     if oracle.delta != 0.0:
         raise ValueError(f"a certificate needs the exact oracle, got delta = {oracle.delta}")
-    v = np.array([max(0.0, oracle(j, point.gamma)[0] - point.beta[j]) for j in range(point.beta.size)])
-    return DualPoint(alpha=point.alpha, beta=point.beta + v, gamma=point.gamma), float(v.sum())
+    v = np.zeros(point.beta.size)
+    priced: list[tuple[int, tuple[int, ...]]] = []
+    for j in range(point.beta.size):
+        value, subset = oracle(j, point.gamma)
+        v[j] = max(0.0, value - point.beta[j])
+        if v[j] > 0.0:
+            priced.append((j, subset))
+    return DualPoint(alpha=point.alpha, beta=point.beta + v, gamma=point.gamma), float(v.sum()), priced
 
 
 def lp1_exact_small(inst: Instance) -> float:

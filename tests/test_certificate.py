@@ -8,18 +8,29 @@ import pytest
 
 import twosided.ellipsoid as ellipsoid_module
 from twosided.cost_assortment import SubDualOracle
-from twosided.ellipsoid import CERTIFY_TOL, solve_restricted
+from twosided.ellipsoid import CERTIFY_FIRST, CERTIFY_TOL, solve_restricted
 from twosided.instance import GENERATOR_KINDS, Instance, generate, normalize_revenues
 from twosided.lp import build_aux_primal, dual_certificate, dual_feasibility_report, lp2_exact_small
+from twosided.simplex import FEASIBILITY_TOL
 
 
 def assert_certified(inst, solved):
+    """The certificate is dual feasible and bounds the exact optimum, which
+    is returned."""
     sol = solved.solution
     assert dual_feasibility_report(inst, solved.certificate, tol=1e-9).feasible
-    assert lp2_exact_small(inst).objective <= sol.objective + solved.certified_gap + 1e-9
+    exact = lp2_exact_small(inst).objective
+    assert exact <= sol.objective + solved.certified_gap + 1e-9
     assert solved.certificate.objective - sol.objective == pytest.approx(solved.certified_gap, abs=1e-12)
     if solved.run.stop_reason == "certified":
         assert solved.certified_gap <= CERTIFY_TOL
+    return exact
+
+
+def assert_agrees(inst, solved):
+    """Certified as above, with the objective within 1e-9 of the exact
+    optimum of the full instantiation."""
+    assert abs(solved.solution.objective - assert_certified(inst, solved)) <= 1e-9
 
 
 @pytest.mark.parametrize("kind", GENERATOR_KINDS)
@@ -27,8 +38,19 @@ def test_default_solve_certifies(kind):
     inst = normalize_revenues(generate(kind, 4, 3, 77))
     solved = solve_restricted(inst)
     assert solved.run.stop_reason == "certified"
-    assert solved.run.certified and solved.run.iterations < solved.run.t_max
-    assert_certified(inst, solved)
+    assert solved.run.certified and solved.run.iterations == CERTIFY_FIRST
+    assert_agrees(inst, solved)
+
+
+@pytest.mark.parametrize("kind", GENERATOR_KINDS)
+@pytest.mark.parametrize("n, m", [(3, 3), (8, 2), (10, 4)])
+def test_solve_agrees_with_the_exact_lp(kind, n, m):
+    # with 4x3 above, these are the solve benchmark's size/kind classes
+    # (plus 10x4); pricing rounds certify each at the first checkpoint
+    inst = normalize_revenues(generate(kind, n, m, 77))
+    solved = solve_restricted(inst)
+    assert solved.run.stop_reason == "certified" and solved.run.iterations == CERTIFY_FIRST
+    assert_agrees(inst, solved)
 
 
 @pytest.mark.parametrize("kind", GENERATOR_KINDS)
@@ -53,13 +75,15 @@ def test_short_budget_gap_is_positive():
 def test_relaxed_oracle_run_certifies_with_the_exact_oracle():
     inst = normalize_revenues(generate("uniform-random", 3, 2, 4))
     solved = solve_restricted(inst, t_max=3000, delta=0.2)
-    assert_certified(inst, solved)
+    # the cut loop's relaxed oracle records the sets, but pricing is exact
+    assert solved.run.stop_reason == "certified"
+    assert_agrees(inst, solved)
 
 
 def test_zero_revenue_certificate(zero_revenue_instance):
     solved = solve_restricted(zero_revenue_instance)
     assert solved.certified_gap == pytest.approx(0.0, abs=1e-12)
-    assert_certified(zero_revenue_instance, solved)
+    assert_agrees(zero_revenue_instance, solved)
 
 
 @pytest.mark.parametrize("seed", [0, 1])
@@ -69,20 +93,24 @@ def test_tied_revenue_certificates(seed):
     tied = Instance(n=4, m=2, u=rng.uniform(0.5, 2.0, (4, 2)), w=rng.uniform(0.5, 2.0, (2, 4)),
                     r=np.full((4, 2), 0.5))
     for inst in (identical, tied):
-        for t_max in (300, None):
-            assert_certified(inst, solve_restricted(inst, t_max))
+        assert_certified(inst, solve_restricted(inst, 300))
+        assert_agrees(inst, solve_restricted(inst))
+
+
+def extreme_weight_instance(seed):
+    # weights spanning 1e-9..1e3, as tiny weights model forbidden pairs
+    rng = np.random.default_rng(seed)
+    return normalize_revenues(Instance(
+        n=3, m=2, u=10.0 ** rng.uniform(-9, 3, (3, 2)), w=10.0 ** rng.uniform(-9, 3, (2, 3)),
+        r=rng.uniform(0.0, 1.0, (3, 2)),
+    ))
 
 
 @pytest.mark.parametrize("seed", [0, 1, 2])
 def test_extreme_weight_certificates(seed):
-    # weights spanning 1e-9..1e3, as tiny weights model forbidden pairs
-    rng = np.random.default_rng(seed)
-    inst = normalize_revenues(Instance(
-        n=3, m=2, u=10.0 ** rng.uniform(-9, 3, (3, 2)), w=10.0 ** rng.uniform(-9, 3, (2, 3)),
-        r=rng.uniform(0.0, 1.0, (3, 2)),
-    ))
-    for t_max in (200, None):
-        assert_certified(inst, solve_restricted(inst, t_max))
+    inst = extreme_weight_instance(seed)
+    assert_certified(inst, solve_restricted(inst, 200))
+    assert_agrees(inst, solve_restricted(inst))
 
 
 def test_certificate_requires_the_exact_oracle(unit_instance):
@@ -91,35 +119,62 @@ def test_certificate_requires_the_exact_oracle(unit_instance):
         dual_certificate(SubDualOracle(unit_instance, 0.1), point)
 
 
-def test_degenerate_restricted_dual_ends_at_the_floor():
+def test_degenerate_restricted_dual_certifies_by_pricing():
     # the restricted primal is exact long before the floor, but its duals
-    # price out loosely at every checkpoint: the certified bound stays a
-    # bound, not an estimate of the true gap
+    # price out loosely: without pricing rounds this run ends at the float64
+    # floor after 24,290 cuts with a gap of 4.0e-3
     inst = normalize_revenues(generate("uniform-random", 8, 2, 77))
     solved = solve_restricted(inst)
-    assert solved.run.stop_reason == "float64_floor"
-    assert solved.certified_gap > 1e-3
+    assert solved.run.stop_reason == "certified"
+    assert solved.run.iterations == CERTIFY_FIRST
+    assert solved.pricing_rounds > 0 and solved.priced.total() > 0
+    assert solved.certified_gap <= 1e-9
     assert solved.solution.objective == pytest.approx(lp2_exact_small(inst).objective, abs=1e-12)
     assert_certified(inst, solved)
+
+
+def test_pricing_stalls_inside_the_simplex_tolerance():
+    # the oracle's best set is already in the primal and its reduced cost
+    # is within the simplex's 1e-8 optimality tolerance: the rounds add no
+    # new set and the gap stays above CERTIFY_TOL, but is still a bound
+    inst = normalize_revenues(generate("supplier-uniform", 16, 2, 1))
+    solved = solve_restricted(inst, t_max=1000)
+    assert solved.run.stop_reason == "t_max" and solved.pricing_rounds > 0
+    assert CERTIFY_TOL < solved.certified_gap <= inst.m * FEASIBILITY_TOL
+    assert dual_feasibility_report(inst, solved.certificate, tol=1e-9).feasible
+    assert solved.certificate.objective - solved.solution.objective == pytest.approx(
+        solved.certified_gap, abs=1e-12
+    )
 
 
 def test_final_solve_reuses_the_last_checkpoint(monkeypatch):
     solves = []
     solve_lp = ellipsoid_module.solve_lp
 
-    def counted(lp):
-        solves.append(lp.num_vars)
-        return solve_lp(lp)
+    def counted(lp, *, start_basis):
+        result = solve_lp(lp, start_basis=start_basis)
+        solves.append((start_basis is None, result.path))
+        return result
 
     monkeypatch.setattr(ellipsoid_module, "solve_lp", counted)
+    # the only checkpoint falls on the last cut: its solves are the final ones
     inst = normalize_revenues(generate("same-order-multiplicative", 4, 3, 77))
-    # the only checkpoint falls on the last cut: its solve is the final one
     at_checkpoint = solve_restricted(inst, t_max=1000)
-    assert at_checkpoint.run.stop_reason == "t_max" and len(solves) == 1
-    # sets recorded after the checkpoint need a fresh solve over all of them
+    assert at_checkpoint.run.stop_reason == "certified"
+    assert at_checkpoint.pricing_rounds == 2
+    # only the first solve starts cold; every round resumes the last basis
+    assert solves == [(True, "cold"), (False, "warm"), (False, "warm")]
+    # a checkpoint whose rounds stall leaves the loop cutting; the sets
+    # recorded after it need one more solve over all of them, warm too
+    inst = extreme_weight_instance(8)
+    solves.clear()
+    stalled = solve_restricted(inst, t_max=1000)
+    assert stalled.run.stop_reason == "t_max" and stalled.pricing_rounds == 2
+    assert len(solves) == 3
     solves.clear()
     later = solve_restricted(inst, t_max=1500)
-    assert later.run.violated.total() > at_checkpoint.run.violated.total()
-    assert len(solves) == 2
-    assert later.columns.lam_index == build_aux_primal(inst, later.run.violated).lam_index
+    assert later.run.stop_reason == "t_max" and later.pricing_rounds == 2
+    assert later.run.violated.total() > stalled.run.violated.total()
+    assert solves == [(True, "cold")] + [(False, "warm")] * 3
+    assert later.columns.lam_index == build_aux_primal(inst, later.run.violated, later.priced).lam_index
     assert_certified(inst, later)

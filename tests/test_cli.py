@@ -116,7 +116,8 @@ def test_solve_reports_stop_reason(tmp_path, capsys, unit_instance):
     assert run_cli(capsys, "solve", str(path), "--t-max", "200", "--report", str(budget))[0] == 0
     assert run_cli(capsys, "solve", str(path), "--report", str(default))[0] == 0
     header = budget.read_text().strip().splitlines()[-2].split(",")
-    assert header[header.index("recorded_sets_per_supplier") + 1] == "stop_reason"
+    at = header.index("recorded_sets_per_supplier")
+    assert header[at + 1 : at + 4] == ["priced_sets_total", "pricing_rounds", "stop_reason"]
     assert "early_exited" not in header
     assert _report_fields(budget)["stop_reason"] == "t_max"
     assert _report_fields(budget)["iterations"] == "200"
@@ -144,6 +145,60 @@ def test_default_solve_certifies(tmp_path, capsys):
     assert fields["stop_reason"] == "certified"
     assert 0.0 <= float(fields["certified_gap"]) <= 1e-9
     assert float(fields["ratio_vs_exact"]) == pytest.approx(1.0, abs=1e-12)
+
+
+def test_solve_reports_pricing(tmp_path, capsys):
+    # 8x2 uniform-random seed 77 certifies at the first checkpoint only
+    # through pricing rounds; the trace still lists cuts only
+    inst_path = tmp_path / "p.json"
+    assert run_cli(capsys, "gen", "uniform-random", "8", "2", "--seed", "77", "--out", str(inst_path))[0] == 0
+    report, trace, summary = tmp_path / "report.csv", tmp_path / "trace.jsonl", tmp_path / "summary.json"
+    argv = ["solve", str(inst_path), "--trace", str(trace)]
+    assert run_cli(capsys, *argv, "--report", str(report))[0] == 0
+    fields = _report_fields(report)
+    assert fields["stop_reason"] == "certified" and fields["iterations"] == "1000"
+    assert int(fields["pricing_rounds"]) > 0
+    assert int(fields["priced_sets_total"]) >= int(fields["pricing_rounds"])
+    rows = [json.loads(line) for line in trace.read_text().splitlines()]
+    assert [row["t"] for row in rows] == list(range(1, 1001))
+    assert run_cli(capsys, *argv, "--report", str(summary), "--format", "summary")[0] == 0
+    row = json.loads(summary.read_text())["rows"][0]
+    assert (row["priced_sets_total"], row["pricing_rounds"]) == (
+        int(fields["priced_sets_total"]), int(fields["pricing_rounds"])
+    )
+
+
+def test_run_reports_pricing_for_rand_static_only(tmp_path, capsys):
+    inst_path = tmp_path / "r.json"
+    assert run_cli(capsys, "gen", "same-order-additive", "8", "2", "--seed", "77", "--out", str(inst_path))[0] == 0
+    static, greedy = tmp_path / "static.csv", tmp_path / "greedy.csv"
+    argv = ["run", str(inst_path), "--seed", "1"]
+    assert run_cli(capsys, *argv, "--policy", "rand-static", "--t-max", "1000", "--out", str(static))[0] == 0
+    assert run_cli(capsys, *argv, "--policy", "greedy", "--out", str(greedy))[0] == 0
+    fields = _report_fields(static)
+    assert int(fields["pricing_rounds"]) > 0 and int(fields["priced_sets_total"]) > 0
+    assert 0.0 <= float(fields["certified_gap"]) <= 1e-9
+    fields = _report_fields(greedy)
+    assert fields["priced_sets_total"] == fields["pricing_rounds"] == ""
+
+
+@pytest.mark.parametrize("flag", [["--delta", "0.5"], ["--delta", "0"], ["--t-max", "1000"]])
+@pytest.mark.parametrize("policy", ["greedy", "dp", "ftar", "star"])
+def test_lp_flags_without_rand_static_are_usage_errors(tmp_path, capsys, monkeypatch, policy, flag):
+    # these policies solve no LP, so the header would record a delta or a
+    # budget that played no part; refused before any oracle runs
+    def unreachable(*args, **kwargs):
+        raise AssertionError("the policy ran before the usage error")
+
+    for name in ("exact_dp_atar", "exact_dp_ftar", "exact_star", "detect_same_order"):
+        monkeypatch.setattr(f"twosided.cli.{name}", unreachable)
+    inst_path = tmp_path / "i.json"
+    assert run_cli(capsys, "gen", "same-order-additive", "2", "2", "--seed", "3", "--out", str(inst_path))[0] == 0
+    out = tmp_path / "run.csv"
+    code = main(["run", str(inst_path), "--policy", policy, *flag, "--out", str(out)])
+    assert f"{flag[0]} does not apply" in capsys.readouterr().err
+    assert code == 1
+    assert not out.exists()
 
 
 def test_run_dp_unit_instance(tmp_path, capsys, unit_instance):

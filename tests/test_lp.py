@@ -220,9 +220,38 @@ def test_dual_point_of_the_full_lp_is_dual_feasible():
         assert (point.alpha.shape, point.beta.shape, point.gamma.shape) == ((4, 2), (2,), (4, 2))
         assert dual_feasibility_report(inst, point, tol=1e-9).feasible
         assert point.objective == pytest.approx(result.objective, abs=1e-12)
-        lifted, gap = dual_certificate(SubDualOracle(inst), point)
+        lifted, gap, pricing = dual_certificate(SubDualOracle(inst), point)
         assert gap <= 1e-12
         assert lifted.objective == pytest.approx(point.objective, abs=1e-12)
+        # whatever rounding prices out is a column the full LP already has
+        assert set(pricing) <= set(columns.lam_index)
+
+
+def test_certificate_prices_the_oracle_sets():
+    # only the empty sets: every supplier with a profitable set prices out,
+    # and its witness is the exact oracle's set at the restricted duals
+    inst = normalize_revenues(generate("uniform-random", 4, 3, 5))
+    columns = build_aux_primal(inst, ViolatedSets(inst.m))
+    point = columns.dual_point(solve_lp(columns.lp))
+    oracle = SubDualOracle(inst)
+    lifted, gap, pricing = dual_certificate(oracle, point)
+    excess = lifted.beta - point.beta
+    assert gap == pytest.approx(excess.sum(), abs=0.0) and gap > 0.0
+    assert pricing == [(j, oracle(j, point.gamma)[1]) for j in range(inst.m) if excess[j] > 0.0]
+    assert all(subset for _, subset in pricing)
+
+
+def test_aux_primal_appends_new_priced_sets():
+    inst = normalize_revenues(generate("uniform-random", 3, 2, 0))
+    violated, priced = ViolatedSets(2), ViolatedSets(2)
+    violated.add(0, (1,))
+    violated.add(1, (0, 2))
+    priced.add(0, (0, 2))
+    priced.add(0, (1,))  # also recorded: listed once, where the cut put it
+    priced.add(1, ())  # the empty set is always listed first
+    columns = build_aux_primal(inst, violated, priced)
+    assert columns.lam_index == [(0, ()), (0, (1,)), (0, (0, 2)), (1, ()), (1, (0, 2))]
+    assert build_aux_primal(inst, violated).lam_index == [(0, ()), (0, (1,)), (1, ()), (1, (0, 2))]
 
 
 def test_dual_point_needs_an_optimum():

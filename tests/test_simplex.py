@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+import twosided.simplex as simplex_module
 from oracles import lp_optimum_by_vertex_enumeration
 from twosided.instance import generate, normalize_revenues
 from twosided.lp import _marginal_lp, lp2_exact_small
@@ -194,3 +195,99 @@ def test_kkt_check_names_each_failure():
         _check_optimality(cols, b, cost, np.array([-0.1, 1.1, 0.0]), y, FEASIBILITY_TOL)
     with pytest.raises(LpSolverError, match="reduced cost -1.000e\\+00 at column 1.*duality gap"):
         _check_optimality(cols, b, cost, x, np.array([-1.0]), FEASIBILITY_TOL)
+
+
+def _counting_kkt(monkeypatch) -> list[int]:
+    calls = []
+    check = simplex_module._check_optimality
+
+    def counted(*args):
+        calls.append(1)
+        return check(*args)
+
+    monkeypatch.setattr(simplex_module, "_check_optimality", counted)
+    return calls
+
+
+def assert_same_cold_solve(got, want):
+    assert got.status == want.status
+    assert (got.iterations, got.basis, got.basis_columns) == (want.iterations, want.basis, want.basis_columns)
+    assert got.x.tobytes() == want.x.tobytes()
+    assert got.duals.tobytes() == want.duals.tobytes()
+
+
+def test_resume_after_appending_columns(monkeypatch):
+    # the marginal LP over some backlog columns, then over every column:
+    # the first optimum's basis is a feasible start for the second
+    inst = normalize_revenues(generate("uniform-random", 6, 2, 77))
+    every = [subset_of(mask, inst.n) for mask in range(2**inst.n)]
+    some = _marginal_lp(inst, [every[:20]] * inst.m).lp
+    full = _marginal_lp(inst, [every] * inst.m).lp
+    first = solve_lp(some)
+    assert first.path == "cold" and len(first.basis_columns) == some.a_eq.shape[0] + some.a_ub.shape[0]
+    cold = solve_lp(full)
+    kkt = _counting_kkt(monkeypatch)
+    warm = solve_lp(full, start_basis=first.basis_columns)
+    assert warm.path == "warm" and kkt == [1]
+    assert abs(warm.objective - cold.objective) <= 1e-12
+    assert warm.iterations < cold.iterations
+    assert_dual_certificate(full, warm)
+    # the optimal basis is a start that needs no pivot at all
+    again = solve_lp(full, start_basis=warm.basis_columns)
+    assert (again.path, again.iterations) == ("warm", 0)
+    assert abs(again.objective - warm.objective) <= 1e-12
+
+
+def test_singular_start_falls_back_to_the_cold_solve():
+    # columns v0 and v1 are parallel, so no basis holds both
+    lp = LinearProgram(c=[1.0, 1.0, 0.5], a_ub=[[1.0, 2.0, 1.0], [2.0, 4.0, 0.0]], b_ub=[4.0, 3.0],
+                       names=("v0", "v1", "v2"))
+    got = solve_lp(lp, start_basis=("v0", "v1"))
+    assert got.path == "fallback"
+    assert_same_cold_solve(got, solve_lp(lp))
+
+
+def test_infeasible_start_falls_back_to_the_cold_solve():
+    lp = LinearProgram(c=[1.0, 1.0], a_ub=[[1.0, 0.0], [1.0, 1.0]], b_ub=[1.0, 0.5], names=("v0", "v1"))
+    cold = solve_lp(lp)
+    # v0 = 1 from row 0 leaves the slack of row 1 at 0.5 - 1 < 0
+    got = solve_lp(lp, start_basis=("v0", ("slack", 1)))
+    assert got.path == "fallback"
+    assert_same_cold_solve(got, cold)
+    # an artificial basic above zero is no feasible start either
+    got = solve_lp(lp, start_basis=(("artificial", 0), ("slack", 1)))
+    assert got.path == "fallback"
+    assert_same_cold_solve(got, cold)
+
+
+def test_start_with_an_artificial_on_a_redundant_row():
+    # the second equality row repeats the first: its artificial stays basic
+    # at zero, and the start basis names it
+    first = solve_lp(LinearProgram(c=[1.0, 2.0, 0.5], a_eq=[[1.0, 1.0, 1.0], [2.0, 2.0, 2.0]], b_eq=[1.0, 2.0],
+                                   a_ub=[[0.0, 1.0, 0.0]], b_ub=[0.4], names=("a", "b", "c")))
+    assert first.objective == pytest.approx(1.4, abs=1e-12)
+    assert ("artificial", 1) in first.basis_columns
+    grown = LinearProgram(c=[1.0, 2.0, 0.5, 1.5], a_eq=[[1.0, 1.0, 1.0, 1.0], [2.0, 2.0, 2.0, 2.0]],
+                          b_eq=[1.0, 2.0], a_ub=[[0.0, 1.0, 0.0, 0.0]], b_ub=[0.4], names=("a", "b", "c", "d"))
+    warm = solve_lp(grown, start_basis=first.basis_columns)
+    assert warm.path == "warm" and ("artificial", 1) in warm.basis_columns
+    cold = solve_lp(grown)
+    assert warm.objective == pytest.approx(1.7, abs=1e-12)
+    assert abs(warm.objective - cold.objective) <= 1e-12 and warm.iterations < cold.iterations
+    assert_dual_certificate(grown, warm)
+
+
+def test_malformed_start_basis_is_refused():
+    lp = LinearProgram(c=[1.0, 1.0], a_ub=[[1.0, 0.0], [1.0, 1.0]], b_ub=[1.0, 0.5], names=("v0", "v1"))
+    for start, match in (
+        (("v0",), "1 columns for 2 rows"),
+        (("v0", "w"), "'w' is not a column"),
+        (("v0", ("slack", 2)), r"\('slack', 2\) is not a column"),
+        (("v0", ("artificial", -1)), r"\('artificial', -1\) is not a column"),
+    ):
+        with pytest.raises(ValueError, match=match):
+            solve_lp(lp, start_basis=start)
+    lp.names = None
+    with pytest.raises(ValueError, match="no names"):
+        solve_lp(lp, start_basis=("v0", "v1"))
+    assert solve_lp(lp).basis_columns is None
