@@ -150,17 +150,24 @@ class MarginalLpColumns:
         )
 
 
-def _marginal_lp(inst: Instance, support: list[list[tuple[int, ...]]]) -> MarginalLpColumns:
+def _marginal_lp(
+    inst: Instance, support: list[list[tuple[int, ...]]], *, named: bool = False
+) -> MarginalLpColumns:
     """Build the marginal LP restricted to the given per-supplier backlog
     support (x columns always present). Each support set must be a sorted
-    tuple of distinct customers, as ``mnl.as_subset`` returns."""
+    tuple of distinct customers, as ``mnl.as_subset`` returns. Columns get
+    names (which warm starts and ``--dump-lp`` read) only when ``named``."""
     n, m = inst.n, inst.m
     nm = n * m
     lam_index = [(j, subset) for j in range(m) for subset in support[j]]
     n_lam = len(lam_index)
     k = nm + n_lam
-    names = [f"x[{i},{j}]" for i in range(n) for j in range(m)]
-    names += [f"lam[{j},{{{','.join(map(str, subset))}}}]" for j, subset in lam_index]
+    names = None
+    if named:
+        names = tuple(chain(
+            (f"x[{i},{j}]" for i in range(n) for j in range(m)),
+            (f"lam[{j},{{{','.join(map(str, subset))}}}]" for j, subset in lam_index),
+        ))
 
     # per lambda column its supplier; one (column, customer) entry per member
     supplier = np.array([j for j, _ in lam_index], dtype=np.intp)
@@ -197,7 +204,7 @@ def _marginal_lp(inst: Instance, support: list[list[tuple[int, ...]]]) -> Margin
     a_ub[pairs[:, None], (pairs // m * m)[:, None] + np.arange(m)] = 1.0
     a_ub[pairs, pairs] += 1.0 / inst.u.reshape(-1)
 
-    lp = LinearProgram(c=c, a_eq=a_eq, b_eq=b_eq, a_ub=a_ub, b_ub=b_ub, maximize=True, names=tuple(names))
+    lp = LinearProgram(c=c, a_eq=a_eq, b_eq=b_eq, a_ub=a_ub, b_ub=b_ub, maximize=True, names=names)
     return MarginalLpColumns(lp=lp, lam_index=lam_index, n=n, m=m)
 
 
@@ -231,7 +238,7 @@ def build_aux_primal(
         if priced is not None:
             sets += [subset for subset in priced[j] if subset != () and (j, subset) not in violated]
         support.append(sets)
-    return _marginal_lp(inst, support)
+    return _marginal_lp(inst, support, named=True)
 
 
 def dual_certificate(

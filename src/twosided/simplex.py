@@ -1,22 +1,29 @@
-"""Two-phase revised primal simplex with Bland's anti-cycling rule.
+"""Two-phase revised primal simplex with partial Dantzig pricing and a
+Bland fallback.
 
 Solves finite LPs over nonnegative variables given as
 
     max/min  c.x   s.t.  a_eq x = b_eq,  a_ub x <= b_ub,  x >= 0,
 
-returning an optimal basic solution and its dual multipliers. Bland's rule
-(smallest eligible index for both the entering column and, among
-minimum-ratio ties, the leaving basic variable) guarantees termination on
-the degenerate LPs this package produces.
+returning an optimal basic solution and its dual multipliers.
 
 The method keeps an explicit inverse of the basis matrix and the basic
 values, and updates both by one Gauss-Jordan (rank-1) step per pivot; the
 constraint matrix itself is never modified. Reduced costs ``c_j - y.A_j``
-(with ``y = c_B B^-1``) are priced in fixed blocks of columns in index
-order, stopping at the first block holding one below ``-tol``: that is
-still Bland's smallest-index entering rule, but a pivot reads only the
-columns up to the entering one. Float64 throughout; feasibility tolerance
-1e-8.
+(with ``y = c_B B^-1``) are priced in fixed blocks of columns. The scan
+starts at the block of the last entering column and goes round the blocks
+in a cycle; the most negative reduced cost below ``-tol`` in the first block
+holding one enters (partial Dantzig pricing). The LP is optimal only when a
+whole cycle finds none. Among minimum-ratio ties, the basic variable of
+smallest index leaves. Float64 throughout; feasibility tolerance 1e-8.
+
+Termination: a pivot whose ratio-test step exceeds the tolerance strictly
+improves the objective, so no basis repeats across such pivots. Dantzig's
+rule can cycle inside a stretch of degenerate pivots (steps within the
+tolerance), so after ``DEGENERATE_RUN`` of them in a row the entering column
+is chosen by Bland's rule (the smallest eligible index) until a pivot moves
+the basic solution again; with its smallest-index leaving rule, Bland's rule
+cannot cycle. ``max_iters`` still guards against numerical trouble.
 
 A solve can resume from an earlier optimal basis, named column by column
 (see :data:`BasisColumn`), after columns were added to the LP: the basis
@@ -33,8 +40,15 @@ from dataclasses import dataclass, field
 import numpy as np
 
 FEASIBILITY_TOL = 1e-8
-# columns priced per step of the entering scan; 256-512 measured alike
+# columns priced per block of the entering scan. Partial Dantzig pricing
+# enters the best column of the first block with one, so the block size
+# trades the cost of pricing (one product with the duals takes about 140 us
+# for all 4,176 columns at 84 rows on a 2-core Xeon VM) against the quality
+# of the entering column: on the 10x4 exact LP, 256 and 384 measured alike,
+# 1024 and 2048 slower, and full Dantzig slower still
 PRICING_BLOCK = 384
+# consecutive degenerate pivots after which Bland's rule enters
+DEGENERATE_RUN = 50
 
 
 # one basic column by identity, stable when columns are added to the LP: a
@@ -318,14 +332,22 @@ class _RevisedBasis:
 
 
 def _pivot_loop(state: _RevisedBasis, cost: np.ndarray, n_cols: int, tol: float, max_iters: int) -> int:
-    """Bland pivoting on min-form costs over the first ``n_cols`` columns.
+    """Simplex pivots on min-form costs over the first ``n_cols`` columns:
+    partial Dantzig entering, Bland's rule after ``DEGENERATE_RUN``
+    consecutive degenerate pivots until one moves the basic solution.
 
     Returns the pivot count, or -(pivots + 1) when the LP is unbounded.
     """
     bounds = [(lo, min(lo + PRICING_BLOCK, n_cols)) for lo in range(0, n_cols, PRICING_BLOCK)]
     blocks = [(lo, cost[lo:hi], state.cols[:, lo:hi]) for lo, hi in bounds]
+    first = 0
+    degenerate = 0
     for it in range(max_iters):
-        enter = _entering(blocks, cost[state.basis] @ state.binv, tol)
+        y = cost[state.basis] @ state.binv
+        if degenerate < DEGENERATE_RUN:
+            enter = _partial_dantzig(blocks, y, tol, first)
+        else:
+            enter = _entering(blocks, y, tol)
         if enter < 0:
             return it
         col = state.column(enter)
@@ -337,10 +359,27 @@ def _pivot_loop(state: _RevisedBasis, cost: np.ndarray, n_cols: int, tol: float,
         ties = eligible[ratios <= rmin + 1e-12 * max(1.0, abs(rmin))]
         leave = int(ties[state.basis[ties].argmin()])
         state.pivot(leave, enter, col)
+        first = enter // PRICING_BLOCK
+        degenerate = degenerate + 1 if rmin <= tol else 0
     raise LpSolverError(
         f"simplex exceeded {max_iters} pivots (rows={state.x_b.size}, cols={n_cols}); "
         "basis inverse is numerically suspect"
     )
+
+
+def _partial_dantzig(
+    blocks: list[tuple[int, np.ndarray, np.ndarray]], y: np.ndarray, tol: float, first: int
+) -> int:
+    """Partial Dantzig: the column of most negative reduced cost below -tol
+    in the first block holding one, going round ``blocks`` (as in
+    :func:`_entering`) from block ``first``, or -1 when none has one."""
+    for b in range(first, first + len(blocks)):
+        lo, cost, cols = blocks[b % len(blocks)]
+        reduced = cost - y @ cols
+        j = int(reduced.argmin())
+        if reduced[j] < -tol:
+            return lo + j
+    return -1
 
 
 def _entering(blocks: list[tuple[int, np.ndarray, np.ndarray]], y: np.ndarray, tol: float) -> int:

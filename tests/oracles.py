@@ -96,9 +96,9 @@ def exact_g(w: list[Fraction], r: list[Fraction], members: tuple[int, ...]) -> F
 
 # ---------------------------------------------------------------------------
 # Reference solver loops. These are the straightforward forms of the
-# package's cut loop, sub-dual oracle and Bland entering scan, kept verbatim
-# so that the optimized package code can be required to reproduce their
-# trajectories bit for bit (tests/test_equivalence.py).
+# package's cut loop, sub-dual oracle and simplex, kept verbatim so that
+# the optimized package code can be required to reproduce their results
+# (tests/test_equivalence.py).
 
 
 def reference_sub_dual_exact(inst: Instance, j: int, gamma) -> tuple[float, tuple[int, ...]]:
@@ -353,9 +353,10 @@ def _reference_find_cut(inst, oracle, s, alpha, beta, gamma, inv_u, obj, violate
 
 
 def reference_solve_lp(lp: LinearProgram, tol: float = FEASIBILITY_TOL, max_iters: int | None = None) -> LpResult:
-    """The dense two-phase tableau simplex that ``twosided.simplex.solve_lp``
-    replaced (kept verbatim with its helpers): the pivot-for-pivot reference
-    for the revised method."""
+    """The dense two-phase Bland tableau simplex that
+    ``twosided.simplex.solve_lp`` replaced (kept verbatim with its helpers):
+    the reference for the revised method's status, objective and unique
+    optima."""
     k = lp.num_vars
     mu = lp.a_ub.shape[0]
     me = lp.a_eq.shape[0]

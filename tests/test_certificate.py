@@ -137,7 +137,7 @@ def test_pricing_stalls_inside_the_simplex_tolerance():
     # the oracle's best set is already in the primal and its reduced cost
     # is within the simplex's 1e-8 optimality tolerance: the rounds add no
     # new set and the gap stays above CERTIFY_TOL, but is still a bound
-    inst = normalize_revenues(generate("supplier-uniform", 16, 2, 1))
+    inst = extreme_weight_instance(7)
     solved = solve_restricted(inst, t_max=1000)
     assert solved.run.stop_reason == "t_max" and solved.pricing_rounds > 0
     assert CERTIFY_TOL < solved.certified_gap <= inst.m * FEASIBILITY_TOL
@@ -145,6 +145,16 @@ def test_pricing_stalls_inside_the_simplex_tolerance():
     assert solved.certificate.objective - solved.solution.objective == pytest.approx(
         solved.certified_gap, abs=1e-12
     )
+
+
+def test_16x2_pricing_certifies_at_the_first_checkpoint():
+    # under Bland's entering rule the pricing rounds stalled here at a gap
+    # of 5.66e-9; partial Dantzig pricing reaches duals that certify
+    inst = normalize_revenues(generate("supplier-uniform", 16, 2, 1))
+    solved = solve_restricted(inst, t_max=1000)
+    assert solved.run.stop_reason == "certified" and solved.run.iterations == CERTIFY_FIRST
+    assert solved.pricing_rounds > 0 and solved.certified_gap <= CERTIFY_TOL
+    assert dual_feasibility_report(inst, solved.certificate, tol=1e-9).feasible
 
 
 def test_final_solve_reuses_the_last_checkpoint(monkeypatch):
@@ -161,9 +171,9 @@ def test_final_solve_reuses_the_last_checkpoint(monkeypatch):
     inst = normalize_revenues(generate("same-order-multiplicative", 4, 3, 77))
     at_checkpoint = solve_restricted(inst, t_max=1000)
     assert at_checkpoint.run.stop_reason == "certified"
-    assert at_checkpoint.pricing_rounds == 2
+    assert at_checkpoint.pricing_rounds == 3
     # only the first solve starts cold; every round resumes the last basis
-    assert solves == [(True, "cold"), (False, "warm"), (False, "warm")]
+    assert solves == [(True, "cold")] + [(False, "warm")] * 3
     # a checkpoint whose rounds stall leaves the loop cutting; the sets
     # recorded after it need one more solve over all of them, warm too
     inst = extreme_weight_instance(8)

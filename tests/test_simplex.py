@@ -1,9 +1,10 @@
 import numpy as np
 import pytest
 
+import twosided.lp as lp_module
 import twosided.simplex as simplex_module
 from oracles import lp_optimum_by_vertex_enumeration
-from twosided.instance import generate, normalize_revenues
+from twosided.instance import GENERATOR_KINDS, generate, normalize_revenues
 from twosided.lp import _marginal_lp, lp2_exact_small
 from twosided.mnl import subset_of
 from twosided.simplex import FEASIBILITY_TOL, LinearProgram, LpSolverError, _check_optimality, solve_lp
@@ -54,9 +55,9 @@ def test_redundant_constraints_handled():
     assert res.objective == pytest.approx(1.0, abs=1e-9)
 
 
-def test_degenerate_cycling_guard():
-    # classic cycling construction for naive pivoting; Bland's rule must finish
-    lp = LinearProgram(
+def _cycling_lp() -> LinearProgram:
+    # classic cycling construction for naive pivoting
+    return LinearProgram(
         c=[0.75, -150.0, 0.02, -6.0],
         a_ub=[
             [0.25, -60.0, -0.04, 9.0],
@@ -66,10 +67,35 @@ def test_degenerate_cycling_guard():
         b_ub=[0.0, 0.0, 1.0],
         maximize=True,
     )
-    res = solve_lp(lp)
-    assert res.status == "optimal"
-    oracle = lp_optimum_by_vertex_enumeration(lp)
-    assert res.objective == pytest.approx(oracle, abs=1e-9)
+
+
+def _chvatal_lp() -> LinearProgram:
+    # Chvatal's example: Dantzig's entering rule with the smallest-index
+    # leaving rule cycles on it
+    return LinearProgram(
+        c=[10.0, -57.0, -9.0, -24.0],
+        a_ub=[
+            [0.5, -5.5, -2.5, 9.0],
+            [0.5, -1.5, -0.5, 1.0],
+            [1.0, 0.0, 0.0, 0.0],
+        ],
+        b_ub=[0.0, 0.0, 1.0],
+        maximize=True,
+    )
+
+
+def test_degenerate_cycling_guard():
+    for lp in (_cycling_lp(), _chvatal_lp()):
+        res = solve_lp(lp)
+        assert res.status == "optimal"
+        oracle = lp_optimum_by_vertex_enumeration(lp)
+        assert res.objective == pytest.approx(oracle, abs=1e-9)
+
+
+def test_dantzig_pricing_cycles_without_the_bland_fallback(monkeypatch):
+    monkeypatch.setattr(simplex_module, "DEGENERATE_RUN", 10**9)
+    with pytest.raises(LpSolverError, match="exceeded 300 pivots"):
+        solve_lp(_chvatal_lp(), max_iters=300)
 
 
 def _random_bounded_lp(rng: np.random.Generator) -> LinearProgram:
@@ -100,6 +126,61 @@ def test_matches_vertex_enumeration_on_random_lps():
         assert res.objective == pytest.approx(oracle, abs=1e-7)
         solved += 1
     assert solved == 40
+
+
+def _degenerate_lps() -> list[LinearProgram]:
+    """A cone of integer rows through the origin, capped at total mass 1:
+    the origin is a degenerate vertex, where pivots move nothing."""
+    rng = np.random.default_rng(79)
+    lps = []
+    for _ in range(20):
+        k, mu = int(rng.integers(3, 6)), int(rng.integers(2, 5))
+        a_ub = np.vstack([rng.integers(-3, 4, (mu, k)), np.ones(k)])
+        lps.append(LinearProgram(c=rng.integers(-3, 4, k), a_ub=a_ub, b_ub=np.append(np.zeros(mu), 1.0)))
+    return lps
+
+
+def test_matches_vertex_enumeration_on_degenerate_lps():
+    for lp in _degenerate_lps():
+        res = solve_lp(lp)
+        assert res.status == "optimal"
+        assert res.objective == pytest.approx(lp_optimum_by_vertex_enumeration(lp), abs=1e-9)
+
+
+def test_bland_fallback_agrees_with_the_default_rule(monkeypatch):
+    inst = normalize_revenues(generate("uniform-random", 8, 4, 6))
+    marginal = _marginal_lp(inst, [[subset_of(mask, inst.n) for mask in range(2**inst.n)]] * inst.m).lp
+    degenerate = [_cycling_lp(), _chvatal_lp(), marginal] + _degenerate_lps()
+    rng = np.random.default_rng(77)
+    lps = degenerate + [_random_bounded_lp(rng) for _ in range(40)]
+    default = [solve_lp(lp) for lp in lps]
+    bland = _counting(monkeypatch, "_entering")
+    kkt = _counting(monkeypatch, "_check_optimality")
+    # Bland's rule takes over after every degenerate pivot
+    monkeypatch.setattr(simplex_module, "DEGENERATE_RUN", 1)
+    for index, (lp, want) in enumerate(zip(lps, default)):
+        scans = len(bland)
+        got = solve_lp(lp)
+        assert got.status == "optimal"
+        assert abs(got.objective - want.objective) <= 1e-12
+        if index < len(degenerate):
+            assert len(bland) > scans
+    assert len(kkt) == len(lps)
+
+
+@pytest.mark.parametrize("kind", GENERATOR_KINDS)
+def test_10x4_exact_lp_pivot_ceiling(kind, monkeypatch):
+    # partial Dantzig pricing takes 436-512 pivots here, Bland's rule
+    # 1,804-3,761
+    results = []
+
+    def recorded(lp):
+        results.append(solve_lp(lp))
+        return results[-1]
+
+    monkeypatch.setattr(lp_module, "solve_lp", recorded)
+    lp2_exact_small(normalize_revenues(generate(kind, 10, 4, 77)))
+    assert 0 < results[0].iterations <= 1000
 
 
 def test_solution_is_basic_and_feasible():
@@ -197,15 +278,16 @@ def test_kkt_check_names_each_failure():
         _check_optimality(cols, b, cost, x, np.array([-1.0]), FEASIBILITY_TOL)
 
 
-def _counting_kkt(monkeypatch) -> list[int]:
+def _counting(monkeypatch, name: str) -> list[int]:
+    """Count the calls of the simplex module's function ``name``."""
     calls = []
-    check = simplex_module._check_optimality
+    function = getattr(simplex_module, name)
 
     def counted(*args):
         calls.append(1)
-        return check(*args)
+        return function(*args)
 
-    monkeypatch.setattr(simplex_module, "_check_optimality", counted)
+    monkeypatch.setattr(simplex_module, name, counted)
     return calls
 
 
@@ -221,12 +303,12 @@ def test_resume_after_appending_columns(monkeypatch):
     # the first optimum's basis is a feasible start for the second
     inst = normalize_revenues(generate("uniform-random", 6, 2, 77))
     every = [subset_of(mask, inst.n) for mask in range(2**inst.n)]
-    some = _marginal_lp(inst, [every[:20]] * inst.m).lp
-    full = _marginal_lp(inst, [every] * inst.m).lp
+    some = _marginal_lp(inst, [every[:20]] * inst.m, named=True).lp
+    full = _marginal_lp(inst, [every] * inst.m, named=True).lp
     first = solve_lp(some)
     assert first.path == "cold" and len(first.basis_columns) == some.a_eq.shape[0] + some.a_ub.shape[0]
     cold = solve_lp(full)
-    kkt = _counting_kkt(monkeypatch)
+    kkt = _counting(monkeypatch, "_check_optimality")
     warm = solve_lp(full, start_basis=first.basis_columns)
     assert warm.path == "warm" and kkt == [1]
     assert abs(warm.objective - cold.objective) <= 1e-12
