@@ -10,6 +10,7 @@ Library layout:
 * :mod:`~twosided.rounding` -- marginals to nested assortment distributions
 * :mod:`~twosided.policies` -- executable policies and exact oracles
 * :mod:`~twosided.evaluate` -- Monte Carlo and structural property checks
+* :mod:`~twosided.streams` -- per-trial random uniforms, many trials at once
 * :mod:`~twosided.cli` -- the ``twosided`` command
 """
 
@@ -47,6 +48,7 @@ from .rounding import AssortmentDistribution, mnl_distribution, validate_margina
 from .policies import (
     PolicyOutcome,
     PolicyPreconditionError,
+    PolicyTable,
     RandomizedStaticPolicy,
     SameOrderGreedyPolicy,
     best_marginal_assortment,

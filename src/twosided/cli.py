@@ -13,6 +13,7 @@ import argparse
 import json
 import math
 import sys
+from functools import lru_cache
 from pathlib import Path
 
 import numpy as np
@@ -69,6 +70,13 @@ def _trials(text: str) -> int:
     value = int(text)
     if value < 0:
         raise argparse.ArgumentTypeError(f"trials must be >= 0, got {text}")
+    return value
+
+
+def _seed(text: str) -> int:
+    value = int(text)
+    if value < 0:  # SeedSequence takes non-negative integers only
+        raise argparse.ArgumentTypeError(f"seed must be >= 0, got {text}")
     return value
 
 
@@ -262,7 +270,7 @@ def cmd_run(args) -> int:
         row["exact_expected_revenue"] = _unless_too_large(policy.exact_expected_revenue)
 
     if args.trials > 0:
-        mean, stderr = monte_carlo(policy.sample, args.trials, args.seed)
+        mean, stderr = monte_carlo(policy, args.trials, args.seed)
         row["mc_mean"] = mean
         row["mc_stderr"] = stderr
 
@@ -321,7 +329,7 @@ def build_parser() -> _Parser:
     p.add_argument("kind", choices=GENERATOR_KINDS)
     p.add_argument("n", type=int)
     p.add_argument("m", type=int)
-    p.add_argument("--seed", type=int, required=True)
+    p.add_argument("--seed", type=_seed, required=True)
     p.add_argument("--out", required=True)
     p.set_defaults(func=cmd_gen)
 
@@ -340,7 +348,7 @@ def build_parser() -> _Parser:
     p.add_argument("instance")
     p.add_argument("--policy", choices=POLICIES, required=True)
     p.add_argument("--trials", type=_trials, default=0)
-    p.add_argument("--seed", type=int, default=None)
+    p.add_argument("--seed", type=_seed, default=None)
     p.add_argument("--delta", type=_delta, default=None, help="rand-static only; default 0")
     p.add_argument("--t-max", type=int, default=None, help="rand-static only")
     p.add_argument("--force-order", action="store_true", help="run greedy without a certificate")
@@ -350,17 +358,23 @@ def build_parser() -> _Parser:
 
     p = sub.add_parser("verify", help="run property suites")
     p.add_argument("--suite", choices=tuple(SUITES) + ("all",), required=True)
-    p.add_argument("--seed", type=int, required=True)
+    p.add_argument("--seed", type=_seed, required=True)
     p.add_argument("--out", default=None)
     p.add_argument("--format", choices=("rows", "summary"), default="rows")
     p.set_defaults(func=cmd_verify)
     return parser
 
 
+@lru_cache(maxsize=1)
+def _parser() -> _Parser:
+    """The parser, built on first use and kept for the process: parsing
+    leaves no state in it, each call fills a fresh namespace."""
+    return build_parser()
+
+
 def main(argv=None) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = _parser().parse_args(argv)
     except SystemExit as exc:
         return int(exc.code or 0)
     try:

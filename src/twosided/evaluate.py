@@ -20,11 +20,13 @@ import numpy as np
 from . import mnl
 from .instance import Instance, as_permutation
 from .mnl import SizeLimitError, expected_optimal_revenue_independent
+from .streams import trial_uniforms
 
 CHECK_TOL = 1e-9
 GAP_MAX_N = 10
 SCAN_MAX_N = 10  # exhaustive scans enumerate pairs of subsets
 CORRELATED_MAX_SUPPORT = 8
+MC_BATCH = 512  # Monte Carlo trials per run batch; bounds the batch's arrays
 
 
 @dataclass
@@ -42,19 +44,24 @@ class PropertyReport:
         self.violations.append(witness)
 
 
-def monte_carlo(sampler, trials: int, master_seed: int) -> tuple[float, float]:
-    """Mean and standard error of realized policy revenue over ``trials``
-    independent runs.
+def monte_carlo(policy, trials: int, master_seed: int) -> tuple[float, float]:
+    """Mean and standard error of realized revenue over ``trials``
+    independent runs of a sampled policy (``RandomizedStaticPolicy`` or
+    ``SameOrderGreedyPolicy``).
 
-    Per-trial seeds derive from (master_seed, trial index), so the result
-    does not depend on any execution schedule.
+    Trial k runs on the draws of
+    ``np.random.default_rng(np.random.SeedSequence((master_seed, k)))``, so
+    its revenue is that of ``policy.sample(SeedSequence((master_seed, k)))``
+    and the result does not depend on any execution schedule. The trials go
+    through the policy's run loop ``MC_BATCH`` at a time, each batch's draws
+    computed in one call of :func:`~twosided.streams.trial_uniforms`.
     """
     if trials < 1:
         raise ValueError(f"trials must be >= 1, got {trials}")
     values = np.empty(trials)
-    for k in range(trials):
-        outcome = sampler(np.random.SeedSequence((master_seed, k)))
-        values[k] = outcome.expected_revenue
+    for first in range(0, trials, MC_BATCH):
+        count = min(MC_BATCH, trials - first)
+        values[first:first + count] = policy.revenues(trial_uniforms(master_seed, first, count, policy.draws))
     mean = float(values.mean())
     stderr = float(values.std(ddof=1) / math.sqrt(trials)) if trials > 1 else 0.0
     return mean, stderr

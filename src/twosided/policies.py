@@ -16,15 +16,27 @@ and exist to verify the approximation guarantees of the two policies:
 Both sampled policies run one realized-run loop, which differs only in the
 offer rule: each customer in turn is shown an assortment and makes an MNL
 choice, the choice grows that supplier's backlog, and at the end every
-supplier keeps the best subset of its backlog. A policy builds each choice
-CDF, offer and supplier optimum once and reuses it across sampled runs;
-every draw equals the ``Generator.choice`` draw it replaces.
+supplier keeps the best subset of its backlog. The loop runs a batch of
+runs at once, one row of uniforms per run: the randomized static policy
+takes two per customer (offer, then choice), the greedy one (choice). Runs
+that share an offered set draw from its CDF together, and the greedy looks
+up one offer per group of runs with the same backlogs. A policy builds
+each choice CDF, offer and supplier optimum once and reuses it across
+runs; every draw equals the ``Generator.choice`` draw that consumes the
+same uniform. ``sample(seed)`` is the one-run batch on the uniforms of
+``default_rng(seed)``, and :func:`~twosided.evaluate.monte_carlo` feeds the
+loop trial k's uniforms from ``SeedSequence((master_seed, k))``.
+
+The adaptive program returns its policy as a :class:`PolicyTable`, a
+read-only mapping over the arrays the sweep computes.
 """
 
 from __future__ import annotations
 
+import operator
+from collections.abc import Mapping, Sequence
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from typing import NamedTuple
 
 import numpy as np
@@ -33,7 +45,7 @@ from . import mnl
 from .mnl import SizeLimitError
 from .instance import Instance, SameOrderCertificate, as_permutation
 from .lp import LpSolution
-from .rounding import choice_table, draw, mnl_distribution
+from .rounding import choice_table, inverse_cdf, mnl_distribution
 
 UNPROCESSED = -2
 OUTSIDE = -1
@@ -62,24 +74,54 @@ class PolicyOutcome:
     trace: list[dict] | None = None
 
 
+class _Runs(NamedTuple):
+    """A batch of realized runs, one row per trial and one column per
+    customer: the id of the set each customer was offered (an index into
+    ``_RunTables.offer_sets``) and their choice (``OUTSIDE`` for the outside
+    option); and each run's revenue."""
+
+    offered: np.ndarray  # (T, n)
+    choice: np.ndarray  # (T, n)
+    revenue: np.ndarray  # (T,)
+
+
+class _History(NamedTuple):
+    """The choices of a batch of runs so far (``OUTSIDE`` where none is made
+    yet), and the runs grouped by equal choices so far: the first run of
+    each group and the group of each run."""
+
+    choice: np.ndarray  # (T, n)
+    first: np.ndarray  # (G,)
+    group: np.ndarray  # (T,)
+
+
 class _RunTables:
-    """What one policy reuses across its sampled runs: the MNL choice CDF of
-    each (customer, offered set) and the optimal revenue of each
-    (supplier, backlog)."""
+    """What one policy reuses across its sampled runs: the offered sets
+    seen so far, the MNL choice table of each (customer, offered set) and
+    the optimal revenue of each (supplier, backlog)."""
 
     def __init__(self, inst: Instance):
         self.inst = inst
-        self._choices: dict[tuple[int, tuple[int, ...]], tuple[list[int | None], np.ndarray]] = {}
+        self.offer_sets: list[tuple[int, ...]] = []
+        self._offer_ids: dict[tuple[int, ...], int] = {}
+        self._choices: dict[tuple[int, int], tuple[np.ndarray, np.ndarray]] = {}
         self._revenues: dict[tuple[int, tuple[int, ...]], tuple[float, tuple[int, ...]]] = {}
 
-    def choose(self, i: int, offered: tuple[int, ...], rng: np.random.Generator) -> int | None:
-        """Customer i's MNL choice from ``offered``, drawn as
-        :func:`~twosided.rounding.sample_choice` draws it."""
-        table = self._choices.get((i, offered))
+    def offer_id(self, offered: tuple[int, ...]) -> int:
+        found = self._offer_ids.get(offered)
+        if found is None:
+            found = self._offer_ids[offered] = len(self.offer_sets)
+            self.offer_sets.append(offered)
+        return found
+
+    def _choice_table(self, i: int, offer: int) -> tuple[np.ndarray, np.ndarray]:
+        """Customer i's choice options from an offered set (``OUTSIDE`` last)
+        and their :func:`~twosided.rounding.choice_cdf`."""
+        table = self._choices.get((i, offer))
         if table is None:
-            table = self._choices[(i, offered)] = choice_table(self.inst.u[i], offered)
-        options, cdf = table
-        return options[draw(cdf, rng)]
+            options, cdf = choice_table(self.inst.u[i], self.offer_sets[offer])
+            table = self._choices[(i, offer)] = (np.array(options[:-1] + [OUTSIDE]), cdf)
+        return table
 
     def optimal_revenue(self, j: int, backlog: tuple[int, ...]) -> tuple[float, tuple[int, ...]]:
         best = self._revenues.get((j, backlog))
@@ -87,25 +129,55 @@ class _RunTables:
             best = self._revenues[(j, backlog)] = mnl.optimal_revenue(self.inst, j, backlog)
         return best
 
-    def run(self, order, offer, rng: np.random.Generator) -> PolicyOutcome:
-        """One realized run: customers in ``order`` are each shown
-        ``offer(i, backlogs, rng)`` and choose; every supplier then keeps
-        the best subset of its backlog."""
-        backlogs: list[tuple[int, ...]] = [()] * self.inst.m
-        trace: list[dict] = []
+    def run(self, order, offer, uniforms: np.ndarray) -> _Runs:
+        """One realized run per row of ``uniforms``. Customers in ``order``
+        are each shown ``offer(i, history, draws)`` -- one offer id per run,
+        from the step's draws but its last -- and choose with the step's last
+        draw; every supplier then keeps the best subset of its backlog, and
+        the run's revenue adds those optima in supplier order. Runs that
+        share an offered set draw from its CDF in one
+        :func:`~twosided.rounding.inverse_cdf` call, the rule
+        :func:`~twosided.rounding.draw` applies to one uniform."""
+        trials, n, m = uniforms.shape[0], self.inst.n, self.inst.m
+        steps = uniforms.reshape(trials, n, -1)
+        offered = np.empty((trials, n), dtype=np.intp)
+        choice = np.full((trials, n), OUTSIDE, dtype=np.intp)
+        first, group = np.zeros(1, dtype=np.intp), np.zeros(trials, dtype=np.intp)
+        for t, i in enumerate(order):
+            offered[:, i] = offer(i, _History(choice, first, group), steps[:, t, :-1])
+            for a in np.unique(offered[:, i]).tolist():
+                runs = np.flatnonzero(offered[:, i] == a)
+                options, cdf = self._choice_table(i, a)
+                choice[runs, i] = options[inverse_cdf(cdf, steps[runs, t, -1])]
+            _, first, group = np.unique(group * (m + 1) + choice[:, i] + 1, return_index=True, return_inverse=True)
+        revenue = np.zeros(trials)
+        for j in range(m):
+            chose = np.packbits(choice == j, axis=1)
+            rows = chose.view(f"V{chose.shape[1]}").ravel()  # one bytes key per run
+            _, firsts, backlog = np.unique(rows, return_index=True, return_inverse=True)
+            values = [self.optimal_revenue(j, _backlog(choice[r], j))[0] for r in firsts.tolist()]
+            revenue += np.array(values)[backlog]
+        return _Runs(offered, choice, revenue)
+
+    def outcome(self, runs: _Runs, order) -> PolicyOutcome:
+        """The first run of ``runs`` with its trace and supplier optima."""
+        choice = runs.choice[0]
+        trace = []
         for i in order:
-            offered = offer(i, backlogs, rng)
-            pick = self.choose(i, offered, rng)
-            trace.append({"customer": i, "offered": list(offered), "choice": pick})
-            if pick is not None:
-                backlogs[pick] = tuple(sorted(backlogs[pick] + (i,)))
+            pick = int(choice[i])
+            offered = self.offer_sets[runs.offered[0, i]]
+            trace.append({"customer": i, "offered": list(offered), "choice": None if pick == OUTSIDE else pick})
         per: list[SupplierOutcome] = []
-        total = 0.0
-        for j, backlog in enumerate(backlogs):
+        for j in range(self.inst.m):
+            backlog = _backlog(choice, j)
             value, offered = self.optimal_revenue(j, backlog)
             per.append(SupplierOutcome(backlog=backlog, offered=offered, value=value))
-            total += value
-        return PolicyOutcome(expected_revenue=total, per_supplier=per, trace=trace)
+        return PolicyOutcome(expected_revenue=float(runs.revenue[0]), per_supplier=per, trace=trace)
+
+
+def _backlog(choice: np.ndarray, j: int) -> tuple[int, ...]:
+    """The customers of one run that chose supplier j."""
+    return tuple(np.flatnonzero(choice == j).tolist())
 
 
 def _require_dp_size(inst: Instance) -> None:
@@ -132,14 +204,12 @@ class _DpStructure(NamedTuple):
 
     A status is an integer in base m+2 whose digit i is customer i's status
     plus 2: 0 unprocessed, 1 outside, j+2 chose supplier j. ``layers[k-1]``
-    holds the states with k unprocessed customers; ``keys`` are the status
-    tuples of those states, layer by layer, for the policy table."""
+    holds the states with k unprocessed customers."""
 
     size: int
     final_states: np.ndarray  # (N0,) codes of the fully processed states
     final_masks: np.ndarray  # (m, N0) each supplier's backlog bitmask
     layers: tuple[_DpLayer, ...]
-    keys: tuple[tuple[int, ...], ...]
 
 
 @lru_cache(maxsize=8)
@@ -166,7 +236,6 @@ def _dp_structure(n: int, m: int, order: tuple[int, ...] | None) -> _DpStructure
     )
     outcomes = np.arange(1, m + 2, dtype=np.int32)  # outside, then supplier j as j+2
     layers = []
-    keys: list[tuple[int, ...]] = []
     for k in range(1, n + 1):
         states = codes[members[k]]
         if order is None:
@@ -175,10 +244,9 @@ def _dp_structure(n: int, m: int, order: tuple[int, ...] | None) -> _DpStructure
             pair_states, customers = np.arange(states.size), np.full(states.size, order[n - k])
         successors = states[pair_states, None] + outcomes * powers[customers][:, None]
         layers.append(_DpLayer(states, customers.astype(np.int8), successors))
-        keys += zip(*(digits[states] - 2).T.tolist())  # no per-row lists
     for array in (final_states, final_masks, *(a for layer in layers for a in layer)):
         array.setflags(write=False)  # shared by every later call
-    return _DpStructure(size, final_states, final_masks, tuple(layers), tuple(keys))
+    return _DpStructure(size, final_states, final_masks, tuple(layers))
 
 
 _START_SUMS = np.array([[0.0], [1.0]])
@@ -210,6 +278,58 @@ def _layer_step(values: np.ndarray, layer: _DpLayer, u: np.ndarray):
     return v.max(axis=1), (layer.customers[chosen], rank[chosen], length[chosen])
 
 
+class PolicyTable(Mapping):
+    """The DP's policy as a read-only mapping from status tuples to
+    (customer, assortment), over every state with a customer left to
+    process. It iterates layer by layer, fewest unprocessed customers first,
+    in code order within a layer. Backed by the state codes (see
+    :class:`_DpStructure`) and one action per state, the customer shifted
+    left by m and or-ed with the offer's supplier bitmask; an entry is
+    decoded only when it is read."""
+
+    def __init__(self, n: int, m: int, codes: np.ndarray, actions: np.ndarray):
+        self._n, self._m = n, m
+        self._codes, self._actions = codes, actions
+        self._decoded: dict[int, tuple[int, tuple[int, ...]]] = {}
+
+    def __len__(self) -> int:
+        return self._codes.size
+
+    def __iter__(self):
+        base = self._m + 2
+        digits = self._codes[:, None] // base ** np.arange(self._n) % base - 2
+        return map(tuple, digits.tolist())
+
+    @cached_property
+    def _positions(self) -> np.ndarray:
+        """Each code's index among the states, -1 for codes that are none."""
+        positions = np.full((self._m + 2) ** self._n, -1, dtype=np.intp)
+        positions[self._codes] = np.arange(self._codes.size)
+        return positions
+
+    def __getitem__(self, status):
+        base = self._m + 2
+        if not isinstance(status, tuple) or len(status) != self._n:
+            raise KeyError(status)
+        code = 0
+        for s in reversed(status):
+            try:
+                digit = operator.index(s) + 2
+            except TypeError:
+                raise KeyError(status) from None
+            if not 0 <= digit < base:
+                raise KeyError(status)
+            code = code * base + digit
+        position = self._positions[code]
+        if position < 0:
+            raise KeyError(status)
+        action = int(self._actions[position])
+        decoded = self._decoded.get(action)
+        if decoded is None:  # one tuple per distinct action, shared by its states
+            decoded = self._decoded[action] = (action >> self._m, mnl.subset_of(action & (1 << self._m) - 1, self._m))
+        return decoded
+
+
 def _dp(inst: Instance, order: tuple[int, ...] | None):
     """Backward induction over per-customer statuses (unprocessed / outside
     / chosen supplier), one array batch per number of unprocessed
@@ -219,7 +339,7 @@ def _dp(inst: Instance, order: tuple[int, ...] | None):
     boundary value sums each supplier's optimal revenue over its backlog in
     supplier order. Values and actions are those of the memoized recursion
     this replaced, bit for bit.
-    Returns (value, {status: (customer, assortment)}).
+    Returns (value, :class:`PolicyTable`).
     """
     _require_dp_size(inst)
     n, m = inst.n, inst.m
@@ -235,11 +355,8 @@ def _dp(inst: Instance, order: tuple[int, ...] | None):
         picked.append(action)
     customers, ranks, lengths = (np.concatenate(parts) for parts in zip(*picked))
     offers = np.where(np.arange(m) < lengths[:, None], 1 << ranks, 0).sum(axis=1)
-    ids = (customers.astype(np.int64) << m | offers).tolist()
-    # one (customer, offer) tuple per distinct action, shared by its states
-    actions = {a: (a >> m, mnl.subset_of(a & (2**m - 1), m)) for a in set(ids)}
-    policy = dict(zip(shape.keys, map(actions.__getitem__, ids)))
-    return float(values[0]), policy
+    codes = np.concatenate([layer.states for layer in shape.layers])
+    return float(values[0]), PolicyTable(n, m, codes, customers.astype(np.int64) << m | offers)
 
 
 def exact_dp_atar(inst: Instance):
@@ -247,7 +364,8 @@ def exact_dp_atar(inst: Instance):
 
     At each state the program picks the remaining customer and supplier
     assortment of highest value; see :func:`_dp`.
-    Returns (optimal value, {status: (customer, assortment)}).
+    Returns (optimal value, :class:`PolicyTable` of status -> (customer,
+    assortment)).
     """
     return _dp(inst, None)
 
@@ -287,27 +405,51 @@ def exact_star(inst: Instance) -> float:
     return float(values.max())
 
 
-class RandomizedStaticPolicy:
+class _SampledPolicy:
+    """A policy whose runs are driven by ``draws`` uniforms each, consumed
+    customer by customer along ``order``; ``_offer(i, history, draws)``
+    gives each run's offer id at customer i (see :meth:`_RunTables.run`)."""
+
+    inst: Instance
+    order: Sequence[int]
+    draws: int
+    _tables: _RunTables
+
+    def _offer(self, i: int, history: _History, draws: np.ndarray) -> np.ndarray:
+        raise NotImplementedError
+
+    def revenues(self, uniforms: np.ndarray) -> np.ndarray:
+        """Revenue of one realized run per row of the (trials, ``draws``)
+        array ``uniforms``."""
+        return self._tables.run(self.order, self._offer, uniforms).revenue
+
+    def sample(self, seed) -> PolicyOutcome:
+        """One realized run on the draws of ``np.random.default_rng(seed)``,
+        with its trace: the one-row case of :meth:`revenues`."""
+        uniforms = np.random.default_rng(seed).random((1, self.draws))
+        return self._tables.outcome(self._tables.run(self.order, self._offer, uniforms), self.order)
+
+
+class RandomizedStaticPolicy(_SampledPolicy):
     """Static policy realized from a feasible marginal-LP point: every
     customer is shown an assortment drawn from the nested distribution with
-    their x marginals, independently of all other customers."""
+    their x marginals, independently of all other customers. A run draws
+    two uniforms per customer: the offer, then the choice."""
 
     def __init__(self, inst: Instance, solution: LpSolution):
         self.inst = inst
+        self.order = range(inst.n)
+        self.draws = 2 * inst.n
         self.x = np.clip(np.asarray(solution.x, dtype=float), 0.0, 1.0)
         self.distributions = [
             mnl_distribution(solution.x[i], inst.u[i]) for i in range(inst.n)
         ]
         self._tables = _RunTables(inst)
+        self._support_ids = [np.array([self._tables.offer_id(s) for s in d.sets]) for d in self.distributions]
 
-    def sample(self, seed) -> PolicyOutcome:
-        """One realized run with assortments drawn from the nested
-        distributions."""
-        return self._tables.run(
-            range(self.inst.n),
-            lambda i, backlogs, rng: self.distributions[i].sample(rng),
-            np.random.default_rng(seed),
-        )
+    def _offer(self, i, history, draws):
+        # the support index that AssortmentDistribution.sample draws
+        return self._support_ids[i][inverse_cdf(self.distributions[i].cdf, draws[:, 0])]
 
     def exact_expected_revenue(self) -> float:
         """True expectation over all backlog realizations: per supplier the
@@ -348,7 +490,7 @@ class GreedyPath:
     value: float
 
 
-class SameOrderGreedyPolicy:
+class SameOrderGreedyPolicy(_SampledPolicy):
     """Deterministic adaptive greedy for instances whose suppliers share a
     common descending revenue order over customers.
 
@@ -372,6 +514,7 @@ class SameOrderGreedyPolicy:
                 "no same-order certificate; pass an explicit order to run as a heuristic"
             )
         self.inst = inst
+        self.draws = inst.n  # one choice per customer
         self._tables = _RunTables(inst)
         self._offers: dict[tuple[int, tuple[tuple[int, ...], ...]], tuple[tuple[int, ...], float]] = {}
 
@@ -392,13 +535,14 @@ class SameOrderGreedyPolicy:
             offer = self._offers[key] = best_marginal_assortment(self._marginals(i, backlogs), self.inst.u[i])
         return offer
 
-    def sample(self, seed) -> PolicyOutcome:
-        """One realized run with the marginal-value offer along the order."""
-        return self._tables.run(
-            self.order,
-            lambda i, backlogs, rng: self.offered_assortment(i, backlogs)[0],
-            np.random.default_rng(seed),
-        )
+    def _offer(self, i, history, draws):
+        # runs with the same choices so far share one backlog state
+        m = self.inst.m
+        ids = [
+            self._tables.offer_id(self.offered_assortment(i, [_backlog(history.choice[r], j) for j in range(m)])[0])
+            for r in history.first.tolist()
+        ]
+        return np.array(ids)[history.group]
 
     def exact_expected_revenue(self, collect_paths: bool = False):
         """True expectation by full outcome-tree enumeration; optionally

@@ -41,11 +41,11 @@ class AssortmentDistribution:
         return np.array([p for _, p in self.support])
 
     @cached_property
-    def _cdf(self) -> np.ndarray:
+    def cdf(self) -> np.ndarray:
         return choice_cdf(self.probabilities)
 
     def sample(self, rng: np.random.Generator) -> tuple[int, ...]:
-        return self.support[draw(self._cdf, rng)][0]
+        return self.support[draw(self.cdf, rng)][0]
 
 
 def choice_cdf(p) -> np.ndarray:
@@ -66,11 +66,17 @@ def choice_cdf(p) -> np.ndarray:
     return cdf
 
 
+def inverse_cdf(cdf: np.ndarray, u):
+    """The index of a :func:`choice_cdf` table that a uniform ``u`` selects:
+    the first entry above ``u``. Elementwise for an array ``u``."""
+    return cdf.searchsorted(u, side="right")
+
+
 def draw(cdf: np.ndarray, rng: np.random.Generator) -> int:
     """One index drawn from a :func:`choice_cdf` table. It equals
     ``rng.choice(p.size, p=p)`` and consumes the same single uniform, since
     that is how ``Generator.choice`` samples with ``p``."""
-    return int(cdf.searchsorted(rng.random(), side="right"))
+    return int(inverse_cdf(cdf, rng.random()))
 
 
 def mnl_distribution(x_row, u_row) -> AssortmentDistribution:

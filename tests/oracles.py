@@ -786,6 +786,32 @@ def reference_prefix_dp(inst: Instance, order: tuple[int, ...] | None):
     return value((UNPROCESSED,) * n, 0), policy
 
 
+def reference_layer_order(policy: dict) -> dict:
+    """A DP policy dict in the order the layered DP's table iterates: layer
+    by layer, fewest unprocessed customers first, and by status code within
+    a layer. Digit i of the code is customer i's status plus 2, so code
+    order is the order of the reversed status tuples."""
+
+    def key(status):
+        return status.count(UNPROCESSED), status[::-1]
+
+    return {status: policy[status] for status in sorted(policy, key=key)}
+
+
+def reference_monte_carlo(sampler, trials: int, master_seed: int) -> tuple[float, float]:
+    """The per-trial Monte Carlo loop that the batched run loop replaced:
+    ``sampler`` runs once per trial on ``SeedSequence((master_seed, k))``."""
+    if trials < 1:
+        raise ValueError(f"trials must be >= 1, got {trials}")
+    values = np.empty(trials)
+    for k in range(trials):
+        outcome = sampler(np.random.SeedSequence((master_seed, k)))
+        values[k] = outcome.expected_revenue
+    mean = float(values.mean())
+    stderr = float(values.std(ddof=1) / math.sqrt(trials)) if trials > 1 else 0.0
+    return mean, stderr
+
+
 def reference_distribution_sample(dist, rng: np.random.Generator) -> tuple[int, ...]:
     idx = rng.choice(len(dist.support), p=dist.probabilities)
     return dist.support[idx][0]

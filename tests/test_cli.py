@@ -5,8 +5,10 @@ from pathlib import Path
 
 import pytest
 
+from twosided import cli
 from twosided.cli import build_parser, main
-from twosided.instance import load_instance, save_instance
+from twosided.ellipsoid import default_iteration_budget
+from twosided.instance import load_instance, normalize_revenues, save_instance
 from twosided.suites import counterexample_instance
 
 
@@ -122,6 +124,44 @@ def test_solve_reports_stop_reason(tmp_path, capsys, unit_instance):
     assert _report_fields(budget)["stop_reason"] == "t_max"
     assert _report_fields(budget)["iterations"] == "200"
     assert _report_fields(default)["stop_reason"] == "float64_floor"
+
+
+def _config_fields(path) -> dict[str, str]:
+    lines = path.read_text().splitlines()
+    return dict(line[2:].split(": ", 1) for line in lines if line.startswith("# "))
+
+
+def test_parser_is_built_once_and_shares_no_flag_values(tmp_path, capsys, unit_instance):
+    path = tmp_path / "unit.json"
+    save_instance(unit_instance, path)
+    budget, default = tmp_path / "budget.csv", tmp_path / "default.csv"
+    assert run_cli(capsys, "solve", str(path), "--t-max", "300", "--report", str(budget))[0] == 0
+    assert run_cli(capsys, "solve", str(path), "--report", str(default))[0] == 0
+    assert cli._parser() is cli._parser()
+    assert _config_fields(budget)["t_max"] == "300"
+    assert _config_fields(default)["t_max"] == str(default_iteration_budget(normalize_revenues(unit_instance)))
+
+
+@pytest.mark.parametrize("command", ["gen", "run", "verify"])
+def test_negative_seed_is_usage_error_naming_the_flag(tmp_path, capsys, monkeypatch, unit_instance, command):
+    # a negative seed once solved the LP and evaluated the policy before
+    # numpy refused it, with a message that named no flag
+    def unreachable(*args, **kwargs):
+        raise AssertionError("the LP was solved for a negative seed")
+
+    monkeypatch.setattr(cli, "solve_restricted", unreachable)
+    path = tmp_path / "unit.json"
+    save_instance(unit_instance, path)
+    out = tmp_path / "out.csv"
+    argv = {
+        "gen": ["gen", "uniform-random", "2", "2", "--out", str(out)],
+        "run": ["run", str(path), "--policy", "rand-static", "--trials", "5", "--out", str(out)],
+        "verify": ["verify", "--suite", "appendix-a", "--out", str(out)],
+    }[command]
+    code = main([*argv, "--seed", "-1"])
+    assert code == 1
+    assert "argument --seed: seed must be >= 0, got -1" in capsys.readouterr().err
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("command", ["solve", "run"])

@@ -24,7 +24,9 @@ from oracles import (
     reference_optimal_revenue,
     reference_optimal_revenue_table,
     reference_greedy_sample,
+    reference_layer_order,
     reference_marginal_lp,
+    reference_monte_carlo,
     reference_pivot_loop,
     reference_prefix_dp,
     reference_run_ellipsoid,
@@ -41,8 +43,15 @@ from twosided.ellipsoid import (
     run_ellipsoid,
     solve_restricted,
 )
-from twosided.evaluate import SubsetDistribution, expected_optimal_revenue_independent, monte_carlo
-from twosided.instance import GENERATOR_KINDS, Instance, detect_same_order, generate, normalize_revenues
+from twosided.evaluate import MC_BATCH, SubsetDistribution, expected_optimal_revenue_independent, monte_carlo
+from twosided.instance import (
+    GENERATOR_KINDS,
+    Instance,
+    detect_same_order,
+    generate,
+    lexicographic_order,
+    normalize_revenues,
+)
 from twosided.lp import (
     DualPoint,
     _marginal_lp,
@@ -53,6 +62,8 @@ from twosided.lp import (
 from twosided.mnl import independent_subset_probs, optimal_revenue, optimal_revenue_table, subset_of
 from twosided.policies import (
     OUTSIDE,
+    UNPROCESSED,
+    PolicyTable,
     RandomizedStaticPolicy,
     SameOrderGreedyPolicy,
     _dp,
@@ -63,6 +74,7 @@ from twosided.policies import (
 )
 from twosided.rounding import choice_cdf, draw, sample_choice
 from twosided.simplex import FEASIBILITY_TOL, LinearProgram, solve_lp
+from twosided.streams import trial_uniforms
 
 
 def assert_same_run(got, want):
@@ -510,11 +522,50 @@ def test_dp_is_identical_to_recursion(kind, n, m, request):
     ref_opt, ref_policy = reference_prefix_dp(inst, None)
     assert opt == ref_opt
     assert policy == ref_policy
+    assert list(policy) == list(reference_layer_order(ref_policy))
     shuffled = tuple(np.random.default_rng(10 * n + m).permutation(inst.n).tolist())
     for order in (tuple(range(inst.n)), tuple(reversed(range(inst.n))), shuffled):
         want = reference_prefix_dp(inst, order)
-        assert _dp(inst, order) == want
+        got = _dp(inst, order)
+        assert got == want
+        assert list(got[1]) == list(reference_layer_order(want[1]))
         assert exact_dp_ftar(inst, order) == want[0]
+
+
+@pytest.mark.parametrize("order", [None, (2, 0, 1)], ids=["adaptive", "ordered"])
+def test_policy_table_is_a_read_only_mapping(order):
+    inst = generate("uniform-random", 3, 2, 32)
+    _, table = _dp(inst, order)
+    _, ref = reference_prefix_dp(inst, order)
+    assert isinstance(table, PolicyTable)
+    assert len(table) == len(ref)
+    assert table == ref and ref == table
+    first = next(iter(ref))
+    assert table != {**ref, first: (ref[first][0], ref[first][1] + (9,))}
+    for status, action in ref.items():
+        assert status in table
+        assert table[status] == action
+    final = (OUTSIDE, 0, 1)  # every customer processed: no action left
+    not_states = [
+        final,
+        (UNPROCESSED,) * 2,
+        (UNPROCESSED,) * 4,
+        (UNPROCESSED, 2, OUTSIDE),
+        (-3, OUTSIDE, OUTSIDE),
+        ("x", OUTSIDE, OUTSIDE),
+        [UNPROCESSED] * 3,
+        "abc",
+    ]
+    if order is not None:  # customer 0 processed before customer 2
+        not_states.append((OUTSIDE, UNPROCESSED, UNPROCESSED))
+    for status in not_states:
+        assert status not in table
+        with pytest.raises(KeyError):
+            table[status]
+    with pytest.raises(TypeError):
+        table[(UNPROCESSED,) * 3] = (0, ())
+    with pytest.raises(TypeError):
+        del table[(UNPROCESSED,) * 3]
 
 
 def test_cdf_draw_matches_generator_choice():
@@ -554,18 +605,18 @@ def test_distribution_and_choice_draws_match_reference():
             assert sample_choice(u[i], offered, got) == reference_sample_choice(u[i], offered, want)
 
 
-def assert_same_sampler(sample, reference, trials=500, master_seed=9):
-    assert monte_carlo(sample, trials, master_seed) == monte_carlo(reference, trials, master_seed)
+def assert_same_sampler(policy, reference, trials=500, master_seed=9):
+    assert monte_carlo(policy, trials, master_seed) == reference_monte_carlo(reference, trials, master_seed)
     for k in range(trials):
         seed = np.random.SeedSequence((master_seed, k))
-        assert sample(seed) == reference(seed)
+        assert policy.sample(seed) == reference(seed)
 
 
 @pytest.mark.parametrize("n, m", [(3, 3), (6, 3)])
 @pytest.mark.parametrize("kind", GENERATOR_KINDS)
 def test_static_sampler_matches_reference(kind, n, m):
     policy = _static_policy(kind, n, m)
-    assert_same_sampler(policy.sample, lambda seed: reference_static_sample(policy, seed))
+    assert_same_sampler(policy, lambda seed: reference_static_sample(policy, seed))
 
 
 @pytest.mark.parametrize("n, m", [(3, 3), (6, 3)])
@@ -573,4 +624,71 @@ def test_static_sampler_matches_reference(kind, n, m):
 def test_greedy_sampler_matches_reference(kind, n, m):
     inst = generate(kind, n, m, 10 * n + m)
     policy = SameOrderGreedyPolicy(inst, certificate=detect_same_order(inst))
-    assert_same_sampler(policy.sample, lambda seed: reference_greedy_sample(policy, seed))
+    assert_same_sampler(policy, lambda seed: reference_greedy_sample(policy, seed))
+
+
+def _greedy_policy(kind, n, m):
+    inst = generate(kind, n, m, 10 * n + m)
+    cert = detect_same_order(inst)
+    if cert:
+        return SameOrderGreedyPolicy(inst, certificate=cert)
+    return SameOrderGreedyPolicy(inst, order=lexicographic_order(inst))
+
+
+def _once_per_seed(policy, sample):
+    """``sample(policy, seed)``, run once per seed: smaller trial counts reuse
+    the runs of the first trials, which do not depend on the count."""
+    runs = {}
+
+    def reference(seed):
+        if seed.entropy not in runs:
+            runs[seed.entropy] = sample(policy, seed)
+        return runs[seed.entropy]
+
+    return reference
+
+
+@pytest.mark.parametrize("n, m", [(3, 3), (6, 3), (8, 2)])
+@pytest.mark.parametrize("kind", GENERATOR_KINDS)
+@pytest.mark.parametrize("name", ["rand-static", "greedy"])
+def test_batched_monte_carlo_matches_per_trial_loop(name, kind, n, m):
+    if name == "rand-static":
+        policy, sample = _static_policy(kind, n, m), reference_static_sample
+    else:
+        policy, sample = _greedy_policy(kind, n, m), reference_greedy_sample
+    reference = _once_per_seed(policy, sample)
+    for trials in (MC_BATCH + 1, 500, 1):  # the first spans two batches
+        assert monte_carlo(policy, trials, 9) == reference_monte_carlo(reference, trials, 9)
+
+
+@pytest.mark.parametrize("name", ["rand-static", "greedy"])
+def test_batched_monte_carlo_matches_at_a_multiword_master_seed(name):
+    # a master seed of 2^32 or more gives SeedSequence two entropy words
+    if name == "rand-static":
+        policy, sample = _static_policy("same-order-additive", 6, 3), reference_static_sample
+    else:
+        policy, sample = _greedy_policy("same-order-additive", 6, 3), reference_greedy_sample
+    for master_seed in (2**32 - 1, 2**32 + 9, 2**70 + 3):
+        want = reference_monte_carlo(lambda seed: sample(policy, seed), 200, master_seed)
+        assert monte_carlo(policy, 200, master_seed) == want
+
+
+@pytest.mark.parametrize("master_seed", [0, 9, 2**32 - 1, 2**32, 2**64 + 3, 2**130])
+@pytest.mark.parametrize("first, count", [(0, 40), (MC_BATCH, 3), (2**32 - 2, 4)])
+def test_trial_uniforms_match_per_trial_generators(master_seed, first, count):
+    # the last range crosses the trial index that needs a second entropy word
+    want = np.array(
+        [np.random.default_rng(np.random.SeedSequence((master_seed, k))).random(7) for k in range(first, first + count)]
+    )
+    got = trial_uniforms(master_seed, first, count, 7)
+    assert got.shape == want.shape
+    assert got.tobytes() == want.tobytes()
+
+
+def test_trial_uniforms_reject_what_seed_sequence_rejects():
+    with pytest.raises(ValueError):
+        np.random.SeedSequence((-1, 0))
+    with pytest.raises(ValueError):
+        trial_uniforms(-1, 0, 3, 2)
+    with pytest.raises(TypeError):
+        trial_uniforms(1.5, 0, 3, 2)

@@ -27,18 +27,18 @@ def test_monte_carlo_zero_revenue(zero_revenue_instance):
     policy = RandomizedStaticPolicy(
         zero_revenue_instance, lp2_exact_small(zero_revenue_instance)
     )
-    mean, stderr = monte_carlo(policy.sample, 50, 7)
+    mean, stderr = monte_carlo(policy, 50, 7)
     assert mean == 0.0 and stderr == 0.0
 
 
 def test_monte_carlo_deterministic(unit_instance):
     policy = RandomizedStaticPolicy(unit_instance, lp2_exact_small(unit_instance))
-    assert monte_carlo(policy.sample, 200, 11) == monte_carlo(policy.sample, 200, 11)
+    assert monte_carlo(policy, 200, 11) == monte_carlo(policy, 200, 11)
 
 
 def test_monte_carlo_unit_instance_close_to_quarter(unit_instance):
     policy = RandomizedStaticPolicy(unit_instance, lp2_exact_small(unit_instance))
-    mean, stderr = monte_carlo(policy.sample, 100_000, 2024)
+    mean, stderr = monte_carlo(policy, 100_000, 2024)
     assert abs(mean - 0.25) <= 3.0 * stderr
 
 

@@ -157,7 +157,7 @@ def test_randomized_static_sampler_matches_exact():
     inst = normalize_revenues(generate("uniform-random", 3, 2, 31))
     policy = RandomizedStaticPolicy(inst, lp2_exact_small(inst))
     exact = policy.exact_expected_revenue()
-    mean, stderr = monte_carlo(policy.sample, 4000, 99)
+    mean, stderr = monte_carlo(policy, 4000, 99)
     assert abs(mean - exact) <= 3.0 * stderr
 
 
@@ -233,7 +233,7 @@ def test_greedy_sampler_matches_exact():
     inst = generate("same-order-additive", 3, 2, 17)
     policy = SameOrderGreedyPolicy(inst, certificate=detect_same_order(inst))
     exact = policy.exact_expected_revenue()
-    mean, stderr = monte_carlo(policy.sample, 4000, 5)
+    mean, stderr = monte_carlo(policy, 4000, 5)
     assert abs(mean - exact) <= 3.0 * max(stderr, 1e-12)
 
 

@@ -4,7 +4,9 @@ import pytest
 from twosided.rounding import (
     AssortmentDistribution,
     MarginalsInfeasible,
+    choice_cdf,
     induced_marginals,
+    inverse_cdf,
     mnl_distribution,
     validate_marginals,
 )
@@ -130,3 +132,11 @@ def test_empirical_sampling_matches_marginals():
     freq = counts / draws
     stderr = np.sqrt(np.maximum(x * (1.0 - x), 1e-12) / draws)
     assert (np.abs(freq - x) <= 3.0 * stderr + 1e-12).all()
+
+
+def test_inverse_cdf_takes_the_first_entry_above_the_uniform():
+    # Generator.choice's rule: a uniform on a breakpoint selects the next entry
+    cdf = choice_cdf([0.25, 0.0, 0.25, 0.5])  # [0.25, 0.25, 0.5, 1.0]
+    u = np.array([0.0, 0.2, 0.25, 0.3, 0.5, 0.75, 0.999])
+    assert inverse_cdf(cdf, u).tolist() == [0, 0, 2, 2, 3, 3, 3]
+    assert [int(inverse_cdf(cdf, x)) for x in u] == [0, 0, 2, 2, 3, 3, 3]

@@ -49,4 +49,6 @@ def test_traced_cli_counts(tmp_path):
         assert traced[name].counts["lp.aux_columns"] > 0
     for name in ("rand-static", "greedy"):
         assert traced[name].counts["policies.dp_atar.states"] > 0
-        assert traced[name].calls["policies.sample"] == 5
+        # the trials run batched, inside one Monte Carlo call
+        assert traced[name].counts["evaluate.trials"] == 5
+        assert traced[name].calls["evaluate.monte_carlo"] == 1
