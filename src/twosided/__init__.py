@@ -10,7 +10,6 @@ Library layout:
 * :mod:`~twosided.rounding` -- marginals to nested assortment distributions
 * :mod:`~twosided.policies` -- executable policies and exact oracles
 * :mod:`~twosided.evaluate` -- Monte Carlo and structural property checks
-* :mod:`~twosided.streams` -- per-trial random uniforms, many trials at once
 * :mod:`~twosided.cli` -- the ``twosided`` command
 """
 

@@ -75,8 +75,15 @@ def _trials(text: str) -> int:
 
 def _seed(text: str) -> int:
     value = int(text)
-    if value < 0:  # SeedSequence takes non-negative integers only
+    if value < 0:
         raise argparse.ArgumentTypeError(f"seed must be >= 0, got {text}")
+    return value
+
+
+def _t_max(text: str) -> int:
+    value = int(text)
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"t_max must be >= 1, got {text}")
     return value
 
 
@@ -336,7 +343,7 @@ def build_parser() -> _Parser:
     p = sub.add_parser("solve", help="approximately solve the marginal LP")
     p.add_argument("instance")
     p.add_argument("--delta", type=_delta, default=0.0, help="oracle approximation slack in [0, 1)")
-    p.add_argument("--t-max", type=int, default=None, help="cut-step budget override")
+    p.add_argument("--t-max", type=_t_max, default=None, help="cut-step budget override")
     p.add_argument("--out", default=None, help="write the solution document here")
     p.add_argument("--report", default=None, help="write the report here (default stdout)")
     p.add_argument("--dump-lp", default=None, help="write the restricted LP here")
@@ -350,7 +357,7 @@ def build_parser() -> _Parser:
     p.add_argument("--trials", type=_trials, default=0)
     p.add_argument("--seed", type=_seed, default=None)
     p.add_argument("--delta", type=_delta, default=None, help="rand-static only; default 0")
-    p.add_argument("--t-max", type=int, default=None, help="rand-static only")
+    p.add_argument("--t-max", type=_t_max, default=None, help="rand-static only")
     p.add_argument("--force-order", action="store_true", help="run greedy without a certificate")
     p.add_argument("--out", default=None)
     p.add_argument("--format", choices=("rows", "summary"), default="rows")

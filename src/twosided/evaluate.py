@@ -13,6 +13,7 @@ which cases to try and everything is deterministic in (trials, seed).
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -20,7 +21,6 @@ import numpy as np
 from . import mnl
 from .instance import Instance, as_permutation
 from .mnl import SizeLimitError, expected_optimal_revenue_independent
-from .streams import trial_uniforms
 
 CHECK_TOL = 1e-9
 GAP_MAX_N = 10
@@ -49,19 +49,18 @@ def monte_carlo(policy, trials: int, master_seed: int) -> tuple[float, float]:
     independent runs of a sampled policy (``RandomizedStaticPolicy`` or
     ``SameOrderGreedyPolicy``).
 
-    Trial k runs on the draws of
-    ``np.random.default_rng(np.random.SeedSequence((master_seed, k)))``, so
-    its revenue is that of ``policy.sample(SeedSequence((master_seed, k)))``
-    and the result does not depend on any execution schedule. The trials go
-    through the policy's run loop ``MC_BATCH`` at a time, each batch's draws
-    computed in one call of :func:`~twosided.streams.trial_uniforms`.
+    Trial k reads the next ``policy.draws`` uniforms of one
+    ``np.random.default_rng(master_seed)``, so the result is that of
+    ``policy.sample(rng)`` called ``trials`` times on that generator. The
+    trials go through the policy's run loop ``MC_BATCH`` at a time.
     """
     if trials < 1:
         raise ValueError(f"trials must be >= 1, got {trials}")
+    rng = np.random.default_rng(operator.index(master_seed))  # None would seed from the OS
     values = np.empty(trials)
     for first in range(0, trials, MC_BATCH):
         count = min(MC_BATCH, trials - first)
-        values[first:first + count] = policy.revenues(trial_uniforms(master_seed, first, count, policy.draws))
+        values[first:first + count] = policy.revenues(rng.random((count, policy.draws)))
     mean = float(values.mean())
     stderr = float(values.std(ddof=1) / math.sqrt(trials)) if trials > 1 else 0.0
     return mean, stderr

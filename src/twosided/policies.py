@@ -25,7 +25,7 @@ each choice CDF, offer and supplier optimum once and reuses it across
 runs; every draw equals the ``Generator.choice`` draw that consumes the
 same uniform. ``sample(seed)`` is the one-run batch on the uniforms of
 ``default_rng(seed)``, and :func:`~twosided.evaluate.monte_carlo` feeds the
-loop trial k's uniforms from ``SeedSequence((master_seed, k))``.
+loop whole batches of one generator's uniforms.
 
 The adaptive program returns its policy as a :class:`PolicyTable`, a
 read-only mapping over the arrays the sweep computes.
@@ -387,10 +387,12 @@ def exact_star(inst: Instance) -> float:
     optimal-revenue table. All profiles are evaluated at once.
     """
     n, m = inst.n, inst.m
-    work = (2**m) ** n * (m + 1) ** n
+    # elements of a supplier's backlog distributions over all profiles and
+    # of the choice probabilities phi, the largest arrays built below
+    work = 2**n * 2 ** (m * n) + n * 2**m * m
     if work > STAR_WORK_LIMIT:
         raise SizeLimitError(
-            f"static exhaustive search needs ~{work} outcome evaluations for "
+            f"static exhaustive search needs ~{work} array elements for "
             f"{n}x{m}; limit is {STAR_WORK_LIMIT}"
         )
     offers = mnl.subset_masks(m)  # row a is the offer with bitmask a

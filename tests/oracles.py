@@ -800,13 +800,14 @@ def reference_layer_order(policy: dict) -> dict:
 
 def reference_monte_carlo(sampler, trials: int, master_seed: int) -> tuple[float, float]:
     """The per-trial Monte Carlo loop that the batched run loop replaced:
-    ``sampler`` runs once per trial on ``SeedSequence((master_seed, k))``."""
+    ``sampler`` runs once per trial, every trial on one
+    ``default_rng(master_seed)``."""
     if trials < 1:
         raise ValueError(f"trials must be >= 1, got {trials}")
+    rng = np.random.default_rng(master_seed)
     values = np.empty(trials)
     for k in range(trials):
-        outcome = sampler(np.random.SeedSequence((master_seed, k)))
-        values[k] = outcome.expected_revenue
+        values[k] = sampler(rng).expected_revenue
     mean = float(values.mean())
     stderr = float(values.std(ddof=1) / math.sqrt(trials)) if trials > 1 else 0.0
     return mean, stderr

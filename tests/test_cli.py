@@ -8,7 +8,7 @@ import pytest
 from twosided import cli
 from twosided.cli import build_parser, main
 from twosided.ellipsoid import default_iteration_budget
-from twosided.instance import load_instance, normalize_revenues, save_instance
+from twosided.instance import generate, load_instance, normalize_revenues, save_instance
 from twosided.suites import counterexample_instance
 
 
@@ -162,6 +162,25 @@ def test_negative_seed_is_usage_error_naming_the_flag(tmp_path, capsys, monkeypa
     assert code == 1
     assert "argument --seed: seed must be >= 0, got -1" in capsys.readouterr().err
     assert not out.exists()
+
+
+@pytest.mark.parametrize("command", ["solve", "run"])
+def test_t_max_below_one_is_usage_error_naming_the_flag(tmp_path, capsys, monkeypatch, command):
+    # the refusal must come before the exact oracle is built: past 20
+    # customers the oracle's own size limit would answer first (exit 2)
+    def unreachable(*args, **kwargs):
+        raise AssertionError("an oracle was built for --t-max 0")
+
+    monkeypatch.setattr("twosided.ellipsoid.SubDualOracle", unreachable)
+    path = tmp_path / "big.json"
+    save_instance(generate("uniform-random", 21, 1, 0), path)
+    argv = {
+        "solve": ["solve", str(path)],
+        "run": ["run", str(path), "--policy", "rand-static", "--seed", "1"],
+    }[command]
+    code = main([*argv, "--t-max", "0"])
+    assert code == 1
+    assert "argument --t-max: t_max must be >= 1, got 0" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("command", ["solve", "run"])

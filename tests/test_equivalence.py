@@ -74,7 +74,6 @@ from twosided.policies import (
 )
 from twosided.rounding import choice_cdf, draw, sample_choice
 from twosided.simplex import FEASIBILITY_TOL, LinearProgram, solve_lp
-from twosided.streams import trial_uniforms
 
 
 def assert_same_run(got, want):
@@ -607,16 +606,16 @@ def test_distribution_and_choice_draws_match_reference():
 
 def assert_same_sampler(policy, reference, trials=500, master_seed=9):
     assert monte_carlo(policy, trials, master_seed) == reference_monte_carlo(reference, trials, master_seed)
-    for k in range(trials):
-        seed = np.random.SeedSequence((master_seed, k))
-        assert policy.sample(seed) == reference(seed)
+    got, want = np.random.default_rng(master_seed), np.random.default_rng(master_seed)
+    for _ in range(trials):
+        assert policy.sample(got) == reference(want)
 
 
 @pytest.mark.parametrize("n, m", [(3, 3), (6, 3)])
 @pytest.mark.parametrize("kind", GENERATOR_KINDS)
 def test_static_sampler_matches_reference(kind, n, m):
     policy = _static_policy(kind, n, m)
-    assert_same_sampler(policy, lambda seed: reference_static_sample(policy, seed))
+    assert_same_sampler(policy, lambda rng: reference_static_sample(policy, rng))
 
 
 @pytest.mark.parametrize("n, m", [(3, 3), (6, 3)])
@@ -624,7 +623,7 @@ def test_static_sampler_matches_reference(kind, n, m):
 def test_greedy_sampler_matches_reference(kind, n, m):
     inst = generate(kind, n, m, 10 * n + m)
     policy = SameOrderGreedyPolicy(inst, certificate=detect_same_order(inst))
-    assert_same_sampler(policy, lambda seed: reference_greedy_sample(policy, seed))
+    assert_same_sampler(policy, lambda rng: reference_greedy_sample(policy, rng))
 
 
 def _greedy_policy(kind, n, m):
@@ -635,19 +634,6 @@ def _greedy_policy(kind, n, m):
     return SameOrderGreedyPolicy(inst, order=lexicographic_order(inst))
 
 
-def _once_per_seed(policy, sample):
-    """``sample(policy, seed)``, run once per seed: smaller trial counts reuse
-    the runs of the first trials, which do not depend on the count."""
-    runs = {}
-
-    def reference(seed):
-        if seed.entropy not in runs:
-            runs[seed.entropy] = sample(policy, seed)
-        return runs[seed.entropy]
-
-    return reference
-
-
 @pytest.mark.parametrize("n, m", [(3, 3), (6, 3), (8, 2)])
 @pytest.mark.parametrize("kind", GENERATOR_KINDS)
 @pytest.mark.parametrize("name", ["rand-static", "greedy"])
@@ -656,39 +642,22 @@ def test_batched_monte_carlo_matches_per_trial_loop(name, kind, n, m):
         policy, sample = _static_policy(kind, n, m), reference_static_sample
     else:
         policy, sample = _greedy_policy(kind, n, m), reference_greedy_sample
-    reference = _once_per_seed(policy, sample)
+    rng = np.random.default_rng(9)
+    runs = [sample(policy, rng) for _ in range(MC_BATCH + 1)]
     for trials in (MC_BATCH + 1, 500, 1):  # the first spans two batches
-        assert monte_carlo(policy, trials, 9) == reference_monte_carlo(reference, trials, 9)
+        # trial k reads the same uniforms at every trial count, so the
+        # reference replays its first runs
+        replay = iter(runs[:trials])
+        assert monte_carlo(policy, trials, 9) == reference_monte_carlo(lambda _: next(replay), trials, 9)
 
 
 @pytest.mark.parametrize("name", ["rand-static", "greedy"])
 def test_batched_monte_carlo_matches_at_a_multiword_master_seed(name):
-    # a master seed of 2^32 or more gives SeedSequence two entropy words
+    # master seeds at and past 2^32, which numpy seeds from two 32-bit words
     if name == "rand-static":
         policy, sample = _static_policy("same-order-additive", 6, 3), reference_static_sample
     else:
         policy, sample = _greedy_policy("same-order-additive", 6, 3), reference_greedy_sample
     for master_seed in (2**32 - 1, 2**32 + 9, 2**70 + 3):
-        want = reference_monte_carlo(lambda seed: sample(policy, seed), 200, master_seed)
+        want = reference_monte_carlo(lambda rng: sample(policy, rng), 200, master_seed)
         assert monte_carlo(policy, 200, master_seed) == want
-
-
-@pytest.mark.parametrize("master_seed", [0, 9, 2**32 - 1, 2**32, 2**64 + 3, 2**130])
-@pytest.mark.parametrize("first, count", [(0, 40), (MC_BATCH, 3), (2**32 - 2, 4)])
-def test_trial_uniforms_match_per_trial_generators(master_seed, first, count):
-    # the last range crosses the trial index that needs a second entropy word
-    want = np.array(
-        [np.random.default_rng(np.random.SeedSequence((master_seed, k))).random(7) for k in range(first, first + count)]
-    )
-    got = trial_uniforms(master_seed, first, count, 7)
-    assert got.shape == want.shape
-    assert got.tobytes() == want.tobytes()
-
-
-def test_trial_uniforms_reject_what_seed_sequence_rejects():
-    with pytest.raises(ValueError):
-        np.random.SeedSequence((-1, 0))
-    with pytest.raises(ValueError):
-        trial_uniforms(-1, 0, 3, 2)
-    with pytest.raises(TypeError):
-        trial_uniforms(1.5, 0, 3, 2)

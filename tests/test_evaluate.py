@@ -42,6 +42,21 @@ def test_monte_carlo_unit_instance_close_to_quarter(unit_instance):
     assert abs(mean - 0.25) <= 3.0 * stderr
 
 
+@pytest.mark.parametrize(
+    "trials, master_seed, error",
+    [(0, 1, ValueError), (-3, 1, ValueError), (5, -1, ValueError), (5, 1.5, TypeError), (5, None, TypeError)],
+)
+def test_monte_carlo_rejects_bad_arguments_before_any_run(unit_instance, monkeypatch, trials, master_seed, error):
+    policy = RandomizedStaticPolicy(unit_instance, lp2_exact_small(unit_instance))
+
+    def unreachable(uniforms):
+        raise AssertionError("a run started")
+
+    monkeypatch.setattr(policy, "revenues", unreachable)
+    with pytest.raises(error):
+        monte_carlo(policy, trials, master_seed)
+
+
 def test_point_mass_ratio_is_one():
     inst = generate("uniform-random", 5, 2, 3)
     dist = SubsetDistribution.point_mass((0, 3))

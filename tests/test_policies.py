@@ -1,4 +1,6 @@
+import re
 from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -38,9 +40,21 @@ def test_dp_size_guard():
         exact_dp_atar(generate("uniform-random", 10, 4, 0))
 
 
-# The README's desk-scale limits: the largest accepted n for each m, and n+1.
-DP_ACCEPTED = [(11, 1), (8, 2), (6, 3), (5, 4), (5, 5), (4, 6)]
-STAR_ACCEPTED = [(10, 1), (6, 2), (4, 3), (3, 4), (2, 5), (2, 6), (2, 7)]
+def readme_limits(name: str) -> list[tuple[int, int]]:
+    """The sizes ``n x m`` that the bullet naming `name` in the README's
+    desk-scale limits lists as the largest accepted n for each m; a range
+    `n x a`..`n x b` stands for every m from a to b."""
+    readme = (Path(__file__).resolve().parent.parent / "README.md").read_text(encoding="utf-8")
+    block = readme.split("## Desk-scale limits", 1)[1].split("\n## ", 1)[0]
+    bullet = next(b for b in block.split("\n* ") if f"(`{name}`" in b)
+    sizes = []
+    for n, m, last in re.findall(r"`(\d+) x (\d+)`(?:\.\.`\1 x (\d+)`)?", bullet):
+        sizes += [(int(n), k) for k in range(int(m), int(last or m) + 1)]
+    return sizes
+
+
+DP_ACCEPTED = readme_limits("dp")
+STAR_ACCEPTED = readme_limits("star")
 
 
 @pytest.mark.parametrize("n, m", DP_ACCEPTED)
@@ -55,7 +69,7 @@ def test_star_guard_matches_readme_limits(n, m):
     assert exact_star(generate("uniform-random", n, m, 0)) >= 0.0
     with pytest.raises(SizeLimitError):
         exact_star(generate("uniform-random", n + 1, m, 0))
-    if m == 7:
+    if (n, m) == STAR_ACCEPTED[-1]:
         with pytest.raises(SizeLimitError):
             exact_star(generate("uniform-random", n, m + 1, 0))
 
