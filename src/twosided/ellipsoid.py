@@ -50,9 +50,9 @@ from .simplex import LpResult, solve_lp
 # information: the ellipsoid has zero numerical extent along the cut, either
 # because it collapsed or because anisotropic growth exhausted the mantissa.
 NOISE_FLOOR = 32.0 * np.finfo(float).eps
-# solve_restricted certifies after 1000, 2000, 4000, ... cuts and stops once
+# solve_restricted certifies after 32, 64, 128, ... cuts and stops once
 # the certified gap is at most CERTIFY_TOL
-CERTIFY_FIRST = 1000
+CERTIFY_FIRST = 32
 CERTIFY_GROWTH = 2
 CERTIFY_TOL = 1e-9
 
@@ -116,9 +116,10 @@ def run_ellipsoid(
     The run ends at the first of three events, reported as
     ``EllipsoidResult.stop_reason``: ``t_max`` cut steps; the float64
     floor, where a'Da along the next cut falls to the noise level of
-    trace(D) (the usual end of a run with the default budget); or, with
-    ``certify``, ``certify(recorded sets)`` returning true (``certified``),
-    which the loop asks only after 1000, 2000, 4000, ... cuts. Backlog cuts
+    trace(D) (the usual end of a run without ``certify`` at the default
+    budget); or, with ``certify``, ``certify(recorded sets)`` returning true
+    (``certified``), which the loop asks only after 32, 64, 128, ... cuts
+    (``CERTIFY_FIRST``, doubling). Backlog cuts
     come from ``SubDualOracle(inst, delta)``, which is exact at
     ``delta = 0``.
 
@@ -346,8 +347,8 @@ def solve_restricted(
     """Approximately solve the marginal LP: cut loop, then exact solve of
     the primal restricted to the recorded backlog support.
 
-    The solution is feasible for the full marginal LP. After 1000, 2000,
-    4000, ... cuts the restricted primal is solved and its duals priced with
+    The solution is feasible for the full marginal LP. After 32, 64,
+    128, ... cuts the restricted primal is solved and its duals priced with
     the exact oracle (see :func:`~twosided.lp.dual_certificate`). While the
     gap is above 1e-9, each pricing round adds every supplier's set that
     prices out to the primal (kept in ``priced``, apart from the cut

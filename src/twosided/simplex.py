@@ -12,18 +12,34 @@ values, and updates both by one Gauss-Jordan (rank-1) step per pivot; the
 constraint matrix itself is never modified. Reduced costs ``c_j - y.A_j``
 (with ``y = c_B B^-1``) are priced in fixed blocks of columns. The scan
 starts at the block of the last entering column and goes round the blocks
-in a cycle; the most negative reduced cost below ``-tol`` in the first block
-holding one enters (partial Dantzig pricing). The LP is optimal only when a
-whole cycle finds none. Among minimum-ratio ties, the basic variable of
-smallest index leaves. Float64 throughout; feasibility tolerance 1e-8.
+in a cycle; the most negative reduced cost below ``-ENTERING_TOL`` (-1e-12)
+in the first block holding one enters (partial Dantzig pricing). The LP is
+optimal when a whole cycle finds none. Among minimum-ratio ties, the basic
+variable of smallest index leaves. Float64 throughout; feasibility
+tolerance 1e-8, for the ratio test and for the optimality check.
 
-Termination: a pivot whose ratio-test step exceeds the tolerance strictly
-improves the objective, so no basis repeats across such pivots. Dantzig's
-rule can cycle inside a stretch of degenerate pivots (steps within the
+The entering threshold sits far below the feasibility tolerance so that a
+column priced between the two still enters: callers that certify an
+optimum by pricing (``ellipsoid.solve_restricted``) need reduced costs well
+inside 1e-8. Such a column may have no ratio-test row above the 1e-8
+tolerance; it then proves nothing about unboundedness, so the scan is
+repeated with the 1e-8 threshold. The basis is optimal when that whole
+cycle finds no column; a column it finds enters, or, with no ratio-test row
+either, shows the LP unbounded.
+
+Termination: every entering reduced cost is negative, so a pivot whose
+ratio-test step exceeds the tolerance strictly improves the objective, and
+no basis repeats across such pivots. This assumes the computed reduced
+costs are accurate to well below ``ENTERING_TOL``, which holds for LPs with
+costs and coefficients of order one, such as the normalized LPs the
+certifier solves; with costs of order 1e3, round-off in ``c_j - y.A_j`` can
+pass for a price, and only ``max_iters`` bounds the pivots. Dantzig's rule
+can cycle inside a stretch of degenerate pivots (steps within the
 tolerance), so after ``DEGENERATE_RUN`` of them in a row the entering column
-is chosen by Bland's rule (the smallest eligible index) until a pivot moves
-the basic solution again; with its smallest-index leaving rule, Bland's rule
-cannot cycle. ``max_iters`` still guards against numerical trouble.
+is chosen by Bland's rule (the smallest index below the entering threshold)
+until a pivot moves the basic solution again; with its smallest-index
+leaving rule, Bland's rule cannot cycle. ``max_iters`` still guards
+against numerical trouble.
 
 A solve can resume from an earlier optimal basis, named column by column
 (see :data:`BasisColumn`), after columns were added to the LP: the basis
@@ -40,6 +56,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 FEASIBILITY_TOL = 1e-8
+# a column enters when its reduced cost is below -ENTERING_TOL
+ENTERING_TOL = 1e-12
 # columns priced per block of the entering scan. Partial Dantzig pricing
 # enters the best column of the first block with one, so the block size
 # trades the cost of pricing (one product with the duals takes about 140 us
@@ -333,8 +351,9 @@ class _RevisedBasis:
 
 def _pivot_loop(state: _RevisedBasis, cost: np.ndarray, n_cols: int, tol: float, max_iters: int) -> int:
     """Simplex pivots on min-form costs over the first ``n_cols`` columns:
-    partial Dantzig entering, Bland's rule after ``DEGENERATE_RUN``
-    consecutive degenerate pivots until one moves the basic solution.
+    partial Dantzig entering below ``-ENTERING_TOL``, Bland's rule after
+    ``DEGENERATE_RUN`` consecutive degenerate pivots until one moves the
+    basic solution. ``tol`` is the ratio-test and optimality tolerance.
 
     Returns the pivot count, or -(pivots + 1) when the LP is unbounded.
     """
@@ -344,16 +363,23 @@ def _pivot_loop(state: _RevisedBasis, cost: np.ndarray, n_cols: int, tol: float,
     degenerate = 0
     for it in range(max_iters):
         y = cost[state.basis] @ state.binv
-        if degenerate < DEGENERATE_RUN:
-            enter = _partial_dantzig(blocks, y, tol, first)
-        else:
-            enter = _entering(blocks, y, tol)
+        bland = degenerate >= DEGENERATE_RUN
+        enter = _entering(blocks, y, ENTERING_TOL) if bland else _partial_dantzig(blocks, y, ENTERING_TOL, first)
         if enter < 0:
             return it
         col = state.column(enter)
         eligible = np.flatnonzero(col > tol)
         if eligible.size == 0:
-            return -(it + 1)
+            # a column priced within tol proves no ray: rescan at tol. The
+            # basis is optimal if none is found; a column priced below -tol
+            # enters, or shows a ray if it has no ratio-test row either
+            enter = _entering(blocks, y, tol) if bland else _partial_dantzig(blocks, y, tol, first)
+            if enter < 0:
+                return it
+            col = state.column(enter)
+            eligible = np.flatnonzero(col > tol)
+            if eligible.size == 0:
+                return -(it + 1)
         ratios = state.x_b[eligible] / col[eligible]
         rmin = float(ratios.min())
         ties = eligible[ratios <= rmin + 1e-12 * max(1.0, abs(rmin))]

@@ -11,7 +11,6 @@ from twosided.cost_assortment import SubDualOracle
 from twosided.ellipsoid import CERTIFY_FIRST, CERTIFY_TOL, solve_restricted
 from twosided.instance import GENERATOR_KINDS, Instance, generate, normalize_revenues
 from twosided.lp import build_aux_primal, dual_certificate, dual_feasibility_report, lp2_exact_small
-from twosided.simplex import FEASIBILITY_TOL
 
 
 def assert_certified(inst, solved):
@@ -54,10 +53,10 @@ def test_solve_agrees_with_the_exact_lp(kind, n, m):
 
 
 @pytest.mark.parametrize("kind", GENERATOR_KINDS)
-@pytest.mark.parametrize("t_max", [200, 1000, 3000])
+@pytest.mark.parametrize("t_max", [CERTIFY_FIRST - 1, 200, 1000, 3000])
 def test_certificate_of_every_budget(kind, t_max):
-    # short budgets end before the restricted primal is optimal, so the
-    # gap is positive there and the lift does real work
+    # a budget below the first checkpoint ends before the restricted primal
+    # is optimal, so the gap is positive there and the lift does real work
     inst = normalize_revenues(generate(kind, 4, 3, 78))
     solved = solve_restricted(inst, t_max=t_max)
     assert solved.run.iterations <= t_max
@@ -65,8 +64,9 @@ def test_certificate_of_every_budget(kind, t_max):
 
 
 def test_short_budget_gap_is_positive():
+    # the budget ends the run before the first checkpoint
     inst = normalize_revenues(generate("uniform-random", 4, 3, 77))
-    solved = solve_restricted(inst, t_max=200)
+    solved = solve_restricted(inst, t_max=CERTIFY_FIRST - 1)
     assert solved.run.stop_reason == "t_max"
     assert solved.certified_gap > 1e-3
     assert_certified(inst, solved)
@@ -133,14 +133,22 @@ def test_degenerate_restricted_dual_certifies_by_pricing():
     assert_certified(inst, solved)
 
 
-def test_pricing_stalls_inside_the_simplex_tolerance():
-    # the oracle's best set is already in the primal and its reduced cost
-    # is within the simplex's 1e-8 optimality tolerance: the rounds add no
-    # new set and the gap stays above CERTIFY_TOL, but is still a bound
-    inst = extreme_weight_instance(7)
-    solved = solve_restricted(inst, t_max=1000)
-    assert solved.run.stop_reason == "t_max" and solved.pricing_rounds > 0
-    assert CERTIFY_TOL < solved.certified_gap <= inst.m * FEASIBILITY_TOL
+@pytest.mark.parametrize("seed", range(20))
+def test_extreme_weights_certify_at_the_default_budget(seed):
+    # the oracle's best set can price out by less than the simplex's 1e-8
+    # optimality tolerance; it still enters, so no pricing round stalls
+    inst = extreme_weight_instance(seed)
+    solved = solve_restricted(inst)
+    assert solved.run.stop_reason == "certified"
+    assert_agrees(inst, solved)
+
+
+@pytest.mark.parametrize("kind", GENERATOR_KINDS)
+def test_12x3_certifies_at_the_first_checkpoint(kind):
+    # past the exact LP's reach: only the certificate vouches for the solve
+    inst = normalize_revenues(generate(kind, 12, 3, 77))
+    solved = solve_restricted(inst)
+    assert solved.run.stop_reason == "certified" and solved.run.iterations == CERTIFY_FIRST
     assert dual_feasibility_report(inst, solved.certificate, tol=1e-9).feasible
     assert solved.certificate.objective - solved.solution.objective == pytest.approx(
         solved.certified_gap, abs=1e-12
@@ -169,22 +177,23 @@ def test_final_solve_reuses_the_last_checkpoint(monkeypatch):
     monkeypatch.setattr(ellipsoid_module, "solve_lp", counted)
     # the only checkpoint falls on the last cut: its solves are the final ones
     inst = normalize_revenues(generate("same-order-multiplicative", 4, 3, 77))
-    at_checkpoint = solve_restricted(inst, t_max=1000)
+    at_checkpoint = solve_restricted(inst, t_max=CERTIFY_FIRST)
     assert at_checkpoint.run.stop_reason == "certified"
-    assert at_checkpoint.pricing_rounds == 3
+    assert at_checkpoint.pricing_rounds == 8
     # only the first solve starts cold; every round resumes the last basis
-    assert solves == [(True, "cold")] + [(False, "warm")] * 3
-    # a checkpoint whose rounds stall leaves the loop cutting; the sets
-    # recorded after it need one more solve over all of them, warm too
-    inst = extreme_weight_instance(8)
+    assert solves == [(True, "cold")] + [(False, "warm")] * 8
+    # a checkpoint that does not certify leaves the loop cutting once its
+    # rounds add no new set; the sets recorded after it need one more solve
+    # over all of them, warm too. No gap is below -1.
+    monkeypatch.setattr(ellipsoid_module, "CERTIFY_TOL", -1.0)
     solves.clear()
-    stalled = solve_restricted(inst, t_max=1000)
-    assert stalled.run.stop_reason == "t_max" and stalled.pricing_rounds == 2
-    assert len(solves) == 3
+    uncertified = solve_restricted(inst, t_max=CERTIFY_FIRST)
+    assert uncertified.run.stop_reason == "t_max" and uncertified.pricing_rounds == 8
+    assert len(solves) == 9
     solves.clear()
-    later = solve_restricted(inst, t_max=1500)
-    assert later.run.stop_reason == "t_max" and later.pricing_rounds == 2
-    assert later.run.violated.total() > stalled.run.violated.total()
-    assert solves == [(True, "cold")] + [(False, "warm")] * 3
+    later = solve_restricted(inst, t_max=CERTIFY_FIRST * 3 // 2)
+    assert later.run.stop_reason == "t_max" and later.pricing_rounds == 8
+    assert later.run.violated.total() > uncertified.run.violated.total()
+    assert solves == [(True, "cold")] + [(False, "warm")] * 9
     assert later.columns.lam_index == build_aux_primal(inst, later.run.violated, later.priced).lam_index
     assert_certified(inst, later)

@@ -7,7 +7,7 @@ import pytest
 
 from twosided import cli
 from twosided.cli import build_parser, main
-from twosided.ellipsoid import default_iteration_budget
+from twosided.ellipsoid import CERTIFY_FIRST, default_iteration_budget
 from twosided.instance import generate, load_instance, normalize_revenues, save_instance
 from twosided.suites import counterexample_instance
 
@@ -92,15 +92,17 @@ def test_solve_dump_lp_and_trace(tmp_path, capsys, unit_instance):
     save_instance(unit_instance, path)
     dump = tmp_path / "lp.json"
     trace = tmp_path / "trace.jsonl"
+    # a budget below the first checkpoint: one trace line per cut of it
+    t_max = CERTIFY_FIRST - 1
     code, _ = run_cli(
-        capsys, "solve", str(path), "--t-max", "200",
+        capsys, "solve", str(path), "--t-max", str(t_max),
         "--dump-lp", str(dump), "--trace", str(trace), "--report", str(tmp_path / "r.csv"),
     )
     assert code == 0
     lp_doc = json.loads(dump.read_text())
     assert set(lp_doc) >= {"c", "a_eq", "b_eq", "a_ub", "b_ub", "maximize"}
     lines = trace.read_text().strip().splitlines()
-    assert len(lines) == 200
+    assert len(lines) == t_max
     rec = json.loads(lines[0])
     assert set(rec) == {"t", "cut", "index", "obj", "incumbent_updated"}
 
@@ -115,15 +117,19 @@ def test_solve_reports_stop_reason(tmp_path, capsys, unit_instance):
     save_instance(unit_instance, path)
     budget = tmp_path / "budget.csv"
     default = tmp_path / "default.csv"
-    assert run_cli(capsys, "solve", str(path), "--t-max", "200", "--report", str(budget))[0] == 0
+    t_max = str(CERTIFY_FIRST - 1)
+    assert run_cli(capsys, "solve", str(path), "--t-max", t_max, "--report", str(budget))[0] == 0
     assert run_cli(capsys, "solve", str(path), "--report", str(default))[0] == 0
     header = budget.read_text().strip().splitlines()[-2].split(",")
     at = header.index("recorded_sets_per_supplier")
     assert header[at + 1 : at + 4] == ["priced_sets_total", "pricing_rounds", "stop_reason"]
     assert "early_exited" not in header
     assert _report_fields(budget)["stop_reason"] == "t_max"
-    assert _report_fields(budget)["iterations"] == "200"
-    assert _report_fields(default)["stop_reason"] == "float64_floor"
+    assert _report_fields(budget)["iterations"] == t_max
+    # the default budget reaches the first checkpoint, which certifies; the
+    # float64 floor is covered on run_ellipsoid in test_ellipsoid.py
+    assert _report_fields(default)["stop_reason"] == "certified"
+    assert _report_fields(default)["iterations"] == str(CERTIFY_FIRST)
 
 
 def _config_fields(path) -> dict[str, str]:
@@ -215,11 +221,11 @@ def test_solve_reports_pricing(tmp_path, capsys):
     argv = ["solve", str(inst_path), "--trace", str(trace)]
     assert run_cli(capsys, *argv, "--report", str(report))[0] == 0
     fields = _report_fields(report)
-    assert fields["stop_reason"] == "certified" and fields["iterations"] == "1000"
+    assert fields["stop_reason"] == "certified" and fields["iterations"] == str(CERTIFY_FIRST)
     assert int(fields["pricing_rounds"]) > 0
     assert int(fields["priced_sets_total"]) >= int(fields["pricing_rounds"])
     rows = [json.loads(line) for line in trace.read_text().splitlines()]
-    assert [row["t"] for row in rows] == list(range(1, 1001))
+    assert [row["t"] for row in rows] == list(range(1, CERTIFY_FIRST + 1))
     assert run_cli(capsys, *argv, "--report", str(summary), "--format", "summary")[0] == 0
     row = json.loads(summary.read_text())["rows"][0]
     assert (row["priced_sets_total"], row["pricing_rounds"]) == (

@@ -25,9 +25,13 @@ def test_zero_revenue_objective_converges_to_zero(zero_revenue_instance):
 
 
 def test_unit_instance_objective_and_recovery(unit_instance):
-    solved = solve_restricted(unit_instance)
-    sol, run = solved.solution, solved.run
+    # without a certify hook the loop runs to the float64 floor
+    run = run_ellipsoid(unit_instance)
+    assert run.stop_reason == "float64_floor"
     assert abs(run.objective - 0.25) <= 1e-4
+    solved = solve_restricted(unit_instance)
+    sol = solved.solution
+    assert abs(solved.certificate.objective - 0.25) <= 1e-9
     assert sol.objective >= 0.25 - 1e-6
     assert check_lp_solution(unit_instance, sol) == []
 

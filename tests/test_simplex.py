@@ -98,6 +98,43 @@ def test_dantzig_pricing_cycles_without_the_bland_fallback(monkeypatch):
         solve_lp(_chvatal_lp(), max_iters=300)
 
 
+def _tiny_price_first_lp() -> LinearProgram:
+    """min -1e-10 v0 + v1 + ... + v_{B-1} - v_B  s.t.  1e-9 v0 + v_B <= 1,
+    where B = PRICING_BLOCK: v0 is scanned first, priced between -ENTERING_TOL
+    and -FEASIBILITY_TOL in both phases, and has no ratio-test row above
+    FEASIBILITY_TOL; v_B, in the next block, is the column that must enter.
+    The optimum is v_B = 1, objective -1."""
+    k = simplex_module.PRICING_BLOCK + 1
+    c = np.ones(k)
+    c[0], c[-1] = -1e-10, -1.0
+    row = np.zeros(k)
+    row[0], row[-1] = 1e-9, 1.0
+    return LinearProgram(c=c, a_ub=[row], b_ub=[1.0], maximize=False, names=tuple(f"v{j}" for j in range(k)))
+
+
+@pytest.mark.parametrize("degenerate_run", [simplex_module.DEGENERATE_RUN, 0])
+def test_tiny_priced_column_without_a_ratio_row_is_not_optimality(degenerate_run, monkeypatch):
+    # phase 1 prices v0 at -1e-9 and phase 2 (from the slack basis) at
+    # -1e-10; neither phase may stop there while v_B is priced at -1, under
+    # partial Dantzig or (DEGENERATE_RUN 0) Bland's rule
+    monkeypatch.setattr(simplex_module, "DEGENERATE_RUN", degenerate_run)
+    lp = _tiny_price_first_lp()
+    for start in (None, [("slack", 0)]):
+        res = solve_lp(lp, start_basis=start)
+        assert res.path == ("cold" if start is None else "warm")
+        assert res.status == "optimal" and res.objective == -1.0
+        assert res.x[-1] == 1.0 and res.x[:-1].max() == 0.0
+        assert_dual_certificate(lp, res)
+
+
+def test_tiny_priced_ray_does_not_hide_a_real_one():
+    # v0 also has a ray; the scan at the tolerance finds v_B, priced at -1
+    # and now with no ratio-test row either, which shows the LP unbounded
+    lp = _tiny_price_first_lp()
+    lp.a_ub[0, -1] = 0.0
+    assert solve_lp(lp, start_basis=[("slack", 0)]).status == "unbounded"
+
+
 def _random_bounded_lp(rng: np.random.Generator) -> LinearProgram:
     k = int(rng.integers(2, 6))
     me = int(rng.integers(0, 3))

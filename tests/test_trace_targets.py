@@ -27,16 +27,19 @@ def test_every_traced_name_resolves():
 def test_traced_cli_counts(tmp_path):
     # a change to a result record the tracer reads breaks these counts
     from twosided import cli
+    from twosided.ellipsoid import CERTIFY_FIRST
 
     tracing = _load_tracing()
+    # a budget below the first checkpoint, so the budget ends each run
+    t_max = CERTIFY_FIRST - 1
     inst = str(tmp_path / "inst.json")
     assert cli.main(["gen", "same-order-additive", "2", "2", "--seed", "3", "--out", inst]) == 0
     out = str(tmp_path / "out")
     runs = {
-        "solve": ["solve", inst, "--t-max", "300", "--out", out, "--report", str(tmp_path / "report")],
+        "solve": ["solve", inst, "--t-max", str(t_max), "--out", out, "--report", str(tmp_path / "report")],
         "rand-static": [
             "run", inst, "--policy", "rand-static", "--trials", "5", "--seed", "1",
-            "--t-max", "300", "--out", out,
+            "--t-max", str(t_max), "--out", out,
         ],
         "greedy": ["run", inst, "--policy", "greedy", "--trials", "5", "--seed", "1", "--out", out],
     }
@@ -45,7 +48,7 @@ def test_traced_cli_counts(tmp_path):
         code, traced[name] = tracing.traced_call(cli.main, argv)
         assert code == 0, name
     for name in ("solve", "rand-static"):
-        assert traced[name].counts["ellipsoid.cuts"] == 300
+        assert traced[name].counts["ellipsoid.cuts"] == t_max
         assert traced[name].counts["lp.aux_columns"] > 0
     for name in ("rand-static", "greedy"):
         assert traced[name].counts["policies.dp_atar.states"] > 0
