@@ -29,7 +29,7 @@ from .instance import (
     save_instance,
     validate,
 )
-from .lp import LpSolverError, lp2_exact_small
+from .lp import LpSolverError, build_aux_primal, lp2_exact_small
 from .policies import (
     PolicyPreconditionError,
     RandomizedStaticPolicy,
@@ -178,6 +178,7 @@ def cmd_solve(args) -> int:
         "recorded_sets_per_supplier": run.violated.counts(),
         "priced_sets_total": solved.priced.total(),
         "pricing_rounds": solved.pricing_rounds,
+        "pivots": solved.pivots,
         "stop_reason": run.stop_reason,
         "certified_gap": solved.certified_gap * factor,
     }
@@ -202,7 +203,9 @@ def cmd_solve(args) -> int:
         }
         _emit(args.out, json.dumps(doc, sort_keys=True, indent=2) + "\n")
     if args.dump_lp:
-        _emit(args.dump_lp, json.dumps(solved.columns.lp.to_dict(), sort_keys=True) + "\n")
+        # the primal the solution came from, with its columns listed per supplier
+        lp = build_aux_primal(norm, run.violated, solved.priced).lp
+        _emit(args.dump_lp, json.dumps(lp.to_dict(), sort_keys=True) + "\n")
     if args.trace:
         lines = [json.dumps(rec, sort_keys=True, default=_fmt) for rec in run.trace or []]
         _emit(args.trace, "\n".join(lines) + ("\n" if lines else ""))
@@ -260,6 +263,7 @@ def cmd_run(args) -> int:
         row["certified_gap"] = solved.certified_gap * factor
         row["priced_sets_total"] = solved.priced.total()
         row["pricing_rounds"] = solved.pricing_rounds
+        row["pivots"] = solved.pivots
         policy = RandomizedStaticPolicy(inst, solved.solution)
     else:  # greedy
         cert = detect_same_order(inst)
@@ -295,7 +299,7 @@ def cmd_run(args) -> int:
 
     header = [
         "policy", "n", "m", "exact_expected_revenue", "mc_mean", "mc_stderr",
-        "lp_objective", "certified_gap", "priced_sets_total", "pricing_rounds", "dp_opt",
+        "lp_objective", "certified_gap", "priced_sets_total", "pricing_rounds", "pivots", "dp_opt",
         "ratio_vs_dp", "heuristic_order",
     ]
     _emit(args.out, _document("run", config, header, [row], args.format))

@@ -15,8 +15,10 @@ on a doubling schedule of cut counts. Lifted by the priced excess, they are
 a dual-feasible point whose objective bounds the LP optimum, and the loop
 stops as ``certified`` once the bound is within 1e-9 of the restricted
 primal's objective. Until then, each checkpoint runs pricing rounds: the
-sets that price out join the primal, which is re-solved warm from its last
-basis.
+sets that price out join the primal, which is solved again from its last
+basis. One ``lp.RestrictedMaster`` holds that primal for the whole solve;
+new sets join it as nonbasic columns, and its first solve starts from a
+known feasible basis, without phase 1.
 
 Iterations count cut steps only: when the center passes every check the
 incumbent is updated in place and the loop re-enters without advancing the
@@ -37,14 +39,12 @@ from .lp import (
     DualPoint,
     LpSolution,
     LpSolverError,
-    MarginalLpColumns,
+    RestrictedMaster,
     ViolatedSets,
-    build_aux_primal,
     check_lp_solution,
     dual_certificate,
     weight_link_slack,
 )
-from .simplex import LpResult, solve_lp
 
 # a'Da at or below this multiple of eps * |a|^2 * trace(D) carries no float64
 # information: the ellipsoid has zero numerical extent along the cut, either
@@ -310,31 +310,18 @@ def _find_cut(inst, oracle, cuts, s, alpha, beta, gamma, obj, violated):
 @dataclass
 class RestrictedSolve:
     """One constraint-generation solve of the marginal LP: the cut-loop
-    record, the sets pricing rounds added, the primal restricted to both,
-    that primal's checked optimal solution, and a dual-feasible point of
-    the full LP whose objective exceeds the solution's by
-    ``certified_gap``."""
+    record, the sets pricing rounds added, the simplex pivots of the primal
+    restricted to both, that primal's checked optimal solution, and a
+    dual-feasible point of the full LP whose objective exceeds the
+    solution's by ``certified_gap``."""
 
     run: EllipsoidResult
     priced: ViolatedSets
     pricing_rounds: int
-    columns: MarginalLpColumns
+    pivots: int
     solution: LpSolution
     certificate: DualPoint
     certified_gap: float
-
-
-@dataclass
-class _Priced:
-    """The restricted primal over ``sets`` recorded sets, solved and priced."""
-
-    sets: int
-    columns: MarginalLpColumns
-    result: LpResult
-    certificate: DualPoint
-    gap: float
-    # (supplier, set) of every column that prices out
-    pricing: list[tuple[int, tuple[int, ...]]]
 
 
 def solve_restricted(
@@ -347,15 +334,17 @@ def solve_restricted(
     """Approximately solve the marginal LP: cut loop, then exact solve of
     the primal restricted to the recorded backlog support.
 
-    The solution is feasible for the full marginal LP. After 32, 64,
-    128, ... cuts the restricted primal is solved and its duals priced with
-    the exact oracle (see :func:`~twosided.lp.dual_certificate`). While the
-    gap is above 1e-9, each pricing round adds every supplier's set that
-    prices out to the primal (kept in ``priced``, apart from the cut
-    record) and re-solves it, warm from the previous basis; the rounds end
-    once the gap is at most 1e-9, which stops the loop as ``certified``, or
-    once a round adds no new set, and the loop cuts on. It otherwise stops
-    at ``t_max`` or the float64 floor and prices its final primal once.
+    The solution is feasible for the full marginal LP. One
+    :class:`~twosided.lp.RestrictedMaster` holds the restricted primal. After
+    32, 64, 128, ... cuts the sets recorded since its last solve join it; it
+    is solved from its last basis and its duals priced with the exact oracle
+    (see :func:`~twosided.lp.dual_certificate`). While the gap is above
+    1e-9, each pricing round adds every supplier's set that prices out
+    (kept in ``priced``, apart from the cut record) and solves again; the
+    rounds end once the gap is at most 1e-9, which stops the loop as
+    ``certified``, or once a round adds no new set, and the loop cuts on.
+    It otherwise stops at ``t_max`` or the float64 floor, and the master is
+    solved and priced again if it gained sets since its last solve.
     The returned ``certified_gap`` bounds how far the objective can be
     below the true optimum, at every ``delta``; with ``delta > 0`` the
     objective is also at least (1 - delta) times the optimum. Raises
@@ -365,35 +354,42 @@ def solve_restricted(
     oracle = SubDualOracle(inst)
     priced = ViolatedSets(inst.m)
     rounds = 0
-    last: _Priced | None = None
+    master: RestrictedMaster | None = None
+    result = certificate = None
+    gap, pricing = math.inf, []
 
-    def price(violated: ViolatedSets) -> _Priced:
-        columns = build_aux_primal(inst, violated, priced)
-        start = None if last is None else last.result.basis_columns
-        result = solve_lp(columns.lp, start_basis=start)
-        certificate, gap, pricing = dual_certificate(oracle, columns.dual_point(result))
-        return _Priced(violated.total(), columns, result, certificate, gap, pricing)
+    def price(sets) -> list[tuple[int, tuple[int, ...]]]:
+        """Add ``sets`` to the master and, when it gained any or was never
+        solved, solve it and price its duals; return the sets it gained."""
+        nonlocal result, certificate, gap, pricing
+        added = master.add(sets)
+        if added or result is None:
+            result = master.solve()
+            certificate, gap, pricing = dual_certificate(oracle, master.dual_point(result))
+        return added
+
+    def price_recorded(violated: ViolatedSets) -> None:
+        nonlocal master
+        if master is None:
+            master = RestrictedMaster(inst, violated)
+        price((j, subset) for j in range(inst.m) for subset in violated[j])
 
     def certify(violated: ViolatedSets) -> bool:
-        nonlocal last, rounds
-        last = price(violated)
-        while last.gap > CERTIFY_TOL:
-            added = False
-            for j, subset in last.pricing:
-                # the empty set is always in the primal
-                if subset and (j, subset) not in violated:
-                    added = priced.add(j, subset) or added
+        nonlocal rounds
+        price_recorded(violated)
+        # an unchanged master keeps its last pricing, whose sets it holds
+        while gap > CERTIFY_TOL:
+            added = price(pricing)
             if not added:
                 break
+            for j, subset in added:
+                priced.add(j, subset)
             rounds += 1
-            last = price(violated)
-        return last.gap <= CERTIFY_TOL
+        return gap <= CERTIFY_TOL
 
     run = run_ellipsoid(inst, t_max, delta=delta, trace=trace, certify=certify)
-    # the sets only grow, so an unchanged count means an unchanged primal
-    if last is None or last.sets != run.violated.total():
-        last = price(run.violated)
-    solution = last.columns.extract(last.result)
+    price_recorded(run.violated)
+    solution = master.extract(result)
     problems = check_lp_solution(inst, solution)
     if problems:
         raise LpSolverError(
@@ -403,8 +399,8 @@ def solve_restricted(
         run=run,
         priced=priced,
         pricing_rounds=rounds,
-        columns=last.columns,
+        pivots=master.pivots,
         solution=solution,
-        certificate=last.certificate,
-        certified_gap=last.gap,
+        certificate=certificate,
+        certified_gap=gap,
     )

@@ -7,7 +7,8 @@ assortment variables by per-pair choice marginals x[i][j] constrained
 through the MNL identity x[i][j]/u[i][j] + sum_l x[i][l] <= 1. Both are
 instantiated in full (every subset variable) and handed to the exact
 simplex, which is tractable only at desk scale; the ellipsoid module scales
-the marginal LP further by generating the backlog support on demand.
+the marginal LP further by generating the backlog support on demand, into
+one ``RestrictedMaster`` that keeps its basis as columns are added.
 """
 
 from __future__ import annotations
@@ -21,7 +22,8 @@ from . import mnl
 from .cost_assortment import SubDualOracle
 from .mnl import SizeLimitError
 from .instance import Instance
-from .simplex import LinearProgram, LpResult, LpSolverError, solve_lp
+from .simplex import FEASIBILITY_TOL, LinearProgram, LpResult, LpSolverError, solve_lp
+from .simplex import _check_optimality, _pivot_loop, _RevisedBasis
 
 LP2_MAX_N = 10
 LP2_MAX_M = 4
@@ -150,24 +152,14 @@ class MarginalLpColumns:
         )
 
 
-def _marginal_lp(
-    inst: Instance, support: list[list[tuple[int, ...]]], *, named: bool = False
-) -> MarginalLpColumns:
-    """Build the marginal LP restricted to the given per-supplier backlog
-    support (x columns always present). Each support set must be a sorted
-    tuple of distinct customers, as ``mnl.as_subset`` returns. Columns get
-    names (which warm starts and ``--dump-lp`` read) only when ``named``."""
+def _lambda_columns(
+    inst: Instance, lam_index: list[tuple[int, tuple[int, ...]]], c: np.ndarray, a: np.ndarray
+) -> None:
+    """Write the objective ``c`` and the distribution and consistency rows
+    of ``a`` (zero on entry) of the marginal LP's lambda columns, one per
+    ``lam_index`` entry; each column depends on its own entry only."""
     n, m = inst.n, inst.m
-    nm = n * m
-    lam_index = [(j, subset) for j in range(m) for subset in support[j]]
     n_lam = len(lam_index)
-    k = nm + n_lam
-    names = None
-    if named:
-        names = tuple(chain(
-            (f"x[{i},{j}]" for i in range(n) for j in range(m)),
-            (f"lam[{j},{{{','.join(map(str, subset))}}}]" for j, subset in lam_index),
-        ))
 
     # per lambda column its supplier; one (column, customer) entry per member
     supplier = np.array([j for j, _ in lam_index], dtype=np.intp)
@@ -180,21 +172,43 @@ def _marginal_lp(
 
     # expected revenue of each backlog, summed customer by customer in
     # ascending order as mnl.expected_revenue does (a non-member adds +0.0)
-    c = np.zeros(k)
     num = np.zeros(n_lam)
     den = np.ones(n_lam)
     for i in range(n):
         num = num + member[:, i] * (inst.r[i, supplier] * inst.w[supplier, i])
         den = den + member[:, i] * inst.w[supplier, i]
-    c[nm:] = num / den
+    c[:] = num / den
 
-    # equalities: per supplier the lambdas form a distribution; per pair the
-    # lambda mass containing customer i matches x[i][j]
+    # per supplier the lambdas form a distribution; per pair the lambda mass
+    # containing customer i matches x[i][j]
+    a[supplier, np.arange(n_lam)] = 1.0
+    a[m + entry_customer * m + supplier[entry_col], entry_col] = 1.0
+
+
+def _marginal_lp(
+    inst: Instance, support: list[list[tuple[int, ...]]], *, named: bool = False
+) -> MarginalLpColumns:
+    """Build the marginal LP restricted to the given per-supplier backlog
+    support (x columns always present). Each support set must be a sorted
+    tuple of distinct customers, as ``mnl.as_subset`` returns. Columns get
+    names (which ``--dump-lp`` writes) only when ``named``."""
+    n, m = inst.n, inst.m
+    nm = n * m
+    lam_index = [(j, subset) for j in range(m) for subset in support[j]]
+    k = nm + len(lam_index)
+    names = None
+    if named:
+        names = tuple(chain(
+            (f"x[{i},{j}]" for i in range(n) for j in range(m)),
+            (f"lam[{j},{{{','.join(map(str, subset))}}}]" for j, subset in lam_index),
+        ))
+
+    # equalities: the lambda block, and -x[i][j] in the consistency rows
     pairs = np.arange(nm)
+    c = np.zeros(k)
     a_eq = np.zeros((m + nm, k))
     b_eq = np.zeros(m + nm)
-    a_eq[supplier, nm + np.arange(n_lam)] = 1.0
-    a_eq[m + entry_customer * m + supplier[entry_col], nm + entry_col] = 1.0
+    _lambda_columns(inst, lam_index, c[nm:], a_eq[:, nm:])
     a_eq[m + pairs, pairs] = -1.0
     b_eq[:m] = 1.0
 
@@ -226,18 +240,13 @@ def build_aux_primal(
     """Marginal LP restricted to the recorded backlog sets, followed per
     supplier by the ``priced`` sets not among them.
 
-    The empty set is injected into every supplier's support so the
+    The empty set is injected first into every supplier's support so the
     distribution rows stay satisfiable.
     """
-    support: list[list[tuple[int, ...]]] = []
-    for j in range(inst.m):
-        sets: list[tuple[int, ...]] = [()]
-        for subset in violated[j]:
-            if subset != ():
-                sets.append(subset)
-        if priced is not None:
-            sets += [subset for subset in priced[j] if subset != () and (j, subset) not in violated]
-        support.append(sets)
+    support = [
+        list(dict.fromkeys([(), *violated[j], *(priced[j] if priced is not None else ())]))
+        for j in range(inst.m)
+    ]
     return _marginal_lp(inst, support, named=True)
 
 
@@ -267,6 +276,86 @@ def dual_certificate(
         if v[j] > 0.0:
             priced.append((j, subset))
     return DualPoint(alpha=point.alpha, beta=point.beta + v, gamma=point.gamma), float(v.sum()), priced
+
+
+class RestrictedMaster:
+    """The marginal LP over a growing set of backlog columns, in standard
+    form with its basis kept between solves. Columns have fixed ids: the nm
+    MNL slacks, x (row-major), then lambda in ``lam_index`` order. The start
+    basis is lambda_{j,{}} on distribution row j, x_ij on its consistency
+    row and the slack on its MNL row: its matrix [[I, 0, 0], [0, -I, 0],
+    [0, U, I]] (U the MNL coefficients of x) is its own inverse and its
+    basic values are b = (1, 0, 1), so no solve needs phase 1. An appended
+    column is nonbasic, so the basis and its inverse carry over."""
+
+    # decoded as MarginalLpColumns decodes, from n, m and lam_index only
+    extract = MarginalLpColumns.extract
+    dual_point = MarginalLpColumns.dual_point
+
+    def __init__(self, inst: Instance, violated: ViolatedSets):
+        """The master over the recorded sets plus every empty set, as
+        :func:`build_aux_primal` lists them."""
+        seed = build_aux_primal(inst, violated)
+        self.inst, self.n, self.m, self.pivots = inst, inst.n, inst.m, 0
+        self.lam_index, self._ids = seed.lam_index, set(seed.lam_index)
+        lp, nm = seed.lp, inst.n * inst.m
+        self._b = np.concatenate([lp.b_eq, lp.b_ub])
+        slacks = np.vstack([np.zeros((lp.b_eq.size, nm)), np.eye(nm)])
+        self._cols = np.asfortranarray(np.hstack([slacks, np.vstack([lp.a_eq, lp.a_ub])]))
+        self._c = np.r_[np.zeros(nm), lp.c]  # max-form objective
+        empty = [2 * nm + self.lam_index.index((j, ())) for j in range(self.m)]
+        basis = np.r_[empty, nm : 2 * nm, :nm]
+        binv = np.ascontiguousarray(self._cols[:, basis])
+        self._state = _RevisedBasis(self._cols, basis, binv, self._b.copy())
+
+    def add(self, sets) -> list[tuple[int, tuple[int, ...]]]:
+        """Append, in the given order, a lambda column for every (supplier,
+        set) of ``sets`` the master lacks, with the coefficients
+        :func:`_marginal_lp` gives it, and return those pairs. Each set must
+        be a sorted tuple of distinct customers."""
+        new = [pair for pair in dict.fromkeys(sets) if pair not in self._ids]
+        if new:
+            c, block = np.zeros(len(new)), np.zeros((self._b.size, len(new)), order="F")
+            _lambda_columns(self.inst, new, c, block)  # a lambda column's MNL rows stay zero
+            self._cols = np.asfortranarray(np.hstack([self._cols, block]))
+            self._c = np.concatenate([self._c, c])
+            self.lam_index += new
+            self._ids.update(new)
+        return new
+
+    def solve(self) -> LpResult:
+        """Phase 2 of :func:`~twosided.simplex.solve_lp` from the current
+        basis, returned as ``solve_lp`` returns it for x, then lambda in
+        ``lam_index`` order (``basis`` empty). An optimum that fails the KKT
+        check is pivoted and checked again from a basis inverted afresh;
+        a second failure raises :class:`LpSolverError`."""
+        self._state.cols = self._cols
+        before = self.pivots
+        try:
+            x, y = self._optimize()
+        except LpSolverError:
+            self._reinvert()
+            x, y = self._optimize()
+        x, c = x[self.n * self.m :], self._c[self.n * self.m :]
+        return LpResult("optimal", x, float(c @ x), iterations=self.pivots - before, duals=-y)
+
+    def _optimize(self) -> tuple[np.ndarray, np.ndarray]:
+        """Pivot to a KKT-checked optimum: every column's value, row duals."""
+        state, cost, k = self._state, -self._c, self._c.size
+        pivots = _pivot_loop(state, cost, k, FEASIBILITY_TOL, max_iters=2000 + 200 * (self._b.size + k))
+        if pivots < 0:
+            raise LpSolverError("the restricted master reported unbounded; basis inverse corrupt")
+        self.pivots += pivots
+        x = np.zeros(k)
+        x[state.basis] = state.x_b
+        y = cost[state.basis] @ state.binv
+        _check_optimality(self._cols, self._b, cost, x, y, FEASIBILITY_TOL)
+        return x, y
+
+    def _reinvert(self) -> None:
+        state = self._state
+        state.binv = np.linalg.inv(state.cols[:, state.basis])
+        state.x_b = state.binv @ self._b
 
 
 def lp1_exact_small(inst: Instance) -> float:

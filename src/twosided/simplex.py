@@ -41,16 +41,13 @@ until a pivot moves the basic solution again; with its smallest-index
 leaving rule, Bland's rule cannot cycle. ``max_iters`` still guards
 against numerical trouble.
 
-A solve can resume from an earlier optimal basis, named column by column
-(see :data:`BasisColumn`), after columns were added to the LP: the basis
-matrix is rebuilt and inverted, and when it is nonsingular and primal
-feasible, phase 1 is skipped and phase 2 continues from it. Otherwise the
-solve falls back to the cold two-phase method.
+:func:`solve_lp` starts from the all-artificial basis of phase 1;
+``lp.RestrictedMaster`` runs the same phase-2 pivot loop and KKT check from
+a basis it keeps between solves.
 """
 
 from __future__ import annotations
 
-from collections.abc import Sequence
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -67,13 +64,6 @@ ENTERING_TOL = 1e-12
 PRICING_BLOCK = 384
 # consecutive degenerate pivots after which Bland's rule enters
 DEGENERATE_RUN = 50
-
-
-# one basic column by identity, stable when columns are added to the LP: a
-# structural column by its ``LinearProgram.names`` entry, ("slack", i) for
-# the slack of a_ub row i, ("artificial", r) for the artificial of row r
-# (equality rows first, then a_ub rows, as in ``LpResult.duals``)
-BasisColumn = str | tuple[str, int]
 
 
 class LpSolverError(RuntimeError):
@@ -131,21 +121,9 @@ class LpResult:
     basis: tuple[int, ...] = field(default_factory=tuple)
     # one multiplier per a_eq row, then per a_ub row; None unless optimal
     duals: np.ndarray | None = None
-    # the optimal basis, one column per row, for ``solve_lp(start_basis=)``;
-    # None unless optimal with named columns
-    basis_columns: tuple[BasisColumn, ...] | None = None
-    # "cold": two-phase solve; "warm": phase 2 resumed from ``start_basis``;
-    # "fallback": two-phase solve because ``start_basis`` was singular or
-    # primal infeasible
-    path: str = "cold"
 
 
-def solve_lp(
-    lp: LinearProgram,
-    max_iters: int | None = None,
-    *,
-    start_basis: Sequence[BasisColumn] | None = None,
-) -> LpResult:
+def solve_lp(lp: LinearProgram, max_iters: int | None = None) -> LpResult:
     """Solve ``lp`` exactly; see module docstring for the method.
 
     At an optimum, ``duals`` are in the LP's own sense: ``b_eq.duals_eq +
@@ -154,19 +132,12 @@ def solve_lp(
     multipliers >= 0 for a max (<= 0 for a min). Every optimum is checked
     against these conditions (primal residual, reduced costs, duality gap)
     before it is returned; a failure raises :class:`LpSolverError`.
-
-    ``start_basis`` (typically an earlier result's ``basis_columns``, on the
-    same rows with columns added since) skips phase 1 when its basis matrix
-    is nonsingular and its basic solution primal feasible; ``path`` says
-    whether it was used. It needs ``lp.names``, one entry per row, and
-    columns the LP has; otherwise it raises ``ValueError``.
     """
     k = lp.num_vars
     mu = lp.a_ub.shape[0]
     me = lp.a_eq.shape[0]
     m = me + mu
     n_struct = k + mu
-    start = None if start_basis is None else _column_indices(lp, start_basis)
 
     # standard form: equality rows first, then inequality rows with slacks;
     # then one artificial column per row. Stored by column for pricing.
@@ -186,18 +157,14 @@ def solve_lp(
         max_iters = 2000 + 200 * (m + n_struct)
 
     scale = max(1.0, float(abs(b).max()) if b.size else 1.0)
-    state = None if start is None else _RevisedBasis.resumed(cols, b, start, n_struct, FEASIBILITY_TOL * scale)
-    path = "cold" if start is None else "warm" if state is not None else "fallback"
-    it1 = 0
-    if state is None:
-        # phase 1: artificial variables on every row, minimize their sum
-        state = _RevisedBasis.artificial(cols, b, first_artificial=n_struct)
-        phase1_cost = np.concatenate([np.zeros(n_struct), np.ones(m)])
-        it1 = _pivot_loop(state, phase1_cost, n_cols=n_struct + m, tol=FEASIBILITY_TOL, max_iters=max_iters)
-        if it1 < 0:
-            raise LpSolverError("phase-1 objective reported unbounded; basis inverse corrupt")
-        if float(state.x_b[state.basis >= n_struct].sum()) > FEASIBILITY_TOL * scale:
-            return LpResult(status="infeasible", x=None, objective=None, iterations=it1, path=path)
+    # phase 1: artificial variables on every row, minimize their sum
+    state = _RevisedBasis(cols, np.arange(n_struct, n_struct + m), np.eye(m), b.copy())
+    phase1_cost = np.concatenate([np.zeros(n_struct), np.ones(m)])
+    it1 = _pivot_loop(state, phase1_cost, n_cols=n_struct + m, tol=FEASIBILITY_TOL, max_iters=max_iters)
+    if it1 < 0:
+        raise LpSolverError("phase-1 objective reported unbounded; basis inverse corrupt")
+    if float(state.x_b[state.basis >= n_struct].sum()) > FEASIBILITY_TOL * scale:
+        return LpResult(status="infeasible", x=None, objective=None, iterations=it1)
 
     state.drive_out_artificials(n_struct, FEASIBILITY_TOL)
 
@@ -207,7 +174,7 @@ def solve_lp(
     cost = np.concatenate([(-lp.c) if lp.maximize else lp.c, np.zeros(mu + m)])
     it2 = _pivot_loop(state, cost, n_cols=n_struct, tol=FEASIBILITY_TOL, max_iters=max_iters)
     if it2 < 0:
-        return LpResult(status="unbounded", x=None, objective=None, iterations=it1 + (-it2 - 1), path=path)
+        return LpResult(status="unbounded", x=None, objective=None, iterations=it1 + (-it2 - 1))
 
     structural = state.basis < n_struct
     x_full = np.zeros(n_struct)
@@ -224,38 +191,7 @@ def solve_lp(
         iterations=it1 + it2,
         basis=tuple(int(var) for var in state.basis[structural]),
         duals=-duals if lp.maximize else duals,
-        basis_columns=None if lp.names is None else tuple(
-            lp.names[var] if var < k else ("slack", var - k) if var < n_struct else ("artificial", var - n_struct)
-            for var in state.basis.tolist()
-        ),
-        path=path,
     )
-
-
-def _column_indices(lp: LinearProgram, start_basis: Sequence[BasisColumn]) -> np.ndarray:
-    """Standard-form column indices of a :data:`BasisColumn` sequence."""
-    k = lp.num_vars
-    mu = lp.a_ub.shape[0]
-    m = lp.a_eq.shape[0] + mu
-    if len(start_basis) != m:
-        raise ValueError(f"start basis has {len(start_basis)} columns for {m} rows")
-    if lp.names is None:
-        raise ValueError("a start basis names its columns; the LP has no names")
-    position = {name: j for j, name in enumerate(lp.names)}
-    indices = []
-    for column in start_basis:
-        if isinstance(column, str):
-            index = position.get(column)
-        elif column[0] == "slack" and 0 <= column[1] < mu:
-            index = k + column[1]
-        elif column[0] == "artificial" and 0 <= column[1] < m:
-            index = k + mu + column[1]
-        else:
-            index = None
-        if index is None:
-            raise ValueError(f"start basis column {column!r} is not a column of the LP")
-        indices.append(index)
-    return np.array(indices, dtype=np.intp)
 
 
 def _check_optimality(
@@ -289,33 +225,6 @@ class _RevisedBasis:
         self.basis = basis
         self.binv = binv
         self.x_b = x_b
-
-    @classmethod
-    def artificial(cls, cols: np.ndarray, b: np.ndarray, first_artificial: int) -> _RevisedBasis:
-        """The all-artificial starting basis of phase 1."""
-        m = b.size
-        return cls(cols, np.arange(first_artificial, first_artificial + m), np.eye(m), b.copy())
-
-    @classmethod
-    def resumed(
-        cls, cols: np.ndarray, b: np.ndarray, basis: np.ndarray, n_struct: int, tol: float
-    ) -> _RevisedBasis | None:
-        """The basis of the given columns, with its inverse and values, or
-        None when the basis matrix is singular or the basic solution is not
-        primal feasible within ``tol``: a negative value, or an artificial
-        (index >= ``n_struct``) above zero."""
-        m = b.size
-        matrix = cols[:, basis]
-        try:
-            binv = np.linalg.inv(matrix)
-        except np.linalg.LinAlgError:
-            return None
-        if m and np.abs(binv @ matrix - np.eye(m)).max() > FEASIBILITY_TOL:
-            return None
-        x_b = binv @ b
-        if x_b.min(initial=0.0) < -tol or x_b[basis >= n_struct].max(initial=0.0) > tol:
-            return None
-        return cls(cols, basis, binv, x_b)
 
     def column(self, j: int) -> np.ndarray:
         """Column ``j`` in terms of the current basis (``B^-1 A_j``)."""

@@ -10,7 +10,13 @@ import twosided.ellipsoid as ellipsoid_module
 from twosided.cost_assortment import SubDualOracle
 from twosided.ellipsoid import CERTIFY_FIRST, CERTIFY_TOL, solve_restricted
 from twosided.instance import GENERATOR_KINDS, Instance, generate, normalize_revenues
-from twosided.lp import build_aux_primal, dual_certificate, dual_feasibility_report, lp2_exact_small
+from twosided.lp import (
+    RestrictedMaster,
+    build_aux_primal,
+    dual_certificate,
+    dual_feasibility_report,
+    lp2_exact_small,
+)
 
 
 def assert_certified(inst, solved):
@@ -166,34 +172,57 @@ def test_16x2_pricing_certifies_at_the_first_checkpoint():
 
 
 def test_final_solve_reuses_the_last_checkpoint(monkeypatch):
-    solves = []
-    solve_lp = ellipsoid_module.solve_lp
+    masters, solves = [], []
+    init, solve = RestrictedMaster.__init__, RestrictedMaster.solve
 
-    def counted(lp, *, start_basis):
-        result = solve_lp(lp, start_basis=start_basis)
-        solves.append((start_basis is None, result.path))
+    def counted_init(self, *args):
+        init(self, *args)
+        masters.append(self)
+
+    def counted_solve(self):
+        start = self._state.basis.copy()
+        result = solve(self)
+        solves.append((self, start, self._state.basis.copy()))
         return result
 
-    monkeypatch.setattr(ellipsoid_module, "solve_lp", counted)
+    monkeypatch.setattr(RestrictedMaster, "__init__", counted_init)
+    monkeypatch.setattr(RestrictedMaster, "solve", counted_solve)
+    # no solve may re-invert its basis: the call would raise
+    monkeypatch.setattr(RestrictedMaster, "_reinvert", None)
+
+    def assert_warm(count):
+        """One master per solve_restricted, solved ``count`` times, each
+        solve from the basis the last one ended on; return the master."""
+        assert len(masters) == 1 and len(solves) == count
+        assert all(master is masters[0] for master, _, _ in solves)
+        for (_, _, end), (_, start, _) in zip(solves, solves[1:]):
+            assert (start == end).all()
+        solves.clear()
+        return masters.pop()
+
     # the only checkpoint falls on the last cut: its solves are the final ones
     inst = normalize_revenues(generate("same-order-multiplicative", 4, 3, 77))
     at_checkpoint = solve_restricted(inst, t_max=CERTIFY_FIRST)
     assert at_checkpoint.run.stop_reason == "certified"
     assert at_checkpoint.pricing_rounds == 8
-    # only the first solve starts cold; every round resumes the last basis
-    assert solves == [(True, "cold")] + [(False, "warm")] * 8
+    assert_warm(9)
     # a checkpoint that does not certify leaves the loop cutting once its
-    # rounds add no new set; the sets recorded after it need one more solve
-    # over all of them, warm too. No gap is below -1.
+    # rounds add no new set; sets recorded after it that the master lacks
+    # need one more solve. No gap is below -1.
     monkeypatch.setattr(ellipsoid_module, "CERTIFY_TOL", -1.0)
-    solves.clear()
     uncertified = solve_restricted(inst, t_max=CERTIFY_FIRST)
     assert uncertified.run.stop_reason == "t_max" and uncertified.pricing_rounds == 8
-    assert len(solves) == 9
-    solves.clear()
-    later = solve_restricted(inst, t_max=CERTIFY_FIRST * 3 // 2)
+    assert_warm(9)
+    # up to cut 48 the cuts add only supplier 0's empty set, a column of
+    # every master, so the checkpoint's solve stands
+    same = solve_restricted(inst, t_max=CERTIFY_FIRST * 3 // 2)
+    assert same.run.violated.total() == uncertified.run.violated.total() + 1
+    assert () in same.run.violated[0] and () not in uncertified.run.violated[0]
+    assert_warm(9)
+    later = solve_restricted(inst, t_max=CERTIFY_FIRST * 2 - 1)
     assert later.run.stop_reason == "t_max" and later.pricing_rounds == 8
-    assert later.run.violated.total() > uncertified.run.violated.total()
-    assert solves == [(True, "cold")] + [(False, "warm")] * 9
-    assert later.columns.lam_index == build_aux_primal(inst, later.run.violated, later.priced).lam_index
+    master = assert_warm(10)
+    # the master holds the primal --dump-lp rebuilds, up to column order
+    rebuilt = build_aux_primal(inst, later.run.violated, later.priced).lam_index
+    assert sorted(master.lam_index) == sorted(rebuilt)
     assert_certified(inst, later)

@@ -9,6 +9,7 @@ from twosided import cli
 from twosided.cli import build_parser, main
 from twosided.ellipsoid import CERTIFY_FIRST, default_iteration_budget
 from twosided.instance import generate, load_instance, normalize_revenues, save_instance
+from twosided.simplex import LinearProgram, solve_lp
 from twosided.suites import counterexample_instance
 
 
@@ -122,7 +123,7 @@ def test_solve_reports_stop_reason(tmp_path, capsys, unit_instance):
     assert run_cli(capsys, "solve", str(path), "--report", str(default))[0] == 0
     header = budget.read_text().strip().splitlines()[-2].split(",")
     at = header.index("recorded_sets_per_supplier")
-    assert header[at + 1 : at + 4] == ["priced_sets_total", "pricing_rounds", "stop_reason"]
+    assert header[at + 1 : at + 5] == ["priced_sets_total", "pricing_rounds", "pivots", "stop_reason"]
     assert "early_exited" not in header
     assert _report_fields(budget)["stop_reason"] == "t_max"
     assert _report_fields(budget)["iterations"] == t_max
@@ -219,17 +220,25 @@ def test_solve_reports_pricing(tmp_path, capsys):
     assert run_cli(capsys, "gen", "uniform-random", "8", "2", "--seed", "77", "--out", str(inst_path))[0] == 0
     report, trace, summary = tmp_path / "report.csv", tmp_path / "trace.jsonl", tmp_path / "summary.json"
     argv = ["solve", str(inst_path), "--trace", str(trace)]
-    assert run_cli(capsys, *argv, "--report", str(report))[0] == 0
+    dump = tmp_path / "lp.json"
+    assert run_cli(capsys, *argv, "--report", str(report), "--dump-lp", str(dump))[0] == 0
     fields = _report_fields(report)
     assert fields["stop_reason"] == "certified" and fields["iterations"] == str(CERTIFY_FIRST)
     assert int(fields["pricing_rounds"]) > 0
     assert int(fields["priced_sets_total"]) >= int(fields["pricing_rounds"])
+    assert int(fields["pivots"]) > 0
+    # the dump is the restricted primal the solution came from, priced sets included
+    lp_doc = json.loads(dump.read_text())
+    assert sum(name.startswith("lam[") for name in lp_doc["names"]) >= 2 + int(fields["priced_sets_total"])
+    lp = LinearProgram(**{key: lp_doc[key] for key in ("c", "a_eq", "b_eq", "a_ub", "b_ub", "maximize")})
+    assert abs(solve_lp(lp).objective - float(fields["objective_normalized"])) <= 1e-12
     rows = [json.loads(line) for line in trace.read_text().splitlines()]
     assert [row["t"] for row in rows] == list(range(1, CERTIFY_FIRST + 1))
+    # a second run reports the same counts
     assert run_cli(capsys, *argv, "--report", str(summary), "--format", "summary")[0] == 0
     row = json.loads(summary.read_text())["rows"][0]
-    assert (row["priced_sets_total"], row["pricing_rounds"]) == (
-        int(fields["priced_sets_total"]), int(fields["pricing_rounds"])
+    assert (row["priced_sets_total"], row["pricing_rounds"], row["pivots"]) == (
+        int(fields["priced_sets_total"]), int(fields["pricing_rounds"]), int(fields["pivots"])
     )
 
 
@@ -242,9 +251,10 @@ def test_run_reports_pricing_for_rand_static_only(tmp_path, capsys):
     assert run_cli(capsys, *argv, "--policy", "greedy", "--out", str(greedy))[0] == 0
     fields = _report_fields(static)
     assert int(fields["pricing_rounds"]) > 0 and int(fields["priced_sets_total"]) > 0
+    assert int(fields["pivots"]) > 0
     assert 0.0 <= float(fields["certified_gap"]) <= 1e-9
     fields = _report_fields(greedy)
-    assert fields["priced_sets_total"] == fields["pricing_rounds"] == ""
+    assert fields["priced_sets_total"] == fields["pricing_rounds"] == fields["pivots"] == ""
 
 
 @pytest.mark.parametrize("flag", [["--delta", "0.5"], ["--delta", "0"], ["--t-max", "1000"]])

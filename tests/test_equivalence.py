@@ -347,7 +347,7 @@ def test_marginal_lp_build_is_identical_to_loop_form(kind):
     full = normalize_revenues(generate(kind, 6, 3, 4))
     aux = normalize_revenues(generate(kind, 3, 2, 9))
     all_subsets = [subset_of(mask, full.n) for mask in range(2**full.n)]
-    # only the restricted primal names its columns, for warm starts and --dump-lp
+    # only the restricted primal names its columns, for --dump-lp
     cases = ((full, [all_subsets] * full.m, {}), (aux, _recorded_supports(aux), {"named": True}))
     for inst, support, flags in cases:
         got, want = _marginal_lp(inst, support, **flags), reference_marginal_lp(inst, support)

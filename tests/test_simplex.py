@@ -5,7 +5,7 @@ import twosided.lp as lp_module
 import twosided.simplex as simplex_module
 from oracles import lp_optimum_by_vertex_enumeration
 from twosided.instance import GENERATOR_KINDS, generate, normalize_revenues
-from twosided.lp import _marginal_lp, lp2_exact_small
+from twosided.lp import RestrictedMaster, ViolatedSets, _marginal_lp, lp2_exact_small
 from twosided.mnl import subset_of
 from twosided.simplex import FEASIBILITY_TOL, LinearProgram, LpSolverError, _check_optimality, solve_lp
 
@@ -100,39 +100,51 @@ def test_dantzig_pricing_cycles_without_the_bland_fallback(monkeypatch):
 
 def _tiny_price_first_lp() -> LinearProgram:
     """min -1e-10 v0 + v1 + ... + v_{B-1} - v_B  s.t.  1e-9 v0 + v_B <= 1,
-    where B = PRICING_BLOCK: v0 is scanned first, priced between -ENTERING_TOL
-    and -FEASIBILITY_TOL in both phases, and has no ratio-test row above
-    FEASIBILITY_TOL; v_B, in the next block, is the column that must enter.
-    The optimum is v_B = 1, objective -1."""
+    -v_B <= 1, where B = PRICING_BLOCK: v0 is scanned first, priced between
+    -ENTERING_TOL and -FEASIBILITY_TOL in both phases, and has no ratio-test
+    row above FEASIBILITY_TOL; v_B, in the next block, is the column that
+    must enter. Its column sums to 0, so phase 1 leaves it out and ends on
+    the slack basis, where phase 2 prices v0 at -1e-10. The optimum is
+    v_B = 1, objective -1."""
     k = simplex_module.PRICING_BLOCK + 1
     c = np.ones(k)
     c[0], c[-1] = -1e-10, -1.0
-    row = np.zeros(k)
-    row[0], row[-1] = 1e-9, 1.0
-    return LinearProgram(c=c, a_ub=[row], b_ub=[1.0], maximize=False, names=tuple(f"v{j}" for j in range(k)))
+    rows = np.zeros((2, k))
+    rows[0, 0], rows[0, -1], rows[1, -1] = 1e-9, 1.0, -1.0
+    return LinearProgram(c=c, a_ub=rows, b_ub=[1.0, 1.0], maximize=False)
 
 
 @pytest.mark.parametrize("degenerate_run", [simplex_module.DEGENERATE_RUN, 0])
 def test_tiny_priced_column_without_a_ratio_row_is_not_optimality(degenerate_run, monkeypatch):
     # phase 1 prices v0 at -1e-9 and phase 2 (from the slack basis) at
-    # -1e-10; neither phase may stop there while v_B is priced at -1, under
-    # partial Dantzig or (DEGENERATE_RUN 0) Bland's rule
+    # -1e-10; neither phase may stop there while a slack or v_B is priced
+    # at -1, under partial Dantzig or (DEGENERATE_RUN 0) Bland's rule
     monkeypatch.setattr(simplex_module, "DEGENERATE_RUN", degenerate_run)
     lp = _tiny_price_first_lp()
-    for start in (None, [("slack", 0)]):
-        res = solve_lp(lp, start_basis=start)
-        assert res.path == ("cold" if start is None else "warm")
-        assert res.status == "optimal" and res.objective == -1.0
-        assert res.x[-1] == 1.0 and res.x[:-1].max() == 0.0
-        assert_dual_certificate(lp, res)
+    starts = []
+    pivot_loop = simplex_module._pivot_loop
+
+    def recorded(state, cost, **kwargs):
+        starts.append(state.basis.tolist())
+        return pivot_loop(state, cost, **kwargs)
+
+    monkeypatch.setattr(simplex_module, "_pivot_loop", recorded)
+    res = solve_lp(lp)
+    # phase 1 starts on the artificials, phase 2 on the two slacks
+    k = lp.num_vars
+    assert starts == [[k + 2, k + 3], [k, k + 1]]
+    assert res.status == "optimal" and res.objective == -1.0
+    assert res.x[-1] == 1.0 and res.x[:-1].max() == 0.0
+    assert_dual_certificate(lp, res)
 
 
 def test_tiny_priced_ray_does_not_hide_a_real_one():
-    # v0 also has a ray; the scan at the tolerance finds v_B, priced at -1
-    # and now with no ratio-test row either, which shows the LP unbounded
+    # v0 also has a ray; phase 2's scan at the tolerance finds v_B, priced
+    # at -1 and now with no ratio-test row either, which shows the LP
+    # unbounded
     lp = _tiny_price_first_lp()
     lp.a_ub[0, -1] = 0.0
-    assert solve_lp(lp, start_basis=[("slack", 0)]).status == "unbounded"
+    assert solve_lp(lp).status == "unbounded"
 
 
 def _random_bounded_lp(rng: np.random.Generator) -> LinearProgram:
@@ -315,98 +327,123 @@ def test_kkt_check_names_each_failure():
         _check_optimality(cols, b, cost, x, np.array([-1.0]), FEASIBILITY_TOL)
 
 
-def _counting(monkeypatch, name: str) -> list[int]:
-    """Count the calls of the simplex module's function ``name``."""
+def _counting(monkeypatch, name: str, owner=simplex_module) -> list[int]:
+    """Count the calls of ``owner``'s function ``name`` (the simplex
+    module's by default)."""
     calls = []
-    function = getattr(simplex_module, name)
+    function = getattr(owner, name)
 
     def counted(*args):
         calls.append(1)
         return function(*args)
 
-    monkeypatch.setattr(simplex_module, name, counted)
+    monkeypatch.setattr(owner, name, counted)
     return calls
 
 
-def assert_same_cold_solve(got, want):
-    assert got.status == want.status
-    assert (got.iterations, got.basis, got.basis_columns) == (want.iterations, want.basis, want.basis_columns)
-    assert got.x.tobytes() == want.x.tobytes()
-    assert got.duals.tobytes() == want.duals.tobytes()
-
-
-def test_resume_after_appending_columns(monkeypatch):
-    # the marginal LP over some backlog columns, then over every column:
-    # the first optimum's basis is a feasible start for the second
-    inst = normalize_revenues(generate("uniform-random", 6, 2, 77))
+def _master(kind: str = "uniform-random", n: int = 6, m: int = 2, seed: int = 77, sets: int = 3):
+    """A restricted master over each supplier's first ``sets`` nonempty
+    sets, the instance, and every set of the instance."""
+    inst = normalize_revenues(generate(kind, n, m, seed))
     every = [subset_of(mask, inst.n) for mask in range(2**inst.n)]
-    some = _marginal_lp(inst, [every[:20]] * inst.m, named=True).lp
-    full = _marginal_lp(inst, [every] * inst.m, named=True).lp
-    first = solve_lp(some)
-    assert first.path == "cold" and len(first.basis_columns) == some.a_eq.shape[0] + some.a_ub.shape[0]
+    violated = ViolatedSets(inst.m)
+    for j in range(inst.m):
+        for subset in every[1 : sets + 1]:
+            violated.add(j, subset)
+    return RestrictedMaster(inst, violated), inst, every
+
+
+def _master_lp(master) -> LinearProgram:
+    """The marginal LP over the master's sets, its lambda columns listed
+    per supplier."""
+    support = [[subset for owner, subset in master.lam_index if owner == j] for j in range(master.m)]
+    return _marginal_lp(master.inst, support).lp
+
+
+def test_master_start_basis_is_feasible():
+    master, inst, _ = _master()
+    state = master._state
+    nm = inst.n * inst.m
+    matrix = state.cols[:, state.basis]
+    # lambda_{j,{}} per supplier, then every x and every MNL slack
+    assert [master.lam_index[col - 2 * nm] for col in state.basis[: inst.m]] == [(j, ()) for j in range(inst.m)]
+    assert state.basis[inst.m :].tolist() == list(range(nm, 2 * nm)) + list(range(nm))
+    # the basis matrix is its own inverse, and the basic values are b >= 0
+    assert (state.binv @ matrix == np.eye(matrix.shape[0])).all()
+    assert (matrix @ state.x_b == master._b).all() and state.x_b.min() >= 0.0
+
+
+def test_master_solve_after_add_equals_a_cold_solve():
+    master, inst, every = _master()
+    first = master.solve()
+    lp = _master_lp(master)
+    assert abs(first.objective - solve_lp(lp).objective) <= 1e-12
+    assert_dual_certificate(lp, first)
+    added = master.add((j, subset) for subset in every for j in range(inst.m))
+    assert len(added) == inst.m * (2**inst.n - 4) and master.add(added) == []
+    warm = master.solve()
+    full = _master_lp(master)
     cold = solve_lp(full)
-    kkt = _counting(monkeypatch, "_check_optimality")
-    warm = solve_lp(full, start_basis=first.basis_columns)
-    assert warm.path == "warm" and kkt == [1]
     assert abs(warm.objective - cold.objective) <= 1e-12
+    assert abs(warm.objective - lp2_exact_small(inst).objective) <= 1e-12
     assert warm.iterations < cold.iterations
+    assert master.pivots == first.iterations + warm.iterations
     assert_dual_certificate(full, warm)
-    # the optimal basis is a start that needs no pivot at all
-    again = solve_lp(full, start_basis=warm.basis_columns)
-    assert (again.path, again.iterations) == ("warm", 0)
-    assert abs(again.objective - warm.objective) <= 1e-12
+    # the optimal basis needs no pivot at all
+    again = master.solve()
+    assert again.iterations == 0 and abs(again.objective - warm.objective) <= 1e-12
 
 
-def test_singular_start_falls_back_to_the_cold_solve():
-    # columns v0 and v1 are parallel, so no basis holds both
-    lp = LinearProgram(c=[1.0, 1.0, 0.5], a_ub=[[1.0, 2.0, 1.0], [2.0, 4.0, 0.0]], b_ub=[4.0, 3.0],
-                       names=("v0", "v1", "v2"))
-    got = solve_lp(lp, start_basis=("v0", "v1"))
-    assert got.path == "fallback"
-    assert_same_cold_solve(got, solve_lp(lp))
+def test_master_columns_are_the_marginal_lp_columns():
+    # columns added out of supplier order keep their ids and, bit for bit,
+    # the coefficients the marginal LP over the same sets gives them
+    master, inst, every = _master("same-order-additive", 4, 3, 5)
+    master.add([(2, every[9]), (0, every[12]), (2, every[5])])
+    want = _master_lp(master)
+    nm = inst.n * inst.m
+    lams = sorted(master.lam_index, key=lambda pair: pair[0])  # stable: per supplier
+    order = list(range(nm)) + [nm + lams.index(pair) for pair in master.lam_index]
+    assert master._cols[:, nm:].tobytes() == np.vstack([want.a_eq, want.a_ub])[:, order].tobytes()
+    assert master._c[nm:].tobytes() == want.c[order].tobytes()
+    # the slacks of the MNL rows come first
+    assert (master._cols[:, :nm] == np.eye(master._b.size)[:, -nm:]).all() and not master._c[:nm].any()
+    assert (master._b == np.concatenate([want.b_eq, want.b_ub])).all()
 
 
-def test_infeasible_start_falls_back_to_the_cold_solve():
-    lp = LinearProgram(c=[1.0, 1.0], a_ub=[[1.0, 0.0], [1.0, 1.0]], b_ub=[1.0, 0.5], names=("v0", "v1"))
-    cold = solve_lp(lp)
-    # v0 = 1 from row 0 leaves the slack of row 1 at 0.5 - 1 < 0
-    got = solve_lp(lp, start_basis=("v0", ("slack", 1)))
-    assert got.path == "fallback"
-    assert_same_cold_solve(got, cold)
-    # an artificial basic above zero is no feasible start either
-    got = solve_lp(lp, start_basis=(("artificial", 0), ("slack", 1)))
-    assert got.path == "fallback"
-    assert_same_cold_solve(got, cold)
+def test_every_master_solve_is_kkt_checked(monkeypatch):
+    kkt = _counting(monkeypatch, "_check_optimality", lp_module)
+    master, inst, every = _master()
+    for count in (1, 2, 3):
+        master.solve()
+        assert len(kkt) == count
+        master.add([(0, every[10 + count])])
 
 
-def test_start_with_an_artificial_on_a_redundant_row():
-    # the second equality row repeats the first: its artificial stays basic
-    # at zero, and the start basis names it
-    first = solve_lp(LinearProgram(c=[1.0, 2.0, 0.5], a_eq=[[1.0, 1.0, 1.0], [2.0, 2.0, 2.0]], b_eq=[1.0, 2.0],
-                                   a_ub=[[0.0, 1.0, 0.0]], b_ub=[0.4], names=("a", "b", "c")))
-    assert first.objective == pytest.approx(1.4, abs=1e-12)
-    assert ("artificial", 1) in first.basis_columns
-    grown = LinearProgram(c=[1.0, 2.0, 0.5, 1.5], a_eq=[[1.0, 1.0, 1.0, 1.0], [2.0, 2.0, 2.0, 2.0]],
-                          b_eq=[1.0, 2.0], a_ub=[[0.0, 1.0, 0.0, 0.0]], b_ub=[0.4], names=("a", "b", "c", "d"))
-    warm = solve_lp(grown, start_basis=first.basis_columns)
-    assert warm.path == "warm" and ("artificial", 1) in warm.basis_columns
-    cold = solve_lp(grown)
-    assert warm.objective == pytest.approx(1.7, abs=1e-12)
-    assert abs(warm.objective - cold.objective) <= 1e-12 and warm.iterations < cold.iterations
-    assert_dual_certificate(grown, warm)
+def _drift(master) -> None:
+    """Perturb the master's basis inverse by about 1e-6."""
+    state = master._state
+    state.binv = state.binv + 1e-6 * np.random.default_rng(3).normal(size=state.binv.shape)
 
 
-def test_malformed_start_basis_is_refused():
-    lp = LinearProgram(c=[1.0, 1.0], a_ub=[[1.0, 0.0], [1.0, 1.0]], b_ub=[1.0, 0.5], names=("v0", "v1"))
-    for start, match in (
-        (("v0",), "1 columns for 2 rows"),
-        (("v0", "w"), "'w' is not a column"),
-        (("v0", ("slack", 2)), r"\('slack', 2\) is not a column"),
-        (("v0", ("artificial", -1)), r"\('artificial', -1\) is not a column"),
-    ):
-        with pytest.raises(ValueError, match=match):
-            solve_lp(lp, start_basis=start)
-    lp.names = None
-    with pytest.raises(ValueError, match="no names"):
-        solve_lp(lp, start_basis=("v0", "v1"))
-    assert solve_lp(lp).basis_columns is None
+def test_master_reinverts_once_after_drift(monkeypatch):
+    master, inst, every = _master()
+    master.solve()
+    master.add((j, subset) for subset in every for j in range(inst.m))
+    _drift(master)
+    kkt = _counting(monkeypatch, "_check_optimality", lp_module)
+    inversions = _counting(monkeypatch, "_reinvert", lp_module.RestrictedMaster)
+    got = master.solve()
+    assert (len(kkt), len(inversions)) == (2, 1)
+    assert abs(got.objective - lp2_exact_small(inst).objective) <= 1e-12
+    assert_dual_certificate(_master_lp(master), got)
+
+
+def test_persistent_drift_raises(monkeypatch):
+    master, inst, every = _master()
+    master.solve()
+    master.add((j, subset) for subset in every for j in range(inst.m))
+    _drift(master)
+    monkeypatch.setattr(lp_module.RestrictedMaster, "_reinvert", _drift)
+    with pytest.raises(LpSolverError, match="KKT"):
+        master.solve()
+
