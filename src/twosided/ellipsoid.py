@@ -33,6 +33,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import lp
 from .cost_assortment import SubDualOracle
 from .instance import Instance
 from .lp import (
@@ -371,7 +372,7 @@ def solve_restricted(
     def price_recorded(violated: ViolatedSets) -> None:
         nonlocal master
         if master is None:
-            master = RestrictedMaster(inst, violated)
+            master = RestrictedMaster(inst, lp.build_aux_primal(inst, violated))
         price((j, subset) for j in range(inst.m) for subset in violated[j])
 
     def certify(violated: ViolatedSets) -> bool:

@@ -5,10 +5,10 @@ probability variable on every (customer assortment, customer) pair and one
 on every (backlog set, supplier) pair. The marginal LP replaces customer
 assortment variables by per-pair choice marginals x[i][j] constrained
 through the MNL identity x[i][j]/u[i][j] + sum_l x[i][l] <= 1. Both are
-instantiated in full (every subset variable) and handed to the exact
-simplex, which is tractable only at desk scale; the ellipsoid module scales
-the marginal LP further by generating the backlog support on demand, into
-one ``RestrictedMaster`` that keeps its basis as columns are added.
+instantiated in full (every subset variable) at desk scale only. The first
+goes to the two-phase ``simplex.solve_lp``; every marginal LP, full or
+with the backlog support the ellipsoid module generates, is solved on a
+``RestrictedMaster`` from its known feasible basis, without phase 1.
 """
 
 from __future__ import annotations
@@ -22,8 +22,8 @@ from . import mnl
 from .cost_assortment import SubDualOracle
 from .mnl import SizeLimitError
 from .instance import Instance
-from .simplex import FEASIBILITY_TOL, LinearProgram, LpResult, LpSolverError, solve_lp
-from .simplex import _check_optimality, _pivot_loop, _RevisedBasis
+from .simplex import LinearProgram, LpResult, LpSolverError, solve_lp
+from .simplex import _optimize, _RevisedBasis
 
 LP2_MAX_N = 10
 LP2_MAX_M = 4
@@ -98,10 +98,6 @@ class ViolatedSets:
         seen.add(subset)
         self._lists[j].append(subset)
         return True
-
-    def __contains__(self, item: tuple[int, tuple[int, ...]]) -> bool:
-        j, subset = item
-        return subset in self._seen[j]
 
     def counts(self) -> list[int]:
         return [len(sets) for sets in self._lists]
@@ -185,23 +181,15 @@ def _lambda_columns(
     a[m + entry_customer * m + supplier[entry_col], entry_col] = 1.0
 
 
-def _marginal_lp(
-    inst: Instance, support: list[list[tuple[int, ...]]], *, named: bool = False
-) -> MarginalLpColumns:
+def _marginal_lp(inst: Instance, support: list[list[tuple[int, ...]]]) -> MarginalLpColumns:
     """Build the marginal LP restricted to the given per-supplier backlog
-    support (x columns always present). Each support set must be a sorted
-    tuple of distinct customers, as ``mnl.as_subset`` returns. Columns get
-    names (which ``--dump-lp`` writes) only when ``named``."""
+    support (x columns always present), without column names. Each support
+    set must be a sorted tuple of distinct customers, as ``mnl.as_subset``
+    returns."""
     n, m = inst.n, inst.m
     nm = n * m
     lam_index = [(j, subset) for j in range(m) for subset in support[j]]
     k = nm + len(lam_index)
-    names = None
-    if named:
-        names = tuple(chain(
-            (f"x[{i},{j}]" for i in range(n) for j in range(m)),
-            (f"lam[{j},{{{','.join(map(str, subset))}}}]" for j, subset in lam_index),
-        ))
 
     # equalities: the lambda block, and -x[i][j] in the consistency rows
     pairs = np.arange(nm)
@@ -218,20 +206,21 @@ def _marginal_lp(
     a_ub[pairs[:, None], (pairs // m * m)[:, None] + np.arange(m)] = 1.0
     a_ub[pairs, pairs] += 1.0 / inst.u.reshape(-1)
 
-    lp = LinearProgram(c=c, a_eq=a_eq, b_eq=b_eq, a_ub=a_ub, b_ub=b_ub, maximize=True, names=names)
+    lp = LinearProgram(c=c, a_eq=a_eq, b_eq=b_eq, a_ub=a_ub, b_ub=b_ub, maximize=True)
     return MarginalLpColumns(lp=lp, lam_index=lam_index, n=n, m=m)
 
 
 def lp2_exact_small(inst: Instance) -> LpSolution:
     """Solve the marginal LP exactly by instantiating every backlog variable
-    (n <= 10, m <= 4)."""
+    (n <= 10, m <= 4): one :class:`RestrictedMaster` over every set, solved
+    from its start basis."""
     if inst.n > LP2_MAX_N or inst.m > LP2_MAX_M:
         raise SizeLimitError(
             f"exact marginal LP limited to n <= {LP2_MAX_N}, m <= {LP2_MAX_M}; got {inst.n}x{inst.m}"
         )
     all_subsets = [mnl.subset_of(mask, inst.n) for mask in range(2**inst.n)]
-    columns = _marginal_lp(inst, [all_subsets] * inst.m)
-    return columns.extract(solve_lp(columns.lp))
+    master = RestrictedMaster(inst, _marginal_lp(inst, [all_subsets] * inst.m))
+    return master.extract(master.solve())
 
 
 def build_aux_primal(
@@ -241,13 +230,16 @@ def build_aux_primal(
     supplier by the ``priced`` sets not among them.
 
     The empty set is injected first into every supplier's support so the
-    distribution rows stay satisfiable.
+    distribution rows stay satisfiable. Columns are named for ``--dump-lp``.
     """
     support = [
         list(dict.fromkeys([(), *violated[j], *(priced[j] if priced is not None else ())]))
         for j in range(inst.m)
     ]
-    return _marginal_lp(inst, support, named=True)
+    columns = _marginal_lp(inst, support)
+    xs = [f"x[{i},{j}]" for i in range(inst.n) for j in range(inst.m)]
+    columns.lp.names = (*xs, *(f"lam[{j},{{{','.join(map(str, subset))}}}]" for j, subset in columns.lam_index))
+    return columns
 
 
 def dual_certificate(
@@ -292,16 +284,17 @@ class RestrictedMaster:
     extract = MarginalLpColumns.extract
     dual_point = MarginalLpColumns.dual_point
 
-    def __init__(self, inst: Instance, violated: ViolatedSets):
-        """The master over the recorded sets plus every empty set, as
-        :func:`build_aux_primal` lists them."""
-        seed = build_aux_primal(inst, violated)
+    def __init__(self, inst: Instance, seed: MarginalLpColumns):
+        """The master over the columns of ``seed``, a marginal LP of
+        ``inst`` as :func:`_marginal_lp` builds it, whose support holds
+        every supplier's empty set."""
         self.inst, self.n, self.m, self.pivots = inst, inst.n, inst.m, 0
-        self.lam_index, self._ids = seed.lam_index, set(seed.lam_index)
-        lp, nm = seed.lp, inst.n * inst.m
+        self.lam_index = seed.lam_index
+        lp, nm, me = seed.lp, inst.n * inst.m, seed.lp.b_eq.size
         self._b = np.concatenate([lp.b_eq, lp.b_ub])
-        slacks = np.vstack([np.zeros((lp.b_eq.size, nm)), np.eye(nm)])
-        self._cols = np.asfortranarray(np.hstack([slacks, np.vstack([lp.a_eq, lp.a_ub])]))
+        # one column-major array: the MNL slacks, then the seed's columns
+        self._cols = np.zeros((self._b.size, nm + lp.num_vars), order="F")
+        self._cols[me:, :nm], self._cols[:me, nm:], self._cols[me:, nm:] = np.eye(nm), lp.a_eq, lp.a_ub
         self._c = np.r_[np.zeros(nm), lp.c]  # max-form objective
         empty = [2 * nm + self.lam_index.index((j, ())) for j in range(self.m)]
         basis = np.r_[empty, nm : 2 * nm, :nm]
@@ -313,43 +306,39 @@ class RestrictedMaster:
         set) of ``sets`` the master lacks, with the coefficients
         :func:`_marginal_lp` gives it, and return those pairs. Each set must
         be a sorted tuple of distinct customers."""
-        new = [pair for pair in dict.fromkeys(sets) if pair not in self._ids]
+        known = set(self.lam_index)
+        new = [pair for pair in dict.fromkeys(sets) if pair not in known]
         if new:
             c, block = np.zeros(len(new)), np.zeros((self._b.size, len(new)), order="F")
             _lambda_columns(self.inst, new, c, block)  # a lambda column's MNL rows stay zero
-            self._cols = np.asfortranarray(np.hstack([self._cols, block]))
+            self._cols = self._state.cols = np.asfortranarray(np.hstack([self._cols, block]))
             self._c = np.concatenate([self._c, c])
             self.lam_index += new
-            self._ids.update(new)
         return new
 
     def solve(self) -> LpResult:
-        """Phase 2 of :func:`~twosided.simplex.solve_lp` from the current
-        basis, returned as ``solve_lp`` returns it for x, then lambda in
+        """Phase 2 of :func:`~twosided.simplex.solve_lp` (``_optimize``)
+        from the current basis: the start basis on a first solve, so even a
+        master over every set (:func:`lp2_exact_small`) needs no phase 1.
+        Returned as ``solve_lp`` returns it for x, then lambda in
         ``lam_index`` order (``basis`` empty). An optimum that fails the KKT
-        check is pivoted and checked again from a basis inverted afresh;
-        a second failure raises :class:`LpSolverError`."""
-        self._state.cols = self._cols
+        check is pivoted and checked again from a basis inverted afresh; a
+        second failure raises :class:`LpSolverError`."""
         before = self.pivots
         try:
-            x, y = self._optimize()
+            x, y = self._solve_once()
         except LpSolverError:
             self._reinvert()
-            x, y = self._optimize()
+            x, y = self._solve_once()
         x, c = x[self.n * self.m :], self._c[self.n * self.m :]
         return LpResult("optimal", x, float(c @ x), iterations=self.pivots - before, duals=-y)
 
-    def _optimize(self) -> tuple[np.ndarray, np.ndarray]:
+    def _solve_once(self) -> tuple[np.ndarray, np.ndarray]:
         """Pivot to a KKT-checked optimum: every column's value, row duals."""
-        state, cost, k = self._state, -self._c, self._c.size
-        pivots = _pivot_loop(state, cost, k, FEASIBILITY_TOL, max_iters=2000 + 200 * (self._b.size + k))
+        pivots, x, y = _optimize(self._state, self._b, -self._c, self._c.size)
         if pivots < 0:
             raise LpSolverError("the restricted master reported unbounded; basis inverse corrupt")
         self.pivots += pivots
-        x = np.zeros(k)
-        x[state.basis] = state.x_b
-        y = cost[state.basis] @ state.binv
-        _check_optimality(self._cols, self._b, cost, x, y, FEASIBILITY_TOL)
         return x, y
 
     def _reinvert(self) -> None:

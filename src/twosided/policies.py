@@ -136,8 +136,8 @@ class _RunTables:
         draw; every supplier then keeps the best subset of its backlog, and
         the run's revenue adds those optima in supplier order. Runs that
         share an offered set draw from its CDF in one
-        :func:`~twosided.rounding.inverse_cdf` call, the rule
-        :func:`~twosided.rounding.draw` applies to one uniform."""
+        :func:`~twosided.rounding.inverse_cdf` call, which draws as
+        ``Generator.choice`` does from one uniform."""
         trials, n, m = uniforms.shape[0], self.inst.n, self.inst.m
         steps = uniforms.reshape(trials, n, -1)
         offered = np.empty((trials, n), dtype=np.intp)

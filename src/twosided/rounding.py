@@ -44,13 +44,10 @@ class AssortmentDistribution:
     def cdf(self) -> np.ndarray:
         return choice_cdf(self.probabilities)
 
-    def sample(self, rng: np.random.Generator) -> tuple[int, ...]:
-        return self.support[draw(self.cdf, rng)][0]
-
 
 def choice_cdf(p) -> np.ndarray:
-    """Normalized cumulative sums of ``p`` for :func:`draw`, after the checks
-    ``Generator.choice`` makes on ``p``."""
+    """Normalized cumulative sums of ``p`` for :func:`inverse_cdf`, after the
+    checks ``Generator.choice`` makes on ``p``."""
     p = np.asarray(p, dtype=float)
     if p.ndim != 1 or p.size == 0:
         raise ValueError("probabilities must be a non-empty 1-D array")
@@ -68,15 +65,11 @@ def choice_cdf(p) -> np.ndarray:
 
 def inverse_cdf(cdf: np.ndarray, u):
     """The index of a :func:`choice_cdf` table that a uniform ``u`` selects:
-    the first entry above ``u``. Elementwise for an array ``u``."""
+    the first entry above ``u``. Elementwise for an array ``u``. With ``u =
+    rng.random()`` it equals ``rng.choice(p.size, p=p)`` on a generator in
+    the same state, which also consumes one uniform, since that is how
+    ``Generator.choice`` samples with ``p``."""
     return cdf.searchsorted(u, side="right")
-
-
-def draw(cdf: np.ndarray, rng: np.random.Generator) -> int:
-    """One index drawn from a :func:`choice_cdf` table. It equals
-    ``rng.choice(p.size, p=p)`` and consumes the same single uniform, since
-    that is how ``Generator.choice`` samples with ``p``."""
-    return int(inverse_cdf(cdf, rng.random()))
 
 
 def mnl_distribution(x_row, u_row) -> AssortmentDistribution:
@@ -158,4 +151,4 @@ def choice_table(u_row, subset: tuple[int, ...]) -> tuple[list[int | None], np.n
 def sample_choice(u_row, subset: tuple[int, ...], rng: np.random.Generator) -> int | None:
     """Draw one MNL choice from ``subset`` (None is the outside option)."""
     options, cdf = choice_table(u_row, subset)
-    return options[draw(cdf, rng)]
+    return options[int(inverse_cdf(cdf, rng.random()))]

@@ -41,9 +41,9 @@ until a pivot moves the basic solution again; with its smallest-index
 leaving rule, Bland's rule cannot cycle. ``max_iters`` still guards
 against numerical trouble.
 
-:func:`solve_lp` starts from the all-artificial basis of phase 1;
-``lp.RestrictedMaster`` runs the same phase-2 pivot loop and KKT check from
-a basis it keeps between solves.
+:func:`solve_lp` starts from the all-artificial basis of phase 1; its
+phase 2, :func:`_optimize`, also solves every ``lp.RestrictedMaster`` from
+a basis the master keeps between solves.
 """
 
 from __future__ import annotations
@@ -172,26 +172,41 @@ def solve_lp(lp: LinearProgram, max_iters: int | None = None) -> LpResult:
     # artificial left basic sits at zero on a redundant row; it costs nothing
     # and, never priced, cannot re-enter.
     cost = np.concatenate([(-lp.c) if lp.maximize else lp.c, np.zeros(mu + m)])
-    it2 = _pivot_loop(state, cost, n_cols=n_struct, tol=FEASIBILITY_TOL, max_iters=max_iters)
+    it2, x_full, y = _optimize(state, b, cost, n_struct, max_iters)
     if it2 < 0:
         return LpResult(status="unbounded", x=None, objective=None, iterations=it1 + (-it2 - 1))
 
-    structural = state.basis < n_struct
-    x_full = np.zeros(n_struct)
-    x_full[state.basis[structural]] = state.x_b[structural]
     x = x_full[:k]
     # min-form multipliers of the flipped rows, mapped back to the LP's rows
-    y = cost[state.basis] @ state.binv
-    _check_optimality(cols[:, :n_struct], b, cost[:n_struct], x_full, y, FEASIBILITY_TOL)
     duals = np.where(flip, -y, y)
     return LpResult(
         status="optimal",
         x=x,
         objective=float(lp.c @ x),
         iterations=it1 + it2,
-        basis=tuple(int(var) for var in state.basis[structural]),
+        basis=tuple(int(var) for var in state.basis if var < n_struct),
         duals=-duals if lp.maximize else duals,
     )
+
+
+def _optimize(
+    state: _RevisedBasis, b: np.ndarray, cost: np.ndarray, n_cols: int, max_iters: int | None = None
+) -> tuple[int, np.ndarray | None, np.ndarray | None]:
+    """Pivot from the feasible basis of ``state`` to a KKT-checked optimum of
+    min-form ``cost`` over the first ``n_cols`` columns (a basic artificial
+    past them sits at zero). Returns the pivots, those columns' values and
+    the row duals, or -(pivots + 1), None, None when the LP is unbounded."""
+    if max_iters is None:
+        max_iters = 2000 + 200 * (b.size + n_cols)
+    pivots = _pivot_loop(state, cost, n_cols=n_cols, tol=FEASIBILITY_TOL, max_iters=max_iters)
+    if pivots < 0:
+        return pivots, None, None
+    inside = state.basis < n_cols
+    x = np.zeros(n_cols)
+    x[state.basis[inside]] = state.x_b[inside]
+    y = cost[state.basis] @ state.binv
+    _check_optimality(state.cols[:, :n_cols], b, cost[:n_cols], x, y, FEASIBILITY_TOL)
+    return pivots, x, y
 
 
 def _check_optimality(

@@ -1,7 +1,9 @@
 """The certificate of ``solve_restricted``: the restricted primal's duals,
 lifted by the exact oracle's priced excess, form a point of the full dual
 that the independent feasibility report accepts, and its objective bounds
-the exact LP optimum at ``certified_gap`` above the returned solution."""
+the exact LP optimum at ``certified_gap`` above the returned solution. The
+exact LP these tests compare against is itself held to a two-phase solve
+on the degenerate instances (extreme weights, zero and tied revenues)."""
 
 import numpy as np
 import pytest
@@ -12,11 +14,15 @@ from twosided.ellipsoid import CERTIFY_FIRST, CERTIFY_TOL, solve_restricted
 from twosided.instance import GENERATOR_KINDS, Instance, generate, normalize_revenues
 from twosided.lp import (
     RestrictedMaster,
+    _marginal_lp,
     build_aux_primal,
+    check_lp_solution,
     dual_certificate,
     dual_feasibility_report,
     lp2_exact_small,
 )
+from twosided.mnl import subset_of
+from twosided.simplex import solve_lp
 
 
 def assert_certified(inst, solved):
@@ -92,13 +98,18 @@ def test_zero_revenue_certificate(zero_revenue_instance):
     assert_agrees(zero_revenue_instance, solved)
 
 
-@pytest.mark.parametrize("seed", [0, 1])
-def test_tied_revenue_certificates(seed):
+def tied_revenue_instances(seed):
+    """Every parameter 1, and random weights with every revenue 0.5."""
     rng = np.random.default_rng(seed)
     identical = Instance(n=4, m=2, u=np.ones((4, 2)), w=np.ones((2, 4)), r=np.ones((4, 2)))
     tied = Instance(n=4, m=2, u=rng.uniform(0.5, 2.0, (4, 2)), w=rng.uniform(0.5, 2.0, (2, 4)),
                     r=np.full((4, 2), 0.5))
-    for inst in (identical, tied):
+    return identical, tied
+
+
+@pytest.mark.parametrize("seed", [0, 1])
+def test_tied_revenue_certificates(seed):
+    for inst in tied_revenue_instances(seed):
         assert_certified(inst, solve_restricted(inst, 300))
         assert_agrees(inst, solve_restricted(inst))
 
@@ -117,6 +128,25 @@ def test_extreme_weight_certificates(seed):
     inst = extreme_weight_instance(seed)
     assert_certified(inst, solve_restricted(inst, 200))
     assert_agrees(inst, solve_restricted(inst))
+
+
+DEGENERATE_CASES = [f"extreme-weight-{seed}" for seed in range(20)] + ["zero-revenue", "identical", "tied-revenue"]
+
+
+@pytest.mark.parametrize("case", DEGENERATE_CASES)
+def test_exact_lp_matches_a_two_phase_solve(case, zero_revenue_instance):
+    # lp2_exact_small solves the full LP on the restricted master, from its
+    # feasible start basis; solve_lp runs phase 1 and phase 2 on the same LP
+    if case.startswith("extreme-weight-"):
+        inst = extreme_weight_instance(int(case.removeprefix("extreme-weight-")))
+    else:
+        identical, tied = tied_revenue_instances(0)
+        inst = {"zero-revenue": zero_revenue_instance, "identical": identical, "tied-revenue": tied}[case]
+    every = [subset_of(mask, inst.n) for mask in range(2**inst.n)]
+    cold = solve_lp(_marginal_lp(inst, [every] * inst.m).lp)
+    sol = lp2_exact_small(inst)
+    assert abs(sol.objective - cold.objective) <= 1e-9
+    assert check_lp_solution(inst, sol) == []
 
 
 def test_certificate_requires_the_exact_oracle(unit_instance):

@@ -12,7 +12,6 @@ import numpy as np
 import pytest
 
 import oracles
-import twosided.lp as lp_module
 from oracles import (
     ReferenceOracle,
     _with,
@@ -72,7 +71,7 @@ from twosided.policies import (
     exact_dp_ftar,
     exact_star,
 )
-from twosided.rounding import choice_cdf, draw, sample_choice
+from twosided.rounding import choice_cdf, inverse_cdf, sample_choice
 from twosided.simplex import FEASIBILITY_TOL, LinearProgram, solve_lp
 
 
@@ -287,23 +286,22 @@ def test_unique_optimum_sees_ties():
     assert unique_optimum(strict, solve_lp(strict))
 
 
-def _full_marginal_lp(inst):
+def _full_marginal(inst):
     all_subsets = [subset_of(mask, inst.n) for mask in range(2**inst.n)]
-    return _marginal_lp(inst, [all_subsets] * inst.m).lp
+    return _marginal_lp(inst, [all_subsets] * inst.m)
 
 
 @pytest.mark.parametrize("kind", GENERATOR_KINDS)
 def test_full_marginal_lp_matches_reference_pivoting(kind, monkeypatch):
     inst = normalize_revenues(generate(kind, 4, 2, 6))
-    lp = _full_marginal_lp(inst)
+    columns = _full_marginal(inst)
+    lp = columns.lp
     got, want = _solve_both(lp, monkeypatch)
     assert got.status == "optimal" and got.iterations > 0
     assert_same_lp_result(lp, got, want)
 
-    sol = lp2_exact_small(inst)
-    with monkeypatch.context() as patch:
-        patch.setattr(lp_module, "solve_lp", reference_solve_lp)
-        ref = lp2_exact_small(inst)
+    # lp2_exact_small solves the same LP on the restricted master
+    sol, ref = lp2_exact_small(inst), columns.extract(want)
     assert abs(sol.objective - ref.objective) <= LP_TOL
     if unique_optimum(lp, got):
         assert np.abs(sol.x - ref.x).max() <= LP_TOL
@@ -314,7 +312,7 @@ def test_full_marginal_lp_matches_reference_pivoting(kind, monkeypatch):
 
 @pytest.mark.parametrize("kind", GENERATOR_KINDS)
 def test_8x4_marginal_lp_matches_reference_pivoting(kind):
-    lp = _full_marginal_lp(normalize_revenues(generate(kind, 8, 4, 6)))
+    lp = _full_marginal(normalize_revenues(generate(kind, 8, 4, 6))).lp
     got = solve_lp(lp)
     assert got.status == "optimal"
     assert_same_lp_result(lp, got, reference_solve_lp(lp))
@@ -337,23 +335,22 @@ def test_infeasible_and_unbounded_match_reference(monkeypatch):
         assert_same_lp_result(lp, got, want)
 
 
-def _recorded_supports(inst):
-    columns = build_aux_primal(inst, run_ellipsoid(inst, t_max=2000).violated)
-    return [[subset for owner, subset in columns.lam_index if owner == j] for j in range(inst.m)]
-
-
 @pytest.mark.parametrize("kind", GENERATOR_KINDS)
 def test_marginal_lp_build_is_identical_to_loop_form(kind):
     full = normalize_revenues(generate(kind, 6, 3, 4))
     aux = normalize_revenues(generate(kind, 3, 2, 9))
     all_subsets = [subset_of(mask, full.n) for mask in range(2**full.n)]
     # only the restricted primal names its columns, for --dump-lp
-    cases = ((full, [all_subsets] * full.m, {}), (aux, _recorded_supports(aux), {"named": True}))
-    for inst, support, flags in cases:
-        got, want = _marginal_lp(inst, support, **flags), reference_marginal_lp(inst, support)
+    named = build_aux_primal(aux, run_ellipsoid(aux, t_max=2000).violated)
+    supports = [[subset for owner, subset in named.lam_index if owner == j] for j in range(aux.m)]
+    cases = (
+        (_marginal_lp(full, [all_subsets] * full.m), reference_marginal_lp(full, [all_subsets] * full.m)),
+        (named, reference_marginal_lp(aux, supports)),
+    )
+    for index, (got, want) in enumerate(cases):
         for name in ("c", "a_eq", "b_eq", "a_ub", "b_ub"):
             assert getattr(got.lp, name).tobytes() == getattr(want.lp, name).tobytes(), name
-        assert got.lp.names == (want.lp.names if flags else None)
+        assert got.lp.names == (want.lp.names if index else None)
         assert got.lam_index == want.lam_index
 
 
@@ -576,7 +573,7 @@ def test_cdf_draw_matches_generator_choice():
             p[meta.integers(0, k, size=int(meta.integers(1, k)))] = 0.0
             p /= p.sum()
         got, want = np.random.default_rng(case), np.random.default_rng(case)
-        assert draw(choice_cdf(p), got) == want.choice(k, p=p)
+        assert int(inverse_cdf(choice_cdf(p), got.random())) == want.choice(k, p=p)
         assert got.random() == want.random()  # one uniform consumed by both
 
 
@@ -599,7 +596,7 @@ def test_distribution_and_choice_draws_match_reference():
     for seed in range(200):
         got, want = np.random.default_rng(seed), np.random.default_rng(seed)
         for i, dist in enumerate(policy.distributions):
-            offered = dist.sample(got)
+            offered = dist.sets[int(inverse_cdf(dist.cdf, got.random()))]
             assert offered == reference_distribution_sample(dist, want)
             assert sample_choice(u[i], offered, got) == reference_sample_choice(u[i], offered, want)
 

@@ -5,7 +5,14 @@ import twosided.lp as lp_module
 import twosided.simplex as simplex_module
 from oracles import lp_optimum_by_vertex_enumeration
 from twosided.instance import GENERATOR_KINDS, generate, normalize_revenues
-from twosided.lp import RestrictedMaster, ViolatedSets, _marginal_lp, lp2_exact_small
+from twosided.lp import (
+    RestrictedMaster,
+    ViolatedSets,
+    _marginal_lp,
+    build_aux_primal,
+    check_lp_solution,
+    lp2_exact_small,
+)
 from twosided.mnl import subset_of
 from twosided.simplex import FEASIBILITY_TOL, LinearProgram, LpSolverError, _check_optimality, solve_lp
 
@@ -219,17 +226,39 @@ def test_bland_fallback_agrees_with_the_default_rule(monkeypatch):
 
 @pytest.mark.parametrize("kind", GENERATOR_KINDS)
 def test_10x4_exact_lp_pivot_ceiling(kind, monkeypatch):
-    # partial Dantzig pricing takes 436-512 pivots here, Bland's rule
-    # 1,804-3,761
+    # partial Dantzig pricing takes 436-512 pivots here in the two-phase
+    # solve_lp, Bland's rule 1,804-3,761; the master inside lp2_exact_small,
+    # from its feasible start basis, 268-388
+    inst = normalize_revenues(generate(kind, 10, 4, 77))
+    every = [subset_of(mask, inst.n) for mask in range(2**inst.n)]
+    assert 0 < solve_lp(_marginal_lp(inst, [every] * inst.m).lp).iterations <= 1000
     results = []
+    solve = RestrictedMaster.solve
 
-    def recorded(lp):
-        results.append(solve_lp(lp))
+    def recorded(self):
+        results.append(solve(self))
         return results[-1]
 
-    monkeypatch.setattr(lp_module, "solve_lp", recorded)
-    lp2_exact_small(normalize_revenues(generate(kind, 10, 4, 77)))
-    assert 0 < results[0].iterations <= 1000
+    monkeypatch.setattr(RestrictedMaster, "solve", recorded)
+    lp2_exact_small(inst)
+    assert len(results) == 1 and 0 < results[0].iterations <= 500
+
+
+@pytest.mark.parametrize("kind", GENERATOR_KINDS)
+def test_exact_lp_runs_no_two_phase_solve(kind, monkeypatch):
+    # lp2_exact_small solves on the restricted master: no phase 1
+    inst = normalize_revenues(generate(kind, 6, 3, 77))
+    every = [subset_of(mask, inst.n) for mask in range(2**inst.n)]
+    cold = solve_lp(_marginal_lp(inst, [every] * inst.m).lp)
+
+    def refused(*args, **kwargs):
+        raise AssertionError("solve_lp called")
+
+    monkeypatch.setattr(simplex_module, "solve_lp", refused)
+    monkeypatch.setattr(lp_module, "solve_lp", refused)
+    sol = lp2_exact_small(inst)
+    assert abs(sol.objective - cold.objective) <= 1e-9
+    assert check_lp_solution(inst, sol) == []
 
 
 def test_solution_is_basic_and_feasible():
@@ -350,7 +379,7 @@ def _master(kind: str = "uniform-random", n: int = 6, m: int = 2, seed: int = 77
     for j in range(inst.m):
         for subset in every[1 : sets + 1]:
             violated.add(j, subset)
-    return RestrictedMaster(inst, violated), inst, every
+    return RestrictedMaster(inst, build_aux_primal(inst, violated)), inst, every
 
 
 def _master_lp(master) -> LinearProgram:
@@ -411,7 +440,7 @@ def test_master_columns_are_the_marginal_lp_columns():
 
 
 def test_every_master_solve_is_kkt_checked(monkeypatch):
-    kkt = _counting(monkeypatch, "_check_optimality", lp_module)
+    kkt = _counting(monkeypatch, "_check_optimality")
     master, inst, every = _master()
     for count in (1, 2, 3):
         master.solve()
@@ -430,12 +459,13 @@ def test_master_reinverts_once_after_drift(monkeypatch):
     master.solve()
     master.add((j, subset) for subset in every for j in range(inst.m))
     _drift(master)
-    kkt = _counting(monkeypatch, "_check_optimality", lp_module)
+    kkt = _counting(monkeypatch, "_check_optimality")
     inversions = _counting(monkeypatch, "_reinvert", lp_module.RestrictedMaster)
     got = master.solve()
     assert (len(kkt), len(inversions)) == (2, 1)
-    assert abs(got.objective - lp2_exact_small(inst).objective) <= 1e-12
-    assert_dual_certificate(_master_lp(master), got)
+    full = _master_lp(master)
+    assert abs(got.objective - solve_lp(full).objective) <= 1e-12
+    assert_dual_certificate(full, got)
 
 
 def test_persistent_drift_raises(monkeypatch):
