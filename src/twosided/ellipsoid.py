@@ -372,7 +372,7 @@ def solve_restricted(
     def price_recorded(violated: ViolatedSets) -> None:
         nonlocal master
         if master is None:
-            master = RestrictedMaster(inst, lp.build_aux_primal(inst, violated))
+            master = lp.build_aux_primal(inst, violated)
         price((j, subset) for j in range(inst.m) for subset in violated[j])
 
     def certify(violated: ViolatedSets) -> bool:

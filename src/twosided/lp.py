@@ -6,9 +6,11 @@ on every (backlog set, supplier) pair. The marginal LP replaces customer
 assortment variables by per-pair choice marginals x[i][j] constrained
 through the MNL identity x[i][j]/u[i][j] + sum_l x[i][l] <= 1. Both are
 instantiated in full (every subset variable) at desk scale only. The first
-goes to the two-phase ``simplex.solve_lp``; every marginal LP, full or
-with the backlog support the ellipsoid module generates, is solved on a
-``RestrictedMaster`` from its known feasible basis, without phase 1.
+goes to the two-phase ``simplex.solve_lp``. Every marginal LP, full or
+with the backlog support the ellipsoid module generates, is built by a
+``RestrictedMaster``, which writes its columns straight into its own
+standard form and solves from its known feasible basis, without phase 1;
+its ``lp`` property gives the named ``LinearProgram`` only when read.
 """
 
 from __future__ import annotations
@@ -109,45 +111,6 @@ class ViolatedSets:
         return list(self._lists[j])
 
 
-@dataclass
-class MarginalLpColumns:
-    """A marginal LP instance plus the bookkeeping needed to decode a
-    solution vector: columns are x (row-major) followed by one lambda column
-    per (supplier, subset) in ``lam_index`` order."""
-
-    lp: LinearProgram
-    lam_index: list[tuple[int, tuple[int, ...]]]
-    n: int
-    m: int
-
-    def extract(self, result: LpResult) -> LpSolution:
-        if result.status != "optimal" or result.x is None:
-            raise LpSolverError(f"marginal LP solve failed with status {result.status!r}")
-        nm = self.n * self.m
-        x = result.x[:nm].reshape(self.n, self.m).copy()
-        lam: list[dict[tuple[int, ...], float]] = [{} for _ in range(self.m)]
-        for col, (j, subset) in enumerate(self.lam_index):
-            p = float(result.x[nm + col])
-            if p > SUPPORT_EPS:
-                lam[j][subset] = p
-        return LpSolution(x=x, lam=lam, objective=float(result.objective))
-
-    def dual_point(self, result: LpResult) -> DualPoint:
-        """The optimal duals of the marginal LP's rows as a ``DualPoint``:
-        beta from the distribution rows, gamma from the consistency rows
-        (+1 on lambda, -1 on x, so a backlog column prices out at
-        R_j(S) - beta_j - sum_S gamma) and alpha from the MNL rows."""
-        if result.status != "optimal" or result.duals is None:
-            raise LpSolverError(f"marginal LP solve failed with status {result.status!r}")
-        n, m = self.n, self.m
-        y = result.duals
-        return DualPoint(
-            alpha=y[m + n * m :].reshape(n, m),
-            beta=y[:m],
-            gamma=y[m : m + n * m].reshape(n, m),
-        )
-
-
 def _lambda_columns(
     inst: Instance, lam_index: list[tuple[int, tuple[int, ...]]], c: np.ndarray, a: np.ndarray
 ) -> None:
@@ -181,35 +144,6 @@ def _lambda_columns(
     a[m + entry_customer * m + supplier[entry_col], entry_col] = 1.0
 
 
-def _marginal_lp(inst: Instance, support: list[list[tuple[int, ...]]]) -> MarginalLpColumns:
-    """Build the marginal LP restricted to the given per-supplier backlog
-    support (x columns always present), without column names. Each support
-    set must be a sorted tuple of distinct customers, as ``mnl.as_subset``
-    returns."""
-    n, m = inst.n, inst.m
-    nm = n * m
-    lam_index = [(j, subset) for j in range(m) for subset in support[j]]
-    k = nm + len(lam_index)
-
-    # equalities: the lambda block, and -x[i][j] in the consistency rows
-    pairs = np.arange(nm)
-    c = np.zeros(k)
-    a_eq = np.zeros((m + nm, k))
-    b_eq = np.zeros(m + nm)
-    _lambda_columns(inst, lam_index, c[nm:], a_eq[:, nm:])
-    a_eq[m + pairs, pairs] = -1.0
-    b_eq[:m] = 1.0
-
-    # inequalities: the MNL marginal polytope rows, x[i][j]/u[i][j] + sum_l x[i][l] <= 1
-    a_ub = np.zeros((nm, k))
-    b_ub = np.ones(nm)
-    a_ub[pairs[:, None], (pairs // m * m)[:, None] + np.arange(m)] = 1.0
-    a_ub[pairs, pairs] += 1.0 / inst.u.reshape(-1)
-
-    lp = LinearProgram(c=c, a_eq=a_eq, b_eq=b_eq, a_ub=a_ub, b_ub=b_ub, maximize=True)
-    return MarginalLpColumns(lp=lp, lam_index=lam_index, n=n, m=m)
-
-
 def lp2_exact_small(inst: Instance) -> LpSolution:
     """Solve the marginal LP exactly by instantiating every backlog variable
     (n <= 10, m <= 4): one :class:`RestrictedMaster` over every set, solved
@@ -218,28 +152,25 @@ def lp2_exact_small(inst: Instance) -> LpSolution:
         raise SizeLimitError(
             f"exact marginal LP limited to n <= {LP2_MAX_N}, m <= {LP2_MAX_M}; got {inst.n}x{inst.m}"
         )
-    all_subsets = [mnl.subset_of(mask, inst.n) for mask in range(2**inst.n)]
-    master = RestrictedMaster(inst, _marginal_lp(inst, [all_subsets] * inst.m))
+    every = [mnl.subset_of(mask, inst.n) for mask in range(2**inst.n)]
+    master = RestrictedMaster(inst, [(j, subset) for j in range(inst.m) for subset in every])
     return master.extract(master.solve())
 
 
 def build_aux_primal(
     inst: Instance, violated: ViolatedSets, priced: ViolatedSets | None = None
-) -> MarginalLpColumns:
-    """Marginal LP restricted to the recorded backlog sets, followed per
-    supplier by the ``priced`` sets not among them.
+) -> RestrictedMaster:
+    """The :class:`RestrictedMaster` over the recorded backlog sets,
+    followed per supplier by the ``priced`` sets not among them; its ``lp``
+    is the named LP ``--dump-lp`` writes.
 
     The empty set is injected first into every supplier's support so the
-    distribution rows stay satisfiable. Columns are named for ``--dump-lp``.
+    distribution rows stay satisfiable.
     """
-    support = [
-        list(dict.fromkeys([(), *violated[j], *(priced[j] if priced is not None else ())]))
-        for j in range(inst.m)
-    ]
-    columns = _marginal_lp(inst, support)
-    xs = [f"x[{i},{j}]" for i in range(inst.n) for j in range(inst.m)]
-    columns.lp.names = (*xs, *(f"lam[{j},{{{','.join(map(str, subset))}}}]" for j, subset in columns.lam_index))
-    return columns
+    supports = (
+        dict.fromkeys([(), *violated[j], *(priced[j] if priced is not None else ())]) for j in range(inst.m)
+    )
+    return RestrictedMaster(inst, [(j, subset) for j, support in enumerate(supports) for subset in support])
 
 
 def dual_certificate(
@@ -272,49 +203,104 @@ def dual_certificate(
 
 class RestrictedMaster:
     """The marginal LP over a growing set of backlog columns, in standard
-    form with its basis kept between solves. Columns have fixed ids: the nm
-    MNL slacks, x (row-major), then lambda in ``lam_index`` order. The start
+    form with its basis kept between solves; the only builder of that LP.
+    Rows are the m distribution rows, the nm consistency rows and the nm MNL
+    rows. Columns have fixed ids: the nm MNL slacks, x (row-major), then
+    lambda in ``lam_index`` order, all in one column-major array. The start
     basis is lambda_{j,{}} on distribution row j, x_ij on its consistency
     row and the slack on its MNL row: its matrix [[I, 0, 0], [0, -I, 0],
     [0, U, I]] (U the MNL coefficients of x) is its own inverse and its
     basic values are b = (1, 0, 1), so no solve needs phase 1. An appended
     column is nonbasic, so the basis and its inverse carry over."""
 
-    # decoded as MarginalLpColumns decodes, from n, m and lam_index only
-    extract = MarginalLpColumns.extract
-    dual_point = MarginalLpColumns.dual_point
-
-    def __init__(self, inst: Instance, seed: MarginalLpColumns):
-        """The master over the columns of ``seed``, a marginal LP of
-        ``inst`` as :func:`_marginal_lp` builds it, whose support holds
-        every supplier's empty set."""
-        self.inst, self.n, self.m, self.pivots = inst, inst.n, inst.m, 0
-        self.lam_index = seed.lam_index
-        lp, nm, me = seed.lp, inst.n * inst.m, seed.lp.b_eq.size
-        self._b = np.concatenate([lp.b_eq, lp.b_ub])
-        # one column-major array: the MNL slacks, then the seed's columns
-        self._cols = np.zeros((self._b.size, nm + lp.num_vars), order="F")
-        self._cols[me:, :nm], self._cols[:me, nm:], self._cols[me:, nm:] = np.eye(nm), lp.a_eq, lp.a_ub
-        self._c = np.r_[np.zeros(nm), lp.c]  # max-form objective
-        empty = [2 * nm + self.lam_index.index((j, ())) for j in range(self.m)]
+    def __init__(self, inst: Instance, sets: list[tuple[int, tuple[int, ...]]]):
+        """The master over a lambda column for every (supplier, set) of
+        ``sets``, in the given order and without repeats. The sets must
+        include every supplier's empty set, and each must be a sorted tuple
+        of distinct customers, as ``mnl.as_subset`` returns."""
+        n, m = inst.n, inst.m
+        nm, me = n * m, m + n * m
+        self.inst, self.n, self.m, self.pivots = inst, n, m, 0
+        self.lam_index: list[tuple[int, tuple[int, ...]]] = []
+        self._b = np.r_[np.ones(m), np.zeros(nm), np.ones(nm)]
+        self._cols, self._c = self._with_lambdas(2 * nm, sets)
+        # the MNL slacks; x_ij is -1 on its consistency row, and the MNL
+        # rows read x_ij/u_ij + sum_l x_il <= 1
+        pairs, x = np.arange(nm), self._cols[:, nm : 2 * nm]
+        self._cols[me + pairs, pairs] = 1.0
+        x[m + pairs, pairs] = -1.0
+        x[me + pairs[:, None], (pairs // m * m)[:, None] + np.arange(m)] = 1.0
+        x[me + pairs, pairs] += 1.0 / inst.u.reshape(-1)
+        empty = [2 * nm + self.lam_index.index((j, ())) for j in range(m)]
         basis = np.r_[empty, nm : 2 * nm, :nm]
         binv = np.ascontiguousarray(self._cols[:, basis])
         self._state = _RevisedBasis(self._cols, basis, binv, self._b.copy())
 
+    def _with_lambdas(self, head: int, new: list) -> tuple[np.ndarray, np.ndarray]:
+        """A column-major array and an objective, one allocation each: the
+        first ``head`` columns left zero for the caller, then a lambda
+        column for every (supplier, set) of ``new``, which joins
+        ``lam_index``."""
+        c = np.zeros(head + len(new))
+        cols = np.zeros((self._b.size, c.size), order="F")
+        _lambda_columns(self.inst, new, c[head:], cols[:, head:])  # a lambda column's MNL rows stay zero
+        self.lam_index += new
+        return cols, c
+
     def add(self, sets) -> list[tuple[int, tuple[int, ...]]]:
         """Append, in the given order, a lambda column for every (supplier,
-        set) of ``sets`` the master lacks, with the coefficients
-        :func:`_marginal_lp` gives it, and return those pairs. Each set must
-        be a sorted tuple of distinct customers."""
+        set) of ``sets`` the master lacks, and return those pairs. Each set
+        must be a sorted tuple of distinct customers."""
         known = set(self.lam_index)
         new = [pair for pair in dict.fromkeys(sets) if pair not in known]
         if new:
-            c, block = np.zeros(len(new)), np.zeros((self._b.size, len(new)), order="F")
-            _lambda_columns(self.inst, new, c, block)  # a lambda column's MNL rows stay zero
-            self._cols = self._state.cols = np.asfortranarray(np.hstack([self._cols, block]))
-            self._c = np.concatenate([self._c, c])
-            self.lam_index += new
+            head = self._c.size
+            cols, c = self._with_lambdas(head, new)
+            cols[:, :head], c[:head] = self._cols, self._c
+            self._cols = self._state.cols = cols
+            self._c = c
         return new
+
+    @property
+    def lp(self) -> LinearProgram:
+        """The master's LP over x, then lambda in ``lam_index`` order, as a
+        named :class:`LinearProgram` (what ``--dump-lp`` writes): read-only
+        views of the master's arrays, named afresh on every read."""
+        nm, me = self.n * self.m, self.m + self.n * self.m
+        views = (self._c[nm:], self._cols[:me, nm:], self._b[:me], self._cols[me:, nm:], self._b[me:])
+        for view in views:
+            view.flags.writeable = False
+        xs = [f"x[{i},{j}]" for i in range(self.n) for j in range(self.m)]
+        lams = (f"lam[{j},{{{','.join(map(str, subset))}}}]" for j, subset in self.lam_index)
+        return LinearProgram(*views, maximize=True, names=(*xs, *lams))
+
+    def extract(self, result: LpResult) -> LpSolution:
+        """The :class:`LpSolution` of ``result``, a solve of this master's
+        LP: x, and per supplier the lambda support in ``lam_index`` order."""
+        if result.status != "optimal" or result.x is None:
+            raise LpSolverError(f"marginal LP solve failed with status {result.status!r}")
+        nm = self.n * self.m
+        x = result.x[:nm].reshape(self.n, self.m).copy()
+        lam: list[dict[tuple[int, ...], float]] = [{} for _ in range(self.m)]
+        for col in np.flatnonzero(result.x[nm:] > SUPPORT_EPS):
+            j, subset = self.lam_index[col]
+            lam[j][subset] = float(result.x[nm + col])
+        return LpSolution(x=x, lam=lam, objective=float(result.objective))
+
+    def dual_point(self, result: LpResult) -> DualPoint:
+        """The optimal duals of the marginal LP's rows as a ``DualPoint``:
+        beta from the distribution rows, gamma from the consistency rows
+        (+1 on lambda, -1 on x, so a backlog column prices out at
+        R_j(S) - beta_j - sum_S gamma) and alpha from the MNL rows."""
+        if result.status != "optimal" or result.duals is None:
+            raise LpSolverError(f"marginal LP solve failed with status {result.status!r}")
+        n, m = self.n, self.m
+        y = result.duals
+        return DualPoint(
+            alpha=y[m + n * m :].reshape(n, m),
+            beta=y[:m],
+            gamma=y[m : m + n * m].reshape(n, m),
+        )
 
     def solve(self) -> LpResult:
         """Phase 2 of :func:`~twosided.simplex.solve_lp` (``_optimize``)

@@ -21,7 +21,7 @@ from twosided.lp import (
     DualFeasibilityReport,
     DualPoint,
     DualViolation,
-    MarginalLpColumns,
+    RestrictedMaster,
     ViolatedSets,
 )
 from twosided.mnl import SizeLimitError, choice_prob, expected_revenue_table, subset_masks, subset_of
@@ -487,9 +487,20 @@ def _drive_out_artificials(
     return rows, rhs, [basis[r] for r in keep]
 
 
-def reference_marginal_lp(inst: Instance, support: list[list[tuple[int, ...]]]) -> MarginalLpColumns:
-    """The per-column loop form of ``lp._marginal_lp`` (verbatim); the array
-    build must match it byte for byte."""
+def full_master(inst: Instance) -> RestrictedMaster:
+    """The restricted master over every backlog set, as ``lp2_exact_small``
+    seeds it: its ``lp`` is the full marginal LP the package builds, for the
+    tests that solve that LP another way."""
+    every = [subset_of(mask, inst.n) for mask in range(2**inst.n)]
+    return RestrictedMaster(inst, [(j, subset) for j in range(inst.m) for subset in every])
+
+
+def reference_marginal_lp(
+    inst: Instance, support: list[list[tuple[int, ...]]]
+) -> tuple[LinearProgram, list[tuple[int, tuple[int, ...]]]]:
+    """The per-column loop form of the marginal LP over ``support``
+    (verbatim), and its lambda columns as (supplier, set) pairs;
+    ``RestrictedMaster.lp`` must match it byte for byte."""
     n, m = inst.n, inst.m
     nm = n * m
     lam_index = [(j, subset) for j in range(m) for subset in support[j]]
@@ -524,7 +535,7 @@ def reference_marginal_lp(inst: Instance, support: list[list[tuple[int, ...]]]) 
             a_ub[row, i * m + j] += 1.0 / inst.u[i, j]
 
     lp = LinearProgram(c=c, a_eq=a_eq, b_eq=b_eq, a_ub=a_ub, b_ub=b_ub, maximize=True, names=tuple(names))
-    return MarginalLpColumns(lp=lp, lam_index=lam_index, n=n, m=m)
+    return lp, lam_index
 
 
 def reference_pivot_loop(tableau, basis, n_cols, tol, max_iters):

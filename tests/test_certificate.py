@@ -9,19 +9,18 @@ import numpy as np
 import pytest
 
 import twosided.ellipsoid as ellipsoid_module
+from oracles import full_master
 from twosided.cost_assortment import SubDualOracle
 from twosided.ellipsoid import CERTIFY_FIRST, CERTIFY_TOL, solve_restricted
 from twosided.instance import GENERATOR_KINDS, Instance, generate, normalize_revenues
 from twosided.lp import (
     RestrictedMaster,
-    _marginal_lp,
     build_aux_primal,
     check_lp_solution,
     dual_certificate,
     dual_feasibility_report,
     lp2_exact_small,
 )
-from twosided.mnl import subset_of
 from twosided.simplex import solve_lp
 
 
@@ -142,8 +141,7 @@ def test_exact_lp_matches_a_two_phase_solve(case, zero_revenue_instance):
     else:
         identical, tied = tied_revenue_instances(0)
         inst = {"zero-revenue": zero_revenue_instance, "identical": identical, "tied-revenue": tied}[case]
-    every = [subset_of(mask, inst.n) for mask in range(2**inst.n)]
-    cold = solve_lp(_marginal_lp(inst, [every] * inst.m).lp)
+    cold = solve_lp(full_master(inst).lp)
     sol = lp2_exact_small(inst)
     assert abs(sol.objective - cold.objective) <= 1e-9
     assert check_lp_solution(inst, sol) == []

@@ -15,6 +15,7 @@ import oracles
 from oracles import (
     ReferenceOracle,
     _with,
+    full_master,
     reference_best_marginal_assortment,
     reference_distribution_sample,
     reference_dual_feasibility_report,
@@ -53,7 +54,6 @@ from twosided.instance import (
 )
 from twosided.lp import (
     DualPoint,
-    _marginal_lp,
     build_aux_primal,
     dual_feasibility_report,
     lp2_exact_small,
@@ -286,22 +286,17 @@ def test_unique_optimum_sees_ties():
     assert unique_optimum(strict, solve_lp(strict))
 
 
-def _full_marginal(inst):
-    all_subsets = [subset_of(mask, inst.n) for mask in range(2**inst.n)]
-    return _marginal_lp(inst, [all_subsets] * inst.m)
-
-
 @pytest.mark.parametrize("kind", GENERATOR_KINDS)
 def test_full_marginal_lp_matches_reference_pivoting(kind, monkeypatch):
     inst = normalize_revenues(generate(kind, 4, 2, 6))
-    columns = _full_marginal(inst)
-    lp = columns.lp
+    master = full_master(inst)
+    lp = master.lp
     got, want = _solve_both(lp, monkeypatch)
     assert got.status == "optimal" and got.iterations > 0
     assert_same_lp_result(lp, got, want)
 
     # lp2_exact_small solves the same LP on the restricted master
-    sol, ref = lp2_exact_small(inst), columns.extract(want)
+    sol, ref = lp2_exact_small(inst), master.extract(want)
     assert abs(sol.objective - ref.objective) <= LP_TOL
     if unique_optimum(lp, got):
         assert np.abs(sol.x - ref.x).max() <= LP_TOL
@@ -312,7 +307,7 @@ def test_full_marginal_lp_matches_reference_pivoting(kind, monkeypatch):
 
 @pytest.mark.parametrize("kind", GENERATOR_KINDS)
 def test_8x4_marginal_lp_matches_reference_pivoting(kind):
-    lp = _full_marginal(normalize_revenues(generate(kind, 8, 4, 6))).lp
+    lp = full_master(normalize_revenues(generate(kind, 8, 4, 6))).lp
     got = solve_lp(lp)
     assert got.status == "optimal"
     assert_same_lp_result(lp, got, reference_solve_lp(lp))
@@ -321,9 +316,9 @@ def test_8x4_marginal_lp_matches_reference_pivoting(kind):
 @pytest.mark.parametrize("kind", GENERATOR_KINDS)
 def test_aux_primal_matches_reference_pivoting(kind, monkeypatch):
     inst = normalize_revenues(generate(kind, 3, 2, 9))
-    columns = build_aux_primal(inst, run_ellipsoid(inst, t_max=2000).violated)
-    got, want = _solve_both(columns.lp, monkeypatch)
-    assert_same_lp_result(columns.lp, got, want)
+    lp = build_aux_primal(inst, run_ellipsoid(inst, t_max=2000).violated).lp
+    got, want = _solve_both(lp, monkeypatch)
+    assert_same_lp_result(lp, got, want)
 
 
 def test_infeasible_and_unbounded_match_reference(monkeypatch):
@@ -340,18 +335,18 @@ def test_marginal_lp_build_is_identical_to_loop_form(kind):
     full = normalize_revenues(generate(kind, 6, 3, 4))
     aux = normalize_revenues(generate(kind, 3, 2, 9))
     all_subsets = [subset_of(mask, full.n) for mask in range(2**full.n)]
-    # only the restricted primal names its columns, for --dump-lp
-    named = build_aux_primal(aux, run_ellipsoid(aux, t_max=2000).violated)
-    supports = [[subset for owner, subset in named.lam_index if owner == j] for j in range(aux.m)]
+    recorded = build_aux_primal(aux, run_ellipsoid(aux, t_max=2000).violated)
+    supports = [[subset for owner, subset in recorded.lam_index if owner == j] for j in range(aux.m)]
     cases = (
-        (_marginal_lp(full, [all_subsets] * full.m), reference_marginal_lp(full, [all_subsets] * full.m)),
-        (named, reference_marginal_lp(aux, supports)),
+        (full_master(full), reference_marginal_lp(full, [all_subsets] * full.m)),
+        (recorded, reference_marginal_lp(aux, supports)),
     )
-    for index, (got, want) in enumerate(cases):
+    for master, (want, lam_index) in cases:
+        got = master.lp
         for name in ("c", "a_eq", "b_eq", "a_ub", "b_ub"):
-            assert getattr(got.lp, name).tobytes() == getattr(want.lp, name).tobytes(), name
-        assert got.lp.names == (want.lp.names if index else None)
-        assert got.lam_index == want.lam_index
+            assert getattr(got, name).tobytes() == getattr(want, name).tobytes(), name
+        assert got.names == want.names and got.maximize == want.maximize
+        assert master.lam_index == lam_index
 
 
 # ---------------------------------------------------------------------------

@@ -1,13 +1,13 @@
 import numpy as np
 import pytest
 
-from oracles import lp_optimum_by_vertex_enumeration
+from oracles import full_master, lp_optimum_by_vertex_enumeration
 from twosided.cost_assortment import SubDualOracle
 from twosided.instance import Instance, generate, normalize_revenues
 from twosided.lp import (
+    SUPPORT_EPS,
     DualPoint,
     ViolatedSets,
-    _marginal_lp,
     build_aux_primal,
     check_lp_solution,
     dual_certificate,
@@ -85,8 +85,8 @@ def test_lp1_size_guard():
 def test_aux_primal_empty_support_only():
     inst = generate("uniform-random", 3, 2, 4)
     violated = ViolatedSets(inst.m)
-    columns = build_aux_primal(inst, violated)
-    sol = columns.extract(solve_lp(columns.lp))
+    master = build_aux_primal(inst, violated)
+    sol = master.extract(solve_lp(master.lp))
     assert sol.objective == pytest.approx(0.0, abs=TOL)
     assert check_lp_solution(inst, sol) == []
 
@@ -97,8 +97,8 @@ def test_aux_primal_full_support_matches_exact():
     for j in range(inst.m):
         for mask in range(1, 2**inst.n):
             violated.add(j, subset_of(mask, inst.n))
-    columns = build_aux_primal(inst, violated)
-    sol = columns.extract(solve_lp(columns.lp))
+    master = build_aux_primal(inst, violated)
+    sol = master.extract(solve_lp(master.lp))
     assert sol.objective == pytest.approx(lp2_exact_small(inst).objective, abs=1e-7)
 
 
@@ -108,9 +108,9 @@ def test_aux_primal_matches_vertex_enumeration():
     violated.add(0, (0,))
     violated.add(0, (0, 1))
     violated.add(1, (1,))
-    columns = build_aux_primal(inst, violated)
-    res = solve_lp(columns.lp)
-    oracle = lp_optimum_by_vertex_enumeration(columns.lp)
+    lp = build_aux_primal(inst, violated).lp
+    res = solve_lp(lp)
+    oracle = lp_optimum_by_vertex_enumeration(lp)
     assert res.objective == pytest.approx(oracle, abs=1e-8)
 
 
@@ -214,9 +214,9 @@ def test_dual_point_of_the_full_lp_is_dual_feasible():
     # constraint, which holds only for the right rows and signs
     for kind, seed in (("uniform-random", 6), ("supplier-uniform", 7), ("same-order-additive", 8)):
         inst = normalize_revenues(generate(kind, 4, 2, seed))
-        columns = _marginal_lp(inst, [[subset_of(mask, inst.n) for mask in range(2**inst.n)]] * inst.m)
-        result = solve_lp(columns.lp)
-        point = columns.dual_point(result)
+        master = full_master(inst)
+        result = solve_lp(master.lp)
+        point = master.dual_point(result)
         assert (point.alpha.shape, point.beta.shape, point.gamma.shape) == ((4, 2), (2,), (4, 2))
         assert dual_feasibility_report(inst, point, tol=1e-9).feasible
         assert point.objective == pytest.approx(result.objective, abs=1e-12)
@@ -224,15 +224,31 @@ def test_dual_point_of_the_full_lp_is_dual_feasible():
         assert gap <= 1e-12
         assert lifted.objective == pytest.approx(point.objective, abs=1e-12)
         # whatever rounding prices out is a column the full LP already has
-        assert set(pricing) <= set(columns.lam_index)
+        assert set(pricing) <= set(master.lam_index)
+
+
+def test_extract_keeps_the_column_order_of_the_support():
+    # extract walks only the support, into the dicts a loop over every
+    # lambda column fills: same keys, values and insertion order
+    for kind in ("uniform-random", "same-order-additive"):
+        master = full_master(normalize_revenues(generate(kind, 6, 3, 77)))
+        result = master.solve()
+        nm = master.n * master.m
+        want = [{} for _ in range(master.m)]
+        for col, (j, subset) in enumerate(master.lam_index):
+            if result.x[nm + col] > SUPPORT_EPS:
+                want[j][subset] = float(result.x[nm + col])
+        got = master.extract(result).lam
+        assert [list(lam.items()) for lam in got] == [list(lam.items()) for lam in want]
+        assert sum(map(len, got)) > master.m
 
 
 def test_certificate_prices_the_oracle_sets():
     # only the empty sets: every supplier with a profitable set prices out,
     # and its witness is the exact oracle's set at the restricted duals
     inst = normalize_revenues(generate("uniform-random", 4, 3, 5))
-    columns = build_aux_primal(inst, ViolatedSets(inst.m))
-    point = columns.dual_point(solve_lp(columns.lp))
+    master = build_aux_primal(inst, ViolatedSets(inst.m))
+    point = master.dual_point(solve_lp(master.lp))
     oracle = SubDualOracle(inst)
     lifted, gap, pricing = dual_certificate(oracle, point)
     excess = lifted.beta - point.beta
@@ -249,12 +265,12 @@ def test_aux_primal_appends_new_priced_sets():
     priced.add(0, (0, 2))
     priced.add(0, (1,))  # also recorded: listed once, where the cut put it
     priced.add(1, ())  # the empty set is always listed first
-    columns = build_aux_primal(inst, violated, priced)
-    assert columns.lam_index == [(0, ()), (0, (1,)), (0, (0, 2)), (1, ()), (1, (0, 2))]
+    master = build_aux_primal(inst, violated, priced)
+    assert master.lam_index == [(0, ()), (0, (1,)), (0, (0, 2)), (1, ()), (1, (0, 2))]
     assert build_aux_primal(inst, violated).lam_index == [(0, ()), (0, (1,)), (1, ()), (1, (0, 2))]
 
 
 def test_dual_point_needs_an_optimum():
-    columns = build_aux_primal(generate("uniform-random", 2, 1, 0), ViolatedSets(1))
+    master = build_aux_primal(generate("uniform-random", 2, 1, 0), ViolatedSets(1))
     with pytest.raises(LpSolverError, match="infeasible"):
-        columns.dual_point(LpResult(status="infeasible", x=None, objective=None))
+        master.dual_point(LpResult(status="infeasible", x=None, objective=None))

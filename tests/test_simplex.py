@@ -3,12 +3,12 @@ import pytest
 
 import twosided.lp as lp_module
 import twosided.simplex as simplex_module
-from oracles import lp_optimum_by_vertex_enumeration
+from oracles import full_master, lp_optimum_by_vertex_enumeration
+from twosided.ellipsoid import solve_restricted
 from twosided.instance import GENERATOR_KINDS, generate, normalize_revenues
 from twosided.lp import (
     RestrictedMaster,
     ViolatedSets,
-    _marginal_lp,
     build_aux_primal,
     check_lp_solution,
     lp2_exact_small,
@@ -205,7 +205,7 @@ def test_matches_vertex_enumeration_on_degenerate_lps():
 
 def test_bland_fallback_agrees_with_the_default_rule(monkeypatch):
     inst = normalize_revenues(generate("uniform-random", 8, 4, 6))
-    marginal = _marginal_lp(inst, [[subset_of(mask, inst.n) for mask in range(2**inst.n)]] * inst.m).lp
+    marginal = full_master(inst).lp
     degenerate = [_cycling_lp(), _chvatal_lp(), marginal] + _degenerate_lps()
     rng = np.random.default_rng(77)
     lps = degenerate + [_random_bounded_lp(rng) for _ in range(40)]
@@ -230,8 +230,7 @@ def test_10x4_exact_lp_pivot_ceiling(kind, monkeypatch):
     # solve_lp, Bland's rule 1,804-3,761; the master inside lp2_exact_small,
     # from its feasible start basis, 268-388
     inst = normalize_revenues(generate(kind, 10, 4, 77))
-    every = [subset_of(mask, inst.n) for mask in range(2**inst.n)]
-    assert 0 < solve_lp(_marginal_lp(inst, [every] * inst.m).lp).iterations <= 1000
+    assert 0 < solve_lp(full_master(inst).lp).iterations <= 1000
     results = []
     solve = RestrictedMaster.solve
 
@@ -248,8 +247,7 @@ def test_10x4_exact_lp_pivot_ceiling(kind, monkeypatch):
 def test_exact_lp_runs_no_two_phase_solve(kind, monkeypatch):
     # lp2_exact_small solves on the restricted master: no phase 1
     inst = normalize_revenues(generate(kind, 6, 3, 77))
-    every = [subset_of(mask, inst.n) for mask in range(2**inst.n)]
-    cold = solve_lp(_marginal_lp(inst, [every] * inst.m).lp)
+    cold = solve_lp(full_master(inst).lp)
 
     def refused(*args, **kwargs):
         raise AssertionError("solve_lp called")
@@ -259,6 +257,20 @@ def test_exact_lp_runs_no_two_phase_solve(kind, monkeypatch):
     sol = lp2_exact_small(inst)
     assert abs(sol.objective - cold.objective) <= 1e-9
     assert check_lp_solution(inst, sol) == []
+
+
+@pytest.mark.parametrize("kind", GENERATOR_KINDS)
+def test_marginal_lp_solves_build_no_linear_program(kind, monkeypatch):
+    # the master writes its own columns: a LinearProgram is built only when
+    # its lp is read (--dump-lp, the tracer, tests)
+    inst = normalize_revenues(generate(kind, 4, 3, 77))
+
+    def refused(*args, **kwargs):
+        raise AssertionError("LinearProgram built")
+
+    monkeypatch.setattr(lp_module, "LinearProgram", refused)
+    assert check_lp_solution(inst, lp2_exact_small(inst)) == []
+    assert solve_restricted(inst).run.stop_reason == "certified"
 
 
 def test_solution_is_basic_and_feasible():
@@ -310,7 +322,7 @@ def test_duals_certify_redundant_rows():
 
 def test_duals_certify_marginal_lp():
     inst = normalize_revenues(generate("uniform-random", 4, 2, 6))
-    lp = _marginal_lp(inst, [[subset_of(mask, inst.n) for mask in range(2**inst.n)]] * inst.m).lp
+    lp = full_master(inst).lp
     res = solve_lp(lp)
     assert res.objective == pytest.approx(lp2_exact_small(inst).objective, abs=1e-12)
     assert_dual_certificate(lp, res)
@@ -379,14 +391,13 @@ def _master(kind: str = "uniform-random", n: int = 6, m: int = 2, seed: int = 77
     for j in range(inst.m):
         for subset in every[1 : sets + 1]:
             violated.add(j, subset)
-    return RestrictedMaster(inst, build_aux_primal(inst, violated)), inst, every
+    return build_aux_primal(inst, violated), inst, every
 
 
 def _master_lp(master) -> LinearProgram:
     """The marginal LP over the master's sets, its lambda columns listed
     per supplier."""
-    support = [[subset for owner, subset in master.lam_index if owner == j] for j in range(master.m)]
-    return _marginal_lp(master.inst, support).lp
+    return RestrictedMaster(master.inst, sorted(master.lam_index, key=lambda pair: pair[0])).lp  # stable
 
 
 def test_master_start_basis_is_feasible():
@@ -427,7 +438,15 @@ def test_master_columns_are_the_marginal_lp_columns():
     # columns added out of supplier order keep their ids and, bit for bit,
     # the coefficients the marginal LP over the same sets gives them
     master, inst, every = _master("same-order-additive", 4, 3, 5)
-    master.add([(2, every[9]), (0, every[12]), (2, every[5])])
+    seeded, added = list(master.lam_index), [(2, every[9]), (0, every[12]), (2, every[5])]
+    master.add(added)
+    # a master grown by add is the master built over all its sets at once
+    at_once = RestrictedMaster(inst, seeded + added)
+    grown_lp, at_once_lp = master.lp, at_once.lp
+    for name in ("c", "a_eq", "b_eq", "a_ub", "b_ub"):
+        assert getattr(grown_lp, name).tobytes() == getattr(at_once_lp, name).tobytes(), name
+    assert grown_lp.names == at_once_lp.names and master.lam_index == at_once.lam_index
+    assert master._cols.tobytes() == at_once._cols.tobytes() and master._c.tobytes() == at_once._c.tobytes()
     want = _master_lp(master)
     nm = inst.n * inst.m
     lams = sorted(master.lam_index, key=lambda pair: pair[0])  # stable: per supplier
@@ -437,6 +456,19 @@ def test_master_columns_are_the_marginal_lp_columns():
     # the slacks of the MNL rows come first
     assert (master._cols[:, :nm] == np.eye(master._b.size)[:, -nm:]).all() and not master._c[:nm].any()
     assert (master._b == np.concatenate([want.b_eq, want.b_ub])).all()
+
+
+def test_master_lp_is_read_only():
+    master, inst, _ = _master()
+    lp = master.lp
+    assert np.shares_memory(lp.a_eq, master._cols)
+    for name in ("c", "a_eq", "b_eq", "a_ub", "b_ub"):
+        with pytest.raises(ValueError, match="read-only"):
+            getattr(lp, name)[...] = 7.0
+    # the master solves as one whose LP was never read
+    got, want = master.solve(), RestrictedMaster(inst, master.lam_index).solve()
+    assert (got.objective, got.iterations) == (want.objective, want.iterations)
+    assert got.x.tobytes() == want.x.tobytes() and got.duals.tobytes() == want.duals.tobytes()
 
 
 def test_every_master_solve_is_kkt_checked(monkeypatch):
