@@ -29,7 +29,7 @@ from .instance import (
     save_instance,
     validate,
 )
-from .lp import LpSolverError, build_aux_primal, lp2_exact_small
+from .lp import LpSolverError, lp2_exact_small
 from .policies import (
     PolicyPreconditionError,
     RandomizedStaticPolicy,
@@ -176,9 +176,9 @@ def cmd_solve(args) -> int:
         "incumbent_objective": run.objective,
         "recorded_sets_total": run.violated.total(),
         "recorded_sets_per_supplier": run.violated.counts(),
-        "priced_sets_total": solved.priced.total(),
+        "priced_sets_total": solved.priced_sets_total,
         "pricing_rounds": solved.pricing_rounds,
-        "pivots": solved.pivots,
+        "pivots": solved.master.pivots,
         "stop_reason": run.stop_reason,
         "certified_gap": solved.certified_gap * factor,
     }
@@ -203,9 +203,8 @@ def cmd_solve(args) -> int:
         }
         _emit(args.out, json.dumps(doc, sort_keys=True, indent=2) + "\n")
     if args.dump_lp:
-        # the primal the solution came from, with its columns listed per supplier
-        lp = build_aux_primal(norm, run.violated, solved.priced).lp
-        _emit(args.dump_lp, json.dumps(lp.to_dict(), sort_keys=True) + "\n")
+        # the primal the solution came from, its columns in the order they joined it
+        _emit(args.dump_lp, json.dumps(solved.master.lp.to_dict(), sort_keys=True) + "\n")
     if args.trace:
         lines = [json.dumps(rec, sort_keys=True, default=_fmt) for rec in run.trace or []]
         _emit(args.trace, "\n".join(lines) + ("\n" if lines else ""))
@@ -261,9 +260,9 @@ def cmd_run(args) -> int:
         config["t_max"] = solved.run.t_max
         row["lp_objective"] = solved.solution.objective * factor
         row["certified_gap"] = solved.certified_gap * factor
-        row["priced_sets_total"] = solved.priced.total()
+        row["priced_sets_total"] = solved.priced_sets_total
         row["pricing_rounds"] = solved.pricing_rounds
-        row["pivots"] = solved.pivots
+        row["pivots"] = solved.master.pivots
         policy = RandomizedStaticPolicy(inst, solved.solution)
     else:  # greedy
         cert = detect_same_order(inst)

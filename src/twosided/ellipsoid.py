@@ -311,15 +311,17 @@ def _find_cut(inst, oracle, cuts, s, alpha, beta, gamma, obj, violated):
 @dataclass
 class RestrictedSolve:
     """One constraint-generation solve of the marginal LP: the cut-loop
-    record, the sets pricing rounds added, the simplex pivots of the primal
-    restricted to both, that primal's checked optimal solution, and a
+    record; the restricted master the solution was extracted from, which
+    holds the recorded sets and those the pricing rounds added and counts
+    the pivots of all its solves; the number of pricing rounds and of the
+    sets they added; the master's checked optimal solution; and a
     dual-feasible point of the full LP whose objective exceeds the
     solution's by ``certified_gap``."""
 
     run: EllipsoidResult
-    priced: ViolatedSets
+    master: RestrictedMaster
     pricing_rounds: int
-    pivots: int
+    priced_sets_total: int
     solution: LpSolution
     certificate: DualPoint
     certified_gap: float
@@ -340,21 +342,19 @@ def solve_restricted(
     32, 64, 128, ... cuts the sets recorded since its last solve join it; it
     is solved from its last basis and its duals priced with the exact oracle
     (see :func:`~twosided.lp.dual_certificate`). While the gap is above
-    1e-9, each pricing round adds every supplier's set that prices out
-    (kept in ``priced``, apart from the cut record) and solves again; the
-    rounds end once the gap is at most 1e-9, which stops the loop as
-    ``certified``, or once a round adds no new set, and the loop cuts on.
-    It otherwise stops at ``t_max`` or the float64 floor, and the master is
-    solved and priced again if it gained sets since its last solve.
-    The returned ``certified_gap`` bounds how far the objective can be
+    1e-9, each pricing round adds every supplier's set that prices out and
+    solves again; the rounds end once the gap is at most 1e-9, which stops
+    the loop as ``certified``, or once a round adds no new set, and the loop
+    cuts on. It otherwise stops at ``t_max`` or the float64 floor, and the
+    master is solved and priced again if it gained sets since its last
+    solve. The returned ``certified_gap`` bounds how far the objective can be
     below the true optimum, at every ``delta``; with ``delta > 0`` the
     objective is also at least (1 - delta) times the optimum. Raises
     :class:`LpSolverError` when the solution fails the feasibility check of
     the full marginal LP.
     """
     oracle = SubDualOracle(inst)
-    priced = ViolatedSets(inst.m)
-    rounds = 0
+    rounds = priced = 0
     master: RestrictedMaster | None = None
     result = certificate = None
     gap, pricing = math.inf, []
@@ -376,15 +376,14 @@ def solve_restricted(
         price((j, subset) for j in range(inst.m) for subset in violated[j])
 
     def certify(violated: ViolatedSets) -> bool:
-        nonlocal rounds
+        nonlocal rounds, priced
         price_recorded(violated)
         # an unchanged master keeps its last pricing, whose sets it holds
         while gap > CERTIFY_TOL:
             added = price(pricing)
             if not added:
                 break
-            for j, subset in added:
-                priced.add(j, subset)
+            priced += len(added)
             rounds += 1
         return gap <= CERTIFY_TOL
 
@@ -398,9 +397,9 @@ def solve_restricted(
         )
     return RestrictedSolve(
         run=run,
-        priced=priced,
+        master=master,
         pricing_rounds=rounds,
-        pivots=master.pivots,
+        priced_sets_total=priced,
         solution=solution,
         certificate=certificate,
         certified_gap=gap,

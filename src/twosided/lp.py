@@ -82,33 +82,31 @@ def weight_link_slack(inst: Instance, alpha: np.ndarray, gamma: np.ndarray) -> n
 class ViolatedSets:
     """Per-supplier ordered collections of customer sets; duplicates are
     ignored. An ellipsoid run records the sets whose backlog constraint it
-    cut; ``solve_restricted`` keeps the sets its pricing rounds add to the
-    restricted primal in a second one."""
+    cut."""
 
     def __init__(self, m: int):
-        self._lists: list[list[tuple[int, ...]]] = [[] for _ in range(m)]
-        self._seen: list[set[tuple[int, ...]]] = [set() for _ in range(m)]
+        # one insertion-ordered dict per supplier, keyed by canonical set
+        self._sets: list[dict[tuple[int, ...], None]] = [{} for _ in range(m)]
 
     def add(self, j: int, subset: tuple[int, ...]) -> bool:
-        seen = self._seen[j]
+        sets = self._sets[j]
         # a repeat cut arrives already canonical: skip the normalization
-        if isinstance(subset, tuple) and subset in seen:
+        if isinstance(subset, tuple) and subset in sets:
             return False
         subset = mnl.as_subset(subset)
-        if subset in seen:
+        if subset in sets:
             return False
-        seen.add(subset)
-        self._lists[j].append(subset)
+        sets[subset] = None
         return True
 
     def counts(self) -> list[int]:
-        return [len(sets) for sets in self._lists]
+        return [len(sets) for sets in self._sets]
 
     def total(self) -> int:
         return sum(self.counts())
 
     def __getitem__(self, j: int) -> list[tuple[int, ...]]:
-        return list(self._lists[j])
+        return list(self._sets[j])
 
 
 def _lambda_columns(
@@ -157,20 +155,12 @@ def lp2_exact_small(inst: Instance) -> LpSolution:
     return master.extract(master.solve())
 
 
-def build_aux_primal(
-    inst: Instance, violated: ViolatedSets, priced: ViolatedSets | None = None
-) -> RestrictedMaster:
-    """The :class:`RestrictedMaster` over the recorded backlog sets,
-    followed per supplier by the ``priced`` sets not among them; its ``lp``
-    is the named LP ``--dump-lp`` writes.
-
-    The empty set is injected first into every supplier's support so the
-    distribution rows stay satisfiable.
-    """
-    supports = (
-        dict.fromkeys([(), *violated[j], *(priced[j] if priced is not None else ())]) for j in range(inst.m)
+def build_aux_primal(inst: Instance, violated: ViolatedSets) -> RestrictedMaster:
+    """The :class:`RestrictedMaster` over the recorded backlog sets, each
+    supplier's empty set first so the distribution rows stay satisfiable."""
+    return RestrictedMaster(
+        inst, [(j, subset) for j in range(inst.m) for subset in dict.fromkeys([(), *violated[j]])]
     )
-    return RestrictedMaster(inst, [(j, subset) for j, support in enumerate(supports) for subset in support])
 
 
 def dual_certificate(
@@ -346,39 +336,22 @@ def lp1_exact_small(inst: Instance) -> float:
             f"got {inst.n}x{inst.m}"
         )
     n, m = inst.n, inst.m
-    n_lam = m * 2**n
-    n_tau = n * 2**m
-    k = n_lam + n_tau
-
-    def lam_col(j: int, cmask: int) -> int:
-        return j * 2**n + cmask
-
-    def tau_col(i: int, smask: int) -> int:
-        return n_lam + i * 2**m + smask
-
-    c = np.zeros(k)
-    for j in range(m):
-        gtab = mnl.optimal_revenue_table(inst, j)
-        c[lam_col(j, 0) : lam_col(j, 2**n - 1) + 1] = gtab
-
-    a_eq = np.zeros((m + n + n * m, k))
+    n_sets, n_offers = 2**n, 2**m
+    # columns: lambda[j, backlog mask] at j 2^n + mask, then tau[i, offer mask]
+    lam, tau = np.arange(m * n_sets), np.arange(n * n_offers)
+    c = np.zeros(lam.size + tau.size)
+    c[: lam.size] = np.concatenate([mnl.optimal_revenue_table(inst, j) for j in range(m)])
+    # rows: each distribution sums to 1, then per pair (i, j) the lambda mass
+    # of backlogs containing i equals i's probability of choosing j
+    a_eq = np.zeros((m + n + n * m, c.size))
     b_eq = np.zeros(m + n + n * m)
-    for j in range(m):
-        a_eq[j, lam_col(j, 0) : lam_col(j, 2**n - 1) + 1] = 1.0
-        b_eq[j] = 1.0
-    for i in range(n):
-        a_eq[m + i, tau_col(i, 0) : tau_col(i, 2**m - 1) + 1] = 1.0
-        b_eq[m + i] = 1.0
-    for i in range(n):
-        for j in range(m):
-            row = m + n + i * m + j
-            for cmask in range(2**n):
-                if cmask >> i & 1:
-                    a_eq[row, lam_col(j, cmask)] = 1.0
-            for smask in range(2**m):
-                if smask >> j & 1:
-                    members = mnl.subset_of(smask, m)
-                    a_eq[row, tau_col(i, smask)] = -mnl.choice_prob(inst.u[i], members, j)
+    b_eq[: m + n] = 1.0
+    a_eq[lam // n_sets, lam] = 1.0
+    a_eq[m + tau // n_offers, lam.size + tau] = 1.0
+    link = m + n + np.arange(n * m).reshape(n, m, 1)
+    a_eq[link, lam.reshape(1, m, n_sets)] = mnl.subset_masks(n).T[:, None, :]
+    phi = mnl.choice_prob_table(inst)
+    a_eq[link, lam.size + tau.reshape(n, 1, n_offers)] = -phi.transpose(0, 2, 1)
 
     lp = LinearProgram(c=c, a_eq=a_eq, b_eq=b_eq, maximize=True)
     result = solve_lp(lp)

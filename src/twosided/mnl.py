@@ -123,6 +123,14 @@ def subset_masks(k: int) -> np.ndarray:
     return masks
 
 
+def choice_prob_table(inst: Instance) -> np.ndarray:
+    """phi[i, a, j]: probability that customer i picks supplier j from the
+    supplier offer with bitmask a (zero where j is not offered), an
+    (n, 2^m, m) array."""
+    offers = subset_masks(inst.m)  # row a is the offer with bitmask a
+    return inst.u[:, None, :] * offers / (1.0 + inst.u @ offers.T)[:, :, None]
+
+
 def expected_revenue_table(inst: Instance, j: int) -> np.ndarray:
     """Expected revenue of every customer subset, indexed by bitmask."""
     masks = subset_masks(inst.n)

@@ -395,9 +395,7 @@ def exact_star(inst: Instance) -> float:
             f"static exhaustive search needs ~{work} array elements for "
             f"{n}x{m}; limit is {STAR_WORK_LIMIT}"
         )
-    offers = mnl.subset_masks(m)  # row a is the offer with bitmask a
-    # phi[i, a, j]: probability that customer i picks supplier j from offer a
-    phi = inst.u[:, None, :] * offers / (1.0 + inst.u @ offers.T)[:, :, None]
+    phi = mnl.choice_prob_table(inst)
     # column k is one profile: customer i is offered mask profiles[i, k]
     profiles = np.indices((2**m,) * n).reshape(n, -1)
     customers = np.arange(n)[:, None]

@@ -34,6 +34,11 @@ GAP_GENERAL_BOUND = 2.0
 GAP_UNIFORM_BOUND = math.e / (math.e - 1.0)
 CHAIN_SLACK = 1e-7
 TOL = 1e-9
+# sizes of the suites: correlated draws, sampled checks per suite, chain instances
+GAP_DRAWS = 1000
+SHARING_TRIALS = 1000
+ORDER_TRIALS = 1000
+CHAIN_COUNT = 200
 
 
 def counterexample_instance() -> Instance:
@@ -126,11 +131,14 @@ def suite_appendix_a(seed: int = 0) -> list[PropertyReport]:
     ]
 
 
-def suite_gap(seed: int, draws: int = 1000) -> list[PropertyReport]:
+def suite_gap(seed: int) -> list[PropertyReport]:
     report = PropertyReport(name="correlation-gap")
     exact = PropertyReport(name="correlation-gap-exactness")
-    half = draws // 2
-    specs = [("uniform-random", GAP_GENERAL_BOUND, half), ("supplier-uniform", GAP_UNIFORM_BOUND, draws - half)]
+    half = GAP_DRAWS // 2
+    specs = [
+        ("uniform-random", GAP_GENERAL_BOUND, half),
+        ("supplier-uniform", GAP_UNIFORM_BOUND, GAP_DRAWS - half),
+    ]
     case = 0
     max_seen = {"uniform-random": 0.0, "supplier-uniform": 0.0}
     for kind, bound, count in specs:
@@ -175,9 +183,9 @@ def suite_gap(seed: int, draws: int = 1000) -> list[PropertyReport]:
     return [report, exact]
 
 
-def suite_sharing(seed: int, trials: int = 1000) -> list[PropertyReport]:
+def suite_sharing(seed: int) -> list[PropertyReport]:
     reports: list[PropertyReport] = []
-    per_instance = max(1, trials // 5)
+    per_instance = max(1, SHARING_TRIALS // 5)
     for k in range(5):
         inst = generate("uniform-random", 8, 2, _sub_seed(seed, 31 + k))
         j = k % inst.m
@@ -189,10 +197,10 @@ def suite_sharing(seed: int, trials: int = 1000) -> list[PropertyReport]:
     return reports
 
 
-def suite_order(seed: int, trials: int = 1000) -> list[PropertyReport]:
+def suite_order(seed: int) -> list[PropertyReport]:
     reports: list[PropertyReport] = []
     kinds = ("same-order-additive", "same-order-multiplicative", "supplier-uniform")
-    per_instance = max(1, trials // 6)
+    per_instance = max(1, ORDER_TRIALS // 6)
     for k in range(6):
         kind = kinds[k % 3]
         inst = generate(kind, 6, 2, _sub_seed(seed, 101 + k))
@@ -213,11 +221,11 @@ def suite_order(seed: int, trials: int = 1000) -> list[PropertyReport]:
     return reports
 
 
-def suite_chain(seed: int, count: int = 200) -> list[PropertyReport]:
+def suite_chain(seed: int) -> list[PropertyReport]:
     """Value chain on random 3x2 instances: static <= fixed-order <=
     adaptive <= assortment-distribution LP <= marginal LP."""
     report = PropertyReport(name="relaxation-chain")
-    for k in range(count):
+    for k in range(CHAIN_COUNT):
         report.cases += 1
         inst = generate("uniform-random", 3, 2, _sub_seed(seed, 401 + k))
         star = exact_star(inst)

@@ -538,6 +538,44 @@ def reference_marginal_lp(
     return lp, lam_index
 
 
+def reference_assortment_distribution_lp(inst: Instance) -> LinearProgram:
+    """The per-entry loop form of the LP ``lp1_exact_small`` solves: lambda
+    (j, backlog mask) at column j 2^n + mask, tau (i, offer mask) after
+    them at i 2^m + mask, and each linking entry from ``choice_prob``."""
+    n, m = inst.n, inst.m
+    n_lam = m * 2**n
+    k = n_lam + n * 2**m
+
+    def lam_col(j: int, cmask: int) -> int:
+        return j * 2**n + cmask
+
+    def tau_col(i: int, smask: int) -> int:
+        return n_lam + i * 2**m + smask
+
+    c = np.zeros(k)
+    for j in range(m):
+        c[lam_col(j, 0) : lam_col(j, 2**n - 1) + 1] = mnl.optimal_revenue_table(inst, j)
+
+    a_eq = np.zeros((m + n + n * m, k))
+    b_eq = np.zeros(m + n + n * m)
+    for j in range(m):
+        a_eq[j, lam_col(j, 0) : lam_col(j, 2**n - 1) + 1] = 1.0
+        b_eq[j] = 1.0
+    for i in range(n):
+        a_eq[m + i, tau_col(i, 0) : tau_col(i, 2**m - 1) + 1] = 1.0
+        b_eq[m + i] = 1.0
+    for i in range(n):
+        for j in range(m):
+            row = m + n + i * m + j
+            for cmask in range(2**n):
+                if cmask >> i & 1:
+                    a_eq[row, lam_col(j, cmask)] = 1.0
+            for smask in range(2**m):
+                if smask >> j & 1:
+                    a_eq[row, tau_col(i, smask)] = -choice_prob(inst.u[i], subset_of(smask, m), j)
+    return LinearProgram(c=c, a_eq=a_eq, b_eq=b_eq, maximize=True)
+
+
 def reference_pivot_loop(tableau, basis, n_cols, tol, max_iters):
     """Bland pivoting with the entering column found by a Python scan."""
     m = tableau.shape[0] - 1

@@ -117,7 +117,7 @@ def test_criterion_03_rounding_marginals_and_sampling(capsys):
 
 def test_criterion_04_relaxation_chain(capsys):
     with criterion(capsys, 4, "static <= fixed-order <= adaptive <= LP chain on 200 instances", 300.0):
-        reports = suite_chain(seed=4, count=200)
+        reports = suite_chain(seed=4)
         assert reports[0].cases == 200
         assert reports[0].passed, reports[0].violations[:3]
 
@@ -190,13 +190,13 @@ def test_criterion_07_constraint_generation_fidelity(capsys):
 
 def test_criterion_08_correlation_gap_bounds(capsys):
     with criterion(capsys, 8, "correlation-gap bounds over 1000 correlated distributions", 120.0):
-        for report in suite_gap(seed=8, draws=1000):
+        for report in suite_gap(seed=8):
             assert report.passed, report.violations[:3]
 
 
 def test_criterion_09_cost_sharing(capsys):
     with criterion(capsys, 9, "cost-sharing cross-monotonicity and exact budget balance", 30.0):
-        for report in suite_sharing(seed=9, trials=1000):
+        for report in suite_sharing(seed=9):
             assert report.passed, report.violations[:3]
 
 

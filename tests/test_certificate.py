@@ -15,7 +15,6 @@ from twosided.ellipsoid import CERTIFY_FIRST, CERTIFY_TOL, solve_restricted
 from twosided.instance import GENERATOR_KINDS, Instance, generate, normalize_revenues
 from twosided.lp import (
     RestrictedMaster,
-    build_aux_primal,
     check_lp_solution,
     dual_certificate,
     dual_feasibility_report,
@@ -161,7 +160,7 @@ def test_degenerate_restricted_dual_certifies_by_pricing():
     solved = solve_restricted(inst)
     assert solved.run.stop_reason == "certified"
     assert solved.run.iterations == CERTIFY_FIRST
-    assert solved.pricing_rounds > 0 and solved.priced.total() > 0
+    assert solved.pricing_rounds > 0 and solved.priced_sets_total > 0
     assert solved.certified_gap <= 1e-9
     assert solved.solution.objective == pytest.approx(lp2_exact_small(inst).objective, abs=1e-12)
     assert_certified(inst, solved)
@@ -197,6 +196,19 @@ def test_16x2_pricing_certifies_at_the_first_checkpoint():
     assert solved.run.stop_reason == "certified" and solved.run.iterations == CERTIFY_FIRST
     assert solved.pricing_rounds > 0 and solved.certified_gap <= CERTIFY_TOL
     assert dual_feasibility_report(inst, solved.certificate, tol=1e-9).feasible
+
+
+@pytest.mark.parametrize("kind", GENERATOR_KINDS)
+@pytest.mark.parametrize("n, m, t_max", [(8, 2, None), (4, 3, CERTIFY_FIRST - 1), (3, 3, 1000)])
+def test_the_master_is_the_primal_of_the_solution(kind, n, m, t_max):
+    inst = normalize_revenues(generate(kind, n, m, 77))
+    solved = solve_restricted(inst, t_max)
+    master, sol = solved.master, solved.solution
+    cold = solve_lp(master.lp)
+    assert abs(cold.objective - sol.objective) <= 1e-12
+    support = {(j, subset) for j, lam in enumerate(sol.lam) for subset in lam}
+    assert support <= set(master.lam_index)
+    assert master.pivots > 0
 
 
 def test_final_solve_reuses_the_last_checkpoint(monkeypatch):
@@ -250,7 +262,8 @@ def test_final_solve_reuses_the_last_checkpoint(monkeypatch):
     later = solve_restricted(inst, t_max=CERTIFY_FIRST * 2 - 1)
     assert later.run.stop_reason == "t_max" and later.pricing_rounds == 8
     master = assert_warm(10)
-    # the master holds the primal --dump-lp rebuilds, up to column order
-    rebuilt = build_aux_primal(inst, later.run.violated, later.priced).lam_index
-    assert sorted(master.lam_index) == sorted(rebuilt)
+    # the solve returns its one master, which holds every recorded set
+    assert later.master is master
+    recorded = {(j, subset) for j in range(inst.m) for subset in later.run.violated[j]}
+    assert recorded <= set(master.lam_index)
     assert_certified(inst, later)

@@ -7,7 +7,7 @@ import pytest
 
 from twosided import cli
 from twosided.cli import build_parser, main
-from twosided.ellipsoid import CERTIFY_FIRST, default_iteration_budget
+from twosided.ellipsoid import CERTIFY_FIRST, default_iteration_budget, solve_restricted
 from twosided.instance import generate, load_instance, normalize_revenues, save_instance
 from twosided.simplex import LinearProgram, solve_lp
 from twosided.suites import counterexample_instance
@@ -227,8 +227,14 @@ def test_solve_reports_pricing(tmp_path, capsys):
     assert int(fields["pricing_rounds"]) > 0
     assert int(fields["priced_sets_total"]) >= int(fields["pricing_rounds"])
     assert int(fields["pivots"]) > 0
-    # the dump is the restricted primal the solution came from, priced sets included
+    # the report and the dump read the master the solution came from: its
+    # pivots, and its LP with the columns in the order they joined it
+    solved = solve_restricted(normalize_revenues(load_instance(inst_path)))
+    assert (fields["pivots"], fields["priced_sets_total"]) == (
+        str(solved.master.pivots), str(solved.priced_sets_total)
+    )
     lp_doc = json.loads(dump.read_text())
+    assert lp_doc["names"] == list(solved.master.lp.names)
     assert sum(name.startswith("lam[") for name in lp_doc["names"]) >= 2 + int(fields["priced_sets_total"])
     lp = LinearProgram(**{key: lp_doc[key] for key in ("c", "a_eq", "b_eq", "a_ub", "b_ub", "maximize")})
     assert abs(solve_lp(lp).objective - float(fields["objective_normalized"])) <= 1e-12
@@ -370,7 +376,7 @@ def test_verify_suite_passes(tmp_path, capsys):
 def test_verify_chain_small(tmp_path, capsys, monkeypatch):
     import twosided.suites as suites
 
-    monkeypatch.setitem(suites.SUITES, "chain", lambda seed: suites.suite_chain(seed, count=20))
+    monkeypatch.setattr(suites, "CHAIN_COUNT", 20)
     code, _ = run_cli(capsys, "verify", "--suite", "chain", "--seed", "3")
     assert code == 0
 

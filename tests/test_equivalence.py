@@ -16,6 +16,7 @@ from oracles import (
     ReferenceOracle,
     _with,
     full_master,
+    reference_assortment_distribution_lp,
     reference_best_marginal_assortment,
     reference_distribution_sample,
     reference_dual_feasibility_report,
@@ -52,10 +53,12 @@ from twosided.instance import (
     lexicographic_order,
     normalize_revenues,
 )
+import twosided.lp as lp_module
 from twosided.lp import (
     DualPoint,
     build_aux_primal,
     dual_feasibility_report,
+    lp1_exact_small,
     lp2_exact_small,
 )
 from twosided.mnl import independent_subset_probs, optimal_revenue, optimal_revenue_table, subset_of
@@ -347,6 +350,24 @@ def test_marginal_lp_build_is_identical_to_loop_form(kind):
             assert getattr(got, name).tobytes() == getattr(want, name).tobytes(), name
         assert got.names == want.names and got.maximize == want.maximize
         assert master.lam_index == lam_index
+
+
+@pytest.mark.parametrize("kind", GENERATOR_KINDS)
+@pytest.mark.parametrize("n, m", [(1, 1), (3, 2), (2, 4), (4, 4)])
+def test_assortment_distribution_lp_matches_loop_form(kind, n, m, monkeypatch):
+    # the choice probabilities of the linking rows sum their denominators
+    # in another order than choice_prob does: equal to a few ulps
+    inst = generate(kind, n, m, 5)
+    built = []
+    monkeypatch.setattr(lp_module, "solve_lp", lambda lp: built.append(lp) or solve_lp(lp))
+    got = lp1_exact_small(inst)
+    (lp,) = built
+    want = reference_assortment_distribution_lp(inst)
+    for name in ("c", "b_eq", "a_ub", "b_ub"):
+        assert getattr(lp, name).tobytes() == getattr(want, name).tobytes(), name
+    assert ((lp.a_eq == 0.0) == (want.a_eq == 0.0)).all()
+    assert np.abs(lp.a_eq - want.a_eq).max() <= 4 * np.finfo(float).eps
+    assert got == pytest.approx(solve_lp(want).objective, abs=1e-12)
 
 
 # ---------------------------------------------------------------------------

@@ -257,16 +257,12 @@ def test_certificate_prices_the_oracle_sets():
     assert all(subset for _, subset in pricing)
 
 
-def test_aux_primal_appends_new_priced_sets():
+def test_aux_primal_lists_the_empty_set_first():
     inst = normalize_revenues(generate("uniform-random", 3, 2, 0))
-    violated, priced = ViolatedSets(2), ViolatedSets(2)
+    violated = ViolatedSets(2)
     violated.add(0, (1,))
     violated.add(1, (0, 2))
-    priced.add(0, (0, 2))
-    priced.add(0, (1,))  # also recorded: listed once, where the cut put it
-    priced.add(1, ())  # the empty set is always listed first
-    master = build_aux_primal(inst, violated, priced)
-    assert master.lam_index == [(0, ()), (0, (1,)), (0, (0, 2)), (1, ()), (1, (0, 2))]
+    violated.add(1, ())  # recorded after (0, 2), listed first once
     assert build_aux_primal(inst, violated).lam_index == [(0, ()), (0, (1,)), (1, ()), (1, (0, 2))]
 
 

@@ -37,6 +37,10 @@ def test_traced_cli_counts(tmp_path):
     out = str(tmp_path / "out")
     runs = {
         "solve": ["solve", inst, "--t-max", str(t_max), "--out", out, "--report", str(tmp_path / "report")],
+        "dump-lp": [
+            "solve", inst, "--t-max", str(t_max), "--report", str(tmp_path / "report"),
+            "--dump-lp", str(tmp_path / "lp"),
+        ],
         "rand-static": [
             "run", inst, "--policy", "rand-static", "--trials", "5", "--seed", "1",
             "--t-max", str(t_max), "--out", out,
@@ -50,6 +54,9 @@ def test_traced_cli_counts(tmp_path):
     for name in ("solve", "rand-static"):
         assert traced[name].counts["ellipsoid.cuts"] == t_max
         assert traced[name].counts["lp.aux_columns"] > 0
+    # the dump writes the master the solve built: one build per solve
+    for name in ("solve", "rand-static", "dump-lp"):
+        assert traced[name].calls["lp.build_aux"] == 1, name
     for name in ("rand-static", "greedy"):
         assert traced[name].counts["policies.dp_atar.states"] > 0
         # the trials run batched, inside one Monte Carlo call
