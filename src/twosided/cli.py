@@ -155,6 +155,17 @@ def _normalized(inst):
     return normalize_revenues(inst), peak if peak > 0 else 1.0
 
 
+def _solve_fields(solved, factor: float) -> dict:
+    """The row fields of a solve that ``solve`` and rand-static ``run`` share."""
+    return {
+        "certified_gap": solved.certified_gap * factor,
+        "lp_bound": solved.certificate.objective * factor,
+        "priced_sets_total": solved.priced_sets_total,
+        "pricing_rounds": solved.pricing_rounds,
+        "pivots": solved.master.pivots,
+    }
+
+
 def cmd_solve(args) -> int:
     inst = _load_valid_instance(args.instance)
     norm, factor = _normalized(inst)
@@ -173,16 +184,15 @@ def cmd_solve(args) -> int:
         "objective": solution.objective * factor,
         "objective_normalized": solution.objective,
         "iterations": run.iterations,
-        "incumbent_objective": run.objective,
         "recorded_sets_total": run.violated.total(),
         "recorded_sets_per_supplier": run.violated.counts(),
-        "priced_sets_total": solved.priced_sets_total,
-        "pricing_rounds": solved.pricing_rounds,
-        "pivots": solved.master.pivots,
         "stop_reason": run.stop_reason,
-        "certified_gap": solved.certified_gap * factor,
+        **_solve_fields(solved, factor),
     }
-    header = list(row.keys())
+    header = [
+        "objective", "objective_normalized", "iterations", "lp_bound", "recorded_sets_total",
+        "recorded_sets_per_supplier", "priced_sets_total", "pricing_rounds", "pivots", "stop_reason", "certified_gap",
+    ]
     if norm.n <= 4 and norm.m <= 4:
         exact = lp2_exact_small(norm).objective
         row["exact_objective_normalized"] = exact
@@ -259,10 +269,7 @@ def cmd_run(args) -> int:
         solved = solve_restricted(norm, args.t_max, delta=delta)
         config["t_max"] = solved.run.t_max
         row["lp_objective"] = solved.solution.objective * factor
-        row["certified_gap"] = solved.certified_gap * factor
-        row["priced_sets_total"] = solved.priced_sets_total
-        row["pricing_rounds"] = solved.pricing_rounds
-        row["pivots"] = solved.master.pivots
+        row.update(_solve_fields(solved, factor))
         policy = RandomizedStaticPolicy(inst, solved.solution)
     else:  # greedy
         cert = detect_same_order(inst)
@@ -298,7 +305,7 @@ def cmd_run(args) -> int:
 
     header = [
         "policy", "n", "m", "exact_expected_revenue", "mc_mean", "mc_stderr",
-        "lp_objective", "certified_gap", "priced_sets_total", "pricing_rounds", "pivots", "dp_opt",
+        "lp_objective", "certified_gap", "lp_bound", "priced_sets_total", "pricing_rounds", "pivots", "dp_opt",
         "ratio_vs_dp", "heuristic_order",
     ]
     _emit(args.out, _document("run", config, header, [row], args.format))

@@ -33,7 +33,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import lp
+from . import lp, mnl
 from .cost_assortment import SubDualOracle
 from .instance import Instance
 from .lp import (
@@ -359,11 +359,11 @@ def solve_restricted(
     result = certificate = None
     gap, pricing = math.inf, []
 
-    def price(sets) -> list[tuple[int, tuple[int, ...]]]:
+    def price(sets) -> list[int]:
         """Add ``sets`` to the master and, when it gained any or was never
-        solved, solve it and price its duals; return the sets it gained."""
+        solved, solve it and price its duals; return the keys it gained."""
         nonlocal result, certificate, gap, pricing
-        added = master.add(sets)
+        added = master.add([j << inst.n | mnl.mask_of(subset, inst.n) for j, subset in sets])
         if added or result is None:
             result = master.solve()
             certificate, gap, pricing = dual_certificate(oracle, master.dual_point(result))

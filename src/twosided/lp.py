@@ -10,13 +10,14 @@ goes to the two-phase ``simplex.solve_lp``. Every marginal LP, full or
 with the backlog support the ellipsoid module generates, is built by a
 ``RestrictedMaster``, which writes its columns straight into its own
 standard form and solves from its known feasible basis, without phase 1;
-its ``lp`` property gives the named ``LinearProgram`` only when read.
+its ``lp`` property gives the named ``LinearProgram`` only when read. Its
+lambda columns are keyed ``j << n | mask`` (bit i: customer i): the full LP
+is the keys ``0 .. m 2^n - 1``, and only a solution's support is decoded.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from itertools import chain
 
 import numpy as np
 
@@ -109,58 +110,48 @@ class ViolatedSets:
         return list(self._sets[j])
 
 
-def _lambda_columns(
-    inst: Instance, lam_index: list[tuple[int, tuple[int, ...]]], c: np.ndarray, a: np.ndarray
-) -> None:
+def _lambda_columns(inst: Instance, keys: np.ndarray, c: np.ndarray, a: np.ndarray) -> None:
     """Write the objective ``c`` and the distribution and consistency rows
     of ``a`` (zero on entry) of the marginal LP's lambda columns, one per
-    ``lam_index`` entry; each column depends on its own entry only."""
+    key of ``keys``; each column depends on its own key only."""
     n, m = inst.n, inst.m
-    n_lam = len(lam_index)
-
-    # per lambda column its supplier; one (column, customer) entry per member
-    supplier = np.array([j for j, _ in lam_index], dtype=np.intp)
-    sizes = [len(subset) for _, subset in lam_index]
-    entry_col = np.repeat(np.arange(n_lam), sizes)
-    members = chain.from_iterable(subset for _, subset in lam_index)
-    entry_customer = np.fromiter(members, dtype=np.intp, count=sum(sizes))
-    member = np.zeros((n_lam, n))
-    member[entry_col, entry_customer] = 1.0
+    # per lambda column its supplier, and per (customer, column) membership
+    supplier = keys >> n
+    member = keys >> np.arange(n)[:, None] & 1
 
     # expected revenue of each backlog, summed customer by customer in
     # ascending order as mnl.expected_revenue does (a non-member adds +0.0)
-    num = np.zeros(n_lam)
-    den = np.ones(n_lam)
+    rw = member * (inst.r * inst.w.T)[:, supplier]
+    w = member * inst.w.T[:, supplier]
+    num, den = np.zeros(keys.size), np.ones(keys.size)
     for i in range(n):
-        num = num + member[:, i] * (inst.r[i, supplier] * inst.w[supplier, i])
-        den = den + member[:, i] * inst.w[supplier, i]
+        num, den = num + rw[i], den + w[i]
     c[:] = num / den
 
     # per supplier the lambdas form a distribution; per pair the lambda mass
     # containing customer i matches x[i][j]
-    a[supplier, np.arange(n_lam)] = 1.0
-    a[m + entry_customer * m + supplier[entry_col], entry_col] = 1.0
+    customer, col = np.nonzero(member)
+    a[supplier, np.arange(keys.size)] = 1.0
+    a[m + customer * m + supplier[col], col] = 1.0
 
 
 def lp2_exact_small(inst: Instance) -> LpSolution:
     """Solve the marginal LP exactly by instantiating every backlog variable
-    (n <= 10, m <= 4): one :class:`RestrictedMaster` over every set, solved
+    (n <= 10, m <= 4): one :class:`RestrictedMaster` over every key, solved
     from its start basis."""
     if inst.n > LP2_MAX_N or inst.m > LP2_MAX_M:
         raise SizeLimitError(
             f"exact marginal LP limited to n <= {LP2_MAX_N}, m <= {LP2_MAX_M}; got {inst.n}x{inst.m}"
         )
-    every = [mnl.subset_of(mask, inst.n) for mask in range(2**inst.n)]
-    master = RestrictedMaster(inst, [(j, subset) for j in range(inst.m) for subset in every])
+    master = RestrictedMaster(inst, np.arange(inst.m << inst.n))
     return master.extract(master.solve())
 
 
 def build_aux_primal(inst: Instance, violated: ViolatedSets) -> RestrictedMaster:
     """The :class:`RestrictedMaster` over the recorded backlog sets, each
     supplier's empty set first so the distribution rows stay satisfiable."""
-    return RestrictedMaster(
-        inst, [(j, subset) for j in range(inst.m) for subset in dict.fromkeys([(), *violated[j]])]
-    )
+    keys = (j << inst.n | mnl.mask_of(subset, inst.n) for j in range(inst.m) for subset in [(), *violated[j]])
+    return RestrictedMaster(inst, list(dict.fromkeys(keys)))
 
 
 def dual_certificate(
@@ -196,24 +187,23 @@ class RestrictedMaster:
     form with its basis kept between solves; the only builder of that LP.
     Rows are the m distribution rows, the nm consistency rows and the nm MNL
     rows. Columns have fixed ids: the nm MNL slacks, x (row-major), then
-    lambda in ``lam_index`` order, all in one column-major array. The start
+    lambda in key order (``keys``), all in one column-major array. The start
     basis is lambda_{j,{}} on distribution row j, x_ij on its consistency
     row and the slack on its MNL row: its matrix [[I, 0, 0], [0, -I, 0],
     [0, U, I]] (U the MNL coefficients of x) is its own inverse and its
     basic values are b = (1, 0, 1), so no solve needs phase 1. An appended
     column is nonbasic, so the basis and its inverse carry over."""
 
-    def __init__(self, inst: Instance, sets: list[tuple[int, tuple[int, ...]]]):
-        """The master over a lambda column for every (supplier, set) of
-        ``sets``, in the given order and without repeats. The sets must
-        include every supplier's empty set, and each must be a sorted tuple
-        of distinct customers, as ``mnl.as_subset`` returns."""
+    def __init__(self, inst: Instance, keys):
+        """The master over a lambda column for every key ``j << n | mask``
+        of ``keys``, in the given order and without repeats. The keys must
+        include every supplier's empty set, ``j << n``."""
         n, m = inst.n, inst.m
         nm, me = n * m, m + n * m
         self.inst, self.n, self.m, self.pivots = inst, n, m, 0
-        self.lam_index: list[tuple[int, tuple[int, ...]]] = []
-        self._b = np.r_[np.ones(m), np.zeros(nm), np.ones(nm)]
-        self._cols, self._c = self._with_lambdas(2 * nm, sets)
+        self.keys = np.asarray(keys, dtype=np.int64)
+        self._b = np.concatenate([np.ones(m), np.zeros(nm), np.ones(nm)])
+        self._cols, self._c = self._with_lambdas(2 * nm, self.keys)
         # the MNL slacks; x_ij is -1 on its consistency row, and the MNL
         # rows read x_ij/u_ij + sum_l x_il <= 1
         pairs, x = np.arange(nm), self._cols[:, nm : 2 * nm]
@@ -221,41 +211,42 @@ class RestrictedMaster:
         x[m + pairs, pairs] = -1.0
         x[me + pairs[:, None], (pairs // m * m)[:, None] + np.arange(m)] = 1.0
         x[me + pairs, pairs] += 1.0 / inst.u.reshape(-1)
-        empty = [2 * nm + self.lam_index.index((j, ())) for j in range(m)]
-        basis = np.r_[empty, nm : 2 * nm, :nm]
+        empty = [2 * nm + np.flatnonzero(self.keys == j << n)[0] for j in range(m)]
+        basis = np.concatenate([empty, np.arange(nm, 2 * nm), np.arange(nm)])
         binv = np.ascontiguousarray(self._cols[:, basis])
         self._state = _RevisedBasis(self._cols, basis, binv, self._b.copy())
 
-    def _with_lambdas(self, head: int, new: list) -> tuple[np.ndarray, np.ndarray]:
-        """A column-major array and an objective, one allocation each: the
-        first ``head`` columns left zero for the caller, then a lambda
-        column for every (supplier, set) of ``new``, which joins
-        ``lam_index``."""
-        c = np.zeros(head + len(new))
+    def _with_lambdas(self, head: int, new: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """A column-major array and an objective, one allocation each: ``head``
+        zero columns for the caller, then the lambda columns of keys ``new``."""
+        c = np.zeros(head + new.size)
         cols = np.zeros((self._b.size, c.size), order="F")
         _lambda_columns(self.inst, new, c[head:], cols[:, head:])  # a lambda column's MNL rows stay zero
-        self.lam_index += new
         return cols, c
 
-    def add(self, sets) -> list[tuple[int, tuple[int, ...]]]:
-        """Append, in the given order, a lambda column for every (supplier,
-        set) of ``sets`` the master lacks, and return those pairs. Each set
-        must be a sorted tuple of distinct customers."""
-        known = set(self.lam_index)
-        new = [pair for pair in dict.fromkeys(sets) if pair not in known]
-        if new:
+    def add(self, keys) -> list[int]:
+        """Append, in the given order, a lambda column for every key of
+        ``keys`` the master lacks, and return those keys."""
+        keys = np.fromiter(dict.fromkeys(keys), dtype=np.int64)
+        new = keys[~(keys[:, None] == self.keys).any(axis=1)]
+        if new.size:
             head = self._c.size
             cols, c = self._with_lambdas(head, new)
             cols[:, :head], c[:head] = self._cols, self._c
             self._cols = self._state.cols = cols
-            self._c = c
-        return new
+            self._c, self.keys = c, np.concatenate([self.keys, new])
+        return new.tolist()
+
+    @property
+    def lam_index(self) -> list[tuple[int, tuple[int, ...]]]:
+        """Every lambda column's (supplier, set): its key's bits from n up, and below n."""
+        return [(key >> self.n, mnl.subset_of(key, self.n)) for key in self.keys.tolist()]
 
     @property
     def lp(self) -> LinearProgram:
-        """The master's LP over x, then lambda in ``lam_index`` order, as a
-        named :class:`LinearProgram` (what ``--dump-lp`` writes): read-only
-        views of the master's arrays, named afresh on every read."""
+        """The master's LP over x, then lambda in key order, as a named
+        :class:`LinearProgram` (what ``--dump-lp`` writes): read-only views
+        of the master's arrays, named afresh on every read."""
         nm, me = self.n * self.m, self.m + self.n * self.m
         views = (self._c[nm:], self._cols[:me, nm:], self._b[:me], self._cols[me:, nm:], self._b[me:])
         for view in views:
@@ -266,15 +257,15 @@ class RestrictedMaster:
 
     def extract(self, result: LpResult) -> LpSolution:
         """The :class:`LpSolution` of ``result``, a solve of this master's
-        LP: x, and per supplier the lambda support in ``lam_index`` order."""
+        LP: x, and per supplier the lambda support in key order."""
         if result.status != "optimal" or result.x is None:
             raise LpSolverError(f"marginal LP solve failed with status {result.status!r}")
         nm = self.n * self.m
         x = result.x[:nm].reshape(self.n, self.m).copy()
         lam: list[dict[tuple[int, ...], float]] = [{} for _ in range(self.m)]
-        for col in np.flatnonzero(result.x[nm:] > SUPPORT_EPS):
-            j, subset = self.lam_index[col]
-            lam[j][subset] = float(result.x[nm + col])
+        support = np.flatnonzero(result.x[nm:] > SUPPORT_EPS)
+        for key, p in zip(self.keys[support].tolist(), result.x[nm + support].tolist()):
+            lam[key >> self.n][mnl.subset_of(key, self.n)] = p
         return LpSolution(x=x, lam=lam, objective=float(result.objective))
 
     def dual_point(self, result: LpResult) -> DualPoint:

@@ -187,4 +187,4 @@ def mask_of(subset, n: int) -> int:
 
 
 def subset_of(mask: int, n: int) -> tuple[int, ...]:
-    return tuple(i for i in range(n) if mask >> i & 1)
+    return tuple([i for i in range(n) if mask >> i & 1])

@@ -489,10 +489,10 @@ def _drive_out_artificials(
 
 def full_master(inst: Instance) -> RestrictedMaster:
     """The restricted master over every backlog set, as ``lp2_exact_small``
-    seeds it: its ``lp`` is the full marginal LP the package builds, for the
-    tests that solve that LP another way."""
-    every = [subset_of(mask, inst.n) for mask in range(2**inst.n)]
-    return RestrictedMaster(inst, [(j, subset) for j in range(inst.m) for subset in every])
+    seeds it (every key ``j << n | mask`` in ascending order): its ``lp`` is
+    the full marginal LP the package builds, for the tests that solve that
+    LP another way."""
+    return RestrictedMaster(inst, np.arange(inst.m << inst.n))
 
 
 def reference_marginal_lp(

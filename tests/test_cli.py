@@ -207,10 +207,17 @@ def test_default_solve_certifies(tmp_path, capsys):
     assert run_cli(capsys, "solve", str(inst_path), "--report", str(report))[0] == 0
     header = report.read_text().strip().splitlines()[-2].split(",")
     assert header[header.index("stop_reason") + 1] == "certified_gap"
+    assert header[header.index("iterations") + 1] == "lp_bound" and "incumbent_objective" not in header
     fields = _report_fields(report)
     assert fields["stop_reason"] == "certified"
     assert 0.0 <= float(fields["certified_gap"]) <= 1e-9
     assert float(fields["ratio_vs_exact"]) == pytest.approx(1.0, abs=1e-12)
+    # the LP bound is the certificate's objective: at or above the exact
+    # optimum, and within the gap of the objective
+    factor = float(_config_fields(report)["revenue_factor"])
+    assert float(fields["lp_bound"]) / factor >= float(fields["exact_objective_normalized"]) - 1e-12
+    gap = float(fields["lp_bound"]) - float(fields["objective"])
+    assert abs(gap - float(fields["certified_gap"])) <= 1e-12
 
 
 def test_solve_reports_pricing(tmp_path, capsys):
@@ -229,10 +236,12 @@ def test_solve_reports_pricing(tmp_path, capsys):
     assert int(fields["pivots"]) > 0
     # the report and the dump read the master the solution came from: its
     # pivots, and its LP with the columns in the order they joined it
-    solved = solve_restricted(normalize_revenues(load_instance(inst_path)))
+    inst = load_instance(inst_path)
+    solved = solve_restricted(normalize_revenues(inst))
     assert (fields["pivots"], fields["priced_sets_total"]) == (
         str(solved.master.pivots), str(solved.priced_sets_total)
     )
+    assert fields["lp_bound"] == repr(solved.certificate.objective * float(inst.r.max()))
     lp_doc = json.loads(dump.read_text())
     assert lp_doc["names"] == list(solved.master.lp.names)
     assert sum(name.startswith("lam[") for name in lp_doc["names"]) >= 2 + int(fields["priced_sets_total"])
@@ -243,8 +252,8 @@ def test_solve_reports_pricing(tmp_path, capsys):
     # a second run reports the same counts
     assert run_cli(capsys, *argv, "--report", str(summary), "--format", "summary")[0] == 0
     row = json.loads(summary.read_text())["rows"][0]
-    assert (row["priced_sets_total"], row["pricing_rounds"], row["pivots"]) == (
-        int(fields["priced_sets_total"]), int(fields["pricing_rounds"]), int(fields["pivots"])
+    assert (row["priced_sets_total"], row["pricing_rounds"], row["pivots"], repr(row["lp_bound"])) == (
+        int(fields["priced_sets_total"]), int(fields["pricing_rounds"]), int(fields["pivots"]), fields["lp_bound"]
     )
 
 
@@ -259,8 +268,18 @@ def test_run_reports_pricing_for_rand_static_only(tmp_path, capsys):
     assert int(fields["pricing_rounds"]) > 0 and int(fields["priced_sets_total"]) > 0
     assert int(fields["pivots"]) > 0
     assert 0.0 <= float(fields["certified_gap"]) <= 1e-9
+    header = list(fields)
+    assert header[header.index("certified_gap") + 1] == "lp_bound"
+    # the LP bound is the objective raised by the certified gap
+    gap = float(fields["lp_bound"]) - float(fields["lp_objective"])
+    assert abs(gap - float(fields["certified_gap"])) <= 1e-12
+    # the same fields as the solve report's, from the same solve
+    report = tmp_path / "report.csv"
+    assert run_cli(capsys, "solve", str(inst_path), "--t-max", "1000", "--report", str(report))[0] == 0
+    shared = ("certified_gap", "lp_bound", "priced_sets_total", "pricing_rounds", "pivots")
+    assert [fields[key] for key in shared] == [_report_fields(report)[key] for key in shared]
     fields = _report_fields(greedy)
-    assert fields["priced_sets_total"] == fields["pricing_rounds"] == fields["pivots"] == ""
+    assert fields["priced_sets_total"] == fields["pricing_rounds"] == fields["pivots"] == fields["lp_bound"] == ""
 
 
 @pytest.mark.parametrize("flag", [["--delta", "0.5"], ["--delta", "0"], ["--t-max", "1000"]])

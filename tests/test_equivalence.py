@@ -335,15 +335,15 @@ def test_infeasible_and_unbounded_match_reference(monkeypatch):
 
 @pytest.mark.parametrize("kind", GENERATOR_KINDS)
 def test_marginal_lp_build_is_identical_to_loop_form(kind):
-    full = normalize_revenues(generate(kind, 6, 3, 4))
     aux = normalize_revenues(generate(kind, 3, 2, 9))
-    all_subsets = [subset_of(mask, full.n) for mask in range(2**full.n)]
     recorded = build_aux_primal(aux, run_ellipsoid(aux, t_max=2000).violated)
     supports = [[subset for owner, subset in recorded.lam_index if owner == j] for j in range(aux.m)]
-    cases = (
-        (full_master(full), reference_marginal_lp(full, [all_subsets] * full.m)),
-        (recorded, reference_marginal_lp(aux, supports)),
-    )
+    cases = [(recorded, reference_marginal_lp(aux, supports))]
+    # the full LP at 6x3 and at the largest size lp2_exact_small takes
+    for n, m in ((6, 3), (10, 4)):
+        full = normalize_revenues(generate(kind, n, m, 4))
+        all_subsets = [subset_of(mask, n) for mask in range(2**n)]
+        cases.append((full_master(full), reference_marginal_lp(full, [all_subsets] * m)))
     for master, (want, lam_index) in cases:
         got = master.lp
         for name in ("c", "a_eq", "b_eq", "a_ub", "b_ub"):

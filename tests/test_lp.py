@@ -1,3 +1,6 @@
+import json
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -46,6 +49,31 @@ def test_lp2_size_guard():
     inst = generate("uniform-random", 11, 2, 0)
     with pytest.raises(SizeLimitError):
         lp2_exact_small(inst)
+
+
+LP_EXACT_REFERENCE = Path(__file__).resolve().parents[1] / "perfbench" / "lp_exact_reference.json"
+
+
+def _reference_items() -> list:
+    """The lowest-seed instance of every (kind, size) class in the lp-exact
+    benchmark's reference file, named kind-NxM-seed, with its stored
+    objective."""
+    objectives = json.loads(LP_EXACT_REFERENCE.read_text(encoding="utf-8"))["objectives"]
+    first: dict[str, str] = {}
+    for name in sorted(objectives, key=lambda name: int(name.rsplit("-", 1)[1])):
+        first.setdefault(name.rsplit("-", 1)[0], name)
+    return [pytest.param(name, objectives[name], id=name) for name in sorted(first.values())]
+
+
+@pytest.mark.parametrize("name, objective", _reference_items())
+def test_lp2_matches_the_benchmark_reference(name, objective):
+    # the check the lp-exact benchmark applies to each of its items
+    kind, size, seed = name.rsplit("-", 2)
+    n, m = map(int, size.split("x"))
+    inst = normalize_revenues(generate(kind, n, m, int(seed)))
+    sol = lp2_exact_small(inst)
+    assert abs(sol.objective - objective) <= 1e-9
+    assert check_lp_solution(inst, sol, tol=1e-9) == []
 
 
 def test_lp2_supplier_permutation_invariance():

@@ -384,20 +384,21 @@ def _counting(monkeypatch, name: str, owner=simplex_module) -> list[int]:
 
 def _master(kind: str = "uniform-random", n: int = 6, m: int = 2, seed: int = 77, sets: int = 3):
     """A restricted master over each supplier's first ``sets`` nonempty
-    sets, the instance, and every set of the instance."""
+    sets, the instance, and the key ``j << n | mask`` of every (supplier,
+    set) of the instance, set by set."""
     inst = normalize_revenues(generate(kind, n, m, seed))
-    every = [subset_of(mask, inst.n) for mask in range(2**inst.n)]
     violated = ViolatedSets(inst.m)
     for j in range(inst.m):
-        for subset in every[1 : sets + 1]:
-            violated.add(j, subset)
+        for mask in range(1, sets + 1):
+            violated.add(j, subset_of(mask, inst.n))
+    every = [j << inst.n | mask for mask in range(2**inst.n) for j in range(inst.m)]
     return build_aux_primal(inst, violated), inst, every
 
 
 def _master_lp(master) -> LinearProgram:
     """The marginal LP over the master's sets, its lambda columns listed
     per supplier."""
-    return RestrictedMaster(master.inst, sorted(master.lam_index, key=lambda pair: pair[0])).lp  # stable
+    return RestrictedMaster(master.inst, sorted(master.keys.tolist(), key=lambda key: key >> master.n)).lp  # stable
 
 
 def test_master_start_basis_is_feasible():
@@ -419,7 +420,7 @@ def test_master_solve_after_add_equals_a_cold_solve():
     lp = _master_lp(master)
     assert abs(first.objective - solve_lp(lp).objective) <= 1e-12
     assert_dual_certificate(lp, first)
-    added = master.add((j, subset) for subset in every for j in range(inst.m))
+    added = master.add(every)
     assert len(added) == inst.m * (2**inst.n - 4) and master.add(added) == []
     warm = master.solve()
     full = _master_lp(master)
@@ -438,14 +439,14 @@ def test_master_columns_are_the_marginal_lp_columns():
     # columns added out of supplier order keep their ids and, bit for bit,
     # the coefficients the marginal LP over the same sets gives them
     master, inst, every = _master("same-order-additive", 4, 3, 5)
-    seeded, added = list(master.lam_index), [(2, every[9]), (0, every[12]), (2, every[5])]
+    seeded, added = master.keys.tolist(), [2 << inst.n | 9, 0 << inst.n | 12, 2 << inst.n | 5]
     master.add(added)
     # a master grown by add is the master built over all its sets at once
     at_once = RestrictedMaster(inst, seeded + added)
     grown_lp, at_once_lp = master.lp, at_once.lp
     for name in ("c", "a_eq", "b_eq", "a_ub", "b_ub"):
         assert getattr(grown_lp, name).tobytes() == getattr(at_once_lp, name).tobytes(), name
-    assert grown_lp.names == at_once_lp.names and master.lam_index == at_once.lam_index
+    assert grown_lp.names == at_once_lp.names and master.keys.tolist() == at_once.keys.tolist()
     assert master._cols.tobytes() == at_once._cols.tobytes() and master._c.tobytes() == at_once._c.tobytes()
     want = _master_lp(master)
     nm = inst.n * inst.m
@@ -466,7 +467,7 @@ def test_master_lp_is_read_only():
         with pytest.raises(ValueError, match="read-only"):
             getattr(lp, name)[...] = 7.0
     # the master solves as one whose LP was never read
-    got, want = master.solve(), RestrictedMaster(inst, master.lam_index).solve()
+    got, want = master.solve(), RestrictedMaster(inst, master.keys).solve()
     assert (got.objective, got.iterations) == (want.objective, want.iterations)
     assert got.x.tobytes() == want.x.tobytes() and got.duals.tobytes() == want.duals.tobytes()
 
@@ -477,7 +478,7 @@ def test_every_master_solve_is_kkt_checked(monkeypatch):
     for count in (1, 2, 3):
         master.solve()
         assert len(kkt) == count
-        master.add([(0, every[10 + count])])
+        master.add([0 << inst.n | 10 + count])
 
 
 def _drift(master) -> None:
@@ -489,7 +490,7 @@ def _drift(master) -> None:
 def test_master_reinverts_once_after_drift(monkeypatch):
     master, inst, every = _master()
     master.solve()
-    master.add((j, subset) for subset in every for j in range(inst.m))
+    master.add(every)
     _drift(master)
     kkt = _counting(monkeypatch, "_check_optimality")
     inversions = _counting(monkeypatch, "_reinvert", lp_module.RestrictedMaster)
@@ -503,7 +504,7 @@ def test_master_reinverts_once_after_drift(monkeypatch):
 def test_persistent_drift_raises(monkeypatch):
     master, inst, every = _master()
     master.solve()
-    master.add((j, subset) for subset in every for j in range(inst.m))
+    master.add(every)
     _drift(master)
     monkeypatch.setattr(lp_module.RestrictedMaster, "_reinvert", _drift)
     with pytest.raises(LpSolverError, match="KKT"):
