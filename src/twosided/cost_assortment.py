@@ -4,7 +4,9 @@ This is the separation problem behind the dual of the marginal LP: for a
 cost matrix gamma (any sign), find the customer set maximizing expected
 revenue minus the total cost of the offered customers. One
 (1 - delta)-approximate oracle answers it by exhaustive enumeration at desk
-scale; its delta = 0 case is the exact maximizer. The cited
+scale; its delta = 0 case is the exact maximizer. It names the set by its
+bitmask (bit i: customer i, as ``mnl.mask_of``), the form the cut loop,
+its record and the restricted master keep it in. The cited
 polynomial-time scheme could replace the enumeration behind the same call
 without touching the solvers.
 """
@@ -20,7 +22,6 @@ from .mnl import (
     expected_revenue,
     expected_revenue_table,
     subset_masks,
-    subset_of,
 )
 
 SUB_DUAL_LIMIT = 20
@@ -38,9 +39,10 @@ class SubDualOracle:
     """The (1 - delta)-approximate sub-dual oracle of one instance (n <= 20),
     with cached subset tables; call as oracle(j, gamma).
 
-    Returns (value, customer set): the first set, smaller sets first and
+    Returns (value, mask): the first set, smaller sets first and
     lexicographically within a size, whose rev_cost reaches (1 - delta)
-    times the sub-dual optimum, and that rev_cost as the value. At delta = 0
+    times the sub-dual optimum, as its bitmask (bit i: customer i), and
+    that rev_cost as the value. At delta = 0
     this is the exact maximizer under the same tie-break. The optimum is
     always >= 0 since the empty set scores 0.
     """
@@ -66,17 +68,10 @@ class SubDualOracle:
             size += bit
             reversed_mask |= bit << (n - 1 - i)
         self._key = (size << n) + (2**n - 1 - reversed_mask)
-        self._subsets: dict[int, tuple[int, ...]] = {}
 
-    def _subset(self, mask: int) -> tuple[int, ...]:
-        subset = self._subsets.get(mask)
-        if subset is None:
-            subset = self._subsets[mask] = subset_of(mask, self.inst.n)
-        return subset
-
-    def __call__(self, j: int, gamma) -> tuple[float, tuple[int, ...]]:
+    def __call__(self, j: int, gamma) -> tuple[float, int]:
         gamma = np.asarray(gamma, dtype=float)
         values = self._rtab[j] - self._masks @ gamma[:, j]
         hits = (values >= (1.0 - self.delta) * values.max()).nonzero()[0]
         best = int(hits[0]) if hits.size == 1 else int(hits[self._key[hits].argmin()])
-        return values.item(best), self._subset(best)
+        return values.item(best), best

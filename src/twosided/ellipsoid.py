@@ -6,9 +6,11 @@ for a violated constraint in a fixed order -- objective cut first, then the
 weight-link rows, alpha nonnegativity, and finally the backlog family
 through the (1 - delta)-approximate sub-dual oracle, which is exact at the
 default delta = 0 -- and applies the central-cut update. Backlog sets that
-ever produced a cut are recorded; restricting the primal to that support
-(the auxiliary primal) and solving it exactly recovers a feasible,
-(1 - delta)-approximate solution of the full marginal LP.
+ever produced a cut are recorded by the bitmask the oracle names them with
+(bit i: customer i), which pricing and the master's keys ``j << n | mask``
+use as is; restricting the primal to that support (the auxiliary primal)
+and solving it exactly recovers a feasible, (1 - delta)-approximate
+solution of the full marginal LP.
 
 ``solve_restricted`` also prices that primal's duals with the exact oracle
 on a doubling schedule of cut counts. Lifted by the priced excess, they are
@@ -189,7 +191,7 @@ def run_ellipsoid(
                 degenerate_stop = True
                 break
             raise EllipsoidBreakdown(
-                f"a'Da = {ada:.3e} <= 0 at t={t} on {kind} cut {index}; "
+                f"a'Da = {ada:.3e} <= 0 at t={t} on {kind} cut {_shown(kind, index, n)}; "
                 f"trace(D) = {trace_d:.3e}"
             )
         # D <- growth * (D - (2 step / a'Da) da da'), in place. da da' is
@@ -205,7 +207,8 @@ def run_ellipsoid(
         t += 1
         if trace_rows is not None:
             trace_rows.append(
-                {"t": t, "cut": kind, "index": index, "obj": obj, "incumbent_updated": incumbent_flag}
+                {"t": t, "cut": kind, "index": _shown(kind, index, n), "obj": obj,
+                 "incumbent_updated": incumbent_flag}
             )
         incumbent_flag = False
         if certify is not None and t == next_check:
@@ -239,6 +242,7 @@ class _CutVectors:
     """
 
     def __init__(self, n: int, m: int, inv_u: np.ndarray):
+        self._customers = np.arange(n)
         nm = n * m
         self._n_dim = 2 * nm + m
         self._nm = nm
@@ -259,17 +263,17 @@ class _CutVectors:
                 a = np.zeros(self._n_dim)
                 a[i * m + j] = 1.0
                 self.alpha_nonnegative.append(_with_floor(a))
-        self._backlog: dict[tuple[int, tuple[int, ...]], tuple[np.ndarray, float]] = {}
+        self._backlog: dict[tuple[int, int], tuple[np.ndarray, float]] = {}
 
-    def backlog(self, j: int, subset: tuple[int, ...]) -> tuple[np.ndarray, float]:
-        cut = self._backlog.get((j, subset))
+    def backlog(self, j: int, mask: int) -> tuple[np.ndarray, float]:
+        cut = self._backlog.get((j, mask))
         if cut is None:
             a = np.zeros(self._n_dim)
             nm, m = self._nm, self._m
             a[nm + j] = 1.0
-            for i in subset:
-                a[nm + m + i * m + j] = 1.0
-            cut = self._backlog[(j, subset)] = _with_floor(a)
+            # gamma_ij sits at nm + m + i m + j: customer i's bit of the mask
+            a[nm + m + j :: m] = mask >> self._customers & 1
+            cut = self._backlog[(j, mask)] = _with_floor(a)
         return cut
 
 
@@ -277,6 +281,11 @@ def _with_floor(a: np.ndarray) -> tuple[np.ndarray, float]:
     # NOISE_FLOOR * a'a is the left factor of the noise level, so the
     # product with |trace(D)| rounds as it would if formed per cut
     return a, NOISE_FLOOR * float(a @ a)
+
+
+def _shown(kind: str, index, n: int):
+    """A cut's index as ``--trace`` rows and errors show it: a backlog set as its customers."""
+    return (index[0], mnl.subset_of(index[1], n)) if kind == "assortment-cost" else index
 
 
 def _find_cut(inst, oracle, cuts, s, alpha, beta, gamma, obj, violated):
@@ -300,10 +309,10 @@ def _find_cut(inst, oracle, cuts, s, alpha, beta, gamma, obj, violated):
         return "alpha-nonnegative", divmod(pos, m), cuts.alpha_nonnegative[pos]
 
     for j in range(m):
-        value, subset = oracle(j, gamma)
+        value, mask = oracle(j, gamma)
         if value > beta[j]:
-            violated.add(j, subset)
-            return "assortment-cost", (j, subset), cuts.backlog(j, subset)
+            violated.add(j, mask)
+            return "assortment-cost", (j, mask), cuts.backlog(j, mask)
 
     return None, None, None
 
@@ -363,7 +372,7 @@ def solve_restricted(
         """Add ``sets`` to the master and, when it gained any or was never
         solved, solve it and price its duals; return the keys it gained."""
         nonlocal result, certificate, gap, pricing
-        added = master.add([j << inst.n | mnl.mask_of(subset, inst.n) for j, subset in sets])
+        added = master.add([j << inst.n | mask for j, mask in sets])
         if added or result is None:
             result = master.solve()
             certificate, gap, pricing = dual_certificate(oracle, master.dual_point(result))
@@ -373,7 +382,7 @@ def solve_restricted(
         nonlocal master
         if master is None:
             master = lp.build_aux_primal(inst, violated)
-        price((j, subset) for j in range(inst.m) for subset in violated[j])
+        price((j, mask) for j in range(inst.m) for mask in violated[j])
 
     def certify(violated: ViolatedSets) -> bool:
         nonlocal rounds, priced

@@ -81,23 +81,18 @@ def weight_link_slack(inst: Instance, alpha: np.ndarray, gamma: np.ndarray) -> n
 
 
 class ViolatedSets:
-    """Per-supplier ordered collections of customer sets; duplicates are
-    ignored. An ellipsoid run records the sets whose backlog constraint it
-    cut."""
+    """Per supplier, an insertion-ordered collection of backlog sets, each
+    as its bitmask (bit i: customer i); repeats are ignored. An ellipsoid
+    run records the sets whose backlog constraint it cut."""
 
     def __init__(self, m: int):
-        # one insertion-ordered dict per supplier, keyed by canonical set
-        self._sets: list[dict[tuple[int, ...], None]] = [{} for _ in range(m)]
+        self._sets: list[dict[int, None]] = [{} for _ in range(m)]
 
-    def add(self, j: int, subset: tuple[int, ...]) -> bool:
+    def add(self, j: int, mask: int) -> bool:
         sets = self._sets[j]
-        # a repeat cut arrives already canonical: skip the normalization
-        if isinstance(subset, tuple) and subset in sets:
+        if mask in sets:
             return False
-        subset = mnl.as_subset(subset)
-        if subset in sets:
-            return False
-        sets[subset] = None
+        sets[mask] = None
         return True
 
     def counts(self) -> list[int]:
@@ -106,7 +101,7 @@ class ViolatedSets:
     def total(self) -> int:
         return sum(self.counts())
 
-    def __getitem__(self, j: int) -> list[tuple[int, ...]]:
+    def __getitem__(self, j: int) -> list[int]:
         return list(self._sets[j])
 
 
@@ -150,13 +145,13 @@ def lp2_exact_small(inst: Instance) -> LpSolution:
 def build_aux_primal(inst: Instance, violated: ViolatedSets) -> RestrictedMaster:
     """The :class:`RestrictedMaster` over the recorded backlog sets, each
     supplier's empty set first so the distribution rows stay satisfiable."""
-    keys = (j << inst.n | mnl.mask_of(subset, inst.n) for j in range(inst.m) for subset in [(), *violated[j]])
+    keys = (j << inst.n | mask for j in range(inst.m) for mask in [0, *violated[j]])
     return RestrictedMaster(inst, list(dict.fromkeys(keys)))
 
 
 def dual_certificate(
     oracle: SubDualOracle, point: DualPoint
-) -> tuple[DualPoint, float, list[tuple[int, tuple[int, ...]]]]:
+) -> tuple[DualPoint, float, list[tuple[int, int]]]:
     """Lift the duals of a restricted marginal LP to a dual-feasible point
     of the full one, and return it with the gap it certifies and the sets
     that price out.
@@ -166,19 +161,19 @@ def dual_certificate(
     exact ``oracle`` prices each supplier, ``v_j = max(0, oracle(j, gamma)
     - beta_j)``, and ``(alpha, beta + v, gamma)`` satisfies every one. Its
     objective bounds the LP optimum from above, at ``sum v`` above the
-    restricted optimum. The third value lists ``(j, oracle's set)`` for
-    every supplier with ``v_j > 0``: the backlog columns with the largest
-    positive reduced cost.
+    restricted optimum. The third value lists ``(j, mask)``, the oracle's
+    set as its bitmask, for every supplier with ``v_j > 0``: the backlog
+    columns with the largest positive reduced cost.
     """
     if oracle.delta != 0.0:
         raise ValueError(f"a certificate needs the exact oracle, got delta = {oracle.delta}")
     v = np.zeros(point.beta.size)
-    priced: list[tuple[int, tuple[int, ...]]] = []
+    priced: list[tuple[int, int]] = []
     for j in range(point.beta.size):
-        value, subset = oracle(j, point.gamma)
+        value, mask = oracle(j, point.gamma)
         v[j] = max(0.0, value - point.beta[j])
         if v[j] > 0.0:
-            priced.append((j, subset))
+            priced.append((j, mask))
     return DualPoint(alpha=point.alpha, beta=point.beta + v, gamma=point.gamma), float(v.sum()), priced
 
 
@@ -418,9 +413,9 @@ def dual_feasibility_report(
             if slack[i, j] < -tol:
                 report.violations.append(DualViolation("weight-link", (i, j), float(-slack[i, j])))
     for j in range(inst.m):
-        value, witness = oracle(j, gamma)
+        value, mask = oracle(j, gamma)
         if value > beta[j] + tol:
             report.violations.append(
-                DualViolation("assortment-cost", (j,), float(value - beta[j]), witness)
+                DualViolation("assortment-cost", (j,), float(value - beta[j]), mnl.subset_of(mask, inst.n))
             )
     return report

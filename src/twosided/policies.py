@@ -181,10 +181,10 @@ def _backlog(choice: np.ndarray, j: int) -> tuple[int, ...]:
 
 
 def _require_dp_size(inst: Instance) -> None:
-    work = (inst.m + 2) ** inst.n * 2**inst.m * max(inst.n, 1)
+    work = (inst.m + 2) ** inst.n * max(inst.n, 1)  # the status digits _dp_structure holds
     if work > DP_WORK_LIMIT:
         raise SizeLimitError(
-            f"adaptive dynamic program needs ~{work} state-action steps for "
+            f"adaptive dynamic program needs ~{work} status digits for "
             f"{inst.n}x{inst.m}; limit is {DP_WORK_LIMIT}"
         )
 

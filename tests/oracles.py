@@ -24,7 +24,7 @@ from twosided.lp import (
     RestrictedMaster,
     ViolatedSets,
 )
-from twosided.mnl import SizeLimitError, choice_prob, expected_revenue_table, subset_masks, subset_of
+from twosided.mnl import SizeLimitError, choice_prob, expected_revenue_table, mask_of, subset_masks, subset_of
 from twosided.policies import (
     OUTSIDE,
     STAR_WORK_LIMIT,
@@ -332,7 +332,7 @@ def _reference_find_cut(inst, oracle, s, alpha, beta, gamma, inv_u, obj, violate
     for j in range(m):
         value, subset, _ = oracle(j, gamma)
         if value > beta[j]:
-            violated.add(j, subset)
+            violated.add(j, mask_of(subset, n))
             ac_cuts.append(
                 AcCut(
                     t=t,

@@ -257,13 +257,13 @@ def test_final_solve_reuses_the_last_checkpoint(monkeypatch):
     # every master, so the checkpoint's solve stands
     same = solve_restricted(inst, t_max=CERTIFY_FIRST * 3 // 2)
     assert same.run.violated.total() == uncertified.run.violated.total() + 1
-    assert () in same.run.violated[0] and () not in uncertified.run.violated[0]
+    assert 0 in same.run.violated[0] and 0 not in uncertified.run.violated[0]
     assert_warm(9)
     later = solve_restricted(inst, t_max=CERTIFY_FIRST * 2 - 1)
     assert later.run.stop_reason == "t_max" and later.pricing_rounds == 8
     master = assert_warm(10)
     # the solve returns its one master, which holds every recorded set
     assert later.master is master
-    recorded = {(j, subset) for j in range(inst.m) for subset in later.run.violated[j]}
-    assert recorded <= set(master.lam_index)
+    recorded = {j << inst.n | mask for j in range(inst.m) for mask in later.run.violated[j]}
+    assert recorded <= set(master.keys.tolist())
     assert_certified(inst, later)

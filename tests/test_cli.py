@@ -9,6 +9,7 @@ from twosided import cli
 from twosided.cli import build_parser, main
 from twosided.ellipsoid import CERTIFY_FIRST, default_iteration_budget, solve_restricted
 from twosided.instance import generate, load_instance, normalize_revenues, save_instance
+from twosided.mnl import subset_of
 from twosided.simplex import LinearProgram, solve_lp
 from twosided.suites import counterexample_instance
 
@@ -249,6 +250,16 @@ def test_solve_reports_pricing(tmp_path, capsys):
     assert abs(solve_lp(lp).objective - float(fields["objective_normalized"])) <= 1e-12
     rows = [json.loads(line) for line in trace.read_text().splitlines()]
     assert [row["t"] for row in rows] == list(range(1, CERTIFY_FIRST + 1))
+    # a backlog cut's row names its set by ascending customers; per
+    # supplier those are the sets the solve recorded
+    shown = [set() for _ in range(inst.m)]
+    for row in rows:
+        if row["cut"] == "assortment-cost":
+            j, customers = row["index"]
+            assert customers == sorted(set(customers)) and all(0 <= i < inst.n for i in customers)
+            shown[j].add(tuple(customers))
+    assert shown == [{subset_of(mask, inst.n) for mask in solved.run.violated[j]} for j in range(inst.m)]
+    assert any(shown)
     # a second run reports the same counts
     assert run_cli(capsys, *argv, "--report", str(summary), "--format", "summary")[0] == 0
     row = json.loads(summary.read_text())["rows"][0]

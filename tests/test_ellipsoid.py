@@ -7,7 +7,7 @@ from twosided.ellipsoid import (
     run_ellipsoid,
     solve_restricted,
 )
-from twosided.instance import generate, normalize_revenues
+from twosided.instance import GENERATOR_KINDS, generate, normalize_revenues
 from twosided.lp import check_lp_solution, dual_feasibility_report, lp2_exact_small
 
 
@@ -120,3 +120,20 @@ def test_incumbent_objective_matches_point():
     inst = normalize_revenues(generate("uniform-random", 2, 2, 33))
     run = run_ellipsoid(inst, t_max=5000)
     assert abs(run.objective - run.best.objective) <= 1e-12
+
+
+@pytest.mark.parametrize("kind", GENERATOR_KINDS)
+@pytest.mark.parametrize("n, m", [(3, 3), (8, 2)])
+def test_a_solve_keeps_sets_as_masks(kind, n, m, monkeypatch):
+    # from the oracle to the master a backlog set stays the oracle's
+    # bitmask: nothing on the solve path converts a customer tuple
+    def unreachable(*args, **kwargs):
+        raise AssertionError("a set was converted from a customer tuple")
+
+    monkeypatch.setattr("twosided.mnl.mask_of", unreachable)
+    monkeypatch.setattr("twosided.mnl.as_subset", unreachable)
+    inst = normalize_revenues(generate(kind, n, m, 77))
+    for t_max, delta, trace in ((None, 0.0, False), (None, 0.0, True), (300, 0.2, False)):
+        solved = solve_restricted(inst, t_max, delta=delta, trace=trace)
+        assert check_lp_solution(inst, solved.solution) == []
+        assert solved.run.violated.total() > 0

@@ -197,9 +197,9 @@ def test_sub_dual_oracle_matches_reference(delta):
         want_oracle = ReferenceOracle(inst, delta)
         for gamma in gammas:
             for j in range(inst.m):
-                got = got_oracle(j, gamma)
-                assert got == want_oracle(j, gamma)[:2]
-                assert type(got[0]) is float
+                value, mask = got_oracle(j, gamma)
+                assert (value, subset_of(mask, inst.n)) == want_oracle(j, gamma)[:2]
+                assert type(value) is float and type(mask) is int
 
 
 def test_dual_report_matches_reference():

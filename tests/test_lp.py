@@ -124,7 +124,7 @@ def test_aux_primal_full_support_matches_exact():
     violated = ViolatedSets(inst.m)
     for j in range(inst.m):
         for mask in range(1, 2**inst.n):
-            violated.add(j, subset_of(mask, inst.n))
+            violated.add(j, mask)
     master = build_aux_primal(inst, violated)
     sol = master.extract(solve_lp(master.lp))
     assert sol.objective == pytest.approx(lp2_exact_small(inst).objective, abs=1e-7)
@@ -133,9 +133,9 @@ def test_aux_primal_full_support_matches_exact():
 def test_aux_primal_matches_vertex_enumeration():
     inst = generate("uniform-random", 2, 2, 3)
     violated = ViolatedSets(2)
-    violated.add(0, (0,))
-    violated.add(0, (0, 1))
-    violated.add(1, (1,))
+    violated.add(0, 0b01)
+    violated.add(0, 0b11)
+    violated.add(1, 0b10)
     lp = build_aux_primal(inst, violated).lp
     res = solve_lp(lp)
     oracle = lp_optimum_by_vertex_enumeration(lp)
@@ -144,10 +144,10 @@ def test_aux_primal_matches_vertex_enumeration():
 
 def test_violated_sets_dedupe_and_order():
     violated = ViolatedSets(2)
-    assert violated.add(0, (1, 0))
-    assert not violated.add(0, (0, 1))
-    assert violated.add(0, ())
-    assert violated[0] == [(0, 1), ()]
+    assert violated.add(0, 0b11)
+    assert not violated.add(0, 0b11)
+    assert violated.add(0, 0)
+    assert violated[0] == [0b11, 0]
     assert violated.counts() == [2, 0]
     assert violated.total() == 2
 
@@ -252,7 +252,7 @@ def test_dual_point_of_the_full_lp_is_dual_feasible():
         assert gap <= 1e-12
         assert lifted.objective == pytest.approx(point.objective, abs=1e-12)
         # whatever rounding prices out is a column the full LP already has
-        assert set(pricing) <= set(master.lam_index)
+        assert {j << inst.n | mask for j, mask in pricing} <= set(master.keys.tolist())
 
 
 def test_extract_keeps_the_column_order_of_the_support():
@@ -282,15 +282,15 @@ def test_certificate_prices_the_oracle_sets():
     excess = lifted.beta - point.beta
     assert gap == pytest.approx(excess.sum(), abs=0.0) and gap > 0.0
     assert pricing == [(j, oracle(j, point.gamma)[1]) for j in range(inst.m) if excess[j] > 0.0]
-    assert all(subset for _, subset in pricing)
+    assert all(mask for _, mask in pricing)
 
 
 def test_aux_primal_lists_the_empty_set_first():
     inst = normalize_revenues(generate("uniform-random", 3, 2, 0))
     violated = ViolatedSets(2)
-    violated.add(0, (1,))
-    violated.add(1, (0, 2))
-    violated.add(1, ())  # recorded after (0, 2), listed first once
+    violated.add(0, 0b010)
+    violated.add(1, 0b101)
+    violated.add(1, 0)  # recorded after (0, 2), listed first once
     assert build_aux_primal(inst, violated).lam_index == [(0, ()), (0, (1,)), (1, ()), (1, (0, 2))]
 
 

@@ -13,7 +13,6 @@ from twosided.lp import (
     check_lp_solution,
     lp2_exact_small,
 )
-from twosided.mnl import subset_of
 from twosided.simplex import FEASIBILITY_TOL, LinearProgram, LpSolverError, _check_optimality, solve_lp
 
 
@@ -390,7 +389,7 @@ def _master(kind: str = "uniform-random", n: int = 6, m: int = 2, seed: int = 77
     violated = ViolatedSets(inst.m)
     for j in range(inst.m):
         for mask in range(1, sets + 1):
-            violated.add(j, subset_of(mask, inst.n))
+            violated.add(j, mask)
     every = [j << inst.n | mask for mask in range(2**inst.n) for j in range(inst.m)]
     return build_aux_primal(inst, violated), inst, every
 

@@ -54,6 +54,13 @@ def test_traced_cli_counts(tmp_path):
     for name in ("solve", "rand-static"):
         assert traced[name].counts["ellipsoid.cuts"] == t_max
         assert traced[name].counts["lp.aux_columns"] > 0
+    # the tracer reads the cut record the master is built from: every
+    # recorded set, each cut by at least one oracle call
+    header, row = (tmp_path / "report").read_text().strip().splitlines()[-2:]
+    report = dict(zip(header.split(","), row.split(",")))
+    solve = traced["solve"]
+    assert solve.counts["lp.recorded_sets"] == int(report["recorded_sets_total"]) > 0
+    assert solve.calls["cost_assortment.oracle_call"] >= solve.counts["ellipsoid.cuts.assortment_cost"] > 0
     # the dump writes the master the solve built: one build per solve
     for name in ("solve", "rand-static", "dump-lp"):
         assert traced[name].calls["lp.build_aux"] == 1, name
