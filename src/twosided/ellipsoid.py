@@ -206,10 +206,8 @@ def run_ellipsoid(
         trace_d = float(shape.trace())
         t += 1
         if trace_rows is not None:
-            trace_rows.append(
-                {"t": t, "cut": kind, "index": _shown(kind, index, n), "obj": obj,
-                 "incumbent_updated": incumbent_flag}
-            )
+            shown = _shown(kind, index, n)
+            trace_rows.append({"t": t, "cut": kind, "index": shown, "obj": obj, "incumbent_updated": incumbent_flag})
         incumbent_flag = False
         if certify is not None and t == next_check:
             if certify(violated):

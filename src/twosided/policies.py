@@ -181,11 +181,13 @@ def _backlog(choice: np.ndarray, j: int) -> tuple[int, ...]:
 
 
 def _require_dp_size(inst: Instance) -> None:
-    work = (inst.m + 2) ** inst.n * max(inst.n, 1)  # the status digits _dp_structure holds
-    if work > DP_WORK_LIMIT:
+    n, m = inst.n, inst.m
+    # the largest arrays hold one element per state and customer or per state and supplier
+    work, bits = (m + 2) ** n * max(n, m, 1), m + (n - 1).bit_length()  # PolicyTable packs customer << m | offer
+    if work > DP_WORK_LIMIT or bits > 63:
         raise SizeLimitError(
-            f"adaptive dynamic program needs ~{work} status digits for "
-            f"{inst.n}x{inst.m}; limit is {DP_WORK_LIMIT}"
+            f"adaptive dynamic program needs ~{work} array elements and {bits}-bit actions for {n}x{m}; "
+            f"limits are {DP_WORK_LIMIT} and 63"
         )
 
 

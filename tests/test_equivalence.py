@@ -430,6 +430,11 @@ def test_dp_at_6x3_matches_reference(kind):
     assert_dp_matches_reference(generate(kind, 6, 3, 63))
 
 
+@pytest.mark.parametrize("n, m", [(1, 14), (2, 9), (3, 7)])
+def test_dp_with_more_suppliers_than_customers_matches_reference(n, m):
+    assert_dp_matches_reference(generate("uniform-random", n, m, 3))
+
+
 def test_product_bernoulli_call_sites_match_reference_loop():
     rng = np.random.default_rng(11)
     for n in (1, 2, 5, 8):

@@ -62,6 +62,9 @@ def test_dp_guard_matches_readme_limits(n, m):
     _require_dp_size(generate("uniform-random", n, m, 0))  # the DP itself is not run
     with pytest.raises(SizeLimitError):
         _require_dp_size(generate("uniform-random", n + 1, m, 0))
+    if (n, m) == DP_ACCEPTED[-1]:
+        with pytest.raises(SizeLimitError):
+            _require_dp_size(generate("uniform-random", n, m + 1, 0))
 
 
 @pytest.mark.parametrize("n, m", STAR_ACCEPTED)
