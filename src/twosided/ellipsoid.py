@@ -13,14 +13,15 @@ and solving it exactly recovers a feasible, (1 - delta)-approximate
 solution of the full marginal LP.
 
 ``solve_restricted`` also prices that primal's duals with the exact oracle
-on a doubling schedule of cut counts. Lifted by the priced excess, they are
-a dual-feasible point whose objective bounds the LP optimum, and the loop
-stops as ``certified`` once the bound is within 1e-9 of the restricted
-primal's objective. Until then, each checkpoint runs pricing rounds: the
-sets that price out join the primal, which is solved again from its last
-basis. One ``lp.RestrictedMaster`` holds that primal for the whole solve;
-new sets join it as nonbasic columns, and its first solve starts from a
-known feasible basis, without phase 1.
+(at delta = 0, the cut loop's own) on a doubling schedule of cut counts.
+Lifted by the priced excess, they are a dual-feasible point whose objective
+bounds the LP optimum, and the loop stops as ``certified`` once the bound is
+within 1e-9 of the restricted primal's objective. Until then, each
+checkpoint runs pricing rounds: the sets that price out join the primal,
+which is solved again from its last basis. One ``lp.RestrictedMaster``
+holds that primal for the whole solve; new sets join it as nonbasic
+columns, and its first solve starts from a known feasible basis, without
+phase 1.
 
 Iterations count cut steps only: when the center passes every check the
 incumbent is updated in place and the loop re-enters without advancing the
@@ -111,7 +112,7 @@ def run_ellipsoid(
     *,
     delta: float = 0.0,
     trace: bool = False,
-    certify: Callable[[ViolatedSets], bool] | None = None,
+    certify: Callable[[SubDualOracle], Callable[[ViolatedSets], bool]] | None = None,
 ) -> EllipsoidResult:
     """Run the cut loop for at most ``t_max`` cut steps, starting from the
     ball of radius :func:`default_radius` around the origin.
@@ -120,11 +121,12 @@ def run_ellipsoid(
     ``EllipsoidResult.stop_reason``: ``t_max`` cut steps; the float64
     floor, where a'Da along the next cut falls to the noise level of
     trace(D) (the usual end of a run without ``certify`` at the default
-    budget); or, with ``certify``, ``certify(recorded sets)`` returning true
-    (``certified``), which the loop asks only after 32, 64, 128, ... cuts
-    (``CERTIFY_FIRST``, doubling). Backlog cuts
-    come from ``SubDualOracle(inst, delta)``, which is exact at
-    ``delta = 0``.
+    budget); or, with ``certify``, its checkpoint test returning true
+    (``certified``). ``certify`` is called once, before the first cut, with
+    the run's oracle, and returns that test; the loop asks it, as
+    ``test(recorded sets)``, only after 32, 64, 128, ... cuts
+    (``CERTIFY_FIRST``, doubling). Backlog cuts come from
+    ``SubDualOracle(inst, delta)``, which is exact at ``delta = 0``.
 
     Requires revenues normalized so every expected revenue is at most 1
     (the initial incumbent beta = 1 must be feasible).
@@ -140,6 +142,7 @@ def run_ellipsoid(
         raise ValueError(f"t_max must be >= 1, got {t_max}")
 
     oracle = SubDualOracle(inst, delta)
+    test = None if certify is None else certify(oracle)
     s = np.zeros(n_dim)
     shape = np.eye(n_dim) * default_radius(inst) ** 2
 
@@ -209,8 +212,8 @@ def run_ellipsoid(
             shown = _shown(kind, index, n)
             trace_rows.append({"t": t, "cut": kind, "index": shown, "obj": obj, "incumbent_updated": incumbent_flag})
         incumbent_flag = False
-        if certify is not None and t == next_check:
-            if certify(violated):
+        if test is not None and t == next_check:
+            if test(violated):
                 certified = True
                 break
             next_check *= CERTIFY_GROWTH
@@ -358,9 +361,10 @@ def solve_restricted(
     below the true optimum, at every ``delta``; with ``delta > 0`` the
     objective is also at least (1 - delta) times the optimum. Raises
     :class:`LpSolverError` when the solution fails the feasibility check of
-    the full marginal LP.
+    the full marginal LP. The pricing uses the cut loop's own oracle at
+    ``delta = 0``, and an exact oracle of its own at ``delta > 0``.
     """
-    oracle = SubDualOracle(inst)
+    oracle: SubDualOracle | None = None
     rounds = priced = 0
     master: RestrictedMaster | None = None
     result = certificate = None
@@ -382,6 +386,11 @@ def solve_restricted(
             master = lp.build_aux_primal(inst, violated)
         price((j, mask) for j in range(inst.m) for mask in violated[j])
 
+    def checkpoints(run_oracle: SubDualOracle) -> Callable[[ViolatedSets], bool]:
+        nonlocal oracle
+        oracle = run_oracle if run_oracle.delta == 0.0 else SubDualOracle(inst)
+        return certify
+
     def certify(violated: ViolatedSets) -> bool:
         nonlocal rounds, priced
         price_recorded(violated)
@@ -394,7 +403,7 @@ def solve_restricted(
             rounds += 1
         return gap <= CERTIFY_TOL
 
-    run = run_ellipsoid(inst, t_max, delta=delta, trace=trace, certify=certify)
+    run = run_ellipsoid(inst, t_max, delta=delta, trace=trace, certify=checkpoints)
     price_recorded(run.violated)
     solution = master.extract(result)
     problems = check_lp_solution(inst, solution)

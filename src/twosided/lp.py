@@ -13,6 +13,7 @@ standard form and solves from its known feasible basis, without phase 1;
 its ``lp`` property gives the named ``LinearProgram`` only when read. Its
 lambda columns are keyed ``j << n | mask`` (bit i: customer i): the full LP
 is the keys ``0 .. m 2^n - 1``, and only a solution's support is decoded.
+A large master prices its lambda columns from those keys (``_MasterBasis``).
 """
 
 from __future__ import annotations
@@ -34,6 +35,12 @@ LP1_MAX_N = 4
 LP1_MAX_M = 4
 
 SUPPORT_EPS = 1e-12
+# lambda columns from which a master prices them from their keys. Below it,
+# one dense product with the duals costs less than the key path's numpy
+# calls. Per pivot over a full marginal LP (best of 15, 2-core VM): 8x2's
+# 512 lambda columns 6.1 us dense against 10.0 us from keys, 8x4's 1,024
+# 15.9 against 9.9, 10x4's 4,096 123 against 32
+KEY_PRICING_MIN = 1024
 
 
 @dataclass
@@ -187,7 +194,9 @@ class RestrictedMaster:
     row and the slack on its MNL row: its matrix [[I, 0, 0], [0, -I, 0],
     [0, U, I]] (U the MNL coefficients of x) is its own inverse and its
     basic values are b = (1, 0, 1), so no solve needs phase 1. An appended
-    column is nonbasic, so the basis and its inverse carry over."""
+    column is nonbasic, so the basis and its inverse carry over. The basis
+    (``_MasterBasis``) keeps every lambda column's entries of the pricing
+    table beside ``keys``."""
 
     def __init__(self, inst: Instance, keys):
         """The master over a lambda column for every key ``j << n | mask``
@@ -209,7 +218,7 @@ class RestrictedMaster:
         empty = [2 * nm + np.flatnonzero(self.keys == j << n)[0] for j in range(m)]
         basis = np.concatenate([empty, np.arange(nm, 2 * nm), np.arange(nm)])
         binv = np.ascontiguousarray(self._cols[:, basis])
-        self._state = _RevisedBasis(self._cols, basis, binv, self._b.copy())
+        self._state = _MasterBasis(n, m, self._cols, basis, binv, self._b.copy(), self.keys)
 
     def _with_lambdas(self, head: int, new: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """A column-major array and an objective, one allocation each: ``head``
@@ -228,8 +237,8 @@ class RestrictedMaster:
             head = self._c.size
             cols, c = self._with_lambdas(head, new)
             cols[:, :head], c[:head] = self._cols, self._c
-            self._cols = self._state.cols = cols
-            self._c, self.keys = c, np.concatenate([self.keys, new])
+            self._state.extend(cols, new)
+            self._cols, self._c, self.keys = cols, c, np.concatenate([self.keys, new])
         return new.tolist()
 
     @property
@@ -307,6 +316,88 @@ class RestrictedMaster:
         state = self._state
         state.binv = np.linalg.inv(state.cols[:, state.basis])
         state.x_b = state.binv @ self._b
+
+
+class _MasterBasis(_RevisedBasis):
+    """The basis of a :class:`RestrictedMaster`, which prices the master's
+    lambda columns from their keys. A lambda column is 1 on its supplier's
+    distribution row j and on the consistency row of each member i, so its
+    min-form reduced cost is its cost less ``y_j + sum_{i in S} y_ij``. With
+    the customers split at h = n // 2, that sum is one entry of a table of
+    the low half's subset sums, y_j folded in, plus one entry of the high
+    half's. One product of the duals with a fixed matrix per (n, m) gives the
+    table (:func:`_half_sum_matrix`); ``halves`` holds the two entries of
+    every lambda column. The slack and x columns are priced densely."""
+
+    def __init__(self, n: int, m: int, cols, basis, binv, x_b, keys: np.ndarray):
+        super().__init__(cols, basis, binv, x_b)
+        self.n, self.m = n, m
+        self.halves = _half_sum_entries(keys, n, m)
+        self._table_rows = m * (2 ** (n // 2) + 2 ** (n - n // 2))
+        self._matrix = None
+
+    def extend(self, cols: np.ndarray, keys: np.ndarray) -> None:
+        """Take ``cols``, which appends the lambda columns of ``keys``."""
+        self.cols = cols
+        self.halves = np.concatenate([self.halves, _half_sum_entries(keys, self.n, self.m)], axis=1)
+
+    def pricing(self, cost: np.ndarray, n_cols: int):
+        """The reduced costs of the master's ``n_cols`` columns as a function
+        of the row duals: :meth:`key_pricing` once the master has at least
+        ``KEY_PRICING_MIN`` lambda columns and at least as many as the table
+        has rows, and one dense product below that, where the table's fixed
+        cost exceeds the product it saves."""
+        if self.halves.shape[1] < max(KEY_PRICING_MIN, self._table_rows):
+            return super().pricing(cost, n_cols)
+        return self.key_pricing(cost, n_cols)
+
+    def key_pricing(self, cost: np.ndarray, n_cols: int):
+        """The reduced costs of the master's ``n_cols`` columns as a function
+        of the row duals: the lambda columns' from the half-subset-sum
+        table, the slack and x columns' by one dense product."""
+        if self._matrix is None:
+            self._matrix = _half_sum_matrix(self.n, self.m)
+        matrix, (low, high) = self._matrix, self.halves
+        head = n_cols - low.size
+        dense, lam_cost = super().pricing(cost, head), cost[head:n_cols]
+        reduced = np.empty(n_cols)
+        lam = reduced[head:]
+
+        def price(y: np.ndarray) -> np.ndarray:
+            sums = matrix @ y[: matrix.shape[1]]
+            reduced[:head] = dense(y)
+            np.subtract(lam_cost, sums[low], out=lam)
+            np.subtract(lam, sums[high], out=lam)
+            return reduced
+
+        return price
+
+
+def _half_sum_matrix(n: int, m: int) -> np.ndarray:
+    """The 0/1 matrix whose product with the duals of the distribution and
+    consistency rows is the half-subset-sum table of the lambda columns: per
+    supplier j and low-half bitmask l (customers 0 .. h-1, h = n // 2), y_j
+    plus the sum of y_ij over the members of l; then per supplier j and
+    high-half bitmask u (customers h .. n-1), the sum of y_ij over the
+    members of u."""
+    h = n // 2
+    low, high = 2**h, 2 ** (n - h)
+    matrix = np.zeros((m * (low + high), m + n * m))
+    for j in range(m):
+        rows = matrix[j * low : (j + 1) * low]
+        rows[:, j] = 1.0
+        rows[:, m + np.arange(h) * m + j] = mnl.subset_masks(h)
+        rows = matrix[m * low + j * high : m * low + (j + 1) * high]
+        rows[:, m + np.arange(h, n) * m + j] = mnl.subset_masks(n - h)
+    return matrix
+
+
+def _half_sum_entries(keys: np.ndarray, n: int, m: int) -> np.ndarray:
+    """Per key ``j << n | mask``, its two rows of :func:`_half_sum_matrix`,
+    as a (2, len(keys)) array."""
+    h = n // 2
+    j, mask = keys >> n, keys & ((1 << n) - 1)
+    return np.stack([j << h | mask & ((1 << h) - 1), (m << h) + (j << n - h | mask >> h)])
 
 
 def lp1_exact_small(inst: Instance) -> float:

@@ -1,5 +1,5 @@
-"""Two-phase revised primal simplex with partial Dantzig pricing and a
-Bland fallback.
+"""Two-phase revised primal simplex with Dantzig pricing and a Bland
+fallback.
 
 Solves finite LPs over nonnegative variables given as
 
@@ -9,23 +9,24 @@ returning an optimal basic solution and its dual multipliers.
 
 The method keeps an explicit inverse of the basis matrix and the basic
 values, and updates both by one Gauss-Jordan (rank-1) step per pivot; the
-constraint matrix itself is never modified. Reduced costs ``c_j - y.A_j``
-(with ``y = c_B B^-1``) are priced in fixed blocks of columns. The scan
-starts at the block of the last entering column and goes round the blocks
-in a cycle; the most negative reduced cost below ``-ENTERING_TOL`` (-1e-12)
-in the first block holding one enters (partial Dantzig pricing). The LP is
-optimal when a whole cycle finds none. Among minimum-ratio ties, the basic
-variable of smallest index leaves. Float64 throughout; feasibility
-tolerance 1e-8, for the ratio test and for the optimality check.
+constraint matrix itself is never modified. Every pivot prices every column:
+the reduced costs ``c_j - y.A_j`` (with ``y = c_B B^-1``) come from one
+product of the duals with the column array, or from the basis's own
+pricing (``lp.RestrictedMaster`` prices its lambda columns from their
+keys), and the column of most negative reduced cost below
+``-ENTERING_TOL`` (-1e-12) enters (Dantzig's rule). The LP is optimal when
+none is below. Among minimum-ratio ties, the basic variable of smallest
+index leaves. Float64 throughout; feasibility tolerance 1e-8, for the ratio
+test and for the optimality check.
 
 The entering threshold sits far below the feasibility tolerance so that a
 column priced between the two still enters: callers that certify an
 optimum by pricing (``ellipsoid.solve_restricted``) need reduced costs well
 inside 1e-8. Such a column may have no ratio-test row above the 1e-8
-tolerance; it then proves nothing about unboundedness, so the scan is
-repeated with the 1e-8 threshold. The basis is optimal when that whole
-cycle finds no column; a column it finds enters, or, with no ratio-test row
-either, shows the LP unbounded.
+tolerance; it then proves nothing about unboundedness, so the same reduced
+costs are scanned again with the 1e-8 threshold. The basis is optimal when
+that scan finds no column; a column it finds enters, or, with no ratio-test
+row either, shows the LP unbounded.
 
 Termination: every entering reduced cost is negative, so a pivot whose
 ratio-test step exceeds the tolerance strictly improves the objective, and
@@ -48,6 +49,7 @@ a basis the master keeps between solves.
 
 from __future__ import annotations
 
+from collections.abc import Callable
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -55,13 +57,6 @@ import numpy as np
 FEASIBILITY_TOL = 1e-8
 # a column enters when its reduced cost is below -ENTERING_TOL
 ENTERING_TOL = 1e-12
-# columns priced per block of the entering scan. Partial Dantzig pricing
-# enters the best column of the first block with one, so the block size
-# trades the cost of pricing (one product with the duals takes about 140 us
-# for all 4,176 columns at 84 rows on a 2-core Xeon VM) against the quality
-# of the entering column: on the 10x4 exact LP, 256 and 384 measured alike,
-# 1024 and 2048 slower, and full Dantzig slower still
-PRICING_BLOCK = 384
 # consecutive degenerate pivots after which Bland's rule enters
 DEGENERATE_RUN = 50
 
@@ -241,6 +236,12 @@ class _RevisedBasis:
         self.binv = binv
         self.x_b = x_b
 
+    def pricing(self, cost: np.ndarray, n_cols: int) -> Callable[[np.ndarray], np.ndarray]:
+        """The reduced costs ``cost_j - y.A_j`` of the first ``n_cols``
+        columns as a function of the row duals ``y``: one dense product."""
+        cost, cols = cost[:n_cols], self.cols[:, :n_cols]
+        return lambda y: cost - y @ cols
+
     def column(self, j: int) -> np.ndarray:
         """Column ``j`` in terms of the current basis (``B^-1 A_j``)."""
         return self.binv @ self.cols[:, j]
@@ -274,21 +275,20 @@ class _RevisedBasis:
 
 
 def _pivot_loop(state: _RevisedBasis, cost: np.ndarray, n_cols: int, tol: float, max_iters: int) -> int:
-    """Simplex pivots on min-form costs over the first ``n_cols`` columns:
-    partial Dantzig entering below ``-ENTERING_TOL``, Bland's rule after
-    ``DEGENERATE_RUN`` consecutive degenerate pivots until one moves the
-    basic solution. ``tol`` is the ratio-test and optimality tolerance.
+    """Simplex pivots on min-form costs over the first ``n_cols`` columns,
+    each column priced on every pivot: Dantzig entering below
+    ``-ENTERING_TOL``, Bland's rule after ``DEGENERATE_RUN`` consecutive
+    degenerate pivots until one moves the basic solution. ``tol`` is the
+    ratio-test and optimality tolerance.
 
     Returns the pivot count, or -(pivots + 1) when the LP is unbounded.
     """
-    bounds = [(lo, min(lo + PRICING_BLOCK, n_cols)) for lo in range(0, n_cols, PRICING_BLOCK)]
-    blocks = [(lo, cost[lo:hi], state.cols[:, lo:hi]) for lo, hi in bounds]
-    first = 0
+    price = state.pricing(cost, n_cols)
     degenerate = 0
     for it in range(max_iters):
-        y = cost[state.basis] @ state.binv
-        bland = degenerate >= DEGENERATE_RUN
-        enter = _entering(blocks, y, ENTERING_TOL) if bland else _partial_dantzig(blocks, y, ENTERING_TOL, first)
+        reduced = price(cost[state.basis] @ state.binv)
+        entering = _bland if degenerate >= DEGENERATE_RUN else _dantzig
+        enter = entering(reduced, ENTERING_TOL)
         if enter < 0:
             return it
         col = state.column(enter)
@@ -297,7 +297,7 @@ def _pivot_loop(state: _RevisedBasis, cost: np.ndarray, n_cols: int, tol: float,
             # a column priced within tol proves no ray: rescan at tol. The
             # basis is optimal if none is found; a column priced below -tol
             # enters, or shows a ray if it has no ratio-test row either
-            enter = _entering(blocks, y, tol) if bland else _partial_dantzig(blocks, y, tol, first)
+            enter = entering(reduced, tol)
             if enter < 0:
                 return it
             col = state.column(enter)
@@ -309,7 +309,6 @@ def _pivot_loop(state: _RevisedBasis, cost: np.ndarray, n_cols: int, tol: float,
         ties = eligible[ratios <= rmin + 1e-12 * max(1.0, abs(rmin))]
         leave = int(ties[state.basis[ties].argmin()])
         state.pivot(leave, enter, col)
-        first = enter // PRICING_BLOCK
         degenerate = degenerate + 1 if rmin <= tol else 0
     raise LpSolverError(
         f"simplex exceeded {max_iters} pivots (rows={state.x_b.size}, cols={n_cols}); "
@@ -317,28 +316,13 @@ def _pivot_loop(state: _RevisedBasis, cost: np.ndarray, n_cols: int, tol: float,
     )
 
 
-def _partial_dantzig(
-    blocks: list[tuple[int, np.ndarray, np.ndarray]], y: np.ndarray, tol: float, first: int
-) -> int:
-    """Partial Dantzig: the column of most negative reduced cost below -tol
-    in the first block holding one, going round ``blocks`` (as in
-    :func:`_entering`) from block ``first``, or -1 when none has one."""
-    for b in range(first, first + len(blocks)):
-        lo, cost, cols = blocks[b % len(blocks)]
-        reduced = cost - y @ cols
-        j = int(reduced.argmin())
-        if reduced[j] < -tol:
-            return lo + j
-    return -1
+def _dantzig(reduced: np.ndarray, tol: float) -> int:
+    """Dantzig: the column of most negative reduced cost, if below -tol, or -1."""
+    j = int(reduced.argmin()) if reduced.size else -1
+    return j if j >= 0 and reduced[j] < -tol else -1
 
 
-def _entering(blocks: list[tuple[int, np.ndarray, np.ndarray]], y: np.ndarray, tol: float) -> int:
-    """Bland: the first column whose reduced cost ``cost_j - y.A_j`` is
-    below -tol, or -1. ``blocks`` holds (first index, costs, columns) of
-    consecutive column blocks; the scan stops at the first block with one."""
-    for lo, cost, cols in blocks:
-        below = cost - y @ cols < -tol
-        j = int(below.argmax())
-        if below[j]:
-            return lo + j
-    return -1
+def _bland(reduced: np.ndarray, tol: float) -> int:
+    """Bland: the first column whose reduced cost is below -tol, or -1."""
+    below = np.flatnonzero(reduced < -tol)
+    return int(below[0]) if below.size else -1

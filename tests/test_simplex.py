@@ -105,26 +105,22 @@ def test_dantzig_pricing_cycles_without_the_bland_fallback(monkeypatch):
 
 
 def _tiny_price_first_lp() -> LinearProgram:
-    """min -1e-10 v0 + v1 + ... + v_{B-1} - v_B  s.t.  1e-9 v0 + v_B <= 1,
-    -v_B <= 1, where B = PRICING_BLOCK: v0 is scanned first, priced between
-    -ENTERING_TOL and -FEASIBILITY_TOL in both phases, and has no ratio-test
-    row above FEASIBILITY_TOL; v_B, in the next block, is the column that
-    must enter. Its column sums to 0, so phase 1 leaves it out and ends on
-    the slack basis, where phase 2 prices v0 at -1e-10. The optimum is
-    v_B = 1, objective -1."""
-    k = simplex_module.PRICING_BLOCK + 1
-    c = np.ones(k)
-    c[0], c[-1] = -1e-10, -1.0
-    rows = np.zeros((2, k))
-    rows[0, 0], rows[0, -1], rows[1, -1] = 1e-9, 1.0, -1.0
-    return LinearProgram(c=c, a_ub=rows, b_ub=[1.0, 1.0], maximize=False)
+    """min -1e-10 v0 - v1  s.t.  1e-9 v0 + v1 <= 1, -v1 <= 1: v0, the
+    first column and so the first one Bland's rule scans, is priced between
+    -ENTERING_TOL and -FEASIBILITY_TOL in both phases and has no ratio-test
+    row above FEASIBILITY_TOL; v1 is the column that must enter. Its column
+    sums to 0, so phase 1 leaves it out and ends on the slack basis, where
+    phase 2 prices v0 at -1e-10. The optimum is v1 = 1, objective -1."""
+    rows = np.array([[1e-9, 1.0], [0.0, -1.0]])
+    return LinearProgram(c=[-1e-10, -1.0], a_ub=rows, b_ub=[1.0, 1.0], maximize=False)
 
 
 @pytest.mark.parametrize("degenerate_run", [simplex_module.DEGENERATE_RUN, 0])
 def test_tiny_priced_column_without_a_ratio_row_is_not_optimality(degenerate_run, monkeypatch):
     # phase 1 prices v0 at -1e-9 and phase 2 (from the slack basis) at
-    # -1e-10; neither phase may stop there while a slack or v_B is priced
-    # at -1, under partial Dantzig or (DEGENERATE_RUN 0) Bland's rule
+    # -1e-10; neither phase may stop there while a slack or v1 is priced
+    # at -1, under Dantzig's rule (which enters those first) or
+    # (DEGENERATE_RUN 0) Bland's rule (which scans v0 first)
     monkeypatch.setattr(simplex_module, "DEGENERATE_RUN", degenerate_run)
     lp = _tiny_price_first_lp()
     starts = []
@@ -144,13 +140,15 @@ def test_tiny_priced_column_without_a_ratio_row_is_not_optimality(degenerate_run
     assert_dual_certificate(lp, res)
 
 
-def test_tiny_priced_ray_does_not_hide_a_real_one():
-    # v0 also has a ray; phase 2's scan at the tolerance finds v_B, priced
+def test_tiny_priced_ray_does_not_hide_a_real_one(monkeypatch):
+    # v0 also has a ray; phase 2's scan at the tolerance finds v1, priced
     # at -1 and now with no ratio-test row either, which shows the LP
-    # unbounded
+    # unbounded, under Dantzig's rule and (DEGENERATE_RUN 0) Bland's rule
     lp = _tiny_price_first_lp()
     lp.a_ub[0, -1] = 0.0
-    assert solve_lp(lp).status == "unbounded"
+    for degenerate_run in (simplex_module.DEGENERATE_RUN, 0):
+        monkeypatch.setattr(simplex_module, "DEGENERATE_RUN", degenerate_run)
+        assert solve_lp(lp).status == "unbounded"
 
 
 def _random_bounded_lp(rng: np.random.Generator) -> LinearProgram:
@@ -209,7 +207,7 @@ def test_bland_fallback_agrees_with_the_default_rule(monkeypatch):
     rng = np.random.default_rng(77)
     lps = degenerate + [_random_bounded_lp(rng) for _ in range(40)]
     default = [solve_lp(lp) for lp in lps]
-    bland = _counting(monkeypatch, "_entering")
+    bland = _counting(monkeypatch, "_bland")
     kkt = _counting(monkeypatch, "_check_optimality")
     # Bland's rule takes over after every degenerate pivot
     monkeypatch.setattr(simplex_module, "DEGENERATE_RUN", 1)
@@ -225,9 +223,9 @@ def test_bland_fallback_agrees_with_the_default_rule(monkeypatch):
 
 @pytest.mark.parametrize("kind", GENERATOR_KINDS)
 def test_10x4_exact_lp_pivot_ceiling(kind, monkeypatch):
-    # partial Dantzig pricing takes 436-512 pivots here in the two-phase
-    # solve_lp, Bland's rule 1,804-3,761; the master inside lp2_exact_small,
-    # from its feasible start basis, 268-388
+    # Dantzig pricing takes 530-604 pivots here in the two-phase solve_lp,
+    # Bland's rule 1,804-2,472; the master inside lp2_exact_small, from its
+    # feasible start basis and pricing from its keys, 50-275
     inst = normalize_revenues(generate(kind, 10, 4, 77))
     assert 0 < solve_lp(full_master(inst).lp).iterations <= 1000
     results = []
@@ -398,6 +396,42 @@ def _master_lp(master) -> LinearProgram:
     """The marginal LP over the master's sets, its lambda columns listed
     per supplier."""
     return RestrictedMaster(master.inst, sorted(master.keys.tolist(), key=lambda key: key >> master.n)).lp  # stable
+
+
+def _assert_prices_from_keys(master, rng) -> None:
+    """The master's reduced costs, from its keys and as it selects them,
+    equal ``cost - y.A`` formed densely from ``master.lp`` (MNL slacks, then
+    x and lambda) within 1e-12, for random duals ``y``."""
+    lp = master.lp
+    a = np.vstack([lp.a_eq, lp.a_ub])
+    a = np.hstack([np.eye(a.shape[0])[:, lp.a_eq.shape[0] :], a])
+    cost = np.concatenate([np.zeros(lp.a_ub.shape[0]), -lp.c])
+    state = master._state
+    for _ in range(3):
+        y = rng.uniform(-2.0, 2.0, a.shape[0])
+        want = cost - y @ a
+        for pricing in (state.key_pricing, state.pricing):
+            assert np.abs(pricing(cost, cost.size)(y) - want).max() <= 1e-12
+
+
+@pytest.mark.parametrize("kind", GENERATOR_KINDS)
+def test_master_prices_lambda_columns_from_their_keys(kind):
+    rng = np.random.default_rng(91)
+    for n, m in ((3, 2), (10, 4)):
+        _assert_prices_from_keys(full_master(normalize_revenues(generate(kind, n, m, 77))), rng)
+    # masters grown by add, out of key order: the lambda columns' table
+    # entries are appended with them
+    master, inst, every = _master(kind, 5, 3, 78)
+    _assert_prices_from_keys(master, rng)
+    for chunk in (every[40:47], every[::-1][:30], every):
+        master.add(chunk)
+        _assert_prices_from_keys(master, rng)
+    # n = 20: a high half of ten customers, with a few keys
+    inst = normalize_revenues(generate(kind, 20, 2, 79))
+    master = RestrictedMaster(inst, [0, 1 << 20, (1 << 20) - 1, 1 << 20 | 0b1010 << 10 | 0b11])
+    _assert_prices_from_keys(master, rng)
+    master.add([1 << 20 | 1 << 19, 1 << 9, 0b1 << 10, (2 << 20) - 1])
+    _assert_prices_from_keys(master, rng)
 
 
 def test_master_start_basis_is_feasible():
