@@ -195,8 +195,8 @@ class RestrictedMaster:
     [0, U, I]] (U the MNL coefficients of x) is its own inverse and its
     basic values are b = (1, 0, 1), so no solve needs phase 1. An appended
     column is nonbasic, so the basis and its inverse carry over. The basis
-    (``_MasterBasis``) keeps every lambda column's entries of the pricing
-    table beside ``keys``."""
+    (``_MasterBasis``) shares ``keys`` and, once it prices from them, keeps
+    every lambda column's entries of the pricing table beside them."""
 
     def __init__(self, inst: Instance, keys):
         """The master over a lambda column for every key ``j << n | mask``
@@ -237,8 +237,8 @@ class RestrictedMaster:
             head = self._c.size
             cols, c = self._with_lambdas(head, new)
             cols[:, :head], c[:head] = self._cols, self._c
-            self._state.extend(cols, new)
             self._cols, self._c, self.keys = cols, c, np.concatenate([self.keys, new])
+            self._state.extend(cols, self.keys)
         return new.tolist()
 
     @property
@@ -326,20 +326,31 @@ class _MasterBasis(_RevisedBasis):
     the customers split at h = n // 2, that sum is one entry of a table of
     the low half's subset sums, y_j folded in, plus one entry of the high
     half's. One product of the duals with a fixed matrix per (n, m) gives the
-    table (:func:`_half_sum_matrix`); ``halves`` holds the two entries of
-    every lambda column. The slack and x columns are priced densely."""
+    table (:func:`_half_sum_matrix`); :meth:`halves` holds the two entries
+    of every lambda column. The slack and x columns are priced densely.
+    Neither the matrix nor the entries exist before the first key pricing,
+    so a master that never reaches ``KEY_PRICING_MIN`` lambda columns pays
+    nothing for them."""
 
     def __init__(self, n: int, m: int, cols, basis, binv, x_b, keys: np.ndarray):
         super().__init__(cols, basis, binv, x_b)
-        self.n, self.m = n, m
-        self.halves = _half_sum_entries(keys, n, m)
+        self.n, self.m, self.keys = n, m, keys
         self._table_rows = m * (2 ** (n // 2) + 2 ** (n - n // 2))
-        self._matrix = None
+        self._matrix = self._halves = None
 
     def extend(self, cols: np.ndarray, keys: np.ndarray) -> None:
-        """Take ``cols``, which appends the lambda columns of ``keys``."""
-        self.cols = cols
-        self.halves = np.concatenate([self.halves, _half_sum_entries(keys, self.n, self.m)], axis=1)
+        """Take ``cols`` and ``keys``, which append lambda columns to the
+        current ones."""
+        self.cols, self.keys = cols, keys
+
+    def halves(self) -> np.ndarray:
+        """Every lambda column's two table entries, as a (2, len(keys))
+        array: made on first use, then extended by the keys added since."""
+        done = 0 if self._halves is None else self._halves.shape[1]
+        if done < self.keys.size:
+            new = _half_sum_entries(self.keys[done:], self.n, self.m)
+            self._halves = new if self._halves is None else np.concatenate([self._halves, new], axis=1)
+        return self._halves
 
     def pricing(self, cost: np.ndarray, n_cols: int):
         """The reduced costs of the master's ``n_cols`` columns as a function
@@ -347,7 +358,7 @@ class _MasterBasis(_RevisedBasis):
         ``KEY_PRICING_MIN`` lambda columns and at least as many as the table
         has rows, and one dense product below that, where the table's fixed
         cost exceeds the product it saves."""
-        if self.halves.shape[1] < max(KEY_PRICING_MIN, self._table_rows):
+        if self.keys.size < max(KEY_PRICING_MIN, self._table_rows):
             return super().pricing(cost, n_cols)
         return self.key_pricing(cost, n_cols)
 
@@ -357,7 +368,7 @@ class _MasterBasis(_RevisedBasis):
         table, the slack and x columns' by one dense product."""
         if self._matrix is None:
             self._matrix = _half_sum_matrix(self.n, self.m)
-        matrix, (low, high) = self._matrix, self.halves
+        matrix, (low, high) = self._matrix, self.halves()
         head = n_cols - low.size
         dense, lam_cost = super().pricing(cost, head), cost[head:n_cols]
         reduced = np.empty(n_cols)
