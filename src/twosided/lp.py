@@ -9,11 +9,12 @@ instantiated in full (every subset variable) at desk scale only. The first
 goes to the two-phase ``simplex.solve_lp``. Every marginal LP, full or
 with the backlog support the ellipsoid module generates, is built by a
 ``RestrictedMaster``, which writes its columns straight into its own
-standard form and solves from its known feasible basis, without phase 1;
-its ``lp`` property gives the named ``LinearProgram`` only when read. Its
-lambda columns are keyed ``j << n | mask`` (bit i: customer i): the full LP
-is the keys ``0 .. m 2^n - 1``, and only a solution's support is decoded.
-A large master prices its lambda columns from those keys (``_MasterBasis``).
+standard form and is its own revised basis: it solves from its known
+feasible basis, without phase 1, and keeps that basis between solves. Its
+``lp`` property gives the named ``LinearProgram`` only when read. Its lambda
+columns are keyed ``j << n | mask`` (bit i: customer i): the full LP is the
+keys ``0 .. m 2^n - 1``, and only a solution's support is decoded. A large
+master prices its lambda columns from those keys (``RestrictedMaster.pricing``).
 """
 
 from __future__ import annotations
@@ -184,19 +185,30 @@ def dual_certificate(
     return DualPoint(alpha=point.alpha, beta=point.beta + v, gamma=point.gamma), float(v.sum()), priced
 
 
-class RestrictedMaster:
-    """The marginal LP over a growing set of backlog columns, in standard
-    form with its basis kept between solves; the only builder of that LP.
-    Rows are the m distribution rows, the nm consistency rows and the nm MNL
-    rows. Columns have fixed ids: the nm MNL slacks, x (row-major), then
-    lambda in key order (``keys``), all in one column-major array. The start
-    basis is lambda_{j,{}} on distribution row j, x_ij on its consistency
-    row and the slack on its MNL row: its matrix [[I, 0, 0], [0, -I, 0],
-    [0, U, I]] (U the MNL coefficients of x) is its own inverse and its
-    basic values are b = (1, 0, 1), so no solve needs phase 1. An appended
-    column is nonbasic, so the basis and its inverse carry over. The basis
-    (``_MasterBasis``) shares ``keys`` and, once it prices from them, keeps
-    every lambda column's entries of the pricing table beside them."""
+class RestrictedMaster(_RevisedBasis):
+    """The marginal LP over a growing set of backlog columns in standard
+    form, and its own revised basis, kept between solves; the only builder
+    of that LP. Rows are the m distribution rows, the nm consistency rows
+    and the nm MNL rows. Columns have fixed ids: the nm MNL slacks, x
+    (row-major), then lambda in key order (``keys``), all in one
+    column-major array (``cols``). The start basis is lambda_{j,{}} on
+    distribution row j, x_ij on its consistency row and the slack on its MNL
+    row: its matrix [[I, 0, 0], [0, -I, 0], [0, U, I]] (U the MNL
+    coefficients of x) is its own inverse and its basic values are b = (1,
+    0, 1), so no solve needs phase 1. An appended column is nonbasic, so the
+    basis and its inverse carry over.
+
+    A lambda column is 1 on its supplier's distribution row j and on the
+    consistency row of each member i, so its min-form reduced cost is its
+    cost less ``y_j + sum_{i in S} y_ij``. With the customers split at
+    h = n // 2, that sum is one entry of a table of the low half's subset
+    sums, y_j folded in, plus one of the high half's; one product of the
+    duals with a fixed matrix per (n, m) gives the table
+    (:func:`_half_sum_matrix`). A large master prices its lambda columns so
+    (:meth:`pricing`), from two table entries per column (:meth:`halves`).
+    Neither the matrix nor the entries exist before its first key pricing,
+    so a master below ``KEY_PRICING_MIN`` lambda columns pays nothing for
+    them."""
 
     def __init__(self, inst: Instance, keys):
         """The master over a lambda column for every key ``j << n | mask``
@@ -207,18 +219,19 @@ class RestrictedMaster:
         self.inst, self.n, self.m, self.pivots = inst, n, m, 0
         self.keys = np.asarray(keys, dtype=np.int64)
         self._b = np.concatenate([np.ones(m), np.zeros(nm), np.ones(nm)])
-        self._cols, self._c = self._with_lambdas(2 * nm, self.keys)
+        cols, self._c = self._with_lambdas(2 * nm, self.keys)
         # the MNL slacks; x_ij is -1 on its consistency row, and the MNL
         # rows read x_ij/u_ij + sum_l x_il <= 1
-        pairs, x = np.arange(nm), self._cols[:, nm : 2 * nm]
-        self._cols[me + pairs, pairs] = 1.0
+        pairs, x = np.arange(nm), cols[:, nm : 2 * nm]
+        cols[me + pairs, pairs] = 1.0
         x[m + pairs, pairs] = -1.0
         x[me + pairs[:, None], (pairs // m * m)[:, None] + np.arange(m)] = 1.0
         x[me + pairs, pairs] += 1.0 / inst.u.reshape(-1)
         empty = [2 * nm + np.flatnonzero(self.keys == j << n)[0] for j in range(m)]
         basis = np.concatenate([empty, np.arange(nm, 2 * nm), np.arange(nm)])
-        binv = np.ascontiguousarray(self._cols[:, basis])
-        self._state = _MasterBasis(n, m, self._cols, basis, binv, self._b.copy(), self.keys)
+        super().__init__(cols, basis, np.ascontiguousarray(cols[:, basis]), self._b.copy())
+        self._table_rows = m * (2 ** (n // 2) + 2 ** (n - n // 2))
+        self._matrix = self._halves = None
 
     def _with_lambdas(self, head: int, new: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """A column-major array and an objective, one allocation each: ``head``
@@ -236,9 +249,8 @@ class RestrictedMaster:
         if new.size:
             head = self._c.size
             cols, c = self._with_lambdas(head, new)
-            cols[:, :head], c[:head] = self._cols, self._c
-            self._cols, self._c, self.keys = cols, c, np.concatenate([self.keys, new])
-            self._state.extend(cols, self.keys)
+            cols[:, :head], c[:head] = self.cols, self._c
+            self.cols, self._c, self.keys = cols, c, np.concatenate([self.keys, new])
         return new.tolist()
 
     @property
@@ -252,7 +264,7 @@ class RestrictedMaster:
         :class:`LinearProgram` (what ``--dump-lp`` writes): read-only views
         of the master's arrays, named afresh on every read."""
         nm, me = self.n * self.m, self.m + self.n * self.m
-        views = (self._c[nm:], self._cols[:me, nm:], self._b[:me], self._cols[me:, nm:], self._b[me:])
+        views = (self._c[nm:], self.cols[:me, nm:], self._b[:me], self.cols[me:, nm:], self._b[me:])
         for view in views:
             view.flags.writeable = False
         xs = [f"x[{i},{j}]" for i in range(self.n) for j in range(self.m)]
@@ -306,42 +318,15 @@ class RestrictedMaster:
 
     def _solve_once(self) -> tuple[np.ndarray, np.ndarray]:
         """Pivot to a KKT-checked optimum: every column's value, row duals."""
-        pivots, x, y = _optimize(self._state, self._b, -self._c, self._c.size)
+        pivots, x, y = _optimize(self, self._b, -self._c, self._c.size)
         if pivots < 0:
             raise LpSolverError("the restricted master reported unbounded; basis inverse corrupt")
         self.pivots += pivots
         return x, y
 
     def _reinvert(self) -> None:
-        state = self._state
-        state.binv = np.linalg.inv(state.cols[:, state.basis])
-        state.x_b = state.binv @ self._b
-
-
-class _MasterBasis(_RevisedBasis):
-    """The basis of a :class:`RestrictedMaster`, which prices the master's
-    lambda columns from their keys. A lambda column is 1 on its supplier's
-    distribution row j and on the consistency row of each member i, so its
-    min-form reduced cost is its cost less ``y_j + sum_{i in S} y_ij``. With
-    the customers split at h = n // 2, that sum is one entry of a table of
-    the low half's subset sums, y_j folded in, plus one entry of the high
-    half's. One product of the duals with a fixed matrix per (n, m) gives the
-    table (:func:`_half_sum_matrix`); :meth:`halves` holds the two entries
-    of every lambda column. The slack and x columns are priced densely.
-    Neither the matrix nor the entries exist before the first key pricing,
-    so a master that never reaches ``KEY_PRICING_MIN`` lambda columns pays
-    nothing for them."""
-
-    def __init__(self, n: int, m: int, cols, basis, binv, x_b, keys: np.ndarray):
-        super().__init__(cols, basis, binv, x_b)
-        self.n, self.m, self.keys = n, m, keys
-        self._table_rows = m * (2 ** (n // 2) + 2 ** (n - n // 2))
-        self._matrix = self._halves = None
-
-    def extend(self, cols: np.ndarray, keys: np.ndarray) -> None:
-        """Take ``cols`` and ``keys``, which append lambda columns to the
-        current ones."""
-        self.cols, self.keys = cols, keys
+        self.binv = np.linalg.inv(self.cols[:, self.basis])
+        self.x_b = self.binv @ self._b
 
     def halves(self) -> np.ndarray:
         """Every lambda column's two table entries, as a (2, len(keys))

@@ -43,8 +43,8 @@ leaving rule, Bland's rule cannot cycle. ``max_iters`` still guards
 against numerical trouble.
 
 :func:`solve_lp` starts from the all-artificial basis of phase 1; its
-phase 2, :func:`_optimize`, also solves every ``lp.RestrictedMaster`` from
-a basis the master keeps between solves.
+phase 2, :func:`_optimize`, also solves every ``lp.RestrictedMaster``,
+which is a :class:`_RevisedBasis` and keeps its basis between solves.
 """
 
 from __future__ import annotations
@@ -155,13 +155,13 @@ def solve_lp(lp: LinearProgram, max_iters: int | None = None) -> LpResult:
     # phase 1: artificial variables on every row, minimize their sum
     state = _RevisedBasis(cols, np.arange(n_struct, n_struct + m), np.eye(m), b.copy())
     phase1_cost = np.concatenate([np.zeros(n_struct), np.ones(m)])
-    it1 = _pivot_loop(state, phase1_cost, n_cols=n_struct + m, tol=FEASIBILITY_TOL, max_iters=max_iters)
+    it1 = _pivot_loop(state, phase1_cost, n_cols=n_struct + m, max_iters=max_iters)
     if it1 < 0:
         raise LpSolverError("phase-1 objective reported unbounded; basis inverse corrupt")
     if float(state.x_b[state.basis >= n_struct].sum()) > FEASIBILITY_TOL * scale:
         return LpResult(status="infeasible", x=None, objective=None, iterations=it1)
 
-    state.drive_out_artificials(n_struct, FEASIBILITY_TOL)
+    state.drive_out_artificials(n_struct)
 
     # phase 2: original objective (in min form) over structural columns. An
     # artificial left basic sits at zero on a redundant row; it costs nothing
@@ -193,7 +193,7 @@ def _optimize(
     the row duals, or -(pivots + 1), None, None when the LP is unbounded."""
     if max_iters is None:
         max_iters = 2000 + 200 * (b.size + n_cols)
-    pivots = _pivot_loop(state, cost, n_cols=n_cols, tol=FEASIBILITY_TOL, max_iters=max_iters)
+    pivots = _pivot_loop(state, cost, n_cols=n_cols, max_iters=max_iters)
     if pivots < 0:
         return pivots, None, None
     inside = state.basis < n_cols
@@ -260,7 +260,7 @@ class _RevisedBasis:
         self.x_b[row] = x_enter
         self.basis[row] = enter
 
-    def drive_out_artificials(self, n_struct: int, tol: float) -> None:
+    def drive_out_artificials(self, n_struct: int) -> None:
         """Pivot leftover artificial variables out of the basis.
 
         A row whose structural coefficients all vanished is a redundant
@@ -268,18 +268,18 @@ class _RevisedBasis:
         """
         for row in np.flatnonzero(self.basis >= n_struct):
             coeffs = self.binv[row] @ self.cols[:, :n_struct]
-            candidates = np.flatnonzero(np.abs(coeffs) > tol)
+            candidates = np.flatnonzero(np.abs(coeffs) > FEASIBILITY_TOL)
             if candidates.size:
                 enter = int(candidates[0])
                 self.pivot(int(row), enter, self.column(enter))
 
 
-def _pivot_loop(state: _RevisedBasis, cost: np.ndarray, n_cols: int, tol: float, max_iters: int) -> int:
+def _pivot_loop(state: _RevisedBasis, cost: np.ndarray, n_cols: int, max_iters: int) -> int:
     """Simplex pivots on min-form costs over the first ``n_cols`` columns,
     each column priced on every pivot: Dantzig entering below
     ``-ENTERING_TOL``, Bland's rule after ``DEGENERATE_RUN`` consecutive
-    degenerate pivots until one moves the basic solution. ``tol`` is the
-    ratio-test and optimality tolerance.
+    degenerate pivots until one moves the basic solution. ``FEASIBILITY_TOL``
+    is the ratio-test and optimality tolerance.
 
     Returns the pivot count, or -(pivots + 1) when the LP is unbounded.
     """
@@ -292,16 +292,16 @@ def _pivot_loop(state: _RevisedBasis, cost: np.ndarray, n_cols: int, tol: float,
         if enter < 0:
             return it
         col = state.column(enter)
-        eligible = np.flatnonzero(col > tol)
+        eligible = np.flatnonzero(col > FEASIBILITY_TOL)
         if eligible.size == 0:
-            # a column priced within tol proves no ray: rescan at tol. The
-            # basis is optimal if none is found; a column priced below -tol
-            # enters, or shows a ray if it has no ratio-test row either
-            enter = entering(reduced, tol)
+            # a column priced within FEASIBILITY_TOL proves no ray: rescan at
+            # it. None found: optimal. One found: it enters, or shows a ray
+            # if it has no ratio-test row either
+            enter = entering(reduced, FEASIBILITY_TOL)
             if enter < 0:
                 return it
             col = state.column(enter)
-            eligible = np.flatnonzero(col > tol)
+            eligible = np.flatnonzero(col > FEASIBILITY_TOL)
             if eligible.size == 0:
                 return -(it + 1)
         ratios = state.x_b[eligible] / col[eligible]
@@ -309,7 +309,7 @@ def _pivot_loop(state: _RevisedBasis, cost: np.ndarray, n_cols: int, tol: float,
         ties = eligible[ratios <= rmin + 1e-12 * max(1.0, abs(rmin))]
         leave = int(ties[state.basis[ties].argmin()])
         state.pivot(leave, enter, col)
-        degenerate = degenerate + 1 if rmin <= tol else 0
+        degenerate = degenerate + 1 if rmin <= FEASIBILITY_TOL else 0
     raise LpSolverError(
         f"simplex exceeded {max_iters} pivots (rows={state.x_b.size}, cols={n_cols}); "
         "basis inverse is numerically suspect"

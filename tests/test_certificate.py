@@ -220,9 +220,9 @@ def test_final_solve_reuses_the_last_checkpoint(monkeypatch):
         masters.append(self)
 
     def counted_solve(self):
-        start = self._state.basis.copy()
+        start = self.basis.copy()
         result = solve(self)
-        solves.append((self, start, self._state.basis.copy()))
+        solves.append((self, start, self.basis.copy()))
         return result
 
     monkeypatch.setattr(RestrictedMaster, "__init__", counted_init)

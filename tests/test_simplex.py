@@ -406,11 +406,10 @@ def _assert_prices_from_keys(master, rng) -> None:
     a = np.vstack([lp.a_eq, lp.a_ub])
     a = np.hstack([np.eye(a.shape[0])[:, lp.a_eq.shape[0] :], a])
     cost = np.concatenate([np.zeros(lp.a_ub.shape[0]), -lp.c])
-    state = master._state
     for _ in range(3):
         y = rng.uniform(-2.0, 2.0, a.shape[0])
         want = cost - y @ a
-        for pricing in (state.key_pricing, state.pricing):
+        for pricing in (master.key_pricing, master.pricing):
             assert np.abs(pricing(cost, cost.size)(y) - want).max() <= 1e-12
 
 
@@ -434,17 +433,34 @@ def test_master_prices_lambda_columns_from_their_keys(kind):
     _assert_prices_from_keys(master, rng)
 
 
+def test_master_selects_its_pricing_by_lambda_columns_and_table_rows(monkeypatch):
+    # both paths give the same reduced costs, so count the key pricings of
+    # one solve: a full 8x2 master (512 lambda columns) prices densely, a
+    # full 8x4 one (1,024) from its keys, and a 20x2 master, whose table has
+    # 4,096 rows, densely with three keys and with 2,048
+    calls = _counting(monkeypatch, "key_pricing", lp_module.RestrictedMaster)
+    inst = normalize_revenues(generate("uniform-random", 20, 2, 79))
+    masters = [full_master(normalize_revenues(generate("uniform-random", 8, m, 77))) for m in (2, 4)]
+    masters.append(RestrictedMaster(inst, [0, 1 << 20, 1 << 20 | 0b1010 << 10 | 0b11]))
+    masters.append(RestrictedMaster(inst, [j << 20 | mask for j in range(2) for mask in range(1024)]))
+    counts = []
+    for master in masters:
+        master.solve()
+        counts.append(len(calls))
+        calls.clear()
+    assert counts == [0, 1, 0, 0]
+
+
 def test_master_start_basis_is_feasible():
     master, inst, _ = _master()
-    state = master._state
     nm = inst.n * inst.m
-    matrix = state.cols[:, state.basis]
+    matrix = master.cols[:, master.basis]
     # lambda_{j,{}} per supplier, then every x and every MNL slack
-    assert [master.lam_index[col - 2 * nm] for col in state.basis[: inst.m]] == [(j, ()) for j in range(inst.m)]
-    assert state.basis[inst.m :].tolist() == list(range(nm, 2 * nm)) + list(range(nm))
+    assert [master.lam_index[col - 2 * nm] for col in master.basis[: inst.m]] == [(j, ()) for j in range(inst.m)]
+    assert master.basis[inst.m :].tolist() == list(range(nm, 2 * nm)) + list(range(nm))
     # the basis matrix is its own inverse, and the basic values are b >= 0
-    assert (state.binv @ matrix == np.eye(matrix.shape[0])).all()
-    assert (matrix @ state.x_b == master._b).all() and state.x_b.min() >= 0.0
+    assert (master.binv @ matrix == np.eye(matrix.shape[0])).all()
+    assert (matrix @ master.x_b == master._b).all() and master.x_b.min() >= 0.0
 
 
 def test_master_solve_after_add_equals_a_cold_solve():
@@ -480,22 +496,22 @@ def test_master_columns_are_the_marginal_lp_columns():
     for name in ("c", "a_eq", "b_eq", "a_ub", "b_ub"):
         assert getattr(grown_lp, name).tobytes() == getattr(at_once_lp, name).tobytes(), name
     assert grown_lp.names == at_once_lp.names and master.keys.tolist() == at_once.keys.tolist()
-    assert master._cols.tobytes() == at_once._cols.tobytes() and master._c.tobytes() == at_once._c.tobytes()
+    assert master.cols.tobytes() == at_once.cols.tobytes() and master._c.tobytes() == at_once._c.tobytes()
     want = _master_lp(master)
     nm = inst.n * inst.m
     lams = sorted(master.lam_index, key=lambda pair: pair[0])  # stable: per supplier
     order = list(range(nm)) + [nm + lams.index(pair) for pair in master.lam_index]
-    assert master._cols[:, nm:].tobytes() == np.vstack([want.a_eq, want.a_ub])[:, order].tobytes()
+    assert master.cols[:, nm:].tobytes() == np.vstack([want.a_eq, want.a_ub])[:, order].tobytes()
     assert master._c[nm:].tobytes() == want.c[order].tobytes()
     # the slacks of the MNL rows come first
-    assert (master._cols[:, :nm] == np.eye(master._b.size)[:, -nm:]).all() and not master._c[:nm].any()
+    assert (master.cols[:, :nm] == np.eye(master._b.size)[:, -nm:]).all() and not master._c[:nm].any()
     assert (master._b == np.concatenate([want.b_eq, want.b_ub])).all()
 
 
 def test_master_lp_is_read_only():
     master, inst, _ = _master()
     lp = master.lp
-    assert np.shares_memory(lp.a_eq, master._cols)
+    assert np.shares_memory(lp.a_eq, master.cols)
     for name in ("c", "a_eq", "b_eq", "a_ub", "b_ub"):
         with pytest.raises(ValueError, match="read-only"):
             getattr(lp, name)[...] = 7.0
@@ -516,8 +532,7 @@ def test_every_master_solve_is_kkt_checked(monkeypatch):
 
 def _drift(master) -> None:
     """Perturb the master's basis inverse by about 1e-6."""
-    state = master._state
-    state.binv = state.binv + 1e-6 * np.random.default_rng(3).normal(size=state.binv.shape)
+    master.binv = master.binv + 1e-6 * np.random.default_rng(3).normal(size=master.binv.shape)
 
 
 def test_master_reinverts_once_after_drift(monkeypatch):
