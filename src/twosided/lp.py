@@ -5,13 +5,14 @@ probability variable on every (customer assortment, customer) pair and one
 on every (backlog set, supplier) pair. The marginal LP replaces customer
 assortment variables by per-pair choice marginals x[i][j] constrained
 through the MNL identity x[i][j]/u[i][j] + sum_l x[i][l] <= 1. Both are
-instantiated in full (every subset variable) at desk scale only. The first
-goes to the two-phase ``simplex.solve_lp``. Every marginal LP, full or
-with the backlog support the ellipsoid module generates, is built by a
-``RestrictedMaster``, which writes its columns straight into its own
-standard form and is its own revised basis: it solves from its known
-feasible basis, without phase 1, and keeps that basis between solves. Its
-``lp`` property gives the named ``LinearProgram`` only when read. Its lambda
+instantiated in full (every subset variable) at desk scale only. Both are
+solved one way: their columns are written straight into one column-major
+array, and ``simplex._optimize`` (phase 2) runs from a basis known to be
+feasible, so no LP here runs phase 1. ``lp1_exact_small`` does so for the
+first. Every marginal LP, full or with the backlog support the ellipsoid
+module generates, is built by a ``RestrictedMaster``, which is its own
+revised basis and keeps that basis between solves. Its ``lp`` property
+gives the named ``LinearProgram`` only when read. Its lambda
 columns are keyed ``j << n | mask`` (bit i: customer i): the full LP is the
 keys ``0 .. m 2^n - 1``, and only a solution's support is decoded. A large
 master prices its lambda columns from those keys (``RestrictedMaster.pricing``).
@@ -27,7 +28,7 @@ from . import mnl
 from .cost_assortment import SubDualOracle
 from .mnl import SizeLimitError
 from .instance import Instance
-from .simplex import LinearProgram, LpResult, LpSolverError, solve_lp
+from .simplex import LinearProgram, LpResult, LpSolverError
 from .simplex import _optimize, _RevisedBasis
 
 LP2_MAX_N = 10
@@ -300,10 +301,10 @@ class RestrictedMaster(_RevisedBasis):
         )
 
     def solve(self) -> LpResult:
-        """Phase 2 of :func:`~twosided.simplex.solve_lp` (``_optimize``)
-        from the current basis: the start basis on a first solve, so even a
-        master over every set (:func:`lp2_exact_small`) needs no phase 1.
-        Returned as ``solve_lp`` returns it for x, then lambda in
+        """The phase-2 solve ``simplex._optimize`` from the current basis:
+        the start basis on a first solve, so even a master over every set
+        (:func:`lp2_exact_small`) needs no phase 1. Returned as an
+        :class:`LpResult` in the LP's own (max) sense for x, then lambda in
         ``lam_index`` order (``basis`` empty). An optimum that fails the KKT
         check is pivoted and checked again from a basis inverted afresh; a
         second failure raises :class:`LpSolverError`."""
@@ -402,6 +403,11 @@ def lp1_exact_small(inst: Instance) -> float:
     Variables: one distribution over customer backlogs per supplier (valued
     by the optimal-revenue function) and one distribution over supplier
     assortments per customer, linked through the MNL choice probabilities.
+
+    Solved without phase 1 from the feasible basis lambda_{j,{}} on supplier
+    row j, tau_{i,{}} on customer row i and lambda_{j,{i}} on link row (i,
+    j): its matrix [[I, 0, E], [0, I, 0], [0, 0, I]] (E: lambda_{j,{i}} on
+    row j) has for inverse the same with -E, and its values are b = (1, 1, 0).
     """
     if inst.n > LP1_MAX_N or inst.m > LP1_MAX_M:
         raise SizeLimitError(
@@ -416,21 +422,24 @@ def lp1_exact_small(inst: Instance) -> float:
     c[: lam.size] = np.concatenate([mnl.optimal_revenue_table(inst, j) for j in range(m)])
     # rows: each distribution sums to 1, then per pair (i, j) the lambda mass
     # of backlogs containing i equals i's probability of choosing j
-    a_eq = np.zeros((m + n + n * m, c.size))
-    b_eq = np.zeros(m + n + n * m)
-    b_eq[: m + n] = 1.0
-    a_eq[lam // n_sets, lam] = 1.0
-    a_eq[m + tau // n_offers, lam.size + tau] = 1.0
+    b = np.zeros(m + n + n * m)
+    b[: m + n] = 1.0
+    cols = np.zeros((b.size, c.size), order="F")
+    cols[lam // n_sets, lam] = 1.0
+    cols[m + tau // n_offers, lam.size + tau] = 1.0
     link = m + n + np.arange(n * m).reshape(n, m, 1)
-    a_eq[link, lam.reshape(1, m, n_sets)] = mnl.subset_masks(n).T[:, None, :]
+    cols[link, lam.reshape(1, m, n_sets)] = mnl.subset_masks(n).T[:, None, :]
     phi = mnl.choice_prob_table(inst)
-    a_eq[link, lam.size + tau.reshape(n, 1, n_offers)] = -phi.transpose(0, 2, 1)
+    cols[link, lam.size + tau.reshape(n, 1, n_offers)] = -phi.transpose(0, 2, 1)
 
-    lp = LinearProgram(c=c, a_eq=a_eq, b_eq=b_eq, maximize=True)
-    result = solve_lp(lp)
-    if result.status != "optimal":
-        raise LpSolverError(f"assortment-distribution LP solve failed: {result.status}")
-    return float(result.objective)
+    singletons = (lam[::n_sets] + (1 << np.arange(n))[:, None]).reshape(-1)
+    basis = np.concatenate([lam[::n_sets], lam.size + tau[::n_offers], singletons])
+    # B = I + N with N the E block and N N = 0, so B^-1 = I - N = 2I - B
+    start = _RevisedBasis(cols, basis, 2 * np.eye(b.size) - cols[:, basis], b.copy())
+    pivots, x, _ = _optimize(start, b, -c, c.size)
+    if pivots < 0:
+        raise LpSolverError("assortment-distribution LP solve failed: unbounded")
+    return float(c @ x)
 
 
 def check_lp_solution(inst: Instance, sol: LpSolution, tol: float = 1e-9) -> list[str]:

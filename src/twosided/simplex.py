@@ -42,8 +42,9 @@ until a pivot moves the basic solution again; with its smallest-index
 leaving rule, Bland's rule cannot cycle. ``max_iters`` still guards
 against numerical trouble.
 
-:func:`solve_lp` starts from the all-artificial basis of phase 1; its
-phase 2, :func:`_optimize`, also solves every ``lp.RestrictedMaster``,
+:func:`solve_lp`, for general LPs, starts from the all-artificial basis of
+phase 1. Its phase 2, :func:`_optimize`, solves the package's own LPs from a
+feasible basis: ``lp.lp1_exact_small`` and every ``lp.RestrictedMaster``,
 which is a :class:`_RevisedBasis` and keeps its basis between solves.
 """
 

@@ -353,21 +353,41 @@ def test_marginal_lp_build_is_identical_to_loop_form(kind):
 
 
 @pytest.mark.parametrize("kind", GENERATOR_KINDS)
-@pytest.mark.parametrize("n, m", [(1, 1), (3, 2), (2, 4), (4, 4)])
+@pytest.mark.parametrize("n, m", [(n, m) for n in range(1, 5) for m in range(1, 5)])
 def test_assortment_distribution_lp_matches_loop_form(kind, n, m, monkeypatch):
-    # the choice probabilities of the linking rows sum their denominators
-    # in another order than choice_prob does: equal to a few ulps
+    # every size lp1_exact_small takes. The choice probabilities of the
+    # linking rows sum their denominators in another order than choice_prob
+    # does: equal to a few ulps. The LP is what lp1_exact_small hands the
+    # phase-2 solve: its columns, right-hand side and min-form costs, and the
+    # start basis before any pivot. Its optimum agrees with the revised
+    # two-phase solver and with the dense Bland tableau on the loop form
     inst = generate(kind, n, m, 5)
     built = []
-    monkeypatch.setattr(lp_module, "solve_lp", lambda lp: built.append(lp) or solve_lp(lp))
+    optimize = lp_module._optimize
+
+    def recorded(state, b, cost, n_cols):
+        built.append((state.cols, state.basis.copy(), state.binv.copy(), state.x_b.copy(), b, cost, n_cols))
+        return optimize(state, b, cost, n_cols)
+
+    monkeypatch.setattr(lp_module, "_optimize", recorded)
     got = lp1_exact_small(inst)
-    (lp,) = built
+    ((cols, basis, binv, x_b, b, cost, n_cols),) = built
     want = reference_assortment_distribution_lp(inst)
-    for name in ("c", "b_eq", "a_ub", "b_ub"):
-        assert getattr(lp, name).tobytes() == getattr(want, name).tobytes(), name
-    assert ((lp.a_eq == 0.0) == (want.a_eq == 0.0)).all()
-    assert np.abs(lp.a_eq - want.a_eq).max() <= 4 * np.finfo(float).eps
+    # max-form costs: negating back is exact, and the tau columns' -0.0 turns
+    # back into the reference's +0.0
+    assert (-cost).tobytes() == want.c.tobytes()
+    assert b.tobytes() == want.b_eq.tobytes()
+    # no inequality rows on either side: the columns are the equality rows
+    assert want.a_ub.size == 0 and want.b_ub.size == 0
+    assert cols.shape == want.a_eq.shape and n_cols == want.num_vars
+    assert ((cols == 0.0) == (want.a_eq == 0.0)).all()
+    assert np.abs(cols - want.a_eq).max() <= 4 * np.finfo(float).eps
+    # the start basis: its closed-form inverse is exact, its values are b
+    start = cols[:, basis]
+    assert (binv @ start == np.eye(b.size)).all()
+    assert (start @ x_b == b).all() and (x_b >= 0.0).all()
     assert got == pytest.approx(solve_lp(want).objective, abs=1e-12)
+    assert abs(got - reference_solve_lp(want).objective) <= 1e-9
 
 
 # ---------------------------------------------------------------------------

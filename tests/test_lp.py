@@ -4,7 +4,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from oracles import full_master, lp_optimum_by_vertex_enumeration
+from oracles import full_master, lp_optimum_by_vertex_enumeration, reference_assortment_distribution_lp
 from twosided.cost_assortment import SubDualOracle
 from twosided.instance import Instance, generate, normalize_revenues
 from twosided.lp import (
@@ -103,6 +103,30 @@ def test_lp1_below_lp2():
     for seed in range(15):
         inst = generate("uniform-random", 3, 2, seed)
         assert lp1_exact_small(inst) <= lp2_exact_small(inst).objective + 1e-7
+
+
+def _degenerate_lp1_instances(n: int, m: int) -> dict[str, Instance]:
+    """Zero and all-equal revenues on generated weights, and weights drawn
+    from 10^U(-9, 3), as tiny weights model forbidden pairs."""
+    base = generate("uniform-random", n, m, 11)
+    rng = np.random.default_rng(3)
+    return {
+        "zero-revenue": Instance(n=n, m=m, u=base.u, w=base.w, r=np.zeros((n, m))),
+        "equal-revenue": Instance(n=n, m=m, u=base.u, w=base.w, r=np.ones((n, m))),
+        "extreme-weight": Instance(
+            n=n, m=m, u=10.0 ** rng.uniform(-9, 3, (n, m)), w=10.0 ** rng.uniform(-9, 3, (m, n)),
+            r=rng.uniform(0.0, 1.0, (n, m)),
+        ),
+    }
+
+
+@pytest.mark.parametrize("n, m", [(3, 2), (2, 3), (4, 4)])
+def test_lp1_matches_a_two_phase_solve_on_degenerate_instances(n, m):
+    # lp1_exact_small solves from its start basis; solve_lp runs phase 1 and
+    # phase 2 on the loop-form LP
+    for case, inst in _degenerate_lp1_instances(n, m).items():
+        want = solve_lp(reference_assortment_distribution_lp(inst)).objective
+        assert abs(lp1_exact_small(inst) - want) <= 1e-9, case
 
 
 def test_lp1_size_guard():
@@ -215,7 +239,7 @@ def test_weak_duality():
 
 
 def test_lp_ordering_on_counterexample_derived_instance(counterexample):
-    # single-supplier fixture: the marginal LP relaxes the set-distribution LP
+    # single-supplier fixture: the marginal LP relaxes the assortment-distribution LP
     lp1 = lp1_exact_small(counterexample)
     lp2 = lp2_exact_small(counterexample).objective
     assert lp1 <= lp2 + 1e-7

@@ -3,7 +3,7 @@ import pytest
 
 import twosided.lp as lp_module
 import twosided.simplex as simplex_module
-from oracles import full_master, lp_optimum_by_vertex_enumeration
+from oracles import full_master, lp_optimum_by_vertex_enumeration, reference_assortment_distribution_lp
 from twosided.ellipsoid import solve_restricted
 from twosided.instance import GENERATOR_KINDS, generate, normalize_revenues
 from twosided.lp import (
@@ -11,6 +11,7 @@ from twosided.lp import (
     ViolatedSets,
     build_aux_primal,
     check_lp_solution,
+    lp1_exact_small,
     lp2_exact_small,
 )
 from twosided.simplex import FEASIBILITY_TOL, LinearProgram, LpSolverError, _check_optimality, solve_lp
@@ -242,18 +243,23 @@ def test_10x4_exact_lp_pivot_ceiling(kind, monkeypatch):
 
 @pytest.mark.parametrize("kind", GENERATOR_KINDS)
 def test_exact_lp_runs_no_two_phase_solve(kind, monkeypatch):
-    # lp2_exact_small solves on the restricted master: no phase 1
+    # lp2_exact_small solves on the restricted master and lp1_exact_small
+    # from its own start basis: neither runs phase 1 or drives out artificials
     inst = normalize_revenues(generate(kind, 6, 3, 77))
     cold = solve_lp(full_master(inst).lp)
+    small = normalize_revenues(generate(kind, 4, 3, 77))
+    cold_small = solve_lp(reference_assortment_distribution_lp(small))
 
     def refused(*args, **kwargs):
-        raise AssertionError("solve_lp called")
+        raise AssertionError("two-phase solve called")
 
+    assert not hasattr(lp_module, "solve_lp")
     monkeypatch.setattr(simplex_module, "solve_lp", refused)
-    monkeypatch.setattr(lp_module, "solve_lp", refused)
+    monkeypatch.setattr(simplex_module._RevisedBasis, "drive_out_artificials", refused)
     sol = lp2_exact_small(inst)
     assert abs(sol.objective - cold.objective) <= 1e-9
     assert check_lp_solution(inst, sol) == []
+    assert abs(lp1_exact_small(small) - cold_small.objective) <= 1e-9
 
 
 @pytest.mark.parametrize("kind", GENERATOR_KINDS)
