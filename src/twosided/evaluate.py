@@ -5,9 +5,11 @@ on: the correlation-gap bound on the optimal-revenue function, the
 cross-monotone budget-balanced cost-sharing scheme behind it, the
 submodular-order marginal inequality along a common revenue order, and the
 interleaved-partition inequality used by the greedy analysis. Every
-expectation inside a check is computed by exhaustive enumeration so
-inequalities are asserted at 1e-9, not statistically; randomness only picks
-which cases to try and everything is deterministic in (trials, seed).
+expectation and every cost share inside a check is computed by exhaustive
+enumeration, read by bitmask from one optimal-revenue table per check
+(:func:`mnl.optimal_revenue_table`), so inequalities are asserted at 1e-9,
+not statistically; randomness only picks which cases to try and everything
+is deterministic in (trials, seed).
 """
 
 from __future__ import annotations
@@ -20,7 +22,7 @@ import numpy as np
 
 from . import mnl
 from .instance import Instance, as_permutation
-from .mnl import SizeLimitError, expected_optimal_revenue_independent
+from .mnl import SizeLimitError
 
 CHECK_TOL = 1e-9
 GAP_MAX_N = 10
@@ -116,20 +118,29 @@ class SubsetDistribution:
         return out
 
 
+def _require_table(n: int, check: str) -> None:
+    if n > GAP_MAX_N:
+        raise SizeLimitError(f"{check} enumerates 2^{n} subsets; limit n <= {GAP_MAX_N}")
+
+
+def _expected_value(gtab: np.ndarray, dist: SubsetDistribution, n: int) -> float:
+    return float(sum(p * gtab[mnl.mask_of(subset, n)] for subset, p in dist.support))
+
+
 def expected_optimal_revenue(inst: Instance, j: int, dist: SubsetDistribution) -> float:
-    gtab = mnl.optimal_revenue_table(inst, j)
-    return float(sum(p * gtab[mnl.mask_of(subset, inst.n)] for subset, p in dist.support))
+    return _expected_value(mnl.optimal_revenue_table(inst, j), dist, inst.n)
 
 
 def correlation_gap_check(inst: Instance, j: int, dist: SubsetDistribution) -> float | None:
     """Ratio of the correlated expectation of the optimal-revenue function
     to the expectation under the independent distribution with the same
     marginals; ``None`` when the denominator vanishes (only possible when
-    the marginals put no mass on any revenue-positive set)."""
-    if inst.n > GAP_MAX_N:
-        raise SizeLimitError(f"gap check enumerates 2^{inst.n} subsets; limit n <= {GAP_MAX_N}")
-    numerator = expected_optimal_revenue(inst, j, dist)
-    denominator = float(expected_optimal_revenue_independent(inst, j, dist.marginals(inst.n)))
+    the marginals put no mass on any revenue-positive set). Both
+    expectations read one optimal-revenue table."""
+    _require_table(inst.n, "gap check")
+    gtab = mnl.optimal_revenue_table(inst, j)
+    numerator = _expected_value(gtab, dist, inst.n)
+    denominator = float(gtab @ mnl.independent_subset_probs(dist.marginals(inst.n)))
     if denominator <= 0.0:
         return None
     return numerator / denominator
@@ -140,45 +151,65 @@ def revenue_order(inst: Instance, j: int) -> tuple[int, ...]:
     return tuple(sorted(inst.customers(), key=lambda i: (-inst.r[i, j], i)))
 
 
+def _above_masks(inst: Instance, j: int) -> list[int]:
+    """Bitmask of the customers ranking strictly above each customer in
+    :func:`revenue_order`."""
+    above = [0] * inst.n
+    seen = 0
+    for i in revenue_order(inst, j):
+        above[i] = seen
+        seen |= 1 << i
+    return above
+
+
+def _share(gtab: np.ndarray, above: list[int], i: int, mask: int) -> float:
+    """Share of customer i in the set ``mask``: its marginal over the
+    members ranking above it (0 when i is not a member)."""
+    if not mask >> i & 1:
+        return 0.0
+    lo = mask & above[i]
+    return float(gtab[lo | 1 << i] - gtab[lo])
+
+
 def cost_share(inst: Instance, j: int, i: int, subset) -> float:
     """Share of the optimal revenue of ``subset`` allocated to customer i:
     the marginal of i over the members ranking strictly above it in the
     descending revenue order (0 when i is not a member)."""
-    members = mnl.as_subset(subset)
-    if i not in members:
-        return 0.0
-    pos = {c: t for t, c in enumerate(revenue_order(inst, j))}
-    above = tuple(c for c in members if pos[c] < pos[i])
-    at_or_above = tuple(sorted(above + (i,)))
-    g_hi, _ = mnl.optimal_revenue(inst, j, at_or_above)
-    g_lo, _ = mnl.optimal_revenue(inst, j, above)
-    return g_hi - g_lo
+    _require_table(inst.n, "cost share")
+    gtab = mnl.optimal_revenue_table(inst, j)
+    return _share(gtab, _above_masks(inst, j), i, mnl.mask_of(subset, inst.n))
 
 
 def cost_sharing_check(inst: Instance, j: int, trials: int, seed: int) -> PropertyReport:
     """Random (A subset of B, i) triples: the shares must be cross-monotone
     and must telescope exactly to the optimal revenue (budget balance with
     factor 1)."""
+    n = inst.n
+    _require_table(n, "cost-sharing check")
     rng = np.random.default_rng(seed)
     report = PropertyReport(name="cost-sharing")
-    n = inst.n
+    gtab = mnl.optimal_revenue_table(inst, j)
+    above = _above_masks(inst, j)
     for _ in range(trials):
         report.cases += 1
         b_mask = int(rng.integers(0, 2**n))
         a_mask = b_mask & int(rng.integers(0, 2**n))
         i = int(rng.integers(0, n))
-        set_a = mnl.subset_of(a_mask, n)
-        set_b = mnl.subset_of(b_mask, n)
-        with_a = tuple(sorted(set(set_a) | {i}))
-        with_b = tuple(sorted(set(set_b) | {i}))
-        chi_a = cost_share(inst, j, i, with_a)
-        chi_b = cost_share(inst, j, i, with_b)
+        chi_a = _share(gtab, above, i, a_mask | 1 << i)
+        chi_b = _share(gtab, above, i, b_mask | 1 << i)
         if chi_a < chi_b - CHECK_TOL:
-            report.record(kind="cross-monotonicity", A=set_a, B=set_b, i=i, chi_A=chi_a, chi_B=chi_b)
-        total = sum(cost_share(inst, j, i2, set_a) for i2 in range(n))
-        g_a, _ = mnl.optimal_revenue(inst, j, set_a)
+            report.record(
+                kind="cross-monotonicity",
+                A=mnl.subset_of(a_mask, n),
+                B=mnl.subset_of(b_mask, n),
+                i=i,
+                chi_A=chi_a,
+                chi_B=chi_b,
+            )
+        total = sum(_share(gtab, above, i2, a_mask) for i2 in range(n))
+        g_a = float(gtab[a_mask])
         if abs(total - g_a) > CHECK_TOL:
-            report.record(kind="budget-balance", A=set_a, shares=total, g=g_a)
+            report.record(kind="budget-balance", A=mnl.subset_of(a_mask, n), shares=total, g=g_a)
     return report
 
 

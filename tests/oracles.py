@@ -16,6 +16,7 @@ from twosided.ellipsoid import (
     default_iteration_budget,
     default_radius,
 )
+from twosided.evaluate import CHECK_TOL, PropertyReport, revenue_order
 from twosided.instance import Instance
 from twosided.lp import (
     DualFeasibilityReport,
@@ -981,3 +982,62 @@ def reference_optimal_revenue_table(inst: Instance, j: int) -> np.ndarray:
         has = (idx & bit) != 0
         g[has] = np.maximum(g[has], g[idx[has] ^ bit])
     return g
+
+
+# ---------------------------------------------------------------------------
+# The cost shares and their check as they were written before the check read
+# one optimal-revenue table by bitmask: each share is two prefix-rule scans
+# over sorted tuples. Kept verbatim (only the names changed) so the table
+# form can be held to them. The squared-size stand-ins make g(S) = |S|^2, a
+# supermodular function whose shares are not cross-monotone.
+
+
+def squared_size_revenue(inst: Instance, j: int, customers) -> tuple[float, tuple[int, ...]]:
+    members = mnl.as_subset(customers)
+    return float(len(members) ** 2), members
+
+
+def squared_size_table(inst: Instance, j: int) -> np.ndarray:
+    return np.array([float(bin(mask).count("1") ** 2) for mask in range(2**inst.n)])
+
+
+def reference_cost_share(inst: Instance, j: int, i: int, subset) -> float:
+    """Share of the optimal revenue of ``subset`` allocated to customer i:
+    the marginal of i over the members ranking strictly above it in the
+    descending revenue order (0 when i is not a member)."""
+    members = mnl.as_subset(subset)
+    if i not in members:
+        return 0.0
+    pos = {c: t for t, c in enumerate(revenue_order(inst, j))}
+    above = tuple(c for c in members if pos[c] < pos[i])
+    at_or_above = tuple(sorted(above + (i,)))
+    g_hi, _ = mnl.optimal_revenue(inst, j, at_or_above)
+    g_lo, _ = mnl.optimal_revenue(inst, j, above)
+    return g_hi - g_lo
+
+
+def reference_cost_sharing_check(inst: Instance, j: int, trials: int, seed: int) -> PropertyReport:
+    """Random (A subset of B, i) triples: the shares must be cross-monotone
+    and must telescope exactly to the optimal revenue (budget balance with
+    factor 1)."""
+    rng = np.random.default_rng(seed)
+    report = PropertyReport(name="cost-sharing")
+    n = inst.n
+    for _ in range(trials):
+        report.cases += 1
+        b_mask = int(rng.integers(0, 2**n))
+        a_mask = b_mask & int(rng.integers(0, 2**n))
+        i = int(rng.integers(0, n))
+        set_a = mnl.subset_of(a_mask, n)
+        set_b = mnl.subset_of(b_mask, n)
+        with_a = tuple(sorted(set(set_a) | {i}))
+        with_b = tuple(sorted(set(set_b) | {i}))
+        chi_a = reference_cost_share(inst, j, i, with_a)
+        chi_b = reference_cost_share(inst, j, i, with_b)
+        if chi_a < chi_b - CHECK_TOL:
+            report.record(kind="cross-monotonicity", A=set_a, B=set_b, i=i, chi_A=chi_a, chi_B=chi_b)
+        total = sum(reference_cost_share(inst, j, i2, set_a) for i2 in range(n))
+        g_a, _ = mnl.optimal_revenue(inst, j, set_a)
+        if abs(total - g_a) > CHECK_TOL:
+            report.record(kind="budget-balance", A=set_a, shares=total, g=g_a)
+    return report

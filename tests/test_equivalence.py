@@ -18,6 +18,8 @@ from oracles import (
     full_master,
     reference_assortment_distribution_lp,
     reference_best_marginal_assortment,
+    reference_cost_share,
+    reference_cost_sharing_check,
     reference_distribution_sample,
     reference_dual_feasibility_report,
     reference_dp_atar,
@@ -36,7 +38,10 @@ from oracles import (
     reference_star,
     reference_static_sample,
     reference_subset_probs,
+    squared_size_revenue,
+    squared_size_table,
 )
+from twosided import mnl
 from twosided.cost_assortment import SubDualOracle, rev_cost
 from twosided.ellipsoid import (
     CERTIFY_FIRST,
@@ -44,7 +49,13 @@ from twosided.ellipsoid import (
     run_ellipsoid,
     solve_restricted,
 )
-from twosided.evaluate import MC_BATCH, SubsetDistribution, expected_optimal_revenue_independent, monte_carlo
+from twosided.evaluate import (
+    MC_BATCH,
+    SubsetDistribution,
+    cost_share,
+    cost_sharing_check,
+    monte_carlo,
+)
 from twosided.instance import (
     GENERATOR_KINDS,
     Instance,
@@ -61,7 +72,13 @@ from twosided.lp import (
     lp1_exact_small,
     lp2_exact_small,
 )
-from twosided.mnl import independent_subset_probs, optimal_revenue, optimal_revenue_table, subset_of
+from twosided.mnl import (
+    expected_optimal_revenue_independent,
+    independent_subset_probs,
+    optimal_revenue,
+    optimal_revenue_table,
+    subset_of,
+)
 from twosided.policies import (
     OUTSIDE,
     UNPROCESSED,
@@ -531,6 +548,36 @@ def test_optimal_revenue_table_matches_reference_sweep():
         for j in range(inst.m):
             want = reference_optimal_revenue_table(inst, j)
             assert optimal_revenue_table(inst, j).tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize("kind", GENERATOR_KINDS)
+def test_cost_shares_match_prefix_rule_reference(kind):
+    # every (set, customer) pair at 8x2: the table's marginal against two
+    # prefix-rule scans; they differ only in the last bits of g
+    inst = generate(kind, 8, 2, 41)
+    for j in range(inst.m):
+        for mask in range(2**inst.n):
+            subset = subset_of(mask, inst.n)
+            for i in range(inst.n):
+                assert abs(cost_share(inst, j, i, subset) - reference_cost_share(inst, j, i, subset)) <= 1e-12
+
+
+@pytest.mark.parametrize("kind", GENERATOR_KINDS)
+def test_cost_sharing_check_matches_reference_loop(kind, monkeypatch):
+    inst = generate(kind, 8, 2, 43)
+    for j in range(inst.m):
+        got = cost_sharing_check(inst, j, 200, 17 + j)
+        want = reference_cost_sharing_check(inst, j, 200, 17 + j)
+        assert got.cases == want.cases == 200
+        assert got.violations == want.violations
+    # g(S) = |S|^2 in both forms: the shares are whole numbers, so the
+    # cross-monotonicity witnesses must agree exactly
+    monkeypatch.setattr(mnl, "optimal_revenue", squared_size_revenue)
+    monkeypatch.setattr(mnl, "optimal_revenue_table", squared_size_table)
+    got = cost_sharing_check(inst, 0, 200, 19)
+    want = reference_cost_sharing_check(inst, 0, 200, 19)
+    assert want.violations
+    assert (got.cases, got.violations) == (want.cases, want.violations)
 
 
 # ---------------------------------------------------------------------------

@@ -1,8 +1,11 @@
 import math
+from collections import Counter
 
 import numpy as np
 import pytest
 
+from oracles import squared_size_table
+from twosided import mnl
 from twosided.evaluate import (
     SubsetDistribution,
     correlation_gap_check,
@@ -17,7 +20,7 @@ from twosided.evaluate import (
 )
 from twosided.instance import detect_same_order, generate
 from twosided.lp import lp2_exact_small
-from twosided.mnl import optimal_revenue, subset_of
+from twosided.mnl import SizeLimitError, optimal_revenue, subset_of
 from twosided.policies import RandomizedStaticPolicy
 
 TOL = 1e-9
@@ -122,6 +125,43 @@ def test_cost_sharing_random_sweep():
         inst = generate("uniform-random", 8, 2, seed)
         report = cost_sharing_check(inst, seed % 2, 200, seed)
         assert report.passed, report.violations[:2]
+
+
+def test_cost_sharing_check_fires_on_a_supermodular_table(monkeypatch):
+    # g(S) = |S|^2 gives customer i the share 2 |members above i| + 1, which
+    # grows with the set: cross-monotonicity fails, budget balance holds
+    monkeypatch.setattr(mnl, "optimal_revenue_table", squared_size_table)
+    report = cost_sharing_check(generate("uniform-random", 8, 2, 3), 0, 200, 3)
+    assert report.violations
+    assert {v["kind"] for v in report.violations} == {"cross-monotonicity"}
+
+
+def test_checks_read_one_table_and_run_no_prefix_scan(monkeypatch):
+    calls = Counter()
+    for name in ("optimal_revenue", "optimal_revenue_table"):
+        real = getattr(mnl, name)
+
+        def counted(*args, _real=real, _name=name):
+            calls[_name] += 1
+            return _real(*args)
+
+        monkeypatch.setattr(mnl, name, counted)
+    inst = generate("uniform-random", 8, 2, 5)
+    assert cost_sharing_check(inst, 1, 200, 5).passed
+    assert calls == {"optimal_revenue_table": 1}
+    calls.clear()
+    dist = SubsetDistribution.random_correlated(8, np.random.default_rng(5))
+    assert correlation_gap_check(inst, 0, dist) is not None
+    assert calls == {"optimal_revenue_table": 1}
+
+
+def test_cost_sharing_size_guard():
+    assert cost_sharing_check(generate("uniform-random", 10, 1, 0), 0, 5, 0).cases == 5
+    inst = generate("uniform-random", 11, 1, 0)
+    with pytest.raises(SizeLimitError):
+        cost_sharing_check(inst, 0, 5, 0)
+    with pytest.raises(SizeLimitError):
+        cost_share(inst, 0, 0, (0,))
 
 
 def test_budget_balance_matches_g():

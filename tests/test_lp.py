@@ -4,7 +4,12 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from oracles import full_master, lp_optimum_by_vertex_enumeration, reference_assortment_distribution_lp
+from oracles import (
+    full_master,
+    lp_optimum_by_vertex_enumeration,
+    reference_assortment_distribution_lp,
+    reference_solve_lp,
+)
 from twosided.cost_assortment import SubDualOracle
 from twosided.instance import Instance, generate, normalize_revenues
 from twosided.lp import (
@@ -123,10 +128,14 @@ def _degenerate_lp1_instances(n: int, m: int) -> dict[str, Instance]:
 @pytest.mark.parametrize("n, m", [(3, 2), (2, 3), (4, 4)])
 def test_lp1_matches_a_two_phase_solve_on_degenerate_instances(n, m):
     # lp1_exact_small solves from its start basis; solve_lp runs phase 1 and
-    # phase 2 on the loop-form LP
+    # phase 2 on the loop-form LP. The dense Bland tableau needs a tolerance
+    # below the ~1e-9 link coefficients of the extreme weights to reach the
+    # optimum there.
     for case, inst in _degenerate_lp1_instances(n, m).items():
-        want = solve_lp(reference_assortment_distribution_lp(inst)).objective
-        assert abs(lp1_exact_small(inst) - want) <= 1e-9, case
+        lp = reference_assortment_distribution_lp(inst)
+        got = lp1_exact_small(inst)
+        assert abs(got - solve_lp(lp).objective) <= 1e-9, case
+        assert abs(got - reference_solve_lp(lp, tol=1e-12).objective) <= 1e-12, case
 
 
 def test_lp1_size_guard():
