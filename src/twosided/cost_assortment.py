@@ -2,11 +2,11 @@
 
 This is the separation problem behind the dual of the marginal LP: for a
 cost matrix gamma (any sign), find the customer set maximizing expected
-revenue minus the total cost of the offered customers. One
-(1 - delta)-approximate oracle answers it by exhaustive enumeration at desk
-scale; its delta = 0 case is the exact maximizer. It names the set by its
-bitmask (bit i: customer i, as ``mnl.mask_of``), the form the cut loop,
-its record and the restricted master keep it in. The cited
+revenue minus the total cost of the offered customers. One oracle per
+instance answers it by exhaustive enumeration at desk scale, within the
+slack delta given with each call (exact at delta = 0). It names the set by
+its bitmask (bit i: customer i, as ``mnl.mask_of``), the form the cut
+loop, its record and the restricted master keep it in. The cited
 polynomial-time scheme could replace the enumeration behind the same call
 without touching the solvers.
 """
@@ -36,8 +36,8 @@ def rev_cost(inst: Instance, j: int, customers, gamma) -> float:
 
 
 class SubDualOracle:
-    """The (1 - delta)-approximate sub-dual oracle of one instance (n <= 20),
-    with cached subset tables; call as oracle(j, gamma).
+    """The sub-dual oracle of one instance (n <= 20), with cached subset
+    tables; call as oracle(j, gamma, delta=0.0), with delta in [0, 1).
 
     Returns (value, mask): the first set, smaller sets first and
     lexicographically within a size, whose rev_cost reaches (1 - delta)
@@ -47,13 +47,10 @@ class SubDualOracle:
     always >= 0 since the empty set scores 0.
     """
 
-    def __init__(self, inst: Instance, delta: float = 0.0):
+    def __init__(self, inst: Instance):
         if inst.n > SUB_DUAL_LIMIT:
             raise SizeLimitError(f"oracle limited to {SUB_DUAL_LIMIT} customers, got {inst.n}")
-        if not 0.0 <= delta < 1.0:  # also rejects NaN
-            raise ValueError(f"delta must be in [0, 1), got {delta}")
         self.inst = inst
-        self.delta = delta
         self._masks = subset_masks(inst.n)
         self._rtab = np.stack([expected_revenue_table(inst, j) for j in inst.suppliers()])
         # size-then-lex rank of every bitmask: size first, then, within a
@@ -69,9 +66,16 @@ class SubDualOracle:
             reversed_mask |= bit << (n - 1 - i)
         self._key = (size << n) + (2**n - 1 - reversed_mask)
 
-    def __call__(self, j: int, gamma) -> tuple[float, int]:
+    def __call__(self, j: int, gamma, delta: float = 0.0) -> tuple[float, int]:
+        check_delta(delta)
         gamma = np.asarray(gamma, dtype=float)
         values = self._rtab[j] - self._masks @ gamma[:, j]
-        hits = (values >= (1.0 - self.delta) * values.max()).nonzero()[0]
+        hits = (values >= (1.0 - delta) * values.max()).nonzero()[0]
         best = int(hits[0]) if hits.size == 1 else int(hits[self._key[hits].argmin()])
         return values.item(best), best
+
+
+def check_delta(delta: float) -> None:
+    """Raise ``ValueError`` unless the oracle slack is in [0, 1)."""
+    if not 0.0 <= delta < 1.0:  # also rejects NaN
+        raise ValueError(f"delta must be in [0, 1), got {delta}")

@@ -4,24 +4,24 @@ The dual has 2nm + m variables (alpha, beta, gamma) but exponentially many
 backlog constraints, one per (supplier, customer set). Each iteration scans
 for a violated constraint in a fixed order -- objective cut first, then the
 weight-link rows, alpha nonnegativity, and finally the backlog family
-through the (1 - delta)-approximate sub-dual oracle, which is exact at the
-default delta = 0 -- and applies the central-cut update. Backlog sets that
-ever produced a cut are recorded by the bitmask the oracle names them with
-(bit i: customer i), which pricing and the master's keys ``j << n | mask``
-use as is; restricting the primal to that support (the auxiliary primal)
-and solving it exactly recovers a feasible, (1 - delta)-approximate
-solution of the full marginal LP.
+through the run's one sub-dual oracle, called (1 - delta)-approximately
+(exactly at the default delta = 0) -- and applies the central-cut update.
+Backlog sets that ever produced a cut are recorded by the bitmask the
+oracle names them with (bit i: customer i), which pricing and the master's
+keys ``j << n | mask`` use as is; restricting the primal to that support
+(the auxiliary primal) and solving it exactly recovers a feasible,
+(1 - delta)-approximate solution of the full marginal LP.
 
-``solve_restricted`` also prices that primal's duals with the exact oracle
-(at delta = 0, the cut loop's own) on a doubling schedule of cut counts.
-Lifted by the priced excess, they are a dual-feasible point whose objective
-bounds the LP optimum, and the loop stops as ``certified`` once the bound is
-within 1e-9 of the restricted primal's objective. Until then, each
-checkpoint runs pricing rounds: the sets that price out join the primal,
-which is solved again from its last basis. One ``lp.RestrictedMaster``
-holds that primal for the whole solve; new sets join it as nonbasic
-columns, and its first solve starts from a known feasible basis, without
-phase 1.
+``solve_restricted`` also prices that primal's duals on a doubling
+schedule of cut counts, with the same oracle called exactly, so a solve
+builds one oracle at every delta. Lifted by the priced excess, they are a
+dual-feasible point whose objective bounds the LP optimum, and the loop
+stops as ``certified`` once the bound is within 1e-9 of the restricted
+primal's objective. Until then, each checkpoint runs pricing rounds: the
+sets that price out join the primal, which is solved again from its last
+basis. One ``lp.RestrictedMaster`` holds that primal for the whole solve;
+new sets join it as nonbasic columns, and its first solve starts from a
+known feasible basis, without phase 1.
 
 Iterations count cut steps only: when the center passes every check the
 incumbent is updated in place and the loop re-enters without advancing the
@@ -37,7 +37,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import lp, mnl
-from .cost_assortment import SubDualOracle
+from .cost_assortment import SubDualOracle, check_delta
 from .instance import Instance
 from .lp import (
     DualPoint,
@@ -125,8 +125,9 @@ def run_ellipsoid(
     (``certified``). ``certify`` is called once, before the first cut, with
     the run's oracle, and returns that test; the loop asks it, as
     ``test(recorded sets)``, only after 32, 64, 128, ... cuts
-    (``CERTIFY_FIRST``, doubling). Backlog cuts come from
-    ``SubDualOracle(inst, delta)``, which is exact at ``delta = 0``.
+    (``CERTIFY_FIRST``, doubling). Backlog cuts come from the run's one
+    ``SubDualOracle(inst)``, called at ``delta`` (exact at 0); a ``delta``
+    outside [0, 1) raises ``ValueError`` before the first cut.
 
     Requires revenues normalized so every expected revenue is at most 1
     (the initial incumbent beta = 1 must be feasible).
@@ -140,8 +141,9 @@ def run_ellipsoid(
         t_max = default_iteration_budget(inst)
     if t_max < 1:
         raise ValueError(f"t_max must be >= 1, got {t_max}")
+    check_delta(delta)
 
-    oracle = SubDualOracle(inst, delta)
+    oracle = SubDualOracle(inst)
     test = None if certify is None else certify(oracle)
     s = np.zeros(n_dim)
     shape = np.eye(n_dim) * default_radius(inst) ** 2
@@ -171,7 +173,7 @@ def run_ellipsoid(
     incumbent_flag = False
 
     while t < t_max:
-        kind, index, cut = _find_cut(inst, oracle, cuts, s, alpha, beta, gamma, obj, violated)
+        kind, index, cut = _find_cut(inst, oracle, delta, cuts, s, alpha, beta, gamma, obj, violated)
         if kind is None:
             # feasible center that improves the objective: update in place,
             # re-enter without counting an iteration
@@ -289,7 +291,7 @@ def _shown(kind: str, index, n: int):
     return (index[0], mnl.subset_of(index[1], n)) if kind == "assortment-cost" else index
 
 
-def _find_cut(inst, oracle, cuts, s, alpha, beta, gamma, obj, violated):
+def _find_cut(inst, oracle, delta, cuts, s, alpha, beta, gamma, obj, violated):
     """Locate the first violated constraint in the fixed scan order and
     return (kind, index, (cut vector a, its noise scale)); kind None when
     the center is feasible and improving."""
@@ -310,7 +312,7 @@ def _find_cut(inst, oracle, cuts, s, alpha, beta, gamma, obj, violated):
         return "alpha-nonnegative", divmod(pos, m), cuts.alpha_nonnegative[pos]
 
     for j in range(m):
-        value, mask = oracle(j, gamma)
+        value, mask = oracle(j, gamma, delta)
         if value > beta[j]:
             violated.add(j, mask)
             return "assortment-cost", (j, mask), cuts.backlog(j, mask)
@@ -361,8 +363,8 @@ def solve_restricted(
     below the true optimum, at every ``delta``; with ``delta > 0`` the
     objective is also at least (1 - delta) times the optimum. Raises
     :class:`LpSolverError` when the solution fails the feasibility check of
-    the full marginal LP. The pricing uses the cut loop's own oracle at
-    ``delta = 0``, and an exact oracle of its own at ``delta > 0``.
+    the full marginal LP. The pricing calls the cut loop's own oracle at
+    ``delta = 0``, so a solve builds one oracle at every ``delta``.
     """
     oracle: SubDualOracle | None = None
     rounds = priced = 0
@@ -388,7 +390,7 @@ def solve_restricted(
 
     def checkpoints(run_oracle: SubDualOracle) -> Callable[[ViolatedSets], bool]:
         nonlocal oracle
-        oracle = run_oracle if run_oracle.delta == 0.0 else SubDualOracle(inst)
+        oracle = run_oracle
         return certify
 
     def certify(violated: ViolatedSets) -> bool:

@@ -25,8 +25,7 @@ from .instance import Instance, as_permutation
 from .mnl import SizeLimitError
 
 CHECK_TOL = 1e-9
-GAP_MAX_N = 10
-SCAN_MAX_N = 10  # exhaustive scans enumerate pairs of subsets
+GAP_MAX_N = 10  # every check and expectation reads a table of all 2^n subsets
 CORRELATED_MAX_SUPPORT = 8
 MC_BATCH = 512  # Monte Carlo trials per run batch; bounds the batch's arrays
 
@@ -70,31 +69,29 @@ def monte_carlo(policy, trials: int, master_seed: int) -> tuple[float, float]:
 
 @dataclass(frozen=True)
 class SubsetDistribution:
-    """Finite distribution over customer subsets (sorted index tuples)."""
+    """Finite distribution over customer subsets: (bitmask, probability)
+    pairs sorted by mask (bit i: customer i, as ``mnl.mask_of``)."""
 
-    support: tuple[tuple[tuple[int, ...], float], ...]
+    support: tuple[tuple[int, float], ...]
 
     def __post_init__(self):
         total = sum(p for _, p in self.support)
-        if any(p < 0 for _, p in self.support):
-            raise ValueError("negative probability")
+        # a negative mask would read a table from its end
+        if any(p < 0 or mask < 0 for mask, p in self.support):
+            raise ValueError("negative mask or probability")
         if abs(total - 1.0) > 1e-12:
             raise ValueError(f"probabilities sum to {total}, not 1")
 
     @staticmethod
     def point_mass(subset) -> "SubsetDistribution":
-        return SubsetDistribution(((mnl.as_subset(subset), 1.0),))
+        return SubsetDistribution(((sum(1 << i for i in mnl.as_subset(subset)), 1.0),))
 
     @staticmethod
     def product(marginals) -> "SubsetDistribution":
         """Independent inclusion with the given per-customer marginals; the
         support enumerates all subsets."""
-        n = np.size(marginals)
         probs = mnl.independent_subset_probs(marginals)
-        support = tuple(
-            (mnl.subset_of(mask, n), float(probs[mask])) for mask in range(2**n)
-        )
-        return SubsetDistribution(support)
+        return SubsetDistribution(tuple((mask, float(p)) for mask, p in enumerate(probs)))
 
     @staticmethod
     def random_correlated(n: int, rng: np.random.Generator) -> "SubsetDistribution":
@@ -104,17 +101,16 @@ class SubsetDistribution:
         k = int(rng.integers(1, CORRELATED_MAX_SUPPORT + 1))
         masks = rng.integers(0, 2**n, size=k)
         weights = rng.dirichlet(np.ones(k))
-        merged: dict[tuple[int, ...], float] = {}
-        for mask, p in zip(masks, weights):
-            subset = mnl.subset_of(int(mask), n)
-            merged[subset] = merged.get(subset, 0.0) + float(p)
+        merged: dict[int, float] = {}
+        for mask, p in zip(masks.tolist(), weights.tolist()):
+            merged[mask] = merged.get(mask, 0.0) + p
         return SubsetDistribution(tuple(sorted(merged.items())))
 
     def marginals(self, n: int) -> np.ndarray:
         out = np.zeros(n)
-        for subset, p in self.support:
-            for i in subset:
-                out[i] += p
+        rows = mnl.subset_masks(n)  # a mask of 2^n or more raises IndexError
+        for mask, p in self.support:
+            out += p * rows[mask]
         return out
 
 
@@ -123,12 +119,13 @@ def _require_table(n: int, check: str) -> None:
         raise SizeLimitError(f"{check} enumerates 2^{n} subsets; limit n <= {GAP_MAX_N}")
 
 
-def _expected_value(gtab: np.ndarray, dist: SubsetDistribution, n: int) -> float:
-    return float(sum(p * gtab[mnl.mask_of(subset, n)] for subset, p in dist.support))
+def _expected_value(gtab: np.ndarray, dist: SubsetDistribution) -> float:
+    return float(sum(p * gtab[mask] for mask, p in dist.support))
 
 
 def expected_optimal_revenue(inst: Instance, j: int, dist: SubsetDistribution) -> float:
-    return _expected_value(mnl.optimal_revenue_table(inst, j), dist, inst.n)
+    _require_table(inst.n, "expected optimal revenue")
+    return _expected_value(mnl.optimal_revenue_table(inst, j), dist)
 
 
 def correlation_gap_check(inst: Instance, j: int, dist: SubsetDistribution) -> float | None:
@@ -139,7 +136,7 @@ def correlation_gap_check(inst: Instance, j: int, dist: SubsetDistribution) -> f
     expectations read one optimal-revenue table."""
     _require_table(inst.n, "gap check")
     gtab = mnl.optimal_revenue_table(inst, j)
-    numerator = _expected_value(gtab, dist, inst.n)
+    numerator = _expected_value(gtab, dist)
     denominator = float(gtab @ mnl.independent_subset_probs(dist.marginals(inst.n)))
     if denominator <= 0.0:
         return None
@@ -219,8 +216,7 @@ def submodularity_check(inst: Instance, j: int) -> PropertyReport:
     Heterogeneous revenues generally violate this; the scan supplies the
     negative-control witnesses."""
     n = inst.n
-    if n > SCAN_MAX_N:
-        raise ValueError(f"exhaustive scan limited to n <= {SCAN_MAX_N}")
+    _require_table(n, "submodularity scan")
     report = PropertyReport(name="submodularity")
     gtab = mnl.optimal_revenue_table(inst, j)
     for b_mask in range(2**n):
@@ -261,10 +257,11 @@ def submodular_order_check(
 
     For A subset of B and C entirely after B in the order, the marginal of
     C at B must not exceed the marginal at A; and the value of a union must
-    not exceed the sum of values. Exhaustive mode scans every triple
-    (n <= 10); otherwise ``trials`` random triples are drawn.
+    not exceed the sum of values. Exhaustive mode scans every triple;
+    otherwise ``trials`` random triples are drawn.
     """
     n = inst.n
+    _require_table(n, "submodular-order check")
     order = as_permutation(order, n)
     report = PropertyReport(name="submodular-order")
     gtab = mnl.optimal_revenue_table(inst, j)
@@ -306,8 +303,6 @@ def submodular_order_check(
             )
 
     if exhaustive:
-        if n > SCAN_MAX_N:
-            raise ValueError(f"exhaustive scan limited to n <= {SCAN_MAX_N}")
         for b_mask in range(2**n):
             succ = successors_mask(b_mask)
             c_mask = succ
@@ -346,6 +341,7 @@ def interleaved_partition_check(
     of each O block's marginal over the backlog elements seen so far.
     """
     n = inst.n
+    _require_table(n, "interleaved-partition check")
     order = as_permutation(order, n)
     rng = np.random.default_rng(seed)
     report = PropertyReport(name="interleaved-partition")

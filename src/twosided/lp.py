@@ -167,15 +167,13 @@ def dual_certificate(
 
     Restricting the primal to some backlog columns drops only backlog
     constraints from the dual, so ``point`` is feasible up to those. The
-    exact ``oracle`` prices each supplier, ``v_j = max(0, oracle(j, gamma)
-    - beta_j)``, and ``(alpha, beta + v, gamma)`` satisfies every one. Its
-    objective bounds the LP optimum from above, at ``sum v`` above the
-    restricted optimum. The third value lists ``(j, mask)``, the oracle's
+    ``oracle``, called exactly, prices each supplier, ``v_j = max(0,
+    oracle(j, gamma) - beta_j)``, and ``(alpha, beta + v, gamma)``
+    satisfies every one. Its objective bounds the LP optimum from above, at
+    ``sum v`` above the restricted optimum. The third value lists ``(j, mask)``, the oracle's
     set as its bitmask, for every supplier with ``v_j > 0``: the backlog
     columns with the largest positive reduced cost.
     """
-    if oracle.delta != 0.0:
-        raise ValueError(f"a certificate needs the exact oracle, got delta = {oracle.delta}")
     v = np.zeros(point.beta.size)
     priced: list[tuple[int, int]] = []
     for j in range(point.beta.size):

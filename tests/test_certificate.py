@@ -82,10 +82,34 @@ def test_short_budget_gap_is_positive():
     assert_certified(inst, solved)
 
 
-def test_relaxed_oracle_run_certifies_with_the_exact_oracle():
+def test_relaxed_oracle_run_certifies_with_the_exact_oracle(monkeypatch):
     inst = normalize_revenues(generate("uniform-random", 3, 2, 4))
+    built, calls, pricing = [], [], [False]
+    real_init, real_call = SubDualOracle.__init__, SubDualOracle.__call__
+
+    def init(self, *args):
+        built.append(self)
+        real_init(self, *args)
+
+    def call(self, j, gamma, delta=0.0):
+        calls.append((pricing[0], delta))
+        return real_call(self, j, gamma, delta)
+
+    def priced(*args):
+        pricing[0] = True
+        try:
+            return dual_certificate(*args)
+        finally:
+            pricing[0] = False
+
+    monkeypatch.setattr(SubDualOracle, "__init__", init)
+    monkeypatch.setattr(SubDualOracle, "__call__", call)
+    monkeypatch.setattr(ellipsoid_module, "dual_certificate", priced)
     solved = solve_restricted(inst, t_max=3000, delta=0.2)
-    # the cut loop's relaxed oracle records the sets, but pricing is exact
+    # one oracle: the cut loop calls it relaxed to record the sets, and
+    # pricing calls it exactly
+    assert len(built) == 1
+    assert set(calls) == {(False, 0.2), (True, 0.0)}
     assert solved.run.stop_reason == "certified"
     assert_agrees(inst, solved)
 
@@ -144,12 +168,6 @@ def test_exact_lp_matches_a_two_phase_solve(case, zero_revenue_instance):
     sol = lp2_exact_small(inst)
     assert abs(sol.objective - cold.objective) <= 1e-9
     assert check_lp_solution(inst, sol) == []
-
-
-def test_certificate_requires_the_exact_oracle(unit_instance):
-    point = solve_restricted(unit_instance, t_max=50).certificate
-    with pytest.raises(ValueError, match="exact oracle"):
-        dual_certificate(SubDualOracle(unit_instance, 0.1), point)
 
 
 def test_degenerate_restricted_dual_certifies_by_pricing():

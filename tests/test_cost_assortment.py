@@ -5,16 +5,17 @@ import pytest
 
 from oracles import reference_sub_dual_exact
 from twosided.cost_assortment import SubDualOracle, rev_cost
+from twosided.ellipsoid import solve_restricted
 from twosided.instance import Instance, generate
 from twosided.mnl import expected_revenue, expected_revenue_table, optimal_revenue, subset_of
 
 TOL = 1e-9
 
 
-def decoded(oracle, j, gamma):
+def decoded(oracle, j, gamma, delta=0.0):
     """The oracle's answer with its mask spelled out as a customer tuple,
     the form of ``reference_sub_dual_exact``."""
-    value, mask = oracle(j, gamma)
+    value, mask = oracle(j, gamma, delta)
     return value, subset_of(mask, oracle.inst.n)
 
 
@@ -95,7 +96,7 @@ def test_default_oracle_identical_to_exact(counterexample):
 
 def test_default_oracle_zero_costs(counterexample):
     oracle = SubDualOracle(counterexample)
-    assert oracle.delta == 0.0
+    assert not hasattr(oracle, "delta")
     value, _ = oracle(0, np.zeros((3, 1)))
     want, _ = optimal_revenue(counterexample, 0, (0, 1, 2))
     assert value == pytest.approx(want, abs=TOL)
@@ -107,8 +108,9 @@ def test_relaxed_oracle_respects_its_guarantee():
         inst = generate("uniform-random", 5, 2, seed)
         gamma = rng.normal(0.0, 0.3, (5, 2))
         j = seed % 2
-        exact, _ = SubDualOracle(inst)(j, gamma)
-        value, subset = decoded(SubDualOracle(inst, 0.25), j, gamma)
+        oracle = SubDualOracle(inst)
+        exact, _ = oracle(j, gamma)
+        value, subset = decoded(oracle, j, gamma, 0.25)
         assert value == pytest.approx(rev_cost(inst, j, subset, gamma), abs=TOL)
         assert value >= (1.0 - 0.25) * exact - TOL
 
@@ -116,13 +118,23 @@ def test_relaxed_oracle_respects_its_guarantee():
 def test_relaxed_oracle_delta_zero_matches_exact():
     inst = generate("uniform-random", 4, 2, 3)
     gamma = np.zeros((4, 2))
-    assert decoded(SubDualOracle(inst, 0.0), 0, gamma) == reference_sub_dual_exact(inst, 0, gamma)
+    assert decoded(SubDualOracle(inst), 0, gamma, 0.0) == reference_sub_dual_exact(inst, 0, gamma)
 
 
-def test_oracle_config_validation(counterexample):
+def test_oracle_config_validation(counterexample, unit_instance, monkeypatch):
+    def unreachable(*args, **kwargs):
+        raise AssertionError("an oracle was built for an invalid delta")
+
+    oracle = SubDualOracle(counterexample)
     for delta in (-0.1, 1.0, float("nan")):
-        with pytest.raises(ValueError):
-            SubDualOracle(counterexample, delta)
+        with pytest.raises(ValueError, match="delta must be in"):
+            oracle(0, np.zeros((3, 1)), delta)
+    # a solve refuses the slack before it builds its oracle, so before its
+    # first cut
+    monkeypatch.setattr("twosided.ellipsoid.SubDualOracle", unreachable)
+    for delta in (-0.1, 1.0, float("nan")):
+        with pytest.raises(ValueError, match="delta must be in"):
+            solve_restricted(unit_instance, 40, delta=delta)
 
 
 def test_tie_break_smaller_then_lex():
@@ -142,8 +154,8 @@ def test_relaxed_picks_match_size_then_lex_scan():
     n = 5
     for seed in range(4):
         inst = generate("uniform-random", n, 2, seed)
+        oracle = SubDualOracle(inst)  # one oracle answers at every delta
         for delta in (0.0, 0.1, 0.25, 0.5, 0.9):
-            oracle = SubDualOracle(inst, delta)
             for _ in range(5):
                 gamma = rng.normal(0.0, 0.3, (n, 2))
                 j = int(rng.integers(0, 2))
@@ -155,7 +167,7 @@ def test_relaxed_picks_match_size_then_lex_scan():
                 }
                 target = (1.0 - delta) * max(values.values())
                 want = next(s for s, v in values.items() if v >= target - 1e-12)
-                got_value, got_subset = decoded(oracle, j, gamma)
+                got_value, got_subset = decoded(oracle, j, gamma, delta)
                 assert got_subset == want
                 assert got_value == pytest.approx(values[want], abs=TOL)
 

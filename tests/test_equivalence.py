@@ -210,11 +210,11 @@ def _sub_dual_cases():
 @pytest.mark.parametrize("delta", [0.0, 0.1, 0.25, 0.5, 0.9])
 def test_sub_dual_oracle_matches_reference(delta):
     for inst, gammas in _sub_dual_cases():
-        got_oracle = SubDualOracle(inst, delta)
+        got_oracle = SubDualOracle(inst)
         want_oracle = ReferenceOracle(inst, delta)
         for gamma in gammas:
             for j in range(inst.m):
-                value, mask = got_oracle(j, gamma)
+                value, mask = got_oracle(j, gamma, delta)
                 assert (value, subset_of(mask, inst.n)) == want_oracle(j, gamma)[:2]
                 assert type(value) is float and type(mask) is int
 

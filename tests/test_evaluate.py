@@ -102,9 +102,15 @@ def test_gap_undefined_flagged(zero_revenue_instance):
 
 
 def test_expected_value_under_support(counterexample):
-    dist = SubsetDistribution((((2,), 0.5), ((0, 1, 2), 0.5)))
+    dist = SubsetDistribution(((0b100, 0.5), (0b111, 0.5)))
     want = 0.5 * 1.5 + 0.5 * (7.0 / 3.0)
     assert expected_optimal_revenue(counterexample, 0, dist) == pytest.approx(want, abs=TOL)
+    # a negative mask would read the table from its end, and one past the
+    # universe names a customer outside it
+    with pytest.raises(ValueError):
+        SubsetDistribution(((-1, 1.0),))
+    with pytest.raises(IndexError):
+        SubsetDistribution(((0b1000, 1.0),)).marginals(3)
 
 
 def test_cost_share_empty_set(counterexample):
@@ -162,6 +168,32 @@ def test_cost_sharing_size_guard():
         cost_sharing_check(inst, 0, 5, 0)
     with pytest.raises(SizeLimitError):
         cost_share(inst, 0, 0, (0,))
+
+
+@pytest.mark.parametrize(
+    "check",
+    [
+        lambda inst: expected_optimal_revenue(inst, 0, SubsetDistribution.point_mass((0,))),
+        lambda inst: correlation_gap_check(inst, 0, SubsetDistribution.point_mass((0,))),
+        lambda inst: submodularity_check(inst, 0),
+        lambda inst: submodular_order_check(inst, 0, range(11), exhaustive=True),
+        lambda inst: submodular_order_check(inst, 0, range(11), trials=5, seed=0),
+        lambda inst: interleaved_partition_check(inst, 0, range(11), 5, 0),
+    ],
+    ids=[
+        "expected_optimal_revenue", "correlation_gap_check", "submodularity_check",
+        "submodular_order_check-exhaustive", "submodular_order_check-sampled",
+        "interleaved_partition_check",
+    ],
+)
+def test_table_reads_refuse_past_the_size_limit(monkeypatch, check):
+    # the guard answers before the 2^n table is built
+    def unreachable(*args):
+        raise AssertionError("an optimal-revenue table was built past the limit")
+
+    monkeypatch.setattr(mnl, "optimal_revenue_table", unreachable)
+    with pytest.raises(SizeLimitError):
+        check(generate("uniform-random", 11, 1, 0))
 
 
 def test_budget_balance_matches_g():

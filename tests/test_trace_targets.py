@@ -37,6 +37,7 @@ def test_traced_cli_counts(tmp_path):
     out = str(tmp_path / "out")
     runs = {
         "solve": ["solve", inst, "--t-max", str(t_max), "--out", out, "--report", str(tmp_path / "report")],
+        "solve-delta": ["solve", inst, "--delta", "0.2", "--t-max", str(t_max), "--out", out],
         "dump-lp": [
             "solve", inst, "--t-max", str(t_max), "--report", str(tmp_path / "report"),
             "--dump-lp", str(tmp_path / "lp"),
@@ -64,6 +65,10 @@ def test_traced_cli_counts(tmp_path):
     # the dump writes the master the solve built: one build per solve
     for name in ("solve", "rand-static", "dump-lp"):
         assert traced[name].calls["lp.build_aux"] == 1, name
+    # one oracle per solve at every delta: the cut loop and the pricing
+    # share it
+    for name in ("solve", "solve-delta", "rand-static", "dump-lp"):
+        assert traced[name].calls["cost_assortment.oracle_init"] == 1, name
     for name in ("rand-static", "greedy"):
         assert traced[name].counts["policies.dp_atar.states"] > 0
         # the trials run batched, inside one Monte Carlo call
