@@ -18,6 +18,7 @@ from pathlib import Path
 
 import numpy as np
 
+from .cost_assortment import check_delta
 from .ellipsoid import EllipsoidBreakdown, solve_restricted
 from .instance import (
     GENERATOR_KINDS,
@@ -61,8 +62,10 @@ class _Parser(argparse.ArgumentParser):
 
 def _delta(text: str) -> float:
     value = float(text)
-    if not 0.0 <= value < 1.0:  # NaN fails too
-        raise argparse.ArgumentTypeError(f"delta must be in [0, 1), got {text}")
+    try:
+        check_delta(value)
+    except ValueError as exc:
+        raise argparse.ArgumentTypeError(str(exc)) from None
     return value
 
 

@@ -6,9 +6,10 @@ revenue minus the total cost of the offered customers. One oracle per
 instance answers it by exhaustive enumeration at desk scale, within the
 slack delta given with each call (exact at delta = 0). It names the set by
 its bitmask (bit i: customer i, as ``mnl.mask_of``), the form the cut
-loop, its record and the restricted master keep it in. The cited
-polynomial-time scheme could replace the enumeration behind the same call
-without touching the solvers.
+loop, its record and the restricted master keep it in. Its revenues are
+the master's lambda costs bit for bit (``mnl.expected_revenue_table``).
+The cited polynomial-time scheme could replace the enumeration behind the
+same call without touching the solvers.
 """
 
 from __future__ import annotations
@@ -22,6 +23,7 @@ from .mnl import (
     expected_revenue,
     expected_revenue_table,
     subset_masks,
+    subset_sums,
 )
 
 SUB_DUAL_LIMIT = 20
@@ -53,18 +55,11 @@ class SubDualOracle:
         self.inst = inst
         self._masks = subset_masks(inst.n)
         self._rtab = np.stack([expected_revenue_table(inst, j) for j in inst.suppliers()])
-        # size-then-lex rank of every bitmask: size first, then, within a
-        # size, lex order of the sorted index tuples, which is descending
-        # order of the bit-reversed mask (customer 0 as the top bit)
+        # size-then-lex rank of every bitmask: (size << n) + 2^n - 1 less the
+        # mask read with customer 0 as the top bit, so a member i adds
+        # 2^n - 2^(n-1-i); within a size this is lex order of the index tuples
         n = inst.n
-        codes = np.arange(2**n, dtype=np.int64)
-        size = np.zeros_like(codes)
-        reversed_mask = np.zeros_like(codes)
-        for i in range(n):
-            bit = (codes >> i) & 1
-            size += bit
-            reversed_mask |= bit << (n - 1 - i)
-        self._key = (size << n) + (2**n - 1 - reversed_mask)
+        self._key = subset_sums((1 << n) - (1 << (n - 1 - np.arange(n))), (1 << n) - 1)
 
     def __call__(self, j: int, gamma, delta: float = 0.0) -> tuple[float, int]:
         check_delta(delta)

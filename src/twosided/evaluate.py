@@ -131,15 +131,16 @@ def expected_optimal_revenue(inst: Instance, j: int, dist: SubsetDistribution) -
 def correlation_gap_check(inst: Instance, j: int, dist: SubsetDistribution) -> float | None:
     """Ratio of the correlated expectation of the optimal-revenue function
     to the expectation under the independent distribution with the same
-    marginals; ``None`` when the denominator vanishes (only possible when
-    the marginals put no mass on any revenue-positive set). Both
+    marginals. When the denominator vanishes (only possible when the
+    marginals put no mass on any revenue-positive set) the ratio is
+    ``math.inf`` if the numerator is positive and ``None`` for 0/0. Both
     expectations read one optimal-revenue table."""
     _require_table(inst.n, "gap check")
     gtab = mnl.optimal_revenue_table(inst, j)
     numerator = _expected_value(gtab, dist)
     denominator = float(gtab @ mnl.independent_subset_probs(dist.marginals(inst.n)))
     if denominator <= 0.0:
-        return None
+        return math.inf if numerator > 0.0 else None
     return numerator / denominator
 
 

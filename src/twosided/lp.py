@@ -14,8 +14,11 @@ module generates, is built by a ``RestrictedMaster``, which is its own
 revised basis and keeps that basis between solves. Its ``lp`` property
 gives the named ``LinearProgram`` only when read. Its lambda
 columns are keyed ``j << n | mask`` (bit i: customer i): the full LP is the
-keys ``0 .. m 2^n - 1``, and only a solution's support is decoded. A large
-master prices its lambda columns from those keys (``RestrictedMaster.pricing``).
+keys ``0 .. m 2^n - 1``, and only a solution's support is decoded. A key is
+also the flat index of the master's (m, 2^n) ``mnl.expected_revenue_table``
+stack, which its lambda costs are read from (so n <= ``SUB_DUAL_LIMIT``). A
+large master prices its lambda columns from those keys
+(``RestrictedMaster.pricing``).
 """
 
 from __future__ import annotations
@@ -25,7 +28,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import mnl
-from .cost_assortment import SubDualOracle
+from .cost_assortment import SUB_DUAL_LIMIT, SubDualOracle
 from .mnl import SizeLimitError
 from .instance import Instance
 from .simplex import LinearProgram, LpResult, LpSolverError
@@ -114,31 +117,6 @@ class ViolatedSets:
         return list(self._sets[j])
 
 
-def _lambda_columns(inst: Instance, keys: np.ndarray, c: np.ndarray, a: np.ndarray) -> None:
-    """Write the objective ``c`` and the distribution and consistency rows
-    of ``a`` (zero on entry) of the marginal LP's lambda columns, one per
-    key of ``keys``; each column depends on its own key only."""
-    n, m = inst.n, inst.m
-    # per lambda column its supplier, and per (customer, column) membership
-    supplier = keys >> n
-    member = keys >> np.arange(n)[:, None] & 1
-
-    # expected revenue of each backlog, summed customer by customer in
-    # ascending order as mnl.expected_revenue does (a non-member adds +0.0)
-    rw = member * (inst.r * inst.w.T)[:, supplier]
-    w = member * inst.w.T[:, supplier]
-    num, den = np.zeros(keys.size), np.ones(keys.size)
-    for i in range(n):
-        num, den = num + rw[i], den + w[i]
-    c[:] = num / den
-
-    # per supplier the lambdas form a distribution; per pair the lambda mass
-    # containing customer i matches x[i][j]
-    customer, col = np.nonzero(member)
-    a[supplier, np.arange(keys.size)] = 1.0
-    a[m + customer * m + supplier[col], col] = 1.0
-
-
 def lp2_exact_small(inst: Instance) -> LpSolution:
     """Solve the marginal LP exactly by instantiating every backlog variable
     (n <= 10, m <= 4): one :class:`RestrictedMaster` over every key, solved
@@ -214,8 +192,12 @@ class RestrictedMaster(_RevisedBasis):
         of ``keys``, in the given order and without repeats. The keys must
         include every supplier's empty set, ``j << n``."""
         n, m = inst.n, inst.m
+        if n > SUB_DUAL_LIMIT:
+            raise SizeLimitError(f"restricted master limited to {SUB_DUAL_LIMIT} customers, got {n}")
         nm, me = n * m, m + n * m
         self.inst, self.n, self.m, self.pivots = inst, n, m, 0
+        # R_j(S) of every backlog, at flat index j 2^n + mask: a column's key
+        self._revenue = np.concatenate([mnl.expected_revenue_table(inst, j) for j in range(m)])
         self.keys = np.asarray(keys, dtype=np.int64)
         self._b = np.concatenate([np.ones(m), np.zeros(nm), np.ones(nm)])
         cols, self._c = self._with_lambdas(2 * nm, self.keys)
@@ -236,8 +218,14 @@ class RestrictedMaster(_RevisedBasis):
         """A column-major array and an objective, one allocation each: ``head``
         zero columns for the caller, then the lambda columns of keys ``new``."""
         c = np.zeros(head + new.size)
+        c[head:] = self._revenue[new]
         cols = np.zeros((self._b.size, c.size), order="F")
-        _lambda_columns(self.inst, new, c[head:], cols[:, head:])  # a lambda column's MNL rows stay zero
+        # per supplier the lambdas form a distribution; per pair the lambda
+        # mass containing customer i matches x[i][j]; the MNL rows stay zero
+        supplier = new >> self.n
+        customer, col = np.nonzero(new >> np.arange(self.n)[:, None] & 1)
+        cols[supplier, head + np.arange(new.size)] = 1.0
+        cols[self.m + customer * self.m + supplier[col], head + col] = 1.0
         return cols, c
 
     def add(self, keys) -> list[int]:

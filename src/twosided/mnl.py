@@ -1,7 +1,8 @@
 """MNL choice probabilities and supplier-side revenue functions.
 
 Subsets of agents are sorted tuples of distinct indices. ``k=None`` denotes
-the outside option in :func:`choice_prob`.
+the outside option in :func:`choice_prob`. Tables over all 2^n subsets are
+indexed by bitmask and summed by :func:`subset_sums`.
 """
 
 from __future__ import annotations
@@ -93,12 +94,8 @@ def optimal_revenue_bruteforce(inst: Instance, j: int, customers) -> tuple[float
     k = len(members)
     if k > BRUTEFORCE_LIMIT:
         raise SizeLimitError(f"bruteforce limited to {BRUTEFORCE_LIMIT} customers, got {k}")
-    if k == 0:
-        return 0.0, ()
-    masks = subset_masks(k)
-    w = np.array([inst.w[j, i] for i in members])
-    rw = np.array([inst.r[i, j] * inst.w[j, i] for i in members])
-    values = (masks @ rw) / (1.0 + masks @ w)
+    w = inst.w[j, list(members)]
+    values = subset_sums(inst.r[list(members), j] * w) / subset_sums(w, 1.0)
     best = int(np.argmax(values))
     chosen = tuple(members[b] for b in range(k) if best >> b & 1)
     return float(values[best]), chosen
@@ -131,11 +128,26 @@ def choice_prob_table(inst: Instance) -> np.ndarray:
     return inst.u[:, None, :] * offers / (1.0 + inst.u @ offers.T)[:, :, None]
 
 
+def subset_sums(v, start=0.0) -> np.ndarray:
+    """``start`` plus the sum of the members' ``v[i]`` for every subset of
+    the indices of ``v``, indexed by bitmask (bit i: index i), in numpy's
+    dtype for ``v + start``. Built by doubling, so members are added in
+    ascending order, as :func:`expected_revenue` adds them."""
+    v = np.asarray(v)
+    sums = np.empty(1 << v.size, np.result_type(v, start))
+    sums[0] = start
+    k = 1
+    for x in v.tolist():
+        np.add(sums[:k], x, sums[k : 2 * k])  # the sets whose top member is x
+        k *= 2
+    return sums
+
+
 def expected_revenue_table(inst: Instance, j: int) -> np.ndarray:
-    """Expected revenue of every customer subset, indexed by bitmask."""
-    masks = subset_masks(inst.n)
+    """Expected revenue of every customer subset, indexed by bitmask:
+    bit for bit :func:`expected_revenue` of each set."""
     w = inst.w[j]
-    return (masks @ (inst.r[:, j] * w)) / (1.0 + masks @ w)
+    return subset_sums(inst.r[:, j] * w) / subset_sums(w, 1.0)
 
 
 def optimal_revenue_table(inst: Instance, j: int) -> np.ndarray:

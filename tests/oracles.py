@@ -124,6 +124,21 @@ def _first_by_size_then_lex(candidates: np.ndarray, n: int) -> int:
     )
 
 
+def reference_size_then_lex_rank(n: int) -> np.ndarray:
+    """The sub-dual oracle's size-then-lex rank of every bitmask in its loop
+    form (verbatim): size first, then, within a size, lex order of the sorted
+    index tuples, which is descending order of the bit-reversed mask
+    (customer 0 as the top bit)."""
+    codes = np.arange(2**n, dtype=np.int64)
+    size = np.zeros_like(codes)
+    reversed_mask = np.zeros_like(codes)
+    for i in range(n):
+        bit = (codes >> i) & 1
+        size += bit
+        reversed_mask |= bit << (n - 1 - i)
+    return (size << n) + (2**n - 1 - reversed_mask)
+
+
 def reference_dual_feasibility_report(inst, point, tol=1e-9):
     """``dual_feasibility_report`` with the backlog family checked by
     ``reference_sub_dual_exact``."""

@@ -33,6 +33,7 @@ from oracles import (
     reference_pivot_loop,
     reference_prefix_dp,
     reference_run_ellipsoid,
+    reference_size_then_lex_rank,
     reference_sample_choice,
     reference_solve_lp,
     reference_star,
@@ -67,6 +68,7 @@ from twosided.instance import (
 import twosided.lp as lp_module
 from twosided.lp import (
     DualPoint,
+    ViolatedSets,
     build_aux_primal,
     dual_feasibility_report,
     lp1_exact_small,
@@ -219,6 +221,14 @@ def test_sub_dual_oracle_matches_reference(delta):
                 assert type(value) is float and type(mask) is int
 
 
+def test_oracle_rank_matches_loop_form():
+    for n in range(17):
+        inst = Instance(n=n, m=1, u=np.ones((n, 1)), w=np.ones((1, n)), r=np.ones((n, 1)))
+        got = SubDualOracle(inst)._key
+        want = reference_size_then_lex_rank(n)
+        assert got.dtype == want.dtype and got.tobytes() == want.tobytes(), n
+
+
 def test_dual_report_matches_reference():
     # incumbents of short runs, and the same points with gamma lowered so
     # that backlog (assortment-cost) constraints are violated
@@ -367,6 +377,36 @@ def test_marginal_lp_build_is_identical_to_loop_form(kind):
             assert getattr(got, name).tobytes() == getattr(want, name).tobytes(), name
         assert got.names == want.names and got.maximize == want.maximize
         assert master.lam_index == lam_index
+
+
+@pytest.mark.parametrize("kind", GENERATOR_KINDS)
+@pytest.mark.parametrize("n", [12, 14, 16])
+def test_grown_master_matches_loop_form(kind, n):
+    # past lp2_exact_small's sizes: a master over recorded sets, grown by add
+    # in batches as pricing grows it. The loop form groups the same columns
+    # by supplier, so it is read in the master's key order
+    m = 3
+    inst = normalize_revenues(generate(kind, n, m, 60 + n))
+    rng = np.random.default_rng(n)
+    violated = ViolatedSets(m)
+    for j, mask in zip(rng.integers(0, m, 20).tolist(), rng.integers(1, 2**n, 20).tolist()):
+        violated.add(j, mask)
+    master = build_aux_primal(inst, violated)
+    recorded = master.keys.size
+    for _ in range(3):
+        master.add((rng.integers(0, m, 15) << n | rng.integers(0, 2**n, 15)).tolist())
+    assert master.keys.size > recorded
+    supports = [[subset for owner, subset in master.lam_index if owner == j] for j in range(m)]
+    want, lam_index = reference_marginal_lp(inst, supports)
+    nm = n * m
+    order = np.concatenate([np.arange(nm), nm + np.array([lam_index.index(col) for col in master.lam_index])])
+    got = master.lp
+    assert got.c.tobytes() == want.c[order].tobytes()
+    for name in ("a_eq", "a_ub"):
+        assert getattr(got, name).tobytes() == getattr(want, name)[:, order].tobytes(), name
+    for name in ("b_eq", "b_ub"):
+        assert getattr(got, name).tobytes() == getattr(want, name).tobytes(), name
+    assert got.names == tuple(want.names[k] for k in order)
 
 
 @pytest.mark.parametrize("kind", GENERATOR_KINDS)

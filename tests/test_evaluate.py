@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from oracles import squared_size_table
-from twosided import mnl
+from twosided import mnl, suites
 from twosided.evaluate import (
     SubsetDistribution,
     correlation_gap_check,
@@ -276,3 +276,30 @@ def test_checks_deterministic():
     a = cost_sharing_check(inst, 0, 100, 5)
     b = cost_sharing_check(inst, 0, 100, 5)
     assert a.violations == b.violations and a.cases == b.cases
+
+
+def test_gap_ratio_is_infinite_when_only_the_denominator_vanishes(monkeypatch):
+    # a stand-in table that the independent distribution with marginals
+    # (1/2, 1/2) averages to 0, while the draw, {0} or {1}, reads 1
+    monkeypatch.setattr(mnl, "optimal_revenue_table", lambda inst, j: np.array([-1.0, 1.0, 1.0, -1.0]))
+    dist = SubsetDistribution(((0b01, 0.5), (0b10, 0.5)))
+    assert correlation_gap_check(generate("uniform-random", 2, 1, 0), 0, dist) == math.inf
+
+
+def test_gap_suite_reads_one_table_per_check(monkeypatch):
+    calls = Counter()
+    table, check = mnl.optimal_revenue_table, suites.correlation_gap_check
+
+    def counted_table(inst, j):
+        calls["table"] += 1
+        return table(inst, j)
+
+    def counted_check(*args):
+        calls["check"] += 1
+        return check(*args)
+
+    monkeypatch.setattr(mnl, "optimal_revenue_table", counted_table)
+    monkeypatch.setattr(suites, "correlation_gap_check", counted_check)
+    report, _ = suites.suite_gap(1)
+    assert report.notes["undefined-draws"] > 0  # the 0/0 draws are among them
+    assert calls["table"] == calls["check"] > 0

@@ -10,6 +10,7 @@ from oracles import (
     reference_assortment_distribution_lp,
     reference_solve_lp,
 )
+from twosided import mnl
 from twosided.cost_assortment import SubDualOracle
 from twosided.instance import Instance, generate, normalize_revenues
 from twosided.lp import (
@@ -331,3 +332,13 @@ def test_dual_point_needs_an_optimum():
     master = build_aux_primal(generate("uniform-random", 2, 1, 0), ViolatedSets(1))
     with pytest.raises(LpSolverError, match="infeasible"):
         master.dual_point(LpResult(status="infeasible", x=None, objective=None))
+
+
+def test_master_refuses_past_the_oracle_limit(monkeypatch):
+    # the refusal comes before the master builds its revenue table
+    def unreachable(*args):
+        raise AssertionError("a revenue table was built past the limit")
+
+    monkeypatch.setattr(mnl, "expected_revenue_table", unreachable)
+    with pytest.raises(SizeLimitError):
+        build_aux_primal(generate("uniform-random", 21, 1, 0), ViolatedSets(1))

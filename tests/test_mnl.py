@@ -1,7 +1,9 @@
 import numpy as np
 import pytest
 
-from twosided.instance import generate
+from twosided import mnl
+from twosided.instance import GENERATOR_KINDS, generate
+from twosided.lp import RestrictedMaster
 from twosided.mnl import (
     choice_prob,
     expected_revenue,
@@ -12,6 +14,7 @@ from twosided.mnl import (
     optimal_revenue_bruteforce,
     optimal_revenue_table,
     subset_of,
+    subset_sums,
 )
 
 TOL = 1e-9
@@ -167,3 +170,42 @@ def test_tables_match_pointwise():
 def test_mask_roundtrip():
     assert mask_of((0, 2, 3), 5) == 0b1101
     assert subset_of(0b1101, 5) == (0, 2, 3)
+
+
+def test_subset_sums_add_members_in_ascending_order():
+    rng = np.random.default_rng(3)
+    for n in range(8):
+        v = rng.normal(size=n) * 10.0 ** rng.integers(-8, 8, size=n)
+        got = subset_sums(v, 1.0)
+        assert got.shape == (2**n,)
+        for mask in range(2**n):
+            want = 1.0
+            for i in subset_of(mask, n):
+                want += v[i]
+            assert got[mask] == want  # the same additions, in the same order
+    ints = subset_sums(np.array([3, 5], dtype=np.int64), 7)
+    assert ints.dtype == np.int64 and ints.tolist() == [7, 10, 12, 15]
+    assert subset_sums([]).tolist() == [0.0]
+
+
+@pytest.mark.parametrize("kind", GENERATOR_KINDS)
+def test_revenue_table_is_expected_revenue_bit_for_bit(kind):
+    for n in range(1, 11):
+        inst = generate(kind, n, 2, 40 + n)
+        for j in range(inst.m):
+            table = expected_revenue_table(inst, j)
+            want = [expected_revenue(inst, j, subset_of(mask, n)) for mask in range(2**n)]
+            assert table.tobytes() == np.array(want).tobytes(), (n, j)
+
+
+def test_revenue_tables_and_brute_force_form_no_mask_matrix(monkeypatch):
+    def unreachable(k):
+        raise AssertionError(f"a ({2**k}, {k}) mask matrix was formed")
+
+    monkeypatch.setattr(mnl, "subset_masks", unreachable)
+    inst = generate("uniform-random", 16, 2, 7)
+    expected_revenue_table(inst, 1)
+    optimal_revenue_table(inst, 0)
+    RestrictedMaster(inst, [0, 1 << 16, 5, 1 << 16 | 0xBEEF])
+    value, subset = optimal_revenue_bruteforce(inst, 0, range(16))
+    assert value == pytest.approx(optimal_revenue(inst, 0, range(16))[0], abs=TOL)
