@@ -19,9 +19,9 @@ import numpy as np
 from .instance import Instance
 from .mnl import (
     SizeLimitError,
-    as_subset,
     expected_revenue,
     expected_revenue_table,
+    in_universe,
     subset_masks,
     subset_sums,
 )
@@ -32,7 +32,7 @@ SUB_DUAL_LIMIT = 20
 def rev_cost(inst: Instance, j: int, customers, gamma) -> float:
     """Expected revenue of offering ``customers`` to supplier j minus the
     fixed costs gamma[i][j] of the included customers."""
-    members = as_subset(customers)
+    members = in_universe(customers, inst.n)
     gamma = np.asarray(gamma, dtype=float)
     return expected_revenue(inst, j, members) - sum(float(gamma[i, j]) for i in members)
 

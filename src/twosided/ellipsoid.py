@@ -240,8 +240,9 @@ class _CutVectors:
 
     The objective, weight-link and alpha-nonnegative families are fixed by
     the instance and built up front; backlog cuts are built on first use and
-    kept. Each vector is its own contiguous array, as the per-cut
-    ``np.zeros`` it replaces was, and is never written after it is built.
+    kept. Each vector must be its own contiguous array, never written after
+    it is built, so that a cut reads the same bits as the per-cut
+    ``np.zeros`` of ``tests/oracles.py::reference_run_ellipsoid``.
     """
 
     def __init__(self, n: int, m: int, inv_u: np.ndarray):

@@ -76,9 +76,10 @@ class SubsetDistribution:
 
     def __post_init__(self):
         total = sum(p for _, p in self.support)
-        # a negative mask would read a table from its end
-        if any(p < 0 or mask < 0 for mask, p in self.support):
-            raise ValueError("negative mask or probability")
+        # a negative mask would read a table from its end; not p >= 0 also
+        # refuses NaN, which no sum check catches
+        if any(not p >= 0 or mask < 0 for mask, p in self.support):
+            raise ValueError("negative mask, or a probability that is negative or NaN")
         if abs(total - 1.0) > 1e-12:
             raise ValueError(f"probabilities sum to {total}, not 1")
 
@@ -174,6 +175,7 @@ def cost_share(inst: Instance, j: int, i: int, subset) -> float:
     the marginal of i over the members ranking strictly above it in the
     descending revenue order (0 when i is not a member)."""
     _require_table(inst.n, "cost share")
+    mnl.in_universe((i,), inst.n)
     gtab = mnl.optimal_revenue_table(inst, j)
     return _share(gtab, _above_masks(inst, j), i, mnl.mask_of(subset, inst.n))
 

@@ -17,13 +17,14 @@ columns are keyed ``j << n | mask`` (bit i: customer i): the full LP is the
 keys ``0 .. m 2^n - 1``, and only a solution's support is decoded. A key is
 also the flat index of the master's (m, 2^n) ``mnl.expected_revenue_table``
 stack, which its lambda costs are read from (so n <= ``SUB_DUAL_LIMIT``). A
-large master prices its lambda columns from those keys
-(``RestrictedMaster.pricing``).
+large master prices its lambda columns from those keys and one cached
+half-subset-sum matrix per (n, m) (``RestrictedMaster.pricing``).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import lru_cache
 
 import numpy as np
 
@@ -181,11 +182,9 @@ class RestrictedMaster(_RevisedBasis):
     h = n // 2, that sum is one entry of a table of the low half's subset
     sums, y_j folded in, plus one of the high half's; one product of the
     duals with a fixed matrix per (n, m) gives the table
-    (:func:`_half_sum_matrix`). A large master prices its lambda columns so
-    (:meth:`pricing`), from two table entries per column (:meth:`halves`).
-    Neither the matrix nor the entries exist before its first key pricing,
-    so a master below ``KEY_PRICING_MIN`` lambda columns pays nothing for
-    them."""
+    (:func:`_half_sum_matrix`, cached per size), and a column's two entries
+    follow from its key. A large master prices its lambda columns so
+    (:meth:`pricing`), and keeps nothing for it between solves."""
 
     def __init__(self, inst: Instance, keys):
         """The master over a lambda column for every key ``j << n | mask``
@@ -211,8 +210,6 @@ class RestrictedMaster(_RevisedBasis):
         empty = [2 * nm + np.flatnonzero(self.keys == j << n)[0] for j in range(m)]
         basis = np.concatenate([empty, np.arange(nm, 2 * nm), np.arange(nm)])
         super().__init__(cols, basis, np.ascontiguousarray(cols[:, basis]), self._b.copy())
-        self._table_rows = m * (2 ** (n // 2) + 2 ** (n - n // 2))
-        self._matrix = self._halves = None
 
     def _with_lambdas(self, head: int, new: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """A column-major array and an objective, one allocation each: ``head``
@@ -315,33 +312,27 @@ class RestrictedMaster(_RevisedBasis):
         self.binv = np.linalg.inv(self.cols[:, self.basis])
         self.x_b = self.binv @ self._b
 
-    def halves(self) -> np.ndarray:
-        """Every lambda column's two table entries, as a (2, len(keys))
-        array: made on first use, then extended by the keys added since."""
-        done = 0 if self._halves is None else self._halves.shape[1]
-        if done < self.keys.size:
-            new = _half_sum_entries(self.keys[done:], self.n, self.m)
-            self._halves = new if self._halves is None else np.concatenate([self._halves, new], axis=1)
-        return self._halves
-
     def pricing(self, cost: np.ndarray, n_cols: int):
         """The reduced costs of the master's ``n_cols`` columns as a function
         of the row duals: :meth:`key_pricing` once the master has at least
-        ``KEY_PRICING_MIN`` lambda columns and at least as many as the table
-        has rows, and one dense product below that, where the table's fixed
-        cost exceeds the product it saves."""
-        if self.keys.size < max(KEY_PRICING_MIN, self._table_rows):
+        ``KEY_PRICING_MIN`` lambda columns and at least as many as the
+        half-subset-sum table has rows, and one dense product below that,
+        where the table's fixed cost exceeds the product it saves."""
+        h = self.n // 2
+        if self.keys.size < max(KEY_PRICING_MIN, self.m * (2**h + 2 ** (self.n - h))):
             return super().pricing(cost, n_cols)
         return self.key_pricing(cost, n_cols)
 
     def key_pricing(self, cost: np.ndarray, n_cols: int):
         """The reduced costs of the master's ``n_cols`` columns as a function
-        of the row duals: the lambda columns' from the half-subset-sum
-        table, the slack and x columns' by one dense product."""
-        if self._matrix is None:
-            self._matrix = _half_sum_matrix(self.n, self.m)
-        matrix, (low, high) = self._matrix, self.halves()
-        head = n_cols - low.size
+        of the row duals: the lambda columns' from two entries each of the
+        half-subset-sum table, read from their keys, and the slack and x
+        columns' by one dense product."""
+        n, m, h = self.n, self.m, self.n // 2
+        matrix = _half_sum_matrix(n, m)
+        j, mask = self.keys >> n, self.keys & ((1 << n) - 1)
+        low, high = (mask & ((1 << h) - 1)) * m + j, (m << h) + (mask >> h) * m + j
+        head = n_cols - self.keys.size
         dense, lam_cost = super().pricing(cost, head), cost[head:n_cols]
         reduced = np.empty(n_cols)
         lam = reduced[head:]
@@ -356,31 +347,23 @@ class RestrictedMaster(_RevisedBasis):
         return price
 
 
+@lru_cache(maxsize=32)
 def _half_sum_matrix(n: int, m: int) -> np.ndarray:
     """The 0/1 matrix whose product with the duals of the distribution and
-    consistency rows is the half-subset-sum table of the lambda columns: per
-    supplier j and low-half bitmask l (customers 0 .. h-1, h = n // 2), y_j
-    plus the sum of y_ij over the members of l; then per supplier j and
-    high-half bitmask u (customers h .. n-1), the sum of y_ij over the
-    members of u."""
+    consistency rows is the half-subset-sum table of the lambda columns,
+    with the customers split at h = n // 2. Row ``l m + j``, per low-half
+    bitmask l (customers 0 .. h-1) and supplier j, is y_j plus the sum of
+    y_ij over the members of l; row ``m 2^h + u m + j``, per high-half
+    bitmask u (customers h .. n-1), is the sum of y_ij over the members of
+    u. The key ``j << n | mask`` reads the low row of ``mask``'s low h bits
+    and the high row of the rest. Read-only, cached like
+    :func:`mnl.subset_masks`."""
     h = n // 2
-    low, high = 2**h, 2 ** (n - h)
-    matrix = np.zeros((m * (low + high), m + n * m))
-    for j in range(m):
-        rows = matrix[j * low : (j + 1) * low]
-        rows[:, j] = 1.0
-        rows[:, m + np.arange(h) * m + j] = mnl.subset_masks(h)
-        rows = matrix[m * low + j * high : m * low + (j + 1) * high]
-        rows[:, m + np.arange(h, n) * m + j] = mnl.subset_masks(n - h)
+    low = np.hstack([np.ones((2**h, 1)), mnl.subset_masks(h), np.zeros((2**h, n - h))])
+    high = np.hstack([np.zeros((2 ** (n - h), 1 + h)), mnl.subset_masks(n - h)])
+    matrix = np.kron(np.vstack([low, high]), np.eye(m))
+    matrix.setflags(write=False)
     return matrix
-
-
-def _half_sum_entries(keys: np.ndarray, n: int, m: int) -> np.ndarray:
-    """Per key ``j << n | mask``, its two rows of :func:`_half_sum_matrix`,
-    as a (2, len(keys)) array."""
-    h = n // 2
-    j, mask = keys >> n, keys & ((1 << n) - 1)
-    return np.stack([j << h | mask & ((1 << h) - 1), (m << h) + (j << n - h | mask >> h)])
 
 
 def lp1_exact_small(inst: Instance) -> float:

@@ -29,13 +29,20 @@ def as_subset(items) -> tuple[int, ...]:
     return members
 
 
+def in_universe(items, n: int) -> tuple[int, ...]:
+    """:func:`as_subset` of ``items``, refused with ``IndexError`` unless
+    every index is in range(n): a negative one would read from the end."""
+    members = as_subset(items)
+    if members and not (0 <= members[0] and members[-1] < n):
+        raise IndexError(f"subset {members} outside universe of size {n}")
+    return members
+
+
 def choice_prob(weights, subset, k: int | None) -> float:
     """Probability that an MNL agent with the given weights picks ``k`` from
     the offered ``subset``; ``k=None`` is the outside option (weight 1)."""
     weights = np.asarray(weights, dtype=float)
-    members = as_subset(subset)
-    if members and not (0 <= members[0] and members[-1] < weights.size):
-        raise IndexError(f"subset {members} outside universe of size {weights.size}")
+    members = in_universe(subset, weights.size)
     denom = 1.0 + sum(weights[i] for i in members)
     if k is None:
         return 1.0 / denom
@@ -46,7 +53,7 @@ def choice_prob(weights, subset, k: int | None) -> float:
 
 def expected_revenue(inst: Instance, j: int, customers) -> float:
     """Expected revenue when supplier j is shown exactly the set ``customers``."""
-    members = as_subset(customers)
+    members = in_universe(customers, inst.n)
     num = 0.0
     den = 1.0
     for i in members:
@@ -82,7 +89,7 @@ def best_prefix(values, weights, candidates) -> tuple[float, tuple[int, ...]]:
 def optimal_revenue(inst: Instance, j: int, customers) -> tuple[float, tuple[int, ...]]:
     """Best expected revenue over all subsets of ``customers`` for supplier j
     (see :func:`best_prefix`). Returns (value, maximizing subset)."""
-    return best_prefix(inst.r[:, j], inst.w[j], as_subset(customers))
+    return best_prefix(inst.r[:, j], inst.w[j], in_universe(customers, inst.n))
 
 
 def optimal_revenue_bruteforce(inst: Instance, j: int, customers) -> tuple[float, tuple[int, ...]]:
@@ -94,6 +101,7 @@ def optimal_revenue_bruteforce(inst: Instance, j: int, customers) -> tuple[float
     k = len(members)
     if k > BRUTEFORCE_LIMIT:
         raise SizeLimitError(f"bruteforce limited to {BRUTEFORCE_LIMIT} customers, got {k}")
+    in_universe(members, inst.n)
     w = inst.w[j, list(members)]
     values = subset_sums(inst.r[list(members), j] * w) / subset_sums(w, 1.0)
     best = int(np.argmax(values))
@@ -191,9 +199,7 @@ def expected_optimal_revenue_independent(inst: Instance, j: int, q):
 
 def mask_of(subset, n: int) -> int:
     mask = 0
-    for i in as_subset(subset):
-        if not 0 <= i < n:
-            raise IndexError(f"customer {i} outside universe of size {n}")
+    for i in in_universe(subset, n):
         mask |= 1 << i
     return mask
 

@@ -339,8 +339,8 @@ def _dp(inst: Instance, order: tuple[int, ...] | None):
     processes ``order[t]``; without it every unprocessed customer is a
     candidate and the first best one (in index order) is kept. The
     boundary value sums each supplier's optimal revenue over its backlog in
-    supplier order. Values and actions are those of the memoized recursion
-    this replaced, bit for bit.
+    supplier order. Values and actions must equal, bit for bit, those of
+    the memoized recursion ``tests/oracles.py::reference_prefix_dp``.
     Returns (value, :class:`PolicyTable`).
     """
     _require_dp_size(inst)

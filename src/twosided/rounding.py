@@ -76,14 +76,16 @@ def mnl_distribution(x_row, u_row) -> AssortmentDistribution:
     """Distribution over nested assortments whose induced choice marginals
     equal ``x_row``.
 
-    Preconditions (checked to 1e-9): x >= 0 and, for every j,
-    x[j]/u[j] + sum(x) <= 1. Suppliers with equal x/u keep index order.
+    Preconditions (checked to 1e-9): x finite, u finite and positive, x >= 0
+    and, for every j, x[j]/u[j] + sum(x) <= 1. Suppliers with equal x/u keep index order.
     """
     x = np.asarray(x_row, dtype=float)
     u = np.asarray(u_row, dtype=float)
     m = x.size
     if u.size != m:
         raise ValueError(f"marginal row has {m} entries but weight row has {u.size}")
+    if not (np.isfinite(x).all() and np.isfinite(u).all() and (u > 0).all()):
+        raise MarginalsInfeasible(f"non-finite marginal or weight, or weight <= 0: x {x.tolist()}, u {u.tolist()}")
     if (x < -PRE_TOL).any():
         raise MarginalsInfeasible(f"negative marginal {float(x.min())}")
     x = np.clip(x, 0.0, None)

@@ -113,6 +113,14 @@ def test_expected_value_under_support(counterexample):
         SubsetDistribution(((0b1000, 1.0),)).marginals(3)
 
 
+@pytest.mark.parametrize("support", [((0, math.nan),), ((0, 1.0), (1, math.nan)), ((0, math.inf),)])
+def test_non_finite_probabilities_are_refused(support):
+    # every comparison with NaN is false, so a refusal written as p < 0 or
+    # |total - 1| > tol lets a NaN probability through
+    with pytest.raises(ValueError):
+        SubsetDistribution(support)
+
+
 def test_cost_share_empty_set(counterexample):
     assert sum(cost_share(counterexample, 0, i, ()) for i in range(3)) == 0.0
 

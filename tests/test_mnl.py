@@ -2,6 +2,8 @@ import numpy as np
 import pytest
 
 from twosided import mnl
+from twosided.cost_assortment import rev_cost
+from twosided.evaluate import cost_share
 from twosided.instance import GENERATOR_KINDS, generate
 from twosided.lp import RestrictedMaster
 from twosided.mnl import (
@@ -209,3 +211,28 @@ def test_revenue_tables_and_brute_force_form_no_mask_matrix(monkeypatch):
     RestrictedMaster(inst, [0, 1 << 16, 5, 1 << 16 | 0xBEEF])
     value, subset = optimal_revenue_bruteforce(inst, 0, range(16))
     assert value == pytest.approx(optimal_revenue(inst, 0, range(16))[0], abs=TOL)
+
+
+@pytest.mark.parametrize("bad", [-1, 3])
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda inst, bad: expected_revenue(inst, 0, (bad, 2)),
+        lambda inst, bad: optimal_revenue(inst, 0, (bad, 2)),
+        lambda inst, bad: optimal_revenue_bruteforce(inst, 0, (bad, 2)),
+        lambda inst, bad: g_marginal(inst, 0, 0, (bad, 2)),
+        lambda inst, bad: g_marginal(inst, 0, bad, (2,)),
+        lambda inst, bad: rev_cost(inst, 0, (bad, 2), np.zeros((3, 2))),
+        lambda inst, bad: cost_share(inst, 0, bad, (0, 2)),
+        lambda inst, bad: choice_prob(inst.w[0], (bad, 2), 2),
+        lambda inst, bad: mask_of((bad, 2), 3),
+    ],
+    ids=["expected_revenue", "optimal_revenue", "bruteforce", "g_marginal_universe", "g_marginal_customer",
+         "rev_cost", "cost_share", "choice_prob", "mask_of"],
+)
+def test_customers_outside_the_universe_are_refused(call, bad):
+    # index -1 would read customer n - 1: here (-1, 2) would count customer
+    # 2 twice, 0.0959 against 0.0746 for (2,)
+    inst = generate("uniform-random", 3, 2, 1)
+    with pytest.raises(IndexError, match="outside universe of size 3"):
+        call(inst, bad)

@@ -99,6 +99,24 @@ def test_infeasible_row_rejected():
         mnl_distribution([-0.1], [1.0])
 
 
+@pytest.mark.parametrize(
+    "x, u",
+    [
+        ([np.nan, 0.1], [1.0, 1.0]),
+        ([0.1, 0.1], [1.0, np.nan]),
+        ([np.inf, 0.1], [1.0, 1.0]),
+        ([0.1, 0.1], [np.inf, 1.0]),
+        ([0.0, 0.1], [0.0, 1.0]),
+    ],
+)
+def test_non_finite_row_or_zero_weight_rejected(x, u):
+    # a NaN marginal, or a zero weight's 0/0 ratio, passes every inequality
+    # check and would give all-NaN probabilities, refused only when a run
+    # reads their CDF
+    with pytest.raises(MarginalsInfeasible, match="non-finite"):
+        mnl_distribution(x, u)
+
+
 def test_tiny_violation_clamped_larger_rejected():
     # rounding noise within -1e-12 of mass is clamped and renormalized ...
     x = np.array([1.0 / 3.0, 1.0 / 3.0]) * (1.0 + 2e-13)

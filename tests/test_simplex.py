@@ -422,10 +422,11 @@ def _assert_prices_from_keys(master, rng) -> None:
 @pytest.mark.parametrize("kind", GENERATOR_KINDS)
 def test_master_prices_lambda_columns_from_their_keys(kind):
     rng = np.random.default_rng(91)
-    for n, m in ((3, 2), (10, 4)):
+    # n = 1 and 2 split at h = 0 and 1: an empty low half, then one customer
+    for n, m in ((1, 3), (2, 2), (3, 2), (10, 4)):
         _assert_prices_from_keys(full_master(normalize_revenues(generate(kind, n, m, 77))), rng)
-    # masters grown by add, out of key order: the lambda columns' table
-    # entries are appended with them
+    # masters grown by add, out of key order: the added columns' table
+    # entries are read from their keys
     master, inst, every = _master(kind, 5, 3, 78)
     _assert_prices_from_keys(master, rng)
     for chunk in (every[40:47], every[::-1][:30], every):
@@ -455,6 +456,24 @@ def test_master_selects_its_pricing_by_lambda_columns_and_table_rows(monkeypatch
         counts.append(len(calls))
         calls.clear()
     assert counts == [0, 1, 0, 0]
+
+
+def test_masters_of_one_size_share_one_read_only_half_sum_matrix(monkeypatch):
+    # the matrix is built once per (n, m), and a master keeps no key-pricing
+    # state: its attributes after a key-priced solve are those it was built with
+    calls = _counting(monkeypatch, "key_pricing", lp_module.RestrictedMaster)
+    lp_module._half_sum_matrix.cache_clear()
+    for kind in ("uniform-random", "supplier-uniform"):
+        master = full_master(normalize_revenues(generate(kind, 8, 4, 77)))
+        before = set(vars(master))
+        master.solve()
+        assert set(vars(master)) == before
+    info = lp_module._half_sum_matrix.cache_info()
+    assert len(calls) == 2 and (info.misses, info.hits) == (1, 1)
+    matrix = lp_module._half_sum_matrix(8, 4)
+    assert not matrix.flags.writeable
+    with pytest.raises(ValueError):
+        matrix[0, 0] = 2.0
 
 
 def test_master_start_basis_is_feasible():
