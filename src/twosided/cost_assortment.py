@@ -7,7 +7,7 @@ instance answers it by exhaustive enumeration at desk scale, within the
 slack delta given with each call (exact at delta = 0). It names the set by
 its bitmask (bit i: customer i, as ``mnl.mask_of``), the form the cut
 loop, its record and the restricted master keep it in. Its revenues are
-the master's lambda costs bit for bit (``mnl.expected_revenue_table``).
+the master's lambda costs, one array (``inst.expected_revenue_tables``).
 The cited polynomial-time scheme could replace the enumeration behind the
 same call without touching the solvers.
 """
@@ -16,17 +16,10 @@ from __future__ import annotations
 
 import numpy as np
 
-from .instance import Instance
-from .mnl import (
-    SizeLimitError,
-    expected_revenue,
-    expected_revenue_table,
-    in_universe,
-    subset_masks,
-    subset_sums,
-)
+from .instance import SUBSET_TABLE_LIMIT, Instance
+from .mnl import check_supplier, expected_revenue, in_universe, subset_masks, subset_sums
 
-SUB_DUAL_LIMIT = 20
+SUB_DUAL_LIMIT = SUBSET_TABLE_LIMIT  # the oracle enumerates the instance's revenue tables
 
 
 def rev_cost(inst: Instance, j: int, customers, gamma) -> float:
@@ -38,8 +31,8 @@ def rev_cost(inst: Instance, j: int, customers, gamma) -> float:
 
 
 class SubDualOracle:
-    """The sub-dual oracle of one instance (n <= 20), with cached subset
-    tables; call as oracle(j, gamma, delta=0.0), with delta in [0, 1).
+    """The sub-dual oracle of one instance (n <= 20), over the instance's
+    revenue tables; call as oracle(j, gamma, delta=0.0), delta in [0, 1).
 
     Returns (value, mask): the first set, smaller sets first and
     lexicographically within a size, whose rev_cost reaches (1 - delta)
@@ -50,11 +43,9 @@ class SubDualOracle:
     """
 
     def __init__(self, inst: Instance):
-        if inst.n > SUB_DUAL_LIMIT:
-            raise SizeLimitError(f"oracle limited to {SUB_DUAL_LIMIT} customers, got {inst.n}")
         self.inst = inst
+        self._rtab = inst.expected_revenue_tables  # refuses n > SUB_DUAL_LIMIT first
         self._masks = subset_masks(inst.n)
-        self._rtab = np.stack([expected_revenue_table(inst, j) for j in inst.suppliers()])
         # size-then-lex rank of every bitmask: (size << n) + 2^n - 1 less the
         # mask read with customer 0 as the top bit, so a member i adds
         # 2^n - 2^(n-1-i); within a size this is lex order of the index tuples
@@ -64,7 +55,7 @@ class SubDualOracle:
     def __call__(self, j: int, gamma, delta: float = 0.0) -> tuple[float, int]:
         check_delta(delta)
         gamma = np.asarray(gamma, dtype=float)
-        values = self._rtab[j] - self._masks @ gamma[:, j]
+        values = self._rtab[check_supplier(self.inst, j)] - self._masks @ gamma[:, j]
         hits = (values >= (1.0 - delta) * values.max()).nonzero()[0]
         best = int(hits[0]) if hits.size == 1 else int(hits[self._key[hits].argmin()])
         return values.item(best), best

@@ -6,10 +6,11 @@ cross-monotone budget-balanced cost-sharing scheme behind it, the
 submodular-order marginal inequality along a common revenue order, and the
 interleaved-partition inequality used by the greedy analysis. Every
 expectation and every cost share inside a check is computed by exhaustive
-enumeration, read by bitmask from one optimal-revenue table per check
-(:func:`mnl.optimal_revenue_table`), so inequalities are asserted at 1e-9,
-not statistically; randomness only picks which cases to try and everything
-is deterministic in (trials, seed).
+enumeration, read by bitmask from one row of the instance's optimal-revenue
+tables per check (:func:`mnl.optimal_revenue_table`; the instance builds
+them once), so inequalities are asserted at 1e-9, not statistically;
+randomness only picks which cases to try and everything is deterministic
+in (trials, seed).
 """
 
 from __future__ import annotations
@@ -22,7 +23,6 @@ import numpy as np
 
 from . import mnl
 from .instance import Instance, as_permutation
-from .mnl import SizeLimitError
 
 CHECK_TOL = 1e-9
 GAP_MAX_N = 10  # every check and expectation reads a table of all 2^n subsets
@@ -115,9 +115,11 @@ class SubsetDistribution:
         return out
 
 
-def _require_table(n: int, check: str) -> None:
-    if n > GAP_MAX_N:
-        raise SizeLimitError(f"{check} enumerates 2^{n} subsets; limit n <= {GAP_MAX_N}")
+def _gtab(inst: Instance, j: int, check: str) -> np.ndarray:
+    """Supplier j's optimal-revenue table, refused past ``GAP_MAX_N`` customers before it is built."""
+    if inst.n > GAP_MAX_N:
+        raise mnl.SizeLimitError(f"{check} enumerates 2^{inst.n} subsets; limit n <= {GAP_MAX_N}")
+    return mnl.optimal_revenue_table(inst, j)
 
 
 def _expected_value(gtab: np.ndarray, dist: SubsetDistribution) -> float:
@@ -125,8 +127,7 @@ def _expected_value(gtab: np.ndarray, dist: SubsetDistribution) -> float:
 
 
 def expected_optimal_revenue(inst: Instance, j: int, dist: SubsetDistribution) -> float:
-    _require_table(inst.n, "expected optimal revenue")
-    return _expected_value(mnl.optimal_revenue_table(inst, j), dist)
+    return _expected_value(_gtab(inst, j, "expected optimal revenue"), dist)
 
 
 def correlation_gap_check(inst: Instance, j: int, dist: SubsetDistribution) -> float | None:
@@ -136,8 +137,7 @@ def correlation_gap_check(inst: Instance, j: int, dist: SubsetDistribution) -> f
     marginals put no mass on any revenue-positive set) the ratio is
     ``math.inf`` if the numerator is positive and ``None`` for 0/0. Both
     expectations read one optimal-revenue table."""
-    _require_table(inst.n, "gap check")
-    gtab = mnl.optimal_revenue_table(inst, j)
+    gtab = _gtab(inst, j, "gap check")
     numerator = _expected_value(gtab, dist)
     denominator = float(gtab @ mnl.independent_subset_probs(dist.marginals(inst.n)))
     if denominator <= 0.0:
@@ -147,6 +147,7 @@ def correlation_gap_check(inst: Instance, j: int, dist: SubsetDistribution) -> f
 
 def revenue_order(inst: Instance, j: int) -> tuple[int, ...]:
     """Customers sorted by descending revenue for supplier j, ties by index."""
+    mnl.check_supplier(inst, j)
     return tuple(sorted(inst.customers(), key=lambda i: (-inst.r[i, j], i)))
 
 
@@ -174,9 +175,8 @@ def cost_share(inst: Instance, j: int, i: int, subset) -> float:
     """Share of the optimal revenue of ``subset`` allocated to customer i:
     the marginal of i over the members ranking strictly above it in the
     descending revenue order (0 when i is not a member)."""
-    _require_table(inst.n, "cost share")
+    gtab = _gtab(inst, j, "cost share")
     mnl.in_universe((i,), inst.n)
-    gtab = mnl.optimal_revenue_table(inst, j)
     return _share(gtab, _above_masks(inst, j), i, mnl.mask_of(subset, inst.n))
 
 
@@ -185,10 +185,9 @@ def cost_sharing_check(inst: Instance, j: int, trials: int, seed: int) -> Proper
     and must telescope exactly to the optimal revenue (budget balance with
     factor 1)."""
     n = inst.n
-    _require_table(n, "cost-sharing check")
+    gtab = _gtab(inst, j, "cost-sharing check")
     rng = np.random.default_rng(seed)
     report = PropertyReport(name="cost-sharing")
-    gtab = mnl.optimal_revenue_table(inst, j)
     above = _above_masks(inst, j)
     for _ in range(trials):
         report.cases += 1
@@ -219,9 +218,8 @@ def submodularity_check(inst: Instance, j: int) -> PropertyReport:
     Heterogeneous revenues generally violate this; the scan supplies the
     negative-control witnesses."""
     n = inst.n
-    _require_table(n, "submodularity scan")
+    gtab = _gtab(inst, j, "submodularity scan")
     report = PropertyReport(name="submodularity")
-    gtab = mnl.optimal_revenue_table(inst, j)
     for b_mask in range(2**n):
         a_mask = b_mask
         while True:
@@ -264,10 +262,9 @@ def submodular_order_check(
     otherwise ``trials`` random triples are drawn.
     """
     n = inst.n
-    _require_table(n, "submodular-order check")
+    gtab = _gtab(inst, j, "submodular-order check")
     order = as_permutation(order, n)
     report = PropertyReport(name="submodular-order")
-    gtab = mnl.optimal_revenue_table(inst, j)
     pos = {c: t for t, c in enumerate(order)}
 
     def successors_mask(b_mask: int) -> int:
@@ -344,11 +341,10 @@ def interleaved_partition_check(
     of each O block's marginal over the backlog elements seen so far.
     """
     n = inst.n
-    _require_table(n, "interleaved-partition check")
+    gtab = _gtab(inst, j, "interleaved-partition check")
     order = as_permutation(order, n)
     rng = np.random.default_rng(seed)
     report = PropertyReport(name="interleaved-partition")
-    gtab = mnl.optimal_revenue_table(inst, j)
     for _ in range(trials):
         report.cases += 1
         backlog_mask = int(rng.integers(0, 2**n))

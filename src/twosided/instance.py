@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
+from functools import cached_property
 from pathlib import Path
 
 import numpy as np
@@ -25,6 +26,7 @@ GENERATOR_KINDS = (
 # choice, nothing in the model bounds weight magnitudes.
 WEIGHT_LOW = 0.1
 WEIGHT_HIGH = 10.0
+SUBSET_TABLE_LIMIT = 20  # customers past which an instance builds no (m, 2^n) table
 
 
 @dataclass(frozen=True, eq=False)
@@ -56,11 +58,31 @@ class Instance:
             object.__setattr__(self, name, arr)
         object.__setattr__(self, "revenue_scale", float(self.revenue_scale))
 
+    @cached_property
+    def expected_revenue_tables(self) -> np.ndarray:
+        """R: row j is supplier j's expected revenue of every customer set,
+        by bitmask (:func:`mnl.build_expected_revenue_tables`)."""
+        return self._subset_table("build_expected_revenue_tables")
+
+    @cached_property
+    def optimal_revenue_tables(self) -> np.ndarray:
+        """g: the same for the optimal revenue (:func:`mnl.build_optimal_revenue_tables`)."""
+        return self._subset_table("build_optimal_revenue_tables")
+
+    def _subset_table(self, builder: str) -> np.ndarray:
+        """``mnl.<builder>(self)``, read-only and kept from its first read, so
+        every solver, DP and check of the instance reads one array (``u``,
+        ``w`` and ``r`` are read-only too). Refused before it allocates past
+        ``SUBSET_TABLE_LIMIT`` customers."""
+        from . import mnl  # mnl imports this module
+        if self.n > SUBSET_TABLE_LIMIT:
+            raise mnl.SizeLimitError(f"subset tables limited to {SUBSET_TABLE_LIMIT} customers, got {self.n}")
+        table = getattr(mnl, builder)(self)
+        table.setflags(write=False)
+        return table
+
     def customers(self) -> range:
         return range(self.n)
-
-    def suppliers(self) -> range:
-        return range(self.m)
 
 
 @dataclass(frozen=True)

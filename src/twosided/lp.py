@@ -15,8 +15,8 @@ revised basis and keeps that basis between solves. Its ``lp`` property
 gives the named ``LinearProgram`` only when read. Its lambda
 columns are keyed ``j << n | mask`` (bit i: customer i): the full LP is the
 keys ``0 .. m 2^n - 1``, and only a solution's support is decoded. A key is
-also the flat index of the master's (m, 2^n) ``mnl.expected_revenue_table``
-stack, which its lambda costs are read from (so n <= ``SUB_DUAL_LIMIT``). A
+also the flat index of the instance's (m, 2^n) revenue tables, which its
+lambda costs and the oracle read (``inst.expected_revenue_tables``). A
 large master prices its lambda columns from those keys and one cached
 half-subset-sum matrix per (n, m) (``RestrictedMaster.pricing``).
 """
@@ -29,8 +29,7 @@ from functools import lru_cache
 import numpy as np
 
 from . import mnl
-from .cost_assortment import SUB_DUAL_LIMIT, SubDualOracle
-from .mnl import SizeLimitError
+from .cost_assortment import SubDualOracle
 from .instance import Instance
 from .simplex import LinearProgram, LpResult, LpSolverError
 from .simplex import _optimize, _RevisedBasis
@@ -123,7 +122,7 @@ def lp2_exact_small(inst: Instance) -> LpSolution:
     (n <= 10, m <= 4): one :class:`RestrictedMaster` over every key, solved
     from its start basis."""
     if inst.n > LP2_MAX_N or inst.m > LP2_MAX_M:
-        raise SizeLimitError(
+        raise mnl.SizeLimitError(
             f"exact marginal LP limited to n <= {LP2_MAX_N}, m <= {LP2_MAX_M}; got {inst.n}x{inst.m}"
         )
     master = RestrictedMaster(inst, np.arange(inst.m << inst.n))
@@ -191,12 +190,10 @@ class RestrictedMaster(_RevisedBasis):
         of ``keys``, in the given order and without repeats. The keys must
         include every supplier's empty set, ``j << n``."""
         n, m = inst.n, inst.m
-        if n > SUB_DUAL_LIMIT:
-            raise SizeLimitError(f"restricted master limited to {SUB_DUAL_LIMIT} customers, got {n}")
         nm, me = n * m, m + n * m
         self.inst, self.n, self.m, self.pivots = inst, n, m, 0
         # R_j(S) of every backlog, at flat index j 2^n + mask: a column's key
-        self._revenue = np.concatenate([mnl.expected_revenue_table(inst, j) for j in range(m)])
+        self._revenue = inst.expected_revenue_tables.reshape(-1)
         self.keys = np.asarray(keys, dtype=np.int64)
         self._b = np.concatenate([np.ones(m), np.zeros(nm), np.ones(nm)])
         cols, self._c = self._with_lambdas(2 * nm, self.keys)
@@ -379,7 +376,7 @@ def lp1_exact_small(inst: Instance) -> float:
     row j) has for inverse the same with -E, and its values are b = (1, 1, 0).
     """
     if inst.n > LP1_MAX_N or inst.m > LP1_MAX_M:
-        raise SizeLimitError(
+        raise mnl.SizeLimitError(
             f"exact assortment-distribution LP limited to n <= {LP1_MAX_N}, m <= {LP1_MAX_M}; "
             f"got {inst.n}x{inst.m}"
         )
@@ -388,7 +385,7 @@ def lp1_exact_small(inst: Instance) -> float:
     # columns: lambda[j, backlog mask] at j 2^n + mask, then tau[i, offer mask]
     lam, tau = np.arange(m * n_sets), np.arange(n * n_offers)
     c = np.zeros(lam.size + tau.size)
-    c[: lam.size] = np.concatenate([mnl.optimal_revenue_table(inst, j) for j in range(m)])
+    c[: lam.size] = inst.optimal_revenue_tables.reshape(-1)
     # rows: each distribution sums to 1, then per pair (i, j) the lambda mass
     # of backlogs containing i equals i's probability of choosing j
     b = np.zeros(m + n + n * m)

@@ -2,7 +2,8 @@
 
 Subsets of agents are sorted tuples of distinct indices. ``k=None`` denotes
 the outside option in :func:`choice_prob`. Tables over all 2^n subsets are
-indexed by bitmask and summed by :func:`subset_sums`.
+indexed by bitmask and summed by :func:`subset_sums`. An instance owns its
+(m, 2^n) tables R and g, each built here once; the table functions read a row.
 """
 
 from __future__ import annotations
@@ -11,9 +12,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .instance import Instance
-
-BRUTEFORCE_LIMIT = 20
+from .instance import SUBSET_TABLE_LIMIT, Instance
 
 
 class SizeLimitError(ValueError):
@@ -38,6 +37,13 @@ def in_universe(items, n: int) -> tuple[int, ...]:
     return members
 
 
+def check_supplier(inst: Instance, j: int) -> int:
+    """``j``, refused with ``IndexError`` unless in range(m): -1 would read supplier m - 1."""
+    if not 0 <= j < inst.m:
+        raise IndexError(f"supplier {j} outside the platform's {inst.m} suppliers")
+    return j
+
+
 def choice_prob(weights, subset, k: int | None) -> float:
     """Probability that an MNL agent with the given weights picks ``k`` from
     the offered ``subset``; ``k=None`` is the outside option (weight 1)."""
@@ -53,6 +59,7 @@ def choice_prob(weights, subset, k: int | None) -> float:
 
 def expected_revenue(inst: Instance, j: int, customers) -> float:
     """Expected revenue when supplier j is shown exactly the set ``customers``."""
+    check_supplier(inst, j)
     members = in_universe(customers, inst.n)
     num = 0.0
     den = 1.0
@@ -89,6 +96,7 @@ def best_prefix(values, weights, candidates) -> tuple[float, tuple[int, ...]]:
 def optimal_revenue(inst: Instance, j: int, customers) -> tuple[float, tuple[int, ...]]:
     """Best expected revenue over all subsets of ``customers`` for supplier j
     (see :func:`best_prefix`). Returns (value, maximizing subset)."""
+    check_supplier(inst, j)
     return best_prefix(inst.r[:, j], inst.w[j], in_universe(customers, inst.n))
 
 
@@ -99,8 +107,9 @@ def optimal_revenue_bruteforce(inst: Instance, j: int, customers) -> tuple[float
     """
     members = as_subset(customers)
     k = len(members)
-    if k > BRUTEFORCE_LIMIT:
-        raise SizeLimitError(f"bruteforce limited to {BRUTEFORCE_LIMIT} customers, got {k}")
+    if k > SUBSET_TABLE_LIMIT:
+        raise SizeLimitError(f"bruteforce limited to {SUBSET_TABLE_LIMIT} customers, got {k}")
+    check_supplier(inst, j)
     in_universe(members, inst.n)
     w = inst.w[j, list(members)]
     values = subset_sums(inst.r[list(members), j] * w) / subset_sums(w, 1.0)
@@ -140,37 +149,47 @@ def subset_sums(v, start=0.0) -> np.ndarray:
     """``start`` plus the sum of the members' ``v[i]`` for every subset of
     the indices of ``v``, indexed by bitmask (bit i: index i), in numpy's
     dtype for ``v + start``. Built by doubling, so members are added in
-    ascending order, as :func:`expected_revenue` adds them."""
+    ascending order, as :func:`expected_revenue` adds them. An (m, n) ``v``
+    gives (m, 2^n) sums in one pass, each row as the 1-D call on its row."""
     v = np.asarray(v)
-    sums = np.empty(1 << v.size, np.result_type(v, start))
-    sums[0] = start
+    sums = np.empty(v.shape[:-1] + (1 << v.shape[-1],), np.result_type(v, start))
+    doubled = sums.T  # the bitmask axis first: 1-D and (m, n) sums double along axis 0
+    doubled[0] = start
     k = 1
-    for x in v.tolist():
-        np.add(sums[:k], x, sums[k : 2 * k])  # the sets whose top member is x
+    for x in v.T:
+        np.add(doubled[:k], x, doubled[k : 2 * k])  # the sets whose top member is x
         k *= 2
     return sums
 
 
-def expected_revenue_table(inst: Instance, j: int) -> np.ndarray:
-    """Expected revenue of every customer subset, indexed by bitmask:
-    bit for bit :func:`expected_revenue` of each set."""
-    w = inst.w[j]
-    return subset_sums(inst.r[:, j] * w) / subset_sums(w, 1.0)
+def build_expected_revenue_tables(inst: Instance) -> np.ndarray:
+    """R, read as ``inst.expected_revenue_tables``: row j, by bitmask, is
+    bit for bit :func:`expected_revenue` of each set for supplier j."""
+    rtab = subset_sums(inst.r.T * inst.w)
+    rtab /= subset_sums(inst.w, 1.0)
+    return rtab
 
 
-def optimal_revenue_table(inst: Instance, j: int) -> np.ndarray:
-    """Optimal revenue of every customer subset, indexed by bitmask.
-
-    Computed by a max-over-subsets sweep of the expected-revenue table, so
-    this table does not rely on the revenue-ordered prefix structure. At
-    bit b the table is viewed as (high bits, bit b, low bits) and every
-    entry with the bit set takes the maximum with its partner without it.
-    """
-    g = expected_revenue_table(inst, j)
+def build_optimal_revenue_tables(inst: Instance) -> np.ndarray:
+    """g, read as ``inst.optimal_revenue_tables``: a max-over-subsets sweep
+    of R, so it does not rely on the revenue-ordered prefix structure. At
+    bit b the rows, end to end, are viewed as (row and high bits, bit b, low
+    bits); every entry with the bit set takes the max with its partner."""
+    g = inst.expected_revenue_tables.copy()
     for b in range(inst.n):
         v = g.reshape(-1, 2, 1 << b)
         np.maximum(v[:, 1], v[:, 0], out=v[:, 1])
     return g
+
+
+def expected_revenue_table(inst: Instance, j: int) -> np.ndarray:
+    """Supplier j's row of ``inst.expected_revenue_tables``."""
+    return inst.expected_revenue_tables[check_supplier(inst, j)]
+
+
+def optimal_revenue_table(inst: Instance, j: int) -> np.ndarray:
+    """Supplier j's row of ``inst.optimal_revenue_tables``."""
+    return inst.optimal_revenue_tables[check_supplier(inst, j)]
 
 
 def independent_subset_probs(q) -> np.ndarray:
@@ -185,16 +204,6 @@ def independent_subset_probs(q) -> np.ndarray:
     for i in range(q.shape[0]):
         probs = np.concatenate([probs * (1.0 - q[i]), probs * q[i]])
     return probs
-
-
-def expected_optimal_revenue_independent(inst: Instance, j: int, q):
-    """Expected optimal revenue of supplier j when customer i joins its
-    backlog independently with probability q[i]: the product distribution
-    integrated against the optimal-revenue table.
-
-    ``q`` of shape (n, k) gives the k expectations of its columns at once.
-    """
-    return optimal_revenue_table(inst, j) @ independent_subset_probs(q)
 
 
 def mask_of(subset, n: int) -> int:

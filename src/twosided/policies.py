@@ -347,10 +347,7 @@ def _dp(inst: Instance, order: tuple[int, ...] | None):
     n, m = inst.n, inst.m
     shape = _dp_structure(n, m, order)
     values = np.empty(shape.size)
-    total = np.zeros(shape.final_states.size)
-    for j in range(m):
-        total += mnl.optimal_revenue_table(inst, j)[shape.final_masks[j]]
-    values[shape.final_states] = total
+    values[shape.final_states] = sum(mnl.optimal_revenue_table(inst, j)[shape.final_masks[j]] for j in range(m))
     picked = []
     for layer in shape.layers:
         values[layer.states], action = _layer_step(values, layer, inst.u)
@@ -401,9 +398,8 @@ def exact_star(inst: Instance) -> float:
     # column k is one profile: customer i is offered mask profiles[i, k]
     profiles = np.indices((2**m,) * n).reshape(n, -1)
     customers = np.arange(n)[:, None]
-    values = sum(
-        mnl.expected_optimal_revenue_independent(inst, j, phi[customers, profiles, j]) for j in range(m)
-    )
+    values = sum(mnl.optimal_revenue_table(inst, j) @ mnl.independent_subset_probs(phi[customers, profiles, j])
+                 for j in range(m))
     return float(values.max())
 
 
@@ -455,8 +451,8 @@ class RandomizedStaticPolicy(_SampledPolicy):
 
     def exact_expected_revenue(self) -> float:
         """True expectation over all backlog realizations: per supplier the
-        backlog is product-Bernoulli with the x marginals (n <= 15); see
-        :func:`mnl.expected_optimal_revenue_independent`."""
+        backlog is product-Bernoulli with the x marginals (n <= 15),
+        integrated against its optimal-revenue table."""
         n = self.inst.n
         if n > EXACT_EVAL_MAX_N:
             raise SizeLimitError(
@@ -464,7 +460,7 @@ class RandomizedStaticPolicy(_SampledPolicy):
             )
         total = 0.0
         for j in range(self.inst.m):
-            total += float(mnl.expected_optimal_revenue_independent(self.inst, j, self.x[:, j]))
+            total += float(mnl.optimal_revenue_table(self.inst, j) @ mnl.independent_subset_probs(self.x[:, j]))
         return total
 
 

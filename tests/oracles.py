@@ -173,7 +173,7 @@ class ReferenceOracle:
         self.delta = delta
         self.inst = inst
         self._masks = subset_masks(inst.n)
-        self._rtab = np.stack([expected_revenue_table(inst, j) for j in inst.suppliers()])
+        self._rtab = np.stack([expected_revenue_table(inst, j) for j in range(inst.m)])
         self._scan = sorted(range(2**inst.n), key=lambda c: (c.bit_count(), subset_of(c, inst.n)))
 
     def _pick(self, values):

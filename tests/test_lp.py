@@ -335,10 +335,14 @@ def test_dual_point_needs_an_optimum():
 
 
 def test_master_refuses_past_the_oracle_limit(monkeypatch):
-    # the refusal comes before the master builds its revenue table
+    # the instance refuses before it builds the revenue table the master
+    # and the oracle read
     def unreachable(*args):
         raise AssertionError("a revenue table was built past the limit")
 
-    monkeypatch.setattr(mnl, "expected_revenue_table", unreachable)
+    monkeypatch.setattr(mnl, "build_expected_revenue_tables", unreachable)
+    inst = generate("uniform-random", 21, 1, 0)
     with pytest.raises(SizeLimitError):
-        build_aux_primal(generate("uniform-random", 21, 1, 0), ViolatedSets(1))
+        build_aux_primal(inst, ViolatedSets(1))
+    with pytest.raises(SizeLimitError):
+        SubDualOracle(inst)

@@ -1,11 +1,15 @@
+from collections import Counter
+
 import numpy as np
 import pytest
 
 from twosided import mnl
-from twosided.cost_assortment import rev_cost
-from twosided.evaluate import cost_share
-from twosided.instance import GENERATOR_KINDS, generate
+from twosided.cost_assortment import SubDualOracle, rev_cost
+from twosided.ellipsoid import solve_restricted
+from twosided.evaluate import cost_share, revenue_order, submodularity_check
+from twosided.instance import GENERATOR_KINDS, generate, normalize_revenues
 from twosided.lp import RestrictedMaster
+from twosided.suites import suite_chain
 from twosided.mnl import (
     choice_prob,
     expected_revenue,
@@ -188,6 +192,13 @@ def test_subset_sums_add_members_in_ascending_order():
     ints = subset_sums(np.array([3, 5], dtype=np.int64), 7)
     assert ints.dtype == np.int64 and ints.tolist() == [7, 10, 12, 15]
     assert subset_sums([]).tolist() == [0.0]
+    # an (m, n) array sums each row as the 1-D call does
+    floats = rng.normal(size=(3, 6)) * 10.0 ** rng.integers(-8, 8, size=(3, 6))
+    for v, start in ((floats, 1.0), (rng.integers(-50, 50, size=(4, 5)), 7)):
+        got = subset_sums(v, start)
+        assert got.shape == (v.shape[0], 2 ** v.shape[1]) and got.dtype == v.dtype
+        for row, sums in zip(v, got):
+            assert sums.tobytes() == subset_sums(row, start).tobytes()
 
 
 @pytest.mark.parametrize("kind", GENERATOR_KINDS)
@@ -213,6 +224,40 @@ def test_revenue_tables_and_brute_force_form_no_mask_matrix(monkeypatch):
     assert value == pytest.approx(optimal_revenue(inst, 0, range(16))[0], abs=TOL)
 
 
+def test_an_instance_builds_each_table_once(monkeypatch):
+    builds, rows = Counter(), Counter()
+    for name in ("build_expected_revenue_tables", "build_optimal_revenue_tables"):
+
+        def counted(inst, _real=getattr(mnl, name), _name=name):
+            table = _real(inst)
+            builds[_name] += 1
+            rows[_name] += table.shape[0]
+            return table
+
+        monkeypatch.setattr(mnl, name, counted)
+    inst = normalize_revenues(generate("uniform-random", 8, 2, 77))
+    solve = solve_restricted(inst)
+    # the solve's oracle and master, and any later reader, share one table
+    assert np.shares_memory(SubDualOracle(inst)._rtab, solve.master._revenue)
+    assert builds == {"build_expected_revenue_tables": 1}
+    for owned, row in (
+        (inst.expected_revenue_tables, expected_revenue_table),
+        (inst.optimal_revenue_tables, optimal_revenue_table),
+    ):
+        assert not owned.flags.writeable
+        assert row(inst, 1).base is owned
+        with pytest.raises(ValueError, match="read-only"):
+            row(inst, 1)[0] = 1.0
+    assert inst.optimal_revenue_tables is inst.optimal_revenue_tables
+    assert builds == {"build_expected_revenue_tables": 1, "build_optimal_revenue_tables": 1}
+    builds.clear()
+    rows.clear()
+    # STAR, both DPs and both exact LPs of each 3x2 instance read one set
+    suite_chain(1)
+    assert builds == {"build_expected_revenue_tables": 200, "build_optimal_revenue_tables": 200}
+    assert rows == {"build_expected_revenue_tables": 400, "build_optimal_revenue_tables": 400}
+
+
 @pytest.mark.parametrize("bad", [-1, 3])
 @pytest.mark.parametrize(
     "call",
@@ -235,4 +280,31 @@ def test_customers_outside_the_universe_are_refused(call, bad):
     # 2 twice, 0.0959 against 0.0746 for (2,)
     inst = generate("uniform-random", 3, 2, 1)
     with pytest.raises(IndexError, match="outside universe of size 3"):
+        call(inst, bad)
+
+
+@pytest.mark.parametrize("bad", [-1, 2])
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda inst, bad: expected_revenue(inst, bad, (0, 2)),
+        lambda inst, bad: optimal_revenue(inst, bad, (0, 2)),
+        lambda inst, bad: optimal_revenue_bruteforce(inst, bad, (0, 2)),
+        lambda inst, bad: g_marginal(inst, bad, 0, (2,)),
+        lambda inst, bad: rev_cost(inst, bad, (0, 2), np.zeros((3, 2))),
+        lambda inst, bad: expected_revenue_table(inst, bad),
+        lambda inst, bad: optimal_revenue_table(inst, bad),
+        lambda inst, bad: cost_share(inst, bad, 0, (0, 2)),
+        lambda inst, bad: submodularity_check(inst, bad),
+        lambda inst, bad: revenue_order(inst, bad),
+        lambda inst, bad: SubDualOracle(inst)(bad, np.zeros((3, 2))),
+    ],
+    ids=["expected_revenue", "optimal_revenue", "bruteforce", "g_marginal", "rev_cost",
+         "expected_revenue_table", "optimal_revenue_table", "cost_share", "submodularity_check",
+         "revenue_order", "oracle"],
+)
+def test_suppliers_outside_the_platform_are_refused(call, bad):
+    # supplier -1 would read supplier m - 1, as customer -1 reads customer n - 1
+    inst = generate("uniform-random", 3, 2, 1)
+    with pytest.raises(IndexError, match=f"supplier {bad} outside the platform's 2 suppliers"):
         call(inst, bad)
