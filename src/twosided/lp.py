@@ -216,10 +216,12 @@ class RestrictedMaster(_RevisedBasis):
         cols = np.zeros((self._b.size, c.size), order="F")
         # per supplier the lambdas form a distribution; per pair the lambda
         # mass containing customer i matches x[i][j]; the MNL rows stay zero
-        supplier = new >> self.n
-        customer, col = np.nonzero(new >> np.arange(self.n)[:, None] & 1)
-        cols[supplier, head + np.arange(new.size)] = 1.0
-        cols[self.m + customer * self.m + supplier[col], head + col] = 1.0
+        supplier, col = new >> self.n, np.arange(new.size)
+        cols[supplier, head + col] = 1.0
+        # the consistency rows m + i m + j as (customer i, supplier j, column)
+        consistency = cols[self.m : self.m + self.n * self.m, head:].reshape(self.n, self.m, new.size)
+        assert np.shares_memory(consistency, cols)
+        consistency[:, supplier, col] = new >> np.arange(self.n)[:, None] & 1
         return cols, c
 
     def add(self, keys) -> list[int]:

@@ -208,7 +208,7 @@ def test_12x3_certifies_at_the_first_checkpoint(kind):
 
 def test_16x2_pricing_certifies_at_the_first_checkpoint():
     # under Bland's entering rule the pricing rounds stalled here at a gap
-    # of 5.66e-9; Dantzig pricing reaches duals that certify
+    # of 5.66e-9; the weighted rule reaches duals that certify
     inst = normalize_revenues(generate("supplier-uniform", 16, 2, 1))
     solved = solve_restricted(inst, t_max=1000)
     assert solved.run.stop_reason == "certified" and solved.run.iterations == CERTIFY_FIRST

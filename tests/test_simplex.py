@@ -99,10 +99,72 @@ def test_degenerate_cycling_guard():
         assert res.objective == pytest.approx(oracle, abs=1e-9)
 
 
+def _scaled_chvatal_start() -> tuple[simplex_module._RevisedBasis, np.ndarray, np.ndarray]:
+    """Chvatal's LP in min form with its slacks, every column A_j (slacks
+    included) scaled by s_j = k / sqrt(1 - k^2 |A_j|^2) at k = 0.05, at its
+    slack basis; returns the basis, the scaled costs and s. Each s_j times
+    the scaled column's weight is k, so the weighted rule enters exactly the
+    columns Dantzig's rule enters on the unscaled LP, and the
+    smallest-index leaving rule leaves the same rows."""
+    lp = _chvatal_lp()
+    a = np.hstack([lp.a_ub, np.eye(3)])
+    scale = 0.05 / np.sqrt(1.0 - 0.05**2 * (a**2).sum(axis=0))
+    start = simplex_module._RevisedBasis(
+        np.asfortranarray(a * scale), np.arange(4, 7), np.diag(1.0 / scale[4:]), lp.b_ub / scale[4:]
+    )
+    return start, np.concatenate([-lp.c, np.zeros(3)]) * scale, scale
+
+
 def test_dantzig_pricing_cycles_without_the_bland_fallback(monkeypatch):
+    # Chvatal's LP itself does not cycle under the weighted rule; scaled so
+    # that the rule makes Dantzig's choices on it, it cycles unless Bland's
+    # rule takes over
+    start, cost, scale = _scaled_chvatal_start()
+    assert np.allclose(scale * simplex_module._column_weights(start.cols), 0.05, rtol=1e-14, atol=0.0)
+    pivots = simplex_module._pivot_loop(start, cost, n_cols=7, max_iters=300)
+    x = np.zeros(7)
+    x[start.basis] = start.x_b
+    assert 0 < pivots < 300 and np.allclose(x * scale, [1.0, 0.0, 1.0, 0.0, 2.0, 0.0, 0.0])
     monkeypatch.setattr(simplex_module, "DEGENERATE_RUN", 10**9)
+    start, cost, _ = _scaled_chvatal_start()
     with pytest.raises(LpSolverError, match="exceeded 300 pivots"):
-        solve_lp(_chvatal_lp(), max_iters=300)
+        simplex_module._pivot_loop(start, cost, n_cols=7, max_iters=300)
+
+
+def test_weighted_rule_enters_the_most_negative_reduced_cost_times_weight():
+    weighted = simplex_module._weighted_dantzig
+    # scaled -0.6, -1.0, -1.0 and 0.5: the lower index of the two -1.0
+    # enters, not column 0 of the most negative reduced cost
+    assert weighted(np.array([0.2, 1.0, 0.5, 1.0]), np.array([-3.0, -1.0, -2.0, 0.5]), 1e-12) == 1
+    # column 1 is not below -tol, so its smaller scaled value does not count
+    assert weighted(np.array([0.1, 1.0]), np.array([-2e-12, -5e-13]), 1e-12) == 0
+    assert weighted(np.array([0.1, 1.0]), np.array([-5e-13, -5e-13]), 1e-12) == -1
+    assert weighted(np.ones(0), np.zeros(0), 1e-12) == -1
+
+
+def test_column_weights_are_finite_for_zero_columns():
+    # the LPs of test_no_constraint_rows have no rows, so every column is zero
+    assert simplex_module._column_weights(np.zeros((0, 2))).tolist() == [1.0, 1.0]
+    weights = simplex_module._column_weights(np.array([[0.0, 3.0], [0.0, 4.0]], order="F"))
+    assert weights.tolist() == [1.0, 1.0 / np.sqrt(26.0)]
+
+
+def test_first_pivot_enters_the_weighted_choice(monkeypatch):
+    # min -2 x0 - x1  s.t.  4 x0 + x1 + s = 1, from the slack basis: Dantzig's
+    # rule enters x0 (-2 below -1), the weighted rule x1 (-1 / sqrt(2) below
+    # -2 / sqrt(17)), which is optimal at once
+    cols = np.array([[4.0, 1.0, 1.0]], order="F")
+    start = simplex_module._RevisedBasis(cols, np.array([2]), np.eye(1), np.ones(1))
+    entered = []
+    pivot = start.pivot
+
+    def recorded(row, enter, col):
+        entered.append(enter)
+        pivot(row, enter, col)
+
+    monkeypatch.setattr(start, "pivot", recorded)
+    assert simplex_module._pivot_loop(start, np.array([-2.0, -1.0, 0.0]), n_cols=3, max_iters=10) == 1
+    assert entered == [1] and start.basis.tolist() == [1] and start.x_b.tolist() == [1.0]
 
 
 def _tiny_price_first_lp() -> LinearProgram:
@@ -120,7 +182,8 @@ def _tiny_price_first_lp() -> LinearProgram:
 def test_tiny_priced_column_without_a_ratio_row_is_not_optimality(degenerate_run, monkeypatch):
     # phase 1 prices v0 at -1e-9 and phase 2 (from the slack basis) at
     # -1e-10; neither phase may stop there while a slack or v1 is priced
-    # at -1, under Dantzig's rule (which enters those first) or
+    # at -1, under the weighted rule (which enters those first: their
+    # weights are at least 1 / sqrt(3), v0's about 1) or
     # (DEGENERATE_RUN 0) Bland's rule (which scans v0 first)
     monkeypatch.setattr(simplex_module, "DEGENERATE_RUN", degenerate_run)
     lp = _tiny_price_first_lp()
@@ -144,7 +207,7 @@ def test_tiny_priced_column_without_a_ratio_row_is_not_optimality(degenerate_run
 def test_tiny_priced_ray_does_not_hide_a_real_one(monkeypatch):
     # v0 also has a ray; phase 2's scan at the tolerance finds v1, priced
     # at -1 and now with no ratio-test row either, which shows the LP
-    # unbounded, under Dantzig's rule and (DEGENERATE_RUN 0) Bland's rule
+    # unbounded, under the weighted rule and (DEGENERATE_RUN 0) Bland's rule
     lp = _tiny_price_first_lp()
     lp.a_ub[0, -1] = 0.0
     for degenerate_run in (simplex_module.DEGENERATE_RUN, 0):
@@ -224,9 +287,9 @@ def test_bland_fallback_agrees_with_the_default_rule(monkeypatch):
 
 @pytest.mark.parametrize("kind", GENERATOR_KINDS)
 def test_10x4_exact_lp_pivot_ceiling(kind, monkeypatch):
-    # Dantzig pricing takes 530-604 pivots here in the two-phase solve_lp,
+    # the weighted rule takes 353-385 pivots here in the two-phase solve_lp,
     # Bland's rule 1,804-2,472; the master inside lp2_exact_small, from its
-    # feasible start basis and pricing from its keys, 50-275
+    # feasible start basis and pricing from its keys, 26-36
     inst = normalize_revenues(generate(kind, 10, 4, 77))
     assert 0 < solve_lp(full_master(inst).lp).iterations <= 1000
     results = []
@@ -343,8 +406,10 @@ def test_pivot_budget_guards_both_phases():
     with pytest.raises(LpSolverError, match="exceeded 1 pivots"):
         solve_lp(two_rows, max_iters=1)
     # b = 0 and no column sums above 0: phase 1 starts optimal, so both
-    # (degenerate) pivots are phase-2 pivots
-    cone = LinearProgram(c=[0.0, 1.0, 1.0], a_eq=[[-1.0, -2.0, -1.0]], b_eq=[0.0])
+    # (degenerate) pivots are phase-2 pivots. From x0, the weighted rule
+    # enters x1 (1 / sqrt(2) above 0.75 / sqrt(1.25)), which prices x2 at
+    # -0.25, and x2 enters
+    cone = LinearProgram(c=[0.0, 1.0, 0.75], a_eq=[[-1.0, -1.0, -0.5]], b_eq=[0.0])
     res = solve_lp(cone)
     assert (res.status, res.iterations, res.objective) == ("optimal", 2, 0.0)
     with pytest.raises(LpSolverError, match="exceeded 1 pivots"):
