@@ -16,10 +16,8 @@ from __future__ import annotations
 
 import numpy as np
 
-from .instance import SUBSET_TABLE_LIMIT, Instance
+from .instance import Instance
 from .mnl import check_supplier, expected_revenue, in_universe, subset_masks, subset_sums
-
-SUB_DUAL_LIMIT = SUBSET_TABLE_LIMIT  # the oracle enumerates the instance's revenue tables
 
 
 def rev_cost(inst: Instance, j: int, customers, gamma) -> float:
@@ -44,7 +42,7 @@ class SubDualOracle:
 
     def __init__(self, inst: Instance):
         self.inst = inst
-        self._rtab = inst.expected_revenue_tables  # refuses n > SUB_DUAL_LIMIT first
+        self._rtab = inst.expected_revenue_tables  # refuses n > SUBSET_TABLE_LIMIT first
         self._masks = subset_masks(inst.n)
         # size-then-lex rank of every bitmask: (size << n) + 2^n - 1 less the
         # mask read with customer 0 as the top bit, so a member i adds

@@ -151,7 +151,6 @@ def run_ellipsoid(
     alpha = s[:nm].reshape(n, m)
     gamma = s[nm + m :].reshape(n, m)
     beta = s[nm : nm + m]
-    cuts = _CutVectors(n, m, 1.0 / inst.u)
 
     best = DualPoint(alpha=np.zeros((n, m)), beta=np.ones(m), gamma=np.zeros((n, m)))
     obj = float(m)
@@ -173,7 +172,7 @@ def run_ellipsoid(
     incumbent_flag = False
 
     while t < t_max:
-        kind, index, cut = _find_cut(inst, oracle, delta, cuts, s, alpha, beta, gamma, obj, violated)
+        kind, index, a = _find_cut(inst, oracle, delta, s, alpha, beta, gamma, obj, violated)
         if kind is None:
             # feasible center that improves the objective: update in place,
             # re-enter without counting an iteration
@@ -185,10 +184,9 @@ def run_ellipsoid(
             continue
 
         cut_counts[kind] += 1
-        a, floor = cut
         da = shape @ a
         ada = float(a @ da)
-        noise = floor * abs(trace_d)
+        noise = NOISE_FLOOR * float(a @ a) * abs(trace_d)
         if ada <= noise:
             if trace_d > 0.0 and ada > -noise:
                 # zero numerical extent along the cut: float64 is exhausted,
@@ -235,88 +233,46 @@ def run_ellipsoid(
     )
 
 
-class _CutVectors:
-    """Cut vectors a of one run, each paired with NOISE_FLOOR * a'a.
-
-    The objective, weight-link and alpha-nonnegative families are fixed by
-    the instance and built up front; backlog cuts are built on first use and
-    kept. Each vector must be its own contiguous array, never written after
-    it is built, so that a cut reads the same bits as the per-cut
-    ``np.zeros`` of ``tests/oracles.py::reference_run_ellipsoid``.
-    """
-
-    def __init__(self, n: int, m: int, inv_u: np.ndarray):
-        self._customers = np.arange(n)
-        nm = n * m
-        self._n_dim = 2 * nm + m
-        self._nm = nm
-        self._m = m
-        a = np.zeros(self._n_dim)
-        a[: nm + m] = -1.0
-        self.objective = _with_floor(a)
-        # both lists are indexed by the row-major pair position i * m + j
-        self.weight_link = []
-        self.alpha_nonnegative = []
-        for i in range(n):
-            for j in range(m):
-                a = np.zeros(self._n_dim)
-                a[i * m : (i + 1) * m] = 1.0
-                a[i * m + j] += inv_u[i, j]
-                a[nm + m + i * m + j] = -1.0
-                self.weight_link.append(_with_floor(a))
-                a = np.zeros(self._n_dim)
-                a[i * m + j] = 1.0
-                self.alpha_nonnegative.append(_with_floor(a))
-        self._backlog: dict[tuple[int, int], tuple[np.ndarray, float]] = {}
-
-    def backlog(self, j: int, mask: int) -> tuple[np.ndarray, float]:
-        cut = self._backlog.get((j, mask))
-        if cut is None:
-            a = np.zeros(self._n_dim)
-            nm, m = self._nm, self._m
-            a[nm + j] = 1.0
-            # gamma_ij sits at nm + m + i m + j: customer i's bit of the mask
-            a[nm + m + j :: m] = mask >> self._customers & 1
-            cut = self._backlog[(j, mask)] = _with_floor(a)
-        return cut
-
-
-def _with_floor(a: np.ndarray) -> tuple[np.ndarray, float]:
-    # NOISE_FLOOR * a'a is the left factor of the noise level, so the
-    # product with |trace(D)| rounds as it would if formed per cut
-    return a, NOISE_FLOOR * float(a @ a)
-
-
 def _shown(kind: str, index, n: int):
     """A cut's index as ``--trace`` rows and errors show it: a backlog set as its customers."""
     return (index[0], mnl.subset_of(index[1], n)) if kind == "assortment-cost" else index
 
 
-def _find_cut(inst, oracle, delta, cuts, s, alpha, beta, gamma, obj, violated):
+def _find_cut(inst, oracle, delta, s, alpha, beta, gamma, obj, violated):
     """Locate the first violated constraint in the fixed scan order and
-    return (kind, index, (cut vector a, its noise scale)); kind None when
-    the center is feasible and improving."""
-    m = inst.m
-    nm_m = inst.n * m + m
+    return (kind, index, cut vector a), with a new array on every call;
+    kind None when the center is feasible and improving."""
+    n, m = inst.n, inst.m
+    nm = n * m
+    a = np.zeros(s.size)
 
-    if float(s[:nm_m].sum()) >= obj:
-        return "objective", None, cuts.objective
+    if float(s[: nm + m].sum()) >= obj:
+        a[: nm + m] = -1.0
+        return "objective", None, a
 
     below = weight_link_slack(inst, alpha, gamma) < 0.0
     pos = int(below.argmax())
     if below.item(pos):
-        return "weight-link", divmod(pos, m), cuts.weight_link[pos]
+        i, j = divmod(pos, m)
+        a[i * m : (i + 1) * m] = 1.0
+        a[pos] += 1.0 / inst.u[i, j]
+        a[nm + m + pos] = -1.0
+        return "weight-link", (i, j), a
 
     below = alpha < 0.0
     pos = int(below.argmax())
     if below.item(pos):
-        return "alpha-nonnegative", divmod(pos, m), cuts.alpha_nonnegative[pos]
+        a[pos] = 1.0
+        return "alpha-nonnegative", divmod(pos, m), a
 
     for j in range(m):
         value, mask = oracle(j, gamma, delta)
         if value > beta[j]:
             violated.add(j, mask)
-            return "assortment-cost", (j, mask), cuts.backlog(j, mask)
+            a[nm + j] = 1.0
+            # gamma_ij sits at nm + m + i m + j: customer i's bit of the mask
+            a[nm + m + j :: m] = mask >> np.arange(n) & 1
+            return "assortment-cost", (j, mask), a
 
     return None, None, None
 

@@ -8,7 +8,6 @@ from itertools import combinations, product
 import numpy as np
 
 from twosided import mnl
-from twosided.cost_assortment import SUB_DUAL_LIMIT
 from twosided.ellipsoid import (
     NOISE_FLOOR,
     EllipsoidBreakdown,
@@ -17,7 +16,7 @@ from twosided.ellipsoid import (
     default_radius,
 )
 from twosided.evaluate import CHECK_TOL, PropertyReport, revenue_order
-from twosided.instance import Instance
+from twosided.instance import SUBSET_TABLE_LIMIT, Instance
 from twosided.lp import (
     DualFeasibilityReport,
     DualPoint,
@@ -108,8 +107,8 @@ def reference_sub_dual_exact(inst: Instance, j: int, gamma) -> tuple[float, tupl
     The value is always >= 0 since the empty set scores 0. Ties are broken
     toward smaller sets, then lexicographically.
     """
-    if inst.n > SUB_DUAL_LIMIT:
-        raise SizeLimitError(f"exact sub-dual limited to {SUB_DUAL_LIMIT} customers, got {inst.n}")
+    if inst.n > SUBSET_TABLE_LIMIT:
+        raise SizeLimitError(f"exact sub-dual limited to {SUBSET_TABLE_LIMIT} customers, got {inst.n}")
     gamma = np.asarray(gamma, dtype=float)
     values = expected_revenue_table(inst, j) - subset_masks(inst.n) @ gamma[:, j]
     vmax = float(values.max())

@@ -304,6 +304,31 @@ def test_10x4_exact_lp_pivot_ceiling(kind, monkeypatch):
     assert len(results) == 1 and 0 < results[0].iterations <= 500
 
 
+def test_stalled_pivot_loop_stops_at_its_row_budget(monkeypatch):
+    # an entering rule that always returns the master's first lambda column,
+    # lambda_{0, empty}: basic at 1 in the start basis, so its reduced cost is
+    # 0 and it is never eligible. Each pivot swaps it with itself and only the
+    # budget ends the loop: 2000 + 200 per row, 18,800 pivots on the 84 rows
+    # of the full 10x4 marginal LP, once before the master re-inverts its
+    # basis and once after. A budget that counted the 4,176 columns as well
+    # would run 854,000 pivots, minutes of them, before naming the stall.
+    inst = normalize_revenues(generate("uniform-random", 10, 4, 77))
+    basic = 2 * inst.n * inst.m
+    calls = 0
+
+    def stalled(weights, reduced, tol):
+        nonlocal calls
+        calls += 1
+        if calls > 2 * 30_000:
+            pytest.fail("the stalled pivot loop ran past 30,000 pivots per solve")
+        return basic
+
+    monkeypatch.setattr(simplex_module, "_weighted_dantzig", stalled)
+    with pytest.raises(LpSolverError, match=r"exceeded 18800 pivots \(rows=84, cols=4176\)"):
+        lp2_exact_small(inst)
+    assert calls == 2 * 18_800
+
+
 @pytest.mark.parametrize("kind", GENERATOR_KINDS)
 def test_exact_lp_runs_no_two_phase_solve(kind, monkeypatch):
     # lp2_exact_small solves on the restricted master and lp1_exact_small
