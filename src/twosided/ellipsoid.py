@@ -95,8 +95,9 @@ class EllipsoidResult:
 def default_radius(inst: Instance) -> float:
     """Ball radius containing every candidate optimum of the normalized
     dual: the box 0 <= alpha <= 1, 0 <= beta <= 1, |gamma| <= 1 + max 1/u
-    fits inside radius 10 (m + nm) max(1, max 1/u)."""
-    return 10.0 * (inst.m + inst.n * inst.m) * max(1.0, float((1.0 / inst.u).max()))
+    fits inside radius 10 (m + nm) max(1, max 1/u). Infinite, without a
+    warning, once 1/u leaves float64 range."""
+    return 10.0 * (inst.m + inst.n * inst.m) * max(1.0, 1.0 / float(inst.u.min()))
 
 
 def default_iteration_budget(inst: Instance) -> int:
@@ -127,7 +128,10 @@ def run_ellipsoid(
     ``test(recorded sets)``, only after 32, 64, 128, ... cuts
     (``CERTIFY_FIRST``, doubling). Backlog cuts come from the run's one
     ``SubDualOracle(inst)``, called at ``delta`` (exact at 0); a ``delta``
-    outside [0, 1) raises ``ValueError`` before the first cut.
+    outside [0, 1) raises ``ValueError`` before the first cut. Rather than
+    leave float64 range, it raises :class:`EllipsoidBreakdown` when the
+    starting ball's trace n_dim R^2 is not finite, and before any update
+    whose a'Da * trace(D) is not finite.
 
     Requires revenues normalized so every expected revenue is at most 1
     (the initial incumbent beta = 1 must be feasible).
@@ -137,6 +141,12 @@ def run_ellipsoid(
     n, m = inst.n, inst.m
     nm = n * m
     n_dim = 2 * nm + m
+    radius = default_radius(inst)
+    if not math.isfinite(n_dim * radius * radius):
+        raise EllipsoidBreakdown(
+            f"starting ball of radius {radius:.3e} has trace(D) = n_dim R^2 past float64 range "
+            f"(smallest customer weight {float(inst.u.min()):.3e})"
+        )
     if t_max is None:
         t_max = default_iteration_budget(inst)
     if t_max < 1:
@@ -146,7 +156,7 @@ def run_ellipsoid(
     oracle = SubDualOracle(inst)
     test = None if certify is None else certify(oracle)
     s = np.zeros(n_dim)
-    shape = np.eye(n_dim) * default_radius(inst) ** 2
+    shape = np.eye(n_dim) * radius**2
 
     alpha = s[:nm].reshape(n, m)
     gamma = s[nm + m :].reshape(n, m)
@@ -186,6 +196,12 @@ def run_ellipsoid(
         cut_counts[kind] += 1
         da = shape @ a
         ada = float(a @ da)
+        if not math.isfinite(ada * trace_d):
+            # every (Da)_i^2 <= a'Da * D_ii, so the update below stays in range
+            raise EllipsoidBreakdown(
+                f"a'Da * trace(D) = {ada:.3e} * {trace_d:.3e} past float64 range at t={t} "
+                f"on {kind} cut {_shown(kind, index, n)}"
+            )
         noise = NOISE_FLOOR * float(a @ a) * abs(trace_d)
         if ada <= noise:
             if trace_d > 0.0 and ada > -noise:

@@ -308,7 +308,10 @@ class RestrictedMaster(_RevisedBasis):
         return x, y
 
     def _reinvert(self) -> None:
-        self.binv = np.linalg.inv(self.cols[:, self.basis])
+        try:
+            self.binv = np.linalg.inv(self.cols[:, self.basis])
+        except np.linalg.LinAlgError as exc:
+            raise LpSolverError(f"restricted master basis cannot be re-inverted: {exc}") from exc
         self.x_b = self.binv @ self._b
 
     def pricing(self, cost: np.ndarray, n_cols: int):
@@ -411,20 +414,21 @@ def lp1_exact_small(inst: Instance) -> float:
 
 
 def check_lp_solution(inst: Instance, sol: LpSolution, tol: float = 1e-9) -> list[str]:
-    """Return violated feasibility invariants of ``sol`` (empty if none)."""
+    """Return violated feasibility invariants of ``sol`` (empty if none).
+    Every comparison fails on NaN."""
     problems: list[str] = []
     for j in range(inst.m):
         total = sum(sol.lam[j].values())
-        if abs(total - 1.0) > tol:
+        if not abs(total - 1.0) <= tol:
             problems.append(f"supplier {j}: distribution mass {total} != 1")
-        if any(p < -tol for p in sol.lam[j].values()):
+        if not all(p >= -tol for p in sol.lam[j].values()):
             problems.append(f"supplier {j}: negative probability")
         mass = np.zeros(inst.n)
         for subset, p in sol.lam[j].items():
             for i in subset:
                 mass[i] += p
         for i in range(inst.n):
-            if abs(mass[i] - sol.x[i, j]) > tol:
+            if not abs(mass[i] - sol.x[i, j]) <= tol:
                 problems.append(
                     f"pair ({i},{j}): marginal mass {mass[i]} != x {sol.x[i, j]}"
                 )
@@ -432,9 +436,9 @@ def check_lp_solution(inst: Instance, sol: LpSolution, tol: float = 1e-9) -> lis
     for i in range(inst.n):
         for j in range(inst.m):
             lhs = sol.x[i, j] / inst.u[i, j] + row_sums[i]
-            if lhs > 1.0 + tol:
+            if not lhs <= 1.0 + tol:
                 problems.append(f"pair ({i},{j}): MNL row {lhs} > 1")
-    if (sol.x < -tol).any():
+    if not (sol.x >= -tol).all():
         problems.append("negative marginal")
     return problems
 
@@ -461,10 +465,13 @@ def dual_feasibility_report(
 ) -> DualFeasibilityReport:
     """List every violated constraint of the dual at ``point``; the
     exponentially many backlog constraints are checked through exhaustive
-    sub-dual maximization (n <= 20)."""
+    sub-dual maximization (n <= 20). A point with a non-finite entry
+    raises ``ValueError``."""
+    alpha, beta, gamma = point.alpha, point.beta, point.gamma
+    if not all(np.isfinite(part).all() for part in (alpha, beta, gamma)):
+        raise ValueError("dual point has non-finite entries")
     oracle = SubDualOracle(inst)
     report = DualFeasibilityReport()
-    alpha, beta, gamma = point.alpha, point.beta, point.gamma
     # row sums as the cut loop takes them (its alpha is C-ordered), whatever
     # the point's memory layout
     slack = weight_link_slack(inst, np.ascontiguousarray(alpha), gamma)

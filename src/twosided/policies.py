@@ -74,17 +74,6 @@ class PolicyOutcome:
     trace: list[dict] | None = None
 
 
-class _Runs(NamedTuple):
-    """A batch of realized runs, one row per trial and one column per
-    customer: the id of the set each customer was offered (an index into
-    ``_RunTables.offer_sets``) and their choice (``OUTSIDE`` for the outside
-    option); and each run's revenue."""
-
-    offered: np.ndarray  # (T, n)
-    choice: np.ndarray  # (T, n)
-    revenue: np.ndarray  # (T,)
-
-
 class _History(NamedTuple):
     """The choices of a batch of runs so far (``OUTSIDE`` where none is made
     yet), and the runs grouped by equal choices so far: the first run of
@@ -93,86 +82,6 @@ class _History(NamedTuple):
     choice: np.ndarray  # (T, n)
     first: np.ndarray  # (G,)
     group: np.ndarray  # (T,)
-
-
-class _RunTables:
-    """What one policy reuses across its sampled runs: the offered sets
-    seen so far, the MNL choice table of each (customer, offered set) and
-    the optimal revenue of each (supplier, backlog)."""
-
-    def __init__(self, inst: Instance):
-        self.inst = inst
-        self.offer_sets: list[tuple[int, ...]] = []
-        self._offer_ids: dict[tuple[int, ...], int] = {}
-        self._choices: dict[tuple[int, int], tuple[np.ndarray, np.ndarray]] = {}
-        self._revenues: dict[tuple[int, tuple[int, ...]], tuple[float, tuple[int, ...]]] = {}
-
-    def offer_id(self, offered: tuple[int, ...]) -> int:
-        found = self._offer_ids.get(offered)
-        if found is None:
-            found = self._offer_ids[offered] = len(self.offer_sets)
-            self.offer_sets.append(offered)
-        return found
-
-    def _choice_table(self, i: int, offer: int) -> tuple[np.ndarray, np.ndarray]:
-        """Customer i's choice options from an offered set (``OUTSIDE`` last)
-        and their :func:`~twosided.rounding.choice_cdf`."""
-        table = self._choices.get((i, offer))
-        if table is None:
-            options, cdf = choice_table(self.inst.u[i], self.offer_sets[offer])
-            table = self._choices[(i, offer)] = (np.array(options[:-1] + [OUTSIDE]), cdf)
-        return table
-
-    def optimal_revenue(self, j: int, backlog: tuple[int, ...]) -> tuple[float, tuple[int, ...]]:
-        best = self._revenues.get((j, backlog))
-        if best is None:
-            best = self._revenues[(j, backlog)] = mnl.optimal_revenue(self.inst, j, backlog)
-        return best
-
-    def run(self, order, offer, uniforms: np.ndarray) -> _Runs:
-        """One realized run per row of ``uniforms``. Customers in ``order``
-        are each shown ``offer(i, history, draws)`` -- one offer id per run,
-        from the step's draws but its last -- and choose with the step's last
-        draw; every supplier then keeps the best subset of its backlog, and
-        the run's revenue adds those optima in supplier order. Runs that
-        share an offered set draw from its CDF in one
-        :func:`~twosided.rounding.inverse_cdf` call, which draws as
-        ``Generator.choice`` does from one uniform."""
-        trials, n, m = uniforms.shape[0], self.inst.n, self.inst.m
-        steps = uniforms.reshape(trials, n, -1)
-        offered = np.empty((trials, n), dtype=np.intp)
-        choice = np.full((trials, n), OUTSIDE, dtype=np.intp)
-        first, group = np.zeros(1, dtype=np.intp), np.zeros(trials, dtype=np.intp)
-        for t, i in enumerate(order):
-            offered[:, i] = offer(i, _History(choice, first, group), steps[:, t, :-1])
-            for a in np.unique(offered[:, i]).tolist():
-                runs = np.flatnonzero(offered[:, i] == a)
-                options, cdf = self._choice_table(i, a)
-                choice[runs, i] = options[inverse_cdf(cdf, steps[runs, t, -1])]
-            _, first, group = np.unique(group * (m + 1) + choice[:, i] + 1, return_index=True, return_inverse=True)
-        revenue = np.zeros(trials)
-        for j in range(m):
-            chose = np.packbits(choice == j, axis=1)
-            rows = chose.view(f"V{chose.shape[1]}").ravel()  # one bytes key per run
-            _, firsts, backlog = np.unique(rows, return_index=True, return_inverse=True)
-            values = [self.optimal_revenue(j, _backlog(choice[r], j))[0] for r in firsts.tolist()]
-            revenue += np.array(values)[backlog]
-        return _Runs(offered, choice, revenue)
-
-    def outcome(self, runs: _Runs, order) -> PolicyOutcome:
-        """The first run of ``runs`` with its trace and supplier optima."""
-        choice = runs.choice[0]
-        trace = []
-        for i in order:
-            pick = int(choice[i])
-            offered = self.offer_sets[runs.offered[0, i]]
-            trace.append({"customer": i, "offered": list(offered), "choice": None if pick == OUTSIDE else pick})
-        per: list[SupplierOutcome] = []
-        for j in range(self.inst.m):
-            backlog = _backlog(choice, j)
-            value, offered = self.optimal_revenue(j, backlog)
-            per.append(SupplierOutcome(backlog=backlog, offered=offered, value=value))
-        return PolicyOutcome(expected_revenue=float(runs.revenue[0]), per_supplier=per, trace=trace)
 
 
 def _backlog(choice: np.ndarray, j: int) -> tuple[int, ...]:
@@ -406,26 +315,100 @@ def exact_star(inst: Instance) -> float:
 class _SampledPolicy:
     """A policy whose runs are driven by ``draws`` uniforms each, consumed
     customer by customer along ``order``; ``_offer(i, history, draws)``
-    gives each run's offer id at customer i (see :meth:`_RunTables.run`)."""
+    gives each run's offer id at customer i (see :meth:`_run`). It keeps
+    what it reuses across its runs: the offered sets seen so far, the MNL
+    choice table of each (customer, offered set) and the optimal revenue of
+    each (supplier, backlog)."""
 
-    inst: Instance
-    order: Sequence[int]
-    draws: int
-    _tables: _RunTables
+    def __init__(self, inst: Instance, order: Sequence[int], draws: int):
+        self.inst = inst
+        self.order = order
+        self.draws = draws
+        self.offer_sets: list[tuple[int, ...]] = []
+        self._offer_ids: dict[tuple[int, ...], int] = {}
+        self._choices: dict[tuple[int, int], tuple[np.ndarray, np.ndarray]] = {}
+        self._revenues: dict[tuple[int, tuple[int, ...]], tuple[float, tuple[int, ...]]] = {}
 
     def _offer(self, i: int, history: _History, draws: np.ndarray) -> np.ndarray:
         raise NotImplementedError
 
+    def _offer_id(self, offered: tuple[int, ...]) -> int:
+        found = self._offer_ids.get(offered)
+        if found is None:
+            found = self._offer_ids[offered] = len(self.offer_sets)
+            self.offer_sets.append(offered)
+        return found
+
+    def _choice_table(self, i: int, offer: int) -> tuple[np.ndarray, np.ndarray]:
+        """Customer i's choice options from an offered set (``OUTSIDE`` last)
+        and their :func:`~twosided.rounding.choice_cdf`."""
+        table = self._choices.get((i, offer))
+        if table is None:
+            options, cdf = choice_table(self.inst.u[i], self.offer_sets[offer])
+            table = self._choices[(i, offer)] = (np.array(options[:-1] + [OUTSIDE]), cdf)
+        return table
+
+    def _optimal_revenue(self, j: int, backlog: tuple[int, ...]) -> tuple[float, tuple[int, ...]]:
+        best = self._revenues.get((j, backlog))
+        if best is None:
+            best = self._revenues[(j, backlog)] = mnl.optimal_revenue(self.inst, j, backlog)
+        return best
+
+    def _run(self, uniforms: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """One realized run per row of ``uniforms``. Customers in ``order``
+        are each shown ``_offer(i, history, draws)`` -- one offer id per run,
+        from the step's draws but its last -- and choose with the step's last
+        draw; every supplier then keeps the best subset of its backlog, and
+        the run's revenue adds those optima in supplier order. Runs that
+        share an offered set draw from its CDF in one
+        :func:`~twosided.rounding.inverse_cdf` call, which draws as
+        ``Generator.choice`` does from one uniform. Returns, one row per run
+        and one column per customer, the id of the set each customer was
+        offered (an index into ``offer_sets``) and their choice (``OUTSIDE``
+        for the outside option); and each run's revenue."""
+        trials, n, m = uniforms.shape[0], self.inst.n, self.inst.m
+        steps = uniforms.reshape(trials, n, -1)
+        offered = np.empty((trials, n), dtype=np.intp)
+        choice = np.full((trials, n), OUTSIDE, dtype=np.intp)
+        first, group = np.zeros(1, dtype=np.intp), np.zeros(trials, dtype=np.intp)
+        for t, i in enumerate(self.order):
+            offered[:, i] = self._offer(i, _History(choice, first, group), steps[:, t, :-1])
+            for a in np.unique(offered[:, i]).tolist():
+                runs = np.flatnonzero(offered[:, i] == a)
+                options, cdf = self._choice_table(i, a)
+                choice[runs, i] = options[inverse_cdf(cdf, steps[runs, t, -1])]
+            _, first, group = np.unique(group * (m + 1) + choice[:, i] + 1, return_index=True, return_inverse=True)
+        revenue = np.zeros(trials)
+        for j in range(m):
+            chose = np.packbits(choice == j, axis=1)
+            rows = chose.view(f"V{chose.shape[1]}").ravel()  # one bytes key per run
+            _, firsts, backlog = np.unique(rows, return_index=True, return_inverse=True)
+            values = [self._optimal_revenue(j, _backlog(choice[r], j))[0] for r in firsts.tolist()]
+            revenue += np.array(values)[backlog]
+        return offered, choice, revenue
+
     def revenues(self, uniforms: np.ndarray) -> np.ndarray:
         """Revenue of one realized run per row of the (trials, ``draws``)
         array ``uniforms``."""
-        return self._tables.run(self.order, self._offer, uniforms).revenue
+        return self._run(uniforms)[2]
 
     def sample(self, seed) -> PolicyOutcome:
         """One realized run on the draws of ``np.random.default_rng(seed)``,
-        with its trace: the one-row case of :meth:`revenues`."""
-        uniforms = np.random.default_rng(seed).random((1, self.draws))
-        return self._tables.outcome(self._tables.run(self.order, self._offer, uniforms), self.order)
+        with its trace and supplier optima: the one-row case of
+        :meth:`revenues`."""
+        offered, choice, revenue = self._run(np.random.default_rng(seed).random((1, self.draws)))
+        choice = choice[0]
+        trace = []
+        for i in self.order:
+            pick = int(choice[i])
+            shown = self.offer_sets[offered[0, i]]
+            trace.append({"customer": i, "offered": list(shown), "choice": None if pick == OUTSIDE else pick})
+        per: list[SupplierOutcome] = []
+        for j in range(self.inst.m):
+            backlog = _backlog(choice, j)
+            value, kept = self._optimal_revenue(j, backlog)
+            per.append(SupplierOutcome(backlog=backlog, offered=kept, value=value))
+        return PolicyOutcome(expected_revenue=float(revenue[0]), per_supplier=per, trace=trace)
 
 
 class RandomizedStaticPolicy(_SampledPolicy):
@@ -435,15 +418,12 @@ class RandomizedStaticPolicy(_SampledPolicy):
     two uniforms per customer: the offer, then the choice."""
 
     def __init__(self, inst: Instance, solution: LpSolution):
-        self.inst = inst
-        self.order = range(inst.n)
-        self.draws = 2 * inst.n
+        super().__init__(inst, range(inst.n), 2 * inst.n)
         self.x = np.clip(np.asarray(solution.x, dtype=float), 0.0, 1.0)
         self.distributions = [
             mnl_distribution(solution.x[i], inst.u[i]) for i in range(inst.n)
         ]
-        self._tables = _RunTables(inst)
-        self._support_ids = [np.array([self._tables.offer_id(s) for s in d.sets]) for d in self.distributions]
+        self._support_ids = [np.array([self._offer_id(s) for s in d.sets]) for d in self.distributions]
 
     def _offer(self, i, history, draws):
         # the support index that AssortmentDistribution.sample draws
@@ -504,20 +484,18 @@ class SameOrderGreedyPolicy(_SampledPolicy):
         order: tuple[int, ...] | None = None,
     ):
         if certificate is not None and certificate.sigma is not None:
-            self.order = certificate.sigma
+            order = certificate.sigma
         elif order is not None:
-            self.order = as_permutation(order, inst.n)
+            order = as_permutation(order, inst.n)
         else:
             raise PolicyPreconditionError(
                 "no same-order certificate; pass an explicit order to run as a heuristic"
             )
-        self.inst = inst
-        self.draws = inst.n  # one choice per customer
-        self._tables = _RunTables(inst)
+        super().__init__(inst, order, inst.n)  # one choice per customer
         self._offers: dict[tuple[int, tuple[tuple[int, ...], ...]], tuple[tuple[int, ...], float]] = {}
 
     def _g(self, j: int, members: tuple[int, ...]) -> float:
-        return self._tables.optimal_revenue(j, members)[0]
+        return self._optimal_revenue(j, members)[0]
 
     def _marginals(self, i: int, backlogs: list[tuple[int, ...]]) -> list[float]:
         out = []
@@ -537,7 +515,7 @@ class SameOrderGreedyPolicy(_SampledPolicy):
         # runs with the same choices so far share one backlog state
         m = self.inst.m
         ids = [
-            self._tables.offer_id(self.offered_assortment(i, [_backlog(history.choice[r], j) for j in range(m)])[0])
+            self._offer_id(self.offered_assortment(i, [_backlog(history.choice[r], j) for j in range(m)])[0])
             for r in history.first.tolist()
         ]
         return np.array(ids)[history.group]

@@ -235,17 +235,18 @@ def _check_optimality(
     """KKT check of a min-form optimum over the structural and slack
     columns: primal residual and negativity within tol * max(1, |b|),
     reduced costs >= -tol, and b.y within tol * max(1, |cost.x|) of cost.x.
-    Raises :class:`LpSolverError` naming every failed condition."""
+    Every comparison fails on NaN. Raises :class:`LpSolverError` naming
+    every failed condition."""
     problems = []
-    residual = float(max(np.abs(cols @ x - b).max(initial=0.0), -x.min(initial=0.0)))
-    if residual > tol * max(1.0, float(np.abs(b).max(initial=0.0))):
+    residual = float(np.maximum(np.abs(cols @ x - b).max(initial=0.0), -x.min(initial=0.0)))  # NaN stays NaN
+    if not residual <= tol * max(1.0, float(np.abs(b).max(initial=0.0))):
         problems.append(f"primal residual {residual:.3e}")
     reduced = cost - y @ cols
-    if reduced.min(initial=0.0) < -tol:
+    if not reduced.min(initial=0.0) >= -tol:
         worst = int(reduced.argmin())
         problems.append(f"reduced cost {reduced[worst]:.3e} at column {worst}")
     primal, dual = float(cost @ x), float(b @ y)
-    if abs(dual - primal) > tol * max(1.0, abs(primal)):
+    if not abs(dual - primal) <= tol * max(1.0, abs(primal)):
         problems.append(f"duality gap {dual - primal:.3e} (primal {primal!r}, dual {dual!r})")
     if problems:
         raise LpSolverError("optimal basis fails the KKT check: " + "; ".join(problems))

@@ -1,7 +1,9 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
-from twosided.instance import Instance
+from twosided.instance import Instance, generate, normalize_revenues
 from twosided.suites import counterexample_instance
 
 
@@ -28,3 +30,17 @@ def zero_revenue_instance() -> Instance:
         w=rng.uniform(0.5, 2.0, (2, 3)),
         r=np.zeros((3, 2)),
     )
+
+
+@pytest.fixture
+def tiny_weight():
+    """uniform-random 3x2 seed 1 with u[0][0] = 10^-exponent, normalized:
+    one customer weight far below the others, as a near-forbidden pair."""
+
+    def make(exponent: float) -> Instance:
+        inst = generate("uniform-random", 3, 2, 1)
+        u = inst.u.copy()
+        u[0][0] = 10.0**-exponent
+        return normalize_revenues(dataclasses.replace(inst, u=u))
+
+    return make

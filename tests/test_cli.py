@@ -459,6 +459,25 @@ def test_solve_size_limit_is_solver_failure(tmp_path, capsys):
     assert code == 2
 
 
+@pytest.mark.parametrize("exponent", [60, 200])
+@pytest.mark.parametrize("command", [["solve"], ["run", "--policy", "rand-static", "--trials", "10", "--seed", "1"]])
+def test_tiny_weight_past_float64_range_is_solver_failure(tmp_path, capsys, tiny_weight, exponent, command):
+    path = tmp_path / "tiny.json"
+    save_instance(tiny_weight(exponent), path)
+    code = main([command[0], str(path), *command[1:]])
+    err = capsys.readouterr().err
+    assert code == 2
+    assert err.startswith("solver error:") and "past float64 range" in err
+
+
+def test_tiny_weight_in_float64_range_solves(tmp_path, capsys, tiny_weight):
+    path, report = tmp_path / "tiny.json", tmp_path / "report.csv"
+    save_instance(tiny_weight(48), path)
+    assert run_cli(capsys, "solve", str(path), "--report", str(report))[0] == 0
+    header, row = report.read_text().strip().splitlines()[-2:]
+    assert dict(zip(header.split(","), row.split(",")))["stop_reason"] == "certified"
+
+
 def test_verify_failure_exit_code(capsys, monkeypatch):
     import twosided.suites as suites
     from twosided.evaluate import PropertyReport

@@ -85,6 +85,23 @@ def test_breakdown_on_corrupt_shape(unit_instance, monkeypatch):
         run_ellipsoid(unit_instance, t_max=10)
 
 
+def test_tiny_weight_in_float64_range_certifies(tiny_weight):
+    inst = tiny_weight(48)
+    solved = solve_restricted(inst)
+    assert solved.run.stop_reason == "certified"
+    assert abs(solved.solution.objective - lp2_exact_small(inst).objective) <= 1e-9
+
+
+def test_cut_loop_stops_before_leaving_float64_range(tiny_weight):
+    # warnings are errors here, so no step may overflow before the stop
+    with pytest.raises(EllipsoidBreakdown, match=r"a'Da \* trace\(D\) = .* past float64 range at t=2 on weight-link"):
+        run_ellipsoid(tiny_weight(60))
+    with pytest.raises(EllipsoidBreakdown, match="starting ball of radius 8.000e\\+201 has trace"):
+        run_ellipsoid(tiny_weight(200))
+    with pytest.raises(EllipsoidBreakdown, match="starting ball of radius 8.000e\\+307 has trace"):
+        run_ellipsoid(tiny_weight(306), t_max=10)
+
+
 def test_default_budget_formula(unit_instance):
     # 50 N^2 ln(10 N rho) with N = 3, rho = 20
     assert default_iteration_budget(unit_instance) == 2879

@@ -16,6 +16,7 @@ from twosided.instance import Instance, generate, normalize_revenues
 from twosided.lp import (
     SUPPORT_EPS,
     DualPoint,
+    LpSolution,
     ViolatedSets,
     build_aux_primal,
     check_lp_solution,
@@ -184,6 +185,34 @@ def test_violated_sets_dedupe_and_order():
     assert violated[0] == [0b11, 0]
     assert violated.counts() == [2, 0]
     assert violated.total() == 2
+
+
+def test_lp2_refuses_an_mnl_coefficient_past_float64_range(tiny_weight):
+    assert lp2_exact_small(tiny_weight(306)).objective == pytest.approx(0.46100113331027853, abs=1e-12)
+    # 1/u overflows on the MNL row of pair (0, 0); the solve once returned
+    # objective 0.0 with NaN duals that passed the KKT check
+    with pytest.warns(RuntimeWarning) as caught, pytest.raises(LpSolverError):
+        lp2_exact_small(tiny_weight(312))
+    assert "overflow encountered in divide" in str(caught[0].message)
+
+
+def test_lp_solution_check_fails_on_nan():
+    inst = generate("uniform-random", 3, 2, 1)
+    nan = LpSolution(x=np.full((3, 2), np.nan), lam=[{(): np.nan}, {(): np.nan}], objective=np.nan)
+    problems = " ".join(check_lp_solution(inst, nan))
+    for fault in ("distribution mass nan", "negative probability", "marginal mass 0.0 != x nan",
+                  "MNL row nan", "negative marginal"):
+        assert fault in problems
+
+
+def test_dual_report_refuses_a_non_finite_point(monkeypatch):
+    inst = generate("uniform-random", 3, 2, 1)
+    monkeypatch.setattr("twosided.lp.SubDualOracle", None)  # any oracle call fails the test
+    for part in ("alpha", "beta", "gamma"):
+        parts = {"alpha": np.zeros((3, 2)), "beta": np.ones(2), "gamma": np.zeros((3, 2))}
+        parts[part].flat[0] = np.nan
+        with pytest.raises(ValueError, match="non-finite"):
+            dual_feasibility_report(inst, DualPoint(**parts))
 
 
 def test_dual_feasible_baseline_point():

@@ -254,6 +254,34 @@ def test_greedy_sampler_matches_exact():
     assert abs(mean - exact) <= 3.0 * max(stderr, 1e-12)
 
 
+@pytest.mark.parametrize("name", ["rand-static", "greedy"])
+def test_sampled_policy_reuses_its_tables_across_runs(name, monkeypatch):
+    from twosided import mnl, policies
+    from twosided.evaluate import monte_carlo
+
+    inst = normalize_revenues(generate("same-order-additive", 4, 3, 7))
+    if name == "greedy":
+        policy = SameOrderGreedyPolicy(inst, certificate=detect_same_order(inst))
+        owners = [(mnl, "optimal_revenue"), (policies, "choice_table"), (policies, "best_marginal_assortment")]
+    else:
+        policy = RandomizedStaticPolicy(inst, lp2_exact_small(inst))
+        owners = [(mnl, "optimal_revenue"), (policies, "choice_table")]
+    calls = {}
+    for owner, function_name in owners:
+        function = getattr(owner, function_name)
+
+        def counted(*args, _name=function_name, _function=function):
+            calls[_name] = calls.get(_name, 0) + 1
+            return _function(*args)
+
+        monkeypatch.setattr(owner, function_name, counted)
+    first = monte_carlo(policy, 500, 11)
+    assert set(calls) == {function_name for _, function_name in owners}
+    calls.clear()
+    assert monte_carlo(policy, 500, 11) == first
+    assert calls == {}
+
+
 def test_greedy_dual_identity_exact_per_path():
     """Along every outcome path, the realized marginal credits plus the final
     supplier values sum to exactly twice the path revenue (checked in exact

@@ -461,6 +461,24 @@ def test_kkt_check_names_each_failure():
         _check_optimality(cols, b, cost, x, np.array([-1.0]), FEASIBILITY_TOL)
 
 
+def test_kkt_check_fails_on_nan():
+    cols, b, cost = np.array([[1.0, 1.0, 1.0]]), np.array([1.0]), np.array([-1.0, -2.0, 0.0])
+    x, y = np.array([0.0, 1.0, 0.0]), np.array([-2.0])
+    with pytest.raises(LpSolverError, match="primal residual nan.*duality gap nan"):
+        _check_optimality(cols, b, cost, np.array([0.0, np.nan, 0.0]), y, FEASIBILITY_TOL)
+    with pytest.raises(LpSolverError, match="reduced cost nan at column 0.*duality gap nan"):
+        _check_optimality(cols, b, cost, x, np.array([np.nan]), FEASIBILITY_TOL)
+    with pytest.raises(LpSolverError, match="duality gap nan"):
+        _check_optimality(cols, b, np.array([-1.0, np.nan, 0.0]), x, y, FEASIBILITY_TOL)
+
+
+def test_master_that_cannot_re_invert_raises_a_solver_error():
+    master, _, _ = _master()
+    master.cols[:, master.basis[0]] = 0.0  # a zero basic column: B is singular
+    with pytest.raises(LpSolverError, match="cannot be re-inverted"):
+        master._reinvert()
+
+
 def _counting(monkeypatch, name: str, owner=simplex_module) -> list[int]:
     """Count the calls of ``owner``'s function ``name`` (the simplex
     module's by default)."""
