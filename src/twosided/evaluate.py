@@ -10,7 +10,9 @@ enumeration, read by bitmask from one row of the instance's optimal-revenue
 tables per check (:func:`mnl.optimal_revenue_table`; the instance builds
 them once), so inequalities are asserted at 1e-9, not statistically;
 randomness only picks which cases to try and everything is deterministic
-in (trials, seed).
+in (trials, seed). :func:`correlation_gap_ratios` checks many draws of one
+size at once from stacked table rows; :func:`correlation_gap_check` is its
+one-draw form on the instance's row.
 """
 
 from __future__ import annotations
@@ -130,19 +132,49 @@ def expected_optimal_revenue(inst: Instance, j: int, dist: SubsetDistribution) -
     return _expected_value(_gtab(inst, j, "expected optimal revenue"), dist)
 
 
-def correlation_gap_check(inst: Instance, j: int, dist: SubsetDistribution) -> float | None:
+def correlation_gap_ratios(gtabs: np.ndarray, masks: np.ndarray, probs: np.ndarray) -> list[float | None]:
     """Ratio of the correlated expectation of the optimal-revenue function
     to the expectation under the independent distribution with the same
-    marginals. When the denominator vanishes (only possible when the
-    marginals put no mass on any revenue-positive set) the ratio is
-    ``math.inf`` if the numerator is positive and ``None`` for 0/0. Both
-    expectations read one optimal-revenue table."""
+    marginals, for k draws over one universe of n customers. Row t of the
+    (k, 2^n) ``gtabs`` is draw t's optimal-revenue table, and rows t of
+    the (k, s) ``masks`` and ``probs`` are its support in order, padded
+    with (0, +0.0) pairs, which leave every sum's bits as they are.
+
+    Each numerator is summed in support order from 0, as
+    :func:`_expected_value` sums it; each denominator is row t of the table
+    times row t of the subset probabilities. When a denominator vanishes
+    (only possible when the marginals put no mass on any revenue-positive
+    set) the ratio is ``math.inf`` if the numerator is positive and
+    ``None`` for 0/0. Refused past ``GAP_MAX_N`` customers before any row
+    is built; a mask of 2^n or more raises ``IndexError``.
+    """
+    k, size = gtabs.shape
+    n = size.bit_length() - 1
+    if n > GAP_MAX_N:
+        raise mnl.SizeLimitError(f"gap check enumerates 2^{n} subsets; limit n <= {GAP_MAX_N}")
+    draws, bits = np.arange(k), np.arange(n)
+    marginals = np.zeros((k, n))
+    numerators = np.zeros(k)
+    for mask, p in zip(masks.T, probs.T):
+        numerators += p * gtabs[draws, mask]  # a mask of 2^n or more raises IndexError
+        marginals += p[:, None] * (mask[:, None] >> bits & 1)
+    independent = mnl.independent_subset_probs(marginals.T).T.copy()  # (k, 2^n)
+    ratios: list[float | None] = []
+    for gtab, p, numerator in zip(gtabs, independent, numerators.tolist()):
+        denominator = float(gtab @ p)
+        if denominator <= 0.0:
+            ratios.append(math.inf if numerator > 0.0 else None)
+        else:
+            ratios.append(numerator / denominator)
+    return ratios
+
+
+def correlation_gap_check(inst: Instance, j: int, dist: SubsetDistribution) -> float | None:
+    """:func:`correlation_gap_ratios` of one draw on supplier j's
+    optimal-revenue table."""
     gtab = _gtab(inst, j, "gap check")
-    numerator = _expected_value(gtab, dist)
-    denominator = float(gtab @ mnl.independent_subset_probs(dist.marginals(inst.n)))
-    if denominator <= 0.0:
-        return math.inf if numerator > 0.0 else None
-    return numerator / denominator
+    masks, probs = zip(*dist.support)
+    return correlation_gap_ratios(gtab[None], np.array([masks]), np.array([probs]))[0]
 
 
 def revenue_order(inst: Instance, j: int) -> tuple[int, ...]:

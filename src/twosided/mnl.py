@@ -3,7 +3,10 @@
 Subsets of agents are sorted tuples of distinct indices. ``k=None`` denotes
 the outside option in :func:`choice_prob`. Tables over all 2^n subsets are
 indexed by bitmask and summed by :func:`subset_sums`. An instance owns its
-(m, 2^n) tables R and g, each built here once; the table functions read a row.
+(m, 2^n) tables R and g, each built once by the row builders
+(:func:`expected_revenue_rows`, :func:`max_over_subsets`); the table
+functions read a row. The correlation-gap suite builds its stacked rows
+with the same two functions.
 """
 
 from __future__ import annotations
@@ -149,11 +152,12 @@ def subset_sums(v, start=0.0) -> np.ndarray:
     """``start`` plus the sum of the members' ``v[i]`` for every subset of
     the indices of ``v``, indexed by bitmask (bit i: index i), in numpy's
     dtype for ``v + start``. Built by doubling, so members are added in
-    ascending order, as :func:`expected_revenue` adds them. An (m, n) ``v``
-    gives (m, 2^n) sums in one pass, each row as the 1-D call on its row."""
+    ascending order, as :func:`expected_revenue` adds them. A stacked (k, n)
+    ``v`` gives (k, 2^n) sums in one pass; each row is bit for bit the 1-D
+    call on its row, as the same additions run in the same order."""
     v = np.asarray(v)
     sums = np.empty(v.shape[:-1] + (1 << v.shape[-1],), np.result_type(v, start))
-    doubled = sums.T  # the bitmask axis first: 1-D and (m, n) sums double along axis 0
+    doubled = sums.T  # the bitmask axis first: 1-D and (k, n) sums double along axis 0
     doubled[0] = start
     k = 1
     for x in v.T:
@@ -162,24 +166,39 @@ def subset_sums(v, start=0.0) -> np.ndarray:
     return sums
 
 
+def expected_revenue_rows(values, weights) -> np.ndarray:
+    """Expected revenue of every subset, by bitmask, for k stacked
+    suppliers: row t is the members' ``values[t]`` (r·w) summed over 1 plus
+    their ``weights[t]``, a (k, 2^n) array from (k, n) inputs. Each row is
+    bit for bit the 1-D call on its inputs (see :func:`subset_sums`)."""
+    rows = subset_sums(values)
+    rows /= subset_sums(weights, 1.0)
+    return rows
+
+
+def max_over_subsets(rows: np.ndarray) -> np.ndarray:
+    """Sweep C-contiguous (k, 2^n) ``rows`` in place so that each entry
+    becomes the max over its subsets, and return them. At bit b the rows,
+    end to end, are viewed as (row and high bits, bit b, low bits); every
+    entry with the bit set takes the max with its partner."""
+    if not rows.flags.c_contiguous:
+        raise ValueError("the sweep reshapes its rows in place, so they must be C-contiguous")
+    for b in range(rows.shape[-1].bit_length() - 1):
+        v = rows.reshape(-1, 2, 1 << b)
+        np.maximum(v[:, 1], v[:, 0], out=v[:, 1])
+    return rows
+
+
 def build_expected_revenue_tables(inst: Instance) -> np.ndarray:
     """R, read as ``inst.expected_revenue_tables``: row j, by bitmask, is
     bit for bit :func:`expected_revenue` of each set for supplier j."""
-    rtab = subset_sums(inst.r.T * inst.w)
-    rtab /= subset_sums(inst.w, 1.0)
-    return rtab
+    return expected_revenue_rows(inst.r.T * inst.w, inst.w)
 
 
 def build_optimal_revenue_tables(inst: Instance) -> np.ndarray:
-    """g, read as ``inst.optimal_revenue_tables``: a max-over-subsets sweep
-    of R, so it does not rely on the revenue-ordered prefix structure. At
-    bit b the rows, end to end, are viewed as (row and high bits, bit b, low
-    bits); every entry with the bit set takes the max with its partner."""
-    g = inst.expected_revenue_tables.copy()
-    for b in range(inst.n):
-        v = g.reshape(-1, 2, 1 << b)
-        np.maximum(v[:, 1], v[:, 0], out=v[:, 1])
-    return g
+    """g, read as ``inst.optimal_revenue_tables``: :func:`max_over_subsets`
+    of R, so it does not rely on the revenue-ordered prefix structure."""
+    return max_over_subsets(inst.expected_revenue_tables.copy())
 
 
 def expected_revenue_table(inst: Instance, j: int) -> np.ndarray:
@@ -197,12 +216,18 @@ def independent_subset_probs(q) -> np.ndarray:
     included independently with probability q[i].
 
     ``q`` of shape (n, k) gives k product distributions at once, one per
-    column, as a (2^n, k) array.
+    column, as a (2^n, k) array. Built by doubling into one array: the sets
+    with element i take the first half's probabilities times q[i], then the
+    first half is multiplied by 1 - q[i].
     """
     q = np.asarray(q, dtype=float)
-    probs = np.ones((1,) + q.shape[1:])
-    for i in range(q.shape[0]):
-        probs = np.concatenate([probs * (1.0 - q[i]), probs * q[i]])
+    probs = np.empty((1 << q.shape[0],) + q.shape[1:])
+    probs[0] = 1.0
+    k = 1
+    for x in q:
+        np.multiply(probs[:k], x, out=probs[k : 2 * k])
+        probs[:k] *= 1.0 - x
+        k *= 2
     return probs
 
 

@@ -15,9 +15,11 @@ import numpy as np
 
 from . import mnl
 from .evaluate import (
+    CORRELATED_MAX_SUPPORT,
+    GAP_MAX_N,
     PropertyReport,
     SubsetDistribution,
-    correlation_gap_check,
+    correlation_gap_ratios,
     cost_share,
     cost_sharing_check,
     interleaved_partition_check,
@@ -130,7 +132,63 @@ def suite_appendix_a(seed: int = 0) -> list[PropertyReport]:
     ]
 
 
+class _GapDraws:
+    """The inputs of ``count`` gap-suite draws, preallocated: draw t's size
+    n, its supplier's values r[:, j]·w[j] and weights w[j] in the first n
+    columns, and its support padded to ``width`` with (0, +0.0) pairs.
+    :meth:`ratios` checks every draw of one n in one array pass."""
+
+    def __init__(self, count: int, width: int):
+        self.sizes = [0] * count
+        self.values = np.zeros((count, GAP_MAX_N))
+        self.weights = np.zeros((count, GAP_MAX_N))
+        self.masks = np.zeros((count, width), dtype=int)
+        self.probs = np.zeros((count, width))
+
+    def add(self, t: int, inst: Instance, j: int, dist: SubsetDistribution) -> None:
+        n, size = inst.n, len(dist.support)
+        self.sizes[t] = n
+        self.values[t, :n] = inst.r[:, j] * inst.w[j]
+        self.weights[t, :n] = inst.w[j]
+        self.masks[t, :size], self.probs[t, :size] = zip(*dist.support)
+
+    def ratios(self) -> list[float | None]:
+        """:func:`correlation_gap_check` of every draw, in draw order: the
+        g rows of each size are built with the instance's row builders, bit
+        for bit its table rows."""
+        groups: dict[int, list[int]] = {}
+        for t, n in enumerate(self.sizes):
+            groups.setdefault(n, []).append(t)
+        out: list[float | None] = [None] * len(self.sizes)
+        for n, group in groups.items():
+            gtabs = mnl.expected_revenue_rows(self.values[group, :n], self.weights[group, :n])
+            ratios = correlation_gap_ratios(mnl.max_over_subsets(gtabs), self.masks[group], self.probs[group])
+            del gtabs  # freed before the next size's rows are built
+            for t, ratio in zip(group, ratios):
+                out[t] = ratio
+        return out
+
+
+def _correlated_gap_ratios(seed: int, kind: str, first_case: int, count: int) -> list[float | None]:
+    """Gap ratios of cases first_case + 1 .. first_case + count: a random
+    instance of ``kind``, a random supplier and a random correlated draw."""
+    draws = _GapDraws(count, CORRELATED_MAX_SUPPORT)
+    for t in range(count):
+        case = first_case + t + 1
+        rng = np.random.default_rng(_sub_seed(seed, case))
+        n = int(rng.integers(3, 7))
+        m = int(rng.integers(1, 4))
+        inst = generate(kind, n, m, _sub_seed(seed, case) + 7)
+        j = int(rng.integers(0, m))
+        draws.add(t, inst, j, SubsetDistribution.random_correlated(n, rng))
+    return draws.ratios()
+
+
 def suite_gap(seed: int) -> list[PropertyReport]:
+    """Correlation-gap bound on ``GAP_DRAWS`` random correlated draws, and
+    ratio 1 on point masses and product distributions. The draws are
+    checked per size in one array pass each (:class:`_GapDraws`), with
+    the answers of :func:`correlation_gap_check` on each draw."""
     report = PropertyReport(name="correlation-gap")
     exact = PropertyReport(name="correlation-gap-exactness")
     half = GAP_DRAWS // 2
@@ -141,16 +199,8 @@ def suite_gap(seed: int) -> list[PropertyReport]:
     case = 0
     max_seen = {"uniform-random": 0.0, "supplier-uniform": 0.0}
     for kind, bound, count in specs:
-        for k in range(count):
-            case += 1
-            rng = np.random.default_rng(_sub_seed(seed, case))
-            n = int(rng.integers(3, 7))
-            m = int(rng.integers(1, 4))
-            inst = generate(kind, n, m, _sub_seed(seed, case) + 7)
-            j = int(rng.integers(0, m))
-            dist = SubsetDistribution.random_correlated(n, rng)
+        for ratio in _correlated_gap_ratios(seed, kind, case, count):
             report.cases += 1
-            ratio = correlation_gap_check(inst, j, dist)
             if ratio is None:
                 # 0/0: the draw put all its mass on the empty set, so both
                 # expectations vanish; counted but consistent with the bound.
@@ -160,22 +210,25 @@ def suite_gap(seed: int) -> list[PropertyReport]:
             max_seen[kind] = max(max_seen[kind], ratio)
             if ratio > bound + TOL:
                 report.record(kind=f"gap-bound-{kind}", ratio=ratio, bound=bound)
+        case += count
     report.notes["max-ratio"] = max_seen
 
+    points = _GapDraws(50, 1)
+    products = _GapDraws(50, 2**6)  # n < 7: a product's support is every subset
     for k in range(50):
         rng = np.random.default_rng(_sub_seed(seed, 10_000 + k))
         n = int(rng.integers(2, 7))
         inst = generate("uniform-random", n, 2, _sub_seed(seed, 20_000 + k))
         subset = mnl.subset_of(int(rng.integers(0, 2**n)), n)
+        points.add(k, inst, 0, SubsetDistribution.point_mass(subset))
+        products.add(k, inst, 0, SubsetDistribution.product(rng.uniform(0.0, 1.0, size=n)))
+    for point, product in zip(points.ratios(), products.ratios()):
         exact.cases += 1
-        ratio = correlation_gap_check(inst, 0, SubsetDistribution.point_mass(subset))
-        if ratio is not None and abs(ratio - 1.0) > 1e-12:
-            exact.record(kind="point-mass", ratio=ratio)
-        marginals = rng.uniform(0.0, 1.0, size=n)
+        if point is not None and abs(point - 1.0) > 1e-12:
+            exact.record(kind="point-mass", ratio=point)
         exact.cases += 1
-        ratio = correlation_gap_check(inst, 0, SubsetDistribution.product(marginals))
-        if ratio is None or abs(ratio - 1.0) > 1e-12:
-            exact.record(kind="product", ratio=ratio)
+        if product is None or abs(product - 1.0) > 1e-12:
+            exact.record(kind="product", ratio=product)
     return [report, exact]
 
 

@@ -7,7 +7,7 @@ from itertools import combinations, product
 
 import numpy as np
 
-from twosided import mnl
+from twosided import mnl, suites
 from twosided.ellipsoid import (
     NOISE_FLOOR,
     EllipsoidBreakdown,
@@ -15,8 +15,8 @@ from twosided.ellipsoid import (
     default_iteration_budget,
     default_radius,
 )
-from twosided.evaluate import CHECK_TOL, PropertyReport, revenue_order
-from twosided.instance import SUBSET_TABLE_LIMIT, Instance
+from twosided.evaluate import CHECK_TOL, PropertyReport, SubsetDistribution, revenue_order
+from twosided.instance import SUBSET_TABLE_LIMIT, Instance, generate
 from twosided.lp import (
     DualFeasibilityReport,
     DualPoint,
@@ -1055,3 +1055,70 @@ def reference_cost_sharing_check(inst: Instance, j: int, trials: int, seed: int)
         if abs(total - g_a) > CHECK_TOL:
             report.record(kind="budget-balance", A=set_a, shares=total, g=g_a)
     return report
+
+
+# ---------------------------------------------------------------------------
+# The correlation-gap suite as it was written before it checked its draws in
+# one array pass per size: one correlation_gap_check call per draw. Kept
+# verbatim but for the names, the bounds read from the suites module (so a
+# test can patch them in both forms) and the check's two helpers: the table
+# is the reference sweep and the product probabilities the concatenation
+# loop above.
+
+
+def reference_correlation_gap_check(inst: Instance, j: int, dist) -> float | None:
+    gtab = reference_optimal_revenue_table(inst, j)
+    numerator = float(sum(p * gtab[mask] for mask, p in dist.support))
+    denominator = float(gtab @ reference_subset_probs(dist.marginals(inst.n)))
+    if denominator <= 0.0:
+        return math.inf if numerator > 0.0 else None
+    return numerator / denominator
+
+
+def reference_suite_gap(seed: int) -> list[PropertyReport]:
+    report = PropertyReport(name="correlation-gap")
+    exact = PropertyReport(name="correlation-gap-exactness")
+    half = suites.GAP_DRAWS // 2
+    specs = [
+        ("uniform-random", suites.GAP_GENERAL_BOUND, half),
+        ("supplier-uniform", suites.GAP_UNIFORM_BOUND, suites.GAP_DRAWS - half),
+    ]
+    case = 0
+    max_seen = {"uniform-random": 0.0, "supplier-uniform": 0.0}
+    for kind, bound, count in specs:
+        for k in range(count):
+            case += 1
+            rng = np.random.default_rng(suites._sub_seed(seed, case))
+            n = int(rng.integers(3, 7))
+            m = int(rng.integers(1, 4))
+            inst = generate(kind, n, m, suites._sub_seed(seed, case) + 7)
+            j = int(rng.integers(0, m))
+            dist = SubsetDistribution.random_correlated(n, rng)
+            report.cases += 1
+            ratio = reference_correlation_gap_check(inst, j, dist)
+            if ratio is None:
+                # 0/0: the draw put all its mass on the empty set, so both
+                # expectations vanish; counted but consistent with the bound.
+                # A positive numerator over 0 reads inf and breaks the bound
+                report.notes["undefined-draws"] = report.notes.get("undefined-draws", 0) + 1
+                continue
+            max_seen[kind] = max(max_seen[kind], ratio)
+            if ratio > bound + suites.TOL:
+                report.record(kind=f"gap-bound-{kind}", ratio=ratio, bound=bound)
+    report.notes["max-ratio"] = max_seen
+
+    for k in range(50):
+        rng = np.random.default_rng(suites._sub_seed(seed, 10_000 + k))
+        n = int(rng.integers(2, 7))
+        inst = generate("uniform-random", n, 2, suites._sub_seed(seed, 20_000 + k))
+        subset = mnl.subset_of(int(rng.integers(0, 2**n)), n)
+        exact.cases += 1
+        ratio = reference_correlation_gap_check(inst, 0, SubsetDistribution.point_mass(subset))
+        if ratio is not None and abs(ratio - 1.0) > 1e-12:
+            exact.record(kind="point-mass", ratio=ratio)
+        marginals = rng.uniform(0.0, 1.0, size=n)
+        exact.cases += 1
+        ratio = reference_correlation_gap_check(inst, 0, SubsetDistribution.product(marginals))
+        if ratio is None or abs(ratio - 1.0) > 1e-12:
+            exact.record(kind="product", ratio=ratio)
+    return [report, exact]

@@ -528,6 +528,14 @@ def test_product_bernoulli_call_sites_match_reference_loop():
         stacked = independent_subset_probs(cols)
         for k in range(3):
             assert stacked[:, k].tobytes() == reference_subset_probs(cols[:, k]).tobytes()
+    # a wide stacked input, with inclusion probabilities of exactly 0 and 1
+    cols = rng.uniform(0.0, 1.0, (6, 4096))
+    cols[rng.random(cols.shape) < 0.2] = 0.0
+    cols[rng.random(cols.shape) < 0.2] = 1.0
+    stacked = independent_subset_probs(cols)
+    assert stacked.shape == (64, 4096)
+    for k in range(4096):
+        assert stacked[:, k].tobytes() == reference_subset_probs(cols[:, k]).tobytes()
 
     inst = normalize_revenues(generate("supplier-uniform", 4, 3, 5))
     policy = RandomizedStaticPolicy(inst, lp2_exact_small(inst))

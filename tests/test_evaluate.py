@@ -4,11 +4,12 @@ from collections import Counter
 import numpy as np
 import pytest
 
-from oracles import squared_size_table
+from oracles import reference_suite_gap, squared_size_table
 from twosided import mnl, suites
 from twosided.evaluate import (
     SubsetDistribution,
     correlation_gap_check,
+    correlation_gap_ratios,
     cost_share,
     cost_sharing_check,
     expected_optimal_revenue,
@@ -204,6 +205,24 @@ def test_table_reads_refuse_past_the_size_limit(monkeypatch, check):
         check(generate("uniform-random", 11, 1, 0))
 
 
+def test_gap_ratios_refuse_what_the_check_refuses(monkeypatch):
+    # past the size limit before any probability row is built, in both forms
+    def unreachable(*args):
+        raise AssertionError("a probability row was built past the limit")
+
+    monkeypatch.setattr(mnl, "independent_subset_probs", unreachable)
+    with pytest.raises(SizeLimitError):
+        correlation_gap_ratios(np.zeros((2, 2**11)), np.zeros((2, 1), dtype=int), np.ones((2, 1)))
+    monkeypatch.undo()
+    # a mask of 2^n or more names a customer outside the universe
+    inst = generate("uniform-random", 3, 1, 0)
+    gtabs = np.stack([mnl.optimal_revenue_table(inst, 0)] * 2)
+    with pytest.raises(IndexError):
+        correlation_gap_ratios(gtabs, np.array([[1, 0], [2**3, 0]]), np.array([[1.0, 0.0], [0.5, 0.5]]))
+    with pytest.raises(IndexError):
+        correlation_gap_check(inst, 0, SubsetDistribution(((2**3, 1.0),)))
+
+
 def test_budget_balance_matches_g():
     inst = generate("uniform-random", 6, 2, 44)
     rng = np.random.default_rng(0)
@@ -294,20 +313,28 @@ def test_gap_ratio_is_infinite_when_only_the_denominator_vanishes(monkeypatch):
     assert correlation_gap_check(generate("uniform-random", 2, 1, 0), 0, dist) == math.inf
 
 
-def test_gap_suite_reads_one_table_per_check(monkeypatch):
-    calls = Counter()
-    table, check = mnl.optimal_revenue_table, suites.correlation_gap_check
+def _fields(reports):
+    return [(r.name, r.cases, r.violations, list(r.notes.items())) for r in reports]
 
-    def counted_table(inst, j):
-        calls["table"] += 1
-        return table(inst, j)
 
-    def counted_check(*args):
-        calls["check"] += 1
-        return check(*args)
+@pytest.mark.parametrize("seed", [1, 2, 3])
+@pytest.mark.parametrize("bounds", [None, (0.0, 0.0)], ids=["paper-bounds", "every-ratio-recorded"])
+def test_gap_suite_matches_the_per_draw_reference(monkeypatch, seed, bounds):
+    # with both bounds at 0 every defined ratio is recorded, in draw order
+    if bounds:
+        monkeypatch.setattr(suites, "GAP_GENERAL_BOUND", bounds[0])
+        monkeypatch.setattr(suites, "GAP_UNIFORM_BOUND", bounds[1])
+    got, want = suites.suite_gap(seed), reference_suite_gap(seed)
+    assert _fields(got) == _fields(want)
+    assert got[0].notes["undefined-draws"] > 0  # the 0/0 draws are among them
+    assert len(got[0].violations) > (900 if bounds else -1)
 
-    monkeypatch.setattr(mnl, "optimal_revenue_table", counted_table)
-    monkeypatch.setattr(suites, "correlation_gap_check", counted_check)
-    report, _ = suites.suite_gap(1)
-    assert report.notes["undefined-draws"] > 0  # the 0/0 draws are among them
-    assert calls["table"] == calls["check"] > 0
+
+def test_gap_suite_reads_no_instance_table(monkeypatch):
+    def unreachable(inst, j):
+        raise AssertionError("the suite read an instance's optimal-revenue table")
+
+    monkeypatch.setattr(mnl, "optimal_revenue_table", unreachable)
+    report, exact = suites.suite_gap(1)
+    assert (report.cases, exact.cases) == (suites.GAP_DRAWS, 100)
+    assert report.passed and exact.passed

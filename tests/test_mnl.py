@@ -201,6 +201,23 @@ def test_subset_sums_add_members_in_ascending_order():
             assert sums.tobytes() == subset_sums(row, start).tobytes()
 
 
+def test_stacked_row_builders_give_each_instance_table_row_bit_for_bit():
+    # one supplier of each of several instances of one size, as the
+    # correlation-gap suite stacks them
+    for n in (1, 3, 6, 10):
+        picks = [(generate(kind, n, 3, 60 + n), s % 3) for s, kind in enumerate(GENERATOR_KINDS * 2)]
+        values = np.stack([inst.r[:, j] * inst.w[j] for inst, j in picks])
+        weights = np.stack([inst.w[j] for inst, j in picks])
+        rtabs = mnl.expected_revenue_rows(values, weights)
+        gtabs = mnl.max_over_subsets(rtabs.copy())
+        for (inst, j), rtab, gtab in zip(picks, rtabs, gtabs):
+            assert rtab.tobytes() == expected_revenue_table(inst, j).tobytes()
+            assert gtab.tobytes() == optimal_revenue_table(inst, j).tobytes()
+    # the sweep reshapes in place, which a strided view would silently copy
+    with pytest.raises(ValueError, match="C-contiguous"):
+        mnl.max_over_subsets(np.zeros((8, 4)).T)
+
+
 @pytest.mark.parametrize("kind", GENERATOR_KINDS)
 def test_revenue_table_is_expected_revenue_bit_for_bit(kind):
     for n in range(1, 11):
