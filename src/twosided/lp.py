@@ -400,7 +400,7 @@ def lp1_exact_small(inst: Instance) -> float:
     cols[m + tau // n_offers, lam.size + tau] = 1.0
     link = m + n + np.arange(n * m).reshape(n, m, 1)
     cols[link, lam.reshape(1, m, n_sets)] = mnl.subset_masks(n).T[:, None, :]
-    phi = mnl.choice_prob_table(inst)
+    phi = mnl.choice_prob_table(inst.u)
     cols[link, lam.size + tau.reshape(n, 1, n_offers)] = -phi.transpose(0, 2, 1)
 
     singletons = (lam[::n_sets] + (1 << np.arange(n))[:, None]).reshape(-1)

@@ -140,12 +140,14 @@ def subset_masks(k: int) -> np.ndarray:
     return masks
 
 
-def choice_prob_table(inst: Instance) -> np.ndarray:
-    """phi[i, a, j]: probability that customer i picks supplier j from the
-    supplier offer with bitmask a (zero where j is not offered), an
-    (n, 2^m, m) array."""
-    offers = subset_masks(inst.m)  # row a is the offer with bitmask a
-    return inst.u[:, None, :] * offers / (1.0 + inst.u @ offers.T)[:, :, None]
+def choice_prob_table(u: np.ndarray) -> np.ndarray:
+    """phi[..., i, a, j]: probability that customer i, of customer weights
+    ``u[..., i, :]``, picks supplier j from the supplier offer with bitmask
+    a (zero where j is not offered): an (n, 2^m, m) array from an
+    instance's (n, m) ``u``, or one such array per instance from stacked
+    (k, n, m) weights, each bit for bit its instance's table."""
+    offers = subset_masks(u.shape[-1])  # row a is the offer with bitmask a
+    return u[..., None, :] * offers / (1.0 + u @ offers.T)[..., None]
 
 
 def subset_sums(v, start=0.0) -> np.ndarray:
@@ -211,17 +213,19 @@ def optimal_revenue_table(inst: Instance, j: int) -> np.ndarray:
     return inst.optimal_revenue_tables[check_supplier(inst, j)]
 
 
-def independent_subset_probs(q) -> np.ndarray:
+def independent_subset_probs(q, out: np.ndarray | None = None) -> np.ndarray:
     """Probability of every subset, indexed by bitmask, when element i is
     included independently with probability q[i].
 
     ``q`` of shape (n, k) gives k product distributions at once, one per
-    column, as a (2^n, k) array. Built by doubling into one array: the sets
-    with element i take the first half's probabilities times q[i], then the
-    first half is multiplied by 1 - q[i].
+    column, as a (2^n, k) array; more trailing axes work the same way.
+    Built by doubling into one array: the sets with element i take the
+    first half's probabilities times q[i], then the first half is
+    multiplied by 1 - q[i]. ``out``, a (2^n, …) array of any strides, is
+    filled and returned instead of a new array; the products are the same.
     """
     q = np.asarray(q, dtype=float)
-    probs = np.empty((1 << q.shape[0],) + q.shape[1:])
+    probs = np.empty((1 << q.shape[0],) + q.shape[1:]) if out is None else out
     probs[0] = 1.0
     k = 1
     for x in q:

@@ -4,7 +4,12 @@ Oracles: a dynamic program over per-customer statuses for the
 adaptive-order problem, swept backwards one array batch per number of
 unprocessed customers; the same program with a forced processing order;
 and exhaustive search over static assortment profiles. All three are exact
-and exist to verify the approximation guarantees of the two policies:
+and exist to verify the approximation guarantees of the two policies.
+Each runs batched over a group of instances of one size, with a leading
+instance axis on every array (:func:`exact_dp_values`,
+:func:`exact_star_values`); the one-instance entry points are the batch of
+one, and every instance's value is bit for bit the same in any batch.
+The two policies are:
 
 * randomized static -- sample each customer's assortment from the nested
   distribution induced by LP marginals, then let every supplier keep the
@@ -89,6 +94,15 @@ def _backlog(choice: np.ndarray, j: int) -> tuple[int, ...]:
     return tuple(np.flatnonzero(choice == j).tolist())
 
 
+def _batch_size(insts: Sequence[Instance]) -> tuple[int, int]:
+    """The (n, m) that every instance of a batch shares; ``ValueError`` for
+    an empty batch or one of mixed sizes."""
+    sizes = {(inst.n, inst.m) for inst in insts}
+    if len(sizes) != 1:
+        raise ValueError(f"a batch needs instances of one size (n, m), got {sorted(sizes)}")
+    return sizes.pop()
+
+
 def _require_dp_size(inst: Instance) -> None:
     n, m = inst.n, inst.m
     # the largest arrays hold one element per state and customer or per state and supplier
@@ -165,18 +179,25 @@ _START_SUMS = np.array([[0.0], [1.0]])
 
 def _layer_step(values: np.ndarray, layer: _DpLayer, u: np.ndarray):
     """Best value and action of every state in ``layer`` from its
-    successors' ``values``. Each (state, candidate) pair takes the prefix
-    rule of :func:`mnl.best_prefix`, batched, with the same floating-point
-    operations: a stable sort of the gains, running sums from 0 and 1, the
-    first best prefix (index 0 is the empty offer), then each state keeps
-    its first best candidate. Returns the state values and, per state, the
-    chosen customer, its supplier ranking and its prefix length."""
-    succ = values[layer.successors]  # (P, m+1)
+    successors' ``values``, for a batch of k instances: ``values`` holds one
+    row of state values per instance and ``u`` one (n, m) block, and the
+    (state, candidate) pairs of all k are swept as one array, instance by
+    instance. Each pair takes the prefix rule of :func:`mnl.best_prefix`,
+    batched, with the same floating-point operations: a stable sort of the
+    gains, running sums from 0 and 1, the first best prefix (index 0 is the
+    empty offer), then each state keeps its first best candidate. Every
+    step is elementwise or along one pair's row, so an instance's results
+    do not depend on the batch. Returns the (k, N) state values and, per
+    state, the chosen customer, its supplier ranking and its prefix
+    length."""
+    batch, n, m = u.shape
+    succ = values.take(layer.successors, axis=1).reshape(-1, m + 1)  # (k*P, m+1)
     succ_out = succ[:, 0]
     gains = succ[:, 1:] - succ_out[:, None]
     rank = np.argsort(-gains, axis=1, kind="stable")
     pairs = np.arange(rank.shape[0])[:, None]
-    weights = u[layer.customers[:, None], rank]
+    rows = (np.arange(0, batch * n, n)[:, None] + layer.customers).reshape(-1, 1)  # each pair's row of the stacked u
+    weights = u.reshape(-1, m)[rows, rank]
     sums = np.empty((2,) + succ.shape)  # running sums of rho*u and of u
     sums[:, :, 0] = _START_SUMS
     sums[0, :, 1:] = gains[pairs, rank] * weights
@@ -184,9 +205,11 @@ def _layer_step(values: np.ndarray, layer: _DpLayer, u: np.ndarray):
     np.cumsum(sums, axis=2, out=sums)
     ratio = np.divide(sums[0], sums[1], out=sums[0])
     length = ratio.argmax(axis=1)
-    v = (succ_out + ratio[pairs[:, 0], length]).reshape(layer.states.size, -1)
+    v = (succ_out + ratio[pairs[:, 0], length]).reshape(batch * layer.states.size, -1)
     chosen = np.arange(v.shape[0]) * v.shape[1] + v.argmax(axis=1)
-    return v.max(axis=1), (layer.customers[chosen], rank[chosen], length[chosen])
+    customers = layer.customers[chosen % layer.customers.size].reshape(batch, -1)
+    ranks = rank.take(chosen, axis=0).reshape(batch, -1, m)
+    return v.max(axis=1).reshape(batch, -1), (customers, ranks, length[chosen].reshape(batch, -1))
 
 
 class PolicyTable(Mapping):
@@ -241,37 +264,50 @@ class PolicyTable(Mapping):
         return decoded
 
 
-def _dp(inst: Instance, order: tuple[int, ...] | None):
+def _dp_batch(insts: Sequence[Instance], order: tuple[int, ...] | None):
     """Backward induction over per-customer statuses (unprocessed / outside
-    / chosen supplier), one array batch per number of unprocessed
-    customers (see :func:`_layer_step`). With ``order`` the t-th step
-    processes ``order[t]``; without it every unprocessed customer is a
-    candidate and the first best one (in index order) is kept. The
-    boundary value sums each supplier's optimal revenue over its backlog in
-    supplier order. Values and actions must equal, bit for bit, those of
-    the memoized recursion ``tests/oracles.py::reference_prefix_dp``.
-    Returns (value, :class:`PolicyTable`).
+    / chosen supplier) for a batch of instances of one size, one array
+    batch per number of unprocessed customers across the whole batch (see
+    :func:`_layer_step`). With ``order`` the t-th step processes
+    ``order[t]``; without it every unprocessed customer is a candidate and
+    the first best one (in index order) is kept. The boundary value sums
+    each supplier's optimal revenue over its backlog in supplier order,
+    from each instance's own tables. Values and actions must equal, bit for
+    bit, those of the memoized recursion
+    ``tests/oracles.py::reference_prefix_dp`` on each instance. Returns each
+    instance's value (k,), the state codes (S,) of every state with a
+    customer left, and each instance's (k, S) actions as
+    :class:`PolicyTable` packs them.
     """
-    _require_dp_size(inst)
-    n, m = inst.n, inst.m
+    n, m = _batch_size(insts)
+    _require_dp_size(insts[0])
     shape = _dp_structure(n, m, order)
-    values = np.empty(shape.size)
-    values[shape.final_states] = sum(mnl.optimal_revenue_table(inst, j)[shape.final_masks[j]] for j in range(m))
+    u = np.array([inst.u for inst in insts])
+    gtabs = np.array([inst.optimal_revenue_tables for inst in insts])
+    values = np.empty((len(insts), shape.size))
+    values[:, shape.final_states] = sum(gtabs[:, j].take(shape.final_masks[j], axis=1) for j in range(m))
     picked = []
     for layer in shape.layers:
-        values[layer.states], action = _layer_step(values, layer, inst.u)
+        values[:, layer.states], action = _layer_step(values, layer, u)
         picked.append(action)
-    customers, ranks, lengths = (np.concatenate(parts) for parts in zip(*picked))
-    offers = np.where(np.arange(m) < lengths[:, None], 1 << ranks, 0).sum(axis=1)
+    customers, ranks, lengths = (np.concatenate(parts, axis=1) for parts in zip(*picked))
+    offers = np.where(np.arange(m) < lengths[..., None], 1 << ranks, 0).sum(axis=2)
     codes = np.concatenate([layer.states for layer in shape.layers])
-    return float(values[0]), PolicyTable(n, m, codes, customers.astype(np.int64) << m | offers)
+    return values[:, 0], codes, customers.astype(np.int64) << m | offers
+
+
+def _dp(inst: Instance, order: tuple[int, ...] | None):
+    """:func:`_dp_batch` on the batch of one ``inst``. Returns (value,
+    :class:`PolicyTable`)."""
+    values, codes, actions = _dp_batch([inst], order)
+    return float(values[0]), PolicyTable(inst.n, inst.m, codes, actions[0])
 
 
 def exact_dp_atar(inst: Instance):
     """Optimal adaptive value and policy table.
 
     At each state the program picks the remaining customer and supplier
-    assortment of highest value; see :func:`_dp`.
+    assortment of highest value; see :func:`_dp_batch`.
     Returns (optimal value, :class:`PolicyTable` of status -> (customer,
     assortment)).
     """
@@ -284,6 +320,16 @@ def exact_dp_ftar(inst: Instance, order) -> float:
     return _dp(inst, as_permutation(order, inst.n))[0]
 
 
+def exact_dp_values(insts: Sequence[Instance], order=None) -> np.ndarray:
+    """The :func:`exact_dp_atar` value of each instance of a batch of one
+    size, or with ``order`` its :func:`exact_dp_ftar` value, from one sweep
+    over the batch (:func:`_dp_batch`); bit for bit the one-instance
+    values."""
+    if order is not None:
+        order = as_permutation(order, _batch_size(insts)[0])
+    return _dp_batch(insts, order)[0]
+
+
 def exact_star(inst: Instance) -> float:
     """Optimal value over deterministic static assortment profiles, all
     customers processed simultaneously.
@@ -292,9 +338,21 @@ def exact_star(inst: Instance) -> float:
     backlog is product-Bernoulli with inclusion probabilities
     phi_i(j, S_i); by linearity of expectation a profile's value is the sum
     over suppliers of that distribution integrated against the
-    optimal-revenue table. All profiles are evaluated at once.
+    optimal-revenue table. All profiles are evaluated at once; this is
+    :func:`exact_star_values` on the batch of one.
     """
-    n, m = inst.n, inst.m
+    return float(exact_star_values([inst])[0])
+
+
+def exact_star_values(insts: Sequence[Instance]) -> np.ndarray:
+    """The :func:`exact_star` value of each instance of a batch of one
+    size. The choice probabilities and every supplier's backlog
+    distributions are built for the whole batch as one array each, laid
+    out so that each instance's (2^n, profiles) block is contiguous; each
+    instance then integrates its own optimal-revenue row against its block,
+    one product per supplier, so every value is bit for bit the one
+    instance's."""
+    n, m = _batch_size(insts)
     # elements of a supplier's backlog distributions over all profiles and
     # of the choice probabilities phi, the largest arrays built below
     work = 2**n * 2 ** (m * n) + n * 2**m * m
@@ -303,13 +361,21 @@ def exact_star(inst: Instance) -> float:
             f"static exhaustive search needs ~{work} array elements for "
             f"{n}x{m}; limit is {STAR_WORK_LIMIT}"
         )
-    phi = mnl.choice_prob_table(inst)
-    # column k is one profile: customer i is offered mask profiles[i, k]
-    profiles = np.indices((2**m,) * n).reshape(n, -1)
-    customers = np.arange(n)[:, None]
-    values = sum(mnl.optimal_revenue_table(inst, j) @ mnl.independent_subset_probs(phi[customers, profiles, j])
-                 for j in range(m))
-    return float(values.max())
+    phi = mnl.choice_prob_table(np.array([inst.u for inst in insts]))
+    # column k is one profile: customer i is offered the mask a with
+    # offers[i, k] = i * 2^m + a, its entry in a row of phi[..., j]
+    offers = np.indices((2**m,) * n).reshape(n, -1)
+    offers += (np.arange(n) << m)[:, None]
+    probs = np.empty((len(insts), 2**n, offers.shape[1]))
+    values = np.zeros((len(insts), offers.shape[1]))
+    for j in range(m):
+        q = phi[..., j].reshape(len(insts), -1).take(offers, axis=1)  # (k, n, profiles)
+        # q and the probabilities with the instance axis second: the doubling
+        # runs along the bitmask axis and each instance's block stays contiguous
+        mnl.independent_subset_probs(q.transpose(1, 0, 2), out=probs.transpose(1, 0, 2))
+        for value, inst, block in zip(values, insts, probs):
+            value += inst.optimal_revenue_tables[j] @ block
+    return values.max(axis=1)
 
 
 class _SampledPolicy:

@@ -29,7 +29,7 @@ from .evaluate import (
 )
 from .instance import Instance, detect_same_order, generate
 from .lp import lp1_exact_small, lp2_exact_small
-from .policies import exact_dp_atar, exact_dp_ftar, exact_star
+from .policies import exact_dp_values, exact_star_values
 
 GAP_GENERAL_BOUND = 2.0
 GAP_UNIFORM_BOUND = math.e / (math.e - 1.0)
@@ -40,6 +40,8 @@ GAP_DRAWS = 1000
 SHARING_TRIALS = 1000
 ORDER_TRIALS = 1000
 CHAIN_COUNT = 200
+# chain instances per batched oracle call: bounds the batch's arrays (about 0.6 MiB at 3x2)
+CHAIN_GROUP = 50
 
 
 def counterexample_instance() -> Instance:
@@ -272,27 +274,33 @@ def suite_order(seed: int) -> list[PropertyReport]:
 
 def suite_chain(seed: int) -> list[PropertyReport]:
     """Value chain on random 3x2 instances: static <= fixed-order <=
-    adaptive <= assortment-distribution LP <= marginal LP."""
+    adaptive <= assortment-distribution LP <= marginal LP. The three exact
+    oracles run batched, one call each per group of ``CHAIN_GROUP``
+    instances (:func:`~twosided.policies.exact_star_values`,
+    :func:`~twosided.policies.exact_dp_values`), with bit for bit the
+    values of one call per instance; the two LPs are solved per instance."""
     report = PropertyReport(name="relaxation-chain")
-    for k in range(CHAIN_COUNT):
-        report.cases += 1
-        inst = generate("uniform-random", 3, 2, _sub_seed(seed, 401 + k))
-        star = exact_star(inst)
-        ftar = exact_dp_ftar(inst, tuple(range(inst.n)))
-        atar, _ = exact_dp_atar(inst)
-        lp1 = lp1_exact_small(inst)
-        lp2 = lp2_exact_small(inst).objective
-        chain = [("static", star), ("fixed-order", ftar), ("adaptive", atar), ("lp-sets", lp1), ("lp-marginal", lp2)]
-        for (lo_name, lo), (hi_name, hi) in zip(chain, chain[1:]):
-            if lo > hi + CHAIN_SLACK:
-                report.record(
-                    kind="chain-violation",
-                    seed=_sub_seed(seed, 401 + k),
-                    lower=lo_name,
-                    upper=hi_name,
-                    lo=lo,
-                    hi=hi,
-                )
+    for first in range(0, CHAIN_COUNT, CHAIN_GROUP):
+        seeds = [_sub_seed(seed, 401 + k) for k in range(first, min(first + CHAIN_GROUP, CHAIN_COUNT))]
+        group = [generate("uniform-random", 3, 2, s) for s in seeds]
+        oracles = exact_star_values(group), exact_dp_values(group, range(3)), exact_dp_values(group)
+        for inst, case_seed, star, ftar, atar in zip(group, seeds, *(values.tolist() for values in oracles)):
+            report.cases += 1
+            lp1 = lp1_exact_small(inst)
+            lp2 = lp2_exact_small(inst).objective
+            chain = [
+                ("static", star), ("fixed-order", ftar), ("adaptive", atar), ("lp-sets", lp1), ("lp-marginal", lp2)
+            ]
+            for (lo_name, lo), (hi_name, hi) in zip(chain, chain[1:]):
+                if lo > hi + CHAIN_SLACK:
+                    report.record(
+                        kind="chain-violation",
+                        seed=case_seed,
+                        lower=lo_name,
+                        upper=hi_name,
+                        lo=lo,
+                        hi=hi,
+                    )
     return [report]
 
 

@@ -23,6 +23,8 @@ from twosided.lp import (
     DualViolation,
     RestrictedMaster,
     ViolatedSets,
+    lp1_exact_small,
+    lp2_exact_small,
 )
 from twosided.mnl import SizeLimitError, choice_prob, expected_revenue_table, mask_of, subset_masks, subset_of
 from twosided.policies import (
@@ -33,6 +35,9 @@ from twosided.policies import (
     SupplierOutcome,
     _require_dp_size,
     best_marginal_assortment,
+    exact_dp_atar,
+    exact_dp_ftar,
+    exact_star,
 )
 from twosided.simplex import FEASIBILITY_TOL, LinearProgram, LpResult, LpSolverError
 
@@ -1122,3 +1127,30 @@ def reference_suite_gap(seed: int) -> list[PropertyReport]:
         if ratio is None or abs(ratio - 1.0) > 1e-12:
             exact.record(kind="product", ratio=ratio)
     return [report, exact]
+
+
+def reference_suite_chain(seed: int) -> list[PropertyReport]:
+    """The relaxation-chain suite with one oracle call per instance, the
+    loop that the batched oracles replaced, kept verbatim but for the
+    module prefixes."""
+    report = PropertyReport(name="relaxation-chain")
+    for k in range(suites.CHAIN_COUNT):
+        report.cases += 1
+        inst = generate("uniform-random", 3, 2, suites._sub_seed(seed, 401 + k))
+        star = exact_star(inst)
+        ftar = exact_dp_ftar(inst, tuple(range(inst.n)))
+        atar, _ = exact_dp_atar(inst)
+        lp1 = lp1_exact_small(inst)
+        lp2 = lp2_exact_small(inst).objective
+        chain = [("static", star), ("fixed-order", ftar), ("adaptive", atar), ("lp-sets", lp1), ("lp-marginal", lp2)]
+        for (lo_name, lo), (hi_name, hi) in zip(chain, chain[1:]):
+            if lo > hi + suites.CHAIN_SLACK:
+                report.record(
+                    kind="chain-violation",
+                    seed=suites._sub_seed(seed, 401 + k),
+                    lower=lo_name,
+                    upper=hi_name,
+                    lo=lo,
+                    hi=hi,
+                )
+    return [report]

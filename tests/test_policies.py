@@ -1,23 +1,31 @@
+import math
 import re
+from collections import Counter
 from fractions import Fraction
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from oracles import exact_g
-from twosided.instance import detect_same_order, generate, normalize_revenues
+from oracles import exact_g, reference_layer_order, reference_prefix_dp, reference_suite_chain
+from twosided import mnl, policies, suites
+from twosided.instance import GENERATOR_KINDS, detect_same_order, generate, normalize_revenues
 from twosided.lp import lp1_exact_small, lp2_exact_small
 from twosided.mnl import SizeLimitError, choice_prob, optimal_revenue
 from twosided.policies import (
     PolicyPreconditionError,
+    PolicyTable,
     RandomizedStaticPolicy,
     SameOrderGreedyPolicy,
+    _dp,
+    _dp_batch,
     _require_dp_size,
     best_marginal_assortment,
     exact_dp_atar,
     exact_dp_ftar,
+    exact_dp_values,
     exact_star,
+    exact_star_values,
 )
 
 TOL = 1e-9
@@ -57,24 +65,166 @@ DP_ACCEPTED = readme_limits("dp")
 STAR_ACCEPTED = readme_limits("star")
 
 
+class _Passed(Exception):
+    """Raised by a stand-in for the first step after a size guard."""
+
+
+def _passed(*args, **kwargs):
+    raise _Passed
+
+
+def _batches_share_the_guard(monkeypatch, n, m, last, one, batched, first_step):
+    """Batches of three refuse the sizes past n x m (m + 1 too when
+    ``last``) with the message ``one`` instance gets, and pass the guard at
+    n x m, where ``first_step`` stands in for the first step after it."""
+    for size in [(n + 1, m)] + ([(n, m + 1)] if last else []):
+        batch = [generate("uniform-random", *size, seed) for seed in range(3)]
+        with pytest.raises(SizeLimitError) as refused:
+            one(batch[0])
+        for call in batched:
+            with pytest.raises(SizeLimitError) as many:
+                call(batch)
+            assert str(many.value) == str(refused.value)
+    monkeypatch.setattr(*first_step, _passed)  # past the guard, nothing is run
+    for call in batched:
+        with pytest.raises(_Passed):
+            call([generate("uniform-random", n, m, seed) for seed in range(3)])
+
+
 @pytest.mark.parametrize("n, m", DP_ACCEPTED)
-def test_dp_guard_matches_readme_limits(n, m):
+def test_dp_guard_matches_readme_limits(monkeypatch, n, m):
     _require_dp_size(generate("uniform-random", n, m, 0))  # the DP itself is not run
     with pytest.raises(SizeLimitError):
         _require_dp_size(generate("uniform-random", n + 1, m, 0))
     if (n, m) == DP_ACCEPTED[-1]:
         with pytest.raises(SizeLimitError):
             _require_dp_size(generate("uniform-random", n, m + 1, 0))
+    batched = [exact_dp_values, lambda batch: exact_dp_values(batch, range(batch[0].n))]
+    last = (n, m) == DP_ACCEPTED[-1]
+    _batches_share_the_guard(monkeypatch, n, m, last, exact_dp_atar, batched, (policies, "_dp_structure"))
 
 
 @pytest.mark.parametrize("n, m", STAR_ACCEPTED)
-def test_star_guard_matches_readme_limits(n, m):
+def test_star_guard_matches_readme_limits(monkeypatch, n, m):
     assert exact_star(generate("uniform-random", n, m, 0)) >= 0.0
     with pytest.raises(SizeLimitError):
         exact_star(generate("uniform-random", n + 1, m, 0))
     if (n, m) == STAR_ACCEPTED[-1]:
         with pytest.raises(SizeLimitError):
             exact_star(generate("uniform-random", n, m + 1, 0))
+    last = (n, m) == STAR_ACCEPTED[-1]
+    _batches_share_the_guard(monkeypatch, n, m, last, exact_star, [exact_star_values], (mnl, "choice_prob_table"))
+
+
+class _NoNumpy:
+    def __getattr__(self, name):
+        raise AssertionError(f"the batch reached numpy.{name} before its checks")
+
+
+@pytest.mark.parametrize(
+    "batch",
+    [[], [(3, 2), (3, 2), (2, 3)], [(3, 2), (3, 1)], [(3, 2), (10, 4)]],
+    ids=["empty", "mixed-n-and-m", "mixed-m", "mixed-with-one-too-large"],
+)
+def test_batches_refuse_mixed_sizes_before_any_allocation(monkeypatch, batch):
+    insts = [generate("uniform-random", n, m, 5) for n, m in batch]
+    monkeypatch.setattr(policies, "np", _NoNumpy())
+    monkeypatch.setattr(mnl, "choice_prob_table", _passed)
+    for call in (exact_star_values, exact_dp_values, lambda b: exact_dp_values(b, range(3))):
+        with pytest.raises(ValueError, match="one size") as refused:
+            call(insts)
+        assert type(refused.value) is ValueError  # not the SizeLimitError of a single size
+    assert all("optimal_revenue_tables" not in vars(inst) for inst in insts)  # no table built
+
+
+def _batches(zero_revenue_instance, counterexample):
+    """The four generator kinds at each size, with the two fixtures mixed
+    in among the instances of their size."""
+    for n, m in ((2, 3), (3, 2), (3, 3), (4, 2), (3, 1)):
+        batch = [generate(kind, n, m, 10 * n + m + k) for k, kind in enumerate(GENERATOR_KINDS)]
+        for fixture in (zero_revenue_instance, counterexample):
+            if (fixture.n, fixture.m) == (n, m):
+                batch.insert(2, fixture)
+        yield batch
+
+
+def test_batched_oracles_are_the_per_instance_ones_bit_for_bit(zero_revenue_instance, counterexample):
+    for batch in _batches(zero_revenue_instance, counterexample):
+        n = batch[0].n
+        stars = exact_star_values(batch)
+        assert stars.tolist() == exact_star_values(batch[::-1]).tolist()[::-1]  # no dependence on position
+        for inst, star in zip(batch, stars.tolist()):
+            assert star.hex() == exact_star(inst).hex()
+        for order in (None, tuple(range(n)), tuple(reversed(range(n)))):
+            values, codes, actions = _dp_batch(batch, order)
+            assert values.tolist() == exact_dp_values(batch, order).tolist()
+            for inst, value, action in zip(batch, values.tolist(), actions):
+                want, ref = reference_prefix_dp(inst, order)
+                assert value.hex() == float(want).hex()
+                table = PolicyTable(n, inst.m, codes, action)
+                assert table == ref
+                assert list(table) == list(reference_layer_order(ref))
+                one = _dp(inst, order)
+                assert one[0].hex() == value.hex() and one[1] == ref
+                if order is None:
+                    assert exact_dp_atar(inst)[0].hex() == value.hex()
+                else:
+                    assert exact_dp_ftar(inst, order).hex() == value.hex()
+
+
+def _exact(value):
+    """A float as its hex digits, so == compares every bit; its type is
+    kept, so an np.float64 does not pass for a float."""
+    return (type(value), value.hex()) if isinstance(value, float) else value
+
+
+def _chain_fields(reports):
+    return [
+        (r.name, r.cases, [{k: _exact(v) for k, v in w.items()} for w in r.violations], r.notes)
+        for r in reports
+    ]
+
+
+@pytest.mark.parametrize("slack", [None, -math.inf], ids=["paper-slack", "every-pair-recorded"])
+@pytest.mark.parametrize("count", [200, 20], ids=["full", "partial-group"])
+@pytest.mark.parametrize("seed", [1, 2, 3])
+def test_chain_suite_matches_the_per_instance_reference(monkeypatch, seed, count, slack):
+    monkeypatch.setattr(suites, "CHAIN_COUNT", count)
+    if slack is not None:  # every pair's lo and hi are recorded
+        monkeypatch.setattr(suites, "CHAIN_SLACK", slack)
+    got, want = suites.suite_chain(seed), reference_suite_chain(seed)
+    assert _chain_fields(got) == _chain_fields(want)
+    assert len(got[0].violations) == (4 * count if slack else 0)
+    assert all(type(w[k]) is float for w in got[0].violations for k in ("lo", "hi"))
+
+
+def test_chain_suite_runs_each_oracle_once_per_group(monkeypatch):
+    calls, instances = Counter(), Counter()
+
+    def counted(name, real):
+        def call(*args, **kwargs):
+            calls[name] += 1
+            return real(*args, **kwargs)
+
+        return call
+
+    real_step = policies._layer_step
+
+    def step(values, layer, u):
+        calls["_layer_step"] += 1
+        instances[u.shape[0]] += 1
+        return real_step(values, layer, u)
+
+    monkeypatch.setattr(policies, "_layer_step", step)
+    monkeypatch.setattr(mnl, "independent_subset_probs", counted("probs", mnl.independent_subset_probs))
+    for name in ("exact_star", "exact_dp_atar", "exact_dp_ftar", "_dp"):
+        monkeypatch.setattr(policies, name, counted(name, getattr(policies, name)))
+    (report,) = suites.suite_chain(1)
+    groups = -(-suites.CHAIN_COUNT // suites.CHAIN_GROUP)
+    # 3x2 instances: n = 3 layers per DP, two DPs, and m = 2 backlog products per static search
+    assert calls == {"_layer_step": groups * 2 * 3, "probs": groups * 2}
+    assert instances == {suites.CHAIN_GROUP: groups * 2 * 3}
+    assert report.cases == suites.CHAIN_COUNT and report.passed
 
 
 def test_ftar_single_customer_equals_adaptive():
