@@ -9,6 +9,7 @@ All indices are 0-based.
 from __future__ import annotations
 
 import json
+from collections.abc import Sequence
 from dataclasses import dataclass
 from functools import cached_property
 from pathlib import Path
@@ -137,6 +138,15 @@ def as_permutation(order, n: int) -> tuple[int, ...]:
     if sorted(order) != list(range(n)):
         raise ValueError(f"order must be a permutation of range({n})")
     return order
+
+
+def batch_size(insts: Sequence[Instance]) -> tuple[int, int]:
+    """The (n, m) that every instance of a batch shares; ``ValueError`` for
+    an empty batch or one of mixed sizes."""
+    sizes = {(inst.n, inst.m) for inst in insts}
+    if len(sizes) != 1:
+        raise ValueError(f"a batch needs instances of one size (n, m), got {sorted(sizes)}")
+    return sizes.pop()
 
 
 def normalize_revenues(inst: Instance) -> Instance:

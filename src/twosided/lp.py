@@ -7,13 +7,17 @@ assortment variables by per-pair choice marginals x[i][j] constrained
 through the MNL identity x[i][j]/u[i][j] + sum_l x[i][l] <= 1. Both are
 instantiated in full (every subset variable) at desk scale only. Both are
 solved one way: their columns are written straight into one column-major
-array, and ``simplex._optimize`` (phase 2) runs from a basis known to be
-feasible, so no LP here runs phase 1. ``lp1_exact_small`` does so for the
-first. Every marginal LP, full or with the backlog support the ellipsoid
-module generates, is built by a ``RestrictedMaster``, which is its own
-revised basis and keeps that basis between solves. Its ``lp`` property
-gives the named ``LinearProgram`` only when read. Its lambda
-columns are keyed ``j << n | mask`` (bit i: customer i): the full LP is the
+array, and the phase-2 simplex runs from a basis known to be feasible, so
+no LP here runs phase 1. A batch of LPs of one size is solved in lockstep
+(``simplex._optimize_lockstep``, :func:`lp1_exact_values`,
+:func:`lp2_exact_values`), each LP bit for bit its one-LP solve
+(``simplex._optimize``), which also takes every LP that leaves the
+lockstep. ``lp1_exact_values`` builds the first; ``lp1_exact_small`` is its
+batch of one. Every marginal LP, full or with the backlog support the
+ellipsoid module generates, is built by a ``RestrictedMaster``, which is
+its own revised basis and keeps that basis between solves; a batch stacks
+one master's structure. The master's ``lp`` property gives the named
+``LinearProgram`` only when read. Its lambda columns are keyed ``j << n | mask`` (bit i: customer i): the full LP is the
 keys ``0 .. m 2^n - 1``, and only a solution's support is decoded. A key is
 also the flat index of the instance's (m, 2^n) revenue tables, which its
 lambda costs and the oracle read (``inst.expected_revenue_tables``). A
@@ -23,6 +27,7 @@ half-subset-sum matrix per (n, m) (``RestrictedMaster.pricing``).
 
 from __future__ import annotations
 
+from collections.abc import Sequence
 from dataclasses import dataclass, field
 from functools import lru_cache
 
@@ -30,9 +35,9 @@ import numpy as np
 
 from . import mnl
 from .cost_assortment import SubDualOracle
-from .instance import Instance
+from .instance import Instance, batch_size
 from .simplex import LinearProgram, LpResult, LpSolverError
-from .simplex import _optimize, _RevisedBasis
+from .simplex import _optimize, _optimize_lockstep, _RevisedBasis
 
 LP2_MAX_N = 10
 LP2_MAX_M = 4
@@ -117,16 +122,49 @@ class ViolatedSets:
         return list(self._sets[j])
 
 
+def _require_lp2_size(n: int, m: int) -> None:
+    if n > LP2_MAX_N or m > LP2_MAX_M:
+        raise mnl.SizeLimitError(f"exact marginal LP limited to n <= {LP2_MAX_N}, m <= {LP2_MAX_M}; got {n}x{m}")
+
+
 def lp2_exact_small(inst: Instance) -> LpSolution:
     """Solve the marginal LP exactly by instantiating every backlog variable
     (n <= 10, m <= 4): one :class:`RestrictedMaster` over every key, solved
     from its start basis."""
-    if inst.n > LP2_MAX_N or inst.m > LP2_MAX_M:
-        raise mnl.SizeLimitError(
-            f"exact marginal LP limited to n <= {LP2_MAX_N}, m <= {LP2_MAX_M}; got {inst.n}x{inst.m}"
-        )
+    _require_lp2_size(inst.n, inst.m)
     master = RestrictedMaster(inst, np.arange(inst.m << inst.n))
     return master.extract(master.solve())
+
+
+def lp2_exact_values(insts: Sequence[Instance]) -> list[float]:
+    """The marginal LP optimum of every instance of a batch of one (n, m),
+    each bit for bit ``lp2_exact_small(inst).objective``.
+
+    The batch stacks the structure of one full :class:`RestrictedMaster`,
+    writes each instance's MNL coefficients and lambda costs with the
+    master's own statement (:func:`_write_instance`), and solves every LP in
+    lockstep from the master's start basis (``simplex._optimize_lockstep``).
+    An LP that leaves the lockstep is solved by :func:`lp2_exact_small`, as
+    is every LP of a size whose master prices by key (``KEY_PRICING_MIN``
+    lambda columns or more: 8x4, 9x2, 10x1 and larger), which the lockstep's
+    dense pricing would not match bit for bit."""
+    n, m = batch_size(insts)
+    _require_lp2_size(n, m)
+    master = RestrictedMaster(insts[0], np.arange(m << n))
+    if master.key_priced:
+        return [lp2_exact_small(inst).objective for inst in insts]
+    k, nm = len(insts), n * m
+    cols = np.empty((k,) + master.cols.T.shape).transpose(0, 2, 1)  # each block column-major
+    cols[:] = master.cols
+    c = np.zeros((k, master._c.size))
+    revenue = np.array([inst.expected_revenue_tables for inst in insts]).reshape(k, -1)
+    _write_instance(cols, c, np.array([inst.u for inst in insts]), revenue, master.keys)
+    b = np.tile(master._b, (k, 1))
+    x, left = _optimize_lockstep(cols, np.tile(master.basis, (k, 1)), cols[:, :, master.basis], b, b, -c)
+    values = [float(c[t, nm:] @ x[t, nm:]) for t in range(k)]
+    for t in left:
+        values[t] = lp2_exact_small(insts[t]).objective
+    return values
 
 
 def build_aux_primal(inst: Instance, violated: ViolatedSets) -> RestrictedMaster:
@@ -175,6 +213,9 @@ class RestrictedMaster(_RevisedBasis):
     0, 1), so no solve needs phase 1. An appended column is nonbasic, so the
     basis and its inverse carry over.
 
+    Per instance, only the MNL coefficients 1 + 1/u_ij and the lambda costs
+    differ (:func:`_write_instance`).
+
     A lambda column is 1 on its supplier's distribution row j and on the
     consistency row of each member i, so its min-form reduced cost is its
     cost less ``y_j + sum_{i in S} y_ij``. With the customers split at
@@ -203,16 +244,16 @@ class RestrictedMaster(_RevisedBasis):
         cols[me + pairs, pairs] = 1.0
         x[m + pairs, pairs] = -1.0
         x[me + pairs[:, None], (pairs // m * m)[:, None] + np.arange(m)] = 1.0
-        x[me + pairs, pairs] += 1.0 / inst.u.reshape(-1)
+        _write_instance(cols, self._c, inst.u, self._revenue, self.keys)
         empty = [2 * nm + np.flatnonzero(self.keys == j << n)[0] for j in range(m)]
         basis = np.concatenate([empty, np.arange(nm, 2 * nm), np.arange(nm)])
         super().__init__(cols, basis, np.ascontiguousarray(cols[:, basis]), self._b.copy())
 
     def _with_lambdas(self, head: int, new: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """A column-major array and an objective, one allocation each: ``head``
-        zero columns for the caller, then the lambda columns of keys ``new``."""
+        """A column-major array and a zero objective, one allocation each:
+        ``head`` zero columns for the caller, then the lambda columns of keys
+        ``new``, without their costs."""
         c = np.zeros(head + new.size)
-        c[head:] = self._revenue[new]
         cols = np.zeros((self._b.size, c.size), order="F")
         # per supplier the lambdas form a distribution; per pair the lambda
         # mass containing customer i matches x[i][j]; the MNL rows stay zero
@@ -232,7 +273,7 @@ class RestrictedMaster(_RevisedBasis):
         if new.size:
             head = self._c.size
             cols, c = self._with_lambdas(head, new)
-            cols[:, :head], c[:head] = self.cols, self._c
+            cols[:, :head], c[:head], c[head:] = self.cols, self._c, self._revenue[new]
             self.cols, self._c, self.keys = cols, c, np.concatenate([self.keys, new])
         return new.tolist()
 
@@ -320,10 +361,15 @@ class RestrictedMaster(_RevisedBasis):
         ``KEY_PRICING_MIN`` lambda columns and at least as many as the
         half-subset-sum table has rows, and one dense product below that,
         where the table's fixed cost exceeds the product it saves."""
+        return self.key_pricing(cost, n_cols) if self.key_priced else super().pricing(cost, n_cols)
+
+    @property
+    def key_priced(self) -> bool:
+        """Whether :meth:`pricing` prices from keys: at least
+        ``KEY_PRICING_MIN`` lambda columns, and at least as many as the
+        half-subset-sum table has rows."""
         h = self.n // 2
-        if self.keys.size < max(KEY_PRICING_MIN, self.m * (2**h + 2 ** (self.n - h))):
-            return super().pricing(cost, n_cols)
-        return self.key_pricing(cost, n_cols)
+        return self.keys.size >= max(KEY_PRICING_MIN, self.m * (2**h + 2 ** (self.n - h)))
 
     def key_pricing(self, cost: np.ndarray, n_cols: int):
         """The reduced costs of the master's ``n_cols`` columns as a function
@@ -349,6 +395,19 @@ class RestrictedMaster(_RevisedBasis):
         return price
 
 
+def _write_instance(cols: np.ndarray, c: np.ndarray, u: np.ndarray, revenue: np.ndarray, keys: np.ndarray) -> None:
+    """Write what the marginal LP of :class:`RestrictedMaster` takes from the
+    instance beyond its size: x_ij's coefficient 1 + 1/u_ij on its own MNL
+    row, and the trailing lambda columns' costs, ``revenue`` (the flat
+    revenue tables) read at their ``keys``. The arrays are one master's, or
+    stacked on a leading axis: cols (k, rows, columns), c (k, columns), u
+    (k, n, m) and revenue (k, m 2^n)."""
+    n, m = u.shape[-2:]
+    nm, pairs = n * m, np.arange(n * m)
+    cols[..., m + nm + pairs, nm + pairs] = 1.0 + 1.0 / u.reshape(*u.shape[:-2], nm)
+    c[..., c.shape[-1] - keys.size :] = revenue[..., keys]
+
+
 @lru_cache(maxsize=32)
 def _half_sum_matrix(n: int, m: int) -> np.ndarray:
     """The 0/1 matrix whose product with the duals of the distribution and
@@ -369,48 +428,63 @@ def _half_sum_matrix(n: int, m: int) -> np.ndarray:
 
 
 def lp1_exact_small(inst: Instance) -> float:
-    """Exact optimum of the assortment-distribution LP (n <= 4, m <= 4).
+    """Exact optimum of the assortment-distribution LP (n <= 4, m <= 4):
+    :func:`lp1_exact_values` of the batch of one."""
+    return lp1_exact_values([inst])[0]
+
+
+def lp1_exact_values(insts: Sequence[Instance]) -> list[float]:
+    """Exact optimum of the assortment-distribution LP (n <= 4, m <= 4) of
+    every instance of a batch of one (n, m), each the same in any batch.
 
     Variables: one distribution over customer backlogs per supplier (valued
     by the optimal-revenue function) and one distribution over supplier
     assortments per customer, linked through the MNL choice probabilities.
+    The 0/1 structure, b and the start basis are one per batch; per
+    instance, only the costs and the choice probabilities are written.
 
-    Solved without phase 1 from the feasible basis lambda_{j,{}} on supplier
-    row j, tau_{i,{}} on customer row i and lambda_{j,{i}} on link row (i,
-    j): its matrix [[I, 0, E], [0, I, 0], [0, 0, I]] (E: lambda_{j,{i}} on
-    row j) has for inverse the same with -E, and its values are b = (1, 1, 0).
+    Solved in lockstep (``simplex._optimize_lockstep``) without phase 1 from
+    the feasible basis lambda_{j,{}} on supplier row j, tau_{i,{}} on
+    customer row i and lambda_{j,{i}} on link row (i, j): its matrix [[I, 0,
+    E], [0, I, 0], [0, 0, I]] (E: lambda_{j,{i}} on row j) has for inverse
+    the same with -E, and its values are b = (1, 1, 0). An LP that leaves
+    the lockstep is solved alone by ``simplex._optimize`` from that basis.
     """
-    if inst.n > LP1_MAX_N or inst.m > LP1_MAX_M:
+    n, m = batch_size(insts)
+    if n > LP1_MAX_N or m > LP1_MAX_M:
         raise mnl.SizeLimitError(
-            f"exact assortment-distribution LP limited to n <= {LP1_MAX_N}, m <= {LP1_MAX_M}; "
-            f"got {inst.n}x{inst.m}"
+            f"exact assortment-distribution LP limited to n <= {LP1_MAX_N}, m <= {LP1_MAX_M}; got {n}x{m}"
         )
-    n, m = inst.n, inst.m
-    n_sets, n_offers = 2**n, 2**m
+    k, n_sets, n_offers = len(insts), 2**n, 2**m
     # columns: lambda[j, backlog mask] at j 2^n + mask, then tau[i, offer mask]
     lam, tau = np.arange(m * n_sets), np.arange(n * n_offers)
-    c = np.zeros(lam.size + tau.size)
-    c[: lam.size] = inst.optimal_revenue_tables.reshape(-1)
+    c = np.zeros((k, lam.size + tau.size))
+    c[:, : lam.size] = np.array([inst.optimal_revenue_tables for inst in insts]).reshape(k, -1)
     # rows: each distribution sums to 1, then per pair (i, j) the lambda mass
     # of backlogs containing i equals i's probability of choosing j
     b = np.zeros(m + n + n * m)
     b[: m + n] = 1.0
-    cols = np.zeros((b.size, c.size), order="F")
-    cols[lam // n_sets, lam] = 1.0
-    cols[m + tau // n_offers, lam.size + tau] = 1.0
+    cols = np.zeros((k, c.shape[1], b.size)).transpose(0, 2, 1)  # each block column-major
+    cols[:, lam // n_sets, lam] = 1.0
+    cols[:, m + tau // n_offers, lam.size + tau] = 1.0
     link = m + n + np.arange(n * m).reshape(n, m, 1)
-    cols[link, lam.reshape(1, m, n_sets)] = mnl.subset_masks(n).T[:, None, :]
-    phi = mnl.choice_prob_table(inst.u)
-    cols[link, lam.size + tau.reshape(n, 1, n_offers)] = -phi.transpose(0, 2, 1)
+    cols[:, link, lam.reshape(1, m, n_sets)] = mnl.subset_masks(n).T[:, None, :]
+    phi = mnl.choice_prob_table(np.array([inst.u for inst in insts]))
+    cols[:, link, lam.size + tau.reshape(n, 1, n_offers)] = -phi.transpose(0, 1, 3, 2)
 
     singletons = (lam[::n_sets] + (1 << np.arange(n))[:, None]).reshape(-1)
     basis = np.concatenate([lam[::n_sets], lam.size + tau[::n_offers], singletons])
     # B = I + N with N the E block and N N = 0, so B^-1 = I - N = 2I - B
-    start = _RevisedBasis(cols, basis, 2 * np.eye(b.size) - cols[:, basis], b.copy())
-    pivots, x, _ = _optimize(start, b, -c, c.size)
-    if pivots < 0:
-        raise LpSolverError("assortment-distribution LP solve failed: unbounded")
-    return float(c @ x)
+    binv = 2 * np.eye(b.size) - cols[:, :, basis]
+    rhs = np.tile(b, (k, 1))
+    x, left = _optimize_lockstep(cols, np.tile(basis, (k, 1)), binv, rhs, rhs, -c)
+    for t in left:
+        start = _RevisedBasis(cols[t], basis.copy(), binv[t].copy(), b.copy())
+        pivots, alone, _ = _optimize(start, b, -c[t], c.shape[1])
+        if pivots < 0:
+            raise LpSolverError("assortment-distribution LP solve failed: unbounded")
+        x[t] = alone
+    return [float(c[t] @ x[t]) for t in range(k)]
 
 
 def check_lp_solution(inst: Instance, sol: LpSolution, tol: float = 1e-9) -> list[str]:

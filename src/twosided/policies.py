@@ -48,7 +48,7 @@ import numpy as np
 
 from . import mnl
 from .mnl import SizeLimitError
-from .instance import Instance, SameOrderCertificate, as_permutation
+from .instance import Instance, SameOrderCertificate, as_permutation, batch_size
 from .lp import LpSolution
 from .rounding import choice_table, inverse_cdf, mnl_distribution
 
@@ -92,15 +92,6 @@ class _History(NamedTuple):
 def _backlog(choice: np.ndarray, j: int) -> tuple[int, ...]:
     """The customers of one run that chose supplier j."""
     return tuple(np.flatnonzero(choice == j).tolist())
-
-
-def _batch_size(insts: Sequence[Instance]) -> tuple[int, int]:
-    """The (n, m) that every instance of a batch shares; ``ValueError`` for
-    an empty batch or one of mixed sizes."""
-    sizes = {(inst.n, inst.m) for inst in insts}
-    if len(sizes) != 1:
-        raise ValueError(f"a batch needs instances of one size (n, m), got {sorted(sizes)}")
-    return sizes.pop()
 
 
 def _require_dp_size(inst: Instance) -> None:
@@ -279,7 +270,7 @@ def _dp_batch(insts: Sequence[Instance], order: tuple[int, ...] | None):
     customer left, and each instance's (k, S) actions as
     :class:`PolicyTable` packs them.
     """
-    n, m = _batch_size(insts)
+    n, m = batch_size(insts)
     _require_dp_size(insts[0])
     shape = _dp_structure(n, m, order)
     u = np.array([inst.u for inst in insts])
@@ -326,7 +317,7 @@ def exact_dp_values(insts: Sequence[Instance], order=None) -> np.ndarray:
     over the batch (:func:`_dp_batch`); bit for bit the one-instance
     values."""
     if order is not None:
-        order = as_permutation(order, _batch_size(insts)[0])
+        order = as_permutation(order, batch_size(insts)[0])
     return _dp_batch(insts, order)[0]
 
 
@@ -352,7 +343,7 @@ def exact_star_values(insts: Sequence[Instance]) -> np.ndarray:
     instance then integrates its own optimal-revenue row against its block,
     one product per supplier, so every value is bit for bit the one
     instance's."""
-    n, m = _batch_size(insts)
+    n, m = batch_size(insts)
     # elements of a supplier's backlog distributions over all profiles and
     # of the choice probabilities phi, the largest arrays built below
     work = 2**n * 2 ** (m * n) + n * 2**m * m

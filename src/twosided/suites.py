@@ -28,7 +28,7 @@ from .evaluate import (
     submodularity_check,
 )
 from .instance import Instance, detect_same_order, generate
-from .lp import lp1_exact_small, lp2_exact_small
+from .lp import lp1_exact_values, lp2_exact_values
 from .policies import exact_dp_values, exact_star_values
 
 GAP_GENERAL_BOUND = 2.0
@@ -40,7 +40,7 @@ GAP_DRAWS = 1000
 SHARING_TRIALS = 1000
 ORDER_TRIALS = 1000
 CHAIN_COUNT = 200
-# chain instances per batched oracle call: bounds the batch's arrays (about 0.6 MiB at 3x2)
+# chain instances per batched oracle or LP call: bounds the batch's arrays (about 0.6 MiB at 3x2)
 CHAIN_GROUP = 50
 
 
@@ -275,19 +275,20 @@ def suite_order(seed: int) -> list[PropertyReport]:
 def suite_chain(seed: int) -> list[PropertyReport]:
     """Value chain on random 3x2 instances: static <= fixed-order <=
     adaptive <= assortment-distribution LP <= marginal LP. The three exact
-    oracles run batched, one call each per group of ``CHAIN_GROUP``
-    instances (:func:`~twosided.policies.exact_star_values`,
-    :func:`~twosided.policies.exact_dp_values`), with bit for bit the
-    values of one call per instance; the two LPs are solved per instance."""
+    oracles and the two LPs run batched, one call each per group of
+    ``CHAIN_GROUP`` instances (:func:`~twosided.policies.exact_star_values`,
+    :func:`~twosided.policies.exact_dp_values`,
+    :func:`~twosided.lp.lp1_exact_values`,
+    :func:`~twosided.lp.lp2_exact_values`), with bit for bit the values of
+    one call per instance."""
     report = PropertyReport(name="relaxation-chain")
     for first in range(0, CHAIN_COUNT, CHAIN_GROUP):
         seeds = [_sub_seed(seed, 401 + k) for k in range(first, min(first + CHAIN_GROUP, CHAIN_COUNT))]
         group = [generate("uniform-random", 3, 2, s) for s in seeds]
         oracles = exact_star_values(group), exact_dp_values(group, range(3)), exact_dp_values(group)
-        for inst, case_seed, star, ftar, atar in zip(group, seeds, *(values.tolist() for values in oracles)):
+        lps = lp1_exact_values(group), lp2_exact_values(group)
+        for case_seed, star, ftar, atar, lp1, lp2 in zip(seeds, *(values.tolist() for values in oracles), *lps):
             report.cases += 1
-            lp1 = lp1_exact_small(inst)
-            lp2 = lp2_exact_small(inst).objective
             chain = [
                 ("static", star), ("fixed-order", ftar), ("adaptive", atar), ("lp-sets", lp1), ("lp-marginal", lp2)
             ]

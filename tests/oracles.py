@@ -18,12 +18,13 @@ from twosided.ellipsoid import (
 from twosided.evaluate import CHECK_TOL, PropertyReport, SubsetDistribution, revenue_order
 from twosided.instance import SUBSET_TABLE_LIMIT, Instance, generate
 from twosided.lp import (
+    LP1_MAX_M,
+    LP1_MAX_N,
     DualFeasibilityReport,
     DualPoint,
     DualViolation,
     RestrictedMaster,
     ViolatedSets,
-    lp1_exact_small,
     lp2_exact_small,
 )
 from twosided.mnl import SizeLimitError, choice_prob, expected_revenue_table, mask_of, subset_masks, subset_of
@@ -39,7 +40,7 @@ from twosided.policies import (
     exact_dp_ftar,
     exact_star,
 )
-from twosided.simplex import FEASIBILITY_TOL, LinearProgram, LpResult, LpSolverError
+from twosided.simplex import FEASIBILITY_TOL, LinearProgram, LpResult, LpSolverError, _optimize, _RevisedBasis
 
 
 def lp_optimum_by_vertex_enumeration(lp: LinearProgram, tol: float = 1e-9) -> float | None:
@@ -1129,10 +1130,58 @@ def reference_suite_gap(seed: int) -> list[PropertyReport]:
     return [report, exact]
 
 
+def reference_lp1_exact_small(inst: Instance) -> float:
+    """The one-instance assortment-distribution LP solve that the lockstep
+    batch replaced, kept verbatim but for the module prefixes: the bit
+    reference of ``lp.lp1_exact_values``.
+
+    Variables: one distribution over customer backlogs per supplier (valued
+    by the optimal-revenue function) and one distribution over supplier
+    assortments per customer, linked through the MNL choice probabilities.
+
+    Solved without phase 1 from the feasible basis lambda_{j,{}} on supplier
+    row j, tau_{i,{}} on customer row i and lambda_{j,{i}} on link row (i,
+    j): its matrix [[I, 0, E], [0, I, 0], [0, 0, I]] (E: lambda_{j,{i}} on
+    row j) has for inverse the same with -E, and its values are b = (1, 1, 0).
+    """
+    if inst.n > LP1_MAX_N or inst.m > LP1_MAX_M:
+        raise SizeLimitError(
+            f"exact assortment-distribution LP limited to n <= {LP1_MAX_N}, m <= {LP1_MAX_M}; "
+            f"got {inst.n}x{inst.m}"
+        )
+    n, m = inst.n, inst.m
+    n_sets, n_offers = 2**n, 2**m
+    # columns: lambda[j, backlog mask] at j 2^n + mask, then tau[i, offer mask]
+    lam, tau = np.arange(m * n_sets), np.arange(n * n_offers)
+    c = np.zeros(lam.size + tau.size)
+    c[: lam.size] = inst.optimal_revenue_tables.reshape(-1)
+    # rows: each distribution sums to 1, then per pair (i, j) the lambda mass
+    # of backlogs containing i equals i's probability of choosing j
+    b = np.zeros(m + n + n * m)
+    b[: m + n] = 1.0
+    cols = np.zeros((b.size, c.size), order="F")
+    cols[lam // n_sets, lam] = 1.0
+    cols[m + tau // n_offers, lam.size + tau] = 1.0
+    link = m + n + np.arange(n * m).reshape(n, m, 1)
+    cols[link, lam.reshape(1, m, n_sets)] = mnl.subset_masks(n).T[:, None, :]
+    phi = mnl.choice_prob_table(inst.u)
+    cols[link, lam.size + tau.reshape(n, 1, n_offers)] = -phi.transpose(0, 2, 1)
+
+    singletons = (lam[::n_sets] + (1 << np.arange(n))[:, None]).reshape(-1)
+    basis = np.concatenate([lam[::n_sets], lam.size + tau[::n_offers], singletons])
+    # B = I + N with N the E block and N N = 0, so B^-1 = I - N = 2I - B
+    start = _RevisedBasis(cols, basis, 2 * np.eye(b.size) - cols[:, basis], b.copy())
+    pivots, x, _ = _optimize(start, b, -c, c.size)
+    if pivots < 0:
+        raise LpSolverError("assortment-distribution LP solve failed: unbounded")
+    return float(c @ x)
+
+
 def reference_suite_chain(seed: int) -> list[PropertyReport]:
     """The relaxation-chain suite with one oracle call per instance, the
     loop that the batched oracles replaced, kept verbatim but for the
-    module prefixes."""
+    module prefixes and for its assortment-distribution LP, which is the
+    one-instance reference solve :func:`reference_lp1_exact_small`."""
     report = PropertyReport(name="relaxation-chain")
     for k in range(suites.CHAIN_COUNT):
         report.cases += 1
@@ -1140,7 +1189,7 @@ def reference_suite_chain(seed: int) -> list[PropertyReport]:
         star = exact_star(inst)
         ftar = exact_dp_ftar(inst, tuple(range(inst.n)))
         atar, _ = exact_dp_atar(inst)
-        lp1 = lp1_exact_small(inst)
+        lp1 = reference_lp1_exact_small(inst)
         lp2 = lp2_exact_small(inst).objective
         chain = [("static", star), ("fixed-order", ftar), ("adaptive", atar), ("lp-sets", lp1), ("lp-marginal", lp2)]
         for (lo_name, lo), (hi_name, hi) in zip(chain, chain[1:]):

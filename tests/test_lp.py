@@ -8,12 +8,18 @@ from oracles import (
     full_master,
     lp_optimum_by_vertex_enumeration,
     reference_assortment_distribution_lp,
+    reference_lp1_exact_small,
     reference_solve_lp,
 )
-from twosided import mnl
+from twosided import lp as lp_module
+from twosided import mnl, simplex
 from twosided.cost_assortment import SubDualOracle
-from twosided.instance import Instance, generate, normalize_revenues
+from twosided.instance import GENERATOR_KINDS, Instance, generate, normalize_revenues
 from twosided.lp import (
+    LP1_MAX_M,
+    LP1_MAX_N,
+    LP2_MAX_M,
+    LP2_MAX_N,
     SUPPORT_EPS,
     DualPoint,
     LpSolution,
@@ -23,7 +29,9 @@ from twosided.lp import (
     dual_certificate,
     dual_feasibility_report,
     lp1_exact_small,
+    lp1_exact_values,
     lp2_exact_small,
+    lp2_exact_values,
 )
 from twosided.mnl import SizeLimitError, subset_of
 from twosided.simplex import LpResult, LpSolverError, solve_lp
@@ -143,6 +151,140 @@ def test_lp1_matches_a_two_phase_solve_on_degenerate_instances(n, m):
 def test_lp1_size_guard():
     with pytest.raises(SizeLimitError):
         lp1_exact_small(generate("uniform-random", 5, 2, 0))
+
+
+LP1_BATCH_SIZES = ((2, 2), (3, 2), (3, 3), (4, 2), (2, 4))
+LP2_BATCH_SIZES = ((3, 2), (4, 3), (6, 2))
+
+
+def _lp_batch(n: int, m: int, seeds, extra=()) -> list[Instance]:
+    """The four generator kinds at n x m for each seed, with the instances
+    ``extra`` of that size mixed in."""
+    batch = [generate(kind, n, m, seed) for seed in seeds for kind in GENERATOR_KINDS]
+    for k, inst in enumerate(extra):
+        if (inst.n, inst.m) == (n, m):
+            batch.insert(3 * k + 1, inst)
+    return batch
+
+
+def _lockstep_spy(monkeypatch) -> list[tuple[int, int]]:
+    """Record each lockstep call's batch size and the number of LPs that left it."""
+    calls, real = [], lp_module._optimize_lockstep
+
+    def spy(cols, *args):
+        x, left = real(cols, *args)
+        calls.append((cols.shape[0], len(left)))
+        return x, left
+
+    monkeypatch.setattr(lp_module, "_optimize_lockstep", spy)
+    return calls
+
+
+@pytest.mark.parametrize("n, m", LP1_BATCH_SIZES)
+def test_lp1_batch_is_the_one_instance_solve_bit_for_bit(monkeypatch, n, m, zero_revenue_instance):
+    extra = [zero_revenue_instance, *_degenerate_lp1_instances(n, m).values()]
+    batch = _lp_batch(n, m, range(3), extra)
+    calls = _lockstep_spy(monkeypatch)
+    values = lp1_exact_values(batch)
+    assert calls == [(len(batch), 0)]  # every LP stayed in the lockstep
+    assert all(type(v) is float for v in values)
+    assert [v.hex() for v in lp1_exact_values(batch[::-1])[::-1]] == [v.hex() for v in values]
+    for inst, value in zip(batch, values):
+        assert value.hex() == reference_lp1_exact_small(inst).hex()
+        assert value.hex() == lp1_exact_small(inst).hex()
+
+
+@pytest.mark.parametrize("n, m", LP2_BATCH_SIZES)
+def test_lp2_batch_is_the_one_instance_solve_bit_for_bit(monkeypatch, n, m, zero_revenue_instance, tiny_weight):
+    batch = _lp_batch(n, m, range(4, 6), [zero_revenue_instance, tiny_weight(306), tiny_weight(48)])
+    calls = _lockstep_spy(monkeypatch)
+    values = lp2_exact_values(batch)
+    assert calls == [(len(batch), 0)]
+    assert all(type(v) is float for v in values)
+    assert [v.hex() for v in lp2_exact_values(batch[::-1])[::-1]] == [v.hex() for v in values]
+    for inst, value in zip(batch, values):
+        assert value.hex() == lp2_exact_small(inst).objective.hex()
+
+
+@pytest.mark.parametrize("run", [0, 1])
+def test_lps_that_leave_the_lockstep_are_solved_alone(monkeypatch, run):
+    # Bland's rule after `run` degenerate pivots: an LP that reaches it leaves
+    # the batch, and its value is the one-instance solve's under the same
+    # rule. At 1, five of the lp1 batch and one of the lp2 batch leave
+    monkeypatch.setattr(simplex, "DEGENERATE_RUN", run)
+    calls = _lockstep_spy(monkeypatch)
+    lp1_batch = lp2_batch = _lp_batch(3, 3, range(2))
+    lp1_values, lp2_values = lp1_exact_values(lp1_batch), lp2_exact_values(lp2_batch)
+    assert [k for k, _ in calls] == [len(lp1_batch), len(lp2_batch)]
+    assert all(left >= 1 for _, left in calls)
+    if run == 0:  # Bland's rule from the first pivot: every LP leaves at once
+        assert all(left == k for k, left in calls)
+    for inst, value in zip(lp1_batch, lp1_values):
+        assert value.hex() == reference_lp1_exact_small(inst).hex()
+    for inst, value in zip(lp2_batch, lp2_values):
+        assert value.hex() == lp2_exact_small(inst).objective.hex()
+
+
+def test_lp2_batch_refuses_an_mnl_coefficient_past_float64_range(monkeypatch, tiny_weight):
+    with pytest.warns(RuntimeWarning), pytest.raises(LpSolverError) as alone:
+        lp2_exact_small(tiny_weight(312))
+    calls = _lockstep_spy(monkeypatch)
+    batch = _lp_batch(3, 2, [1], [tiny_weight(312)])
+    with pytest.warns(RuntimeWarning) as caught, pytest.raises(LpSolverError) as batched:
+        lp2_exact_values(batch)
+    assert str(batched.value) == str(alone.value)
+    assert "overflow encountered in divide" in str(caught[0].message)
+    assert calls == [(len(batch), 1)]  # only the tiny weight's LP left the lockstep
+
+
+class _NoNumpy:
+    def __getattr__(self, name):
+        raise AssertionError(f"the batch reached numpy.{name} before its checks")
+
+
+@pytest.mark.parametrize(
+    "sizes", [[], [(3, 2), (3, 2), (2, 3)], [(3, 2), (3, 1)], [(3, 2), (11, 2)]],
+    ids=["empty", "mixed-n-and-m", "mixed-m", "mixed-with-one-too-large"],
+)
+def test_lp_batches_refuse_mixed_sizes_before_any_allocation(monkeypatch, sizes):
+    batch = [generate("uniform-random", n, m, 5) for n, m in sizes]
+    monkeypatch.setattr(lp_module, "np", _NoNumpy())
+    for call in (lp1_exact_values, lp2_exact_values):
+        with pytest.raises(ValueError, match="one size") as refused:
+            call(batch)
+        assert type(refused.value) is ValueError  # not the SizeLimitError of a single size
+    assert all("optimal_revenue_tables" not in vars(inst) for inst in batch)
+
+
+class _Passed(Exception):
+    pass
+
+
+def _passed(*args, **kwargs):
+    raise _Passed
+
+
+@pytest.mark.parametrize(
+    "one, batched, largest, first_step",
+    [
+        (lp1_exact_small, lp1_exact_values, (LP1_MAX_N, LP1_MAX_M), (mnl, "choice_prob_table")),
+        (lambda inst: lp2_exact_small(inst).objective, lp2_exact_values, (LP2_MAX_N, LP2_MAX_M),
+         (lp_module, "RestrictedMaster")),
+    ],
+    ids=["lp1", "lp2"],
+)
+def test_lp_batches_share_the_size_guard(monkeypatch, one, batched, largest, first_step):
+    n, m = largest
+    for size in ((n + 1, 1), (1, m + 1), (n + 1, m + 1)):
+        batch = [generate("uniform-random", *size, seed) for seed in range(3)]
+        with pytest.raises(SizeLimitError) as refused:
+            one(batch[0])
+        with pytest.raises(SizeLimitError) as many:
+            batched(batch)
+        assert str(many.value) == str(refused.value)
+    monkeypatch.setattr(*first_step, _passed)  # past the guard, nothing is run
+    with pytest.raises(_Passed):
+        batched([generate("uniform-random", n, m, seed) for seed in range(3)])
 
 
 def test_aux_primal_empty_support_only():

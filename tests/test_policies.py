@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 from oracles import exact_g, reference_layer_order, reference_prefix_dp, reference_suite_chain
-from twosided import mnl, policies, suites
+from twosided import lp, mnl, policies, suites
 from twosided.instance import GENERATOR_KINDS, detect_same_order, generate, normalize_revenues
 from twosided.lp import lp1_exact_small, lp2_exact_small
 from twosided.mnl import SizeLimitError, choice_prob, optimal_revenue
@@ -224,6 +224,31 @@ def test_chain_suite_runs_each_oracle_once_per_group(monkeypatch):
     # 3x2 instances: n = 3 layers per DP, two DPs, and m = 2 backlog products per static search
     assert calls == {"_layer_step": groups * 2 * 3, "probs": groups * 2}
     assert instances == {suites.CHAIN_GROUP: groups * 2 * 3}
+    assert report.cases == suites.CHAIN_COUNT and report.passed
+
+
+def test_chain_suite_solves_each_lp_once_per_group(monkeypatch):
+    batches, alone = [], Counter()
+    real_lockstep = lp._optimize_lockstep
+
+    def lockstep(cols, *args):
+        batches.append(cols.shape[0])
+        return real_lockstep(cols, *args)
+
+    def counted(name, real):
+        def call(*args, **kwargs):
+            alone[name] += 1
+            return real(*args, **kwargs)
+
+        return call
+
+    monkeypatch.setattr(lp, "_optimize_lockstep", lockstep)
+    for name in ("_optimize", "lp1_exact_small", "lp2_exact_small"):
+        monkeypatch.setattr(lp, name, counted(name, getattr(lp, name)))
+    (report,) = suites.suite_chain(1)
+    groups = -(-suites.CHAIN_COUNT // suites.CHAIN_GROUP)
+    assert batches == [suites.CHAIN_GROUP] * (2 * groups)  # lp1, then lp2, per group
+    assert alone == {}  # no LP was solved alone
     assert report.cases == suites.CHAIN_COUNT and report.passed
 
 

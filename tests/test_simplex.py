@@ -472,6 +472,43 @@ def test_kkt_check_fails_on_nan():
         _check_optimality(cols, b, np.array([-1.0, np.nan, 0.0]), x, y, FEASIBILITY_TOL)
 
 
+def test_batched_kkt_check_is_the_one_lp_check(monkeypatch):
+    # the optima of a batch of marginal LPs, each solved alone, then spoiled
+    # one condition at a time: the batched check passes exactly the blocks
+    # that _check_optimality passes
+    captured = []
+    monkeypatch.setattr(lp_module, "_optimize_lockstep", lambda *args: captured.append(args) or (None, []))
+    batch = [generate(kind, 3, 2, 7) for kind in GENERATOR_KINDS]
+    batch += [generate("uniform-random", 3, 2, seed) for seed in (8, 9)]
+    with pytest.raises(TypeError):  # the captured call returns no values
+        lp_module.lp2_exact_values(batch)
+    ((cols, basis, binv, x_b, b, cost),) = captured
+    cost, xs, ys = cost.copy(), [], []
+    for t in range(cols.shape[0]):
+        state = simplex_module._RevisedBasis(cols[t], basis[t].copy(), binv[t].copy(), x_b[t].copy())
+        _, x, y = simplex_module._optimize(state, b[t], cost[t], cost.shape[1])
+        xs.append(x)
+        ys.append(y)
+    x, y = np.array(xs), np.array(ys)
+    x[1, np.flatnonzero(x[1])[0]] += 1e-6  # the primal residual
+    reduced = cost[2] - y[2] @ cols[2]
+    j = np.flatnonzero(x[2] == 0.0)[reduced[x[2] == 0.0].argmin()]
+    cost[2, j] -= reduced[j] + 1e-6  # one nonbasic reduced cost, and nothing else
+    x[3, 0] = np.nan
+    y[4, 0] = np.nan
+    cost[5, np.flatnonzero(x[5] > 0.1)[0]] += 1e-3  # a basic cost: the duality gap alone
+    reduced = cost - np.matmul(y[:, None, :], cols)[:, 0]
+    holds = simplex_module._kkt_holds(cols, b, cost, x, y, reduced)
+    for t in range(cols.shape[0]):
+        try:
+            _check_optimality(cols[t], b[t], cost[t], x[t], y[t], FEASIBILITY_TOL)
+            alone = True
+        except LpSolverError:
+            alone = False
+        assert bool(holds[t]) is alone, t
+    assert holds.tolist() == [True, False, False, False, False, False]
+
+
 def test_master_that_cannot_re_invert_raises_a_solver_error():
     master, _, _ = _master()
     master.cols[:, master.basis[0]] = 0.0  # a zero basic column: B is singular
