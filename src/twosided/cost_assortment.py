@@ -3,8 +3,10 @@
 This is the separation problem behind the dual of the marginal LP: for a
 cost matrix gamma (any sign), find the customer set maximizing expected
 revenue minus the total cost of the offered customers. One oracle per
-instance answers it by exhaustive enumeration at desk scale, within the
-slack delta given with each call (exact at delta = 0). It names the set by
+instance, ``inst.sub_dual_oracle``, answers it by exhaustive enumeration at
+desk scale, within the slack delta given with each call (exact at delta =
+0); the cut loop, the certificate's pricing and the dual feasibility report
+all call it. It names the set by
 its bitmask (bit i: customer i, as ``mnl.mask_of``), the form the cut
 loop, its record and the restricted master keep it in. Its revenues are
 the master's lambda costs, one array (``inst.expected_revenue_tables``).

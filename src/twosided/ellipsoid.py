@@ -4,24 +4,25 @@ The dual has 2nm + m variables (alpha, beta, gamma) but exponentially many
 backlog constraints, one per (supplier, customer set). Each iteration scans
 for a violated constraint in a fixed order -- objective cut first, then the
 weight-link rows, alpha nonnegativity, and finally the backlog family
-through the run's one sub-dual oracle, called (1 - delta)-approximately
-(exactly at the default delta = 0) -- and applies the central-cut update.
+through the instance's sub-dual oracle (``inst.sub_dual_oracle``), called
+(1 - delta)-approximately (exactly at the default delta = 0) -- and applies
+the central-cut update.
 Backlog sets that ever produced a cut are recorded by the bitmask the
 oracle names them with (bit i: customer i), which pricing and the master's
 keys ``j << n | mask`` use as is; restricting the primal to that support
 (the auxiliary primal) and solving it exactly recovers a feasible,
 (1 - delta)-approximate solution of the full marginal LP.
 
-``solve_restricted`` also prices that primal's duals on a doubling
-schedule of cut counts, with the same oracle called exactly, so a solve
-builds one oracle at every delta. Lifted by the priced excess, they are a
-dual-feasible point whose objective bounds the LP optimum, and the loop
-stops as ``certified`` once the bound is within 1e-9 of the restricted
-primal's objective. Until then, each checkpoint runs pricing rounds: the
-sets that price out join the primal, which is solved again from its last
-basis. One ``lp.RestrictedMaster`` holds that primal for the whole solve;
-new sets join it as nonbasic columns, and its first solve starts from a
-known feasible basis, without phase 1.
+``solve_restricted`` also prices that primal's duals on a doubling schedule
+of cut counts, with the same oracle called exactly, so an instance builds
+one oracle at every delta, however often it is solved. Lifted by the priced
+excess, they are a dual-feasible point whose objective bounds the LP
+optimum, and the loop stops as ``certified`` once the bound is within 1e-9
+of the restricted primal's objective. Until then, each checkpoint runs
+pricing rounds: the sets that price out join the primal, which is solved
+again from its last basis. One ``lp.RestrictedMaster`` holds that primal
+for the whole solve; new sets join it as nonbasic columns, and its first
+solve starts from a known feasible basis, without phase 1.
 
 Iterations count cut steps only: when the center passes every check the
 incumbent is updated in place and the loop re-enters without advancing the
@@ -37,7 +38,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import lp, mnl
-from .cost_assortment import SubDualOracle, check_delta
+from .cost_assortment import check_delta
 from .instance import Instance
 from .lp import (
     DualPoint,
@@ -75,21 +76,22 @@ class EllipsoidResult:
     cut_counts: dict[str, int]
     incumbent_history: list[tuple[int, float]]
     incumbents: list[DualPoint]
-    # never set: perfbench/tracing.py still reads it for its
-    # ellipsoid.stop.early_exit count
-    early_exited: bool = False
-    degenerate_stop: bool = False
-    certified: bool = False
+    stop_reason: str  # why the loop ended: "certified", "float64_floor" or "t_max"
     trace: list[dict] | None = None
 
     @property
-    def stop_reason(self) -> str:
-        """Why the loop ended: ``certified``, ``float64_floor`` or ``t_max``."""
-        if self.certified:
-            return "certified"
-        if self.degenerate_stop:
-            return "float64_floor"
-        return "t_max"
+    def certified(self) -> bool:
+        return self.stop_reason == "certified"
+
+    @property
+    def degenerate_stop(self) -> bool:
+        return self.stop_reason == "float64_floor"
+
+    @property
+    def early_exited(self) -> bool:
+        """Always False: no run stops early. perfbench/tracing.py still reads
+        it for its ellipsoid.stop.early_exit count."""
+        return False
 
 
 def default_radius(inst: Instance) -> float:
@@ -113,7 +115,7 @@ def run_ellipsoid(
     *,
     delta: float = 0.0,
     trace: bool = False,
-    certify: Callable[[SubDualOracle], Callable[[ViolatedSets], bool]] | None = None,
+    certify: Callable[[ViolatedSets], bool] | None = None,
 ) -> EllipsoidResult:
     """Run the cut loop for at most ``t_max`` cut steps, starting from the
     ball of radius :func:`default_radius` around the origin.
@@ -122,13 +124,11 @@ def run_ellipsoid(
     ``EllipsoidResult.stop_reason``: ``t_max`` cut steps; the float64
     floor, where a'Da along the next cut falls to the noise level of
     trace(D) (the usual end of a run without ``certify`` at the default
-    budget); or, with ``certify``, its checkpoint test returning true
-    (``certified``). ``certify`` is called once, before the first cut, with
-    the run's oracle, and returns that test; the loop asks it, as
-    ``test(recorded sets)``, only after 32, 64, 128, ... cuts
-    (``CERTIFY_FIRST``, doubling). Backlog cuts come from the run's one
-    ``SubDualOracle(inst)``, called at ``delta`` (exact at 0); a ``delta``
-    outside [0, 1) raises ``ValueError`` before the first cut. Rather than
+    budget); or ``certify(recorded sets)`` returning true (``certified``),
+    asked only after 32, 64, 128, ... cuts (``CERTIFY_FIRST``, doubling).
+    Backlog cuts come from the instance's oracle, ``inst.sub_dual_oracle``,
+    called at ``delta`` (exact at 0); a ``delta`` outside [0, 1) raises
+    ``ValueError`` before the oracle is built. Rather than
     leave float64 range, it raises :class:`EllipsoidBreakdown` when the
     starting ball's trace n_dim R^2 is not finite, and before any update
     whose a'Da * trace(D) is not finite.
@@ -153,8 +153,7 @@ def run_ellipsoid(
         raise ValueError(f"t_max must be >= 1, got {t_max}")
     check_delta(delta)
 
-    oracle = SubDualOracle(inst)
-    test = None if certify is None else certify(oracle)
+    oracle = inst.sub_dual_oracle
     s = np.zeros(n_dim)
     shape = np.eye(n_dim) * radius**2
 
@@ -176,8 +175,7 @@ def run_ellipsoid(
     rank1 = np.empty((n_dim, n_dim))
     trace_d = float(shape.trace())
     t = 0
-    degenerate_stop = False
-    certified = False
+    stop_reason = "t_max"
     next_check = CERTIFY_FIRST
     incumbent_flag = False
 
@@ -207,7 +205,7 @@ def run_ellipsoid(
             if trace_d > 0.0 and ada > -noise:
                 # zero numerical extent along the cut: float64 is exhausted,
                 # stop with the current state
-                degenerate_stop = True
+                stop_reason = "float64_floor"
                 break
             raise EllipsoidBreakdown(
                 f"a'Da = {ada:.3e} <= 0 at t={t} on {kind} cut {_shown(kind, index, n)}; "
@@ -228,9 +226,9 @@ def run_ellipsoid(
             shown = _shown(kind, index, n)
             trace_rows.append({"t": t, "cut": kind, "index": shown, "obj": obj, "incumbent_updated": incumbent_flag})
         incumbent_flag = False
-        if test is not None and t == next_check:
-            if test(violated):
-                certified = True
+        if certify is not None and t == next_check:
+            if certify(violated):
+                stop_reason = "certified"
                 break
             next_check *= CERTIFY_GROWTH
 
@@ -243,8 +241,7 @@ def run_ellipsoid(
         cut_counts=cut_counts,
         incumbent_history=incumbent_history,
         incumbents=incumbents,
-        degenerate_stop=degenerate_stop,
-        certified=certified,
+        stop_reason=stop_reason,
         trace=trace_rows,
     )
 
@@ -336,10 +333,10 @@ def solve_restricted(
     below the true optimum, at every ``delta``; with ``delta > 0`` the
     objective is also at least (1 - delta) times the optimum. Raises
     :class:`LpSolverError` when the solution fails the feasibility check of
-    the full marginal LP. The pricing calls the cut loop's own oracle at
-    ``delta = 0``, so a solve builds one oracle at every ``delta``.
+    the full marginal LP. The pricing calls the cut loop's oracle,
+    ``inst.sub_dual_oracle``, at ``delta = 0``, so an instance builds one
+    oracle at every ``delta``.
     """
-    oracle: SubDualOracle | None = None
     rounds = priced = 0
     master: RestrictedMaster | None = None
     result = certificate = None
@@ -352,7 +349,7 @@ def solve_restricted(
         added = master.add([j << inst.n | mask for j, mask in sets])
         if added or result is None:
             result = master.solve()
-            certificate, gap, pricing = dual_certificate(oracle, master.dual_point(result))
+            certificate, gap, pricing = dual_certificate(inst.sub_dual_oracle, master.dual_point(result))
         return added
 
     def price_recorded(violated: ViolatedSets) -> None:
@@ -360,11 +357,6 @@ def solve_restricted(
         if master is None:
             master = lp.build_aux_primal(inst, violated)
         price((j, mask) for j in range(inst.m) for mask in violated[j])
-
-    def checkpoints(run_oracle: SubDualOracle) -> Callable[[ViolatedSets], bool]:
-        nonlocal oracle
-        oracle = run_oracle
-        return certify
 
     def certify(violated: ViolatedSets) -> bool:
         nonlocal rounds, priced
@@ -378,7 +370,7 @@ def solve_restricted(
             rounds += 1
         return gap <= CERTIFY_TOL
 
-    run = run_ellipsoid(inst, t_max, delta=delta, trace=trace, certify=checkpoints)
+    run = run_ellipsoid(inst, t_max, delta=delta, trace=trace, certify=certify)
     price_recorded(run.violated)
     solution = master.extract(result)
     problems = check_lp_solution(inst, solution)

@@ -9,6 +9,7 @@ All indices are 0-based.
 from __future__ import annotations
 
 import json
+import weakref
 from collections.abc import Sequence
 from dataclasses import dataclass
 from functools import cached_property
@@ -69,6 +70,19 @@ class Instance:
     def optimal_revenue_tables(self) -> np.ndarray:
         """g: the same for the optimal revenue (:func:`mnl.build_optimal_revenue_tables`)."""
         return self._subset_table("build_optimal_revenue_tables")
+
+    @cached_property
+    def sub_dual_oracle(self):
+        """The instance's one :class:`~twosided.cost_assortment.SubDualOracle`,
+        built on its first read: the cut loop, the certificate's pricing and
+        the dual feasibility report all call it. Its ``inst`` is a weak
+        proxy of this instance."""
+        from .cost_assortment import SubDualOracle  # cost_assortment imports this module
+        oracle = SubDualOracle(self)
+        # a weak reference back: a cycle would keep the instance, its tables
+        # and its oracle alive past its last reference, until a full collection
+        oracle.inst = weakref.proxy(self)
+        return oracle
 
     def _subset_table(self, builder: str) -> np.ndarray:
         """``mnl.<builder>(self)``, read-only and kept from its first read, so

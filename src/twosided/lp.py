@@ -160,7 +160,7 @@ def lp2_exact_values(insts: Sequence[Instance]) -> list[float]:
     revenue = np.array([inst.expected_revenue_tables for inst in insts]).reshape(k, -1)
     _write_instance(cols, c, np.array([inst.u for inst in insts]), revenue, master.keys)
     b = np.tile(master._b, (k, 1))
-    x, left = _optimize_lockstep(cols, np.tile(master.basis, (k, 1)), cols[:, :, master.basis], b, b, -c)
+    x, left = _optimize_lockstep(cols, np.tile(master.basis, (k, 1)), cols[:, :, master.basis], b, -c)
     values = [float(c[t, nm:] @ x[t, nm:]) for t in range(k)]
     for t in left:
         values[t] = lp2_exact_small(insts[t]).objective
@@ -476,8 +476,7 @@ def lp1_exact_values(insts: Sequence[Instance]) -> list[float]:
     basis = np.concatenate([lam[::n_sets], lam.size + tau[::n_offers], singletons])
     # B = I + N with N the E block and N N = 0, so B^-1 = I - N = 2I - B
     binv = 2 * np.eye(b.size) - cols[:, :, basis]
-    rhs = np.tile(b, (k, 1))
-    x, left = _optimize_lockstep(cols, np.tile(basis, (k, 1)), binv, rhs, rhs, -c)
+    x, left = _optimize_lockstep(cols, np.tile(basis, (k, 1)), binv, np.tile(b, (k, 1)), -c)
     for t in left:
         start = _RevisedBasis(cols[t], basis.copy(), binv[t].copy(), b.copy())
         pivots, alone, _ = _optimize(start, b, -c[t], c.shape[1])
@@ -538,13 +537,13 @@ def dual_feasibility_report(
     inst: Instance, point: DualPoint, tol: float = 1e-9
 ) -> DualFeasibilityReport:
     """List every violated constraint of the dual at ``point``; the
-    exponentially many backlog constraints are checked through exhaustive
-    sub-dual maximization (n <= 20). A point with a non-finite entry
-    raises ``ValueError``."""
+    exponentially many backlog constraints are checked by the instance's
+    exact oracle (``inst.sub_dual_oracle``, n <= 20). A point with a
+    non-finite entry raises ``ValueError``."""
     alpha, beta, gamma = point.alpha, point.beta, point.gamma
     if not all(np.isfinite(part).all() for part in (alpha, beta, gamma)):
         raise ValueError("dual point has non-finite entries")
-    oracle = SubDualOracle(inst)
+    oracle = inst.sub_dual_oracle
     report = DualFeasibilityReport()
     # row sums as the cut loop takes them (its alpha is C-ordered), whatever
     # the point's memory layout

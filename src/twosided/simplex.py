@@ -231,13 +231,14 @@ def _optimize(
 
 
 def _optimize_lockstep(
-    cols: np.ndarray, basis: np.ndarray, binv: np.ndarray, x_b: np.ndarray, b: np.ndarray, cost: np.ndarray
+    cols: np.ndarray, basis: np.ndarray, binv: np.ndarray, b: np.ndarray, cost: np.ndarray
 ) -> tuple[np.ndarray, list[int]]:
     """:func:`_optimize` on k LPs of one shape at once, each from its own
     feasible basis: ``cols`` (k, rows, columns) with each LP's block
-    column-major, ``basis`` (k, rows), ``binv`` (k, rows, rows), and
-    ``x_b``, ``b`` (k, rows) and min-form ``cost`` (k, columns), all over
-    every column. The arguments are not modified.
+    column-major, ``basis`` (k, rows), ``binv`` (k, rows, rows), ``b`` (k,
+    rows) and min-form ``cost`` (k, columns), all over every column. Each
+    start basis must have basic values x_B = ``b``, as the closed-form
+    bases of both package LPs do. The arguments are not modified.
 
     Every live LP takes the common path of :func:`_pivot_loop` in one array
     pass per pivot: weighted-Dantzig entering below ``-ENTERING_TOL``, the
@@ -271,7 +272,7 @@ def _optimize_lockstep(
     if k == 1:
         return x, [0]
     ids, weights, degenerate = np.arange(k), _column_weights(cols), np.zeros(k, dtype=int)
-    basis, binv, x_b = np.array(basis), np.array(binv, order="C"), np.array(x_b)
+    basis, binv, x_b = np.array(basis), np.array(binv, order="C"), np.array(b)
     for _ in range(_pivot_budget(rows)):
         if ids.size == 0:
             break

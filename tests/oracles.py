@@ -316,7 +316,7 @@ def reference_run_ellipsoid(
         incumbent_history=incumbent_history,
         incumbents=incumbents,
         ac_cuts=ac_cuts,
-        degenerate_stop=degenerate_stop,
+        stop_reason="float64_floor" if degenerate_stop else "t_max",
         trace=trace_rows,
     )
 

@@ -5,6 +5,9 @@ the exact LP optimum at ``certified_gap`` above the returned solution. The
 exact LP these tests compare against is itself held to a two-phase solve
 on the degenerate instances (extreme weights, zero and tied revenues)."""
 
+import gc
+import weakref
+
 import numpy as np
 import pytest
 
@@ -112,6 +115,36 @@ def test_relaxed_oracle_run_certifies_with_the_exact_oracle(monkeypatch):
     assert set(calls) == {(False, 0.2), (True, 0.0)}
     assert solved.run.stop_reason == "certified"
     assert_agrees(inst, solved)
+
+
+def test_an_instance_builds_one_oracle_across_solves_and_reports(monkeypatch):
+    inst = normalize_revenues(generate("uniform-random", 3, 2, 4))
+    built, real_init = [], SubDualOracle.__init__
+
+    def init(self, *args):
+        built.append(self)
+        real_init(self, *args)
+
+    monkeypatch.setattr(SubDualOracle, "__init__", init)
+    solved = solve_restricted(inst)
+    assert dual_feasibility_report(inst, solved.certificate).feasible
+    again = solve_restricted(inst)
+    assert built == [inst.sub_dual_oracle]
+    assert again.solution.objective.hex() == solved.solution.objective.hex()
+
+
+def test_a_solved_instance_is_freed_with_its_last_reference():
+    # the instance keeps its oracle, which refers back weakly: no cycle waits
+    # for the collector to free the instance, its tables and its oracle
+    inst = normalize_revenues(generate("uniform-random", 3, 2, 4))
+    solve_restricted(inst)
+    oracle = weakref.ref(inst.sub_dual_oracle)
+    gc.disable()
+    try:
+        del inst
+        assert oracle() is None
+    finally:
+        gc.enable()
 
 
 def test_zero_revenue_certificate(zero_revenue_instance):

@@ -10,6 +10,7 @@ from twosided.cli import build_parser, main
 from twosided.ellipsoid import CERTIFY_FIRST, default_iteration_budget, solve_restricted
 from twosided.instance import generate, load_instance, normalize_revenues, save_instance
 from twosided.mnl import subset_of
+from twosided.policies import exact_dp_atar, exact_dp_ftar, exact_star
 from twosided.simplex import LinearProgram, solve_lp
 from twosided.suites import counterexample_instance
 
@@ -179,7 +180,7 @@ def test_t_max_below_one_is_usage_error_naming_the_flag(tmp_path, capsys, monkey
     def unreachable(*args, **kwargs):
         raise AssertionError("an oracle was built for --t-max 0")
 
-    monkeypatch.setattr("twosided.ellipsoid.SubDualOracle", unreachable)
+    monkeypatch.setattr("twosided.cost_assortment.SubDualOracle", unreachable)
     path = tmp_path / "big.json"
     save_instance(generate("uniform-random", 21, 1, 0), path)
     argv = {
@@ -354,6 +355,41 @@ def test_run_greedy_ratio(tmp_path, capsys):
     header, row = out.read_text().strip().splitlines()[-2:]
     fields = dict(zip(header.split(","), row.split(",")))
     assert float(fields["ratio_vs_dp"]) >= 0.5 - 1e-9
+
+
+def test_run_ftar_and_star_report_their_exact_values(tmp_path, capsys):
+    path = tmp_path / "so.json"
+    save_instance(generate("same-order-additive", 4, 3, 2), path)
+    rows = {}
+    for policy in ("ftar", "star"):
+        out = tmp_path / f"{policy}.json"
+        code, _ = run_cli(capsys, "run", str(path), "--policy", policy, "--format", "summary", "--out", str(out))
+        assert code == 0
+        (rows[policy],) = json.loads(out.read_text())["rows"]
+    inst = load_instance(path)
+    dp_opt = exact_dp_atar(inst)[0]
+    assert rows["ftar"]["exact_expected_revenue"] == exact_dp_ftar(inst, range(inst.n))
+    assert rows["star"]["exact_expected_revenue"] == exact_star(inst)
+    for row in rows.values():
+        assert row["dp_opt"] == dp_opt
+        assert row["ratio_vs_dp"] == row["exact_expected_revenue"] / dp_opt
+    assert rows["star"]["exact_expected_revenue"] <= rows["ftar"]["exact_expected_revenue"] <= dp_opt
+
+
+def test_run_ratio_vs_dp_falls_back_to_the_monte_carlo_mean(tmp_path, capsys):
+    # greedy at 6x7: the exact tree's 8^6 = 262,144 paths are past its
+    # 200,000 limit, while the DP's 9^6 * 7 (about 3.7M) fits under 4M
+    path = tmp_path / "so.json"
+    save_instance(generate("same-order-additive", 6, 7, 3), path)
+    out = tmp_path / "greedy.json"
+    code, _ = run_cli(
+        capsys, "run", str(path), "--policy", "greedy", "--trials", "50", "--seed", "1",
+        "--format", "summary", "--out", str(out),
+    )
+    assert code == 0
+    (row,) = json.loads(out.read_text())["rows"]
+    assert row["exact_expected_revenue"] is None
+    assert row["ratio_vs_dp"] == row["mc_mean"] / row["dp_opt"]
 
 
 def test_run_rand_static_guarantee(tmp_path, capsys):

@@ -131,7 +131,7 @@ def test_oracle_config_validation(counterexample, unit_instance, monkeypatch):
             oracle(0, np.zeros((3, 1)), delta)
     # a solve refuses the slack before it builds its oracle, so before its
     # first cut
-    monkeypatch.setattr("twosided.ellipsoid.SubDualOracle", unreachable)
+    monkeypatch.setattr("twosided.cost_assortment.SubDualOracle", unreachable)
     for delta in (-0.1, 1.0, float("nan")):
         with pytest.raises(ValueError, match="delta must be in"):
             solve_restricted(unit_instance, 40, delta=delta)

@@ -225,6 +225,42 @@ def test_lps_that_leave_the_lockstep_are_solved_alone(monkeypatch, run):
         assert value.hex() == lp2_exact_small(inst).objective.hex()
 
 
+def _solver_error(solve, inst) -> str | None:
+    try:
+        solve(inst)
+    except LpSolverError as exc:
+        return str(exc)
+    return None
+
+
+def test_lps_past_the_pivot_budget_leave_the_lockstep_with_the_one_lp_error(monkeypatch):
+    # one pivot per loop: every LP not optimal at its start basis leaves the
+    # lockstep, and its solve alone raises the one-instance budget error
+    monkeypatch.setattr(simplex, "_pivot_budget", lambda rows: 1)
+    batch = _lp_batch(3, 2, [0])
+    solvers = ((lp1_exact_small, lp1_exact_values), (lp2_exact_small, lp2_exact_values))
+    alone = [[_solver_error(one, inst) for inst in batch] for one, _ in solvers]
+    calls = _lockstep_spy(monkeypatch)
+    for (_, batched), errors in zip(solvers, alone):
+        with pytest.raises(LpSolverError, match="simplex exceeded 1 pivots") as refused:
+            batched(batch)
+        assert str(refused.value) == next(error for error in errors if error is not None)
+    assert [k for k, _ in calls] == [len(batch)] * 2 and all(left >= 1 for _, left in calls)
+
+
+def test_key_priced_lp2_batch_is_solved_one_instance_at_a_time(monkeypatch):
+    # an 8x4 master prices its 1,024 lambda columns by key, which the
+    # lockstep's dense pricing would not match bit for bit
+    batch = [generate(kind, 8, 4, 1) for kind in GENERATOR_KINDS[:3]]
+    want = [lp2_exact_small(inst).objective.hex() for inst in batch]
+
+    def unreachable(*args):
+        raise AssertionError("a key-priced batch reached the lockstep")
+
+    monkeypatch.setattr(lp_module, "_optimize_lockstep", unreachable)
+    assert [value.hex() for value in lp2_exact_values(batch)] == want
+
+
 def test_lp2_batch_refuses_an_mnl_coefficient_past_float64_range(monkeypatch, tiny_weight):
     with pytest.warns(RuntimeWarning), pytest.raises(LpSolverError) as alone:
         lp2_exact_small(tiny_weight(312))
@@ -349,7 +385,7 @@ def test_lp_solution_check_fails_on_nan():
 
 def test_dual_report_refuses_a_non_finite_point(monkeypatch):
     inst = generate("uniform-random", 3, 2, 1)
-    monkeypatch.setattr("twosided.lp.SubDualOracle", None)  # any oracle call fails the test
+    monkeypatch.setattr("twosided.cost_assortment.SubDualOracle", None)  # any oracle call fails the test
     for part in ("alpha", "beta", "gamma"):
         parts = {"alpha": np.zeros((3, 2)), "beta": np.ones(2), "gamma": np.zeros((3, 2))}
         parts[part].flat[0] = np.nan

@@ -482,10 +482,10 @@ def test_batched_kkt_check_is_the_one_lp_check(monkeypatch):
     batch += [generate("uniform-random", 3, 2, seed) for seed in (8, 9)]
     with pytest.raises(TypeError):  # the captured call returns no values
         lp_module.lp2_exact_values(batch)
-    ((cols, basis, binv, x_b, b, cost),) = captured
+    ((cols, basis, binv, b, cost),) = captured
     cost, xs, ys = cost.copy(), [], []
     for t in range(cols.shape[0]):
-        state = simplex_module._RevisedBasis(cols[t], basis[t].copy(), binv[t].copy(), x_b[t].copy())
+        state = simplex_module._RevisedBasis(cols[t], basis[t].copy(), binv[t].copy(), b[t].copy())
         _, x, y = simplex_module._optimize(state, b[t], cost[t], cost.shape[1])
         xs.append(x)
         ys.append(y)
