@@ -72,18 +72,14 @@ def monte_carlo(policy, trials: int, master_seed: int) -> tuple[float, float]:
 @dataclass(frozen=True)
 class SubsetDistribution:
     """Finite distribution over customer subsets: (bitmask, probability)
-    pairs sorted by mask (bit i: customer i, as ``mnl.mask_of``)."""
+    pairs (bit i: customer i, as ``mnl.mask_of``), sorted by mask as the
+    constructors below build them; a repeated mask adds its probabilities."""
 
     support: tuple[tuple[int, float], ...]
 
     def __post_init__(self):
-        total = sum(p for _, p in self.support)
-        # a negative mask would read a table from its end; not p >= 0 also
-        # refuses NaN, which no sum check catches
-        if any(not p >= 0 or mask < 0 for mask, p in self.support):
-            raise ValueError("negative mask, or a probability that is negative or NaN")
-        if abs(total - 1.0) > 1e-12:
-            raise ValueError(f"probabilities sum to {total}, not 1")
+        masks = [mask for mask, _ in self.support]
+        check_supports(np.array([masks]), np.array([[p for _, p in self.support]], dtype=float))
 
     @staticmethod
     def point_mass(subset) -> "SubsetDistribution":
@@ -100,7 +96,11 @@ class SubsetDistribution:
     def random_correlated(n: int, rng: np.random.Generator) -> "SubsetDistribution":
         """Up to ``CORRELATED_MAX_SUPPORT`` subsets drawn uniformly, Dirichlet
         weights; a falsification net over correlated distributions, not a
-        proof."""
+        proof. The law: k uniform on 1..``CORRELATED_MAX_SUPPORT``, k masks
+        uniform on [0, 2^n), Dirichlet(1) weights, repeated masks merged.
+        The gap suite draws from the same law as arrays
+        (:func:`twosided.suites.suite_gap`), with Dirichlet(1) as
+        normalized Exp(1) and repeated masks left unmerged."""
         k = int(rng.integers(1, CORRELATED_MAX_SUPPORT + 1))
         masks = rng.integers(0, 2**n, size=k)
         weights = rng.dirichlet(np.ones(k))
@@ -115,6 +115,21 @@ class SubsetDistribution:
         for mask, p in self.support:
             out += p * rows[mask]
         return out
+
+
+def check_supports(masks: np.ndarray, probs: np.ndarray) -> None:
+    """The checks of a :class:`SubsetDistribution`, on k supports at once:
+    one per row of the (k, s) ``masks`` and ``probs``. ``ValueError`` for a
+    negative mask or probability, a NaN probability, or a row that does
+    not sum to within 1e-12 of 1."""
+    # a negative mask would read a table from its end; not p >= 0 also
+    # refuses NaN, which no sum check catches
+    if (masks < 0).any() or not (probs >= 0).all():
+        raise ValueError("negative mask, or a probability that is negative or NaN")
+    totals = probs.sum(axis=1)
+    off = np.abs(totals - 1.0) > 1e-12
+    if off.any():
+        raise ValueError(f"probabilities sum to {totals[off][0]}, not 1")
 
 
 def _gtab(inst: Instance, j: int, check: str) -> np.ndarray:

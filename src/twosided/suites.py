@@ -16,9 +16,8 @@ import numpy as np
 from . import mnl
 from .evaluate import (
     CORRELATED_MAX_SUPPORT,
-    GAP_MAX_N,
     PropertyReport,
-    SubsetDistribution,
+    check_supports,
     correlation_gap_ratios,
     cost_share,
     cost_sharing_check,
@@ -35,11 +34,16 @@ GAP_GENERAL_BOUND = 2.0
 GAP_UNIFORM_BOUND = math.e / (math.e - 1.0)
 CHAIN_SLACK = 1e-7
 TOL = 1e-9
-# sizes of the suites: correlated draws, sampled checks per suite, chain instances
+# sizes of the suites: correlated and exactness draws, sampled checks per suite, chain instances
 GAP_DRAWS = 1000
+EXACT_DRAWS = 50
 SHARING_TRIALS = 1000
 ORDER_TRIALS = 1000
 CHAIN_COUNT = 200
+# customers of each gap-suite instance; a draw keeps the first n of its supplier's row
+GAP_CUSTOMERS = 6
+# _sub_seed keys of the gap suite: each kind's instance at its key, its other draws at key + 1
+GAP_KEYS = {"uniform-random": 1, "supplier-uniform": 3, "exactness": 5}
 # chain instances per batched oracle or LP call: bounds the batch's arrays (about 0.6 MiB at 3x2)
 CHAIN_GROUP = 50
 
@@ -134,63 +138,99 @@ def suite_appendix_a(seed: int = 0) -> list[PropertyReport]:
     ]
 
 
-class _GapDraws:
-    """The inputs of ``count`` gap-suite draws, preallocated: draw t's size
-    n, its supplier's values r[:, j]·w[j] and weights w[j] in the first n
-    columns, and its support padded to ``width`` with (0, +0.0) pairs.
-    :meth:`ratios` checks every draw of one n in one array pass."""
+def _correlated_draws(seed: int, kind: str, count: int):
+    """``count`` correlated gap draws of ``kind``, as arrays: draw t is
+    supplier t of one ``generate(kind, GAP_CUSTOMERS, count, ...)`` instance,
+    cut to its first n[t] customers, with the support of
+    :meth:`~twosided.evaluate.SubsetDistribution.random_correlated` at
+    n[t]: k[t] masks uniform below 2^n[t] with Dirichlet(1) weights (Exp(1)
+    draws normalized per row), in draw order and padded to
+    ``CORRELATED_MAX_SUPPORT`` with (0, +0.0) pairs. One generator draws
+    n, k, the masks and the weights, each as one array.
 
-    def __init__(self, count: int, width: int):
-        self.sizes = [0] * count
-        self.values = np.zeros((count, GAP_MAX_N))
-        self.weights = np.zeros((count, GAP_MAX_N))
-        self.masks = np.zeros((count, width), dtype=int)
-        self.probs = np.zeros((count, width))
-
-    def add(self, t: int, inst: Instance, j: int, dist: SubsetDistribution) -> None:
-        n, size = inst.n, len(dist.support)
-        self.sizes[t] = n
-        self.values[t, :n] = inst.r[:, j] * inst.w[j]
-        self.weights[t, :n] = inst.w[j]
-        self.masks[t, :size], self.probs[t, :size] = zip(*dist.support)
-
-    def ratios(self) -> list[float | None]:
-        """:func:`correlation_gap_check` of every draw, in draw order: the
-        g rows of each size are built with the instance's row builders, bit
-        for bit its table rows."""
-        groups: dict[int, list[int]] = {}
-        for t, n in enumerate(self.sizes):
-            groups.setdefault(n, []).append(t)
-        out: list[float | None] = [None] * len(self.sizes)
-        for n, group in groups.items():
-            gtabs = mnl.expected_revenue_rows(self.values[group, :n], self.weights[group, :n])
-            ratios = correlation_gap_ratios(mnl.max_over_subsets(gtabs), self.masks[group], self.probs[group])
-            del gtabs  # freed before the next size's rows are built
-            for t, ratio in zip(group, ratios):
-                out[t] = ratio
-        return out
+    Returns ``(inst, n, k, masks, probs)``."""
+    key = GAP_KEYS[kind]
+    inst = generate(kind, GAP_CUSTOMERS, count, _sub_seed(seed, key))
+    rng = np.random.default_rng(_sub_seed(seed, key + 1))
+    n = rng.integers(3, GAP_CUSTOMERS + 1, size=count)
+    k = rng.integers(1, CORRELATED_MAX_SUPPORT + 1, size=count)
+    live = np.arange(CORRELATED_MAX_SUPPORT) < k[:, None]
+    masks = rng.integers(0, 1 << n[:, None], size=live.shape) * live
+    weights = rng.standard_exponential(live.shape) * live
+    return inst, n, k, masks, weights / weights.sum(axis=1, keepdims=True)
 
 
-def _correlated_gap_ratios(seed: int, kind: str, first_case: int, count: int) -> list[float | None]:
-    """Gap ratios of cases first_case + 1 .. first_case + count: a random
-    instance of ``kind``, a random supplier and a random correlated draw."""
-    draws = _GapDraws(count, CORRELATED_MAX_SUPPORT)
-    for t in range(count):
-        case = first_case + t + 1
-        rng = np.random.default_rng(_sub_seed(seed, case))
-        n = int(rng.integers(3, 7))
-        m = int(rng.integers(1, 4))
-        inst = generate(kind, n, m, _sub_seed(seed, case) + 7)
-        j = int(rng.integers(0, m))
-        draws.add(t, inst, j, SubsetDistribution.random_correlated(n, rng))
-    return draws.ratios()
+def _exactness_draws(seed: int):
+    """The exactness draws, as arrays: draw t is supplier t of one
+    ``generate("uniform-random", GAP_CUSTOMERS, EXACT_DRAWS, ...)``
+    instance, cut to its first n[t] in 2..``GAP_CUSTOMERS`` customers, with
+    a point mass on a mask uniform below 2^n[t] and the product
+    distribution of U[0, 1] marginals, whose 2^n[t] subsets are padded to
+    2^``GAP_CUSTOMERS`` with (0, +0.0) pairs (a marginal of 0 past n[t]
+    gives the padding +0.0 and leaves the live probabilities' bits as
+    they are).
+
+    Returns ``(inst, n, points, products)``, each of the last two a
+    ``(k, masks, probs)`` triple."""
+    key = GAP_KEYS["exactness"]
+    inst = generate("uniform-random", GAP_CUSTOMERS, EXACT_DRAWS, _sub_seed(seed, key))
+    rng = np.random.default_rng(_sub_seed(seed, key + 1))
+    n = rng.integers(2, GAP_CUSTOMERS + 1, size=EXACT_DRAWS)
+    points = rng.integers(0, 1 << n)[:, None]
+    marginals = rng.uniform(0.0, 1.0, size=(EXACT_DRAWS, GAP_CUSTOMERS))
+    marginals *= np.arange(GAP_CUSTOMERS) < n[:, None]
+    subsets = np.arange(1 << GAP_CUSTOMERS)
+    return (
+        inst,
+        n,
+        (np.ones(EXACT_DRAWS, dtype=int), points, np.ones((EXACT_DRAWS, 1))),
+        (1 << n, subsets * (subsets < 1 << n[:, None]), mnl.independent_subset_probs(marginals.T).T),
+    )
+
+
+def _gap_ratios(
+    inst: Instance, n: np.ndarray, k: np.ndarray, masks: np.ndarray, probs: np.ndarray
+) -> list[float | None]:
+    """:func:`~twosided.evaluate.correlation_gap_check` of every draw, in
+    draw order: draw t is supplier t of ``inst`` cut to its first n[t]
+    customers, with the support of row t of ``masks`` and ``probs``, whose
+    first k[t] pairs are live and the rest (0, +0.0) padding. The supports
+    are refused as :class:`~twosided.evaluate.SubsetDistribution` refuses
+    them, in one array check. The g rows of each size are built in one
+    pass with the row builders the instance tables come from, bit for bit
+    the table rows of the cut instance, and checked in one
+    :func:`~twosided.evaluate.correlation_gap_ratios` call over the
+    group's widest live support."""
+    check_supports(masks, probs)
+    values = inst.r.T * inst.w
+    out: list[float | None] = [None] * len(n)
+    for size in range(1, GAP_CUSTOMERS + 1):  # a fixed range: np.unique would page in numpy's sort
+        group = np.flatnonzero(n == size)
+        if not group.size:
+            continue
+        width = int(k[group].max())
+        gtabs = mnl.expected_revenue_rows(values[group, :size], inst.w[group, :size])
+        ratios = correlation_gap_ratios(mnl.max_over_subsets(gtabs), masks[group, :width], probs[group, :width])
+        del gtabs  # freed before the next size's rows are built
+        for t, ratio in zip(group.tolist(), ratios):
+            out[t] = ratio
+    return out
 
 
 def suite_gap(seed: int) -> list[PropertyReport]:
     """Correlation-gap bound on ``GAP_DRAWS`` random correlated draws, and
-    ratio 1 on point masses and product distributions. The draws are
-    checked per size in one array pass each (:class:`_GapDraws`), with
-    the answers of :func:`correlation_gap_check` on each draw."""
+    ratio 1 on ``EXACT_DRAWS`` point masses and as many product
+    distributions. Each kind's draws come as arrays
+    (:func:`_correlated_draws`, :func:`_exactness_draws`): one generated
+    instance whose supplier rows, cut to n customers, have the law of
+    ``generate`` at n (their entries are iid), and one generator for every
+    other value. A correlated draw has the law of
+    :meth:`~twosided.evaluate.SubsetDistribution.random_correlated`:
+    Dirichlet(1) is normalized Exp(1), and a repeated mask splits its
+    probability without changing the distribution. The draws are checked
+    per size in one array pass each (:func:`_gap_ratios`), with the
+    answers of :func:`~twosided.evaluate.correlation_gap_check` on each
+    draw."""
     report = PropertyReport(name="correlation-gap")
     exact = PropertyReport(name="correlation-gap-exactness")
     half = GAP_DRAWS // 2
@@ -198,10 +238,9 @@ def suite_gap(seed: int) -> list[PropertyReport]:
         ("uniform-random", GAP_GENERAL_BOUND, half),
         ("supplier-uniform", GAP_UNIFORM_BOUND, GAP_DRAWS - half),
     ]
-    case = 0
     max_seen = {"uniform-random": 0.0, "supplier-uniform": 0.0}
     for kind, bound, count in specs:
-        for ratio in _correlated_gap_ratios(seed, kind, case, count):
+        for ratio in _gap_ratios(*_correlated_draws(seed, kind, count)):
             report.cases += 1
             if ratio is None:
                 # 0/0: the draw put all its mass on the empty set, so both
@@ -212,19 +251,10 @@ def suite_gap(seed: int) -> list[PropertyReport]:
             max_seen[kind] = max(max_seen[kind], ratio)
             if ratio > bound + TOL:
                 report.record(kind=f"gap-bound-{kind}", ratio=ratio, bound=bound)
-        case += count
     report.notes["max-ratio"] = max_seen
 
-    points = _GapDraws(50, 1)
-    products = _GapDraws(50, 2**6)  # n < 7: a product's support is every subset
-    for k in range(50):
-        rng = np.random.default_rng(_sub_seed(seed, 10_000 + k))
-        n = int(rng.integers(2, 7))
-        inst = generate("uniform-random", n, 2, _sub_seed(seed, 20_000 + k))
-        subset = mnl.subset_of(int(rng.integers(0, 2**n)), n)
-        points.add(k, inst, 0, SubsetDistribution.point_mass(subset))
-        products.add(k, inst, 0, SubsetDistribution.product(rng.uniform(0.0, 1.0, size=n)))
-    for point, product in zip(points.ratios(), products.ratios()):
+    inst, n, points, products = _exactness_draws(seed)
+    for point, product in zip(_gap_ratios(inst, n, *points), _gap_ratios(inst, n, *products)):
         exact.cases += 1
         if point is not None and abs(point - 1.0) > 1e-12:
             exact.record(kind="point-mass", ratio=point)

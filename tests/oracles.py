@@ -1081,7 +1081,22 @@ def reference_correlation_gap_check(inst: Instance, j: int, dist) -> float | Non
     return numerator / denominator
 
 
+def _drawn_supplier(inst: Instance, t: int, n: int) -> Instance:
+    """Supplier t of a gap-suite instance, cut to its first n customers, as
+    a one-supplier instance."""
+    return Instance(n=n, m=1, u=inst.u[:n, t : t + 1], w=inst.w[t : t + 1, :n], r=inst.r[:n, t : t + 1])
+
+
+def _drawn_support(t: int, supports, masks, probs) -> SubsetDistribution:
+    """Draw t's first supports[t] (live) pairs, in draw order."""
+    k = int(supports[t])
+    return SubsetDistribution(tuple(zip(masks[t, :k].tolist(), probs[t, :k].tolist())))
+
+
 def reference_suite_gap(seed: int) -> list[PropertyReport]:
+    """The gap suite with each of its sampler's draws checked one at a
+    time: a per-draw instance and :class:`SubsetDistribution`, checked by
+    :func:`reference_correlation_gap_check`."""
     report = PropertyReport(name="correlation-gap")
     exact = PropertyReport(name="correlation-gap-exactness")
     half = suites.GAP_DRAWS // 2
@@ -1089,19 +1104,13 @@ def reference_suite_gap(seed: int) -> list[PropertyReport]:
         ("uniform-random", suites.GAP_GENERAL_BOUND, half),
         ("supplier-uniform", suites.GAP_UNIFORM_BOUND, suites.GAP_DRAWS - half),
     ]
-    case = 0
     max_seen = {"uniform-random": 0.0, "supplier-uniform": 0.0}
     for kind, bound, count in specs:
-        for k in range(count):
-            case += 1
-            rng = np.random.default_rng(suites._sub_seed(seed, case))
-            n = int(rng.integers(3, 7))
-            m = int(rng.integers(1, 4))
-            inst = generate(kind, n, m, suites._sub_seed(seed, case) + 7)
-            j = int(rng.integers(0, m))
-            dist = SubsetDistribution.random_correlated(n, rng)
+        inst, sizes, *support = suites._correlated_draws(seed, kind, count)
+        for t in range(count):
             report.cases += 1
-            ratio = reference_correlation_gap_check(inst, j, dist)
+            drawn = _drawn_supplier(inst, t, int(sizes[t]))
+            ratio = reference_correlation_gap_check(drawn, 0, _drawn_support(t, *support))
             if ratio is None:
                 # 0/0: the draw put all its mass on the empty set, so both
                 # expectations vanish; counted but consistent with the bound.
@@ -1113,18 +1122,15 @@ def reference_suite_gap(seed: int) -> list[PropertyReport]:
                 report.record(kind=f"gap-bound-{kind}", ratio=ratio, bound=bound)
     report.notes["max-ratio"] = max_seen
 
-    for k in range(50):
-        rng = np.random.default_rng(suites._sub_seed(seed, 10_000 + k))
-        n = int(rng.integers(2, 7))
-        inst = generate("uniform-random", n, 2, suites._sub_seed(seed, 20_000 + k))
-        subset = mnl.subset_of(int(rng.integers(0, 2**n)), n)
+    inst, sizes, points, products = suites._exactness_draws(seed)
+    for t in range(suites.EXACT_DRAWS):
+        drawn = _drawn_supplier(inst, t, int(sizes[t]))
         exact.cases += 1
-        ratio = reference_correlation_gap_check(inst, 0, SubsetDistribution.point_mass(subset))
+        ratio = reference_correlation_gap_check(drawn, 0, _drawn_support(t, *points))
         if ratio is not None and abs(ratio - 1.0) > 1e-12:
             exact.record(kind="point-mass", ratio=ratio)
-        marginals = rng.uniform(0.0, 1.0, size=n)
         exact.cases += 1
-        ratio = reference_correlation_gap_check(inst, 0, SubsetDistribution.product(marginals))
+        ratio = reference_correlation_gap_check(drawn, 0, _drawn_support(t, *products))
         if ratio is None or abs(ratio - 1.0) > 1e-12:
             exact.record(kind="product", ratio=ratio)
     return [report, exact]

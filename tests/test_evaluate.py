@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from oracles import reference_suite_gap, squared_size_table
-from twosided import mnl, suites
+from twosided import evaluate, mnl, suites
 from twosided.evaluate import (
     SubsetDistribution,
     correlation_gap_check,
@@ -338,3 +338,95 @@ def test_gap_suite_reads_no_instance_table(monkeypatch):
     report, exact = suites.suite_gap(1)
     assert (report.cases, exact.cases) == (suites.GAP_DRAWS, 100)
     assert report.passed and exact.passed
+
+
+def _padding_is_zero(live, masks, probs):
+    return (masks[~live] == 0).all() and (probs[~live] == 0.0).all() and not np.signbit(probs[~live]).any()
+
+
+@pytest.mark.parametrize("seed", range(1, 21))
+def test_gap_draws_have_the_law_of_the_per_draw_sampler(seed):
+    for kind in ("uniform-random", "supplier-uniform"):
+        inst, n, k, masks, probs = suites._correlated_draws(seed, kind, 500)
+        assert (inst.n, inst.m) == (suites.GAP_CUSTOMERS, 500)
+        assert set(n.tolist()) == {3, 4, 5, 6}
+        assert set(k.tolist()) == set(range(1, suites.CORRELATED_MAX_SUPPORT + 1))
+        assert masks.shape == probs.shape == (500, suites.CORRELATED_MAX_SUPPORT)
+        live = np.arange(suites.CORRELATED_MAX_SUPPORT) < k[:, None]
+        assert ((masks >= 0) & (masks < 1 << n[:, None])).all()
+        assert _padding_is_zero(live, masks, probs) and (probs[live] > 0.0).all()
+        assert all(abs(math.fsum(row) - 1.0) <= 1e-12 for row in probs.tolist())
+        assert ((inst.w >= 0.1) & (inst.w <= 10.0)).all() and ((inst.u >= 0.1) & (inst.u <= 10.0)).all()
+        if kind == "supplier-uniform":
+            # one r_j per supplier row: its values r·w are r_j·w
+            assert (inst.r == inst.r[0]).all()
+        else:
+            assert all(len(set(row[:size])) == size for row, size in zip(inst.r.T.tolist(), n.tolist()))
+
+    inst, n, (k_point, points, point_probs), (k_product, products, product_probs) = suites._exactness_draws(seed)
+    assert (inst.n, inst.m) == (suites.GAP_CUSTOMERS, suites.EXACT_DRAWS)
+    assert set(n.tolist()) == {2, 3, 4, 5, 6}
+    assert (k_point == 1).all() and (point_probs == 1.0).all() and ((points >= 0) & (points < 1 << n[:, None])).all()
+    assert (k_product == 1 << n).all()
+    live = np.arange(1 << suites.GAP_CUSTOMERS) < k_product[:, None]
+    assert (products[live] == np.nonzero(live)[1]).all()  # every subset, in mask order
+    assert _padding_is_zero(live, products, product_probs)
+    for size, row in zip(n.tolist(), product_probs):
+        # the product of its own marginals, each in [0, 1]
+        q = SubsetDistribution(tuple(enumerate(row[: 1 << size].tolist()))).marginals(size)
+        assert ((q >= 0.0) & (q <= 1.0)).all()
+        assert np.allclose(row[: 1 << size], mnl.independent_subset_probs(q), rtol=0.0, atol=1e-12)
+
+
+@pytest.mark.parametrize("patch", [math.nan, -0.25], ids=["nan", "negative"])
+def test_gap_draws_refuse_a_probability_as_the_distribution_does(patch):
+    inst, n, k, masks, probs = suites._correlated_draws(1, "uniform-random", 500)
+    probs[7, 0] = patch
+    with pytest.raises(ValueError, match="negative or NaN"):
+        suites._gap_ratios(inst, n, k, masks, probs)
+    with pytest.raises(ValueError, match="negative or NaN"):
+        SubsetDistribution(((0, patch), (1, 1.0 - patch)))
+    probs[7, 0] = 0.5  # nonnegative, but the row no longer sums to 1
+    with pytest.raises(ValueError, match="sum to"):
+        suites._gap_ratios(inst, n, k, masks, probs)
+
+
+def test_gap_suite_generates_one_instance_per_kind(monkeypatch):
+    calls = Counter()
+
+    def counted(name, real):
+        def call(*args, **kwargs):
+            calls[name] += 1
+            return real(*args, **kwargs)
+
+        return call
+
+    def unreachable(*args, **kwargs):
+        raise AssertionError("the suite made a per-draw call")
+
+    monkeypatch.setattr(suites, "generate", counted("generate", suites.generate))
+    monkeypatch.setattr(np.random, "default_rng", counted("default_rng", np.random.default_rng))
+    monkeypatch.setattr(SubsetDistribution, "random_correlated", staticmethod(unreachable))
+    monkeypatch.setattr(evaluate, "correlation_gap_check", unreachable)
+    monkeypatch.setattr(mnl, "optimal_revenue_table", unreachable)
+    report, exact = suites.suite_gap(1)
+    # one generator per kind in the suite, and one inside each generate call
+    assert calls == {"generate": 3, "default_rng": 6}
+    assert (report.cases, exact.cases) == (suites.GAP_DRAWS, 2 * suites.EXACT_DRAWS)
+    assert report.passed and exact.passed
+
+
+def test_gap_suite_draws_from_keys_no_other_suite_uses(monkeypatch):
+    keys, real = set(), suites._sub_seed
+
+    def recorded(seed, k):
+        keys.add(k)
+        return real(seed, k)
+
+    monkeypatch.setattr(suites, "_sub_seed", recorded)
+    suites.suite_gap(1)
+    gap_keys, keys = set(keys), set()
+    for name in ("sharing", "order", "chain"):
+        suites.SUITES[name](1)
+    assert gap_keys == {1, 2, 3, 4, 5, 6}
+    assert keys and not gap_keys & keys
